@@ -756,7 +756,10 @@ func (tp *TrafficPlan) OnFiberCut(fibers ...FiberID) (*Reaction, error) {
 		}
 	}
 	// Rebuild the optical-side plan for the winning ticket.
-	res, err := rwa.Solve(&rwa.Request{Net: tp.planner.net.opt, Cut: cut, K: 3, AllowTuning: true, AllowModulationChange: true, NoWarm: tp.planner.noWarm, HealthEvery: tp.planner.healthEvery})
+	res, err := rwa.Solve(&rwa.Request{
+		Net: tp.planner.net.opt, Cut: cut, K: 3, AllowTuning: true, AllowModulationChange: true,
+		Recorder: tp.planner.rec, NoWarm: tp.planner.noWarm, HealthEvery: tp.planner.healthEvery,
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/arrow-te/arrow/internal/ledger"
+	"github.com/arrow-te/arrow/internal/obs"
 )
 
 // buildSquare constructs a 4-site ring WAN (like the paper's testbed) with
@@ -175,6 +176,32 @@ func TestOnFiberCutUnknownScenario(t *testing.T) {
 	// A triple cut is certainly below cutoff.
 	if _, err := plan.OnFiberCut(fibers[0], fibers[1], fibers[2]); err == nil {
 		t.Fatal("expected unknown-scenario error")
+	}
+}
+
+// TestOnFiberCutRecordsMetrics pins that the reaction's RWA re-solve reports
+// to the recorder the planner was planned with, like every other solve.
+func TestOnFiberCutRecordsMetrics(t *testing.T) {
+	net, fibers, _ := buildSquare(t)
+	reg := obs.NewRegistry()
+	planner, err := net.PlanContext(obs.WithRecorder(context.Background(), reg),
+		PlanOptions{Tickets: 3, Cutoff: 1e-4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := planner.Solve([]Demand{{Src: 0, Dst: 1, Gbps: 50}}, SolveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rwaBefore, lpBefore := reg.Counter("rwa.solves"), reg.Counter("lp.solves")
+	if _, err := plan.OnFiberCut(fibers[2]); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Counter("rwa.solves") - rwaBefore; got != 1 {
+		t.Fatalf("OnFiberCut recorded %d rwa.solves, want 1", got)
+	}
+	if reg.Counter("lp.solves") <= lpBefore {
+		t.Fatal("OnFiberCut recorded no lp.solves")
 	}
 }
 

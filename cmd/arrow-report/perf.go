@@ -34,8 +34,8 @@ type PerfTrend struct {
 type PerfReport struct {
 	TotalSeconds float64 `json:"total_seconds"`
 	// Coverage is the fraction of the total bracket attributed to
-	// top-level stages; the report gate requires >= 0.9 so the table
-	// explains the run instead of summarising a sliver of it.
+	// top-level stages: the Percent column adds up to 100 × Coverage, and
+	// the remainder ran outside every stage.
 	Coverage float64     `json:"coverage"`
 	Stages   []StageRow  `json:"stages"`
 	Trends   []PerfTrend `json:"trends,omitempty"`

@@ -123,8 +123,8 @@ type RunReport struct {
 	// shares. Absent when the run carried no attribution events (-attr off).
 	Attribution *AttributionReport `json:"attribution,omitempty"`
 	// Performance is the stage-level resource-attribution section: per-stage
-	// wall time, allocation and GC-pause deltas of this run (coverage-gated
-	// at 90% of the total bracket), plus trend sparklines from the committed
+	// wall time, allocation and GC-pause deltas of this run with the covered
+	// share of the total bracket, plus trend sparklines from the committed
 	// benchmark history. Absent when the run was not profiled (-ledger mode).
 	Performance *PerfReport `json:"performance,omitempty"`
 	// Metrics embeds the metrics snapshot of the run, when available.

@@ -1,0 +1,394 @@
+package lp
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"testing"
+)
+
+// The tests in this file pin the invariant the sparse kernel rests on: it
+// performs the arithmetic of the dense product-form kernel it replaced, in
+// the same order, and only leaves out the terms whose multiplier is an
+// exact zero. Such a term is `s -= 0·x`, which cannot change s (short of
+// flipping the sign of a zero), so every solve takes the pivots it took
+// before.
+
+// denseEta is an eta as the dense kernel stored it: the whole entering
+// column in basis coordinates, pivot entry included.
+type denseEta struct {
+	pos int
+	col []float64
+	piv float64
+}
+
+// denseEtas expands the eta arena back into dense columns.
+func denseEtas(sx *simplex) []denseEta {
+	out := make([]denseEta, len(sx.etas))
+	for k, e := range sx.etas {
+		col := make([]float64, sx.nRow)
+		for p := e.lo; p < e.hi; p++ {
+			col[sx.etaIdx[p]] = sx.etaVal[p]
+		}
+		col[e.pos] = e.piv
+		out[k] = denseEta{pos: e.pos, col: col, piv: e.piv}
+	}
+	return out
+}
+
+// denseFtran is the reference FTRAN: every row of every eta is visited.
+func denseFtran(sx *simplex, etas []denseEta, in, out []float64) {
+	sx.lu.solve(in, out)
+	for k := range etas {
+		e := &etas[k]
+		t := out[e.pos] / e.piv
+		if t != 0 {
+			for i := range e.col {
+				if i != e.pos {
+					out[i] -= e.col[i] * t
+				}
+			}
+		}
+		out[e.pos] = t
+	}
+}
+
+// denseBtran is the reference BTRAN.
+func denseBtran(sx *simplex, etas []denseEta, c, out []float64) {
+	tmp := append([]float64(nil), c...)
+	for k := len(etas) - 1; k >= 0; k-- {
+		e := &etas[k]
+		s := tmp[e.pos]
+		for i := range e.col {
+			if i != e.pos {
+				s -= e.col[i] * tmp[i]
+			}
+		}
+		tmp[e.pos] = s / e.piv
+	}
+	sx.lu.solveT(tmp, out)
+}
+
+// sameBits reports whether a and b are the same float64s, a negative zero
+// counting as zero.
+func sameBits(a, b []float64) (int, bool) {
+	for i := range a {
+		x, y := a[i], b[i]
+		if x == 0 && y == 0 {
+			continue
+		}
+		if math.Float64bits(x) != math.Float64bits(y) {
+			return i, false
+		}
+	}
+	return -1, true
+}
+
+// checkKernelAgainstDense runs a set of right-hand sides through the sparse
+// and the dense FTRAN/BTRAN on sx's current factors and eta file.
+func checkKernelAgainstDense(t *testing.T, sx *simplex, rng *rand.Rand, label string) {
+	t.Helper()
+	n := sx.nRow
+	if n == 0 {
+		return
+	}
+	etas := denseEtas(sx)
+	got, want := make([]float64, n), make([]float64, n)
+	in := make([]float64, n)
+
+	ftranBoth := func(what string, fill func(v []float64)) {
+		t.Helper()
+		fill(in)
+		sx.ftran(in, got)
+		fill(in)
+		denseFtran(sx, etas, in, want)
+		if i, ok := sameBits(got, want); !ok {
+			t.Fatalf("%s: ftran(%s)[%d] = %v (%#x), dense reference %v (%#x)", label, what, i,
+				got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+	btranBoth := func(what string, fill func(v []float64)) {
+		t.Helper()
+		fill(in)
+		sx.btran(in, got)
+		denseBtran(sx, etas, in, want)
+		if i, ok := sameBits(got, want); !ok {
+			t.Fatalf("%s: btran(%s)[%d] = %v (%#x), dense reference %v (%#x)", label, what, i,
+				got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+		for i, v := range sx.accum {
+			if v != 0 {
+				t.Fatalf("%s: btran(%s) left accum[%d] = %v", label, what, i, v)
+			}
+		}
+	}
+	column := func(j int) func(v []float64) {
+		return func(v []float64) {
+			for i := range v {
+				v[i] = 0
+			}
+			c := &sx.cols[j]
+			for i, r := range c.rows {
+				v[r] += c.vals[i]
+			}
+		}
+	}
+	basicCosts := func(cost []float64) func(v []float64) {
+		return func(v []float64) {
+			for pos, j := range sx.basisOf {
+				v[pos] = cost[j]
+			}
+		}
+	}
+
+	// The vectors a pivot actually transforms: entering columns, the
+	// right-hand side, and the basic costs of both phases.
+	for k := 0; k < 4; k++ {
+		j := rng.Intn(sx.nStr + sx.nRow)
+		ftranBoth(fmt.Sprintf("column %d", j), column(j))
+	}
+	ftranBoth("b", func(v []float64) { copy(v, sx.b) })
+	btranBoth("c_B", basicCosts(sx.cost))
+	if sx.phase1Cost != nil {
+		btranBoth("phase-1 c_B", basicCosts(sx.phase1Cost))
+	}
+	// A unit vector (one row of B⁻¹) and a dense random vector.
+	unit := rng.Intn(n)
+	unitVec := func(v []float64) {
+		for i := range v {
+			v[i] = 0
+		}
+		v[unit] = 1
+	}
+	ftranBoth("unit", unitVec)
+	btranBoth("unit", unitVec)
+	dense := make([]float64, n)
+	for i := range dense {
+		dense[i] = rng.NormFloat64()
+	}
+	ftranBoth("dense", func(v []float64) { copy(v, dense) })
+	btranBoth("dense", func(v []float64) { copy(v, dense) })
+}
+
+// checkEveryPivot solves m (from basis, when given) once per pivot count
+// k = 0, 1, 2, … with the iteration limit set to k, which leaves the
+// simplex exactly as it stood after its k-th pivot, and compares the sparse
+// kernel with the dense reference on each of those states. It returns the
+// number of pivots of the full solve.
+func checkEveryPivot(t *testing.T, m *Model, basis *Basis, rng *rand.Rand, label string) int {
+	t.Helper()
+	for k := 0; ; k++ {
+		sx, err := newSimplex(m, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		sx.opt.MaxIter = k // not through Options, where 0 selects the default
+		var sol *Solution
+		if basis != nil {
+			sol, err = sx.solveWarm(basis)
+		} else {
+			sol, err = sx.solve()
+		}
+		if err != nil {
+			t.Fatalf("%s: solve stopped at %d pivots: %v", label, k, err)
+		}
+		checkKernelAgainstDense(t, sx, rng, fmt.Sprintf("%s after %d pivots", label, sx.iters))
+		if sol.Status != StatusIterLimit {
+			return sx.iters
+		}
+		if k > 5000 {
+			t.Fatalf("%s: no end after %d pivots", label, k)
+		}
+	}
+}
+
+// kernelFixtures are the deterministic fixture LPs of this package's other
+// tests, small enough to re-solve once per pivot.
+func kernelFixtures() []*Model {
+	chain, _ := chainModel(12)
+	return []*Model{warmTestModel(), warmEqModel(), chain, healthNetworkModel(3), benchWarmModel(60, 30, 42)}
+}
+
+func TestSparseKernelMatchesDenseAtEveryPivot(t *testing.T) {
+	rng := rand.New(rand.NewSource(9101))
+	pivots, etaFull, etaStored := 0, 0, 0
+	count := func(m *Model, basis *Basis, label string) {
+		pivots += checkEveryPivot(t, m, basis, rng, label)
+	}
+	for trial := 0; trial < 200; trial++ {
+		m := randomWarmModel(rng, "kernel")
+		label := fmt.Sprintf("random model %d", trial)
+		count(m, nil, label)
+		// Every fourth model is solved again from its own optimal basis after
+		// a perturbation, so warm repairs and reduced phase 1s are covered.
+		if trial%4 != 0 {
+			continue
+		}
+		base, err := Solve(m, nil)
+		if err != nil || base.Status != StatusOptimal {
+			continue
+		}
+		for i := 0; i < m.NumConstrs(); i++ {
+			if m.ConstrSense(Constr(i)) != EQ && rng.Float64() < 0.5 {
+				m.SetRHS(Constr(i), m.RHS(Constr(i))+rng.NormFloat64())
+			}
+		}
+		count(m, base.Basis, label+" warm")
+	}
+	for _, m := range kernelFixtures() {
+		count(m, nil, "fixture "+m.Name())
+		count(m, SlackBasis(m), "fixture "+m.Name()+" from the slack basis")
+	}
+	// The comparison is empty unless etas really have zeros to skip.
+	sx, err := newSimplex(healthNetworkModel(3), &Options{MaxIter: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sx.solve(); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range sx.etas {
+		etaFull += sx.nRow - 1
+		etaStored += e.hi - e.lo
+	}
+	if pivots < 1000 || etaStored == 0 || etaStored*2 > etaFull {
+		t.Fatalf("weak coverage: %d pivots checked, %d of %d off-pivot eta entries stored", pivots, etaStored, etaFull)
+	}
+	t.Logf("%d pivot states checked; network fixture stores %d of %d off-pivot eta entries", pivots, etaStored, etaFull)
+}
+
+// luSnapshot copies the factors proper (not the scratch space) out of f, so
+// that two factorisations can be compared whatever backing arrays they
+// happen to sit in.
+type luSnapshot struct {
+	ColOrder, RowOfPivot, Pinv, Lptr, Uptr []int
+	Lrows, Urows                           []int32
+	Lvals, Uvals, Udiag                    []float64
+}
+
+func snapshotLU(f *luFactors) luSnapshot {
+	ints := func(v []int) []int { return append([]int{}, v...) }
+	idx := func(v []int32) []int32 { return append([]int32{}, v...) }
+	vals := func(v []float64) []float64 { return append([]float64{}, v...) }
+	return luSnapshot{
+		ColOrder: ints(f.colOrder), RowOfPivot: ints(f.rowOfPivot), Pinv: ints(f.pinv),
+		Lptr: ints(f.lptr), Uptr: ints(f.uptr),
+		Lrows: idx(f.lrows), Urows: idx(f.urows),
+		Lvals: vals(f.lvals), Uvals: vals(f.uvals), Udiag: vals(f.udiag),
+	}
+}
+
+// TestLUReuseMatchesFresh factors a sequence of unrelated bases — regular,
+// singular, and singular under repair — into one luFactors and checks after
+// each regular one that the result is the factorisation a fresh luFactors
+// produces, and solves identically.
+func TestLUReuseMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(9102))
+	const n = 24
+	singular := func() []spCol {
+		_, cols := randomSparse(rng, n, 0.2)
+		// A duplicated column and an empty one.
+		cols[n-1] = cols[3]
+		cols[5] = spCol{}
+		return cols
+	}
+	reused := newLUFactors(n)
+	for round := 0; round < 30; round++ {
+		switch round % 3 {
+		case 1:
+			if _, err := reused.factor(singular(), false); !errors.Is(err, errSingular) {
+				t.Fatalf("round %d: singular basis factored, err = %v", round, err)
+			}
+		case 2:
+			patched, err := reused.factor(singular(), true)
+			if err != nil || len(patched) == 0 {
+				t.Fatalf("round %d: repair: %d patches, err = %v", round, len(patched), err)
+			}
+		}
+		_, cols := randomSparse(rng, n, 0.05+0.3*rng.Float64())
+		if _, err := reused.factor(cols, false); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		fresh, err := factorize(n, cols)
+		if err != nil {
+			t.Fatalf("round %d fresh: %v", round, err)
+		}
+		if got, want := snapshotLU(reused), snapshotLU(fresh); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: reused factors differ from fresh ones:\n got %+v\nwant %+v", round, got, want)
+		}
+		for i, v := range reused.work {
+			if v != 0 {
+				t.Fatalf("round %d: work[%d] = %v left behind", round, i, v)
+			}
+		}
+		b := make([]float64, n)
+		for i := range b {
+			b[i] = rng.NormFloat64()
+		}
+		got, want := make([]float64, n), make([]float64, n)
+		reused.solve(append([]float64(nil), b...), got)
+		fresh.solve(append([]float64(nil), b...), want)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: solve differs: %v vs %v", round, got, want)
+		}
+		reused.solveT(b, got)
+		fresh.solveT(b, want)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: solveT differs: %v vs %v", round, got, want)
+		}
+	}
+}
+
+// TestPivotLoopAllocatesNothing runs blocks of 64 pivots and a
+// refactorisation on a simplex whose arenas have reached their working
+// size, and expects the allocator to stay idle.
+func TestPivotLoopAllocatesNothing(t *testing.T) {
+	m := benchWarmModel(900, 450, 7)
+	sx, err := newSimplex(m, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// From the slack basis the model is feasible, so the set-up stops at the
+	// head of phase 2 and every block below is phase-2 pivots.
+	sx.opt.MaxIter = 0
+	if sol, err := sx.solveWarm(SlackBasis(m)); err != nil || sol.Status != StatusIterLimit || !sol.Warm.Phase1Skipped {
+		t.Fatalf("set-up solve: %+v, %v", sol, err)
+	}
+	block := func() {
+		sx.opt.MaxIter = sx.iters + sx.opt.Refactor
+		st, err := sx.iterate(sx.cost, false)
+		if err != nil || st != StatusIterLimit {
+			t.Fatalf("pivot block ended with %v, %v after %d pivots", st, err, sx.iters)
+		}
+		if err := sx.refactorize(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Warm up: a few blocks grow the eta arena, the L/U arenas and the
+	// factorisation scratch; then reserve the worst case so that a denser
+	// eta or a little more fill-in later cannot trigger a regrowth.
+	for i := 0; i < 3; i++ {
+		block()
+	}
+	reserve := sx.opt.Refactor * sx.nRow
+	sx.etaIdx = append(make([]int32, 0, reserve), sx.etaIdx...)
+	sx.etaVal = append(make([]float64, 0, reserve), sx.etaVal...)
+	f := sx.lu
+	fill := 4 * (len(f.lrows) + len(f.urows) + sx.nRow)
+	f.lrows, f.lvals = make([]int32, 0, fill), make([]float64, 0, fill)
+	f.urows, f.uvals = make([]int32, 0, fill), make([]float64, 0, fill)
+	f.touched = make([]int32, 0, 2*sx.nRow)
+	if err := sx.refactorize(); err != nil {
+		t.Fatal(err)
+	}
+	refactors := sx.refactors
+	const runs = 4
+	if avg := testing.AllocsPerRun(runs, block); avg != 0 {
+		t.Fatalf("%v allocations per block of %d pivots + refactorisation, want 0", avg, sx.opt.Refactor)
+	}
+	if got := sx.refactors - refactors; got < runs+1 {
+		t.Fatalf("%d refactorisations in %d blocks", got, runs+1)
+	}
+}

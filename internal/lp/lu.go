@@ -3,7 +3,6 @@ package lp
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // errSingular is returned when the basis matrix cannot be factorised.
@@ -20,35 +19,45 @@ func (c *spCol) add(row int, val float64) {
 	c.vals = append(c.vals, val)
 }
 
-func (c *spCol) reset() {
-	c.rows = c.rows[:0]
-	c.vals = c.vals[:0]
-}
-
 // luFactors is a sparse LU factorisation of an n*n basis matrix produced by
 // left-looking elimination with partial pivoting (Gilbert–Peierls style).
 //
 // Columns of the basis are processed in an order chosen for sparsity
 // (ascending nonzero count). Step k pivots original row rowOfPivot[k]. In
 // pivot space, L is unit lower triangular and U upper triangular.
+//
+// L and U are stored column-compressed in one arena each: column k of L is
+// (lrows, lvals)[lptr[k]:lptr[k+1]], likewise for U. One luFactors serves a
+// whole solve: factor resets the arena lengths and keeps every backing
+// array, so refactorising in steady state allocates nothing.
 type luFactors struct {
 	n          int
-	colOrder   []int   // colOrder[k] = basis position factored at step k
-	rowOfPivot []int   // rowOfPivot[k] = original row pivoted at step k
-	pinv       []int   // pinv[origRow] = pivot step, -1 while unpivoted
-	lcols      []spCol // L column k: entries (origRow, multiplier), rows pivoted later
-	ucols      []spCol // U column k: entries (pivotStep t<k, value)
+	colOrder   []int // colOrder[k] = basis position factored at step k
+	rowOfPivot []int // rowOfPivot[k] = original row pivoted at step k
+	pinv       []int // pinv[origRow] = pivot step, -1 while unpivoted
 	udiag      []float64
 
-	// workspaces reused across solves
-	work  []float64
-	stack []int32
-	mark  []int32
-	epoch int32
+	// L column k: entries (origRow, multiplier), rows pivoted later
+	lptr  []int
+	lrows []int32
+	lvals []float64
+	// U column k: entries (pivotStep t<k, value)
+	uptr  []int
+	urows []int32
+	uvals []float64
+
+	// workspaces reused across factorisations and solves
+	work    []float64
+	stack   []int32
+	mark    []int32
+	epoch   int32
+	touched []int32
+	order   []int // column processing order of the last factor call
+	bucket  []int // counting-sort buckets for order
 }
 
-// patchedCol records one singularity repair made by factorizeRepair: the
-// basis position whose column was linearly dependent, and the row whose
+// patchedCol records one singularity repair made by a repairing factor call:
+// the basis position whose column was linearly dependent, and the row whose
 // unit column was substituted in its place. A slack column is exactly such
 // a unit column (slacks always carry coefficient +1), so the caller can
 // realise the patch by installing the slack of that row.
@@ -56,57 +65,82 @@ type patchedCol struct {
 	pos, row int
 }
 
-// factorize computes the LU factors of the matrix whose columns are
-// cols[i] (each a sparse column over n rows). Columns are processed in
-// ascending-nnz order; within a column the pivot is the largest-magnitude
-// eligible entry.
-func factorize(n int, cols []spCol) (*luFactors, error) {
-	f, _, err := factorizeInto(n, cols, false)
-	return f, err
-}
-
-// factorizeRepair is factorize with singularity repair: a column with no
-// eligible pivot (structurally or numerically dependent on the columns
-// already factored) is replaced in place by the unit column of the
-// lowest-index still-unpivoted row, which pivots trivially with value 1.
-// Every substitution is reported so the caller can update its basis
-// bookkeeping; the returned factors describe the patched matrix exactly.
-func factorizeRepair(n int, cols []spCol) (*luFactors, []patchedCol, error) {
-	return factorizeInto(n, cols, true)
-}
-
-func factorizeInto(n int, cols []spCol, repair bool) (*luFactors, []patchedCol, error) {
-	if len(cols) != n {
-		return nil, nil, errors.New("lp: basis is not square")
-	}
-	var patched []patchedCol
-	f := &luFactors{
+// newLUFactors returns empty factors for n*n bases; factor fills them.
+func newLUFactors(n int) *luFactors {
+	return &luFactors{
 		n:          n,
 		colOrder:   make([]int, n),
 		rowOfPivot: make([]int, n),
 		pinv:       make([]int, n),
-		lcols:      make([]spCol, n),
-		ucols:      make([]spCol, n),
 		udiag:      make([]float64, n),
+		lptr:       make([]int, n+1),
+		uptr:       make([]int, n+1),
 		work:       make([]float64, n),
 		stack:      make([]int32, 0, n),
 		mark:       make([]int32, n),
+		order:      make([]int, n),
 	}
+}
+
+// sortByCount fills f.order with 0..n-1 in ascending len(cols[i].rows),
+// ties in index order (a stable counting sort: the order is a function of
+// the counts alone).
+func (f *luFactors) sortByCount(cols []spCol) {
+	maxLen := 0
+	for i := range cols {
+		if l := len(cols[i].rows); l > maxLen {
+			maxLen = l
+		}
+	}
+	if cap(f.bucket) < maxLen+2 {
+		f.bucket = make([]int, maxLen+2)
+	}
+	start := f.bucket[:maxLen+2]
+	for i := range start {
+		start[i] = 0
+	}
+	for i := range cols {
+		start[len(cols[i].rows)+1]++
+	}
+	for l := 1; l < len(start); l++ {
+		start[l] += start[l-1]
+	}
+	for i := range cols {
+		l := len(cols[i].rows)
+		f.order[start[l]] = i
+		start[l]++
+	}
+}
+
+// factor computes, in place, the LU factors of the matrix whose columns are
+// cols[i] (each a sparse column over n rows), discarding whatever f held
+// before. Columns are processed in ascending-nnz order; within a column the
+// pivot is the largest-magnitude eligible entry.
+//
+// With repair set, a column with no eligible pivot (structurally or
+// numerically dependent on the columns already factored) is replaced by the
+// unit column of the lowest-index still-unpivoted row, which pivots
+// trivially with value 1. Every substitution is reported so the caller can
+// update its basis bookkeeping; the factors then describe the patched matrix
+// exactly. Without repair such a column fails the call with errSingular and
+// leaves f unusable until the next successful factor.
+func (f *luFactors) factor(cols []spCol, repair bool) ([]patchedCol, error) {
+	n := f.n
+	if len(cols) != n {
+		return nil, errors.New("lp: basis is not square")
+	}
+	var patched []patchedCol
 	for i := range f.pinv {
 		f.pinv[i] = -1
 	}
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return len(cols[order[a]].rows) < len(cols[order[b]].rows)
-	})
+	f.lrows, f.lvals = f.lrows[:0], f.lvals[:0]
+	f.urows, f.uvals = f.urows[:0], f.uvals[:0]
+	f.sortByCount(cols)
 
 	w := f.work
-	touched := make([]int32, 0, 64)
+	touched := f.touched
 	for k := 0; k < n; k++ {
-		j := order[k]
+		j := f.order[k]
 		f.colOrder[k] = j
 		col := &cols[j]
 
@@ -123,20 +157,20 @@ func factorizeInto(n int, cols []spCol, repair bool) (*luFactors, []patchedCol, 
 		// Numeric elimination in topological order.
 		for idx := len(topo) - 1; idx >= 0; idx-- {
 			t := int(topo[idx])
-			pr := f.rowOfPivot[t]
-			val := w[pr]
+			val := w[f.rowOfPivot[t]]
 			if val == 0 {
 				continue
 			}
-			lc := &f.lcols[t]
-			for i, r := range lc.rows {
-				ri := int(r)
-				if w[ri] == 0 {
+			lo, hi := f.lptr[t], f.lptr[t+1]
+			lv := f.lvals[lo:hi]
+			for i, r := range f.lrows[lo:hi] {
+				if w[r] == 0 {
 					touched = append(touched, r)
 				}
-				w[ri] -= lc.vals[i] * val
+				w[r] -= lv[i] * val
 			}
 		}
+		f.touched = touched // keep the (possibly regrown) backing
 
 		// Partial pivoting: largest-magnitude entry in an unpivoted row.
 		pivRow, pivAbs := -1, 0.0
@@ -155,7 +189,7 @@ func factorizeInto(n int, cols []spCol, repair bool) (*luFactors, []patchedCol, 
 				w[r] = 0
 			}
 			if !repair {
-				return nil, nil, errSingular
+				return nil, errSingular
 			}
 			// Patch: pivot the unit column of the lowest-index unpivoted
 			// row instead. Its single entry sits in an unpivoted row, so
@@ -168,12 +202,13 @@ func factorizeInto(n int, cols []spCol, repair bool) (*luFactors, []patchedCol, 
 				}
 			}
 			if pr < 0 {
-				return nil, nil, errSingular // unreachable: k < n pivots placed
+				return nil, errSingular // unreachable: k < n pivots placed
 			}
 			patched = append(patched, patchedCol{pos: j, row: pr})
 			f.rowOfPivot[k] = pr
 			f.pinv[pr] = k
 			f.udiag[k] = 1
+			f.lptr[k+1], f.uptr[k+1] = len(f.lrows), len(f.urows)
 			continue
 		}
 		pivVal := w[pivRow]
@@ -181,7 +216,6 @@ func factorizeInto(n int, cols []spCol, repair bool) (*luFactors, []patchedCol, 
 		f.pinv[pivRow] = k
 		f.udiag[k] = pivVal
 
-		lc, uc := &f.lcols[k], &f.ucols[k]
 		for _, r := range touched {
 			ri := int(r)
 			v := w[ri]
@@ -191,16 +225,19 @@ func factorizeInto(n int, cols []spCol, repair bool) (*luFactors, []patchedCol, 
 			}
 			if t := f.pinv[ri]; t >= 0 && t < k {
 				if math.Abs(v) > 1e-14 {
-					uc.add(t, v)
+					f.urows = append(f.urows, int32(t))
+					f.uvals = append(f.uvals, v)
 				}
 			} else if f.pinv[ri] < 0 {
 				if math.Abs(v/pivVal) > 1e-14 {
-					lc.add(ri, v/pivVal)
+					f.lrows = append(f.lrows, r)
+					f.lvals = append(f.lvals, v/pivVal)
 				}
 			}
 		}
+		f.lptr[k+1], f.uptr[k+1] = len(f.lrows), len(f.urows)
 	}
-	return f, patched, nil
+	return patched, nil
 }
 
 // reach returns, as a stack (reverse topological order), the pivot steps
@@ -213,25 +250,25 @@ func (f *luFactors) reach(rows []int32) []int32 {
 		}
 		f.epoch = 1
 	}
-	out := f.stack[:0]
-	var dfs func(t int32)
-	dfs = func(t int32) {
-		f.mark[t] = f.epoch
-		lc := &f.lcols[t]
-		for _, r := range lc.rows {
-			if p := f.pinv[r]; p >= 0 && f.mark[p] != f.epoch {
-				dfs(int32(p))
-			}
-		}
-		out = append(out, t)
-	}
+	f.stack = f.stack[:0]
 	for _, r := range rows {
 		if p := f.pinv[r]; p >= 0 && f.mark[p] != f.epoch {
-			dfs(int32(p))
+			f.dfs(p)
 		}
 	}
-	f.stack = out
-	return out
+	return f.stack
+}
+
+// dfs pushes pivot step t onto f.stack after every unvisited step its L
+// column reaches.
+func (f *luFactors) dfs(t int) {
+	f.mark[t] = f.epoch
+	for _, r := range f.lrows[f.lptr[t]:f.lptr[t+1]] {
+		if p := f.pinv[r]; p >= 0 && f.mark[p] != f.epoch {
+			f.dfs(p)
+		}
+	}
+	f.stack = append(f.stack, int32(t))
 }
 
 // solve computes x with B x = b. b is indexed by original row; the result is
@@ -245,9 +282,10 @@ func (f *luFactors) solve(b, x []float64) {
 		if val == 0 {
 			continue
 		}
-		lc := &f.lcols[t]
-		for i, r := range lc.rows {
-			y[r] -= lc.vals[i] * val
+		lo, hi := f.lptr[t], f.lptr[t+1]
+		lv := f.lvals[lo:hi]
+		for i, r := range f.lrows[lo:hi] {
+			y[r] -= lv[i] * val
 		}
 	}
 	// Backward: U z = y, z in pivot-step space (stored into work).
@@ -258,9 +296,10 @@ func (f *luFactors) solve(b, x []float64) {
 		if zk == 0 {
 			continue
 		}
-		uc := &f.ucols[k]
-		for i, t := range uc.rows {
-			y[f.rowOfPivot[t]] -= uc.vals[i] * zk
+		lo, hi := f.uptr[k], f.uptr[k+1]
+		uv := f.uvals[lo:hi]
+		for i, t := range f.urows[lo:hi] {
+			y[f.rowOfPivot[t]] -= uv[i] * zk
 		}
 	}
 	for k := 0; k < n; k++ {
@@ -277,18 +316,20 @@ func (f *luFactors) solveT(c, y []float64) {
 	// Forward: Uᵀ v = ĉ where ĉ_k = c[colOrder[k]].
 	for k := 0; k < n; k++ {
 		s := c[f.colOrder[k]]
-		uc := &f.ucols[k]
-		for i, t := range uc.rows {
-			s -= uc.vals[i] * v[t]
+		lo, hi := f.uptr[k], f.uptr[k+1]
+		uv := f.uvals[lo:hi]
+		for i, t := range f.urows[lo:hi] {
+			s -= uv[i] * v[t]
 		}
 		v[k] = s / f.udiag[k]
 	}
 	// Backward: Lᵀ u = v (u overwrites v).
 	for k := n - 1; k >= 0; k-- {
 		s := v[k]
-		lc := &f.lcols[k]
-		for i, r := range lc.rows {
-			s -= lc.vals[i] * v[f.pinv[r]]
+		lo, hi := f.lptr[k], f.lptr[k+1]
+		lv := f.lvals[lo:hi]
+		for i, r := range f.lrows[lo:hi] {
+			s -= lv[i] * v[f.pinv[r]]
 		}
 		v[k] = s
 	}

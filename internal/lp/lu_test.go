@@ -6,6 +6,14 @@ import (
 	"testing"
 )
 
+// factorize factors the columns into fresh luFactors, the way a solve's
+// first refactorisation does.
+func factorize(n int, cols []spCol) (*luFactors, error) {
+	f := newLUFactors(n)
+	_, err := f.factor(cols, false)
+	return f, err
+}
+
 // denseSolve solves A x = b by Gaussian elimination with partial pivoting.
 // A is row-major n*n. Returns false if singular.
 func denseSolve(n int, a []float64, b []float64) ([]float64, bool) {

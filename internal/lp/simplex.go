@@ -151,17 +151,27 @@ type simplex struct {
 	basisOf []int // row -> variable occupying that basis position
 	posOf   []int // variable -> basis position, -1 if nonbasic
 
-	lu    *luFactors
-	etas  []eta
-	iters int
-	nnz   int // nonzeros across structural + slack columns of A
+	// lu holds the factors of the basis as of the last refactorisation;
+	// refactorize factors into it in place (see luFactors). basisCols is the
+	// gather slice handed to it.
+	lu        *luFactors
+	basisCols []spCol
+	// The eta file: one product-form update per pivot since the last
+	// refactorisation. Eta k's off-pivot nonzeros live in
+	// (etaIdx, etaVal)[etas[k].lo:etas[k].hi], one arena per solve that
+	// clearEtas truncates, so a pivot allocates nothing once the arena has
+	// reached its working size.
+	etas   []eta
+	etaIdx []int32
+	etaVal []float64
+	iters  int
+	nnz    int // nonzeros across structural + slack columns of A
 
 	// scratch vectors, allocated once per simplex and reused across every
 	// FTRAN/BTRAN/pricing pass (and by duals/certificate extraction)
 	w, y, rhs, accum []float64
 	cb, d            []float64
-	// etaPool recycles eta column backings freed by refactorisations.
-	etaPool [][]float64
+	phase1Cost       []float64 // built by the first phase 1, nil until then
 
 	degenerate int // consecutive degenerate pivots (Bland trigger)
 
@@ -183,10 +193,13 @@ type simplex struct {
 	health *healthState
 }
 
+// eta is one product-form update: basis position pos was replaced by a
+// column whose image under the previous B⁻¹ has pivot entry piv (at pos) and
+// the off-pivot nonzeros etaIdx/etaVal[lo:hi], in ascending position order.
 type eta struct {
-	pos int // basis position replaced
-	col []float64
-	piv float64
+	pos    int // basis position replaced
+	piv    float64
+	lo, hi int
 }
 
 // newSimplex builds the computational form of m.
@@ -209,6 +222,9 @@ func newSimplex(m *Model, opts *Options) (*simplex, error) {
 		basisOf: make([]int, nRow),
 		posOf:   make([]int, nTot),
 
+		lu:        newLUFactors(nRow),
+		basisCols: make([]spCol, nRow),
+
 		w: make([]float64, nRow), y: make([]float64, nRow),
 		rhs: make([]float64, nRow), accum: make([]float64, nRow),
 		cb: make([]float64, nRow), d: make([]float64, nRow),
@@ -226,6 +242,28 @@ func newSimplex(m *Model, opts *Options) (*simplex, error) {
 		}
 		sx.lb[j], sx.ub[j] = lb, ub
 		sx.cost[j] = sign * m.obj[j]
+	}
+	// The columns of A share one arena in which each has exactly the room it
+	// needs: a counting pass over the rows sizes the structural columns
+	// (posOf is free to hold the counts until it is initialised below), and
+	// a slack or artificial column never holds more than one entry.
+	count := sx.posOf[:nStr]
+	nnz := 2 * nRow
+	for _, r := range m.rows {
+		for _, t := range r.terms {
+			count[t.Var]++
+		}
+		nnz += len(r.terms)
+	}
+	rows, vals := make([]int32, nnz), make([]float64, nnz)
+	off := 0
+	for j := range sx.cols {
+		n := 1
+		if j < nStr {
+			n = count[j]
+		}
+		sx.cols[j] = spCol{rows: rows[off : off : off+n], vals: vals[off : off : off+n]}
+		off += n
 	}
 	for i, r := range m.rows {
 		for _, t := range r.terms {
@@ -381,11 +419,13 @@ func (sx *simplex) solveFromPoint() (*Solution, error) {
 func (sx *simplex) phases(runPhase1 bool) (*Solution, error) {
 	if runPhase1 {
 		// Phase 1: minimise the sum of artificials.
-		phase1Cost := make([]float64, sx.nTot)
-		for i := 0; i < sx.nRow; i++ {
-			phase1Cost[sx.nStr+sx.nRow+i] = 1
+		if sx.phase1Cost == nil {
+			sx.phase1Cost = make([]float64, sx.nTot)
+			for i := 0; i < sx.nRow; i++ {
+				sx.phase1Cost[sx.nStr+sx.nRow+i] = 1
+			}
 		}
-		st, err := sx.iterate(phase1Cost, true)
+		st, err := sx.iterate(sx.phase1Cost, true)
 		sx.phase1Iters = sx.iters
 		if err != nil {
 			return nil, err
@@ -494,26 +534,23 @@ func (sx *simplex) extract() []float64 {
 // refactorize rebuilds the LU factors of the current basis and recomputes
 // basic variable values from the nonbasic ones.
 func (sx *simplex) refactorize() error {
-	cols := make([]spCol, sx.nRow)
 	for i, j := range sx.basisOf {
-		cols[i] = sx.cols[j]
+		sx.basisCols[i] = sx.cols[j]
 	}
-	lu, err := factorize(sx.nRow, cols)
-	if err != nil {
+	if _, err := sx.lu.factor(sx.basisCols, false); err != nil {
 		return err
 	}
 	sx.refactors++
-	sx.lu = lu
-	// Recycle the eta column backings: refactorisation retires the whole
-	// eta file at once, and the next pivots would otherwise reallocate
-	// columns of exactly this size.
-	for i := range sx.etas {
-		sx.etaPool = append(sx.etaPool, sx.etas[i].col)
-		sx.etas[i].col = nil
-	}
-	sx.etas = sx.etas[:0]
+	sx.clearEtas()
 	sx.recomputeBasics()
 	return nil
+}
+
+// clearEtas empties the eta file, keeping the arena's backing arrays.
+func (sx *simplex) clearEtas() {
+	sx.etas = sx.etas[:0]
+	sx.etaIdx = sx.etaIdx[:0]
+	sx.etaVal = sx.etaVal[:0]
 }
 
 // recomputeBasics solves for the basic variable values given nonbasic ones.
@@ -545,10 +582,9 @@ func (sx *simplex) ftran(in, out []float64) {
 		e := &sx.etas[k]
 		t := out[e.pos] / e.piv
 		if t != 0 {
-			for i := range e.col {
-				if i != e.pos {
-					out[i] -= e.col[i] * t
-				}
+			val := sx.etaVal[e.lo:e.hi]
+			for p, i := range sx.etaIdx[e.lo:e.hi] {
+				out[i] -= val[p] * t
 			}
 		}
 		out[e.pos] = t
@@ -562,10 +598,9 @@ func (sx *simplex) btran(c, out []float64) {
 	for k := len(sx.etas) - 1; k >= 0; k-- {
 		e := &sx.etas[k]
 		s := tmp[e.pos]
-		for i := range e.col {
-			if i != e.pos {
-				s -= e.col[i] * tmp[i]
-			}
+		val := sx.etaVal[e.lo:e.hi]
+		for p, i := range sx.etaIdx[e.lo:e.hi] {
+			s -= val[p] * tmp[i]
 		}
 		tmp[e.pos] = s / e.piv
 	}
@@ -599,7 +634,7 @@ func (sx *simplex) iterate(cost []float64, phase1 bool) (Status, error) {
 		if useBland && sx.health != nil {
 			sx.healthNoteCycling(phase1)
 		}
-		enter, dir := sx.price(cost, sx.y, useBland)
+		enter, dir := sx.price(cost, sx.y, useBland, phase1)
 		if enter < 0 {
 			return StatusOptimal, nil
 		}
@@ -641,15 +676,22 @@ func (sx *simplex) iterate(cost []float64, phase1 bool) (Status, error) {
 // price selects an entering variable and its direction (+1 increase from
 // lower bound / free, −1 decrease from upper bound). Dantzig rule by
 // default; Bland's rule (lowest index) when anti-cycling is engaged.
-func (sx *simplex) price(cost, y []float64, bland bool) (int, float64) {
+//
+// The scan runs in variable order over three ranges that differ only in how
+// the reduced cost d_j = c_j − y·a_j is formed: structural columns take the
+// sparse dot product, a slack's column is the unit column of its row, and an
+// artificial's is ± that. Phase 2 skips the artificial range: phases pins
+// every artificial at zero before it starts, so none could enter.
+func (sx *simplex) price(cost, y []float64, bland, phase1 bool) (int, float64) {
 	best, bestScore, bestDir := -1, 0.0, 1.0
 	tol := sx.opt.OptTol
-	for j := 0; j < sx.nTot; j++ {
+	nStr, nRow := sx.nStr, sx.nRow
+	for j := 0; j < nStr; j++ {
 		st := sx.status[j]
 		if st == basic {
 			continue
 		}
-		// Skip pinned variables (lb == ub), including retired artificials.
+		// Skip pinned variables (lb == ub).
 		if sx.lb[j] == sx.ub[j] && st != atFree {
 			continue
 		}
@@ -658,30 +700,72 @@ func (sx *simplex) price(cost, y []float64, bland bool) (int, float64) {
 		for i, r := range c.rows {
 			dj -= y[r] * c.vals[i]
 		}
-		var score, dir float64
-		switch {
-		case st == atLower && dj < -tol:
-			score, dir = -dj, 1
-		case st == atUpper && dj > tol:
-			score, dir = dj, -1
-		case st == atFree && math.Abs(dj) > tol:
-			score = math.Abs(dj)
-			if dj > 0 {
-				dir = -1
-			} else {
-				dir = 1
+		if score, dir := enteringScore(st, dj, tol); score > bestScore {
+			if bland {
+				return j, dir
 			}
-		default:
+			best, bestScore, bestDir = j, score, dir
+		}
+	}
+	for i := 0; i < nRow; i++ {
+		j := nStr + i
+		st := sx.status[j]
+		if st == basic {
 			continue
 		}
-		if bland {
-			return j, dir
+		if sx.lb[j] == sx.ub[j] && st != atFree {
+			continue
 		}
-		if score > bestScore {
+		if score, dir := enteringScore(st, cost[j]-y[i], tol); score > bestScore {
+			if bland {
+				return j, dir
+			}
+			best, bestScore, bestDir = j, score, dir
+		}
+	}
+	if !phase1 {
+		return best, bestDir
+	}
+	for i := 0; i < nRow; i++ {
+		j := nStr + nRow + i
+		st := sx.status[j]
+		if st == basic {
+			continue
+		}
+		// Skip retired artificials (never installed, or pinned).
+		if sx.lb[j] == sx.ub[j] {
+			continue
+		}
+		dj := cost[j]
+		c := &sx.cols[j]
+		for k, r := range c.rows {
+			dj -= y[r] * c.vals[k]
+		}
+		if score, dir := enteringScore(st, dj, tol); score > bestScore {
+			if bland {
+				return j, dir
+			}
 			best, bestScore, bestDir = j, score, dir
 		}
 	}
 	return best, bestDir
+}
+
+// enteringScore rates a nonbasic variable with status st and reduced cost dj
+// as an entering candidate: the size of its dual infeasibility and the
+// direction it would move, or score 0 when dj is within tol of optimal.
+func enteringScore(st int8, dj, tol float64) (score, dir float64) {
+	switch {
+	case st == atLower && dj < -tol:
+		return -dj, 1
+	case st == atUpper && dj > tol:
+		return dj, -1
+	case st == atFree && dj > tol:
+		return dj, -1
+	case st == atFree && dj < -tol:
+		return -dj, 1
+	}
+	return 0, 0
 }
 
 const (
@@ -781,17 +865,16 @@ func (sx *simplex) pivot(enter int, dir float64, d []float64, phase1 bool) (Stat
 	sx.posOf[enter] = leave
 	sx.status[enter] = basic
 
-	// Record the eta for the new basis, reusing a pooled column if one is
-	// available.
-	var col []float64
-	if n := len(sx.etaPool); n > 0 {
-		col = sx.etaPool[n-1]
-		sx.etaPool = sx.etaPool[:n-1]
-	} else {
-		col = make([]float64, sx.nRow)
+	// Record the eta for the new basis: the nonzeros of d other than the
+	// pivot entry, appended to the arena.
+	lo := len(sx.etaIdx)
+	for i, v := range d {
+		if v != 0 && i != leave {
+			sx.etaIdx = append(sx.etaIdx, int32(i))
+			sx.etaVal = append(sx.etaVal, v)
+		}
 	}
-	copy(col, d)
-	sx.etas = append(sx.etas, eta{pos: leave, col: col, piv: d[leave]})
+	sx.etas = append(sx.etas, eta{pos: leave, piv: d[leave], lo: lo, hi: len(sx.etaIdx)})
 	if len(sx.etas) > sx.maxEtaDepth {
 		sx.maxEtaDepth = len(sx.etas)
 	}

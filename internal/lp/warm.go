@@ -214,7 +214,7 @@ func (sx *simplex) solveWarm(wb *Basis) (*Solution, error) {
 		sx.x[j], sx.status[j] = nearestBound(sx.lb[j], sx.ub[j], sx.x[j])
 		sx.posOf[j] = -1
 	}
-	sx.etas = sx.etas[:0]
+	sx.clearEtas()
 	sol, err := sx.solveFromPoint()
 	if warmArts := sx.startingArts; coldArts > warmArts {
 		wi.PivotsSaved = coldArts - warmArts
@@ -359,11 +359,10 @@ func (sx *simplex) installWarmBasis(wb *Basis, wi *WarmInfo) bool {
 // patched basis exactly). Reports false when the basis cannot be made
 // nonsingular this way.
 func (sx *simplex) warmFactorize(wi *WarmInfo) bool {
-	cols := make([]spCol, sx.nRow)
 	for i, j := range sx.basisOf {
-		cols[i] = sx.cols[j]
+		sx.basisCols[i] = sx.cols[j]
 	}
-	lu, patched, err := factorizeRepair(sx.nRow, cols)
+	patched, err := sx.lu.factor(sx.basisCols, true)
 	if err != nil {
 		return false
 	}
@@ -386,8 +385,7 @@ func (sx *simplex) warmFactorize(wi *WarmInfo) bool {
 		wi.Repairs++
 	}
 	sx.refactors++
-	sx.lu = lu
-	sx.etas = sx.etas[:0]
+	sx.clearEtas()
 	sx.recomputeBasics()
 	return true
 }
@@ -492,5 +490,5 @@ func (sx *simplex) resetForCold() {
 	for j := range sx.posOf {
 		sx.posOf[j] = -1
 	}
-	sx.etas = sx.etas[:0]
+	sx.clearEtas()
 }

@@ -438,7 +438,7 @@ func arrowPhase2WithBasis(n *Network, scs []RestorableScenario, winners []int, o
 			return nil, fmt.Errorf("te: arrow phase 2: scenario %d winner %d out of range", qi, winners[qi])
 		}
 		z := winners[qi]
-		failed := failedSet(q.FailedLinks)
+		failed := failedSet(n, q.FailedLinks)
 		restored := func(link int) float64 { return q.TicketGbps(z, link) }
 
 		// Constraint (10).

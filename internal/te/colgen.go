@@ -88,7 +88,7 @@ type p1Block struct {
 // shared base-model variables. Pure (no model mutation), so blocks can be
 // precomputed in parallel and priced repeatedly without rebuilding.
 func buildTicketBlock(n *Network, q *RestorableScenario, z int, bm *baseModel) p1Block {
-	failed := failedSet(q.FailedLinks)
+	failed := failedSet(n, q.FailedLinks)
 	restored := func(link int) float64 { return q.TicketGbps(z, link) }
 	restorable := make([][]int, len(n.Flows))
 	for f := range n.Flows {

@@ -137,7 +137,7 @@ func TestRestorableTunnelsSemantics(t *testing.T) {
 		Flows:   []Flow{{Src: 0, Dst: 2, Demand: 100}},
 		Tunnels: [][]Tunnel{{{Links: []int{0, 1}}, {Links: []int{2}}}},
 	}
-	failed := map[int]bool{0: true, 1: true}
+	failed := failedSet(n, []int{0, 1})
 	both := restorableTunnels(n, 0, failed, func(l int) float64 { return 50 })
 	if len(both) != 1 || both[0] != 0 {
 		t.Fatalf("restorable %v, want [0]", both)

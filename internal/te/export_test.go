@@ -1,0 +1,65 @@
+package te
+
+import (
+	"fmt"
+
+	"github.com/arrow-te/arrow/internal/lp"
+)
+
+// KernelSolve is what one of this package's LPs looked like to the simplex
+// kernel: its size, the pivots it took and the basis it ended on.
+type KernelSolve struct {
+	Name               string
+	Rows, Vars, Pivots int
+	Basis              *lp.Basis
+}
+
+// KernelSolves solves the LPs behind Arrow (phase I as a column-generation
+// master and as the full model, phase II from phase I's basis), FFC and
+// TeaVaR on one instance, for the golden test of the solver's pivot
+// sequence.
+func KernelSolves(n *Network, scs []RestorableScenario, ffc1, plain []FailureScenario) ([]KernelSolve, error) {
+	var out []KernelSolve
+	var winners []int
+	var p1basis *lp.Basis
+	for _, v := range []struct {
+		name string
+		opts *ArrowOptions
+	}{{"te.phase1.full", &ArrowOptions{NoColgen: true}}, {"te.phase1.colgen", nil}} {
+		w, st, basis, err := arrowPhase1Dispatch(n, scs, v.opts)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", v.name, err)
+		}
+		out = append(out, KernelSolve{v.name, st.Phase1Rows, st.Phase1Vars, st.Phase1Iters, basis})
+		winners, p1basis = w, basis
+	}
+	al, err := arrowPhase2WithBasis(n, scs, winners, &ArrowOptions{CaptureSensitivity: true}, p1basis)
+	if err != nil {
+		return nil, fmt.Errorf("te.phase2: %w", err)
+	}
+	out = append(out, KernelSolve{"te.phase2", al.Stats.Phase2Rows, al.Stats.Phase2Vars, al.Stats.Phase2Iters, al.Sens.Basis})
+
+	for _, v := range []struct {
+		name string
+		scs  []FailureScenario
+	}{{"te.ffc1", ffc1}, {"te.ffc.plain", plain}} {
+		bm := newBaseModel("ffc", n)
+		addResidualGuarantees(bm, n, v.scs)
+		_, sol, err := bm.solveLP(n, nil, nil)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", v.name, err)
+		}
+		out = append(out, KernelSolve{v.name, bm.m.NumConstrs(), bm.m.NumVars(), sol.Iterations, sol.Basis})
+	}
+
+	m, _, err := teavarModel(n, plain, 0.999, 1e-3)
+	if err != nil {
+		return nil, err
+	}
+	sol, err := lp.Solve(m, nil)
+	if err != nil {
+		return nil, fmt.Errorf("te.teavar: %w", err)
+	}
+	out = append(out, KernelSolve{"te.teavar", m.NumConstrs(), m.NumVars(), sol.Iterations, sol.Basis})
+	return out, nil
+}

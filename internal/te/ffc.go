@@ -31,7 +31,7 @@ func addResidualGuarantees(bm *baseModel, n *Network, scs []FailureScenario) {
 	for f := range n.Flows {
 		seen := map[string]bool{}
 		for qi, q := range scs {
-			failed := failedSet(q.FailedLinks)
+			failed := failedSet(n, q.FailedLinks)
 			res := residualTunnels(n, f, failed)
 			if len(res) == len(n.Tunnels[f]) {
 				continue // no tunnel lost: constraint (1) already covers it

@@ -32,7 +32,7 @@ func BinaryILP(n *Network, scs []RestorableScenario, opts *mip.Options) (*Alloca
 		if len(q.Tickets) == 0 {
 			return nil, nil, fmt.Errorf("te: binary ilp: scenario %d has no tickets", qi)
 		}
-		failed := failedSet(q.FailedLinks)
+		failed := failedSet(n, q.FailedLinks)
 		x[qi] = make([]lp.Var, len(q.Tickets))
 		var pick lp.Expr
 		for z := range q.Tickets {
@@ -169,7 +169,7 @@ func JointILP(ji *JointInstance, opts *mip.Options) (*Allocation, error) {
 		if err != nil {
 			return nil, fmt.Errorf("te: joint ilp: scenario %d rwa: %w", qi, err)
 		}
-		failed := failedSet(res.Failed)
+		failed := failedSet(n, res.Failed)
 
 		// Optical side: binary xi per (failed link, path option, slot).
 		rVar := map[int]lp.Var{} // failed IP link -> restored Gbps variable

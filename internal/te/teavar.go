@@ -47,11 +47,42 @@ func TeaVaR(n *Network, scs []FailureScenario, opts *TeaVaROptions) (*Allocation
 	if beta >= 1 {
 		return nil, fmt.Errorf("te: teavar: beta %g must be < 1", beta)
 	}
-	D := n.TotalDemand()
-	if D <= 0 {
+	if n.TotalDemand() <= 0 {
 		return MaxThroughput(n)
 	}
+	m, a, err := teavarModel(n, scs, beta, tie)
+	if err != nil {
+		return nil, err
+	}
+	sol, err := lp.Solve(m, nil)
+	if err != nil {
+		return nil, fmt.Errorf("te: teavar: %w", err)
+	}
+	if sol.Status != lp.StatusOptimal {
+		return nil, fmt.Errorf("te: teavar: status %v", sol.Status)
+	}
 
+	al := &Allocation{
+		B: make([]float64, len(n.Flows)),
+		A: make([][]float64, len(n.Flows)),
+	}
+	for f := range n.Flows {
+		al.A[f] = make([]float64, len(a[f]))
+		sum := 0.0
+		for ti, v := range a[f] {
+			al.A[f][ti] = sol.X[v]
+			sum += sol.X[v]
+		}
+		al.B[f] = math.Min(n.Flows[f].Demand, sum)
+		al.Objective += al.B[f]
+	}
+	return al, nil
+}
+
+// teavarModel builds TeaVaR's LP for a network with positive total demand
+// and returns it with the tunnel-reservation variables a[f][t].
+func teavarModel(n *Network, scs []FailureScenario, beta, tie float64) (*lp.Model, [][]lp.Var, error) {
+	D := n.TotalDemand()
 	m := lp.NewModel("teavar")
 	// Minimisation problem.
 	a := make([][]lp.Var, len(n.Flows))
@@ -86,17 +117,17 @@ func TeaVaR(n *Network, scs []FailureScenario, opts *TeaVaROptions) (*Allocation
 		totalP += q.Prob
 	}
 	if totalP <= 0 {
-		return nil, fmt.Errorf("te: teavar: zero total scenario probability")
+		return nil, nil, fmt.Errorf("te: teavar: zero total scenario probability")
 	}
 
 	theta := m.AddVar(-lp.Inf, lp.Inf, 1, "theta")
 	type scen struct {
 		prob   float64
-		failed map[int]bool
+		failed []bool
 	}
-	scens := []scen{{healthyProb, map[int]bool{}}}
+	scens := []scen{{healthyProb, failedSet(n, nil)}}
 	for _, q := range scs {
-		scens = append(scens, scen{q.Prob, failedSet(q.FailedLinks)})
+		scens = append(scens, scen{q.Prob, failedSet(n, q.FailedLinks)})
 	}
 
 	var healthyS []lp.Var
@@ -123,27 +154,5 @@ func TeaVaR(n *Network, scs []FailureScenario, opts *TeaVaROptions) (*Allocation
 		m.AddConstr(lossExpr, lp.GE, 1, fmt.Sprintf("cvar_q%d", qi))
 	}
 
-	sol, err := lp.Solve(m, nil)
-	if err != nil {
-		return nil, fmt.Errorf("te: teavar: %w", err)
-	}
-	if sol.Status != lp.StatusOptimal {
-		return nil, fmt.Errorf("te: teavar: status %v", sol.Status)
-	}
-
-	al := &Allocation{
-		B: make([]float64, len(n.Flows)),
-		A: make([][]float64, len(n.Flows)),
-	}
-	for f := range n.Flows {
-		al.A[f] = make([]float64, len(a[f]))
-		sum := 0.0
-		for ti, v := range a[f] {
-			al.A[f][ti] = sol.X[v]
-			sum += sol.X[v]
-		}
-		al.B[f] = math.Min(n.Flows[f].Demand, sum)
-		al.Objective += al.B[f]
-	}
-	return al, nil
+	return m, a, nil
 }

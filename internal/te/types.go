@@ -204,8 +204,8 @@ func (a *Allocation) SplitRatios() [][]float64 {
 }
 
 // residualTunnels returns the indices of flow f's tunnels that avoid every
-// failed link (T_f^q).
-func residualTunnels(n *Network, f int, failed map[int]bool) []int {
+// failed link (T_f^q). failed is a failedSet mask.
+func residualTunnels(n *Network, f int, failed []bool) []int {
 	var out []int
 	for ti, t := range n.Tunnels[f] {
 		ok := true
@@ -227,7 +227,7 @@ func residualTunnels(n *Network, f int, failed map[int]bool) []int {
 // under the given per-link restoration (§3.3: "if every failed link e that
 // tunnel t traverses is available after restoration ... this tunnel is
 // restorable").
-func restorableTunnels(n *Network, f int, failed map[int]bool, restored func(link int) float64) []int {
+func restorableTunnels(n *Network, f int, failed []bool, restored func(link int) float64) []int {
 	var out []int
 	for ti, t := range n.Tunnels[f] {
 		crossesFailed := false
@@ -248,10 +248,15 @@ func restorableTunnels(n *Network, f int, failed map[int]bool, restored func(lin
 	return out
 }
 
-func failedSet(links []int) map[int]bool {
-	m := make(map[int]bool, len(links))
+// failedSet returns the given failed links as a mask over n's link indices
+// (tunnels index the same space). A link outside it is one no tunnel can
+// cross and is ignored.
+func failedSet(n *Network, links []int) []bool {
+	m := make([]bool, len(n.LinkCap))
 	for _, e := range links {
-		m[e] = true
+		if e >= 0 && e < len(m) {
+			m[e] = true
+		}
 	}
 	return m
 }
