@@ -36,6 +36,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strconv"
 
 	"github.com/arrow-te/arrow/internal/availability"
 	"github.com/arrow-te/arrow/internal/ledger"
@@ -263,6 +264,9 @@ type Planner struct {
 	noColgen    bool
 	workers     int
 	healthEvery int
+	// byFailed maps failedKey(FailedLinks) to the first planned scenario
+	// failing exactly those links: OnFiberCut's lookup.
+	byFailed map[string]int
 }
 
 // Plan runs ARROW's offline stage: enumerate probable fiber-cut scenarios,
@@ -461,11 +465,16 @@ func (n *Network) PlanContext(ctx context.Context, opts PlanOptions) (*Planner, 
 	if err != nil {
 		return nil, err
 	}
+	p.byFailed = make(map[string]int, len(arts))
 	for si, a := range arts {
 		if len(a.res.Failed) == 0 {
 			continue
 		}
 		fs := te.FailureScenario{Prob: set.Scenarios[si].Prob, FailedLinks: a.res.Failed}
+		key := failedKey(fs.FailedLinks)
+		if _, dup := p.byFailed[key]; !dup {
+			p.byFailed[key] = len(p.scenarios)
+		}
 		p.scenarios = append(p.scenarios, te.RestorableScenario{FailureScenario: fs, TicketLinks: a.res.Failed, Tickets: a.tks, Seeds: a.seeds})
 		p.naive = append(p.naive, te.RestorableScenario{FailureScenario: fs, TicketLinks: a.res.Failed, Tickets: a.tks[:1]})
 		if p.led != nil {
@@ -731,34 +740,64 @@ type Reaction struct {
 // cuts exactly the given fibers. The scenario must have been planned (it is
 // an error to ask about a cut below the planning cutoff).
 func (tp *TrafficPlan) OnFiberCut(fibers ...FiberID) (*Reaction, error) {
+	rs, err := tp.restoration(fibers)
+	if err != nil {
+		return nil, err
+	}
+	re := &Reaction{RestoredGbps: map[LinkID]float64{}}
+	for _, l := range rs.failed {
+		re.Failed = append(re.Failed, LinkID(l))
+	}
+	if tp.alloc.RestoredGbps != nil {
+		for l, g := range tp.alloc.RestoredGbps[rs.scenario] {
+			re.RestoredGbps[LinkID(l)] = g
+		}
+	}
+	seenAD := map[optical.ROADM]bool{}
+	for _, op := range rs.plan.AddDropOps {
+		if !seenAD[op.ROADM] {
+			seenAD[op.ROADM] = true
+			re.AddDropROADMs = append(re.AddDropROADMs, int(op.ROADM))
+		}
+	}
+	seenI := map[optical.ROADM]bool{}
+	for _, op := range rs.plan.IntermediateOps {
+		if !seenI[op.ROADM] {
+			seenI[op.ROADM] = true
+			re.IntermediateROADMs = append(re.IntermediateROADMs, int(op.ROADM))
+		}
+	}
+	re.Retunes = rs.plan.Retunes
+	re.ReusedPorts = rs.plan.ReusedPorts
+	return re, nil
+}
+
+// restoration is the optical side of the planned reaction to one cut.
+type restoration struct {
+	scenario int   // index of the planned scenario the cut triggers
+	cut      []int // the cut fibers
+	failed   []int // the IP links they take down
+	plan     *noise.Plan
+}
+
+// restoration finds the planned scenario for the cut of exactly these fibers
+// and rebuilds the optical-side plan of its winning ticket, re-solving the
+// RWA under the planner's solver settings, recorder and health probes. It is
+// what OnFiberCut reports and what ROADMConfig renders.
+func (tp *TrafficPlan) restoration(fibers []FiberID) (*restoration, error) {
+	p := tp.planner
 	cut := make([]int, len(fibers))
 	for i, f := range fibers {
 		cut[i] = int(f)
 	}
-	failed := tp.planner.net.opt.FailedLinks(cut)
-	qi := -1
-	for i := range tp.planner.scenarios {
-		if equalIntSets(tp.planner.scenarios[i].FailedLinks, failed) {
-			qi = i
-			break
-		}
-	}
-	if qi < 0 {
+	failed := p.net.opt.FailedLinks(cut)
+	qi, ok := p.byFailed[failedKey(failed)]
+	if !ok {
 		return nil, fmt.Errorf("arrow: no planned scenario for cut %v (below cutoff?)", fibers)
 	}
-	re := &Reaction{RestoredGbps: map[LinkID]float64{}}
-	for _, l := range failed {
-		re.Failed = append(re.Failed, LinkID(l))
-	}
-	if tp.alloc.RestoredGbps != nil {
-		for l, g := range tp.alloc.RestoredGbps[qi] {
-			re.RestoredGbps[LinkID(l)] = g
-		}
-	}
-	// Rebuild the optical-side plan for the winning ticket.
 	res, err := rwa.Solve(&rwa.Request{
-		Net: tp.planner.net.opt, Cut: cut, K: 3, AllowTuning: true, AllowModulationChange: true,
-		Recorder: tp.planner.rec, NoWarm: tp.planner.noWarm, HealthEvery: tp.planner.healthEvery,
+		Net: p.net.opt, Cut: cut, K: 3, AllowTuning: true, AllowModulationChange: true,
+		Recorder: p.rec, NoWarm: p.noWarm, HealthEvery: p.healthEvery,
 	})
 	if err != nil {
 		return nil, err
@@ -768,47 +807,28 @@ func (tp *TrafficPlan) OnFiberCut(fibers ...FiberID) (*Reaction, error) {
 	if tp.alloc.WinningTicket != nil {
 		winner = tp.alloc.WinningTicket[qi]
 	}
-	tk := tp.planner.scenarios[qi].Tickets[winner]
+	tk := p.scenarios[qi].Tickets[winner]
 	for i, l := range res.Failed {
-		for j, tl := range tp.planner.scenarios[qi].TicketLinks {
+		for j, tl := range p.scenarios[qi].TicketLinks {
 			if tl == l {
 				target[i] = tk.Waves[j]
 			}
 		}
 	}
 	asg, _ := rwa.AssignIntegral(res, target)
-	plan := noise.BuildPlan(tp.planner.net.opt, res, asg)
-	seenAD := map[optical.ROADM]bool{}
-	for _, op := range plan.AddDropOps {
-		if !seenAD[op.ROADM] {
-			seenAD[op.ROADM] = true
-			re.AddDropROADMs = append(re.AddDropROADMs, int(op.ROADM))
-		}
-	}
-	seenI := map[optical.ROADM]bool{}
-	for _, op := range plan.IntermediateOps {
-		if !seenI[op.ROADM] {
-			seenI[op.ROADM] = true
-			re.IntermediateROADMs = append(re.IntermediateROADMs, int(op.ROADM))
-		}
-	}
-	re.Retunes = plan.Retunes
-	re.ReusedPorts = plan.ReusedPorts
-	return re, nil
+	return &restoration{scenario: qi, cut: cut, failed: failed, plan: noise.BuildPlan(p.net.opt, res, asg)}, nil
 }
 
-func equalIntSets(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
+// failedKey is the canonical key of a set of failed IP links: the sorted
+// IDs, space-separated.
+func failedKey(links []int) string {
+	if !sort.IntsAreSorted(links) {
+		links = append([]int(nil), links...)
+		sort.Ints(links)
 	}
-	set := make(map[int]bool, len(a))
-	for _, x := range a {
-		set[x] = true
+	b := make([]byte, 0, 4*len(links))
+	for _, l := range links {
+		b = strconv.AppendInt(append(b, ' '), int64(l), 10)
 	}
-	for _, x := range b {
-		if !set[x] {
-			return false
-		}
-	}
-	return true
+	return string(b)
 }

@@ -470,3 +470,99 @@ func TestPlanCorrelated(t *testing.T) {
 		t.Error("default knobs on an SRLG network diverge from the legacy plan")
 	}
 }
+
+// refEqualIntSets is how OnFiberCut used to recognise a scenario: a scan of
+// every planned scenario with this comparison.
+func refEqualIntSets(a, b []int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	set := make(map[int]bool, len(a))
+	for _, x := range a {
+		set[x] = true
+	}
+	for _, x := range b {
+		if !set[x] {
+			return false
+		}
+	}
+	return true
+}
+
+// The scenario index answers what the scan answered: the first planned
+// scenario failing exactly the cut's links, or none.
+func TestScenarioIndexMatchesScan(t *testing.T) {
+	net, fibers, _ := buildSquare(t)
+	planner, err := net.Plan(PlanOptions{Tickets: 3, Cutoff: 1e-9, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if planner.NumScenarios() < 5 {
+		t.Fatalf("fixture plans %d scenarios", planner.NumScenarios())
+	}
+	cuts := [][]int{{int(fibers[0]), int(fibers[1]), int(fibers[2]), int(fibers[3])}, {99}}
+	for a := range fibers {
+		cuts = append(cuts, []int{int(fibers[a])})
+		for b := range fibers {
+			cuts = append(cuts, []int{int(fibers[a]), int(fibers[b])})
+		}
+	}
+	found, shared := 0, 0
+	for _, cut := range cuts {
+		failed := net.opt.FailedLinks(cut)
+		want := -1
+		for i := range planner.scenarios {
+			if refEqualIntSets(planner.scenarios[i].FailedLinks, failed) {
+				if want < 0 {
+					want = i
+				} else {
+					shared++ // a later scenario fails the same links: the first must win
+				}
+			}
+		}
+		got, ok := planner.byFailed[failedKey(failed)]
+		if !ok {
+			got = -1
+		}
+		if got != want {
+			t.Fatalf("cut %v fails %v: index says scenario %d, the scan %d", cut, failed, got, want)
+		}
+		if want >= 0 {
+			found++
+		}
+	}
+	if found == 0 || shared == 0 {
+		t.Fatalf("%d cuts found a scenario, %d scenarios shared their failed links with an earlier one", found, shared)
+	}
+	if failedKey([]int{7, 2, 11}) != failedKey([]int{2, 7, 11}) || failedKey([]int{2, 7}) == failedKey([]int{27}) {
+		t.Fatal("failedKey is not canonical")
+	}
+}
+
+// ROADMConfig reads its plan off the same re-solve as OnFiberCut: under the
+// planner's recorder, and refusing an unplanned cut in the same words.
+func TestROADMConfigSharesTheReactionSolve(t *testing.T) {
+	net, fibers, _ := buildSquare(t)
+	reg := obs.NewRegistry()
+	planner, err := net.PlanContext(obs.WithRecorder(context.Background(), reg),
+		PlanOptions{Tickets: 3, Cutoff: 1e-4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := planner.Solve([]Demand{{Src: 0, Dst: 1, Gbps: 50}}, SolveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := reg.Counter("rwa.solves")
+	if _, err := plan.ROADMConfig(fibers[2]); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Counter("rwa.solves") - before; got != 1 {
+		t.Fatalf("ROADMConfig recorded %d rwa.solves, want 1", got)
+	}
+	_, cutErr := plan.OnFiberCut(fibers[0], fibers[1], fibers[2])
+	_, cfgErr := plan.ROADMConfig(fibers[0], fibers[1], fibers[2])
+	if cutErr == nil || cfgErr == nil || cutErr.Error() != cfgErr.Error() {
+		t.Fatalf("unplanned cut: OnFiberCut says %v, ROADMConfig %v", cutErr, cfgErr)
+	}
+}

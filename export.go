@@ -8,7 +8,6 @@ import (
 	"github.com/arrow-te/arrow/internal/availability"
 
 	"github.com/arrow-te/arrow/internal/noise"
-	"github.com/arrow-te/arrow/internal/rwa"
 )
 
 // PlanExport is the JSON-serialisable form of a TrafficPlan: the routing
@@ -96,41 +95,11 @@ func (tp *TrafficPlan) Export() ([]byte, error) {
 // scenario that cuts exactly the given fibers (the text the paper's §3.3
 // "installs on ROADM config files").
 func (tp *TrafficPlan) ROADMConfig(fibers ...FiberID) (string, error) {
-	cut := make([]int, len(fibers))
-	for i, f := range fibers {
-		cut[i] = int(f)
-	}
-	failed := tp.planner.net.opt.FailedLinks(cut)
-	qi := -1
-	for i := range tp.planner.scenarios {
-		if equalIntSets(tp.planner.scenarios[i].FailedLinks, failed) {
-			qi = i
-			break
-		}
-	}
-	if qi < 0 {
-		return "", fmt.Errorf("arrow: no planned scenario for cut %v", fibers)
-	}
-	res, err := rwa.Solve(&rwa.Request{Net: tp.planner.net.opt, Cut: cut, K: 3, AllowTuning: true, AllowModulationChange: true})
+	rs, err := tp.restoration(fibers)
 	if err != nil {
 		return "", err
 	}
-	target := make([]int, len(res.Failed))
-	winner := 0
-	if tp.alloc.WinningTicket != nil {
-		winner = tp.alloc.WinningTicket[qi]
-	}
-	tk := tp.planner.scenarios[qi].Tickets[winner]
-	for i, l := range res.Failed {
-		for j, tl := range tp.planner.scenarios[qi].TicketLinks {
-			if tl == l {
-				target[i] = tk.Waves[j]
-			}
-		}
-	}
-	asg, _ := rwa.AssignIntegral(res, target)
-	plan := noise.BuildPlan(tp.planner.net.opt, res, asg)
-	cfg := noise.BuildConfig(fmt.Sprintf("cut%v", cut), plan)
+	cfg := noise.BuildConfig(fmt.Sprintf("cut%v", rs.cut), rs.plan)
 	return cfg.Render(), nil
 }
 

@@ -75,7 +75,8 @@ func (sx *simplex) certificate() *Certificate {
 	// Primal residual: equality rows A x = b over every column (artificials
 	// included — they are pinned to zero after phase 1, so any leftover
 	// value is itself a violation), plus bound violations.
-	res := append([]float64(nil), sx.b...)
+	res := sx.rhs // the pivot loop is done with it
+	copy(res, sx.b)
 	for j := 0; j < sx.nTot; j++ {
 		if v := sx.x[j]; v != 0 {
 			c := &sx.cols[j]

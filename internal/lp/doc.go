@@ -42,9 +42,11 @@
 // factors plus a product-form eta file: each pivot appends one eta vector,
 // and the basis is refactorised every Options.Refactor pivots (default 64)
 // or when a numerically tiny pivot appears. Only the nonzeros of an eta are
-// stored, in one arena per solve, and every refactorisation of a solve
-// reuses the same factor storage, so the pivot loop allocates nothing in
-// steady state. Skipping the exact zeros changes no result: the kernel takes
+// stored, in one arena, and every refactorisation reuses the same factor
+// storage, so the pivot loop allocates nothing in steady state. The arena,
+// the factors and every per-solve vector belong to a workspace that outlives
+// the solve: Solve and SolveWithBasis take one from a pool and re-size it for
+// the model at hand, and nothing they return shares memory with it. Skipping the exact zeros changes no result: the kernel takes
 // the same pivots, bit for bit, as one that visits every row.
 //
 // # Pricing and ratio test

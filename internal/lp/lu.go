@@ -67,18 +67,27 @@ type patchedCol struct {
 
 // newLUFactors returns empty factors for n*n bases; factor fills them.
 func newLUFactors(n int) *luFactors {
-	return &luFactors{
-		n:          n,
-		colOrder:   make([]int, n),
-		rowOfPivot: make([]int, n),
-		pinv:       make([]int, n),
-		udiag:      make([]float64, n),
-		lptr:       make([]int, n+1),
-		uptr:       make([]int, n+1),
-		work:       make([]float64, n),
-		stack:      make([]int32, 0, n),
-		mark:       make([]int32, n),
-		order:      make([]int, n),
+	f := new(luFactors)
+	f.resize(n)
+	return f
+}
+
+// resize empties f for n*n bases, keeping every backing array that is large
+// enough; factor fills it.
+func (f *luFactors) resize(n int) {
+	f.n = n
+	f.colOrder = zeroed(f.colOrder, n)
+	f.rowOfPivot = zeroed(f.rowOfPivot, n)
+	f.pinv = zeroed(f.pinv, n)
+	f.udiag = zeroed(f.udiag, n)
+	f.lptr = zeroed(f.lptr, n+1)
+	f.uptr = zeroed(f.uptr, n+1)
+	f.work = zeroed(f.work, n)
+	f.mark = zeroed(f.mark, n)
+	f.epoch = 0
+	f.order = zeroed(f.order, n)
+	if cap(f.stack) < n {
+		f.stack = make([]int32, 0, n)
 	}
 }
 

@@ -3,6 +3,7 @@ package lp
 import (
 	"fmt"
 	"math"
+	"strconv"
 )
 
 // Inf is the bound used for unbounded variable ranges.
@@ -60,7 +61,20 @@ type Model struct {
 	integer []bool // used by package mip; ignored by the LP solver
 
 	rows []rowData
+	// terms is the arena the rows' terms are carved from: a row's terms are
+	// a full slice of the chunk that was current when it was added, so
+	// growing one row (AddVarToConstrs) copies it out instead of running
+	// into its neighbour. used counts the terms carved since the last Reset.
+	terms []Term
+	used  int
 }
+
+// Arena chunks grow with the model between these sizes (in terms): a small
+// model wastes little, a large one allocates once per few thousand terms.
+const (
+	minTermChunk = 64
+	maxTermChunk = 4096
+)
 
 type rowData struct {
 	terms []Term
@@ -125,8 +139,15 @@ func (m *Model) Bounds(v Var) (lb, ub float64) { return m.lb[v], m.ub[v] }
 // IsInteger reports whether v was added as an integer variable.
 func (m *Model) IsInteger(v Var) bool { return m.integer[v] }
 
-// VarName returns the diagnostic name of v.
-func (m *Model) VarName(v Var) string { return m.varName[v] }
+// VarName returns the diagnostic name of v: the one it was added with, or
+// one derived from its index when that was empty (models built on a hot path
+// pass "" and pay for a name only if one is asked for).
+func (m *Model) VarName(v Var) string {
+	if name := m.varName[v]; name != "" {
+		return name
+	}
+	return "x" + strconv.Itoa(int(v))
+}
 
 // NumVars returns the number of variables.
 func (m *Model) NumVars() int { return len(m.obj) }
@@ -153,8 +174,29 @@ func (m *Model) AddConstr(expr Expr, sense Sense, rhs float64, name string) Cons
 			panic(fmt.Sprintf("lp: constraint %q references unknown variable %d", name, t.Var))
 		}
 	}
-	m.rows = append(m.rows, rowData{terms: combineTerms(expr), sense: sense, rhs: rhs, name: name})
+	if cap(m.terms)-len(m.terms) < len(expr) {
+		chunk := min(max(m.used, minTermChunk), maxTermChunk)
+		m.terms = make([]Term, 0, max(chunk, len(expr)))
+	}
+	lo := len(m.terms)
+	m.terms = combineTerms(m.terms, expr)
+	hi := len(m.terms)
+	m.used += hi - lo
+	m.rows = append(m.rows, rowData{terms: m.terms[lo:hi:hi], sense: sense, rhs: rhs, name: name})
 	return Constr(len(m.rows) - 1)
+}
+
+// Reset empties the model of variables and constraints, keeping its name,
+// its sense and every backing array, so building a model of a size it has
+// held before allocates nothing. Handles from before the Reset are invalid.
+func (m *Model) Reset() {
+	m.obj, m.lb, m.ub = m.obj[:0], m.lb[:0], m.ub[:0]
+	m.varName, m.integer = m.varName[:0], m.integer[:0]
+	m.TruncateConstrs(0)
+	if m.used > cap(m.terms) {
+		m.terms = make([]Term, 0, m.used) // the next build fits one chunk
+	}
+	m.terms, m.used = m.terms[:0], 0
 }
 
 // ColumnEntry is one (constraint, coefficient) pair of a column appended
@@ -223,8 +265,14 @@ func (m *Model) RHS(c Constr) float64 { return m.rows[c].rhs }
 // ConstrSense returns the sense of constraint c.
 func (m *Model) ConstrSense(c Constr) Sense { return m.rows[c].sense }
 
-// ConstrName returns the diagnostic name of constraint c.
-func (m *Model) ConstrName(c Constr) string { return m.rows[c].name }
+// ConstrName returns the diagnostic name of constraint c, derived from its
+// index when it was added with an empty one (see VarName).
+func (m *Model) ConstrName(c Constr) string {
+	if name := m.rows[c].name; name != "" {
+		return name
+	}
+	return "c" + strconv.Itoa(int(c))
+}
 
 // TruncateConstrs drops every constraint with index >= n, rewinding the
 // model to an earlier skeleton. Variables are untouched. Constraint
@@ -242,27 +290,40 @@ func (m *Model) TruncateConstrs(n int) {
 	m.rows = m.rows[:n]
 }
 
-// combineTerms sums duplicate variables and drops zero coefficients,
-// preserving first-occurrence order.
-func combineTerms(expr Expr) []Term {
-	seen := make(map[Var]int, len(expr))
-	out := make([]Term, 0, len(expr))
-	for _, t := range expr {
-		if i, ok := seen[t.Var]; ok {
-			out[i].Coef += t.Coef
-			continue
+// combineTerms appends expr to dst with duplicate variables summed and zero
+// coefficients dropped, preserving first-occurrence order. dst must have
+// room for len(expr) more terms.
+func combineTerms(dst []Term, expr Expr) []Term {
+	increasing := true
+	for i := 1; i < len(expr); i++ {
+		if expr[i].Var <= expr[i-1].Var {
+			increasing = false
+			break
 		}
-		seen[t.Var] = len(out)
-		out = append(out, t)
 	}
-	w := 0
-	for _, t := range out {
+	base := len(dst)
+	if increasing {
+		// No variable repeats, so there is nothing to look up or sum.
+		dst = append(dst, expr...)
+	} else {
+		seen := make(map[Var]int, len(expr))
+		for _, t := range expr {
+			if i, ok := seen[t.Var]; ok {
+				dst[i].Coef += t.Coef
+				continue
+			}
+			seen[t.Var] = len(dst)
+			dst = append(dst, t)
+		}
+	}
+	w := base
+	for _, t := range dst[base:] {
 		if t.Coef != 0 {
-			out[w] = t
+			dst[w] = t
 			w++
 		}
 	}
-	return out[:w]
+	return dst[:w]
 }
 
 // Clone returns a deep copy of the model.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"github.com/arrow-te/arrow/internal/obs"
 )
@@ -112,8 +113,9 @@ func (o *Options) withDefaults(rows, cols int) Options {
 // solution. A non-nil error indicates an internal numerical failure, not
 // infeasibility: infeasible and unbounded models are reported via Status.
 func Solve(m *Model, opts *Options) (*Solution, error) {
-	sx, err := newSimplex(m, opts)
-	if err != nil {
+	sx := simplexPool.Get().(*simplex)
+	defer sx.release()
+	if err := sx.init(m, opts); err != nil {
 		return nil, err
 	}
 	return sx.run()
@@ -134,6 +136,14 @@ const (
 //
 // where x stacks the model's structural variables, one slack per row, and
 // one phase-1 artificial per row.
+//
+// A simplex is also the solver's workspace: init sizes every slice below for
+// the model at hand out of what the previous solve left, so a simplex that
+// has solved a model of some size solves the next one of that size without
+// allocating working memory. Solve and SolveWithBasis pass simplexes to each
+// other through simplexPool. The rule that makes this safe: nothing a solve
+// returns (Solution, Basis, Certificate, WarmInfo, HealthReport) shares
+// memory with the simplex that produced it.
 type simplex struct {
 	opt  Options
 	m    *Model
@@ -141,7 +151,9 @@ type simplex struct {
 	nStr int // structural variables
 	nTot int // structural + slacks + artificials
 
-	cols   []spCol // column j of A
+	cols   []spCol // column j of A, carved from aRows/aVals
+	aRows  []int32
+	aVals  []float64
 	cost   []float64
 	lb, ub []float64
 	b      []float64
@@ -172,6 +184,8 @@ type simplex struct {
 	w, y, rhs, accum []float64
 	cb, d            []float64
 	phase1Cost       []float64 // built by the first phase 1, nil until then
+	phase1Buf        []float64 // phase1Cost's backing, kept across solves
+	cand             []int     // installWarmBasis's basic-column candidates
 
 	degenerate int // consecutive degenerate pivots (Bland trigger)
 
@@ -202,33 +216,72 @@ type eta struct {
 	lo, hi int
 }
 
-// newSimplex builds the computational form of m.
+// simplexPool hands workspaces from one solve to the next.
+var simplexPool = sync.Pool{New: func() interface{} { return new(simplex) }}
+
+// release returns the workspace to the pool, dropping what it holds of the
+// caller's (model, recorder) and of the solution it produced.
+func (sx *simplex) release() {
+	sx.m, sx.opt.Recorder = nil, nil
+	sx.warm, sx.cert, sx.health = nil, nil, nil
+	simplexPool.Put(sx)
+}
+
+// zeroed returns s resized to n zero elements, reallocating only when n
+// exceeds its capacity.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// newSimplex builds the computational form of m in a workspace of its own.
 func newSimplex(m *Model, opts *Options) (*simplex, error) {
+	sx := new(simplex)
+	return sx, sx.init(m, opts)
+}
+
+// init builds the computational form of m, reusing the backing arrays of
+// whatever sx solved before and none of its state.
+func (sx *simplex) init(m *Model, opts *Options) error {
 	nRow := m.NumConstrs()
 	nStr := m.NumVars()
 	nTot := nStr + 2*nRow
-	sx := &simplex{
+	old := *sx
+	*sx = simplex{
 		m:    m,
 		opt:  opts.withDefaults(nRow, nStr),
 		nRow: nRow, nStr: nStr, nTot: nTot,
-		cols: make([]spCol, nTot),
-		cost: make([]float64, nTot),
-		lb:   make([]float64, nTot),
-		ub:   make([]float64, nTot),
-		b:    make([]float64, nRow),
+		cols: zeroed(old.cols, nTot), aRows: old.aRows, aVals: old.aVals,
+		cost: zeroed(old.cost, nTot),
+		lb:   zeroed(old.lb, nTot),
+		ub:   zeroed(old.ub, nTot),
+		b:    zeroed(old.b, nRow),
 
-		status:  make([]int8, nTot),
-		x:       make([]float64, nTot),
-		basisOf: make([]int, nRow),
-		posOf:   make([]int, nTot),
+		status:  zeroed(old.status, nTot),
+		x:       zeroed(old.x, nTot),
+		basisOf: zeroed(old.basisOf, nRow),
+		posOf:   zeroed(old.posOf, nTot),
 
-		lu:        newLUFactors(nRow),
-		basisCols: make([]spCol, nRow),
+		lu:        old.lu,
+		basisCols: zeroed(old.basisCols, nRow),
+		etas:      old.etas[:0],
+		etaIdx:    old.etaIdx[:0],
+		etaVal:    old.etaVal[:0],
 
-		w: make([]float64, nRow), y: make([]float64, nRow),
-		rhs: make([]float64, nRow), accum: make([]float64, nRow),
-		cb: make([]float64, nRow), d: make([]float64, nRow),
+		w: zeroed(old.w, nRow), y: zeroed(old.y, nRow),
+		rhs: zeroed(old.rhs, nRow), accum: zeroed(old.accum, nRow),
+		cb: zeroed(old.cb, nRow), d: zeroed(old.d, nRow),
+		phase1Buf: old.phase1Buf,
+		cand:      old.cand,
 	}
+	if sx.lu == nil {
+		sx.lu = new(luFactors)
+	}
+	sx.lu.resize(nRow)
 	sign := 1.0
 	if m.maximize {
 		sign = -1.0
@@ -238,7 +291,7 @@ func newSimplex(m *Model, opts *Options) (*simplex, error) {
 		if lb > ub {
 			// Trivially infeasible bounds; surface as infeasible later via
 			// an always-violated artificial by clamping.
-			return nil, fmt.Errorf("lp: variable %q has lb %g > ub %g", m.varName[j], lb, ub)
+			return fmt.Errorf("lp: variable %q has lb %g > ub %g", m.VarName(Var(j)), lb, ub)
 		}
 		sx.lb[j], sx.ub[j] = lb, ub
 		sx.cost[j] = sign * m.obj[j]
@@ -255,7 +308,10 @@ func newSimplex(m *Model, opts *Options) (*simplex, error) {
 		}
 		nnz += len(r.terms)
 	}
-	rows, vals := make([]int32, nnz), make([]float64, nnz)
+	if cap(sx.aRows) < nnz {
+		sx.aRows, sx.aVals = make([]int32, nnz), make([]float64, nnz)
+	}
+	rows, vals := sx.aRows[:nnz], sx.aVals[:nnz]
 	off := 0
 	for j := range sx.cols {
 		n := 1
@@ -290,7 +346,7 @@ func newSimplex(m *Model, opts *Options) (*simplex, error) {
 	if sx.opt.HealthEvery > 0 {
 		sx.health = newHealthState(sx.opt.HealthEvery, nRow)
 	}
-	return sx, nil
+	return nil
 }
 
 // initialValue returns the starting value for a nonbasic variable and its
@@ -380,8 +436,10 @@ func (sx *simplex) solve() (*Solution, error) {
 // out infeasible arrive from the projected warm point, which typically
 // leaves most artificials at zero.
 func (sx *simplex) solveFromPoint() (*Solution, error) {
-	// Residual r = b - A x determines artificials.
-	res := append([]float64(nil), sx.b...)
+	// Residual r = b - A x determines artificials (rhs is free until the
+	// refactorisation below recomputes the basics).
+	res := sx.rhs
+	copy(res, sx.b)
 	for j := 0; j < sx.nStr+sx.nRow; j++ {
 		if v := sx.x[j]; v != 0 {
 			c := &sx.cols[j]
@@ -420,7 +478,8 @@ func (sx *simplex) phases(runPhase1 bool) (*Solution, error) {
 	if runPhase1 {
 		// Phase 1: minimise the sum of artificials.
 		if sx.phase1Cost == nil {
-			sx.phase1Cost = make([]float64, sx.nTot)
+			sx.phase1Cost = zeroed(sx.phase1Buf, sx.nTot)
+			sx.phase1Buf = sx.phase1Cost
 			for i := 0; i < sx.nRow; i++ {
 				sx.phase1Cost[sx.nStr+sx.nRow+i] = 1
 			}

@@ -122,10 +122,15 @@ func exportStatus(st int8) BasisStatus {
 // makes it a deterministic warm-start source: results cannot vary with
 // worker scheduling.
 func SlackBasis(m *Model) *Basis {
-	b := &Basis{
-		VarStatus: make([]BasisStatus, m.NumVars()),
-		RowStatus: make([]BasisStatus, m.NumConstrs()),
-	}
+	b := new(Basis)
+	b.ResetSlack(m)
+	return b
+}
+
+// ResetSlack makes b the SlackBasis of m, reusing its backing arrays.
+func (b *Basis) ResetSlack(m *Model) {
+	b.VarStatus = zeroed(b.VarStatus, m.NumVars())
+	b.RowStatus = zeroed(b.RowStatus, m.NumConstrs())
 	for j := range b.VarStatus {
 		_, st := initialValue(m.lb[j], m.ub[j])
 		b.VarStatus[j] = exportStatus(st)
@@ -133,7 +138,6 @@ func SlackBasis(m *Model) *Basis {
 	for i := range b.RowStatus {
 		b.RowStatus[i] = BasisBasic
 	}
-	return b
 }
 
 // SolveWithBasis solves m starting from the given basis. The basis is
@@ -158,8 +162,9 @@ func SolveWithBasis(m *Model, basis *Basis, opts *Options) (*Solution, error) {
 	if basis == nil {
 		return Solve(m, opts)
 	}
-	sx, err := newSimplex(m, opts)
-	if err != nil {
+	sx := simplexPool.Get().(*simplex)
+	defer sx.release()
+	if err := sx.init(m, opts); err != nil {
 		return nil, err
 	}
 	sol, err := sx.solveWarm(basis)
@@ -270,7 +275,7 @@ func warmNonbasic(lb, ub float64, want BasisStatus) (v float64, st int8, repaire
 // pinned at zero with empty columns. Reports false only when no square
 // basis could be assembled.
 func (sx *simplex) installWarmBasis(wb *Basis, wi *WarmInfo) bool {
-	cand := make([]int, 0, sx.nRow)
+	cand := sx.cand[:0]
 	for j := 0; j < sx.nStr; j++ {
 		want := BasisAtLower
 		if j < len(wb.VarStatus) {
@@ -342,6 +347,7 @@ func (sx *simplex) installWarmBasis(wb *Basis, wi *WarmInfo) bool {
 			wi.Repairs++
 		}
 	}
+	sx.cand = cand[:0] // keep whatever it grew to
 	if len(cand) != sx.nRow {
 		return false
 	}
@@ -409,7 +415,8 @@ func (sx *simplex) maxBasicViolation() float64 {
 // artificials a cold start of this model would install at a nonzero
 // residual — the baseline for the pivots_saved estimate.
 func (sx *simplex) countColdArtificials() int {
-	res := append([]float64(nil), sx.b...)
+	res := sx.rhs // free until the first refactorisation
+	copy(res, sx.b)
 	for j := 0; j < sx.nStr+sx.nRow; j++ {
 		if v, _ := initialValue(sx.lb[j], sx.ub[j]); v != 0 {
 			c := &sx.cols[j]

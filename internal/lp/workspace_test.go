@@ -1,0 +1,246 @@
+package lp
+
+import (
+	"math"
+	"math/rand"
+	"reflect"
+	"testing"
+)
+
+// refCombineTerms is combineTerms as it was: always through the map, into a
+// slice of its own.
+func refCombineTerms(expr Expr) []Term {
+	seen := make(map[Var]int, len(expr))
+	out := make([]Term, 0, len(expr))
+	for _, t := range expr {
+		if i, ok := seen[t.Var]; ok {
+			out[i].Coef += t.Coef
+			continue
+		}
+		seen[t.Var] = len(out)
+		out = append(out, t)
+	}
+	w := 0
+	for _, t := range out {
+		if t.Coef != 0 {
+			out[w] = t
+			w++
+		}
+	}
+	return out[:w]
+}
+
+func TestCombineTermsFastPathMatchesMapPath(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	increasing := 0
+	for trial := 0; trial < 2000; trial++ {
+		var expr Expr
+		n := rng.Intn(9)
+		if rng.Intn(2) == 0 {
+			// Strictly increasing variables (the fast path), zeros among the
+			// coefficients.
+			v := 0
+			for i := 0; i < n; i++ {
+				v += 1 + rng.Intn(3)
+				expr = expr.Plus(float64(rng.Intn(4)-1), Var(v))
+			}
+			increasing++
+		} else {
+			// Any order, repeats that may cancel.
+			for i := 0; i < n; i++ {
+				expr = expr.Plus(float64(rng.Intn(5)-2), Var(rng.Intn(5)))
+			}
+		}
+		prefix := []Term{{Var: 99, Coef: 7}}
+		dst := append(make([]Term, 0, 1+len(expr)), prefix...)
+		got := combineTerms(dst, expr)
+		want := refCombineTerms(expr)
+		if !reflect.DeepEqual(got[:1], prefix) {
+			t.Fatalf("trial %d: combineTerms rewrote what dst held: %v", trial, got[:1])
+		}
+		if len(got[1:]) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got[1:], want)) {
+			t.Fatalf("trial %d: %v combined to %v, want %v", trial, expr, got[1:], want)
+		}
+	}
+	if increasing < 500 {
+		t.Fatalf("only %d increasing expressions drawn", increasing)
+	}
+}
+
+// buildRandomInto fills m (empty: fresh or Reset) with a random bounded LP
+// that x = 0 satisfies. Rows list their variables in any order with repeats,
+// or ascending, so both combineTerms paths build rows; the sizes vary enough
+// that a reused model and simplex shrink and grow.
+func buildRandomInto(m *Model, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	m.SetMaximize(rng.Intn(2) == 0)
+	nv := 2 + rng.Intn(30)
+	nr := 1 + rng.Intn(30)
+	for j := 0; j < nv; j++ {
+		m.AddVar(0, 1+rng.Float64()*9, rng.NormFloat64()*3, "")
+	}
+	for i := 0; i < nr; i++ {
+		var e Expr
+		if rng.Intn(2) == 0 {
+			for j := 0; j < nv; j++ {
+				if rng.Float64() < 0.4 {
+					e = e.Plus(math.Round(rng.NormFloat64()*40)/10, Var(j))
+				}
+			}
+		} else {
+			for k := rng.Intn(6); k >= 0; k-- {
+				e = e.Plus(math.Round(rng.NormFloat64()*40)/10, Var(rng.Intn(nv)))
+			}
+		}
+		switch rng.Intn(10) {
+		case 0:
+			m.AddConstr(e, EQ, 0, "")
+		case 1, 2, 3:
+			m.AddConstr(e, GE, -(1 + rng.Float64()*20), "")
+		default:
+			m.AddConstr(e, LE, 1+rng.Float64()*20, "")
+		}
+	}
+	// Growing a row that lies in the arena must copy it out, not run into
+	// the row behind it.
+	if nr > 1 {
+		m.AddVarToConstrs(0, 5, rng.NormFloat64(), "", []ColumnEntry{{Constr: 0, Coef: 1.5}, {Constr: Constr(nr / 2), Coef: -2}})
+	}
+}
+
+func sameModel(t *testing.T, label string, got, want *Model) {
+	t.Helper()
+	if got.Stats() != want.Stats() || got.Maximize() != want.Maximize() {
+		t.Fatalf("%s: stats %+v max %v, want %+v max %v", label, got.Stats(), got.Maximize(), want.Stats(), want.Maximize())
+	}
+	for i := range want.rows {
+		g, w := got.rows[i], want.rows[i]
+		if g.sense != w.sense || g.rhs != w.rhs || len(g.terms) != len(w.terms) || (len(w.terms) > 0 && !reflect.DeepEqual(g.terms, w.terms)) {
+			t.Fatalf("%s: row %d is %v %v %g, want %v %v %g", label, i, g.terms, g.sense, g.rhs, w.terms, w.sense, w.rhs)
+		}
+	}
+}
+
+// workspaceSeeds orders models so that a reused model or simplex meets a
+// large one, then small ones, then a large one again.
+func workspaceSeeds() []int64 {
+	rng := rand.New(rand.NewSource(77))
+	seeds := make([]int64, 60)
+	for i := range seeds {
+		seeds[i] = rng.Int63()
+	}
+	return seeds
+}
+
+func TestResetModelMatchesFresh(t *testing.T) {
+	reused := NewModel("reused")
+	for i, seed := range workspaceSeeds() {
+		fresh := NewModel("reused")
+		buildRandomInto(fresh, seed)
+		reused.Reset()
+		buildRandomInto(reused, seed)
+		sameModel(t, "reset model", reused, fresh)
+		got, err := Solve(reused, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Solve(fresh, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("model %d: a Reset model solved to %+v, a fresh one to %+v", i, got, want)
+		}
+	}
+	if reused.Name() != "reused" {
+		t.Fatalf("Reset dropped the name: %q", reused.Name())
+	}
+}
+
+// A simplex that has solved other models solves the next one exactly as a
+// fresh simplex does, and what it returned earlier is not touched by what
+// it solves later.
+func TestReusedSimplexMatchesFresh(t *testing.T) {
+	seeds := workspaceSeeds()
+	models := make([]*Model, len(seeds))
+	for i, seed := range seeds {
+		models[i] = NewModel("m")
+		buildRandomInto(models[i], seed)
+	}
+	solve := func(sx *simplex, i int) *Solution {
+		m := models[i]
+		var opts *Options
+		if i%7 == 0 {
+			opts = &Options{HealthEvery: 2}
+		}
+		if err := sx.init(m, opts); err != nil {
+			t.Fatal(err)
+		}
+		var sol *Solution
+		var err error
+		switch i % 3 {
+		case 0:
+			sol, err = sx.run()
+		case 1:
+			sol, err = sx.solveWarm(SlackBasis(m))
+		default:
+			// A basis of the wrong shape: repaired, or abandoned for a cold start.
+			sol, err = sx.solveWarm(&Basis{VarStatus: []BasisStatus{BasisBasic, BasisBasic, BasisFree}, RowStatus: []BasisStatus{BasisAtUpper}})
+		}
+		if err != nil {
+			t.Fatalf("model %d: %v", i, err)
+		}
+		sx.attachHealth(sol)
+		return sol
+	}
+	reused := new(simplex)
+	got := make([]*Solution, len(models))
+	for i := range models {
+		got[i] = solve(reused, i)
+	}
+	statuses := map[Status]int{}
+	for i := range models {
+		want := solve(new(simplex), i)
+		if !reflect.DeepEqual(got[i], want) {
+			t.Fatalf("model %d: the reused simplex returned %+v, a fresh one %+v", i, got[i], want)
+		}
+		statuses[want.Status]++
+	}
+	if statuses[StatusOptimal] < len(models)/2 {
+		t.Fatalf("statuses %v: too few optimal solves to compare duals, certificates and bases", statuses)
+	}
+}
+
+// The same through the public entry points, whose simplexes come from the
+// pool: repeated solves of one model agree with each other whatever was
+// solved in between.
+func TestPooledSolveMatchesFresh(t *testing.T) {
+	seeds := workspaceSeeds()
+	first := make([]*Solution, len(seeds))
+	for round := 0; round < 2; round++ {
+		for i, seed := range seeds {
+			m := NewModel("m")
+			buildRandomInto(m, seed)
+			sol, err := SolveWithBasis(m, SlackBasis(m), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if round == 0 {
+				first[i] = sol
+			} else if !reflect.DeepEqual(sol, first[i]) {
+				t.Fatalf("model %d: second solve %+v, first %+v", i, sol, first[i])
+			}
+		}
+	}
+}
+
+func TestNamesDerivedWhenEmpty(t *testing.T) {
+	m := NewModel("n")
+	x := m.AddVar(0, 1, 1, "")
+	y := m.AddVar(0, 1, 1, "why")
+	c := m.AddConstr(Expr{}.Plus(1, x).Plus(1, y), LE, 1, "")
+	d := m.AddConstr(Expr{}.Plus(1, x), LE, 1, "cap")
+	if m.VarName(x) != "x0" || m.VarName(y) != "why" || m.ConstrName(c) != "c0" || m.ConstrName(d) != "cap" {
+		t.Fatalf("names %q %q %q %q", m.VarName(x), m.VarName(y), m.ConstrName(c), m.ConstrName(d))
+	}
+}

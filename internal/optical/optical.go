@@ -11,6 +11,7 @@ package optical
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"github.com/arrow-te/arrow/internal/graph"
@@ -74,10 +75,14 @@ type Network struct {
 	IPLinks   []*IPLink
 	SlotCount int
 
-	// gMu guards the lazily-built g: concurrent per-scenario RWA solves
-	// (the parallel offline stage) all call Graph() on the shared network.
+	// gMu guards the lazily-built g and linksOn: concurrent per-scenario RWA
+	// solves (the parallel offline stage) all read them off the shared
+	// network.
 	gMu sync.Mutex
 	g   *graph.Graph // ROADM graph; edge label = fiber ID, weight = km
+	// linksOn[f] lists, ascending, the IP links with a wavelength on fiber f.
+	// AddFiber, Provision and Deprovision drop it; linksOnFibers rebuilds it.
+	linksOn [][]int
 }
 
 // NewNetwork creates an empty network with n ROADM sites and the given
@@ -91,7 +96,7 @@ func (n *Network) AddFiber(a, b ROADM, lengthKm float64) *Fiber {
 	f := &Fiber{ID: len(n.Fibers), A: a, B: b, LengthKm: lengthKm, Slots: spectrum.AllAvailable(n.SlotCount)}
 	n.Fibers = append(n.Fibers, f)
 	n.gMu.Lock()
-	n.g = nil
+	n.g, n.linksOn = nil, nil
 	n.gMu.Unlock()
 	return f
 }
@@ -143,6 +148,7 @@ func (n *Network) Provision(src, dst ROADM, waves []Lightpath) (*IPLink, error) 
 	}
 	l := &IPLink{ID: len(n.IPLinks), Src: src, Dst: dst, Waves: waves}
 	n.IPLinks = append(n.IPLinks, l)
+	n.dropLinksOn()
 	return l, nil
 }
 
@@ -172,37 +178,81 @@ func (n *Network) checkPath(src, dst ROADM, path []int) error {
 	return nil
 }
 
-// FailedLinks returns the IDs of IP links that lose at least one wavelength
-// when the given fibers are cut. Per §6 ("when a fiber fails, all IP links
-// on this fiber fail simultaneously"), a link that traverses any cut fiber
-// is considered failed.
-func (n *Network) FailedLinks(cut []int) []int {
-	cutSet := map[int]bool{}
-	for _, id := range cut {
-		cutSet[id] = true
-	}
-	var out []int
-	for _, l := range n.IPLinks {
-		if l == nil {
-			continue // deprovisioned
-		}
-		failed := false
-		for _, w := range l.Waves {
-			for _, fid := range w.FiberPath {
-				if cutSet[fid] {
-					failed = true
-					break
+func (n *Network) dropLinksOn() {
+	n.gMu.Lock()
+	n.linksOn = nil
+	n.gMu.Unlock()
+}
+
+// linksOnFibers returns (building lazily) the fiber -> IP links incidence
+// index. Read-only; safe for concurrent use once the topology is no longer
+// being mutated.
+func (n *Network) linksOnFibers() [][]int {
+	n.gMu.Lock()
+	defer n.gMu.Unlock()
+	if n.linksOn == nil {
+		on := make([][]int, len(n.Fibers))
+		for _, l := range n.IPLinks {
+			if l == nil {
+				continue // deprovisioned
+			}
+			for _, w := range l.Waves {
+				for _, fid := range w.FiberPath {
+					// Links arrive in ID order, so a repeat is the last entry.
+					if k := len(on[fid]); k == 0 || on[fid][k-1] != l.ID {
+						on[fid] = append(on[fid], l.ID)
+					}
 				}
 			}
-			if failed {
-				break
-			}
 		}
-		if failed {
-			out = append(out, l.ID)
+		n.linksOn = on
+	}
+	return n.linksOn
+}
+
+// FailedLinks returns the IDs of IP links that lose at least one wavelength
+// when the given fibers are cut, in ascending order. Per §6 ("when a fiber
+// fails, all IP links on this fiber fail simultaneously"), a link that
+// traverses any cut fiber is considered failed. Fiber IDs the network does
+// not have, and repeats, add nothing.
+func (n *Network) FailedLinks(cut []int) []int {
+	on := n.linksOnFibers()
+	total := 0
+	for _, f := range cut {
+		if f >= 0 && f < len(on) {
+			total += len(on[f])
 		}
 	}
+	if total == 0 {
+		return nil
+	}
+	out := make([]int, 0, total)
+	for _, f := range cut {
+		if f >= 0 && f < len(on) {
+			out = append(out, on[f]...)
+		}
+	}
+	if len(cut) > 1 {
+		slices.Sort(out)
+		out = slices.Compact(out)
+	}
 	return out
+}
+
+// CutMask returns dst resized to one entry per fiber, set for the fibers in
+// cut. Fiber IDs the network does not have are ignored.
+func (n *Network) CutMask(dst []bool, cut []int) []bool {
+	if cap(dst) < len(n.Fibers) {
+		dst = make([]bool, len(n.Fibers))
+	}
+	dst = dst[:len(n.Fibers)]
+	clear(dst)
+	for _, id := range cut {
+		if id >= 0 && id < len(dst) {
+			dst[id] = true
+		}
+	}
+	return dst
 }
 
 // SpectrumUnderCut returns, for every fiber, the spectrum available for
@@ -211,28 +261,37 @@ func (n *Network) FailedLinks(cut []int) []int {
 // are being torn down, so their slots on surviving fibers become usable).
 // Cut fibers themselves are returned with no availability.
 func (n *Network) SpectrumUnderCut(cut []int) []*spectrum.Bitmap {
-	cutSet := map[int]bool{}
-	for _, id := range cut {
-		cutSet[id] = true
-	}
-	out := make([]*spectrum.Bitmap, len(n.Fibers))
-	for i, f := range n.Fibers {
-		if cutSet[i] {
-			out[i] = spectrum.NewBitmap(n.SlotCount) // all unavailable
-		} else {
-			out[i] = f.Slots.Clone()
+	return n.SpectrumUnderCutInto(nil, n.CutMask(nil, cut), n.FailedLinks(cut))
+}
+
+// SpectrumUnderCutInto is SpectrumUnderCut for a caller that already holds
+// the cut as a CutMask and its FailedLinks, written into dst's bitmaps when
+// dst came from an earlier call on a network of this shape (anything else is
+// replaced). It returns the filled slice.
+func (n *Network) SpectrumUnderCutInto(dst []*spectrum.Bitmap, cutMask []bool, failed []int) []*spectrum.Bitmap {
+	if len(dst) != len(n.Fibers) || (len(dst) > 0 && dst[0].Len() != n.SlotCount) {
+		dst = make([]*spectrum.Bitmap, len(n.Fibers))
+		for i := range dst {
+			dst[i] = spectrum.NewBitmap(n.SlotCount)
 		}
 	}
-	for _, lid := range n.FailedLinks(cut) {
+	for i, f := range n.Fibers {
+		if cutMask[i] {
+			dst[i].Clear() // all unavailable
+		} else {
+			dst[i].CopyFrom(f.Slots)
+		}
+	}
+	for _, lid := range failed {
 		for _, w := range n.IPLinks[lid].Waves {
 			for _, fid := range w.FiberPath {
-				if !cutSet[fid] {
-					out[fid].Set(w.Slot, true)
+				if !cutMask[fid] {
+					dst[fid].Set(w.Slot, true)
 				}
 			}
 		}
 	}
-	return out
+	return dst
 }
 
 // ProvisionedGbpsOnFiber returns W_phi: the total bandwidth of wavelengths
@@ -310,6 +369,7 @@ func (n *Network) Deprovision(id int) error {
 		}
 	}
 	n.IPLinks[id] = nil
+	n.dropLinksOn()
 	return nil
 }
 

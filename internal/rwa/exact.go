@@ -2,7 +2,6 @@ package rwa
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/arrow-te/arrow/internal/lp"
 	"github.com/arrow-te/arrow/internal/mip"
@@ -26,65 +25,11 @@ func SolveExact(req *Request, opts *mip.Options) (*Result, error) {
 		return res, nil
 	}
 
-	m := lp.NewModel("rwa-exact")
-	m.SetMaximize(true)
-	type xiKey struct{ link, path, slot int }
-	xi := map[xiKey]lp.Var{}
-	fiberSlot := map[[2]int]lp.Expr{}
-	linkTotal := make([]lp.Expr, len(res.Failed))
-	for li := range res.Failed {
-		for pi, opt := range res.Options[li] {
-			for _, s := range opt.Slots {
-				v := m.AddBinVar(1, fmt.Sprintf("xi_l%d_p%d_s%d", li, pi, s))
-				xi[xiKey{li, pi, s}] = v
-				linkTotal[li] = linkTotal[li].Plus(1, v)
-				for _, f := range opt.Fibers {
-					key := [2]int{f, s}
-					fiberSlot[key] = fiberSlot[key].Plus(1, v)
-				}
-			}
-		}
-	}
-	// Deterministic row order (see solveAssignmentLP).
-	keys := make([][2]int, 0, len(fiberSlot))
-	for k := range fiberSlot {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a][0] != keys[b][0] {
-			return keys[a][0] < keys[b][0]
-		}
-		return keys[a][1] < keys[b][1]
-	})
-	for _, k := range keys {
-		m.AddConstr(fiberSlot[k], lp.LE, 1, fmt.Sprintf("slot_f%d_s%d", k[0], k[1]))
-	}
-	for li, e := range linkTotal {
-		if len(e) > 0 {
-			m.AddConstr(e, lp.LE, float64(res.OrigWaves[li]), fmt.Sprintf("gamma_l%d", li))
-		}
-	}
-	if !req.AllowTuning {
-		for li := range res.Failed {
-			perSlot := map[int]lp.Expr{}
-			for pi, opt := range res.Options[li] {
-				for _, s := range opt.Slots {
-					perSlot[s] = perSlot[s].Plus(1, xi[xiKey{li, pi, s}])
-				}
-			}
-			slots := make([]int, 0, len(perSlot))
-			for s := range perSlot {
-				slots = append(slots, s)
-			}
-			sort.Ints(slots)
-			for _, s := range slots {
-				if e := perSlot[s]; len(e) > 1 {
-					m.AddConstr(e, lp.LE, 1, fmt.Sprintf("orig_l%d_s%d", li, s))
-				}
-			}
-		}
-	}
-
+	// The model is Solve's with xi binary; mip works on a clone, so the
+	// scratch can go back as soon as the solve returns.
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	m := sc.buildModel(res, "rwa-exact", true)
 	if m.NumVars() == 0 {
 		return res, nil
 	}
@@ -102,10 +47,8 @@ func SolveExact(req *Request, opts *mip.Options) (*Result, error) {
 	out.FracWaves = make([]float64, len(res.Failed))
 	for li := range res.Failed {
 		total := 0.0
-		for pi, opt := range res.Options[li] {
-			for _, s := range opt.Slots {
-				total += sol.X[xi[xiKey{li, pi, s}]]
-			}
+		for _, x := range sol.X[sc.optBase[sc.linkOpt[li]]:sc.optBase[sc.linkOpt[li+1]]] {
+			total += x
 		}
 		out.FracWaves[li] = total
 		out.Objective += total

@@ -1,0 +1,18 @@
+package rwa
+
+import "sync"
+
+// Scratch lets the external tests run a sequence of calls through one
+// scratch of their choosing instead of whatever the pool hands out.
+type Scratch struct{ sc scratch }
+
+func (s *Scratch) Solve(req *Request) (*Result, error) { return s.sc.solve(req) }
+
+func (s *Scratch) AssignIntegral(res *Result, target []int) (*Assignment, bool) {
+	return s.sc.assignIntegral(res, target)
+}
+
+// DropPooledScratches makes the next pooled call start from a new scratch.
+func DropPooledScratches() {
+	scratchPool = sync.Pool{New: func() interface{} { return new(scratch) }}
+}

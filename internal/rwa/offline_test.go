@@ -1,0 +1,178 @@
+package rwa_test
+
+import (
+	"math/rand"
+	"reflect"
+	"sync"
+	"testing"
+
+	"github.com/arrow-te/arrow/internal/optical"
+	"github.com/arrow-te/arrow/internal/rwa"
+	"github.com/arrow-te/arrow/internal/ticket"
+	"github.com/arrow-te/arrow/internal/topo"
+)
+
+func b4(t testing.TB) *optical.Network {
+	tp, err := topo.B4(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tp.Opt.Graph()
+	return tp.Opt
+}
+
+// offlineRequests is the offline stage's mix on B4: every single-fiber cut
+// (exporting its basis, as the pre-stage does), then pairs and triples warm-
+// started from their singles, in both tuning modes, shuffled so that big
+// models follow small ones and small ones big.
+func offlineRequests(t testing.TB, n *optical.Network) []*rwa.Request {
+	base := rwa.Request{Net: n, K: 3, AllowTuning: true, AllowModulationChange: true}
+	singles := make([]*rwa.Result, len(n.Fibers))
+	var reqs []*rwa.Request
+	for f := range n.Fibers {
+		req := base
+		req.Cut, req.ExportBasis = []int{f}, true
+		res, err := rwa.Solve(&req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		singles[f] = res
+		reqs = append(reqs, &req)
+	}
+	rng := rand.New(rand.NewSource(17))
+	for i := 0; i < 60; i++ {
+		req := base
+		req.Cut = rng.Perm(len(n.Fibers))[:2+i%2]
+		if i%3 != 0 {
+			for _, f := range req.Cut {
+				req.WarmFrom = append(req.WarmFrom, singles[f])
+			}
+		}
+		req.AllowTuning = i%5 != 0
+		req.NoWarm = i%11 == 0
+		reqs = append(reqs, &req)
+	}
+	rng.Shuffle(len(reqs), func(i, j int) { reqs[i], reqs[j] = reqs[j], reqs[i] })
+	return reqs
+}
+
+type offlineArtifacts struct {
+	res     *rwa.Result
+	asg     *rwa.Assignment
+	tickets []ticket.Ticket
+}
+
+func generate(res *rwa.Result, seed int64) []ticket.Ticket {
+	return ticket.Generate(res, ticket.Options{Count: 12, Seed: seed, CheckFeasibility: true, Dedup: true})
+}
+
+// One scratch carried through the whole shuffled sequence — its masks,
+// bitmaps, model, occupancy stamps and buffers left dirty by every earlier
+// request — returns what a new scratch per request returns.
+func TestSolveDirtyScratchMatchesFresh(t *testing.T) {
+	n := b4(t)
+	reqs := offlineRequests(t, n)
+	run := func(scratchFor func() *rwa.Scratch, beforePooled func()) []offlineArtifacts {
+		out := make([]offlineArtifacts, len(reqs))
+		for i, req := range reqs {
+			res, err := scratchFor().Solve(req)
+			if err != nil {
+				t.Fatalf("request %d (cut %v): %v", i, req.Cut, err)
+			}
+			out[i].res = res
+			if len(res.Failed) == 0 {
+				continue
+			}
+			out[i].asg, _ = scratchFor().AssignIntegral(res, res.OrigWaves)
+			beforePooled()
+			out[i].tickets = generate(res, int64(i))
+		}
+		return out
+	}
+	dirty := new(rwa.Scratch)
+	got := run(func() *rwa.Scratch { return dirty }, func() {})
+	want := run(func() *rwa.Scratch { return new(rwa.Scratch) }, rwa.DropPooledScratches)
+	sizes := map[int]int{}
+	for i := range reqs {
+		if !reflect.DeepEqual(got[i].res, want[i].res) {
+			t.Fatalf("request %d (cut %v): dirty scratch solved to %+v, fresh to %+v", i, reqs[i].Cut, got[i].res, want[i].res)
+		}
+		if !reflect.DeepEqual(got[i].asg, want[i].asg) {
+			t.Fatalf("request %d (cut %v): dirty scratch assigned %+v, fresh %+v", i, reqs[i].Cut, got[i].asg, want[i].asg)
+		}
+		if !reflect.DeepEqual(got[i].tickets, want[i].tickets) {
+			t.Fatalf("request %d (cut %v): tickets %+v after dirty scratches, %+v after fresh", i, reqs[i].Cut, got[i].tickets, want[i].tickets)
+		}
+		if len(got[i].tickets) > 0 {
+			sizes[len(reqs[i].Cut)]++
+		}
+	}
+	if sizes[1] < 10 || sizes[2] < 10 || sizes[3] < 10 {
+		t.Fatalf("requests with tickets by cut size: %v", sizes)
+	}
+}
+
+// Goroutines sharing one optical.Network — its graph, its incidence index —
+// and the pools behind Solve, AssignIntegral and Generate get what a single
+// goroutine gets (run under -race).
+func TestOfflineStageConcurrentOnSharedNetwork(t *testing.T) {
+	n := b4(t)
+	reqs := offlineRequests(t, n)[:40]
+	one := func(i int) offlineArtifacts {
+		res, err := rwa.Solve(reqs[i])
+		if err != nil {
+			t.Error(err)
+			return offlineArtifacts{}
+		}
+		a := offlineArtifacts{res: res}
+		if len(res.Failed) > 0 {
+			a.asg, _ = rwa.AssignIntegral(res, res.OrigWaves)
+			a.tickets = generate(res, int64(i))
+		}
+		return a
+	}
+	want := make([]offlineArtifacts, len(reqs))
+	for i := range reqs {
+		want[i] = one(i)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := range reqs {
+				i := k
+				if w == 1 {
+					i = len(reqs) - 1 - k // the two meet mid-way, out of step
+				}
+				if got := one(i); !reflect.DeepEqual(got, want[i]) {
+					t.Errorf("goroutine %d, request %d (cut %v): %+v, alone %+v", w, i, reqs[i].Cut, got, want[i])
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+var benchTickets []ticket.Ticket
+
+// BenchmarkOfflineScenario is one scenario of the offline stage: a B4
+// triple-cut Solve, the naive integral candidate, twelve rounded tickets.
+func BenchmarkOfflineScenario(b *testing.B) {
+	n := b4(b)
+	req := &rwa.Request{Net: n, Cut: []int{2, 7, 11}, K: 3, AllowTuning: true, AllowModulationChange: true}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := rwa.Solve(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Failed) == 0 {
+			b.Fatal("the cut fails no link")
+		}
+		rwa.MaxIntegralWaves(res)
+		benchTickets = generate(res, int64(i))
+	}
+}

@@ -11,7 +11,9 @@ package rwa
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strconv"
+	"sync"
 
 	"github.com/arrow-te/arrow/internal/graph"
 	"github.com/arrow-te/arrow/internal/lp"
@@ -86,6 +88,16 @@ type PathOption struct {
 	LengthKm   float64
 	Modulation spectrum.Modulation
 	Slots      []int
+
+	// What Solve works out once per option so that no later pass over it has
+	// to: prepared says Slots is ascending and orig lists, ascending, those
+	// of them the link's own wavelengths occupy (AssignIntegral tries these
+	// first); key is pathKey(Fibers), filled when the solve exports or
+	// composes a basis. An option built by hand has none of it and is
+	// prepared on the fly.
+	prepared bool
+	orig     []int
+	key      string
 }
 
 // Result is the outcome of the relaxed RWA solve.
@@ -136,16 +148,117 @@ type WarmKey struct {
 	Slot int
 }
 
-// pathKey renders a surrogate fiber path as a canonical map key.
-func pathKey(fibers []int) string { return fmt.Sprint(fibers) }
+// pathKey renders a surrogate fiber path as a canonical map key, the way
+// fmt.Sprint would: "[3 17 4]".
+func pathKey(fibers []int) string {
+	b := make([]byte, 0, 2+4*len(fibers))
+	b = append(b, '[')
+	for i, f := range fibers {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(f), 10)
+	}
+	return string(append(b, ']'))
+}
 
 // RestorableGbps returns the (fractional) restorable bandwidth of failed
 // link i: FracWaves[i] * GbpsPerWave[i].
 func (r *Result) RestorableGbps(i int) float64 { return r.FracWaves[i] * r.GbpsPerWave[i] }
 
+// scratch is the working memory of one Solve or AssignIntegral at a time:
+// everything they need that is sized by the network (fibers, slots, fibers x
+// slots) or by the assignment model and that no Result keeps. It only grows,
+// so a scratch that has served a network serves it again without allocating.
+// Solve and AssignIntegral pass scratches to each other through scratchPool;
+// a Result or Assignment never shares memory with one.
+type scratch struct {
+	cut     []bool             // by fiber: cut in the request at hand
+	spectra []*spectrum.Bitmap // the network's SpectrumUnderCut for it
+	common  *spectrum.Bitmap   // one path's end-to-end spectrum
+	orig    stamps             // slots the link at hand's own wavelengths occupy
+
+	// The assignment model. Variables are numbered in (link, path option,
+	// slot position) order: the k-th slot of option o is variable
+	// optBase[o]+k, and link li's options are optBase[linkOpt[li]:linkOpt[li+1]].
+	model   *lp.Model
+	basis   lp.Basis
+	optBase []int
+	linkOpt []int
+	// addGroupRows' input (entry i is variable vars[i] in bucket keys[i])
+	// and working memory.
+	keys   []int
+	vars   []lp.Var
+	bucket []int
+	sorted []lp.Var
+	expr   lp.Expr
+
+	// Spectrum occupancy: which (fiber, slot) pairs, as fiber*slots+slot,
+	// and which slots of the link at hand are claimed.
+	used     stamps
+	slotUsed stamps
+
+	// AssignIntegral's link order, its staged (path, slot) pairs with each
+	// link's span of them, and the sorted form of an unprepared option.
+	order, count       []int
+	pairs, span        [][2]int
+	sortedSlots, origs []int
+}
+
+// scratchPool hands scratches from one call to the next.
+var scratchPool = sync.Pool{New: func() interface{} { return new(scratch) }}
+
+// stamps is a set over [0, n) that empties in O(1): i is a member while
+// at[i] holds gen.
+type stamps struct {
+	at  []uint32
+	gen uint32
+}
+
+// reset empties the set and sizes it for [0, n).
+func (s *stamps) reset(n int) {
+	if cap(s.at) < n {
+		s.at, s.gen = make([]uint32, n), 0
+	}
+	s.at = s.at[:n]
+	s.gen++
+	if s.gen == 0 { // wrapped: stale stamps could match again
+		clear(s.at[:cap(s.at)])
+		s.gen = 1
+	}
+}
+
+func (s *stamps) has(i int) bool { return s.at[i] == s.gen }
+func (s *stamps) add(i int)      { s.at[i] = s.gen }
+
+// claim takes slot s on every fiber of the path for the link at hand and
+// reports whether it could: not if any of those (fiber, slot) pairs is taken
+// already or — without tuning — if the link already reuses s.
+func (sc *scratch) claim(fibers []int, s, slots int, tuning bool) bool {
+	if !tuning && sc.slotUsed.has(s) {
+		return false
+	}
+	for _, f := range fibers {
+		if sc.used.has(f*slots + s) {
+			return false
+		}
+	}
+	for _, f := range fibers {
+		sc.used.add(f*slots + s)
+	}
+	sc.slotUsed.add(s)
+	return true
+}
+
 // Solve runs the two-step RWA: route surrogate paths, then solve the
 // relaxed wavelength-assignment LP.
 func Solve(req *Request) (*Result, error) {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	return sc.solve(req)
+}
+
+func (sc *scratch) solve(req *Request) (*Result, error) {
 	obs.Add(req.Recorder, "rwa.solves", 1)
 	res := &Result{Req: req}
 	res.Failed = req.Net.FailedLinks(req.Cut)
@@ -153,7 +266,11 @@ func Solve(req *Request) (*Result, error) {
 		return res, nil
 	}
 	obs.Observe(req.Recorder, "rwa.failed_links", float64(len(res.Failed)))
-	spectra := req.Net.SpectrumUnderCut(req.Cut)
+	sc.cut = req.Net.CutMask(sc.cut, req.Cut)
+	sc.spectra = req.Net.SpectrumUnderCutInto(sc.spectra, sc.cut, res.Failed)
+	if sc.common == nil || sc.common.Len() != req.Net.SlotCount {
+		sc.common = spectrum.NewBitmap(req.Net.SlotCount)
+	}
 	res.Options = make([][]PathOption, len(res.Failed))
 	res.GbpsPerWave = make([]float64, len(res.Failed))
 	res.OrigWaves = make([]int, len(res.Failed))
@@ -162,7 +279,7 @@ func Solve(req *Request) (*Result, error) {
 	for i, lid := range res.Failed {
 		link := req.Net.LinkByID(lid)
 		res.OrigWaves[i] = len(link.Waves)
-		res.Options[i] = surrogatePaths(req, spectra, link)
+		res.Options[i] = sc.surrogatePaths(req, link)
 		// Effective modulation: most conservative usable path, defaulting
 		// to the link's own modulation when no path exists.
 		rate := linkModulation(link).GbpsPerWavelength
@@ -175,7 +292,7 @@ func Solve(req *Request) (*Result, error) {
 		obs.Observe(req.Recorder, "rwa.surrogate_paths", float64(len(res.Options[i])))
 	}
 
-	if err := solveAssignmentLP(req, spectra, res); err != nil {
+	if err := sc.solveAssignmentLP(req, res); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -194,11 +311,7 @@ func linkModulation(l *optical.IPLink) spectrum.Modulation {
 // surrogatePaths computes up to K usable surrogate restoration paths for a
 // failed link: k-shortest paths on the optical graph avoiding cut fibers,
 // bounded by modulation reach, each annotated with its continuity slots.
-func surrogatePaths(req *Request, spectra []*spectrum.Bitmap, link *optical.IPLink) []PathOption {
-	cutSet := map[int]bool{}
-	for _, id := range req.Cut {
-		cutSet[id] = true
-	}
+func (sc *scratch) surrogatePaths(req *Request, link *optical.IPLink) []PathOption {
 	g := req.Net.Graph()
 
 	// Reach bound: with modulation change allowed, the most robust format's
@@ -213,22 +326,14 @@ func surrogatePaths(req *Request, spectra []*spectrum.Bitmap, link *optical.IPLi
 		}
 	}
 
-	// Yen's algorithm over a filtered copy of the optical graph that omits
-	// the cut fibers entirely.
-	fg := graph.New(g.NumNodes())
-	for _, e := range g.Edges() {
-		if e.From < e.To && !cutSet[e.Label] { // add each fiber once, both directions
-			fg.AddBiEdge(e.From, e.To, e.Weight, e.Label)
-		}
-	}
-	paths := fg.KShortestPaths(graph.Node(link.Src), graph.Node(link.Dst), req.k(), maxReach)
+	// Yen's algorithm on the shared optical graph with the cut fibers masked
+	// out: the paths of a copy built without them, found without building it.
+	paths := g.KShortestPathsAvoiding(graph.Node(link.Src), graph.Node(link.Dst), req.k(), maxReach, sc.cut)
+	sc.markOrig(link, req.Net.SlotCount)
+	needKey := req.ExportBasis || len(req.WarmFrom) > 0
 
 	var out []PathOption
 	for _, p := range paths {
-		var fibers []int
-		for _, eid := range p.Edges {
-			fibers = append(fibers, fg.Edge(eid).Label)
-		}
 		mod := origMod
 		if p.Weight > origMod.ReachKm {
 			if !req.AllowModulationChange {
@@ -240,120 +345,218 @@ func surrogatePaths(req *Request, spectra []*spectrum.Bitmap, link *optical.IPLi
 			}
 			mod = m
 		}
-		slots := usableSlots(req, spectra, link, fibers)
+		// The path is ours: its edge IDs become the option's fiber IDs.
+		fibers := p.Edges
+		for i, eid := range fibers {
+			fibers[i] = g.Edge(eid).Label
+		}
+		slots := sc.usableSlots(req, link, fibers)
 		if len(slots) == 0 {
 			continue
 		}
-		out = append(out, PathOption{
+		opt := PathOption{
 			LinkID: link.ID, Fibers: fibers, LengthKm: p.Weight,
-			Modulation: mod, Slots: slots,
-		})
+			Modulation: mod, Slots: slots, prepared: true,
+		}
+		if req.AllowTuning {
+			if n := sc.countOrig(slots); n > 0 {
+				opt.orig = sc.appendOrig(make([]int, 0, n), slots)
+			}
+		} else {
+			opt.orig = slots // only original slots qualify
+		}
+		if needKey {
+			opt.key = pathKey(fibers)
+		}
+		if out == nil {
+			out = make([]PathOption, 0, len(paths))
+		}
+		out = append(out, opt)
 	}
 	return out
 }
 
-// usableSlots returns the slots free on every fiber of the path. Without
-// frequency tuning, only the failed wavelengths' original slots qualify.
-func usableSlots(req *Request, spectra []*spectrum.Bitmap, link *optical.IPLink, fibers []int) []int {
-	var bms []*spectrum.Bitmap
-	for _, f := range fibers {
-		bms = append(bms, spectra[f])
-	}
-	common := spectrum.PathSpectrum(bms)
-	var out []int
-	if req.AllowTuning {
-		for s := 0; s < common.Len(); s++ {
-			if common.Available(s) {
-				out = append(out, s)
-			}
-		}
-		return out
-	}
-	seen := map[int]bool{}
+// markOrig makes sc.orig the set of slots the link's own wavelengths occupy.
+func (sc *scratch) markOrig(link *optical.IPLink, slots int) {
+	sc.orig.reset(slots)
 	for _, w := range link.Waves {
-		if !seen[w.Slot] && common.Available(w.Slot) {
-			seen[w.Slot] = true
+		sc.orig.add(w.Slot)
+	}
+}
+
+// countOrig counts those of slots that are in sc.orig.
+func (sc *scratch) countOrig(slots []int) int {
+	n := 0
+	for _, s := range slots {
+		if sc.orig.has(s) {
+			n++
+		}
+	}
+	return n
+}
+
+// appendOrig appends to dst those of slots that are in sc.orig, in order.
+func (sc *scratch) appendOrig(dst, slots []int) []int {
+	for _, s := range slots {
+		if sc.orig.has(s) {
+			dst = append(dst, s)
+		}
+	}
+	return dst
+}
+
+// usableSlots returns, ascending, the slots free on every fiber of the path.
+// Without frequency tuning, only the failed wavelengths' original slots
+// qualify.
+func (sc *scratch) usableSlots(req *Request, link *optical.IPLink, fibers []int) []int {
+	if len(fibers) == 0 {
+		return nil
+	}
+	common := sc.common
+	common.CopyFrom(sc.spectra[fibers[0]])
+	for _, f := range fibers[1:] {
+		common.IntersectInto(sc.spectra[f])
+	}
+	if req.AllowTuning {
+		if n := common.Count(); n > 0 {
+			return common.AppendAvailable(make([]int, 0, n))
+		}
+		return nil
+	}
+	var out []int
+	sc.slotUsed.reset(common.Len())
+	for _, w := range link.Waves {
+		if !sc.slotUsed.has(w.Slot) && common.Available(w.Slot) {
+			sc.slotUsed.add(w.Slot)
 			out = append(out, w.Slot)
 		}
 	}
-	sort.Ints(out)
+	slices.Sort(out)
 	return out
 }
 
-// xiKey indexes one assignment variable by local (failed-link, path-option,
-// slot) position within a single model.
-type xiKey struct{ link, path, slot int }
+// buildModel builds the wavelength-assignment model of res (Appendix A.2,
+// constraints 14–17) in sc.model, with xi binary when integer is set and
+// relaxed to [0,1] otherwise, maximising the total restored wavelength
+// count. Rows and variables go unnamed: nothing reads an RWA model's names,
+// and lp derives one from the index if something ever does.
+//
+// Row order decides the simplex vertex, so it is fixed: the (fiber, slot)
+// rows by ascending fiber then slot, the per-link totals in Failed order,
+// then — without tuning — each link's original-slot rows by ascending slot;
+// within a row, variables ascend.
+func (sc *scratch) buildModel(res *Result, name string, integer bool) *lp.Model {
+	if sc.model == nil {
+		sc.model = lp.NewModel(name)
+	}
+	m := sc.model
+	m.Reset()
+	m.SetName(name)
+	m.SetMaximize(true)
+
+	slots := res.Req.Net.SlotCount
+	sc.optBase, sc.linkOpt = sc.optBase[:0], sc.linkOpt[:0]
+	sc.keys, sc.vars = sc.keys[:0], sc.vars[:0]
+	for li := range res.Failed {
+		sc.linkOpt = append(sc.linkOpt, len(sc.optBase))
+		for _, opt := range res.Options[li] {
+			sc.optBase = append(sc.optBase, m.NumVars())
+			for _, s := range opt.Slots {
+				var v lp.Var
+				if integer {
+					v = m.AddBinVar(1, "")
+				} else {
+					v = m.AddVar(0, 1, 1, "")
+				}
+				for _, f := range opt.Fibers {
+					sc.keys = append(sc.keys, f*slots+s)
+					sc.vars = append(sc.vars, v)
+				}
+			}
+		}
+	}
+	// Sentinels close the last link and the last option.
+	sc.linkOpt = append(sc.linkOpt, len(sc.optBase))
+	sc.optBase = append(sc.optBase, m.NumVars())
+
+	// (14): each (fiber, slot) carries at most one restored wavelength.
+	sc.addGroupRows(m, len(res.Req.Net.Fibers)*slots, 1)
+	// (17): a link restores at most its gamma_e wavelengths.
+	for li := range res.Failed {
+		lo, hi := sc.optBase[sc.linkOpt[li]], sc.optBase[sc.linkOpt[li+1]]
+		if lo == hi {
+			continue
+		}
+		expr := sc.expr[:0]
+		for v := lo; v < hi; v++ {
+			expr = append(expr, lp.Term{Var: lp.Var(v), Coef: 1})
+		}
+		sc.expr = expr
+		m.AddConstr(expr, lp.LE, float64(res.OrigWaves[li]), "")
+	}
+	// Without tuning, each original slot can restore at most one of the
+	// link's wavelengths across all paths.
+	if !res.Req.AllowTuning {
+		for li := range res.Failed {
+			sc.keys, sc.vars = sc.keys[:0], sc.vars[:0]
+			for pi, opt := range res.Options[li] {
+				base := sc.optBase[sc.linkOpt[li]+pi]
+				for k, s := range opt.Slots {
+					sc.keys = append(sc.keys, s)
+					sc.vars = append(sc.vars, lp.Var(base+k))
+				}
+			}
+			sc.addGroupRows(m, slots, 2)
+		}
+	}
+	return m
+}
+
+// addGroupRows adds one row "the bucket's variables sum to at most 1" for
+// every bucket in [0, buckets) that holds at least minSize of the entries
+// (sc.keys, sc.vars), in ascending bucket order with each row's variables in
+// entry order: a stable counting sort of the entries.
+func (sc *scratch) addGroupRows(m *lp.Model, buckets, minSize int) {
+	if cap(sc.bucket) < buckets+1 {
+		sc.bucket = make([]int, buckets+1)
+	}
+	next := sc.bucket[:buckets+1] // where bucket b's next entry goes
+	clear(next)
+	for _, b := range sc.keys {
+		next[b+1]++
+	}
+	for b := 1; b <= buckets; b++ {
+		next[b] += next[b-1]
+	}
+	if cap(sc.sorted) < len(sc.vars) {
+		sc.sorted = make([]lp.Var, len(sc.vars))
+	}
+	sorted := sc.sorted[:len(sc.vars)]
+	for i, b := range sc.keys {
+		sorted[next[b]] = sc.vars[i]
+		next[b]++
+	}
+	// next[b] is now where bucket b ends.
+	lo := 0
+	for b := 0; b < buckets; b++ {
+		hi := next[b]
+		if hi > lo && hi-lo >= minSize {
+			expr := sc.expr[:0]
+			for _, v := range sorted[lo:hi] {
+				expr = append(expr, lp.Term{Var: v, Coef: 1})
+			}
+			sc.expr = expr
+			m.AddConstr(expr, lp.LE, 1, "")
+		}
+		lo = hi
+	}
+}
 
 // solveAssignmentLP builds and solves the relaxed wavelength-assignment LP
 // (Appendix A.2, constraints 14–17 with xi relaxed to [0,1]), maximising
 // the total restored wavelength count.
-func solveAssignmentLP(req *Request, spectra []*spectrum.Bitmap, res *Result) error {
-	m := lp.NewModel("rwa")
-	m.SetMaximize(true)
-
-	xi := map[xiKey]lp.Var{}
-	// Per-(fiber, slot) usage expressions for constraint (14).
-	fiberSlot := map[[2]int]lp.Expr{}
-	// Per-link totals for constraint (17).
-	linkTotal := make([]lp.Expr, len(res.Failed))
-
-	for li := range res.Failed {
-		for pi, opt := range res.Options[li] {
-			for _, s := range opt.Slots {
-				v := m.AddVar(0, 1, 1, fmt.Sprintf("xi_l%d_p%d_s%d", li, pi, s))
-				xi[xiKey{li, pi, s}] = v
-				linkTotal[li] = linkTotal[li].Plus(1, v)
-				for _, f := range opt.Fibers {
-					key := [2]int{f, s}
-					fiberSlot[key] = fiberSlot[key].Plus(1, v)
-				}
-			}
-		}
-	}
-	// Emit rows in sorted key order: map iteration order would otherwise
-	// change the simplex vertex between runs, breaking reproducibility.
-	fsKeys := make([][2]int, 0, len(fiberSlot))
-	for key := range fiberSlot {
-		fsKeys = append(fsKeys, key)
-	}
-	sort.Slice(fsKeys, func(a, b int) bool {
-		if fsKeys[a][0] != fsKeys[b][0] {
-			return fsKeys[a][0] < fsKeys[b][0]
-		}
-		return fsKeys[a][1] < fsKeys[b][1]
-	})
-	for _, key := range fsKeys {
-		m.AddConstr(fiberSlot[key], lp.LE, 1, fmt.Sprintf("slot_f%d_s%d", key[0], key[1]))
-	}
-	for li, e := range linkTotal {
-		if len(e) == 0 {
-			continue
-		}
-		m.AddConstr(e, lp.LE, float64(res.OrigWaves[li]), fmt.Sprintf("gamma_l%d", li))
-	}
-	// Without tuning, each original slot can restore at most one of the
-	// link's wavelengths across all paths.
-	if !req.AllowTuning {
-		for li := range res.Failed {
-			perSlot := map[int]lp.Expr{}
-			for pi, opt := range res.Options[li] {
-				for _, s := range opt.Slots {
-					perSlot[s] = perSlot[s].Plus(1, xi[xiKey{li, pi, s}])
-				}
-			}
-			slots := make([]int, 0, len(perSlot))
-			for s := range perSlot {
-				slots = append(slots, s)
-			}
-			sort.Ints(slots)
-			for _, s := range slots {
-				if e := perSlot[s]; len(e) > 1 {
-					m.AddConstr(e, lp.LE, 1, fmt.Sprintf("orig_l%d_s%d", li, s))
-				}
-			}
-		}
-	}
-
+func (sc *scratch) solveAssignmentLP(req *Request, res *Result) error {
+	m := sc.buildModel(res, "rwa", false)
 	if m.NumVars() == 0 {
 		return nil // nothing restorable
 	}
@@ -371,9 +574,10 @@ func solveAssignmentLP(req *Request, spectra []*spectrum.Bitmap, res *Result) er
 		// WarmFrom sources, the slack basis is further seeded with the
 		// constituent solves' chosen variables (restricted to stay
 		// feasible), so phase 2 also starts near the composed optimum.
-		basis := lp.SlackBasis(m)
+		basis := &sc.basis
+		basis.ResetSlack(m)
 		if len(req.WarmFrom) > 0 {
-			res.ComposedVars = composeWarmBasis(req, basis, xi, res)
+			res.ComposedVars = sc.composeWarmBasis(req, basis, res)
 			obs.Add(req.Recorder, "rwa.compose_adopted", int64(res.ComposedVars))
 		}
 		sol, err = lp.SolveWithBasis(m, basis, lpo)
@@ -388,24 +592,22 @@ func solveAssignmentLP(req *Request, spectra []*spectrum.Bitmap, res *Result) er
 	res.Warm = sol.Warm
 	if req.ExportBasis && sol.Basis != nil {
 		res.VarBasis = map[WarmKey]lp.BasisStatus{}
+		v := 0
 		for li := range res.Failed {
-			for pi, opt := range res.Options[li] {
-				key := pathKey(opt.Fibers)
+			for _, opt := range res.Options[li] {
 				for _, s := range opt.Slots {
-					st := sol.Basis.VarStatus[int(xi[xiKey{li, pi, s}])]
-					if st != lp.BasisAtLower {
-						res.VarBasis[WarmKey{Link: res.Failed[li], Path: key, Slot: s}] = st
+					if st := sol.Basis.VarStatus[v]; st != lp.BasisAtLower {
+						res.VarBasis[WarmKey{Link: res.Failed[li], Path: opt.key, Slot: s}] = st
 					}
+					v++
 				}
 			}
 		}
 	}
 	for li := range res.Failed {
 		total := 0.0
-		for pi, opt := range res.Options[li] {
-			for _, s := range opt.Slots {
-				total += sol.X[xi[xiKey{li, pi, s}]]
-			}
+		for _, x := range sol.X[sc.optBase[sc.linkOpt[li]]:sc.optBase[sc.linkOpt[li+1]]] {
+			total += x
 		}
 		res.FracWaves[li] = math.Min(total, float64(res.OrigWaves[li]))
 		res.Objective += res.FracWaves[li]
@@ -431,62 +633,44 @@ func solveAssignmentLP(req *Request, spectra []*spectrum.Bitmap, res *Result) er
 // slots in option order — and the first-match source rule are deterministic
 // functions of the request alone, preserving the pipeline's reproducibility
 // contract at any worker count. Returns the number of adopted variables.
-func composeWarmBasis(req *Request, basis *lp.Basis, xi map[xiKey]lp.Var, res *Result) int {
-	srcFor := make([]*Result, len(res.Failed))
-	for i, lid := range res.Failed {
-		for _, src := range req.WarmFrom {
-			if src == nil || len(src.VarBasis) == 0 {
+func (sc *scratch) composeWarmBasis(req *Request, basis *lp.Basis, res *Result) int {
+	slots := req.Net.SlotCount
+	sc.used.reset(len(req.Net.Fibers) * slots)
+	adopted := 0
+	for li, lid := range res.Failed {
+		var src *Result
+	sources:
+		for _, s := range req.WarmFrom {
+			if s == nil || len(s.VarBasis) == 0 {
 				continue
 			}
-			for _, sl := range src.Failed {
+			for _, sl := range s.Failed {
 				if sl == lid {
-					srcFor[i] = src
-					break
+					src = s
+					break sources
 				}
 			}
-			if srcFor[i] != nil {
-				break
-			}
 		}
-	}
-	claimed := map[[2]int]bool{} // (fiber, slot) pairs taken by adopted vars
-	adopted := 0
-	for li := range res.Failed {
-		src := srcFor[li]
 		if src == nil {
 			continue
 		}
 		quota := res.OrigWaves[li]
-		usedOrig := map[int]bool{} // per-link original-slot guard (no tuning)
+		sc.slotUsed.reset(slots) // per-link original-slot guard (no tuning)
 	options:
 		for pi, opt := range res.Options[li] {
-			key := pathKey(opt.Fibers)
-			for _, s := range opt.Slots {
+			base := sc.optBase[sc.linkOpt[li]+pi]
+			for k, s := range opt.Slots {
 				if quota <= 0 {
 					break options
 				}
-				st, ok := src.VarBasis[WarmKey{Link: res.Failed[li], Path: key, Slot: s}]
+				st, ok := src.VarBasis[WarmKey{Link: lid, Path: opt.key, Slot: s}]
 				if !ok || (st != lp.BasisBasic && st != lp.BasisAtUpper) {
 					continue
 				}
-				if !req.AllowTuning && usedOrig[s] {
+				if !sc.claim(opt.Fibers, s, slots, req.AllowTuning) {
 					continue
 				}
-				free := true
-				for _, f := range opt.Fibers {
-					if claimed[[2]int{f, s}] {
-						free = false
-						break
-					}
-				}
-				if !free {
-					continue
-				}
-				for _, f := range opt.Fibers {
-					claimed[[2]int{f, s}] = true
-				}
-				basis.VarStatus[int(xi[xiKey{li, pi, s}])] = lp.BasisAtUpper
-				usedOrig[s] = true
+				basis.VarStatus[base+k] = lp.BasisAtUpper
 				quota--
 				adopted++
 			}
@@ -513,83 +697,131 @@ func (a *Assignment) Waves(i int) int { return len(a.PerLink[i]) }
 // assignment is always physically feasible) but incomplete: it may fail on
 // feasible targets; callers treat that as "ticket infeasible", matching the
 // paper's conservative feasibility filter.
+//
+// The options of res must lie in res.Req.Net (its fibers, its slots); those
+// of a Result built by hand rather than by Solve may list their slots in any
+// order.
 func AssignIntegral(res *Result, target []int) (*Assignment, bool) {
-	n := len(res.Failed)
-	a := &Assignment{PerLink: make([][][2]int, n)}
-	used := map[[2]int]bool{} // (fiber, slot) claimed
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	return sc.assignIntegral(res, target)
+}
 
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
+func (sc *scratch) assignIntegral(res *Result, target []int) (*Assignment, bool) {
+	ok := sc.assign(res, target)
+	a := &Assignment{PerLink: make([][][2]int, len(res.Failed))}
+	if len(sc.pairs) > 0 {
+		own := append([][2]int(nil), sc.pairs...)
+		for li, sp := range sc.span[:len(res.Failed)] {
+			if sp[1] > sp[0] {
+				a.PerLink[li] = own[sp[0]:sp[1]:sp[1]]
+			}
+		}
 	}
-	sort.SliceStable(order, func(x, y int) bool {
-		return slotOptionCount(res, order[x]) < slotOptionCount(res, order[y])
-	})
+	return a, ok
+}
 
+// Feasible reports whether AssignIntegral meets every target, without
+// building the assignment: the feasibility filter's question.
+func Feasible(res *Result, target []int) bool {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	return sc.assign(res, target)
+}
+
+// assign runs the greedy assignment, leaving the chosen (path, slot) pairs
+// in sc.pairs — link li's are sc.pairs[sc.span[li][0]:sc.span[li][1]] — and
+// reports whether every target was met.
+func (sc *scratch) assign(res *Result, target []int) bool {
+	n := len(res.Failed)
+	net := res.Req.Net
+	slots := net.SlotCount
+	tuning := res.Req.AllowTuning
+	sc.used.reset(len(net.Fibers) * slots)
+
+	// Links with the fewest (path, slot) options first, ties in Failed
+	// order: an insertion sort, which is stable.
+	order, count := sc.order[:0], sc.count[:0]
+	for li := 0; li < n; li++ {
+		c := SlotCapacity(res, li)
+		order, count = append(order, li), append(count, c)
+		j := li
+		for ; j > 0 && count[j-1] > c; j-- {
+			order[j], count[j] = order[j-1], count[j-1]
+		}
+		order[j], count[j] = li, c
+	}
+	sc.order, sc.count = order, count
+
+	// The chosen pairs are staged link after link in that order; span[li]
+	// is where link li's lie.
+	pairs := sc.pairs[:0]
+	if cap(sc.span) < n {
+		sc.span = make([][2]int, n)
+	}
+	span := sc.span[:n]
 	ok := true
 	for _, li := range order {
 		want := target[li]
 		if want > res.OrigWaves[li] {
 			want = res.OrigWaves[li]
 		}
-		// Prefer the link's original frequencies: the paper keeps the same
-		// slot whenever possible to avoid transponder retuning latency.
-		origSlot := map[int]bool{}
-		for _, w := range res.Req.Net.LinkByID(res.Failed[li]).Waves {
-			origSlot[w.Slot] = true
-		}
-		got := 0
-		usedOrig := map[int]bool{} // original-slot reuse guard (no-tuning mode)
-		for pi, opt := range res.Options[li] {
-			if got >= want {
+		lo := len(pairs)
+		sc.slotUsed.reset(slots) // original-slot reuse guard (no-tuning mode)
+		for pi := range res.Options[li] {
+			if len(pairs)-lo >= want {
 				break
 			}
-			slots := append([]int(nil), opt.Slots...)
-			sort.SliceStable(slots, func(a, b int) bool {
-				oa, ob := origSlot[slots[a]], origSlot[slots[b]]
-				if oa != ob {
-					return oa
-				}
-				return slots[a] < slots[b]
-			})
-			for _, s := range slots {
-				if got >= want {
+			opt := &res.Options[li][pi]
+			all, orig := opt.Slots, opt.orig
+			if !opt.prepared {
+				all, orig = sc.prepare(opt, net.LinkByID(res.Failed[li]), slots)
+			}
+			// Prefer the link's original frequencies: the paper keeps the same
+			// slot whenever possible to avoid transponder retuning latency.
+			for _, s := range orig {
+				if len(pairs)-lo >= want {
 					break
 				}
-				if !res.Req.AllowTuning && usedOrig[s] {
+				if sc.claim(opt.Fibers, s, slots, tuning) {
+					pairs = append(pairs, [2]int{pi, s})
+				}
+			}
+			// Then the others, ascending: all is ascending and orig is the
+			// subsequence of it just tried.
+			tried := 0
+			for _, s := range all {
+				if len(pairs)-lo >= want {
+					break
+				}
+				if tried < len(orig) && orig[tried] == s {
+					tried++
 					continue
 				}
-				free := true
-				for _, f := range opt.Fibers {
-					if used[[2]int{f, s}] {
-						free = false
-						break
-					}
+				if sc.claim(opt.Fibers, s, slots, tuning) {
+					pairs = append(pairs, [2]int{pi, s})
 				}
-				if !free {
-					continue
-				}
-				for _, f := range opt.Fibers {
-					used[[2]int{f, s}] = true
-				}
-				a.PerLink[li] = append(a.PerLink[li], [2]int{pi, s})
-				usedOrig[s] = true
-				got++
 			}
 		}
-		if got < want {
+		span[li] = [2]int{lo, len(pairs)}
+		if len(pairs)-lo < want {
 			ok = false
 		}
 	}
-	return a, ok
+	sc.pairs = pairs
+	return ok
 }
 
-func slotOptionCount(res *Result, li int) int {
-	c := 0
-	for _, opt := range res.Options[li] {
-		c += len(opt.Slots)
-	}
-	return c
+// prepare does for an option built by hand what Solve does for its own:
+// returns its slots ascending and, of those, the link's original ones. Both
+// live in sc until the next call.
+func (sc *scratch) prepare(opt *PathOption, link *optical.IPLink, slots int) (all, orig []int) {
+	all = append(sc.sortedSlots[:0], opt.Slots...)
+	slices.Sort(all)
+	sc.markOrig(link, slots)
+	orig = sc.appendOrig(sc.origs[:0], all)
+	sc.sortedSlots, sc.origs = all, orig
+	return all, orig
 }
 
 // SlotCapacity returns an upper bound on the wavelengths failed link li can
@@ -598,16 +830,20 @@ func slotOptionCount(res *Result, li int) int {
 // this bound is infeasible regardless of assignment order; a target within
 // it that AssignIntegral still cannot realise failed on cross-link spectrum
 // clashes instead.
-func SlotCapacity(res *Result, li int) int { return slotOptionCount(res, li) }
+func SlotCapacity(res *Result, li int) int {
+	c := 0
+	for _, opt := range res.Options[li] {
+		c += len(opt.Slots)
+	}
+	return c
+}
 
 // MaxIntegralWaves runs the greedy assignment asking for every link's full
 // wavelength count and returns the per-link restored counts. This is the
 // integral analogue of the LP objective, used for restoration-ratio
 // measurements (Fig. 6).
 func MaxIntegralWaves(res *Result) []int {
-	target := make([]int, len(res.Failed))
-	copy(target, res.OrigWaves)
-	a, _ := AssignIntegral(res, target)
+	a, _ := AssignIntegral(res, res.OrigWaves)
 	out := make([]int, len(res.Failed))
 	for i := range out {
 		out[i] = a.Waves(i)

@@ -84,6 +84,17 @@ func (b *Bitmap) Clone() *Bitmap {
 	return &Bitmap{words: append([]uint64(nil), b.words...), n: b.n}
 }
 
+// CopyFrom overwrites b with o's availability. The sizes must match.
+func (b *Bitmap) CopyFrom(o *Bitmap) {
+	if b.n != o.n {
+		panic("spectrum: copying between bitmaps of different sizes")
+	}
+	copy(b.words, o.words)
+}
+
+// Clear marks every slot unavailable.
+func (b *Bitmap) Clear() { clear(b.words) }
+
 // Intersect returns a new bitmap with slots available in both b and o.
 // This realises the wavelength continuity constraint: a wavelength is
 // reconfigurable onto a multi-fiber path only in slots free on EVERY fiber.
@@ -106,6 +117,16 @@ func (b *Bitmap) IntersectInto(o *Bitmap) {
 	for i := range b.words {
 		b.words[i] &= o.words[i]
 	}
+}
+
+// AppendAvailable appends the available slots, ascending, to dst.
+func (b *Bitmap) AppendAvailable(dst []int) []int {
+	for wi, w := range b.words {
+		for ; w != 0; w &= w - 1 {
+			dst = append(dst, wi*64+bits.TrailingZeros64(w))
+		}
+	}
+	return dst
 }
 
 // FirstAvailable returns the lowest available slot index, or -1.

@@ -153,3 +153,29 @@ func TestFirstAvailableEmpty(t *testing.T) {
 		t.Fatal("empty bitmap should have no available slot")
 	}
 }
+
+func TestCopyClearAppendAvailable(t *testing.T) {
+	a := NewBitmap(130)
+	want := []int{0, 5, 63, 64, 100, 129}
+	for _, s := range want {
+		a.Set(s, true)
+	}
+	got := a.AppendAvailable([]int{-1})
+	if len(got) != len(want)+1 || got[0] != -1 {
+		t.Fatalf("AppendAvailable %v", got)
+	}
+	for i, s := range want {
+		if got[i+1] != s {
+			t.Fatalf("AppendAvailable %v, want %v after the prefix", got, want)
+		}
+	}
+	b := AllAvailable(130)
+	b.CopyFrom(a)
+	if b.Count() != len(want) || !b.Available(129) || b.Available(1) {
+		t.Fatalf("CopyFrom left %d slots", b.Count())
+	}
+	b.Clear()
+	if b.Count() != 0 || a.Count() != len(want) {
+		t.Fatalf("Clear left %d slots, source has %d", b.Count(), a.Count())
+	}
+}

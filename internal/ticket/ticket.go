@@ -6,9 +6,10 @@
 package ticket
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
+	"sync"
 
 	"github.com/arrow-te/arrow/internal/ledger"
 	"github.com/arrow-te/arrow/internal/obs"
@@ -34,8 +35,20 @@ func (t *Ticket) TotalGbps() float64 {
 	return s
 }
 
-// Key returns a canonical string for deduplication.
-func (t *Ticket) Key() string { return fmt.Sprint(t.Waves) }
+// Key returns a canonical string for deduplication: the wave counts the way
+// fmt.Sprint would print them, "[2 0 3]".
+func (t *Ticket) Key() string { return string(t.appendKey(make([]byte, 0, 2+3*len(t.Waves)))) }
+
+func (t *Ticket) appendKey(b []byte) []byte {
+	b = append(b, '[')
+	for i, w := range t.Waves {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(w), 10)
+	}
+	return append(b, ']')
+}
 
 // Options configures LotteryTicket generation.
 type Options struct {
@@ -128,6 +141,9 @@ func Compose(res *rwa.Result, cut []int, wavesOf func(fiber int) map[int]int) (T
 	return tk, total > 0
 }
 
+// rngPool hands generators from one Generate to the next.
+var rngPool = sync.Pool{New: func() interface{} { return rand.New(rand.NewSource(0)) }}
+
 // fracEps is the tolerance below which an LP value counts as integral.
 const fracEps = 1e-9
 
@@ -135,20 +151,28 @@ const fracEps = 1e-9
 // RWA solution by randomized rounding. The RWA itself (Algorithm 1 line 2)
 // must already be solved and is passed as res.
 func Generate(res *rwa.Result, opts Options) []Ticket {
-	rng := rand.New(rand.NewSource(opts.Seed))
+	// Seed puts a Rand in the state rand.New(rand.NewSource(seed)) starts in,
+	// so a generator (5 KB of state) is re-seeded instead of built per batch.
+	rng := rngPool.Get().(*rand.Rand)
+	defer rngPool.Put(rng)
+	rng.Seed(opts.Seed)
 	delta := opts.stride()
 	n := len(res.Failed)
 	var out []Ticket
 	seen := map[string]bool{}
+	var key []byte // looked up in seen as it is; a string only once kept
 	infeasible, duplicates := 0, 0
+	var tk Ticket // a rejected ticket's vectors serve the next attempt
 	for z := 0; z < opts.Count; z++ {
-		tk := Ticket{Waves: make([]int, n), Gbps: make([]float64, n)}
+		if tk.Waves == nil {
+			tk = Ticket{Waves: make([]int, n), Gbps: make([]float64, n)}
+		}
 		for e := 0; e < n; e++ {
 			tk.Waves[e] = roundOnce(rng, res.FracWaves[e], res.OrigWaves[e], delta)
 			tk.Gbps[e] = float64(tk.Waves[e]) * res.GbpsPerWave[e]
 		}
 		if opts.CheckFeasibility {
-			if _, ok := rwa.AssignIntegral(res, tk.Waves); !ok {
+			if !rwa.Feasible(res, tk.Waves) {
 				infeasible++
 				if opts.Ledger != nil {
 					opts.Ledger.Emit(ledger.Event{
@@ -160,8 +184,8 @@ func Generate(res *rwa.Result, opts Options) []Ticket {
 			}
 		}
 		if opts.Dedup {
-			k := tk.Key()
-			if seen[k] {
+			key = tk.appendKey(key[:0])
+			if seen[string(key)] {
 				duplicates++
 				if opts.Ledger != nil {
 					opts.Ledger.Emit(ledger.Event{
@@ -171,7 +195,7 @@ func Generate(res *rwa.Result, opts Options) []Ticket {
 				}
 				continue
 			}
-			seen[k] = true
+			seen[string(key)] = true
 		}
 		if opts.Ledger != nil {
 			opts.Ledger.Emit(ledger.Event{
@@ -180,6 +204,7 @@ func Generate(res *rwa.Result, opts Options) []Ticket {
 			})
 		}
 		out = append(out, tk)
+		tk = Ticket{}
 	}
 	if r := opts.Recorder; r != nil {
 		r.Add("ticket.rounding_attempts", int64(opts.Count))
