@@ -15,7 +15,7 @@ import (
 func ResetSweepCache() {
 	sweepMu.Lock()
 	defer sweepMu.Unlock()
-	sweepCache = map[string]*sweepEntry{}
+	sweepCache = map[sweepKey]*sweepEntry{}
 }
 
 // BuildPipelineBench runs one standard B4 offline pipeline build (the same

@@ -94,15 +94,27 @@ type sweepEntry struct {
 	err  error
 }
 
+// sweepKey identifies a memoised sweep: the topology plus every Config
+// field, with the ones that cannot change the result zeroed.
+type sweepKey struct {
+	name string
+	cfg  Config
+}
+
 var (
 	sweepMu    sync.Mutex
-	sweepCache = map[string]*sweepEntry{}
+	sweepCache = map[sweepKey]*sweepEntry{}
 )
 
 func availabilitySweep(cfg Config, name string) (*sweepData, error) {
-	// Parallelism is deliberately absent from the key: the sweep is
-	// bit-identical for every worker count, so all settings share one entry.
-	key := fmt.Sprintf("%s-%v-%d-%v-%v", name, cfg.Fast, cfg.Seed, cfg.NoWarm, cfg.NoColgen)
+	// Parallelism, Recorder and HealthEvery are deliberately absent from the
+	// key: the sweep is bit-identical for every worker count, and recorders
+	// and health probes only read solver state, so all settings share one
+	// entry. Every other field decides the pipeline or the solves — the
+	// scenario-space knobs of applyScenario included — and a field added to
+	// Config later is part of the key until it is zeroed here.
+	key := sweepKey{name: name, cfg: cfg}
+	key.cfg.Parallelism, key.cfg.Recorder, key.cfg.HealthEvery = 0, nil, 0
 	sweepMu.Lock()
 	e, ok := sweepCache[key]
 	if !ok {

@@ -11,7 +11,8 @@ package graph
 import (
 	"fmt"
 	"math"
-	"sync"
+
+	"github.com/arrow-te/arrow/internal/pool"
 )
 
 // Node identifies a vertex.
@@ -134,7 +135,7 @@ type candidate struct {
 
 // searchPool hands searches between callers, so a steady stream of searches
 // on graphs of one size allocates only the paths it returns.
-var searchPool = sync.Pool{New: func() interface{} { return new(search) }}
+var searchPool pool.Free[search]
 
 // begin sizes the buffers for g and lifts every ban.
 func (s *search) begin(g *Graph) {
@@ -268,7 +269,7 @@ func (s *search) run(g *Graph, src, dst Node, avoid []bool, skip func(edgeID int
 // edges for which banned returns true (banned may be nil). ok is false when
 // dst is unreachable.
 func (g *Graph) ShortestPath(src, dst Node, banned func(edgeID int) bool) (Path, bool) {
-	s := searchPool.Get().(*search)
+	s := searchPool.Get()
 	defer searchPool.Put(s)
 	s.begin(g)
 	w, ok := s.run(g, src, dst, nil, banned)
@@ -294,7 +295,7 @@ func (g *Graph) KShortestPathsAvoiding(src, dst Node, k int, maxWeight float64, 
 	if k <= 0 {
 		return nil
 	}
-	s := searchPool.Get().(*search)
+	s := searchPool.Get()
 	defer searchPool.Put(s)
 	s.begin(g)
 

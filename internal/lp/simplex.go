@@ -4,9 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"github.com/arrow-te/arrow/internal/obs"
+	"github.com/arrow-te/arrow/internal/pool"
 )
 
 // Status is the outcome of an LP solve.
@@ -113,7 +113,7 @@ func (o *Options) withDefaults(rows, cols int) Options {
 // solution. A non-nil error indicates an internal numerical failure, not
 // infeasibility: infeasible and unbounded models are reported via Status.
 func Solve(m *Model, opts *Options) (*Solution, error) {
-	sx := simplexPool.Get().(*simplex)
+	sx := simplexPool.Get()
 	defer sx.release()
 	if err := sx.init(m, opts); err != nil {
 		return nil, err
@@ -217,7 +217,7 @@ type eta struct {
 }
 
 // simplexPool hands workspaces from one solve to the next.
-var simplexPool = sync.Pool{New: func() interface{} { return new(simplex) }}
+var simplexPool pool.Free[simplex]
 
 // release returns the workspace to the pool, dropping what it holds of the
 // caller's (model, recorder) and of the solution it produced.

@@ -162,7 +162,7 @@ func SolveWithBasis(m *Model, basis *Basis, opts *Options) (*Solution, error) {
 	if basis == nil {
 		return Solve(m, opts)
 	}
-	sx := simplexPool.Get().(*simplex)
+	sx := simplexPool.Get()
 	defer sx.release()
 	if err := sx.init(m, opts); err != nil {
 		return nil, err

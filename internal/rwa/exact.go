@@ -27,7 +27,7 @@ func SolveExact(req *Request, opts *mip.Options) (*Result, error) {
 
 	// The model is Solve's with xi binary; mip works on a clone, so the
 	// scratch can go back as soon as the solve returns.
-	sc := scratchPool.Get().(*scratch)
+	sc := scratchPool.Get()
 	defer scratchPool.Put(sc)
 	m := sc.buildModel(res, "rwa-exact", true)
 	if m.NumVars() == 0 {

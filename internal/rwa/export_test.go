@@ -1,7 +1,5 @@
 package rwa
 
-import "sync"
-
 // Scratch lets the external tests run a sequence of calls through one
 // scratch of their choosing instead of whatever the pool hands out.
 type Scratch struct{ sc scratch }
@@ -14,5 +12,5 @@ func (s *Scratch) AssignIntegral(res *Result, target []int) (*Assignment, bool) 
 
 // DropPooledScratches makes the next pooled call start from a new scratch.
 func DropPooledScratches() {
-	scratchPool = sync.Pool{New: func() interface{} { return new(scratch) }}
+	scratchPool.Drop()
 }

@@ -13,12 +13,12 @@ import (
 	"math"
 	"slices"
 	"strconv"
-	"sync"
 
 	"github.com/arrow-te/arrow/internal/graph"
 	"github.com/arrow-te/arrow/internal/lp"
 	"github.com/arrow-te/arrow/internal/obs"
 	"github.com/arrow-te/arrow/internal/optical"
+	"github.com/arrow-te/arrow/internal/pool"
 	"github.com/arrow-te/arrow/internal/spectrum"
 )
 
@@ -206,7 +206,7 @@ type scratch struct {
 }
 
 // scratchPool hands scratches from one call to the next.
-var scratchPool = sync.Pool{New: func() interface{} { return new(scratch) }}
+var scratchPool pool.Free[scratch]
 
 // stamps is a set over [0, n) that empties in O(1): i is a member while
 // at[i] holds gen.
@@ -253,7 +253,7 @@ func (sc *scratch) claim(fibers []int, s, slots int, tuning bool) bool {
 // Solve runs the two-step RWA: route surrogate paths, then solve the
 // relaxed wavelength-assignment LP.
 func Solve(req *Request) (*Result, error) {
-	sc := scratchPool.Get().(*scratch)
+	sc := scratchPool.Get()
 	defer scratchPool.Put(sc)
 	return sc.solve(req)
 }
@@ -702,7 +702,7 @@ func (a *Assignment) Waves(i int) int { return len(a.PerLink[i]) }
 // of a Result built by hand rather than by Solve may list their slots in any
 // order.
 func AssignIntegral(res *Result, target []int) (*Assignment, bool) {
-	sc := scratchPool.Get().(*scratch)
+	sc := scratchPool.Get()
 	defer scratchPool.Put(sc)
 	return sc.assignIntegral(res, target)
 }
@@ -724,7 +724,7 @@ func (sc *scratch) assignIntegral(res *Result, target []int) (*Assignment, bool)
 // Feasible reports whether AssignIntegral meets every target, without
 // building the assignment: the feasibility filter's question.
 func Feasible(res *Result, target []int) bool {
-	sc := scratchPool.Get().(*scratch)
+	sc := scratchPool.Get()
 	defer scratchPool.Put(sc)
 	return sc.assign(res, target)
 }

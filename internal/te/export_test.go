@@ -63,3 +63,28 @@ func KernelSolves(n *Network, scs []RestorableScenario, ffc1, plain []FailureSce
 	out = append(out, KernelSolve{"te.teavar", m.NumConstrs(), m.NumVars(), sol.Iterations, sol.Basis})
 	return out, nil
 }
+
+// RefFFC is FFC on the reference model: a (4') row for every distinct
+// residual set, dominated ones included.
+func RefFFC(n *Network, scs []FailureScenario) (*Allocation, error) {
+	bm := newBaseModel("ffc-ref", n)
+	refAddResidualGuarantees(bm, n, scs)
+	return bm.solve(n, nil)
+}
+
+// RefTeaVaRObjective is the optimum of TeaVaR's reference LP, with an s
+// variable for every (flow, scenario), at the default tie-break weight.
+func RefTeaVaRObjective(n *Network, scs []FailureScenario, beta float64) (float64, error) {
+	m, _, _, _, _, err := refTeavarModel(n, scs, beta, 1e-3)
+	if err != nil {
+		return 0, err
+	}
+	sol, err := lp.Solve(m, nil)
+	if err != nil {
+		return 0, err
+	}
+	if sol.Status != lp.StatusOptimal {
+		return 0, fmt.Errorf("te: teavar reference: status %v", sol.Status)
+	}
+	return sol.Objective, nil
+}

@@ -13,9 +13,9 @@ import (
 //
 //	(4') forall f, q: sum_{t in T_f^q} a_{f,t} >= b_f
 //
-// Scenario constraints are only emitted when the scenario actually removes a
-// tunnel of the flow and the resulting residual set is novel — equivalent
-// but far smaller than the naive encoding.
+// Only the rows that say something are emitted: one per minimal residual
+// set of each flow (see addResidualGuarantees) — equivalent but far smaller
+// than the naive encoding.
 func FFC(n *Network, scs []FailureScenario) (*Allocation, error) {
 	if err := n.Validate(); err != nil {
 		return nil, err
@@ -25,37 +25,35 @@ func FFC(n *Network, scs []FailureScenario) (*Allocation, error) {
 	return bm.solve(n, nil)
 }
 
-// addResidualGuarantees emits constraint (4') rows, deduplicating identical
-// residual tunnel sets per flow.
+// addResidualGuarantees emits a constraint (4') row for each minimal
+// residual tunnel set of each flow, in first-seen scenario order. Because
+// a >= 0, the row of a set R implies the row of every superset of R, so a
+// flow's rows over the antichain of its minimal sets imply all the others;
+// the full set is constraint (1). An empty set gets no row: the flow is
+// disconnected under that scenario and no allocation can protect it. The
+// paper's methodology selects tunnels so that a residual tunnel exists for
+// every flow and scenario; where the topology makes that impossible the
+// guarantee is vacuous, and pre-emptively zeroing the flow would punish it
+// in every OTHER scenario too.
 func addResidualGuarantees(bm *baseModel, n *Network, scs []FailureScenario) {
-	for f := range n.Flows {
-		seen := map[string]bool{}
-		for qi, q := range scs {
-			failed := failedSet(n, q.FailedLinks)
-			res := residualTunnels(n, f, failed)
-			if len(res) == len(n.Tunnels[f]) {
-				continue // no tunnel lost: constraint (1) already covers it
-			}
-			if len(res) == 0 {
-				// The flow is disconnected under q: no allocation can
-				// protect it. The paper's methodology selects tunnels so
-				// that a residual tunnel exists for every flow and
-				// scenario; where the topology makes that impossible the
-				// guarantee is vacuous, and pre-emptively zeroing the flow
-				// would punish it in every OTHER scenario too.
+	rc := classifyResiduals(n, scs)
+	for f, sets := range rc.sets {
+		for c, set := range sets {
+			if c == 0 || set.empty() || !minimalAmong(sets, c) {
 				continue
 			}
-			key := fmt.Sprint(res)
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			var e lp.Expr
-			for _, ti := range res {
-				e = e.Plus(1, bm.a[f][ti])
-			}
-			e = e.Plus(-1, bm.b[f])
-			bm.m.AddConstr(e, lp.GE, 0, fmt.Sprintf("ffc_f%d_q%d", f, qi))
+			bm.m.AddConstr(set.sumOf(bm.a[f]).Plus(-1, bm.b[f]), lp.GE, 0, fmt.Sprintf("ffc_f%d_r%d", f, c))
 		}
 	}
+}
+
+// minimalAmong reports whether no other non-empty set of sets (which are
+// distinct) is a subset of sets[c].
+func minimalAmong(sets []tunnelSet, c int) bool {
+	for o, other := range sets {
+		if o != c && !other.empty() && other.subsetOf(sets[c]) {
+			return false
+		}
+	}
+	return true
 }

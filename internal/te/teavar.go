@@ -76,12 +76,43 @@ func TeaVaR(n *Network, scs []FailureScenario, opts *TeaVaROptions) (*Allocation
 		al.B[f] = math.Min(n.Flows[f].Demand, sum)
 		al.Objective += al.B[f]
 	}
+	al.Stats.Phase2Vars = m.NumVars()
+	al.Stats.Phase2Rows = m.NumConstrs()
+	al.Stats.Phase2Iters = sol.Iterations
+	al.Cert = sol.Cert
 	return al, nil
 }
 
 // teavarModel builds TeaVaR's LP for a network with positive total demand
 // and returns it with the tunnel-reservation variables a[f][t].
+//
+// s_f^q enters only >= rows with non-negative coefficients and has a
+// non-positive cost, so its optimum is min(d_f, sum_{t in T_f^q} a_{f,t}),
+// a function of the residual set alone: the model carries one s variable
+// and one sat row per (flow, distinct residual set), and each scenario's
+// cvar row references its class's variable. The healthy scenario is
+// scenario 0, so class 0 of every flow (the full tunnel set) carries the
+// healthy-throughput bonus. A flow's empty set needs neither: s = 0.
 func teavarModel(n *Network, scs []FailureScenario, beta, tie float64) (*lp.Model, [][]lp.Var, error) {
+	// Scenario list: healthy first, then failures; probabilities normalised.
+	healthyProb := 1.0
+	for qi, q := range scs {
+		// A negative or NaN probability would give u_q a negative cost and
+		// an unbounded LP.
+		if !(q.Prob >= 0) || math.IsInf(q.Prob, 1) {
+			return nil, nil, fmt.Errorf("te: teavar: scenario %d (failed links %v) has probability %g", qi, q.FailedLinks, q.Prob)
+		}
+		healthyProb -= q.Prob
+	}
+	if healthyProb < 0 {
+		healthyProb = 0
+	}
+	scens := append([]FailureScenario{{Prob: healthyProb}}, scs...)
+	totalP := 0.0
+	for _, q := range scens {
+		totalP += q.Prob
+	}
+
 	D := n.TotalDemand()
 	m := lp.NewModel("teavar")
 	// Minimisation problem.
@@ -102,57 +133,37 @@ func teavarModel(n *Network, scs []FailureScenario, beta, tie float64) (*lp.Mode
 			m.AddConstr(expr, lp.LE, n.LinkCap[e], fmt.Sprintf("cap_e%d", e))
 		}
 	}
-
-	// Scenario list: healthy first, then failures; probabilities normalised.
-	healthyProb := 1.0
-	totalP := 0.0
-	for _, q := range scs {
-		healthyProb -= q.Prob
-	}
-	if healthyProb < 0 {
-		healthyProb = 0
-	}
-	totalP = healthyProb
-	for _, q := range scs {
-		totalP += q.Prob
-	}
-	if totalP <= 0 {
-		return nil, nil, fmt.Errorf("te: teavar: zero total scenario probability")
-	}
-
 	theta := m.AddVar(-lp.Inf, lp.Inf, 1, "theta")
-	type scen struct {
-		prob   float64
-		failed []bool
-	}
-	scens := []scen{{healthyProb, failedSet(n, nil)}}
-	for _, q := range scs {
-		scens = append(scens, scen{q.Prob, failedSet(n, q.FailedLinks)})
-	}
 
-	var healthyS []lp.Var
-	for qi, sc := range scens {
-		u := m.AddVar(0, lp.Inf, sc.prob/totalP/(1-beta), fmt.Sprintf("u_q%d", qi))
+	rc := classifyResiduals(n, scens)
+	s := make([][]lp.Var, len(n.Flows))
+	for f, sets := range rc.sets {
+		s[f] = make([]lp.Var, len(sets))
+		for c, set := range sets {
+			if set.empty() {
+				s[f][c] = -1
+				continue
+			}
+			obj := 0.0
+			if c == 0 {
+				obj = -tie / D // tie-break toward healthy throughput
+			}
+			s[f][c] = m.AddVar(0, n.Flows[f].Demand, obj, fmt.Sprintf("s_f%d_r%d", f, c))
+			m.AddConstr(set.sumOf(a[f]).Plus(-1, s[f][c]), lp.GE, 0, fmt.Sprintf("sat_f%d_r%d", f, c))
+		}
+	}
+	for qi, q := range scens {
+		u := m.AddVar(0, lp.Inf, q.Prob/totalP/(1-beta), fmt.Sprintf("u_q%d", qi))
 		// loss_q - theta - u <= 0  with  loss_q = 1 - sum_f s_f/D:
 		// 1 - sum_f s_f/D - theta - u <= 0   =>   sum_f s_f/D + theta + u >= 1.
 		var lossExpr lp.Expr
 		for f := range n.Flows {
-			s := m.AddVar(0, n.Flows[f].Demand, 0, fmt.Sprintf("s_f%d_q%d", f, qi))
-			if qi == 0 {
-				healthyS = append(healthyS, s)
-				m.SetObj(s, -tie/D) // tie-break toward healthy throughput
+			if sv := s[f][rc.class[f][qi]]; sv >= 0 {
+				lossExpr = lossExpr.Plus(1/D, sv)
 			}
-			var coverage lp.Expr
-			for _, ti := range residualTunnels(n, f, sc.failed) {
-				coverage = coverage.Plus(1, a[f][ti])
-			}
-			coverage = coverage.Plus(-1, s)
-			m.AddConstr(coverage, lp.GE, 0, fmt.Sprintf("sat_f%d_q%d", f, qi))
-			lossExpr = lossExpr.Plus(1/D, s)
 		}
 		lossExpr = lossExpr.Plus(1, theta).Plus(1, u)
 		m.AddConstr(lossExpr, lp.GE, 1, fmt.Sprintf("cvar_q%d", qi))
 	}
-
 	return m, a, nil
 }

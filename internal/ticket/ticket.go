@@ -9,10 +9,10 @@ import (
 	"math"
 	"math/rand"
 	"strconv"
-	"sync"
 
 	"github.com/arrow-te/arrow/internal/ledger"
 	"github.com/arrow-te/arrow/internal/obs"
+	"github.com/arrow-te/arrow/internal/pool"
 	"github.com/arrow-te/arrow/internal/rwa"
 )
 
@@ -142,7 +142,7 @@ func Compose(res *rwa.Result, cut []int, wavesOf func(fiber int) map[int]int) (T
 }
 
 // rngPool hands generators from one Generate to the next.
-var rngPool = sync.Pool{New: func() interface{} { return rand.New(rand.NewSource(0)) }}
+var rngPool = pool.Free[rand.Rand]{New: func() *rand.Rand { return rand.New(rand.NewSource(0)) }}
 
 // fracEps is the tolerance below which an LP value counts as integral.
 const fracEps = 1e-9
@@ -153,7 +153,7 @@ const fracEps = 1e-9
 func Generate(res *rwa.Result, opts Options) []Ticket {
 	// Seed puts a Rand in the state rand.New(rand.NewSource(seed)) starts in,
 	// so a generator (5 KB of state) is re-seeded instead of built per batch.
-	rng := rngPool.Get().(*rand.Rand)
+	rng := rngPool.Get()
 	defer rngPool.Put(rng)
 	rng.Seed(opts.Seed)
 	delta := opts.stride()
