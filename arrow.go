@@ -35,6 +35,8 @@ package arrow
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -267,6 +269,11 @@ type Planner struct {
 	// byFailed maps failedKey(FailedLinks) to the first planned scenario
 	// failing exactly those links: OnFiberCut's lookup.
 	byFailed map[string]int
+	// ipAdj is the IP-layer adjacency by site and linkFibers the distinct
+	// fibers under each IP link: tunnel selection's graph, built when the
+	// planner is planned and read-only afterwards.
+	ipAdj      [][]ipHop
+	linkFibers [][]int
 }
 
 // Plan runs ARROW's offline stage: enumerate probable fiber-cut scenarios,
@@ -324,6 +331,7 @@ func (n *Network) PlanContext(ctx context.Context, opts PlanOptions) (*Planner, 
 		set = scenario.Enumerate(probs, opts.Cutoff)
 	}
 	p := &Planner{net: n, probs: probs, tunnels: opts.TunnelsPerFlow, set: set, rec: obs.FromContext(ctx), led: ledger.FromContext(ctx), noWarm: opts.NoWarm, noColgen: opts.NoColgen, workers: opts.Parallelism, healthEvery: opts.HealthEvery}
+	p.ipAdj, p.linkFibers = ipGraph(n.opt)
 	if p.led != nil {
 		p.led.Emit(ledger.Event{Kind: ledger.KindEnumerated, Scenario: -1, Count: len(set.Scenarios)})
 	}
@@ -540,6 +548,9 @@ type TrafficPlan struct {
 // Solve runs ARROW's restoration-aware TE for the given demands. Tunnels
 // are selected automatically (fiber-disjoint first, then shortest paths).
 func (p *Planner) Solve(demands []Demand, opts SolveOptions) (*TrafficPlan, error) {
+	if math.IsNaN(opts.Alpha) || math.IsInf(opts.Alpha, 0) {
+		return nil, fmt.Errorf("arrow: invalid alpha %v", opts.Alpha)
+	}
 	net, err := p.buildTENetwork(demands)
 	if err != nil {
 		return nil, err
@@ -568,11 +579,15 @@ func (p *Planner) buildTENetwork(demands []Demand) (*te.Network, error) {
 		caps[i] = l.CapacityGbps()
 	}
 	net := &te.Network{LinkCap: caps}
-	for _, d := range demands {
+	search := newBFS(len(p.ipAdj))
+	for i, d := range demands {
 		if d.Src < 0 || d.Src >= n.opt.NumROADMs || d.Dst < 0 || d.Dst >= n.opt.NumROADMs || d.Src == d.Dst {
 			return nil, fmt.Errorf("arrow: invalid demand %d->%d", d.Src, d.Dst)
 		}
-		tunnels := p.findTunnels(d.Src, d.Dst, p.tunnels)
+		if !(d.Gbps >= 0) || math.IsInf(d.Gbps, 1) {
+			return nil, fmt.Errorf("arrow: demand %d (%d->%d) has invalid Gbps %v", i, d.Src, d.Dst, d.Gbps)
+		}
+		tunnels := p.findTunnels(search, d.Src, d.Dst, p.tunnels)
 		if len(tunnels) == 0 {
 			return nil, fmt.Errorf("arrow: no IP path from %d to %d", d.Src, d.Dst)
 		}
@@ -588,25 +603,28 @@ type ipHop struct {
 	to   int
 }
 
-// findTunnels runs fiber-disjoint-first tunnel selection over the IP graph.
-func (p *Planner) findTunnels(src, dst, k int) []te.Tunnel {
-	adj := make([][]ipHop, p.net.opt.NumROADMs)
-	for _, l := range p.net.opt.IPLinks {
+// ipGraph returns the IP-layer adjacency by site and, per IP link, the
+// distinct fibers its wavelengths ride, in first-seen order.
+func ipGraph(opt *optical.Network) (adj [][]ipHop, linkFibers [][]int) {
+	adj = make([][]ipHop, opt.NumROADMs)
+	linkFibers = make([][]int, len(opt.IPLinks))
+	for _, l := range opt.IPLinks {
 		adj[l.Src] = append(adj[l.Src], ipHop{l.ID, int(l.Dst)})
 		adj[l.Dst] = append(adj[l.Dst], ipHop{l.ID, int(l.Src)})
-	}
-	linkFibers := make(map[int][]int)
-	for _, l := range p.net.opt.IPLinks {
-		seen := map[int]bool{}
 		for _, w := range l.Waves {
 			for _, f := range w.FiberPath {
-				if !seen[f] {
-					seen[f] = true
+				if !slices.Contains(linkFibers[l.ID], f) {
 					linkFibers[l.ID] = append(linkFibers[l.ID], f)
 				}
 			}
 		}
 	}
+	return adj, linkFibers
+}
+
+// findTunnels runs fiber-disjoint-first tunnel selection over the IP graph.
+func (p *Planner) findTunnels(b *bfs, src, dst, k int) []te.Tunnel {
+	adj, linkFibers := p.ipAdj, p.linkFibers
 	var out []te.Tunnel
 	usedFibers := map[int]bool{}
 	seenPaths := map[string]bool{}
@@ -622,11 +640,11 @@ func (p *Planner) findTunnels(src, dst, k int) []te.Tunnel {
 			return false
 		}
 		relaxed := len(out) > 0 && len(out) >= k/2
-		path := bfsPath(adj, src, dst, func(link int) bool { return !relaxed && banned(link) }, seenPaths)
+		path := b.bfsPath(adj, src, dst, func(link int) bool { return !relaxed && banned(link) }, seenPaths)
 		if path == nil {
 			if !relaxed {
 				// retry fully relaxed
-				path = bfsPath(adj, src, dst, func(int) bool { return false }, seenPaths)
+				path = b.bfsPath(adj, src, dst, func(int) bool { return false }, seenPaths)
 			}
 			if path == nil {
 				break
@@ -647,32 +665,45 @@ func (p *Planner) findTunnels(src, dst, k int) []te.Tunnel {
 	return out
 }
 
+// bfs is bfsPath's search state, reused from one search to the next: per
+// site, whether it was reached, the hop that first reached it (to = its
+// predecessor) and how many hops from the source that was.
+type bfs struct {
+	visited []bool
+	via     []ipHop
+	depth   []int
+	queue   []int
+}
+
+func newBFS(sites int) *bfs {
+	return &bfs{visited: make([]bool, sites), via: make([]ipHop, sites), depth: make([]int, sites)}
+}
+
 // bfsPath finds a shortest link path avoiding banned links and previously
 // seen paths (by exact sequence).
-func bfsPath(adj [][]ipHop, src, dst int, banned func(link int) bool, seen map[string]bool) []int {
-	type state struct {
-		node int
-		path []int
-	}
-	visited := make([]bool, len(adj))
-	visited[src] = true
-	queue := []state{{src, nil}}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, h := range adj[cur.node] {
-			if banned(h.link) || visited[h.to] {
+func (b *bfs) bfsPath(adj [][]ipHop, src, dst int, banned func(link int) bool, seen map[string]bool) []int {
+	clear(b.visited)
+	b.visited[src], b.depth[src] = true, 0
+	b.queue = append(b.queue[:0], src)
+	for head := 0; head < len(b.queue); head++ {
+		cur := b.queue[head]
+		for _, h := range adj[cur] {
+			if banned(h.link) || b.visited[h.to] {
 				continue
 			}
-			np := append(append([]int(nil), cur.path...), h.link)
 			if h.to == dst {
+				np := make([]int, b.depth[cur]+1)
+				np[b.depth[cur]] = h.link
+				for v := cur; v != src; v = b.via[v].to {
+					np[b.depth[v]-1] = b.via[v].link
+				}
 				if !seen[fmt.Sprint(np)] {
 					return np
 				}
 				continue
 			}
-			visited[h.to] = true
-			queue = append(queue, state{h.to, np})
+			b.visited[h.to], b.via[h.to], b.depth[h.to] = true, ipHop{to: cur, link: h.link}, b.depth[cur]+1
+			b.queue = append(b.queue, h.to)
 		}
 	}
 	return nil

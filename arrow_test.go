@@ -161,6 +161,36 @@ func TestSolveRejectsBadDemand(t *testing.T) {
 	if _, err := planner.Solve([]Demand{{Src: 0, Dst: 99, Gbps: 10}}, SolveOptions{}); err == nil {
 		t.Fatal("accepted out-of-range demand")
 	}
+	// A bad rate is refused at the boundary, by demand index, before any LP
+	// is built: -5 used to surface as an LP bound error, NaN as a failed
+	// certificate, and +Inf "succeeded" with throughput 0.
+	for _, g := range []float64{-5, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, err := planner.Solve([]Demand{{Src: 0, Dst: 1, Gbps: 50}, {Src: 1, Dst: 2, Gbps: g}}, SolveOptions{})
+		if err == nil || !strings.Contains(err.Error(), "arrow: demand 1 (1->2)") {
+			t.Errorf("Gbps %v: got %v, want an error naming demand 1", g, err)
+		}
+	}
+	for _, a := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, err := planner.Solve([]Demand{{Src: 0, Dst: 1, Gbps: 50}}, SolveOptions{Alpha: a})
+		if err == nil || !strings.Contains(err.Error(), "arrow: invalid alpha") {
+			t.Errorf("Alpha %v: got %v, want an invalid-alpha error", a, err)
+		}
+	}
+	// Still legal: no demand at all, a zero demand, and a repeated pair.
+	for name, ds := range map[string][]Demand{
+		"empty":     nil,
+		"zero":      {{Src: 0, Dst: 1, Gbps: 0}},
+		"duplicate": {{Src: 0, Dst: 1, Gbps: 30}, {Src: 0, Dst: 1, Gbps: 20}},
+	} {
+		plan, err := planner.Solve(ds, SolveOptions{})
+		if err != nil {
+			t.Errorf("%s demands: %v", name, err)
+			continue
+		}
+		if got := plan.Throughput(); math.Abs(got-1) > 1e-9 {
+			t.Errorf("%s demands: throughput %v, want 1", name, got)
+		}
+	}
 }
 
 func TestOnFiberCutUnknownScenario(t *testing.T) {

@@ -262,11 +262,18 @@ func (ev *Evaluator) deliveredPerFlow(sc *ScenarioEval) []float64 {
 		}
 		return n.LinkCap[e]
 	}
-	sends := make([][]float64, len(n.Flows))
-	load := make([]float64, len(n.LinkCap))
+	tunnels := 0
 	for f := range n.Flows {
-		sends[f] = make([]float64, len(n.Tunnels[f]))
-		var active []int
+		tunnels += len(n.Tunnels[f])
+	}
+	sends := make([]float64, tunnels) // flow by flow, one entry per tunnel
+	load := make([]float64, len(n.LinkCap))
+	var active []int
+	off := 0
+	for f := range n.Flows {
+		send := sends[off : off+len(n.Tunnels[f])]
+		off += len(send)
+		active = active[:0]
 		for ti, t := range n.Tunnels[f] {
 			ok := true
 			for _, e := range t.Links {
@@ -290,19 +297,17 @@ func (ev *Evaluator) deliveredPerFlow(sc *ScenarioEval) []float64 {
 			}
 		}
 		for _, ti := range active {
-			var send float64
 			if ev.ECMPRebalance || wsum <= 0 {
-				send = b / float64(len(active))
+				send[ti] = b / float64(len(active))
 			} else {
-				send = b * ev.Alloc.A[f][ti] / wsum
+				send[ti] = b * ev.Alloc.A[f][ti] / wsum
 			}
-			sends[f][ti] = send
 			for _, e := range n.Tunnels[f][ti].Links {
-				load[e] += send
+				load[e] += send[ti]
 			}
 		}
 	}
-	shed := make([]float64, len(n.LinkCap))
+	shed := load // each link's load gives way to the share of it that gets through
 	for e := range shed {
 		c := linkCap(e)
 		if load[e] <= c || load[e] <= 0 {
@@ -312,9 +317,10 @@ func (ev *Evaluator) deliveredPerFlow(sc *ScenarioEval) []float64 {
 		}
 	}
 	out := make([]float64, len(n.Flows))
+	off = 0
 	for f := range n.Flows {
 		df := 0.0
-		for ti, send := range sends[f] {
+		for ti, send := range sends[off : off+len(n.Tunnels[f])] {
 			if send <= 0 {
 				continue
 			}
@@ -326,6 +332,7 @@ func (ev *Evaluator) deliveredPerFlow(sc *ScenarioEval) []float64 {
 			}
 			df += send * factor
 		}
+		off += len(n.Tunnels[f])
 		out[f] = math.Min(df, n.Flows[f].Demand)
 	}
 	return out

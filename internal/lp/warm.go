@@ -27,8 +27,13 @@ const (
 // A Basis is deliberately tolerant of model growth: a model with more
 // variables or rows than the basis describes gets the missing entries
 // defaulted (new variables nonbasic at their natural bound, new rows
-// slack-basic). This is what lets te.Arrow seed phase 2 from phase 1's
-// basis even though phase 2 carries different scenario rows.
+// slack-basic). This is what lets a column-generation master re-solve from
+// the basis it had before its columns and rows were appended. It makes a
+// basis installable on a related model, not a good start for it: te.Arrow
+// used to seed Table 3's LP from the Table 2 master's basis cut down to
+// their shared rows, and that start, primal infeasible for the new rows,
+// took as many pivots as a cold solve where the all-slack basis takes a
+// sixth (see te.ArrowPhase2).
 type Basis struct {
 	// VarStatus[j] is the status of structural variable j.
 	VarStatus []BasisStatus
@@ -194,8 +199,7 @@ func (sx *simplex) solveWarm(wb *Basis) (*Solution, error) {
 	}
 	// Selective repair: when every out-of-bound basic is a row slack — the
 	// signature of a model that grew by appended rows violated at the warm
-	// vertex, as in a column-generation master re-solve or a phase-2 solve
-	// warm-started from a truncated phase-1 basis — each such slack is
+	// vertex, as in a column-generation master re-solve — each such slack is
 	// swapped for its row's artificial and the REST of the warm basis (and
 	// the warm vertex) survives intact. Phase 1 then only has to drive out
 	// those few artificials instead of re-deriving the whole vertex from the
@@ -442,7 +446,13 @@ func (sx *simplex) countColdArtificials() int {
 // the swap preserves basis nonsingularity and every other basic variable
 // keeps its warm value. Reports false — touching nothing — if some
 // out-of-bound basic is a structural variable, in which case the caller
-// falls back to the projection repair.
+// falls back to the projection repair. That was the fate of the Table 2
+// master's basis on Table 3's model: its new capacity rows push basic
+// tunnel allocations, not slacks, out of bounds, the projection repaired
+// some 250 statuses, and the reduced phase 1 that followed cost a cold
+// solve's pivots, which is why te now starts that solve from the
+// all-slack basis. A feasible start beats a near-optimal infeasible one
+// under a primal simplex; a dual simplex is what would reverse that.
 func (sx *simplex) swapInfeasibleSlacks() bool {
 	tol := sx.opt.FeasTol * 10
 	violated := func(j int) bool {

@@ -20,11 +20,12 @@ type ArrowOptions struct {
 	// unmet demand of the final plan. Nil costs nothing and never changes
 	// the allocation.
 	Ledger *ledger.Ledger
-	// NoWarm disables warm-starting: Phase I then starts cold instead of
-	// from the all-slack basis, and Phase II starts cold instead of from
-	// Phase I's final basis. The warm sources are deterministic (never
-	// "whichever solve finished first"), so the switch exists only for A/B
-	// pivot-count comparison.
+	// NoWarm disables warm-starting: both phases then start cold (an
+	// artificial basis and the simplex's feasibility phase) instead of from
+	// their model's all-slack basis, which is feasible for either. The warm
+	// source is a function of the model alone (never "whichever solve
+	// finished first"), so the switch exists only for A/B pivot-count
+	// comparison.
 	NoWarm bool
 	// NoColgen disables column generation for Phase I: the master then
 	// enumerates every ticket's rows up front (the pre-colgen formulation)
@@ -171,7 +172,9 @@ func emitPlan(L *ledger.Ledger, n *Network, scs []RestorableScenario, al *Alloca
 	for qi := range scs {
 		lost, restored := 0.0, 0.0
 		for _, link := range scs[qi].FailedLinks {
-			lost += n.LinkCap[link]
+			if link >= 0 && link < len(n.LinkCap) { // as failedSet: no such link, nothing lost
+				lost += n.LinkCap[link]
+			}
 		}
 		for _, g := range al.RestoredGbps[qi] {
 			restored += g
@@ -209,15 +212,12 @@ func Arrow(n *Network, scs []RestorableScenario, opts *ArrowOptions) (*Allocatio
 		return nil, err
 	}
 	endP1 := opts.profiler().Stage("te.phase1")
-	winners, p1stats, p1basis, err := arrowPhase1Dispatch(n, scs, opts)
+	winners, p1stats, err := arrowPhase1Dispatch(n, scs, opts)
 	endP1()
 	if err != nil {
 		return nil, err
 	}
-	// Phase II warm-starts from Phase I's basis restricted to the shared
-	// base-model rows — a deterministic source fixed before any Phase II
-	// solve runs.
-	al, err := arrowPhase2WithBasis(n, scs, winners, opts, p1basis)
+	al, err := ArrowPhase2(n, scs, winners, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -235,10 +235,7 @@ func Arrow(n *Network, scs []RestorableScenario, opts *ArrowOptions) (*Allocatio
 		}
 	}
 	if !allFirst {
-		// The fallback solve warm-starts from the SAME Phase I basis as the
-		// winners solve (not from the winners solve's result), keeping the
-		// warm source independent of which Phase II solve ran first.
-		fallback, err := arrowPhase2WithBasis(n, scs, make([]int, len(scs)), opts, p1basis)
+		fallback, err := ArrowPhase2(n, scs, make([]int, len(scs)), opts)
 		if err != nil {
 			return nil, err
 		}
@@ -312,36 +309,48 @@ func ArrowNaive(n *Network, scs []RestorableScenario, opts *ArrowOptions) (*Allo
 // identical surviving+restorable tunnel sets, which collapses the common
 // case where every ticket restores some capacity on every link.
 func ArrowPhase1(n *Network, scs []RestorableScenario, opts *ArrowOptions) ([]int, error) {
-	winners, _, _, err := arrowPhase1Dispatch(n, scs, opts)
+	winners, _, err := arrowPhase1Dispatch(n, scs, opts)
 	return winners, err
 }
 
-// arrowPhase1Dispatch routes Phase I to the column-generation restricted
-// master (the default) or the full up-front enumeration (NoColgen).
-func arrowPhase1Dispatch(n *Network, scs []RestorableScenario, opts *ArrowOptions) ([]int, SolveStats, *lp.Basis, error) {
-	for qi := range scs {
-		if len(scs[qi].Tickets) == 0 {
-			return nil, SolveStats{}, nil, fmt.Errorf("te: arrow: scenario %d has no tickets", qi)
-		}
-	}
-	if opts.colgen() {
-		return arrowPhase1Colgen(n, scs, opts)
-	}
-	return arrowPhase1WithStats(n, scs, opts)
+// phase1Master is a solved Phase I master on its canonical vertex: the
+// model as the solve left it, the reference loads winners are ranked by,
+// and the pivots every solve behind it took.
+type phase1Master struct {
+	bm      *baseModel
+	refLoad map[loadKey]lp.Expr
+	sol     *lp.Solution
+	iters   int
 }
 
-// arrowPhase1WithStats is ArrowPhase1 plus model-size/iteration reporting.
-// It additionally returns Phase I's final basis restricted to the shared
-// base-model rows, ready to warm-start Phase II (nil when warm starts are
-// disabled): both phases extend the same newBaseModel skeleton, so the
-// variable layout and the leading constraint rows coincide exactly.
-func arrowPhase1WithStats(n *Network, scs []RestorableScenario, opts *ArrowOptions) ([]int, SolveStats, *lp.Basis, error) {
+// arrowPhase1Dispatch routes Phase I to the column-generation restricted
+// master (the default) or the full up-front enumeration (NoColgen), picks
+// the winners at the solved master and reports its size and pivots.
+func arrowPhase1Dispatch(n *Network, scs []RestorableScenario, opts *ArrowOptions) ([]int, SolveStats, error) {
+	for qi := range scs {
+		if len(scs[qi].Tickets) == 0 {
+			return nil, SolveStats{}, fmt.Errorf("te: arrow: scenario %d has no tickets", qi)
+		}
+	}
+	solve := arrowPhase1Full
+	if opts.colgen() {
+		solve = arrowPhase1Colgen
+	}
+	pm, err := solve(n, scs, opts)
+	if err != nil {
+		return nil, SolveStats{}, err
+	}
+	stats := SolveStats{Phase1Vars: pm.bm.m.NumVars(), Phase1Rows: pm.bm.m.NumConstrs(), Phase1Iters: pm.iters}
+	return pickWinners(scs, pm.refLoad, pm.sol.X), stats, nil
+}
+
+// arrowPhase1Full solves Phase I on the full enumeration: every ticket's
+// block in the master up front.
+func arrowPhase1Full(n *Network, scs []RestorableScenario, opts *ArrowOptions) (*phase1Master, error) {
 	bm := newBaseModel("arrow-phase1", n)
-	baseRows := bm.m.NumConstrs()
-	baseVars := bm.m.NumVars()
 	alpha := opts.alpha()
 
-	refLoad := buildRefLoads(n, scs, bm)
+	refLoad := buildRefLoads(scs, bm)
 	// coverSeen[f] dedups constraint (4) rows per flow across (q,z) pairs
 	// with identical surviving+restorable tunnel sets.
 	coverSeen := newCoverSeen(n)
@@ -375,7 +384,7 @@ func arrowPhase1WithStats(n *Network, scs []RestorableScenario, opts *ArrowOptio
 		sol, err = lp.SolveWithBasis(bm.m, lp.SlackBasis(bm.m), lpo)
 	}
 	if err != nil {
-		return nil, SolveStats{}, nil, fmt.Errorf("te: arrow phase 1: %w", err)
+		return nil, fmt.Errorf("te: arrow phase 1: %w", err)
 	}
 	if L != nil {
 		emitWarmStart(L, bm.m.Name(), sol)
@@ -386,7 +395,7 @@ func arrowPhase1WithStats(n *Network, scs []RestorableScenario, opts *ArrowOptio
 		ledger.EmitSolverHealth(L, -1, bm.m.Name(), sol.Health)
 	}
 	if sol.Status != lp.StatusOptimal {
-		return nil, SolveStats{}, nil, fmt.Errorf("te: arrow phase 1: status %v", sol.Status)
+		return nil, fmt.Errorf("te: arrow phase 1: status %v", sol.Status)
 	}
 	primaryIters := sol.Iterations
 
@@ -398,85 +407,49 @@ func arrowPhase1WithStats(n *Network, scs []RestorableScenario, opts *ArrowOptio
 	setCanonicalObjective(bm, scs, refLoad, sol.Objective)
 	sol, err = solveCanonical(bm, sol.Basis, opts)
 	if err != nil {
-		return nil, SolveStats{}, nil, err
+		return nil, err
 	}
-
-	var p1basis *lp.Basis
-	if !opts.noWarm() && sol.Basis != nil {
-		p1basis = &lp.Basis{VarStatus: sol.Basis.VarStatus, RowStatus: sol.Basis.RowStatus}
-		if len(p1basis.VarStatus) > baseVars {
-			p1basis.VarStatus = p1basis.VarStatus[:baseVars]
-		}
-		if len(p1basis.RowStatus) > baseRows {
-			p1basis.RowStatus = p1basis.RowStatus[:baseRows]
-		}
-	}
-	stats := SolveStats{Phase1Vars: bm.m.NumVars(), Phase1Rows: bm.m.NumConstrs(), Phase1Iters: primaryIters + sol.Iterations}
-	return pickWinners(scs, refLoad, sol.X), stats, p1basis, nil
+	return &phase1Master{bm: bm, refLoad: refLoad, sol: sol, iters: primaryIters + sol.Iterations}, nil
 }
 
 // ArrowPhase2 solves the Table 3 LP with the given winning ticket per
 // scenario and returns the final allocation plus the restoration plan.
-// Standalone calls warm-start from the all-slack basis (unless NoWarm);
-// Arrow instead passes Phase I's basis through arrowPhase2WithBasis.
+//
+// Every solve starts from the all-slack basis (unless NoWarm): each Table 3
+// row is >= 0 or <= r with r >= 0, so x = 0 is feasible and the simplex
+// skips its feasibility phase. Phase I's final basis looks near-optimal but
+// is NOT a better start: the (11) rows cap restored links Phase I bounded
+// only in aggregate, so it is primal infeasible here and a primal simplex
+// regains feasibility at a cold solve's price (Facebook instance, four
+// matrices: 2,157-2,366 pivots from it, 2,300-2,509 cold, 345-427 from
+// all-slack, same optimum). A dual simplex would turn that around.
 func ArrowPhase2(n *Network, scs []RestorableScenario, winners []int, opts *ArrowOptions) (*Allocation, error) {
-	return arrowPhase2WithBasis(n, scs, winners, opts, nil)
-}
-
-// arrowPhase2WithBasis is ArrowPhase2 with an explicit warm-start basis.
-// A nil basis (with warm starts enabled) falls back to the all-slack basis,
-// which is primal feasible for every Table 3 model.
-func arrowPhase2WithBasis(n *Network, scs []RestorableScenario, winners []int, opts *ArrowOptions, warm *lp.Basis) (*Allocation, error) {
 	if len(winners) != len(scs) {
 		return nil, fmt.Errorf("te: arrow phase 2: %d winners for %d scenarios", len(winners), len(scs))
 	}
 	defer opts.profiler().Stage("te.phase2")()
 	bm := newBaseModel("arrow-phase2", n)
+	var row lp.Expr // every row is built here: AddConstr copies its terms
 	for qi := range scs {
 		q := &scs[qi]
 		if winners[qi] < 0 || winners[qi] >= len(q.Tickets) {
 			return nil, fmt.Errorf("te: arrow phase 2: scenario %d winner %d out of range", qi, winners[qi])
 		}
 		z := winners[qi]
-		failed := failedSet(n, q.FailedLinks)
 		restored := func(link int) float64 { return q.TicketGbps(z, link) }
-
 		// Constraint (10).
-		for f := range n.Flows {
-			res := residualTunnels(n, f, failed)
-			rst := restorableTunnels(n, f, failed, restored)
-			if len(res)+len(rst) == len(n.Tunnels[f]) || len(res)+len(rst) == 0 {
-				// Nothing lost, or the flow is disconnected under this
-				// scenario+ticket (no residual or restorable tunnel):
-				// the guarantee is either implied by (1) or vacuous.
-				continue
+		failed := bm.eachTouched(n, q, restored, func(s tunnelSplit) {
+			if e, ok := bm.coverExpr(row[:0], s); ok {
+				bm.m.AddConstr(e, lp.GE, 0, fmt.Sprintf("p2cover_f%d_q%d", s.f, qi))
+				row = e
 			}
-			var e lp.Expr
-			for _, ti := range res {
-				e = e.Plus(1, bm.a[f][ti])
-			}
-			for _, ti := range rst {
-				e = e.Plus(1, bm.a[f][ti])
-			}
-			e = e.Plus(-1, bm.b[f])
-			bm.m.AddConstr(e, lp.GE, 0, fmt.Sprintf("p2cover_f%d_q%d", f, qi))
-		}
+		})
 		// Constraint (11): hard restored-capacity limits.
 		for _, link := range q.FailedLinks {
-			var load lp.Expr
-			for f := range n.Flows {
-				for _, ti := range restorableTunnels(n, f, failed, restored) {
-					for _, le := range n.Tunnels[f][ti].Links {
-						if le == link {
-							load = load.Plus(1, bm.a[f][ti])
-							break
-						}
-					}
-				}
-			}
-			if len(load) > 0 {
+			if load := bm.restorableLoad(row[:0], n, link, failed, restored); len(load) > 0 {
 				c := bm.m.AddConstr(load, lp.LE, restored(link), fmt.Sprintf("p2cap_e%d_q%d", link, qi))
 				bm.capRows = append(bm.capRows, CapRow{Link: link, Scenario: qi, Constr: c})
+				row = load
 			}
 		}
 	}
@@ -486,14 +459,11 @@ func arrowPhase2WithBasis(n *Network, scs []RestorableScenario, winners []int, o
 	if L != nil {
 		L.Emit(ledger.Event{Kind: ledger.KindSolveStart, Scenario: -1, Solver: bm.m.Name()})
 	}
-	warmBasis := warm
-	if !opts.noWarm() && warmBasis == nil {
-		warmBasis = lp.SlackBasis(bm.m)
+	var start *lp.Basis // nil: cold
+	if !opts.noWarm() {
+		start = lp.SlackBasis(bm.m)
 	}
-	if opts.noWarm() {
-		warmBasis = nil
-	}
-	al, sol, err := bm.solveLP(n, lpo, warmBasis)
+	al, sol, err := bm.solveLP(n, lpo, start)
 	if L != nil {
 		emitWarmStart(L, bm.m.Name(), sol)
 		status := "optimal"

@@ -2,6 +2,7 @@ package te
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/arrow-te/arrow/internal/lp"
 )
@@ -16,7 +17,14 @@ type baseModel struct {
 	// order (links with no tunnel traffic get no row), recorded for
 	// post-solve sensitivity harvesting.
 	capRows []CapRow
+	// cross[e] lists the tunnels that traverse link e, ascending (f, ti),
+	// each once however often it revisits e: the incidence the ARROW
+	// builders read instead of rescanning flows x tunnels x links.
+	cross [][]tunnelRef
 }
+
+// tunnelRef names flow f's ti-th tunnel.
+type tunnelRef struct{ f, ti int }
 
 // newBaseModel builds the common part of all TE LPs:
 //
@@ -27,7 +35,7 @@ type baseModel struct {
 func newBaseModel(name string, n *Network) *baseModel {
 	m := lp.NewModel(name)
 	m.SetMaximize(true)
-	bm := &baseModel{m: m, a: make([][]lp.Var, len(n.Flows)), b: make([]lp.Var, len(n.Flows))}
+	bm := &baseModel{m: m, a: make([][]lp.Var, len(n.Flows)), b: make([]lp.Var, len(n.Flows)), cross: make([][]tunnelRef, len(n.LinkCap))}
 
 	linkLoad := make([]lp.Expr, len(n.LinkCap))
 	for f := range n.Flows {
@@ -40,6 +48,9 @@ func newBaseModel(name string, n *Network) *baseModel {
 			cover = cover.Plus(1, v)
 			for _, e := range t.Links {
 				linkLoad[e] = linkLoad[e].Plus(1, v)
+				if c := bm.cross[e]; len(c) == 0 || c[len(c)-1] != (tunnelRef{f, ti}) {
+					bm.cross[e] = append(c, tunnelRef{f, ti})
+				}
 			}
 		}
 		cover = cover.Plus(-1, bm.b[f])
@@ -52,6 +63,77 @@ func newBaseModel(name string, n *Network) *baseModel {
 		}
 	}
 	return bm
+}
+
+// tunnelSplit is how one scenario and ticket split flow f's tunnels: res
+// avoid every failed link (T_f^q), rst are restorable (Y_f^{z,q}).
+type tunnelSplit struct {
+	f        int
+	res, rst []int
+}
+
+// eachTouched calls visit, ascending f, with the split of every flow that
+// some failed link of q touches under the given per-link restoration, and
+// returns q's failedSet. Every other flow keeps all its tunnels and adds no
+// row to any ARROW model. The split's slices are reused between visits.
+func (bm *baseModel) eachTouched(n *Network, q *RestorableScenario, restored func(link int) float64, visit func(tunnelSplit)) []bool {
+	failed := failedSet(n, q.FailedLinks)
+	touched := make([]bool, len(n.Flows))
+	for e, down := range failed {
+		if down {
+			for _, c := range bm.cross[e] {
+				touched[c.f] = true
+			}
+		}
+	}
+	var res, rst []int
+	for f, hit := range touched {
+		if hit {
+			res, rst = res[:0], rst[:0]
+			for ti, t := range n.Tunnels[f] {
+				if !slices.ContainsFunc(t.Links, func(e int) bool { return failed[e] }) {
+					res = append(res, ti)
+				} else if restorable(t, failed, restored) {
+					rst = append(rst, ti)
+				}
+			}
+			visit(tunnelSplit{f, res, rst})
+		}
+	}
+	return failed
+}
+
+// coverExpr appends to dst the guarantee row of constraints (4) and (10):
+// flow s.f's residual plus restorable tunnels carry b_f. ok is false when
+// nothing was lost (implied by (1)) or nothing is left (vacuous).
+func (bm *baseModel) coverExpr(dst lp.Expr, s tunnelSplit) (e lp.Expr, ok bool) {
+	k := len(s.res) + len(s.rst)
+	if k == len(bm.a[s.f]) || k == 0 {
+		return nil, false
+	}
+	e = slices.Grow(dst, k+1)
+	for _, ti := range s.res {
+		e = e.Plus(1, bm.a[s.f][ti])
+	}
+	for _, ti := range s.rst {
+		e = e.Plus(1, bm.a[s.f][ti])
+	}
+	return e.Plus(-1, bm.b[s.f]), true
+}
+
+// restorableLoad appends to dst the allocation on the restorable tunnels
+// that cross the failed link, ascending (f, ti): the load of constraints
+// (5) and (11). failed is q's failedSet; a link outside it adds nothing.
+func (bm *baseModel) restorableLoad(dst lp.Expr, n *Network, link int, failed []bool, restored func(link int) float64) lp.Expr {
+	if link < 0 || link >= len(bm.cross) {
+		return dst
+	}
+	for _, c := range bm.cross[link] {
+		if restorable(n.Tunnels[c.f][c.ti], failed, restored) {
+			dst = dst.Plus(1, bm.a[c.f][c.ti])
+		}
+	}
+	return dst
 }
 
 // extract converts an LP solution into an Allocation.

@@ -37,19 +37,14 @@ type loadKey struct{ qi, link int }
 // against per-ticket restorable sets would systematically favour tickets
 // that restore fewer links (their Y sets shrink, so their measured loads
 // shrink); a fixed reference keeps the comparison apples-to-apples.
-func buildRefLoads(n *Network, scs []RestorableScenario, bm *baseModel) map[loadKey]lp.Expr {
+func buildRefLoads(scs []RestorableScenario, bm *baseModel) map[loadKey]lp.Expr {
 	refLoad := map[loadKey]lp.Expr{}
 	for qi := range scs {
 		for _, link := range scs[qi].FailedLinks {
 			var load lp.Expr
-			for f := range n.Flows {
-				for ti, t := range n.Tunnels[f] {
-					for _, le := range t.Links {
-						if le == link {
-							load = load.Plus(1, bm.a[f][ti])
-							break
-						}
-					}
+			if link >= 0 && link < len(bm.cross) {
+				for _, c := range bm.cross[link] {
+					load = load.Plus(1, bm.a[c.f][c.ti])
 				}
 			}
 			refLoad[loadKey{qi, link}] = load
@@ -88,49 +83,21 @@ type p1Block struct {
 // shared base-model variables. Pure (no model mutation), so blocks can be
 // precomputed in parallel and priced repeatedly without rebuilding.
 func buildTicketBlock(n *Network, q *RestorableScenario, z int, bm *baseModel) p1Block {
-	failed := failedSet(n, q.FailedLinks)
 	restored := func(link int) float64 { return q.TicketGbps(z, link) }
-	restorable := make([][]int, len(n.Flows))
-	for f := range n.Flows {
-		restorable[f] = restorableTunnels(n, f, failed, restored)
-	}
-
 	var blk p1Block
-	for f := range n.Flows {
-		res := residualTunnels(n, f, failed)
-		rst := restorable[f]
-		if len(res)+len(rst) == len(n.Tunnels[f]) || len(res)+len(rst) == 0 {
-			// Nothing lost, or the flow is disconnected under this
-			// scenario+ticket (no residual or restorable tunnel): the
-			// guarantee is either implied by (1) or vacuous.
-			continue
+	rst := 0
+	failed := bm.eachTouched(n, q, restored, func(s tunnelSplit) {
+		rst += len(s.rst)
+		if e, ok := bm.coverExpr(nil, s); ok {
+			blk.covers = append(blk.covers, p1Cover{f: s.f, key: fmt.Sprint(s.res, s.rst), expr: e})
 		}
-		var e lp.Expr
-		for _, ti := range res {
-			e = e.Plus(1, bm.a[f][ti])
-		}
-		for _, ti := range rst {
-			e = e.Plus(1, bm.a[f][ti])
-		}
-		e = e.Plus(-1, bm.b[f])
-		blk.covers = append(blk.covers, p1Cover{f: f, key: fmt.Sprint(res, rst), expr: e})
+	})
+	if rst > 0 { // each restorable tunnel loads at least one failed link
+		blk.load = make(lp.Expr, 0, rst)
 	}
-
 	for _, link := range q.FailedLinks {
-		r := restored(link)
-		blk.totalR += r
-		var load lp.Expr
-		for f := range n.Flows {
-			for _, ti := range restorable[f] {
-				for _, le := range n.Tunnels[f][ti].Links {
-					if le == link {
-						load = load.Plus(1, bm.a[f][ti])
-						break
-					}
-				}
-			}
-		}
-		blk.load = append(blk.load, load...)
+		blk.totalR += restored(link)
+		blk.load = bm.restorableLoad(blk.load, n, link, failed, restored)
 	}
 	return blk
 }
@@ -317,13 +284,11 @@ func blockViolation(blk *p1Block, alpha float64, coverSeen []map[string]bool, x 
 // until every deferred block prices out. Certificates are checked on every
 // master re-solve; the converged optimum equals the full-enumeration
 // optimum exactly (see the file comment for the termination argument).
-func arrowPhase1Colgen(n *Network, scs []RestorableScenario, opts *ArrowOptions) ([]int, SolveStats, *lp.Basis, error) {
+func arrowPhase1Colgen(n *Network, scs []RestorableScenario, opts *ArrowOptions) (*phase1Master, error) {
 	bm := newBaseModel("arrow-phase1", n)
-	baseRows := bm.m.NumConstrs()
-	baseVars := bm.m.NumVars()
 	alpha := opts.alpha()
 
-	refLoad := buildRefLoads(n, scs, bm)
+	refLoad := buildRefLoads(scs, bm)
 	coverSeen := newCoverSeen(n)
 
 	// Precompute every ticket's block once (pure reads of the instance),
@@ -340,7 +305,7 @@ func arrowPhase1Colgen(n *Network, scs []RestorableScenario, opts *ArrowOptions)
 		return out, nil
 	})
 	if err != nil {
-		return nil, SolveStats{}, nil, fmt.Errorf("te: arrow phase 1 colgen: %w", err)
+		return nil, fmt.Errorf("te: arrow phase 1 colgen: %w", err)
 	}
 
 	inMaster := make([][]bool, len(scs))
@@ -485,11 +450,11 @@ func arrowPhase1Colgen(n *Network, scs []RestorableScenario, opts *ArrowOptions)
 
 	sol, err := solve(nil)
 	if err != nil {
-		return nil, SolveStats{}, nil, err
+		return nil, err
 	}
 	totalIters += sol.Iterations
 	if sol, err = priceOut(sol, solve); err != nil {
-		return nil, SolveStats{}, nil, err
+		return nil, err
 	}
 
 	// Canonicalise the vertex before winner selection (see
@@ -502,11 +467,11 @@ func arrowPhase1Colgen(n *Network, scs []RestorableScenario, opts *ArrowOptions)
 		sol.Basis.ExtendTo(bm.m)
 	}
 	if sol, err = solveCanonical(bm, sol.Basis, opts); err != nil {
-		return nil, SolveStats{}, nil, err
+		return nil, err
 	}
 	totalIters += sol.Iterations
 	if sol, err = priceOut(sol, func(b *lp.Basis) (*lp.Solution, error) { return solveCanonical(bm, b, opts) }); err != nil {
-		return nil, SolveStats{}, nil, err
+		return nil, err
 	}
 
 	if rec != nil {
@@ -515,19 +480,8 @@ func arrowPhase1Colgen(n *Network, scs []RestorableScenario, opts *ArrowOptions)
 		rec.Add("te.tickets_deferred", int64(totalTickets-priced-totalSeeds))
 	}
 
-	var p1basis *lp.Basis
-	if !opts.noWarm() && sol.Basis != nil {
-		p1basis = sol.Basis.Clone()
-		if len(p1basis.VarStatus) > baseVars {
-			p1basis.VarStatus = p1basis.VarStatus[:baseVars]
-		}
-		if len(p1basis.RowStatus) > baseRows {
-			p1basis.RowStatus = p1basis.RowStatus[:baseRows]
-		}
-	}
 	// The restricted master only ever grows, so the converged size IS the
 	// peak master size — directly comparable against the full enumeration's
 	// model dimensions.
-	stats := SolveStats{Phase1Vars: bm.m.NumVars(), Phase1Rows: bm.m.NumConstrs(), Phase1Iters: totalIters}
-	return pickWinners(scs, refLoad, sol.X), stats, p1basis, nil
+	return &phase1Master{bm: bm, refLoad: refLoad, sol: sol, iters: totalIters}, nil
 }

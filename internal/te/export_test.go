@@ -15,25 +15,30 @@ type KernelSolve struct {
 }
 
 // KernelSolves solves the LPs behind Arrow (phase I as a column-generation
-// master and as the full model, phase II from phase I's basis), FFC and
+// master and as the full model, phase II from the all-slack basis), FFC and
 // TeaVaR on one instance, for the golden test of the solver's pivot
-// sequence.
+// sequence. A phase-I line pins the final master basis over the base
+// model's variables and rows, the part every master shares.
 func KernelSolves(n *Network, scs []RestorableScenario, ffc1, plain []FailureScenario) ([]KernelSolve, error) {
 	var out []KernelSolve
 	var winners []int
-	var p1basis *lp.Basis
+	base := newBaseModel("base", n).m
 	for _, v := range []struct {
-		name string
-		opts *ArrowOptions
-	}{{"te.phase1.full", &ArrowOptions{NoColgen: true}}, {"te.phase1.colgen", nil}} {
-		w, st, basis, err := arrowPhase1Dispatch(n, scs, v.opts)
+		name  string
+		solve func(*Network, []RestorableScenario, *ArrowOptions) (*phase1Master, error)
+	}{{"te.phase1.full", arrowPhase1Full}, {"te.phase1.colgen", arrowPhase1Colgen}} {
+		pm, err := v.solve(n, scs, nil)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", v.name, err)
 		}
-		out = append(out, KernelSolve{v.name, st.Phase1Rows, st.Phase1Vars, st.Phase1Iters, basis})
-		winners, p1basis = w, basis
+		basis := &lp.Basis{
+			VarStatus: pm.sol.Basis.VarStatus[:base.NumVars()],
+			RowStatus: pm.sol.Basis.RowStatus[:base.NumConstrs()],
+		}
+		out = append(out, KernelSolve{v.name, pm.bm.m.NumConstrs(), pm.bm.m.NumVars(), pm.iters, basis})
+		winners = pickWinners(scs, pm.refLoad, pm.sol.X)
 	}
-	al, err := arrowPhase2WithBasis(n, scs, winners, &ArrowOptions{CaptureSensitivity: true}, p1basis)
+	al, err := ArrowPhase2(n, scs, winners, &ArrowOptions{CaptureSensitivity: true})
 	if err != nil {
 		return nil, fmt.Errorf("te.phase2: %w", err)
 	}
@@ -63,6 +68,14 @@ func KernelSolves(n *Network, scs []RestorableScenario, ffc1, plain []FailureSce
 	out = append(out, KernelSolve{"te.teavar", m.NumConstrs(), m.NumVars(), sol.Iterations, sol.Basis})
 	return out, nil
 }
+
+// The ARROW checks of arrow_ref_test.go and arrow_equiv_test.go, for the
+// tests that need an eval pipeline to build their instance.
+var (
+	BuildersMatchReference   = buildersMatchReference
+	CheckPhase2Start         = checkPhase2Start
+	SameAnswersAsPhase1Start = sameAnswersAsPhase1Start
+)
 
 // RefFFC is FFC on the reference model: a (4') row for every distinct
 // residual set, dominated ones included.

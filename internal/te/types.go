@@ -21,6 +21,7 @@ package te
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/arrow-te/arrow/internal/lp"
 	"github.com/arrow-te/arrow/internal/ticket"
@@ -45,10 +46,21 @@ type Network struct {
 	Tunnels [][]Tunnel // T_f, indexed by flow
 }
 
-// Validate checks referential integrity of the instance.
+// Validate checks referential integrity of the instance and that every
+// capacity and demand is a finite, non-negative number.
 func (n *Network) Validate() error {
 	if len(n.Flows) != len(n.Tunnels) {
 		return fmt.Errorf("te: %d flows but %d tunnel sets", len(n.Flows), len(n.Tunnels))
+	}
+	for e, c := range n.LinkCap {
+		if !(c >= 0) || math.IsInf(c, 1) {
+			return fmt.Errorf("te: link %d has invalid capacity %v", e, c)
+		}
+	}
+	for f, fl := range n.Flows {
+		if !(fl.Demand >= 0) || math.IsInf(fl.Demand, 1) {
+			return fmt.Errorf("te: flow %d has invalid demand %v", f, fl.Demand)
+		}
 	}
 	for f, ts := range n.Tunnels {
 		if len(ts) == 0 {
@@ -230,22 +242,24 @@ func residualTunnels(n *Network, f int, failed []bool) []int {
 func restorableTunnels(n *Network, f int, failed []bool, restored func(link int) float64) []int {
 	var out []int
 	for ti, t := range n.Tunnels[f] {
-		crossesFailed := false
-		ok := true
-		for _, e := range t.Links {
-			if failed[e] {
-				crossesFailed = true
-				if restored(e) <= 0 {
-					ok = false
-					break
-				}
-			}
-		}
-		if crossesFailed && ok {
+		if restorable(t, failed, restored) {
 			out = append(out, ti)
 		}
 	}
 	return out
+}
+
+// restorable reports whether t is in Y^{z,q}: it crosses a failed link and
+// every failed link it crosses has positive restored capacity.
+func restorable(t Tunnel, failed []bool, restored func(link int) float64) bool {
+	crosses := false
+	for _, e := range t.Links {
+		if failed[e] && restored(e) <= 0 {
+			return false
+		}
+		crosses = crosses || failed[e]
+	}
+	return crosses
 }
 
 // failedSet returns the given failed links as a mask over n's link indices

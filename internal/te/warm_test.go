@@ -10,9 +10,10 @@ import (
 )
 
 // TestArrowWarmMatchesCold pins the warm-start contract on the two-phase
-// TE: warm (Phase I from the all-slack basis, Phase II from Phase I's
-// basis) and cold runs must agree on the winning tickets and the final
-// objective, and the warm run must skip at least Phase I's LP phase 1.
+// TE: warm (both phases from their model's all-slack basis) and cold runs
+// must agree on the winning tickets and the final objective, the warm run
+// must skip Phase I's LP phase 1, and every Phase II solve must start
+// feasible: accepted unrepaired, phase 1 skipped, no phase-1 pivot.
 func TestArrowWarmMatchesCold(t *testing.T) {
 	n := parallelLinks()
 	scs := fig7Scenario()
@@ -52,11 +53,14 @@ func TestArrowWarmMatchesCold(t *testing.T) {
 		t.Errorf("warm phase-1 pivots %d exceed cold %d",
 			ws["lp.phase1_pivots"], cs["lp.phase1_pivots"])
 	}
+	if err := checkPhase2Start(n, scs); err != nil {
+		t.Error(err)
+	}
 }
 
 // TestArrowWarmDeterministicPivots re-runs the warm two-phase solve and
-// requires identical pivot counts: the warm sources are fixed (slack basis,
-// then Phase I's basis), so the pivot sequence cannot depend on timing.
+// requires identical pivot counts: the warm sources are fixed (each model's
+// all-slack basis), so the pivot sequence cannot depend on timing.
 func TestArrowWarmDeterministicPivots(t *testing.T) {
 	var pivots []int64
 	for i := 0; i < 3; i++ {
