@@ -2,6 +2,7 @@ package ledger
 
 import (
 	"encoding/json"
+	"sync"
 	"sync/atomic"
 )
 
@@ -15,6 +16,7 @@ type Subscription struct {
 	ch      chan []byte
 	dropped atomic.Int64
 	closed  atomic.Bool
+	mu      sync.Mutex // orders deliver's send with Close's close of ch
 }
 
 // Events is the delivery channel. It is closed by Close (never by the
@@ -28,6 +30,8 @@ func (s *Subscription) Dropped() int64 { return s.dropped.Load() }
 // Close detaches the subscription and closes its channel. Safe to call
 // more than once, and safe concurrently with Emit.
 func (s *Subscription) Close() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed.CompareAndSwap(false, true) {
 		close(s.ch)
 	}
@@ -35,6 +39,8 @@ func (s *Subscription) Close() {
 
 // deliver offers one marshalled event without blocking.
 func (s *Subscription) deliver(line []byte) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed.Load() {
 		return
 	}

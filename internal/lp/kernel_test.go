@@ -12,9 +12,14 @@ import (
 // The tests in this file pin the invariant the sparse kernel rests on: it
 // performs the arithmetic of the dense product-form kernel it replaced, in
 // the same order, and only leaves out the terms whose multiplier is an
-// exact zero. Such a term is `s -= 0·x`, which cannot change s (short of
-// flipping the sign of a zero), so every solve takes the pivots it took
-// before.
+// exact zero — `s -= 0·x`, which cannot change s (short of flipping the sign
+// of a zero) — and the dot products none of whose operands changed since
+// they were last taken. So every solve takes the pivots it took before.
+//
+// The references are the code the kernel replaced, kept whole: the dense
+// etas below, the full-length triangular passes (luFactors.solveFull and
+// solveTFull, which the kernel itself falls back on) and refPrice, the
+// full pricing scan.
 
 // denseEta is an eta as the dense kernel stored it: the whole entering
 // column in basis coordinates, pivot entry included.
@@ -40,7 +45,7 @@ func denseEtas(sx *simplex) []denseEta {
 
 // denseFtran is the reference FTRAN: every row of every eta is visited.
 func denseFtran(sx *simplex, etas []denseEta, in, out []float64) {
-	sx.lu.solve(in, out)
+	sx.lu.solveFull(in, out)
 	for k := range etas {
 		e := &etas[k]
 		t := out[e.pos] / e.piv
@@ -68,7 +73,160 @@ func denseBtran(sx *simplex, etas []denseEta, c, out []float64) {
 		}
 		tmp[e.pos] = s / e.piv
 	}
-	sx.lu.solveT(tmp, out)
+	sx.lu.solveTFull(tmp, out)
+}
+
+// solveFull and solveTFull are solve and solveT as they were: both
+// triangular passes full length, whatever the right-hand side. They run the
+// loops solve and solveT themselves fall back on.
+func (f *luFactors) solveFull(b, x []float64)  { f.solveSteps(b, x, f.all, f.all) }
+func (f *luFactors) solveTFull(c, y []float64) { f.solveTSteps(c, y, f.all, f.all) }
+
+// refPrice is the full pricing scan the cache replaced: every call forms
+// every nonbasic column's reduced cost from y and rates it on the spot.
+//
+// The scan runs in variable order over three ranges that differ only in how
+// the reduced cost d_j = c_j − y·a_j is formed: structural columns take the
+// sparse dot product, a slack's column is the unit column of its row, and an
+// artificial's is ± that. Phase 2 skips the artificial range.
+func refPrice(sx *simplex, cost, y []float64, bland, phase1 bool) (int, float64) {
+	best, bestScore, bestDir := -1, 0.0, 1.0
+	tol := sx.opt.OptTol
+	nStr, nRow := sx.nStr, sx.nRow
+	for j := 0; j < nStr; j++ {
+		st := sx.status[j]
+		if st == basic {
+			continue
+		}
+		// Skip pinned variables (lb == ub).
+		if sx.lb[j] == sx.ub[j] && st != atFree {
+			continue
+		}
+		dj := cost[j]
+		c := &sx.cols[j]
+		for i, r := range c.rows {
+			dj -= y[r] * c.vals[i]
+		}
+		if score, dir := enteringScore(st, dj, tol); score > bestScore {
+			if bland {
+				return j, dir
+			}
+			best, bestScore, bestDir = j, score, dir
+		}
+	}
+	for i := 0; i < nRow; i++ {
+		j := nStr + i
+		st := sx.status[j]
+		if st == basic {
+			continue
+		}
+		if sx.lb[j] == sx.ub[j] && st != atFree {
+			continue
+		}
+		if score, dir := enteringScore(st, cost[j]-y[i], tol); score > bestScore {
+			if bland {
+				return j, dir
+			}
+			best, bestScore, bestDir = j, score, dir
+		}
+	}
+	if !phase1 {
+		return best, bestDir
+	}
+	for i := 0; i < nRow; i++ {
+		j := nStr + nRow + i
+		st := sx.status[j]
+		if st == basic {
+			continue
+		}
+		// Skip retired artificials (never installed, or pinned).
+		if sx.lb[j] == sx.ub[j] {
+			continue
+		}
+		dj := cost[j]
+		c := &sx.cols[j]
+		for k, r := range c.rows {
+			dj -= y[r] * c.vals[k]
+		}
+		if score, dir := enteringScore(st, dj, tol); score > bestScore {
+			if bland {
+				return j, dir
+			}
+			best, bestScore, bestDir = j, score, dir
+		}
+	}
+	return best, bestDir
+}
+
+// pricingStats counts what the kernel checks have seen, for coverage
+// assertions.
+type pricingStats struct {
+	// checkPricing: iterations checked, by phase and with Bland's rule on;
+	// those that follow a bound flip; never-installed artificials inside a
+	// phase-1 scan.
+	checks, phase1, phase2, blandOn, flips, emptyArts int
+	// checkKernelAgainstDense: FTRAN/BTRAN comparisons in which both
+	// triangular passes followed their reach, and the others.
+	reachSolves, fullSolves int
+}
+
+// checkPricing makes sx verify its pricing cache in every iteration: each
+// cached reduced cost of the scan range against a from-scratch dot product
+// with the current y, the remembered y against the current one, and the
+// entering pick against refPrice, under Dantzig's rule and under Bland's.
+func checkPricing(t *testing.T, sx *simplex, label string, st *pricingStats) {
+	t.Helper()
+	fresh := make([]float64, sx.nTot)
+	lastEnter, lastStatus := -1, int8(0)
+	sx.afterPricing = func(cost []float64, phase1 bool, enter int, dir float64) {
+		t.Helper()
+		at := fmt.Sprintf("%s, pivot %d (phase1=%v)", label, sx.iters, phase1)
+		scan := sx.nStr + sx.nRow
+		if phase1 {
+			scan = sx.nTot
+			st.phase1++
+		} else {
+			st.phase2++
+		}
+		st.checks++
+		for j := 0; j < scan; j++ {
+			dj := cost[j]
+			c := &sx.cols[j]
+			for i, r := range c.rows {
+				dj -= sx.y[r] * c.vals[i]
+			}
+			fresh[j] = dj
+			if phase1 && j >= sx.nStr+sx.nRow && len(c.rows) == 0 {
+				st.emptyArts++
+			}
+		}
+		if j, ok := sameBits(sx.dj[:scan], fresh[:scan]); !ok {
+			t.Fatalf("%s: cached dj[%d] = %v, from scratch %v", at, j, sx.dj[j], fresh[j])
+		}
+		if i, ok := sameBits(sx.yRef, sx.y); !ok {
+			t.Fatalf("%s: remembered y[%d] = %v, y is %v", at, i, sx.yRef[i], sx.y[i])
+		}
+		useBland := sx.degenerate > 3*(sx.nRow+10)
+		if useBland {
+			st.blandOn++
+		}
+		if wantEnter, wantDir := refPrice(sx, cost, sx.y, useBland, phase1); enter != wantEnter || dir != wantDir {
+			t.Fatalf("%s: entering (%d, %v), full scan picks (%d, %v)", at, enter, dir, wantEnter, wantDir)
+		}
+		for _, bland := range []bool{false, true} {
+			gotEnter, gotDir := sx.pickEntering(scan, bland)
+			wantEnter, wantDir := refPrice(sx, cost, sx.y, bland, phase1)
+			if gotEnter != wantEnter || gotDir != wantDir {
+				t.Fatalf("%s: bland=%v score scan picks (%d, %v), full scan (%d, %v)", at, bland, gotEnter, gotDir, wantEnter, wantDir)
+			}
+		}
+		if lastEnter >= 0 && sx.status[lastEnter] != basic && sx.status[lastEnter] != lastStatus {
+			st.flips++
+		}
+		if lastEnter = enter; enter >= 0 {
+			lastStatus = sx.status[enter]
+		}
+	}
 }
 
 // sameBits reports whether a and b are the same float64s, a negative zero
@@ -88,7 +246,7 @@ func sameBits(a, b []float64) (int, bool) {
 
 // checkKernelAgainstDense runs a set of right-hand sides through the sparse
 // and the dense FTRAN/BTRAN on sx's current factors and eta file.
-func checkKernelAgainstDense(t *testing.T, sx *simplex, rng *rand.Rand, label string) {
+func checkKernelAgainstDense(t *testing.T, sx *simplex, rng *rand.Rand, label string, st *pricingStats) {
 	t.Helper()
 	n := sx.nRow
 	if n == 0 {
@@ -101,7 +259,11 @@ func checkKernelAgainstDense(t *testing.T, sx *simplex, rng *rand.Rand, label st
 	ftranBoth := func(what string, fill func(v []float64)) {
 		t.Helper()
 		fill(in)
+		sx.lu.bypass = [2]int{} // let every call look for its reach
+		full := sx.lu.fullSolves
 		sx.ftran(in, got)
+		st.reachSolves += 1 - (sx.lu.fullSolves - full)
+		st.fullSolves += sx.lu.fullSolves - full
 		fill(in)
 		denseFtran(sx, etas, in, want)
 		if i, ok := sameBits(got, want); !ok {
@@ -112,7 +274,11 @@ func checkKernelAgainstDense(t *testing.T, sx *simplex, rng *rand.Rand, label st
 	btranBoth := func(what string, fill func(v []float64)) {
 		t.Helper()
 		fill(in)
+		sx.lu.bypass = [2]int{}
+		full := sx.lu.fullSolves
 		sx.btran(in, got)
+		st.reachSolves += 1 - (sx.lu.fullSolves - full)
+		st.fullSolves += sx.lu.fullSolves - full
 		denseBtran(sx, etas, in, want)
 		if i, ok := sameBits(got, want); !ok {
 			t.Fatalf("%s: btran(%s)[%d] = %v (%#x), dense reference %v (%#x)", label, what, i,
@@ -177,8 +343,24 @@ func checkKernelAgainstDense(t *testing.T, sx *simplex, rng *rand.Rand, label st
 // simplex exactly as it stood after its k-th pivot, and compares the sparse
 // kernel with the dense reference on each of those states. It returns the
 // number of pivots of the full solve.
-func checkEveryPivot(t *testing.T, m *Model, basis *Basis, rng *rand.Rand, label string) int {
+//
+// Before that it solves m once with checkPricing on, so that the pricing
+// cache is compared with the full scan at every pivot of the solve too.
+func checkEveryPivot(t *testing.T, m *Model, basis *Basis, rng *rand.Rand, label string, st *pricingStats) int {
 	t.Helper()
+	sx, err := newSimplex(m, nil)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	checkPricing(t, sx, label, st)
+	if basis != nil {
+		_, err = sx.solveWarm(basis)
+	} else {
+		_, err = sx.solve()
+	}
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
 	for k := 0; ; k++ {
 		sx, err := newSimplex(m, nil)
 		if err != nil {
@@ -194,7 +376,7 @@ func checkEveryPivot(t *testing.T, m *Model, basis *Basis, rng *rand.Rand, label
 		if err != nil {
 			t.Fatalf("%s: solve stopped at %d pivots: %v", label, k, err)
 		}
-		checkKernelAgainstDense(t, sx, rng, fmt.Sprintf("%s after %d pivots", label, sx.iters))
+		checkKernelAgainstDense(t, sx, rng, fmt.Sprintf("%s after %d pivots", label, sx.iters), st)
 		if sol.Status != StatusIterLimit {
 			return sx.iters
 		}
@@ -214,8 +396,9 @@ func kernelFixtures() []*Model {
 func TestSparseKernelMatchesDenseAtEveryPivot(t *testing.T) {
 	rng := rand.New(rand.NewSource(9101))
 	pivots, etaFull, etaStored := 0, 0, 0
+	var st pricingStats
 	count := func(m *Model, basis *Basis, label string) {
-		pivots += checkEveryPivot(t, m, basis, rng, label)
+		pivots += checkEveryPivot(t, m, basis, rng, label, &st)
 	}
 	for trial := 0; trial < 200; trial++ {
 		m := randomWarmModel(rng, "kernel")
@@ -256,7 +439,13 @@ func TestSparseKernelMatchesDenseAtEveryPivot(t *testing.T) {
 	if pivots < 1000 || etaStored == 0 || etaStored*2 > etaFull {
 		t.Fatalf("weak coverage: %d pivots checked, %d of %d off-pivot eta entries stored", pivots, etaStored, etaFull)
 	}
+	if st.phase1 < 500 || st.phase2 < 500 || st.flips < 20 || st.reachSolves < 5000 || st.fullSolves < 5000 {
+		t.Fatalf("weak coverage of the pricing cache: %+v", st)
+	}
 	t.Logf("%d pivot states checked; network fixture stores %d of %d off-pivot eta entries", pivots, etaStored, etaFull)
+	t.Logf("pricing cache checked at %d iterations: %d in phase 1, %d in phase 2, %d after a bound flip, %d never-installed artificials scanned",
+		st.checks, st.phase1, st.phase2, st.flips, st.emptyArts)
+	t.Logf("%d FTRAN/BTRAN comparisons followed their reach, %d ran a full-length pass", st.reachSolves, st.fullSolves)
 }
 
 // luSnapshot copies the factors proper (not the scratch space) out of f, so
@@ -379,6 +568,7 @@ func TestPivotLoopAllocatesNothing(t *testing.T) {
 	fill := 4 * (len(f.lrows) + len(f.urows) + sx.nRow)
 	f.lrows, f.lvals = make([]int32, 0, fill), make([]float64, 0, fill)
 	f.urows, f.uvals = make([]int32, 0, fill), make([]float64, 0, fill)
+	f.ltidx, f.utidx = make([]int32, 0, fill), make([]int32, 0, fill) // the row-wise patterns grow with them
 	f.touched = make([]int32, 0, 2*sx.nRow)
 	if err := sx.refactorize(); err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package lp
 import (
 	"errors"
 	"math"
+	"slices"
 )
 
 // errSingular is returned when the basis matrix cannot be factorised.
@@ -30,6 +31,13 @@ func (c *spCol) add(row int, val float64) {
 // (lrows, lvals)[lptr[k]:lptr[k+1]], likewise for U. One luFactors serves a
 // whole solve: factor resets the arena lengths and keeps every backing
 // array, so refactorising in steady state allocates nothing.
+//
+// solve and solveT run each triangular pass over the pivot steps its
+// right-hand side can reach through the factors' pattern, in the order the
+// full-length pass takes them. A step that is not reached holds an exact
+// zero, which the full pass skips or multiplies by, so the two give the same
+// float64s up to the sign of a zero (see stepsFrom for when the full pass
+// runs instead).
 type luFactors struct {
 	n          int
 	colOrder   []int // colOrder[k] = basis position factored at step k
@@ -45,16 +53,51 @@ type luFactors struct {
 	uptr  []int
 	urows []int32
 	uvals []float64
+	// The same two patterns by row, without values and in pivot-step space:
+	// (utptr, utidx) lists for step t the steps k whose U column has an entry
+	// in row t, (ltptr, ltidx) those whose L column has one in the row step t
+	// pivots. solveT's passes walk the transposes, so these are what its
+	// reach follows. The ptr slices carry one spare slot for transposeInto.
+	utptr, ltptr []int
+	utidx, ltidx []int32
 
 	// workspaces reused across factorisations and solves
 	work    []float64
-	stack   []int32
+	stack   []int32 // reach's output
+	steps   []int32 // the step list before it: a pass's start set
+	all     []int32 // 0..n-1, the step list of a full-length pass
 	mark    []int32
 	epoch   int32
+	budget  int // steps reach may still visit
 	touched []int32
 	order   []int // column processing order of the last factor call
 	bucket  []int // counting-sort buckets for order
+
+	// bypass[side] counts the calls of solve (0) or solveT (1) that still go
+	// straight to the full-length passes; see stepsFrom.
+	bypass [2]int
+	// Work counts since resize, for lp.solve_reach and lp.full_solves: pivot
+	// steps visited over all triangular passes (n for a full-length one) and
+	// calls in which a pass ran full length.
+	visited, fullSolves int
 }
+
+const (
+	// A pass whose reach exceeds n/reachShare steps runs full length instead,
+	// and the next bypassCalls calls on its side do not look for a reach at
+	// all. Both loops do the same arithmetic, so the choice shows in time
+	// only and needs no setting. What chose the values (PR 19, CHANGES.md):
+	// ARROW's Facebook bases (n ≈ 960) reach some 25 steps a pass and run 295
+	// of 3,000 solves per TE solve full length on their own, 491 with the
+	// bypass — noise in that workload. The B4 sweep's bases (n ≈ 220–355,
+	// FFC's and TeaVaR's among them) run two thirds of their solves full
+	// length, in runs, 38 % of all after a search that gave up: searching
+	// before every solve made the FFC and TeaVaR cells 8–32 % slower than the
+	// full passes alone, a bypass of 16 or 64 calls brings them within ±5 % of
+	// it, and shares of 6, 8 and 12 read alike on both.
+	reachShare  = 6
+	bypassCalls = 16
+)
 
 // patchedCol records one singularity repair made by a repairing factor call:
 // the basis position whose column was linearly dependent, and the row whose
@@ -82,6 +125,8 @@ func (f *luFactors) resize(n int) {
 	f.udiag = zeroed(f.udiag, n)
 	f.lptr = zeroed(f.lptr, n+1)
 	f.uptr = zeroed(f.uptr, n+1)
+	f.utptr = zeroed(f.utptr, n+2)
+	f.ltptr = zeroed(f.ltptr, n+2)
 	f.work = zeroed(f.work, n)
 	f.mark = zeroed(f.mark, n)
 	f.epoch = 0
@@ -89,6 +134,18 @@ func (f *luFactors) resize(n int) {
 	if cap(f.stack) < n {
 		f.stack = make([]int32, 0, n)
 	}
+	if cap(f.steps) < n {
+		f.steps = make([]int32, 0, n)
+	}
+	if cap(f.all) < n {
+		f.all = make([]int32, n)
+		for i := range f.all {
+			f.all[i] = int32(i)
+		}
+	}
+	f.all = f.all[:n]
+	f.bypass = [2]int{}
+	f.visited, f.fullSolves = 0, 0
 }
 
 // sortByCount fills f.order with 0..n-1 in ascending len(cols[i].rows),
@@ -161,7 +218,7 @@ func (f *luFactors) factor(cols []spCol, repair bool) ([]patchedCol, error) {
 		}
 
 		// Topological order of pivot steps reached from the column pattern.
-		topo := f.reach(touched)
+		topo := f.reach(touched, f.lptr, f.lrows, true, n)
 
 		// Numeric elimination in topological order.
 		for idx := len(topo) - 1; idx >= 0; idx-- {
@@ -246,12 +303,54 @@ func (f *luFactors) factor(cols []spCol, repair bool) ([]patchedCol, error) {
 		}
 		f.lptr[k+1], f.uptr[k+1] = len(f.lrows), len(f.urows)
 	}
+	f.utidx = f.transposeInto(f.utptr, f.utidx, f.uptr, f.urows, false)
+	f.ltidx = f.transposeInto(f.ltptr, f.ltidx, f.lptr, f.lrows, true)
 	return patched, nil
 }
 
+// transposeInto writes the row-wise pattern of the column-compressed
+// (ptr, idx) into (tptr, tidx) by a counting sort, each row's steps
+// ascending, and returns tidx. rows says idx holds original rows (L) rather
+// than pivot steps (U); the result is in pivot steps either way. tidx regrows
+// with the capacity of the arena it mirrors, so the two regrow together.
+func (f *luFactors) transposeInto(tptr []int, tidx []int32, ptr []int, idx []int32, rows bool) []int32 {
+	if cap(tidx) < len(idx) {
+		tidx = make([]int32, len(idx), cap(idx))
+	}
+	tidx = tidx[:len(idx)]
+	// tptr[t+2] counts row t, so that after the running sum tptr[t+1] is where
+	// row t starts and, once every entry is placed, where it ends.
+	clear(tptr)
+	for _, r := range idx {
+		tptr[f.stepOf(r, rows)+2]++
+	}
+	for t := 2; t < len(tptr); t++ {
+		tptr[t] += tptr[t-1]
+	}
+	for k := 0; k < f.n; k++ {
+		for _, r := range idx[ptr[k]:ptr[k+1]] {
+			t := f.stepOf(r, rows) + 1
+			tidx[tptr[t]] = int32(k)
+			tptr[t]++
+		}
+	}
+	return tidx
+}
+
+// stepOf maps an entry of a pattern to its pivot step: the entry itself, or,
+// when the pattern holds original rows, the step that pivots it (-1: none yet).
+func (f *luFactors) stepOf(r int32, rows bool) int {
+	if rows {
+		return f.pinv[r]
+	}
+	return int(r)
+}
+
 // reach returns, as a stack (reverse topological order), the pivot steps
-// reachable from the given original rows through the L structure.
-func (f *luFactors) reach(rows []int32) []int32 {
+// reachable from start through the pattern (ptr, idx), or nil as soon as it
+// has visited more than limit of them. rows says start and idx hold original
+// rows (the columns of L, possibly still unpivoted) rather than pivot steps.
+func (f *luFactors) reach(start []int32, ptr []int, idx []int32, rows bool, limit int) []int32 {
 	f.epoch++
 	if f.epoch == math.MaxInt32 {
 		for i := range f.mark {
@@ -259,34 +358,88 @@ func (f *luFactors) reach(rows []int32) []int32 {
 		}
 		f.epoch = 1
 	}
-	f.stack = f.stack[:0]
-	for _, r := range rows {
-		if p := f.pinv[r]; p >= 0 && f.mark[p] != f.epoch {
-			f.dfs(p)
+	f.stack, f.budget = f.stack[:0], limit
+	for _, r := range start {
+		if p := f.stepOf(r, rows); p >= 0 && f.mark[p] != f.epoch && !f.dfs(p, ptr, idx, rows) {
+			return nil
 		}
 	}
 	return f.stack
 }
 
-// dfs pushes pivot step t onto f.stack after every unvisited step its L
-// column reaches.
-func (f *luFactors) dfs(t int) {
+// dfs pushes pivot step t onto f.stack after every unvisited step its
+// entries in the pattern reach; it reports false, with the search abandoned,
+// once f.budget steps have been visited.
+func (f *luFactors) dfs(t int, ptr []int, idx []int32, rows bool) bool {
+	if f.budget--; f.budget < 0 {
+		return false
+	}
 	f.mark[t] = f.epoch
-	for _, r := range f.lrows[f.lptr[t]:f.lptr[t+1]] {
-		if p := f.pinv[r]; p >= 0 && f.mark[p] != f.epoch {
-			f.dfs(p)
+	for _, r := range idx[ptr[t]:ptr[t+1]] {
+		if p := f.stepOf(r, rows); p >= 0 && f.mark[p] != f.epoch && !f.dfs(p, ptr, idx, rows) {
+			return false
 		}
 	}
 	f.stack = append(f.stack, int32(t))
+	return true
+}
+
+// stepsFrom returns the step list of one triangular pass: ascending, the
+// steps that start reaches through (ptr, idx) — or f.all, the full-length
+// pass, when start or the reach exceeds n/reachShare steps; finding that out
+// by searching also sends the next bypassCalls calls on this side (0 solve,
+// 1 solveT) straight there. The result and f.stack trade buffers, so it
+// survives the one stepsFrom call that starts from it.
+func (f *luFactors) stepsFrom(side int, start []int32, ptr []int, idx []int32, rows bool) []int32 {
+	limit := f.n / reachShare
+	if len(start) > limit {
+		return f.all
+	}
+	s := f.reach(start, ptr, idx, rows, limit)
+	if s == nil {
+		f.bypass[side] = bypassCalls
+		return f.all
+	}
+	slices.Sort(s)
+	f.steps, f.stack = s, f.steps
+	return s
+}
+
+// countSteps adds one call's two passes to the work counts.
+func (f *luFactors) countSteps(a, b []int32) {
+	f.visited += len(a) + len(b)
+	if len(a) == f.n || len(b) == f.n {
+		f.fullSolves++
+	}
 }
 
 // solve computes x with B x = b. b is indexed by original row; the result is
 // indexed by basis position. b is overwritten with scratch data.
 func (f *luFactors) solve(b, x []float64) {
-	n := f.n
+	lsteps := f.all
+	if f.bypass[0] > 0 {
+		f.bypass[0]--
+	} else {
+		start := f.steps[:0]
+		for r, v := range b {
+			if v != 0 {
+				if start = append(start, int32(r)); len(start) > f.n/reachShare {
+					break
+				}
+			}
+		}
+		lsteps = f.stepsFrom(0, start, f.lptr, f.lrows, true)
+	}
+	f.solveSteps(b, x, lsteps, f.stepsFrom(0, lsteps, f.uptr, f.urows, false))
+}
+
+// solveSteps is solve over the given steps of L and of U, ascending; the
+// steps left out must be ones at which the solution is zero.
+func (f *luFactors) solveSteps(b, x []float64, lsteps, usteps []int32) {
+	f.countSteps(lsteps, usteps)
 	// Forward: L y = b (column-oriented), y in pivot-step space.
 	y := b
-	for t := 0; t < n; t++ {
+	for _, t := range lsteps {
 		val := y[f.rowOfPivot[t]]
 		if val == 0 {
 			continue
@@ -299,7 +452,8 @@ func (f *luFactors) solve(b, x []float64) {
 	}
 	// Backward: U z = y, z in pivot-step space (stored into work).
 	z := f.work
-	for k := n - 1; k >= 0; k-- {
+	for i := len(usteps) - 1; i >= 0; i-- {
+		k := usteps[i]
 		zk := y[f.rowOfPivot[k]] / f.udiag[k]
 		z[k] = zk
 		if zk == 0 {
@@ -311,7 +465,10 @@ func (f *luFactors) solve(b, x []float64) {
 			y[f.rowOfPivot[t]] -= uv[i] * zk
 		}
 	}
-	for k := 0; k < n; k++ {
+	if len(usteps) < f.n {
+		clear(x)
+	}
+	for _, k := range usteps {
 		x[f.colOrder[k]] = z[k]
 		z[k] = 0
 	}
@@ -320,10 +477,31 @@ func (f *luFactors) solve(b, x []float64) {
 // solveT computes y with Bᵀ y = c. c is indexed by basis position; the
 // result is indexed by original row. c is left unmodified.
 func (f *luFactors) solveT(c, y []float64) {
-	n := f.n
+	usteps := f.all
+	if f.bypass[1] > 0 {
+		f.bypass[1]--
+	} else {
+		start := f.steps[:0]
+		for k, pos := range f.colOrder {
+			if c[pos] != 0 {
+				if start = append(start, int32(k)); len(start) > f.n/reachShare {
+					break
+				}
+			}
+		}
+		usteps = f.stepsFrom(1, start, f.utptr, f.utidx, false)
+	}
+	f.solveTSteps(c, y, usteps, f.stepsFrom(1, usteps, f.ltptr, f.ltidx, false))
+}
+
+// solveTSteps is solveT over the given steps of Uᵀ and of Lᵀ, ascending and
+// the second containing the first; the steps left out must be ones at which
+// the solution is zero.
+func (f *luFactors) solveTSteps(c, y []float64, usteps, lsteps []int32) {
+	f.countSteps(usteps, lsteps)
 	v := f.work
 	// Forward: Uᵀ v = ĉ where ĉ_k = c[colOrder[k]].
-	for k := 0; k < n; k++ {
+	for _, k := range usteps {
 		s := c[f.colOrder[k]]
 		lo, hi := f.uptr[k], f.uptr[k+1]
 		uv := f.uvals[lo:hi]
@@ -333,7 +511,8 @@ func (f *luFactors) solveT(c, y []float64) {
 		v[k] = s / f.udiag[k]
 	}
 	// Backward: Lᵀ u = v (u overwrites v).
-	for k := n - 1; k >= 0; k-- {
+	for i := len(lsteps) - 1; i >= 0; i-- {
+		k := lsteps[i]
 		s := v[k]
 		lo, hi := f.lptr[k], f.lptr[k+1]
 		lv := f.lvals[lo:hi]
@@ -342,7 +521,10 @@ func (f *luFactors) solveT(c, y []float64) {
 		}
 		v[k] = s
 	}
-	for t := 0; t < n; t++ {
+	if len(lsteps) < f.n {
+		clear(y)
+	}
+	for _, t := range lsteps {
 		y[f.rowOfPivot[t]] = v[t]
 		v[t] = 0
 	}

@@ -1,8 +1,10 @@
 package lp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -212,4 +214,112 @@ func TestLUPermutation(t *testing.T) {
 			t.Fatalf("perm solve: x[%d]=%g want %g", j, x[j], want)
 		}
 	}
+}
+
+// TestLUSolveReachMatchesFullLoop compares solve and solveT with the
+// full-length passes they replaced (solveFull, solveTFull) on bases from an
+// identity to 30 % dense and right-hand sides whose nonzero count straddles
+// the n/reachShare limit, so that a call follows its reach, runs full length
+// from the start, or gives the search up midway — and every call after the
+// first on a basis meets whatever bypass state the calls before left.
+func TestLUSolveReachMatchesFullLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(9103))
+	kinds := []string{"identity", "permutation", "slack-heavy", "30% dense"}
+	basis := func(kind string, n int) []spCol {
+		cols := make([]spCol, n)
+		switch kind {
+		case "identity":
+			for j := range cols {
+				cols[j].add(j, 1)
+			}
+		case "permutation":
+			for j, r := range rng.Perm(n) {
+				cols[j].add(r, 1+rng.Float64())
+			}
+		case "slack-heavy":
+			// Unit columns but for one in five, which is a structural column
+			// of a few entries (its own row among them, dominant).
+			for j := range cols {
+				cols[j].add(j, 1)
+				if rng.Intn(5) == 0 {
+					cols[j].vals[0] = 4 + rng.Float64()
+					for k := rng.Intn(6); k > 0; k-- {
+						if r := rng.Intn(n); r != j {
+							cols[j].add(r, rng.NormFloat64())
+						}
+					}
+				}
+			}
+		default:
+			_, cols = randomSparse(rng, n, 0.3)
+		}
+		return cols
+	}
+	var reach, full, handOver [2]int
+	sides := []string{"solve", "solveT"}
+	for trial := 0; trial < 120; trial++ {
+		n := 1 + rng.Intn(400)
+		if trial < 12 {
+			n = 1 + trial // the sizes at which n/reachShare is 0, 1, 2
+		}
+		kind := kinds[trial%len(kinds)]
+		f, err := factorize(n, basis(kind, n))
+		if err != nil {
+			t.Fatalf("trial %d (%s, n=%d): %v", trial, kind, n, err)
+		}
+		limit := n / reachShare
+		counts := []int{0, 1, limit - 1, limit, limit + 1, n}
+		rng.Shuffle(len(counts), func(i, j int) { counts[i], counts[j] = counts[j], counts[i] })
+		got, want := make([]float64, n), make([]float64, n)
+		for round, nz := range append(counts, counts...) {
+			nz = max(0, min(nz, n))
+			rhs := make([]float64, n)
+			for _, i := range rng.Perm(n)[:nz] {
+				rhs[i] = rng.NormFloat64()
+			}
+			if round >= len(counts) {
+				f.bypass = [2]int{} // second time round, every call searches
+			}
+			for side, name := range sides {
+				bypassed, fullBefore := f.bypass[side] > 0, f.fullSolves
+				in := append([]float64(nil), rhs...)
+				if side == 0 {
+					f.solve(in, got)
+					f.solveFull(append([]float64(nil), rhs...), want)
+				} else {
+					f.solveT(in, got)
+					f.solveTFull(rhs, want)
+					if !reflect.DeepEqual(in, rhs) {
+						t.Fatalf("trial %d: solveT wrote to its right-hand side", trial)
+					}
+				}
+				at := fmt.Sprintf("trial %d (%s, n=%d), %s of %d nonzeros", trial, kind, n, name, nz)
+				if i, ok := sameBits(got, want); !ok {
+					t.Fatalf("%s: [%d] = %v (%#x), full-length passes give %v (%#x)", at, i,
+						got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+				}
+				for i, v := range f.work {
+					if v != 0 {
+						t.Fatalf("%s: work[%d] = %v left behind", at, i, v)
+					}
+				}
+				switch {
+				case !bypassed && f.bypass[side] == bypassCalls:
+					handOver[side]++
+				case f.fullSolves-fullBefore == 2: // the call's own and the reference's
+					full[side]++
+				default:
+					reach[side]++
+				}
+			}
+		}
+	}
+	for side, name := range sides {
+		if reach[side] < 100 || full[side] < 100 || handOver[side] < 100 {
+			t.Errorf("%s: weak coverage: %d calls followed their reach, %d ran full length, %d gave the search up midway",
+				name, reach[side], full[side], handOver[side])
+		}
+	}
+	t.Logf("reach / full / hand-over: solve %d / %d / %d, solveT %d / %d / %d",
+		reach[0], full[0], handOver[0], reach[1], full[1], handOver[1])
 }

@@ -187,6 +187,19 @@ type simplex struct {
 	phase1Buf        []float64 // phase1Cost's backing, kept across solves
 	cand             []int     // installWarmBasis's basic-column candidates
 
+	// The pricing cache iterate keeps between its first BTRAN and its return:
+	// dj[j] = cost_j − yRef·a_j for every column of the entering scan, each by
+	// the column dot product a full pricing pass takes, and score[j] =
+	// enteringScore of dj[j] under j's present status and bounds. yRef is the
+	// y they were computed from; colStamp marks the columns re-priced in round
+	// colEpoch.
+	dj, score, yRef []float64
+	colStamp        []int32
+	colEpoch        int32
+	// afterPricing, set by tests only, runs in every iteration once the
+	// entering variable is chosen (enter < 0: none left).
+	afterPricing func(cost []float64, phase1 bool, enter int, dir float64)
+
 	degenerate int // consecutive degenerate pivots (Bland trigger)
 
 	// warm-start state; nil on cold solves
@@ -200,6 +213,7 @@ type simplex struct {
 	refactors   int
 	degenTotal  int
 	maxEtaDepth int
+	repriced    int // reduced costs recomputed, full passes included
 	cert        *Certificate
 
 	// health is the probe machinery (see health.go); nil unless
@@ -275,6 +289,8 @@ func (sx *simplex) init(m *Model, opts *Options) error {
 		w: zeroed(old.w, nRow), y: zeroed(old.y, nRow),
 		rhs: zeroed(old.rhs, nRow), accum: zeroed(old.accum, nRow),
 		cb: zeroed(old.cb, nRow), d: zeroed(old.d, nRow),
+		dj: zeroed(old.dj, nTot), score: zeroed(old.score, nTot),
+		yRef: zeroed(old.yRef, nRow), colStamp: zeroed(old.colStamp, nStr),
 		phase1Buf: old.phase1Buf,
 		cand:      old.cand,
 	}
@@ -384,13 +400,15 @@ func (sx *simplex) flushMetrics() {
 	}
 	r.Add("lp.solves", 1)
 	r.Add("lp.pivots", int64(sx.iters))
-	// Pivot work weights each iteration by the model size it ran against:
-	// Dantzig pricing scans every column nonzero and BTRAN/FTRAN solve
-	// against the row-dimension factors, so iterations on a small model are
-	// proportionally cheaper than the same count on a large one. This is the
-	// counter that exposes restricted-master savings when raw pivot counts
-	// come out even.
+	// Pivot work is a model-size weight per pivot (nonzeros + rows), not a
+	// measure of work done: an iteration re-prices and solves over what
+	// changed, which the three counts after it report. The formula stays
+	// because snapshots compare it across commits, and it still exposes
+	// restricted-master savings when raw pivot counts come out even.
 	r.Add("lp.pivot_work", int64(sx.iters)*int64(sx.nnz+sx.nRow))
+	r.Add("lp.repriced_cols", int64(sx.repriced))
+	r.Add("lp.solve_reach", int64(sx.lu.visited))
+	r.Add("lp.full_solves", int64(sx.lu.fullSolves))
 	r.Add("lp.phase1_pivots", int64(sx.phase1Iters))
 	r.Add("lp.refactorizations", int64(sx.refactors))
 	r.Add("lp.degenerate_pivots", int64(sx.degenTotal))
@@ -672,9 +690,23 @@ func (sx *simplex) btran(c, out []float64) {
 // iterate runs simplex pivots with the given cost vector until optimal,
 // unbounded, or the iteration limit. phase1 permits early exit once the
 // artificial sum is (numerically) zero.
+//
+// Pricing costs what changed. The first BTRAN prices every column of the
+// entering scan; each later one re-prices the columns with an entry in a row
+// whose y differs from the remembered one, by the same dot product, so every
+// dj is the float a full pass would compute from the current y. Nothing
+// survives the call: the cost vector and the pinned set change between
+// phases.
 func (sx *simplex) iterate(cost []float64, phase1 bool) (Status, error) {
 	cb := sx.cb
 	d := sx.d // entering column in basis coordinates
+	// Phase 2 leaves the artificial range out of the scan: phases pins every
+	// artificial at zero before it starts, so none could enter.
+	scan := sx.nStr + sx.nRow
+	if phase1 {
+		scan = sx.nTot
+	}
+	priced := false
 	for {
 		if sx.iters >= sx.opt.MaxIter {
 			return StatusIterLimit, nil
@@ -688,12 +720,24 @@ func (sx *simplex) iterate(cost []float64, phase1 bool) (Status, error) {
 			cb[pos] = cost[j]
 		}
 		sx.btran(cb, sx.y)
+		if priced {
+			sx.repriceMoved(cost, phase1)
+		} else {
+			for j := 0; j < scan; j++ {
+				sx.reprice(cost, j)
+			}
+			copy(sx.yRef, sx.y)
+			priced = true
+		}
 
 		useBland := sx.degenerate > 3*(sx.nRow+10)
 		if useBland && sx.health != nil {
 			sx.healthNoteCycling(phase1)
 		}
-		enter, dir := sx.price(cost, sx.y, useBland, phase1)
+		enter, dir := sx.pickEntering(scan, useBland)
+		if sx.afterPricing != nil {
+			sx.afterPricing(cost, phase1, enter, dir)
+		}
 		if enter < 0 {
 			return StatusOptimal, nil
 		}
@@ -732,82 +776,80 @@ func (sx *simplex) iterate(cost []float64, phase1 bool) (Status, error) {
 	}
 }
 
-// price selects an entering variable and its direction (+1 increase from
-// lower bound / free, −1 decrease from upper bound). Dantzig rule by
-// default; Bland's rule (lowest index) when anti-cycling is engaged.
-//
-// The scan runs in variable order over three ranges that differ only in how
-// the reduced cost d_j = c_j − y·a_j is formed: structural columns take the
-// sparse dot product, a slack's column is the unit column of its row, and an
-// artificial's is ± that. Phase 2 skips the artificial range: phases pins
-// every artificial at zero before it starts, so none could enter.
-func (sx *simplex) price(cost, y []float64, bland, phase1 bool) (int, float64) {
-	best, bestScore, bestDir := -1, 0.0, 1.0
-	tol := sx.opt.OptTol
-	nStr, nRow := sx.nStr, sx.nRow
-	for j := 0; j < nStr; j++ {
-		st := sx.status[j]
-		if st == basic {
+// reprice recomputes column j's reduced cost d_j = c_j − y·a_j against sx.y
+// and its entering score. One dot product serves all three column ranges: a
+// slack's column is the unit column of its row, an artificial's ± that or,
+// never installed, empty.
+func (sx *simplex) reprice(cost []float64, j int) {
+	dj := cost[j]
+	c := &sx.cols[j]
+	for i, r := range c.rows {
+		dj -= sx.y[r] * c.vals[i]
+	}
+	sx.dj[j] = dj
+	sx.rescore(j)
+	sx.repriced++
+}
+
+// rescore sets score[j] from dj[j] and j's status: zero for a basic column
+// and for a pinned one (lb == ub: fixed variables, EQ slacks, retired
+// artificials), which cannot enter.
+func (sx *simplex) rescore(j int) {
+	st := sx.status[j]
+	if st == basic || (sx.lb[j] == sx.ub[j] && st != atFree) {
+		sx.score[j] = 0
+		return
+	}
+	sx.score[j], _ = enteringScore(st, sx.dj[j], sx.opt.OptTol)
+}
+
+// repriceMoved brings the cache up to sx.y: every column with an entry in a
+// row whose y differs from yRef's is re-priced, once, along with that row's
+// slack and, in phase 1, its artificial. A NaN differs from itself, so the
+// columns it touches are re-priced to NaN on every pivot, as a full pass
+// would have them.
+func (sx *simplex) repriceMoved(cost []float64, phase1 bool) {
+	sx.colEpoch++
+	if sx.colEpoch == math.MaxInt32 {
+		clear(sx.colStamp)
+		sx.colEpoch = 1
+	}
+	for i, yi := range sx.y {
+		if yi == sx.yRef[i] {
 			continue
 		}
-		// Skip pinned variables (lb == ub).
-		if sx.lb[j] == sx.ub[j] && st != atFree {
-			continue
-		}
-		dj := cost[j]
-		c := &sx.cols[j]
-		for i, r := range c.rows {
-			dj -= y[r] * c.vals[i]
-		}
-		if score, dir := enteringScore(st, dj, tol); score > bestScore {
-			if bland {
-				return j, dir
+		sx.yRef[i] = yi
+		for _, t := range sx.m.rows[i].terms {
+			if j := int(t.Var); sx.colStamp[j] != sx.colEpoch {
+				sx.colStamp[j] = sx.colEpoch
+				sx.reprice(cost, j)
 			}
-			best, bestScore, bestDir = j, score, dir
+		}
+		sx.reprice(cost, sx.nStr+i)
+		if phase1 {
+			sx.reprice(cost, sx.nStr+sx.nRow+i)
 		}
 	}
-	for i := 0; i < nRow; i++ {
-		j := nStr + i
-		st := sx.status[j]
-		if st == basic {
-			continue
-		}
-		if sx.lb[j] == sx.ub[j] && st != atFree {
-			continue
-		}
-		if score, dir := enteringScore(st, cost[j]-y[i], tol); score > bestScore {
+}
+
+// pickEntering selects the entering variable among the first scan columns and
+// its direction (+1 increase from lower bound / free, −1 decrease from upper
+// bound): the first largest score — Dantzig's rule, ties to the lowest index
+// — or, when anti-cycling is engaged, Bland's first positive one.
+func (sx *simplex) pickEntering(scan int, bland bool) (int, float64) {
+	best, bestScore := -1, 0.0
+	for j, s := range sx.score[:scan] {
+		if s > bestScore {
+			best, bestScore = j, s
 			if bland {
-				return j, dir
+				break
 			}
-			best, bestScore, bestDir = j, score, dir
 		}
 	}
-	if !phase1 {
-		return best, bestDir
+	if best >= 0 && sx.dj[best] > 0 {
+		return best, -1
 	}
-	for i := 0; i < nRow; i++ {
-		j := nStr + nRow + i
-		st := sx.status[j]
-		if st == basic {
-			continue
-		}
-		// Skip retired artificials (never installed, or pinned).
-		if sx.lb[j] == sx.ub[j] {
-			continue
-		}
-		dj := cost[j]
-		c := &sx.cols[j]
-		for k, r := range c.rows {
-			dj -= y[r] * c.vals[k]
-		}
-		if score, dir := enteringScore(st, dj, tol); score > bestScore {
-			if bland {
-				return j, dir
-			}
-			best, bestScore, bestDir = j, score, dir
-		}
-	}
-	return best, bestDir
+	return best, 1
 }
 
 // enteringScore rates a nonbasic variable with status st and reduced cost dj
@@ -887,6 +929,7 @@ func (sx *simplex) pivot(enter int, dir float64, d []float64, phase1 bool) (Stat
 		} else {
 			sx.status[enter] = atLower
 		}
+		sx.rescore(enter)
 		sx.degenerate = 0
 		return statusContinue, nil
 	}
@@ -923,6 +966,8 @@ func (sx *simplex) pivot(enter int, dir float64, d []float64, phase1 bool) (Stat
 	sx.basisOf[leave] = enter
 	sx.posOf[enter] = leave
 	sx.status[enter] = basic
+	sx.rescore(jout)
+	sx.rescore(enter)
 
 	// Record the eta for the new basis: the nonzeros of d other than the
 	// pivot entry, appended to the arena.

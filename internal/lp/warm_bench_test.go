@@ -65,3 +65,50 @@ func BenchmarkSolveWarmVsCold(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkSimplexKernel times phase-2 pivots on the model and from the
+// start TestPivotLoopAllocatesNothing uses, one Options.Refactor block and a
+// refactorisation per iteration, and reports what one pivot costs beside
+// what it touched: the columns re-priced and the pivot steps its two
+// triangular solves visited.
+func BenchmarkSimplexKernel(b *testing.B) {
+	m := benchWarmModel(900, 450, 7)
+	start := func() *simplex {
+		sx, err := newSimplex(m, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sx.opt.MaxIter = 0
+		if sol, err := sx.solveWarm(SlackBasis(m)); err != nil || sol.Status != StatusIterLimit || !sol.Warm.Phase1Skipped {
+			b.Fatalf("set-up solve: %+v, %v", sol, err)
+		}
+		return sx
+	}
+	sx := start()
+	pivots, repriced, visited := 0, 0, 0
+	tally := func() {
+		pivots += sx.iters
+		repriced += sx.repriced
+		visited += sx.lu.visited
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sx.opt.MaxIter = sx.iters + sx.opt.Refactor
+		st, err := sx.iterate(sx.cost, false)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if st == StatusOptimal { // start over, off the clock
+			b.StopTimer()
+			tally()
+			sx = start()
+			b.StartTimer()
+		} else if err := sx.refactorize(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	tally()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(pivots), "ns/pivot")
+	b.ReportMetric(float64(repriced)/float64(pivots), "repriced-cols/pivot")
+	b.ReportMetric(float64(visited)/float64(2*pivots), "reach/solve")
+}

@@ -157,21 +157,42 @@ func TestResetModelMatchesFresh(t *testing.T) {
 	}
 }
 
-// A simplex that has solved other models solves the next one exactly as a
-// fresh simplex does, and what it returned earlier is not touched by what
-// it solves later.
-func TestReusedSimplexMatchesFresh(t *testing.T) {
-	seeds := workspaceSeeds()
-	models := make([]*Model, len(seeds))
-	for i, seed := range seeds {
-		models[i] = NewModel("m")
-		buildRandomInto(models[i], seed)
+// workspaceModels builds the workspaceSeeds models with a model ten times
+// their size after every twelfth, so that a workspace also goes from large
+// to small and back with nothing of the same size in between: what a solve
+// leaves in the pricing cache, the stamp arrays and the factors' work counts
+// and bypass state must not reach the next one.
+func workspaceModels() []*Model {
+	var models []*Model
+	for i, seed := range workspaceSeeds() {
+		m := NewModel("m")
+		buildRandomInto(m, seed)
+		models = append(models, m)
+		if i%12 == 5 {
+			models = append(models, benchWarmModel(300, 150, seed))
+		}
 	}
-	solve := func(sx *simplex, i int) *Solution {
+	return models
+}
+
+// solveCounts is what a solve reports to its recorder, the deterministic
+// kernel work counts among it.
+type solveCounts struct {
+	Sol      *Solution
+	Counters map[string]int64
+}
+
+// A simplex that has solved other models solves the next one exactly as a
+// fresh simplex does — the same solution by the same work — and what it
+// returned earlier is not touched by what it solves later.
+func TestReusedSimplexMatchesFresh(t *testing.T) {
+	models := workspaceModels()
+	solve := func(sx *simplex, i int) solveCounts {
 		m := models[i]
-		var opts *Options
+		rec := newHealthFakeRecorder()
+		opts := &Options{Recorder: rec}
 		if i%7 == 0 {
-			opts = &Options{HealthEvery: 2}
+			opts.HealthEvery = 2
 		}
 		if err := sx.init(m, opts); err != nil {
 			t.Fatal(err)
@@ -180,7 +201,7 @@ func TestReusedSimplexMatchesFresh(t *testing.T) {
 		var err error
 		switch i % 3 {
 		case 0:
-			sol, err = sx.run()
+			sol, err = sx.solve()
 		case 1:
 			sol, err = sx.solveWarm(SlackBasis(m))
 		default:
@@ -191,20 +212,28 @@ func TestReusedSimplexMatchesFresh(t *testing.T) {
 			t.Fatalf("model %d: %v", i, err)
 		}
 		sx.attachHealth(sol)
-		return sol
+		sx.flushMetrics()
+		return solveCounts{sol, rec.counters}
 	}
 	reused := new(simplex)
-	got := make([]*Solution, len(models))
+	got := make([]solveCounts, len(models))
 	for i := range models {
 		got[i] = solve(reused, i)
 	}
 	statuses := map[Status]int{}
+	reach, full := int64(0), int64(0)
 	for i := range models {
 		want := solve(new(simplex), i)
 		if !reflect.DeepEqual(got[i], want) {
-			t.Fatalf("model %d: the reused simplex returned %+v, a fresh one %+v", i, got[i], want)
+			t.Fatalf("model %d: the reused simplex returned %+v by %v, a fresh one %+v by %v",
+				i, got[i].Sol, got[i].Counters, want.Sol, want.Counters)
 		}
-		statuses[want.Status]++
+		statuses[want.Sol.Status]++
+		reach += want.Counters["lp.solve_reach"]
+		full += want.Counters["lp.full_solves"]
+	}
+	if reach == 0 || full == 0 {
+		t.Fatalf("kernel work counts not reported: lp.solve_reach %d, lp.full_solves %d", reach, full)
 	}
 	if statuses[StatusOptimal] < len(models)/2 {
 		t.Fatalf("statuses %v: too few optimal solves to compare duals, certificates and bases", statuses)
@@ -215,20 +244,19 @@ func TestReusedSimplexMatchesFresh(t *testing.T) {
 // pool: repeated solves of one model agree with each other whatever was
 // solved in between.
 func TestPooledSolveMatchesFresh(t *testing.T) {
-	seeds := workspaceSeeds()
-	first := make([]*Solution, len(seeds))
+	models := workspaceModels()
+	first := make([]solveCounts, len(models))
 	for round := 0; round < 2; round++ {
-		for i, seed := range seeds {
-			m := NewModel("m")
-			buildRandomInto(m, seed)
-			sol, err := SolveWithBasis(m, SlackBasis(m), nil)
+		for i, m := range models {
+			rec := newHealthFakeRecorder()
+			sol, err := SolveWithBasis(m, SlackBasis(m), &Options{Recorder: rec})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if round == 0 {
-				first[i] = sol
-			} else if !reflect.DeepEqual(sol, first[i]) {
-				t.Fatalf("model %d: second solve %+v, first %+v", i, sol, first[i])
+			if now := (solveCounts{sol, rec.counters}); round == 0 {
+				first[i] = now
+			} else if !reflect.DeepEqual(now, first[i]) {
+				t.Fatalf("model %d: second solve %+v by %v, first %+v by %v", i, sol, rec.counters, first[i].Sol, first[i].Counters)
 			}
 		}
 	}

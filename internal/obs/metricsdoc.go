@@ -18,7 +18,10 @@ type MetricDoc struct {
 var counterHelp = map[string]string{
 	"lp.solves":                              "LP solves completed (both simplex phases count as one solve)",
 	"lp.pivots":                              "simplex pivots across all solves",
-	"lp.pivot_work":                          "pivot work units (pivots weighted by tableau row count)",
+	"lp.pivot_work":                          "pivots x (nonzeros + rows): a model-size weight per pivot, not a measure of work done",
+	"lp.repriced_cols":                       "columns whose reduced cost was recomputed (each phase's initial full pass included)",
+	"lp.solve_reach":                         "pivot steps visited by the LU triangular passes of FTRAN/BTRAN (rows of the basis for a full-length pass)",
+	"lp.full_solves":                         "LU solves in which a triangular pass ran full length instead of following its reach",
 	"lp.phase1_pivots":                       "pivots spent in simplex phase 1 (feasibility search)",
 	"lp.refactorizations":                    "basis refactorizations (eta-file resets)",
 	"lp.degenerate_pivots":                   "pivots with a zero step length",

@@ -22,6 +22,9 @@ var CoreCounters = []string{
 	"lp.solves",
 	"lp.pivots",
 	"lp.pivot_work",
+	"lp.repriced_cols",
+	"lp.solve_reach",
+	"lp.full_solves",
 	"lp.phase1_pivots",
 	"lp.refactorizations",
 	"lp.degenerate_pivots",
