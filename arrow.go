@@ -46,12 +46,11 @@ import (
 	"github.com/arrow-te/arrow/internal/noise"
 	"github.com/arrow-te/arrow/internal/obs"
 	"github.com/arrow-te/arrow/internal/optical"
-	"github.com/arrow-te/arrow/internal/par"
+	"github.com/arrow-te/arrow/internal/plan"
 	"github.com/arrow-te/arrow/internal/rwa"
 	"github.com/arrow-te/arrow/internal/scenario"
 	"github.com/arrow-te/arrow/internal/spectrum"
 	"github.com/arrow-te/arrow/internal/te"
-	"github.com/arrow-te/arrow/internal/ticket"
 )
 
 // FiberID identifies a fiber within a Network.
@@ -244,28 +243,31 @@ type PlanOptions struct {
 	TargetMass    float64
 	MaxEnumerated int
 	// NoCompose disables the compositional offline stage on the correlated
-	// path: multi-fiber cut solves are neither warm-started from nor seeded
-	// with candidates composed from the constituent single-cut solutions
-	// (arrow-plan -compose=false, the cold A/B reference). Plans are
-	// identical either way; only solver effort changes.
+	// path (arrow-plan -compose=false, the cold A/B reference): multi-fiber
+	// cut solves are neither warm-started from nor seeded with the candidate
+	// composed from the constituent single-cut solutions. The scenarios and
+	// their RWA objectives are the same either way; solver effort differs,
+	// and the ticket pools — so possibly the winning tickets — may.
 	NoCompose bool
 }
 
 // Planner holds the offline artifacts: failure scenarios, RWA solutions and
 // LotteryTickets, plus the IP-layer tunnel catalogue.
 type Planner struct {
-	net         *Network
-	scenarios   []te.RestorableScenario
-	naive       []te.RestorableScenario
-	probs       []float64
-	tunnels     int
-	set         *scenario.Set
-	rec         obs.Recorder
-	led         *ledger.Ledger
-	noWarm      bool
-	noColgen    bool
-	workers     int
-	healthEvery int
+	net       *Network
+	scenarios []te.RestorableScenario
+	naive     []te.RestorableScenario
+	tunnels   int
+	set       *scenario.Set
+	rec       obs.Recorder
+	led       *ledger.Ledger
+	// surrogatePaths, noWarm and healthEvery are the offline stage's RWA
+	// settings, kept so a reaction re-solves the request that was planned.
+	surrogatePaths int
+	noWarm         bool
+	noColgen       bool
+	workers        int
+	healthEvery    int
 	// byFailed maps failedKey(FailedLinks) to the first planned scenario
 	// failing exactly those links: OnFiberCut's lookup.
 	byFailed map[string]int
@@ -287,211 +289,41 @@ func (n *Network) Plan(opts PlanOptions) (*Planner, error) {
 // CLIs do) instruments the RWA solves, ticket generation and worker pool
 // without appearing in this package's API. A flight recorder attached via
 // ledger.WithLedger likewise captures the per-scenario decision stream
-// (tickets generated/rejected, TE solves, winners) through this planner and
-// its Solve calls. A plain context reproduces Plan exactly.
+// (tickets generated/rejected, solver health, TE solves, winners) through
+// this planner and its Solve calls. A plain context reproduces Plan exactly.
+//
+// The stage itself is internal/plan's, shared with the experiments'
+// eval.BuildPipeline; this function only maps the options onto it and indexes
+// the result for OnFiberCut.
 func (n *Network) PlanContext(ctx context.Context, opts PlanOptions) (*Planner, error) {
-	if opts.Tickets <= 0 {
-		opts.Tickets = 20
-	}
 	if opts.Cutoff <= 0 {
 		opts.Cutoff = 1e-3
-	}
-	if opts.SurrogatePaths <= 0 {
-		opts.SurrogatePaths = 3
 	}
 	if opts.TunnelsPerFlow <= 0 {
 		opts.TunnelsPerFlow = 4
 	}
-	probs := opts.FailureProbs
-	if probs == nil {
-		probs = scenario.FailureProbabilities(len(n.opt.Fibers), scenario.DefaultShape, scenario.DefaultScale, opts.Seed)
-	}
-	if len(probs) != len(n.opt.Fibers) {
-		return nil, fmt.Errorf("arrow: %d failure probabilities for %d fibers", len(probs), len(n.opt.Fibers))
-	}
-	// The correlated k-failure enumerator engages only when one of its
-	// knobs is set; the default path keeps the legacy singles+pairs
-	// enumeration and produces byte-identical plans.
-	correlated := opts.MaxCutSize > 0 || opts.UseSRLGs || opts.TargetMass > 0 || opts.MaxEnumerated > 0
-	var set *scenario.Set
-	if correlated {
-		k := opts.MaxCutSize
-		if k <= 0 {
-			k = 2
-		}
-		var groups []scenario.Group
-		if opts.UseSRLGs {
-			groups = n.srlgs
-		}
-		set = scenario.EnumerateCorrelated(probs, groups, scenario.EnumOptions{
-			K: k, Cutoff: opts.Cutoff, TargetMass: opts.TargetMass,
-			MaxEnumerated: opts.MaxEnumerated, Recorder: obs.FromContext(ctx),
-		})
-	} else {
-		set = scenario.Enumerate(probs, opts.Cutoff)
-	}
-	p := &Planner{net: n, probs: probs, tunnels: opts.TunnelsPerFlow, set: set, rec: obs.FromContext(ctx), led: ledger.FromContext(ctx), noWarm: opts.NoWarm, noColgen: opts.NoColgen, workers: opts.Parallelism, healthEvery: opts.HealthEvery}
-	p.ipAdj, p.linkFibers = ipGraph(n.opt)
-	if p.led != nil {
-		p.led.Emit(ledger.Event{Kind: ledger.KindEnumerated, Scenario: -1, Count: len(set.Scenarios)})
-	}
-
-	// The per-scenario RWA + ticket generation is embarrassingly parallel:
-	// fan out over the bounded pool into index-addressed slots (each
-	// scenario's RNG seed derives from its enumerated index si, never from
-	// the schedule), then compact in probability order. The resulting plan
-	// is byte-identical to sequential execution.
-	n.opt.Graph() // pre-build the shared memoised graph before fan-out
-	rec := p.rec
-	endPlan := obs.Span(ctx, "plan.offline")
-	defer endPlan()
-
-	// Compositional pre-stage (correlated path only): solve the single-cut
-	// RWA once per fiber that appears in any multi-fiber cut. Each solve is
-	// reused many times — as the warm-start and ticket-composition source
-	// of every multi-cut containing its fiber, and verbatim as the RWA
-	// result of the fiber's own single-cut scenario (the solver is
-	// deterministic, so the reuse changes nothing).
-	type single struct {
-		res   *rwa.Result
-		waves map[int]int // failed IP link -> naive integral wave count
-	}
-	var singles map[int]*single
-	if correlated && !opts.NoCompose {
-		fset := map[int]bool{}
-		for _, sc := range set.Scenarios {
-			if len(sc.Cut) > 1 {
-				for _, f := range sc.Cut {
-					fset[f] = true
-				}
-			}
-		}
-		fibers := make([]int, 0, len(fset))
-		for f := range fset {
-			fibers = append(fibers, f)
-		}
-		sort.Ints(fibers)
-		srcs, err := par.Map(ctx, opts.Parallelism, len(fibers), func(_ context.Context, i int) (*single, error) {
-			res, err := rwa.Solve(&rwa.Request{
-				Net: n.opt, Cut: []int{fibers[i]}, K: opts.SurrogatePaths,
-				AllowTuning: true, AllowModulationChange: true,
-				Recorder: rec, NoWarm: opts.NoWarm,
-				HealthEvery: opts.HealthEvery, ExportBasis: true,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("arrow: single cut {%d} rwa: %w", fibers[i], err)
-			}
-			s := &single{res: res, waves: map[int]int{}}
-			for li, w := range rwa.MaxIntegralWaves(res) {
-				s.waves[res.Failed[li]] = w
-			}
-			return s, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		singles = make(map[int]*single, len(fibers))
-		for i, f := range fibers {
-			singles[f] = srcs[i]
-		}
-	}
-	wavesOf := func(f int) map[int]int {
-		if s := singles[f]; s != nil {
-			return s.waves
-		}
-		return nil
-	}
-
-	type planned struct {
-		res   *rwa.Result
-		tks   []ticket.Ticket
-		seeds int
-	}
-	arts, err := par.Map(ctx, opts.Parallelism, len(set.Scenarios), func(_ context.Context, si int) (*planned, error) {
-		cut := set.Scenarios[si].Cut
-		var warm []*rwa.Result
-		var res *rwa.Result
-		if len(cut) == 1 && singles[cut[0]] != nil {
-			// The pre-stage already solved this exact request.
-			res = singles[cut[0]].res
-		} else {
-			if len(cut) > 1 {
-				for _, f := range cut {
-					if s := singles[f]; s != nil {
-						warm = append(warm, s.res)
-					}
-				}
-			}
-			var err error
-			res, err = rwa.Solve(&rwa.Request{
-				Net: n.opt, Cut: cut, K: opts.SurrogatePaths,
-				AllowTuning: true, AllowModulationChange: true,
-				Recorder: rec, NoWarm: opts.NoWarm, HealthEvery: opts.HealthEvery,
-				WarmFrom: warm,
-			})
-			if err != nil {
-				return nil, err
-			}
-		}
-		if len(res.Failed) == 0 {
-			return &planned{res: res}, nil
-		}
-		counts := rwa.MaxIntegralWaves(res)
-		naive := ticket.Ticket{Waves: counts, Gbps: make([]float64, len(counts))}
-		for i, c := range counts {
-			naive.Gbps[i] = float64(c) * res.GbpsPerWave[i]
-		}
-		tks := []ticket.Ticket{naive}
-		seen := map[string]bool{naive.Key(): true}
-		seeds := 0
-		if len(warm) > 0 {
-			// Compositional candidate: the union of the constituent single-
-			// cut restorations, restricted to the combined cut's spectrum.
-			// It rides directly behind the naive seed so the colgen master
-			// starts from the composed plan instead of pricing it in.
-			obs.Add(rec, "scenario.warm_from_singles", 1)
-			if tk, ok := ticket.Compose(res, cut, wavesOf); ok && !seen[tk.Key()] {
-				seen[tk.Key()] = true
-				tks = append(tks, tk)
-				seeds = 2
-			}
-		}
-		for _, tk := range ticket.Generate(res, ticket.Options{
-			Count: opts.Tickets - len(tks), Seed: opts.Seed + int64(si)*977,
-			CheckFeasibility: true, Dedup: true,
-			Recorder: rec,
-			Ledger:   p.led,
-			Scenario: si,
-		}) {
-			if !seen[tk.Key()] {
-				seen[tk.Key()] = true
-				tks = append(tks, tk)
-			}
-		}
-		return &planned{res: res, tks: tks, seeds: seeds}, nil
+	off, err := plan.Build(ctx, n.opt, opts.FailureProbs, n.srlgs, plan.Options{
+		Tickets: opts.Tickets, K: opts.SurrogatePaths, Seed: opts.Seed, Cutoff: opts.Cutoff,
+		MaxCutSize: opts.MaxCutSize, UseSRLGs: opts.UseSRLGs,
+		TargetMass: opts.TargetMass, MaxEnumerated: opts.MaxEnumerated,
+		NoCompose: opts.NoCompose, NoWarm: opts.NoWarm, HealthEvery: opts.HealthEvery,
+		Parallelism: opts.Parallelism,
 	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("arrow: %w", err)
 	}
-	p.byFailed = make(map[string]int, len(arts))
-	for si, a := range arts {
-		if len(a.res.Failed) == 0 {
-			continue
-		}
-		fs := te.FailureScenario{Prob: set.Scenarios[si].Prob, FailedLinks: a.res.Failed}
-		key := failedKey(fs.FailedLinks)
+	p := &Planner{
+		net: n, set: off.Set, scenarios: off.Scenarios, naive: off.Naive,
+		tunnels: opts.TunnelsPerFlow, surrogatePaths: opts.SurrogatePaths,
+		rec: obs.FromContext(ctx), led: ledger.FromContext(ctx),
+		noWarm: opts.NoWarm, noColgen: opts.NoColgen, workers: opts.Parallelism, healthEvery: opts.HealthEvery,
+	}
+	p.ipAdj, p.linkFibers = ipGraph(n.opt)
+	p.byFailed = make(map[string]int, len(p.scenarios))
+	for qi := range p.scenarios {
+		key := failedKey(p.scenarios[qi].FailedLinks)
 		if _, dup := p.byFailed[key]; !dup {
-			p.byFailed[key] = len(p.scenarios)
-		}
-		p.scenarios = append(p.scenarios, te.RestorableScenario{FailureScenario: fs, TicketLinks: a.res.Failed, Tickets: a.tks, Seeds: a.seeds})
-		p.naive = append(p.naive, te.RestorableScenario{FailureScenario: fs, TicketLinks: a.res.Failed, Tickets: a.tks[:1]})
-		if p.led != nil {
-			p.led.Emit(ledger.Event{
-				Kind: ledger.KindScenario, Scenario: len(p.scenarios) - 1, Enum: si,
-				Prob: fs.Prob, Links: append([]int(nil), a.res.Failed...),
-				Cut:   append([]int(nil), set.Scenarios[si].Cut...),
-				Count: len(a.tks),
-			})
+			p.byFailed[key] = qi
 		}
 	}
 	return p, nil
@@ -826,10 +658,8 @@ func (tp *TrafficPlan) restoration(fibers []FiberID) (*restoration, error) {
 	if !ok {
 		return nil, fmt.Errorf("arrow: no planned scenario for cut %v (below cutoff?)", fibers)
 	}
-	res, err := rwa.Solve(&rwa.Request{
-		Net: p.net.opt, Cut: cut, K: 3, AllowTuning: true, AllowModulationChange: true,
-		Recorder: p.rec, NoWarm: p.noWarm, HealthEvery: p.healthEvery,
-	})
+	req := plan.Request(p.net.opt, cut, p.surrogatePaths, p.noWarm, p.healthEvery, p.rec)
+	res, err := rwa.Solve(&req)
 	if err != nil {
 		return nil, err
 	}

@@ -337,17 +337,3 @@ func (ev *Evaluator) deliveredPerFlow(sc *ScenarioEval) []float64 {
 	}
 	return out
 }
-
-// BuildScenarioEvals converts probability-annotated failed-link sets plus an
-// optional per-scenario restoration plan (from te.Allocation.RestoredGbps)
-// into ScenarioEvals.
-func BuildScenarioEvals(probs []float64, failed [][]int, restored []map[int]float64) []ScenarioEval {
-	out := make([]ScenarioEval, len(failed))
-	for i := range failed {
-		out[i] = ScenarioEval{Prob: probs[i], Failed: failed[i]}
-		if restored != nil {
-			out[i].Restored = restored[i]
-		}
-	}
-	return out
-}

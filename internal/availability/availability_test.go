@@ -144,17 +144,6 @@ func TestRequiredCapacity(t *testing.T) {
 	}
 }
 
-func TestBuildScenarioEvals(t *testing.T) {
-	evs := BuildScenarioEvals(
-		[]float64{0.1, 0.2},
-		[][]int{{1}, {2, 3}},
-		[]map[int]float64{nil, {2: 50}},
-	)
-	if len(evs) != 2 || evs[1].Restored[2] != 50 || evs[0].Prob != 0.1 {
-		t.Fatalf("%+v", evs)
-	}
-}
-
 func TestPerFlowAvailability(t *testing.T) {
 	// Two flows: flow 0 rides link 0 only; flow 1 rides link 1 only.
 	n := &te.Network{

@@ -1,17 +1,10 @@
 package eval
 
 import (
-	"errors"
 	"reflect"
-	"runtime"
-	"strings"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"github.com/arrow-te/arrow/internal/obs"
-	"github.com/arrow-te/arrow/internal/rwa"
-	"github.com/arrow-te/arrow/internal/scenario"
 	"github.com/arrow-te/arrow/internal/sim"
 	"github.com/arrow-te/arrow/internal/topo"
 	"github.com/arrow-te/arrow/internal/traffic"
@@ -86,49 +79,6 @@ func TestBuildPipelineDeterministicAcrossParallelism(t *testing.T) {
 	}
 	if r1, r8 := replay(1), replay(8); r1 != r8 {
 		t.Errorf("sim reports differ between Parallelism 1 and 8:\n  1: %+v\n  8: %+v", r1, r8)
-	}
-}
-
-// TestBuildPipelineErrorCancelsPool injects a failing RWA solve and checks
-// that the first error cancels the pool promptly (far fewer solves than
-// enumerated scenarios), that the reported error is the lowest-index one
-// (schedule-independent), and that no worker goroutines leak.
-func TestBuildPipelineErrorCancelsPool(t *testing.T) {
-	tp, err := topo.B4(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	probs := scenario.FailureProbabilities(len(tp.Opt.Fibers), scenario.DefaultShape, scenario.DefaultScale, 1)
-	total := len(scenario.Enumerate(probs, 0.001).Scenarios)
-
-	orig := solveRWA
-	defer func() { solveRWA = orig }()
-	var calls atomic.Int64
-	solveRWA = func(req *rwa.Request) (*rwa.Result, error) {
-		calls.Add(1)
-		return nil, errors.New("injected rwa failure")
-	}
-
-	before := runtime.NumGoroutine()
-	_, err = BuildPipeline(tp, PipelineOptions{Cutoff: 0.001, NumTickets: 4, Seed: 1, Parallelism: 8})
-	if err == nil {
-		t.Fatal("expected pipeline build to fail")
-	}
-	if !strings.Contains(err.Error(), "scenario 0") || !strings.Contains(err.Error(), "injected rwa failure") {
-		t.Fatalf("want lowest-index scenario error, got: %v", err)
-	}
-	if got := int(calls.Load()); got >= total {
-		t.Errorf("pool not cancelled: %d solves attempted out of %d scenarios", got, total)
-	}
-
-	// par.Map joins its workers before returning, so any lingering goroutine
-	// is a leak. Allow the runtime a moment to reap exiting goroutines.
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if after := runtime.NumGoroutine(); after > before {
-		t.Errorf("goroutine leak: %d before, %d after", before, after)
 	}
 }
 

@@ -9,11 +9,10 @@ import (
 	"github.com/arrow-te/arrow/internal/ledger"
 	"github.com/arrow-te/arrow/internal/lp"
 	"github.com/arrow-te/arrow/internal/obs"
-	"github.com/arrow-te/arrow/internal/par"
+	"github.com/arrow-te/arrow/internal/plan"
 	"github.com/arrow-te/arrow/internal/rwa"
 	"github.com/arrow-te/arrow/internal/scenario"
 	"github.com/arrow-te/arrow/internal/te"
-	"github.com/arrow-te/arrow/internal/ticket"
 	"github.com/arrow-te/arrow/internal/topo"
 	"github.com/arrow-te/arrow/internal/traffic"
 )
@@ -79,11 +78,8 @@ type PipelineOptions struct {
 	// from materialising the full failure lattice. Implies the correlated
 	// enumerator.
 	MaxEnumerated int
-	// NoCompose disables the compositional offline stage for multi-fiber
-	// cuts: without it each multi-cut RWA solves cold from the slack basis
-	// and its ticket pool carries no composed-from-singles candidate. The
-	// switch exists for A/B comparison of pivot work; compose on/off may
-	// pick different (equally valid) tickets.
+	// NoCompose is plan.Options.NoCompose, the cold A/B reference of the
+	// compositional offline stage.
 	NoCompose bool
 	// Parallelism is the worker count for the per-scenario RWA solves and
 	// LotteryTicket generation (the offline stage is embarrassingly
@@ -141,10 +137,6 @@ type PipelineOptions struct {
 	CaptureSensitivity bool
 }
 
-// solveRWA is rwa.Solve behind a seam so tests can inject failures into
-// the parallel offline stage without constructing a pathological topology.
-var solveRWA = rwa.Solve
-
 // BuildPipeline runs the offline stage of ARROW for every scenario above
 // the cutoff: RWA (Algorithm 1 line 2) and LotteryTicket generation with
 // feasibility filtering (§3.2). The per-scenario solves fan out over
@@ -153,309 +145,38 @@ func BuildPipeline(tp *topo.Topology, opts PipelineOptions) (*Pipeline, error) {
 	return BuildPipelineContext(context.Background(), tp, opts)
 }
 
-// scenarioArtifacts is the output of the offline stage for one enumerated
-// scenario, written into an index-addressed slot by its worker.
-type scenarioArtifacts struct {
-	res     *rwa.Result
-	tickets []ticket.Ticket
-	naive   ticket.Ticket
-	// seeds is the number of leading tickets the colgen master should
-	// install up front (0 = the conventional single seed; 2 when a
-	// composed-from-singles candidate rides second).
-	seeds int
-}
-
-// singleSource is one pre-staged single-fiber-cut RWA solve, reused by the
-// compositional offline stage both as a warm-start source and as the ticket
-// composition base for every multi-fiber cut containing its fiber.
-type singleSource struct {
-	res   *rwa.Result
-	waves map[int]int // failed IP link -> naive integral wave count
-}
-
-// composedTicket adapts the pipeline's pre-staged singles map to
-// ticket.Compose, which builds the composed-from-singles restoration
-// candidate for a multi-fiber cut (see its doc for the semantics).
-func composedTicket(res *rwa.Result, cut []int, singles map[int]*singleSource) (ticket.Ticket, bool) {
-	return ticket.Compose(res, cut, func(f int) map[int]int {
-		if s := singles[f]; s != nil {
-			return s.waves
-		}
-		return nil
-	})
-}
-
-// relevant reports whether the scenario's cut fails at least one IP link
-// (cuts that touch none are irrelevant to the TE and never enter the
-// pipeline or count against the MaxScenarios budget).
-func (a *scenarioArtifacts) relevant() bool { return a.res != nil && len(a.res.Failed) > 0 }
-
 // BuildPipelineContext is BuildPipeline with cancellation: ctx aborts the
 // worker pool between scenario solves (a failing RWA solve likewise
-// cancels all outstanding work).
+// cancels all outstanding work). The stage itself is internal/plan's, shared
+// with the public arrow.Network.PlanContext; this function hands it the
+// topology's network and SRLGs, attaches the options' recorder and ledger to
+// the context it reads them from, and keeps what SolveScheme needs later.
 func BuildPipelineContext(ctx context.Context, tp *topo.Topology, opts PipelineOptions) (*Pipeline, error) {
-	if opts.NumTickets <= 0 {
-		opts.NumTickets = 20
-	}
-	if opts.K <= 0 {
-		opts.K = 3
-	}
-	ctx = obs.WithRecorder(ctx, opts.Recorder)
-	endBuild := obs.Span(ctx, "pipeline.build")
-	defer endBuild()
-
-	endEnum := obs.Span(ctx, "pipeline.enumerate")
-	endEnumStage := opts.Profiler.Stage("pipeline.enumerate")
-	probs := scenario.FailureProbabilities(len(tp.Opt.Fibers), scenario.DefaultShape, scenario.DefaultScale, opts.Seed)
-	// The correlated k-failure enumerator engages only when one of its
-	// knobs is set; the default path keeps the legacy singles+pairs
-	// enumerator and stays byte-identical to the pre-existing pipeline.
-	correlated := opts.MaxCutSize > 0 || opts.UseSRLGs || opts.TargetMass > 0 || opts.MaxEnumerated > 0
-	var set *scenario.Set
-	if correlated {
-		k := opts.MaxCutSize
-		if k <= 0 {
-			k = 2
-		}
-		var groups []scenario.Group
-		if opts.UseSRLGs {
-			for _, g := range tp.SRLGs {
-				groups = append(groups, scenario.Group{Name: g.Name, Fibers: g.Fibers, Prob: g.Prob})
-			}
-		}
-		set = scenario.EnumerateCorrelated(probs, groups, scenario.EnumOptions{
-			K: k, Cutoff: opts.Cutoff, TargetMass: opts.TargetMass,
-			MaxEnumerated: opts.MaxEnumerated, Recorder: opts.Recorder,
-		})
-	} else {
-		set = scenario.Enumerate(probs, opts.Cutoff)
-	}
-	endEnumStage()
-	endEnum()
-	obs.Add(opts.Recorder, "pipeline.scenarios_enumerated", int64(len(set.Scenarios)))
-	if opts.Ledger != nil {
-		opts.Ledger.Emit(ledger.Event{Kind: ledger.KindEnumerated, Scenario: -1, Count: len(set.Scenarios)})
+	ctx = ledger.WithLedger(obs.WithRecorder(ctx, opts.Recorder), opts.Ledger)
+	off, err := plan.Build(ctx, tp.Opt, nil, tp.SRLGs, plan.Options{
+		Tickets: opts.NumTickets, Stride: opts.Stride, K: opts.K, Seed: opts.Seed,
+		Cutoff: opts.Cutoff, MaxScenarios: opts.MaxScenarios,
+		MaxCutSize: opts.MaxCutSize, UseSRLGs: opts.UseSRLGs,
+		TargetMass: opts.TargetMass, MaxEnumerated: opts.MaxEnumerated,
+		NoCompose: opts.NoCompose, NoWarm: opts.NoWarm, HealthEvery: opts.HealthEvery,
+		Parallelism: opts.Parallelism, Profiler: opts.Profiler,
+	})
+	if err != nil {
+		return nil, err
 	}
 	p := &Pipeline{
-		Topo: tp, Set: set, baseUtilization: opts.BaseUtilization,
-		rec: opts.Recorder, led: opts.Ledger,
+		Topo: tp, Set: off.Set, Scenarios: off.Scenarios, Naive: off.Naive, RWAResults: off.RWA,
+		Plain:           make([]te.FailureScenario, len(off.Scenarios)),
+		baseUtilization: opts.BaseUtilization,
+		rec:             obs.FromContext(ctx), led: ledger.FromContext(ctx),
 		noWarm: opts.NoWarm, noColgen: opts.NoColgen, parallelism: opts.Parallelism,
 		healthEvery: opts.HealthEvery, prof: opts.Profiler,
 		captureSens: opts.CaptureSensitivity,
 	}
-
-	// Pre-build the lazily-memoised optical graph once, on this goroutine,
-	// before fanning out (the memoisation itself is also mutex-guarded; this
-	// just avoids serialising the first wave of workers on that lock).
-	endGraph := opts.Profiler.Stage("pipeline.graph")
-	tp.Opt.Graph()
-	endGraph()
-
-	// Compositional pre-stage (correlated path only): solve the single-cut
-	// RWA once per fiber that participates in any multi-fiber cut. Each
-	// solve is reused many times — as the warm-start and ticket-composition
-	// source of every multi-cut containing its fiber, and verbatim as the
-	// RWA result of the fiber's own single-cut scenario (the solver is
-	// deterministic, so the reuse changes nothing).
-	var singles map[int]*singleSource
-	if correlated && !opts.NoCompose {
-		fset := map[int]bool{}
-		for _, sc := range set.Scenarios {
-			if len(sc.Cut) > 1 {
-				for _, f := range sc.Cut {
-					fset[f] = true
-				}
-			}
-		}
-		fibers := make([]int, 0, len(fset))
-		for f := range fset {
-			fibers = append(fibers, f)
-		}
-		sort.Ints(fibers)
-		endSingles := opts.Profiler.Stage("pipeline.singles")
-		srcs, err := par.Map(ctx, opts.Parallelism, len(fibers), func(_ context.Context, i int) (*singleSource, error) {
-			res, err := solveRWA(&rwa.Request{
-				Net: tp.Opt, Cut: []int{fibers[i]}, K: opts.K,
-				AllowTuning: true, AllowModulationChange: true,
-				Recorder: opts.Recorder, NoWarm: opts.NoWarm,
-				HealthEvery: opts.HealthEvery, ExportBasis: true,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("eval: single cut {%d} rwa: %w", fibers[i], err)
-			}
-			s := &singleSource{res: res, waves: map[int]int{}}
-			for li, w := range rwa.MaxIntegralWaves(res) {
-				s.waves[res.Failed[li]] = w
-			}
-			return s, nil
-		})
-		endSingles()
-		if err != nil {
-			return nil, err
-		}
-		singles = make(map[int]*singleSource, len(fibers))
-		for i, f := range fibers {
-			singles[f] = srcs[i]
-		}
+	for i := range off.Scenarios {
+		p.Plain[i] = off.Scenarios[i].FailureScenario
 	}
-
-	// buildOne runs the offline stage for enumerated scenario si. It only
-	// reads shared state (topology, scenario set), derives its RNG from the
-	// enumerated index — opts.Seed + si*977, independent of how many
-	// scenarios before it were relevant — and returns fresh artifacts, so
-	// scenarios parallelise freely and results cannot depend on schedule.
-	buildOne := func(_ context.Context, si int) (*scenarioArtifacts, error) {
-		cut := set.Scenarios[si].Cut
-		var warm []*rwa.Result
-		var res *rwa.Result
-		if len(cut) == 1 && singles[cut[0]] != nil {
-			// The pre-stage already solved this exact request.
-			res = singles[cut[0]].res
-		} else {
-			if len(cut) > 1 {
-				for _, f := range cut {
-					if s := singles[f]; s != nil {
-						warm = append(warm, s.res)
-					}
-				}
-			}
-			endRWA := opts.Profiler.StageAgg("rwa.solve")
-			var err error
-			res, err = solveRWA(&rwa.Request{
-				Net: tp.Opt, Cut: cut, K: opts.K,
-				AllowTuning: true, AllowModulationChange: true,
-				Recorder: opts.Recorder, NoWarm: opts.NoWarm,
-				HealthEvery: opts.HealthEvery, WarmFrom: warm,
-			})
-			endRWA()
-			if err != nil {
-				return nil, fmt.Errorf("eval: scenario %d rwa: %w", si, err)
-			}
-		}
-		// Solver-health events are tagged with the ENUMERATED scenario index
-		// (like ticket events), so the stream is a schedule-independent bag
-		// at any worker count.
-		ledger.EmitSolverHealth(opts.Ledger, si, "rwa-assign", res.Health)
-		a := &scenarioArtifacts{res: res}
-		if len(res.Failed) == 0 {
-			return a, nil // cut touches no IP link: irrelevant to the TE
-		}
-		// Ticket #1 is always the RWA-derived candidate itself (Fig. 14:
-		// "when the number of LotteryTickets is one ... it represents the
-		// Arrow-Naive approach"); randomized rounding fills the rest of Z.
-		a.naive = naiveTicket(res)
-		if opts.Recorder != nil && res.Objective > 0 {
-			// Relaxation gap: how much restorable capacity the LP promises
-			// beyond what the integral (naive) assignment realises.
-			integral := 0.0
-			for _, w := range a.naive.Waves {
-				integral += float64(w)
-			}
-			if gap := (res.Objective - integral) / res.Objective; gap > 0 {
-				opts.Recorder.Observe("rwa.relaxation_gap", gap)
-			}
-		}
-		a.tickets = []ticket.Ticket{a.naive}
-		seen := map[string]bool{a.naive.Key(): true}
-		if len(warm) > 0 {
-			// Compositional candidate: the union of the constituent single-
-			// cut restorations, restricted to the combined cut's spectrum.
-			// It rides directly behind the naive seed so the colgen master
-			// starts from the composed plan instead of pricing it in.
-			obs.Add(opts.Recorder, "scenario.warm_from_singles", 1)
-			if tk, ok := composedTicket(res, cut, singles); ok && !seen[tk.Key()] {
-				seen[tk.Key()] = true
-				a.tickets = append(a.tickets, tk)
-				a.seeds = 2
-			}
-		}
-		if opts.NumTickets > len(a.tickets) {
-			endTickets := opts.Profiler.StageAgg("ticket.generate")
-			defer endTickets()
-			rolled := ticket.Generate(res, ticket.Options{
-				Count:            opts.NumTickets - len(a.tickets),
-				Stride:           opts.Stride,
-				Seed:             opts.Seed + int64(si)*977,
-				CheckFeasibility: true,
-				Dedup:            true,
-				Recorder:         opts.Recorder,
-				Ledger:           opts.Ledger,
-				Scenario:         si,
-			})
-			for _, tk := range rolled {
-				if !seen[tk.Key()] {
-					a.tickets = append(a.tickets, tk)
-				}
-			}
-		}
-		return a, nil
-	}
-
-	// Solve in probability-ordered chunks until MaxScenarios RELEVANT
-	// scenarios are collected (or the list is exhausted). Chunk boundaries
-	// only determine which extra irrelevant scenarios get solved and thrown
-	// away — the compacted pipeline is the same for every chunking and
-	// every worker count.
-	budget := opts.MaxScenarios
-	if budget <= 0 || budget > len(set.Scenarios) {
-		budget = len(set.Scenarios)
-	}
-	endOffline := obs.Span(ctx, "pipeline.offline")
-	defer endOffline()
-	defer opts.Profiler.Stage("pipeline.offline")()
-	kept := 0
-	for lo := 0; lo < len(set.Scenarios) && kept < budget; {
-		hi := lo + (budget - kept)
-		if hi > len(set.Scenarios) {
-			hi = len(set.Scenarios)
-		}
-		arts, err := par.Map(ctx, opts.Parallelism, hi-lo, func(ctx context.Context, i int) (*scenarioArtifacts, error) {
-			return buildOne(ctx, lo+i)
-		})
-		if err != nil {
-			return nil, err
-		}
-		// Compact in enumerated (probability) order.
-		for i, a := range arts {
-			if !a.relevant() || kept >= budget {
-				continue
-			}
-			kept++
-			fs := te.FailureScenario{Prob: set.Scenarios[lo+i].Prob, FailedLinks: a.res.Failed}
-			if opts.Ledger != nil {
-				opts.Ledger.Emit(ledger.Event{
-					Kind: ledger.KindScenario, Scenario: kept - 1, Enum: lo + i,
-					Prob: fs.Prob, Links: append([]int(nil), a.res.Failed...),
-					Cut:   append([]int(nil), set.Scenarios[lo+i].Cut...),
-					Count: len(a.tickets),
-				})
-			}
-			p.Scenarios = append(p.Scenarios, te.RestorableScenario{
-				FailureScenario: fs, TicketLinks: a.res.Failed, Tickets: a.tickets,
-				Seeds: a.seeds,
-			})
-			p.Naive = append(p.Naive, te.RestorableScenario{
-				FailureScenario: fs, TicketLinks: a.res.Failed, Tickets: []ticket.Ticket{a.naive},
-			})
-			p.Plain = append(p.Plain, fs)
-			p.RWAResults = append(p.RWAResults, a.res)
-		}
-		lo = hi
-	}
-	obs.Add(opts.Recorder, "pipeline.scenarios_relevant", int64(kept))
 	return p, nil
-}
-
-// naiveTicket converts the RWA's own integral assignment into the single
-// restoration candidate Arrow-Naive uses (restoration planned purely at the
-// optical layer).
-func naiveTicket(res *rwa.Result) ticket.Ticket {
-	counts := rwa.MaxIntegralWaves(res)
-	tk := ticket.Ticket{Waves: counts, Gbps: make([]float64, len(counts))}
-	for i, c := range counts {
-		tk.Gbps[i] = float64(c) * res.GbpsPerWave[i]
-	}
-	return tk
 }
 
 // Scheme identifies a TE algorithm under evaluation.

@@ -100,14 +100,11 @@
 // the tightest limit — no basis change). Ties prefer the largest pivot
 // element for stability.
 //
-// # Duals and presolve
+// # Duals
 //
 // At optimality the shadow prices y = B^-T c_B are reported per constraint
 // in the model's own sense (see Solution.Duals); complementary slackness
-// and finite-difference consistency are covered by tests. SolvePresolved
-// wraps Solve with standard reductions — fixed variables, singleton rows,
-// empty rows and unconstrained columns — iterated to a fixpoint, with
-// infeasibility/unboundedness sometimes decided without a simplex call.
+// and finite-difference consistency are covered by tests.
 //
 // # Validation
 //

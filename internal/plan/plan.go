@@ -1,0 +1,388 @@
+// Package plan is ARROW's offline stage (§3.2, Algorithm 1 of the paper):
+// enumerate the probable fiber-cut scenarios, solve the relaxed RWA for each,
+// and derive its LotteryTickets by randomized rounding. It is the one
+// implementation behind both entry points — arrow.Network.PlanContext (the
+// public API) and eval.BuildPipelineContext (the experiments) — so the two
+// plan the same scenarios, ticket for ticket, by construction
+// (TestOfflineStageFingerprints in the root package pins that).
+//
+// The metrics recorder and the flight-recorder ledger ride the context
+// (obs.WithRecorder, ledger.WithLedger): the public API may not name either
+// type in a signature, and a stage that read them from two places could be
+// handed two different sinks. Options therefore carries no sink.
+package plan
+
+import (
+	"context"
+	"fmt"
+	"sort"
+
+	"github.com/arrow-te/arrow/internal/ledger"
+	"github.com/arrow-te/arrow/internal/obs"
+	"github.com/arrow-te/arrow/internal/optical"
+	"github.com/arrow-te/arrow/internal/par"
+	"github.com/arrow-te/arrow/internal/rwa"
+	"github.com/arrow-te/arrow/internal/scenario"
+	"github.com/arrow-te/arrow/internal/te"
+	"github.com/arrow-te/arrow/internal/ticket"
+)
+
+// Options configures one run of the offline stage. The fields restate what
+// arrow.PlanOptions and eval.PipelineOptions expose; their doc comments are
+// the reference for each knob's meaning.
+type Options struct {
+	Tickets int     // |Z| per scenario, the naive ticket included (default 20)
+	Stride  int     // rounding stride delta (0 = ticket's default)
+	K       int     // surrogate fiber paths per failed link (0 = rwa's default, 3)
+	Seed    int64   // failure-model draw (when failProbs is nil) and ticket rounding
+	Cutoff  float64 // scenario probability cutoff
+	// MaxScenarios caps the RELEVANT scenarios (cuts that fail at least one IP
+	// link) kept from the probability-sorted list; 0 keeps every one.
+	MaxScenarios int
+	// MaxCutSize, UseSRLGs, TargetMass and MaxEnumerated select the correlated
+	// k-failure enumerator when any is set; all zero keeps the legacy
+	// singles+pairs enumeration.
+	MaxCutSize    int
+	UseSRLGs      bool
+	TargetMass    float64
+	MaxEnumerated int
+	// NoCompose turns the compositional pre-stage off (correlated path only):
+	// every multi-fiber cut's RWA then solves cold from the slack basis, and
+	// its ticket pool has no composed-from-singles candidate (Seeds stays 0
+	// and rounding draws one more ticket in its place). The scenario space
+	// and every RWA objective are the same either way; the ticket pools, and
+	// with them the winning tickets, may differ. What the tests pin is less
+	// than identity: composition spends fewer simplex pivots over the same
+	// enumerated scenarios (eval's TestComposeReducesPivotWork), and on the
+	// square test WAN the exported plan happens to be byte-identical with
+	// and without it (the root package's TestPlanCorrelated).
+	NoCompose bool
+	// NoWarm and HealthEvery are forwarded into every RWA request.
+	NoWarm      bool
+	HealthEvery int
+	Parallelism int // workers of the per-scenario fan-out (0 = NumCPU)
+	// Profiler attributes the build to stages: pipeline.enumerate,
+	// pipeline.graph, pipeline.singles and pipeline.offline by wall time,
+	// rwa.solve and ticket.generate summed across workers. Nil-safe.
+	Profiler *obs.StageProfiler
+}
+
+// Offline is what the stage produces. Scenarios, Naive and RWA are aligned:
+// entry i is the i-th relevant scenario in enumeration (probability) order.
+type Offline struct {
+	Set *scenario.Set
+	// Scenarios carries the full ticket set Z^q per scenario; Tickets[0] is
+	// always the RWA's own integral assignment.
+	Scenarios []te.RestorableScenario
+	// Naive is Scenarios with that first ticket alone (Arrow-Naive). The
+	// ticket slices alias Scenarios' and are capped at one element.
+	Naive []te.RestorableScenario
+	// RWA holds each kept scenario's relaxed RWA solution.
+	RWA []*rwa.Result
+}
+
+// Request is the restoration RWA request of this code base: k surrogate
+// paths per failed link, transponder retuning and modulation fallback
+// allowed. The offline stage builds every one of its requests here and so
+// does the reaction to a cut (TrafficPlan.OnFiberCut), with the planner's
+// own k and solver switches, so what a reaction re-solves is what was
+// planned. ExportBasis and WarmFrom are left for the call sites that need
+// them.
+func Request(net *optical.Network, cut []int, k int, noWarm bool, healthEvery int, rec obs.Recorder) rwa.Request {
+	return rwa.Request{
+		Net: net, Cut: cut, K: k,
+		AllowTuning: true, AllowModulationChange: true,
+		Recorder: rec, NoWarm: noWarm, HealthEvery: healthEvery,
+	}
+}
+
+// solveRWA is rwa.Solve behind a seam so tests can inject failures into the
+// parallel stage without constructing a pathological topology.
+var solveRWA = rwa.Solve
+
+// stage is the read-only state the per-scenario workers share.
+type stage struct {
+	net  *optical.Network
+	set  *scenario.Set
+	opts Options
+	rec  obs.Recorder
+	led  *ledger.Ledger
+	// singles holds the pre-staged single-fiber-cut RWA solve of every fiber
+	// in a multi-fiber cut, and waves its naive integral wave count per
+	// failed IP link: the warm-start source and the ticket-composition base
+	// of every multi-fiber cut containing the fiber.
+	singles map[int]*rwa.Result
+	waves   map[int]map[int]int
+}
+
+// artifacts is the stage's output for one enumerated scenario, written into
+// an index-addressed slot by its worker.
+type artifacts struct {
+	res     *rwa.Result
+	tickets []ticket.Ticket
+	// seeds is the number of leading tickets the colgen master should install
+	// up front (0 = the conventional single seed; 2 when a composed-from-
+	// singles candidate rides second).
+	seeds int
+}
+
+// Build runs the offline stage on net. failProbs gives each fiber's failure
+// probability (nil draws them from the paper's Weibull model with
+// opts.Seed); groups are the shared-risk link groups, read only when
+// opts.UseSRLGs is set. Cancelling ctx aborts the worker pool between
+// scenario solves, and a failing RWA solve cancels all outstanding work and
+// is reported with its enumerated scenario index. The result is identical at
+// every opts.Parallelism.
+func Build(ctx context.Context, net *optical.Network, failProbs []float64, groups []scenario.Group, opts Options) (*Offline, error) {
+	if opts.Tickets <= 0 {
+		opts.Tickets = 20
+	}
+	if failProbs != nil && len(failProbs) != len(net.Fibers) {
+		return nil, fmt.Errorf("plan: %d failure probabilities for %d fibers", len(failProbs), len(net.Fibers))
+	}
+	s := &stage{net: net, opts: opts, rec: obs.FromContext(ctx), led: ledger.FromContext(ctx)}
+	defer obs.Span(ctx, "pipeline.build")()
+
+	endEnum := obs.Span(ctx, "pipeline.enumerate")
+	endEnumStage := opts.Profiler.Stage("pipeline.enumerate")
+	if failProbs == nil {
+		failProbs = scenario.FailureProbabilities(len(net.Fibers), scenario.DefaultShape, scenario.DefaultScale, opts.Seed)
+	}
+	// The correlated k-failure enumerator engages only when one of its knobs
+	// is set; the default path keeps the legacy singles+pairs enumeration
+	// and byte-identical plans.
+	correlated := opts.MaxCutSize > 0 || opts.UseSRLGs || opts.TargetMass > 0 || opts.MaxEnumerated > 0
+	if correlated {
+		k := opts.MaxCutSize
+		if k <= 0 {
+			k = 2
+		}
+		if !opts.UseSRLGs {
+			groups = nil
+		}
+		s.set = scenario.EnumerateCorrelated(failProbs, groups, scenario.EnumOptions{
+			K: k, Cutoff: opts.Cutoff, TargetMass: opts.TargetMass,
+			MaxEnumerated: opts.MaxEnumerated, Recorder: s.rec,
+		})
+	} else {
+		s.set = scenario.Enumerate(failProbs, opts.Cutoff)
+	}
+	endEnumStage()
+	endEnum()
+	enumerated := len(s.set.Scenarios)
+	obs.Add(s.rec, "pipeline.scenarios_enumerated", int64(enumerated))
+	if s.led != nil {
+		s.led.Emit(ledger.Event{Kind: ledger.KindEnumerated, Scenario: -1, Count: enumerated})
+	}
+
+	// Pre-build the lazily-memoised optical graph once, on this goroutine,
+	// before fanning out (the memoisation itself is also mutex-guarded; this
+	// just avoids serialising the first wave of workers on that lock).
+	endGraph := opts.Profiler.Stage("pipeline.graph")
+	net.Graph()
+	endGraph()
+
+	if correlated && !opts.NoCompose {
+		if err := s.solveSingles(ctx); err != nil {
+			return nil, err
+		}
+	}
+
+	// Solve in probability-ordered chunks until MaxScenarios RELEVANT
+	// scenarios are collected (or the list is exhausted). Chunk boundaries
+	// only determine which extra irrelevant scenarios get solved and thrown
+	// away — the compacted result is the same for every chunking and every
+	// worker count.
+	budget := opts.MaxScenarios
+	if budget <= 0 || budget > enumerated {
+		budget = enumerated
+	}
+	defer obs.Span(ctx, "pipeline.offline")()
+	defer opts.Profiler.Stage("pipeline.offline")()
+	off := &Offline{
+		Set:       s.set,
+		Scenarios: make([]te.RestorableScenario, 0, budget),
+		Naive:     make([]te.RestorableScenario, 0, budget),
+		RWA:       make([]*rwa.Result, 0, budget),
+	}
+	for lo := 0; lo < enumerated && len(off.Scenarios) < budget; {
+		hi := min(lo+budget-len(off.Scenarios), enumerated)
+		arts, err := par.Map(ctx, opts.Parallelism, hi-lo, func(_ context.Context, i int) (artifacts, error) {
+			return s.scenario(lo + i)
+		})
+		if err != nil {
+			return nil, err
+		}
+		// Compact in enumerated (probability) order. A cut that touches no IP
+		// link is irrelevant to the TE: it never enters the result or counts
+		// against the budget.
+		for i, a := range arts {
+			if len(a.res.Failed) == 0 || len(off.Scenarios) >= budget {
+				continue
+			}
+			sc := s.set.Scenarios[lo+i]
+			fs := te.FailureScenario{Prob: sc.Prob, FailedLinks: a.res.Failed}
+			if s.led != nil {
+				s.led.Emit(ledger.Event{
+					Kind: ledger.KindScenario, Scenario: len(off.Scenarios), Enum: lo + i,
+					Prob: fs.Prob, Links: append([]int(nil), a.res.Failed...),
+					Cut:   append([]int(nil), sc.Cut...),
+					Count: len(a.tickets),
+				})
+			}
+			off.Scenarios = append(off.Scenarios, te.RestorableScenario{
+				FailureScenario: fs, TicketLinks: a.res.Failed, Tickets: a.tickets, Seeds: a.seeds,
+			})
+			off.Naive = append(off.Naive, te.RestorableScenario{
+				FailureScenario: fs, TicketLinks: a.res.Failed, Tickets: a.tickets[:1:1],
+			})
+			off.RWA = append(off.RWA, a.res)
+		}
+		lo = hi
+	}
+	obs.Add(s.rec, "pipeline.scenarios_relevant", int64(len(off.Scenarios)))
+	return off, nil
+}
+
+// request is Request with this stage's network and solver switches.
+func (s *stage) request(cut []int) rwa.Request {
+	return Request(s.net, cut, s.opts.K, s.opts.NoWarm, s.opts.HealthEvery, s.rec)
+}
+
+// solveSingles is the compositional pre-stage (correlated path only): solve
+// the single-cut RWA once per fiber that appears in any multi-fiber cut.
+// Each solve is reused many times — as the warm-start and ticket-composition
+// source of every multi-cut containing its fiber, and verbatim as the RWA
+// result of the fiber's own single-cut scenario (the solver is
+// deterministic, so the reuse changes nothing).
+func (s *stage) solveSingles(ctx context.Context) error {
+	inMulti := map[int]bool{}
+	for _, sc := range s.set.Scenarios {
+		if len(sc.Cut) > 1 {
+			for _, f := range sc.Cut {
+				inMulti[f] = true
+			}
+		}
+	}
+	fibers := make([]int, 0, len(inMulti))
+	for f := range inMulti {
+		fibers = append(fibers, f)
+	}
+	sort.Ints(fibers)
+	endSingles := s.opts.Profiler.Stage("pipeline.singles")
+	solved, err := par.Map(ctx, s.opts.Parallelism, len(fibers), func(_ context.Context, i int) (*rwa.Result, error) {
+		req := s.request([]int{fibers[i]})
+		req.ExportBasis = true
+		res, err := solveRWA(&req)
+		if err != nil {
+			return nil, fmt.Errorf("plan: single cut {%d} rwa: %w", fibers[i], err)
+		}
+		return res, nil
+	})
+	endSingles()
+	if err != nil {
+		return err
+	}
+	s.singles = make(map[int]*rwa.Result, len(fibers))
+	s.waves = make(map[int]map[int]int, len(fibers))
+	for i, f := range fibers {
+		res := solved[i]
+		s.singles[f] = res
+		s.waves[f] = map[int]int{}
+		for li, w := range rwa.MaxIntegralWaves(res) {
+			s.waves[f][res.Failed[li]] = w
+		}
+	}
+	return nil
+}
+
+// scenario runs the stage for enumerated scenario si. It only reads shared
+// state and derives its RNG from the enumerated index — Seed + si*977,
+// independent of how many scenarios before it were relevant — so scenarios
+// parallelise freely and results cannot depend on the schedule.
+func (s *stage) scenario(si int) (artifacts, error) {
+	cut := s.set.Scenarios[si].Cut
+	var warm []*rwa.Result
+	var res *rwa.Result
+	if len(cut) == 1 && s.singles[cut[0]] != nil {
+		// The pre-stage already solved this exact request.
+		res = s.singles[cut[0]]
+	} else {
+		if len(cut) > 1 {
+			for _, f := range cut {
+				if src := s.singles[f]; src != nil {
+					warm = append(warm, src)
+				}
+			}
+		}
+		req := s.request(cut)
+		req.WarmFrom = warm
+		endRWA := s.opts.Profiler.StageAgg("rwa.solve")
+		var err error
+		res, err = solveRWA(&req)
+		endRWA()
+		if err != nil {
+			return artifacts{}, fmt.Errorf("plan: scenario %d rwa: %w", si, err)
+		}
+	}
+	// Solver-health events are tagged with the ENUMERATED scenario index
+	// (like ticket events), so the stream is a schedule-independent bag at
+	// any worker count.
+	ledger.EmitSolverHealth(s.led, si, "rwa-assign", res.Health)
+	if len(res.Failed) == 0 {
+		return artifacts{res: res}, nil
+	}
+	// Ticket #1 is always the RWA-derived candidate itself (Fig. 14: "when
+	// the number of LotteryTickets is one ... it represents the Arrow-Naive
+	// approach"); randomized rounding fills the rest of Z.
+	counts := rwa.MaxIntegralWaves(res)
+	naive := ticket.Ticket{Waves: counts, Gbps: make([]float64, len(counts))}
+	integral := 0
+	for i, c := range counts {
+		naive.Gbps[i] = float64(c) * res.GbpsPerWave[i]
+		integral += c
+	}
+	if s.rec != nil && res.Objective > 0 {
+		// Relaxation gap: how much restorable capacity the LP promises beyond
+		// what the integral (naive) assignment realises.
+		if gap := (res.Objective - float64(integral)) / res.Objective; gap > 0 {
+			s.rec.Observe("rwa.relaxation_gap", gap)
+		}
+	}
+	a := artifacts{res: res, tickets: []ticket.Ticket{naive}}
+	seen := map[string]bool{naive.Key(): true}
+	if len(warm) > 0 {
+		// Compositional candidate: the union of the constituent single-cut
+		// restorations, restricted to the combined cut's spectrum. It rides
+		// directly behind the naive seed so the colgen master starts from
+		// the composed plan instead of pricing it in.
+		obs.Add(s.rec, "scenario.warm_from_singles", 1)
+		if tk, ok := ticket.Compose(res, cut, s.waves); ok && !seen[tk.Key()] {
+			seen[tk.Key()] = true
+			a.tickets = append(a.tickets, tk)
+			a.seeds = 2
+		}
+	}
+	// With nothing left to draw (Tickets: 1, or 2 behind a composed
+	// candidate) the generator is not even re-seeded.
+	if s.opts.Tickets > len(a.tickets) {
+		endTickets := s.opts.Profiler.StageAgg("ticket.generate")
+		rolled := ticket.Generate(res, ticket.Options{
+			Count:            s.opts.Tickets - len(a.tickets),
+			Stride:           s.opts.Stride,
+			Seed:             s.opts.Seed + int64(si)*977,
+			CheckFeasibility: true,
+			Dedup:            true,
+			Recorder:         s.rec,
+			Ledger:           s.led,
+			Scenario:         si,
+		})
+		endTickets()
+		for _, tk := range rolled {
+			if !seen[tk.Key()] {
+				a.tickets = append(a.tickets, tk)
+			}
+		}
+	}
+	return a, nil
+}

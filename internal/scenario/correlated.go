@@ -250,90 +250,3 @@ func EnumerateCorrelated(failProb []float64, groups []Group, opt EnumOptions) *S
 	obs.Add(opt.Recorder, "scenario.pruned", pruned)
 	return s
 }
-
-// EnumerateAllKGroups is the group-aware EnumerateAllK used by the FFC-k
-// baseline on SRLG-annotated topologies: it emits every SRLG expansion first
-// (each group's full fiber set, in group order), then every 1..k fiber
-// combination — EXCEPT combinations whose cut set is a subset of an
-// already-emitted SRLG expansion. Those interiors are not distinct physical
-// events: a conduit cut takes all member fibers down together, so the
-// group's correlated probability mass already accounts for every subset of
-// its fibers failing, and emitting them separately would double-count that
-// mass when the scenarios are weighted (and double-constrain FFC).
-func EnumerateAllKGroups(nFibers, k int, groups []Group) []Scenario {
-	var out []Scenario
-	expansions := make([]map[int]bool, 0, len(groups))
-	for _, g := range groups {
-		cut := append([]int(nil), g.Fibers...)
-		sort.Ints(cut)
-		cut = dedupSorted(cut)
-		out = append(out, Scenario{Cut: cut})
-		set := make(map[int]bool, len(cut))
-		for _, f := range cut {
-			set[f] = true
-		}
-		expansions = append(expansions, set)
-	}
-	covered := func(cut []int) bool {
-		for _, set := range expansions {
-			all := true
-			for _, f := range cut {
-				if !set[f] {
-					all = false
-					break
-				}
-			}
-			if all {
-				return true
-			}
-		}
-		return false
-	}
-	for _, sc := range EnumerateAllK(nFibers, k) {
-		if len(expansions) > 0 && covered(sc.Cut) {
-			continue
-		}
-		out = append(out, sc)
-	}
-	return out
-}
-
-func dedupSorted(xs []int) []int {
-	out := xs[:0]
-	for i, x := range xs {
-		if i == 0 || x != xs[i-1] {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
-// WeightedGroups annotates scenarios (typically from EnumerateAllKGroups)
-// with probabilities under the correlated element model: a scenario whose
-// cut set exactly matches group g's expansion carries the group-cut
-// probability healthy * odds(g); every other scenario is priced as
-// independent per-fiber failures exactly like Set.Weighted.
-func (s *Set) WeightedGroups(scs []Scenario, groups []Group) []Scenario {
-	byCut := map[string]int{}
-	for gi, g := range groups {
-		cut := append([]int(nil), g.Fibers...)
-		sort.Ints(cut)
-		byCut[fmt.Sprint(dedupSorted(cut))] = gi
-	}
-	out := make([]Scenario, len(scs))
-	for i, sc := range scs {
-		if gi, ok := byCut[fmt.Sprint(sc.Cut)]; ok {
-			p := groups[gi].Prob
-			pr := s.HealthyProb
-			if p >= 1 {
-				pr *= 1e18
-			} else {
-				pr *= p / (1 - p)
-			}
-			out[i] = Scenario{Cut: sc.Cut, Prob: pr}
-			continue
-		}
-		out[i] = s.Weighted([]Scenario{sc})[0]
-	}
-	return out
-}

@@ -231,57 +231,3 @@ func TestEnumerateCorrelatedCounters(t *testing.T) {
 		t.Fatal("recorder changed the enumeration")
 	}
 }
-
-// TestEnumerateAllKGroups: SRLG expansions come first and interior fiber
-// combinations are skipped; disjoint combinations survive.
-func TestEnumerateAllKGroups(t *testing.T) {
-	groups := []Group{{Name: "conduit", Fibers: []int{0, 1, 2}, Prob: 0.01}}
-	out := EnumerateAllKGroups(4, 2, groups)
-	if !reflect.DeepEqual(out[0].Cut, []int{0, 1, 2}) {
-		t.Fatalf("first scenario is %v, want the SRLG expansion", out[0].Cut)
-	}
-	for _, sc := range out[1:] {
-		inside := true
-		for _, f := range sc.Cut {
-			if f > 2 {
-				inside = false
-			}
-		}
-		if inside && len(sc.Cut) >= 1 && allIn(sc.Cut, 2) {
-			t.Fatalf("interior combination %v of the SRLG survived", sc.Cut)
-		}
-	}
-	// Without groups, identical to EnumerateAllK.
-	if !reflect.DeepEqual(EnumerateAllKGroups(4, 2, nil), EnumerateAllK(4, 2)) {
-		t.Fatal("no-group EnumerateAllKGroups diverged from EnumerateAllK")
-	}
-	// Count: 1 expansion + all 1..2-subsets of {0..3} minus subsets of
-	// {0,1,2} (3 singles + 3 pairs): 1 + (4+6) - 6 = 5.
-	if len(out) != 5 {
-		t.Fatalf("got %d scenarios, want 5: %v", len(out), out)
-	}
-}
-
-func allIn(cut []int, max int) bool {
-	for _, f := range cut {
-		if f > max {
-			return false
-		}
-	}
-	return true
-}
-
-// TestWeightedGroups: group expansions priced with the group odds, other
-// cuts as independent fibers.
-func TestWeightedGroups(t *testing.T) {
-	probs := []float64{0.1, 0.2, 0.05}
-	groups := []Group{{Name: "g", Fibers: []int{0, 1}, Prob: 0.01}}
-	s := EnumerateCorrelated(probs, groups, EnumOptions{K: 1, Cutoff: 0})
-	w := s.WeightedGroups([]Scenario{{Cut: []int{0, 1}}, {Cut: []int{2}}}, groups)
-	if math.Abs(w[0].Prob-s.HealthyProb*(0.01/0.99)) > 1e-15 {
-		t.Fatalf("group expansion priced %g", w[0].Prob)
-	}
-	if math.Abs(w[1].Prob-s.HealthyProb*(0.05/0.95)) > 1e-15 {
-		t.Fatalf("single priced %g", w[1].Prob)
-	}
-}

@@ -24,9 +24,7 @@
 // fibers). Distinct element subsets can induce the same cut set — an SRLG
 // expansion overlapping a member fiber's individual failure — and their
 // masses are MERGED onto one emitted scenario, so no cut set is
-// double-counted. The same rule motivates the EnumerateAllKGroups subset
-// skip: fiber combinations interior to an SRLG expansion are not distinct
-// physical events and carry no separate mass.
+// double-counted.
 //
 // Element probabilities are assumed < 0.5 (odds < 1); FailureProbabilities
 // clamps its draws to 0.1 and the named topologies' conduit probabilities
@@ -132,44 +130,4 @@ func Enumerate(failProb []float64, cutoff float64) *Set {
 		s.ResidualProb = 0
 	}
 	return s
-}
-
-// EnumerateAllK returns every scenario with exactly 1..k cut fibers,
-// ignoring probabilities (used by the FFC-k baseline, which provides
-// absolute guarantees for up to k simultaneous cuts).
-func EnumerateAllK(nFibers, k int) []Scenario {
-	var out []Scenario
-	var cur []int
-	var rec func(start, left int)
-	rec = func(start, left int) {
-		if len(cur) > 0 {
-			out = append(out, Scenario{Cut: append([]int(nil), cur...)})
-		}
-		if left == 0 {
-			return
-		}
-		for i := start; i < nFibers; i++ {
-			cur = append(cur, i)
-			rec(i+1, left-1)
-			cur = cur[:len(cur)-1]
-		}
-	}
-	rec(0, k)
-	// Deduplicate: rec emits prefixes, producing each subset exactly once.
-	return out
-}
-
-// Weighted returns scenarios annotated with probabilities from the set's
-// fail probabilities (for scenarios produced by EnumerateAllK).
-func (s *Set) Weighted(scs []Scenario) []Scenario {
-	out := make([]Scenario, len(scs))
-	for i, sc := range scs {
-		pr := s.HealthyProb
-		for _, f := range sc.Cut {
-			p := s.FailProb[f]
-			pr *= p / (1 - p)
-		}
-		out[i] = Scenario{Cut: sc.Cut, Prob: pr}
-	}
-	return out
 }

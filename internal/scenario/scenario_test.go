@@ -77,41 +77,3 @@ func TestEnumerateCutoffFilters(t *testing.T) {
 		}
 	}
 }
-
-func TestEnumerateAllK(t *testing.T) {
-	one := EnumerateAllK(5, 1)
-	if len(one) != 5 {
-		t.Fatalf("k=1: %d scenarios", len(one))
-	}
-	two := EnumerateAllK(5, 2)
-	if len(two) != 5+10 {
-		t.Fatalf("k=2: %d scenarios", len(two))
-	}
-	seen := map[string]bool{}
-	for _, sc := range two {
-		key := ""
-		for _, c := range sc.Cut {
-			key += string(rune('a' + c))
-		}
-		if seen[key] {
-			t.Fatalf("duplicate scenario %v", sc.Cut)
-		}
-		seen[key] = true
-		if len(sc.Cut) == 0 || len(sc.Cut) > 2 {
-			t.Fatalf("bad size %v", sc.Cut)
-		}
-	}
-}
-
-func TestWeighted(t *testing.T) {
-	p := []float64{0.1, 0.2}
-	s := Enumerate(p, 0)
-	w := s.Weighted(EnumerateAllK(2, 2))
-	total := s.HealthyProb
-	for _, sc := range w {
-		total += sc.Prob
-	}
-	if math.Abs(total-1) > 1e-12 {
-		t.Fatalf("probabilities sum to %g", total)
-	}
-}

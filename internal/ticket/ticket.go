@@ -104,19 +104,19 @@ const (
 // Compose builds the composed-from-singles restoration candidate for a
 // multi-fiber cut: each failed link's target wave count comes from the
 // first constituent single-cut solve (in cut order) that failed it —
-// wavesOf(f) returns fiber f's pre-staged failed-link -> integral-wave map,
-// or nil when the fiber has no pre-staged solve — clamped to the link's
-// original count. The greedy integral assignment then realises the targets
+// waves[f] is fiber f's pre-staged failed-link -> integral-wave map, absent
+// when the fiber has no pre-staged solve — clamped to the link's original
+// count. The greedy integral assignment then realises the targets
 // under the combined cut's spectrum contention, and the REALISED counts
 // (not the targets) become the ticket, so the composed candidate is always
 // physically feasible; links whose single-cut restoration paths died with
 // the other fibers simply realise less. ok is false when nothing at all
 // could be restored.
-func Compose(res *rwa.Result, cut []int, wavesOf func(fiber int) map[int]int) (Ticket, bool) {
+func Compose(res *rwa.Result, cut []int, waves map[int]map[int]int) (Ticket, bool) {
 	target := make([]int, len(res.Failed))
 	for i, lid := range res.Failed {
 		for _, f := range cut {
-			ws := wavesOf(f)
+			ws := waves[f]
 			if ws == nil {
 				continue
 			}

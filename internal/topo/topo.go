@@ -14,20 +14,14 @@ import (
 
 	"github.com/arrow-te/arrow/internal/graph"
 	"github.com/arrow-te/arrow/internal/optical"
+	"github.com/arrow-te/arrow/internal/scenario"
 	"github.com/arrow-te/arrow/internal/spectrum"
 	"github.com/arrow-te/arrow/internal/te"
 )
 
-// SRLG is one shared-risk link group: a set of fibers that share a physical
-// conduit (or WDM shelf) and fail together when it is cut, with probability
-// Prob per epoch — an independent correlated-failure event on top of the
-// member fibers' individual Weibull marginals (see internal/scenario's
-// package comment for the probability model).
-type SRLG struct {
-	Name   string
-	Fibers []int
-	Prob   float64
-}
+// SRLG is one shared-risk link group, in the scenario enumerator's own type
+// so a topology's groups feed it without conversion.
+type SRLG = scenario.Group
 
 // Topology is one evaluation network: an optical layer with provisioned IP
 // links, plus the router-site view used by the TE.
