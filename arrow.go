@@ -34,11 +34,10 @@ package arrow
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
-	"strconv"
 
 	"github.com/arrow-te/arrow/internal/availability"
 	"github.com/arrow-te/arrow/internal/ledger"
@@ -226,9 +225,9 @@ type PlanOptions struct {
 	// exists for A/B comparison of solver effort.
 	NoColgen bool
 	// HealthEvery probes the numerical health of every LP solve this
-	// planner issues (offline RWA, TE phases, reaction re-solves) at this
-	// pivot period; see lp.Options.HealthEvery. 0 disables probing; probes
-	// never change results (arrow-plan -health-every).
+	// planner issues (offline RWA, TE phases) at this pivot period; see
+	// lp.Options.HealthEvery. 0 disables probing; probes never change
+	// results (arrow-plan -health-every).
 	HealthEvery int
 	// MaxCutSize, UseSRLGs, TargetMass and MaxEnumerated opt the planner
 	// into the correlated k-failure enumerator: cut sets of up to MaxCutSize
@@ -261,16 +260,19 @@ type Planner struct {
 	set       *scenario.Set
 	rec       obs.Recorder
 	led       *ledger.Ledger
-	// surrogatePaths, noWarm and healthEvery are the offline stage's RWA
-	// settings, kept so a reaction re-solves the request that was planned.
-	surrogatePaths int
-	noWarm         bool
-	noColgen       bool
-	workers        int
-	healthEvery    int
-	// byFailed maps failedKey(FailedLinks) to the first planned scenario
-	// failing exactly those links: OnFiberCut's lookup.
-	byFailed map[string]int
+	// noWarm, noColgen, workers and healthEvery are the TE solves' settings.
+	noWarm      bool
+	noColgen    bool
+	workers     int
+	healthEvery int
+	// rwa and cuts are aligned with scenarios: each planned scenario's
+	// relaxed RWA result and its cut fibers (ascending, distinct). A reaction
+	// reads its ROADM plan off the one and finds its scenario by the other,
+	// through byCut: the scenario indices in ascending order of their cuts.
+	// All three are read-only once planned.
+	rwa   []*rwa.Result
+	cuts  [][]int
+	byCut []int
 	// ipAdj is the IP-layer adjacency by site and linkFibers the distinct
 	// fibers under each IP link: tunnel selection's graph, built when the
 	// planner is planned and read-only afterwards.
@@ -294,7 +296,7 @@ func (n *Network) Plan(opts PlanOptions) (*Planner, error) {
 //
 // The stage itself is internal/plan's, shared with the experiments'
 // eval.BuildPipeline; this function only maps the options onto it and indexes
-// the result for OnFiberCut.
+// the result by cut for OnFiberCut.
 func (n *Network) PlanContext(ctx context.Context, opts PlanOptions) (*Planner, error) {
 	if opts.Cutoff <= 0 {
 		opts.Cutoff = 1e-3
@@ -314,19 +316,33 @@ func (n *Network) PlanContext(ctx context.Context, opts PlanOptions) (*Planner, 
 	}
 	p := &Planner{
 		net: n, set: off.Set, scenarios: off.Scenarios, naive: off.Naive,
-		tunnels: opts.TunnelsPerFlow, surrogatePaths: opts.SurrogatePaths,
-		rec: obs.FromContext(ctx), led: ledger.FromContext(ctx),
+		tunnels: opts.TunnelsPerFlow, rec: obs.FromContext(ctx), led: ledger.FromContext(ctx),
 		noWarm: opts.NoWarm, noColgen: opts.NoColgen, workers: opts.Parallelism, healthEvery: opts.HealthEvery,
+		rwa: off.RWA, cuts: off.Cuts, byCut: make([]int, len(off.Cuts)),
 	}
 	p.ipAdj, p.linkFibers = ipGraph(n.opt)
-	p.byFailed = make(map[string]int, len(p.scenarios))
-	for qi := range p.scenarios {
-		key := failedKey(p.scenarios[qi].FailedLinks)
-		if _, dup := p.byFailed[key]; !dup {
-			p.byFailed[key] = qi
-		}
+	for qi := range p.byCut {
+		p.byCut[qi] = qi
 	}
+	// Planned cuts are distinct, so the order is total.
+	slices.SortFunc(p.byCut, func(a, b int) int { return slices.Compare(p.cuts[a], p.cuts[b]) })
 	return p, nil
+}
+
+// scenarioOf returns the planned scenario that cuts exactly these fibers,
+// given in any order and with any repeats.
+func (p *Planner) scenarioOf(fibers []FiberID) (int, bool) {
+	cut := make([]int, len(fibers))
+	for i, f := range fibers {
+		cut[i] = int(f)
+	}
+	slices.Sort(cut)
+	cut = slices.Compact(cut)
+	i, ok := slices.BinarySearchFunc(p.byCut, cut, func(qi int, cut []int) int { return slices.Compare(p.cuts[qi], cut) })
+	if !ok {
+		return 0, false
+	}
+	return p.byCut[i], true
 }
 
 // NumScenarios returns the number of planned failure scenarios.
@@ -599,97 +615,63 @@ type Reaction struct {
 	ReusedPorts int
 }
 
+// ErrUnplannedCut is the error OnFiberCut and ROADMConfig wrap when no
+// planned scenario cuts exactly the given fibers.
+var ErrUnplannedCut = errors.New("arrow: unplanned cut")
+
 // OnFiberCut looks up the proactive restoration plan for the scenario that
-// cuts exactly the given fibers. The scenario must have been planned (it is
-// an error to ask about a cut below the planning cutoff).
+// cuts exactly the given fibers (in any order). The scenario must have been
+// planned: a cut below the planning cutoff, or one that fails no IP link,
+// returns an error wrapping ErrUnplannedCut — even when the links it fails
+// are exactly those of some planned scenario, because a different fiber set
+// leaves different spectrum to restore on.
 func (tp *TrafficPlan) OnFiberCut(fibers ...FiberID) (*Reaction, error) {
-	rs, err := tp.restoration(fibers)
+	qi, roadm, err := tp.restoration(fibers)
 	if err != nil {
 		return nil, err
 	}
-	re := &Reaction{RestoredGbps: map[LinkID]float64{}}
-	for _, l := range rs.failed {
-		re.Failed = append(re.Failed, LinkID(l))
+	return tp.reaction(qi, roadm), nil
+}
+
+// reaction reports scenario qi's ROADM plan with the links the scenario fails
+// and the capacities its winning ticket restores.
+func (tp *TrafficPlan) reaction(qi int, roadm *noise.Plan) *Reaction {
+	failed := tp.planner.rwa[qi].Failed // never empty on a planned scenario
+	re := &Reaction{
+		Failed: make([]LinkID, len(failed)), RestoredGbps: make(map[LinkID]float64, len(failed)),
+		AddDropROADMs:      noise.DistinctROADMs(roadm.AddDropOps),
+		IntermediateROADMs: noise.DistinctROADMs(roadm.IntermediateOps),
+		Retunes:            roadm.Retunes, ReusedPorts: roadm.ReusedPorts,
+	}
+	for i, l := range failed {
+		re.Failed[i] = LinkID(l)
 	}
 	if tp.alloc.RestoredGbps != nil {
-		for l, g := range tp.alloc.RestoredGbps[rs.scenario] {
+		for l, g := range tp.alloc.RestoredGbps[qi] {
 			re.RestoredGbps[LinkID(l)] = g
 		}
 	}
-	seenAD := map[optical.ROADM]bool{}
-	for _, op := range rs.plan.AddDropOps {
-		if !seenAD[op.ROADM] {
-			seenAD[op.ROADM] = true
-			re.AddDropROADMs = append(re.AddDropROADMs, int(op.ROADM))
-		}
-	}
-	seenI := map[optical.ROADM]bool{}
-	for _, op := range rs.plan.IntermediateOps {
-		if !seenI[op.ROADM] {
-			seenI[op.ROADM] = true
-			re.IntermediateROADMs = append(re.IntermediateROADMs, int(op.ROADM))
-		}
-	}
-	re.Retunes = rs.plan.Retunes
-	re.ReusedPorts = rs.plan.ReusedPorts
-	return re, nil
+	return re
 }
 
-// restoration is the optical side of the planned reaction to one cut.
-type restoration struct {
-	scenario int   // index of the planned scenario the cut triggers
-	cut      []int // the cut fibers
-	failed   []int // the IP links they take down
-	plan     *noise.Plan
-}
-
-// restoration finds the planned scenario for the cut of exactly these fibers
-// and rebuilds the optical-side plan of its winning ticket, re-solving the
-// RWA under the planner's solver settings, recorder and health probes. It is
-// what OnFiberCut reports and what ROADMConfig renders.
-func (tp *TrafficPlan) restoration(fibers []FiberID) (*restoration, error) {
+// restoration finds the planned scenario qi that cuts exactly these fibers
+// and compiles its winning ticket into ROADM operations on the scenario's
+// planned RWA result, whose failed links index the ticket. It reads the
+// result's links, wave counts and surrogate path options: no path search, no
+// LP. It is what OnFiberCut reports and what ROADMConfig renders.
+func (tp *TrafficPlan) restoration(fibers []FiberID) (qi int, roadm *noise.Plan, err error) {
 	p := tp.planner
-	cut := make([]int, len(fibers))
-	for i, f := range fibers {
-		cut[i] = int(f)
-	}
-	failed := p.net.opt.FailedLinks(cut)
-	qi, ok := p.byFailed[failedKey(failed)]
+	qi, ok := p.scenarioOf(fibers)
 	if !ok {
-		return nil, fmt.Errorf("arrow: no planned scenario for cut %v (below cutoff?)", fibers)
+		return 0, nil, fmt.Errorf("%w %v (below the planning cutoff?)", ErrUnplannedCut, fibers)
 	}
-	req := plan.Request(p.net.opt, cut, p.surrogatePaths, p.noWarm, p.healthEvery, p.rec)
-	res, err := rwa.Solve(&req)
-	if err != nil {
-		return nil, err
-	}
-	target := make([]int, len(res.Failed))
 	winner := 0
 	if tp.alloc.WinningTicket != nil {
 		winner = tp.alloc.WinningTicket[qi]
 	}
-	tk := p.scenarios[qi].Tickets[winner]
-	for i, l := range res.Failed {
-		for j, tl := range p.scenarios[qi].TicketLinks {
-			if tl == l {
-				target[i] = tk.Waves[j]
-			}
-		}
+	asg, ok := rwa.AssignIntegral(p.rwa[qi], p.scenarios[qi].Tickets[winner].Waves)
+	if !ok {
+		return 0, nil, fmt.Errorf("arrow: cut %v: winning ticket %d of scenario %d does not fit its planned RWA result", fibers, winner, qi)
 	}
-	asg, _ := rwa.AssignIntegral(res, target)
-	return &restoration{scenario: qi, cut: cut, failed: failed, plan: noise.BuildPlan(p.net.opt, res, asg)}, nil
-}
-
-// failedKey is the canonical key of a set of failed IP links: the sorted
-// IDs, space-separated.
-func failedKey(links []int) string {
-	if !sort.IntsAreSorted(links) {
-		links = append([]int(nil), links...)
-		sort.Ints(links)
-	}
-	b := make([]byte, 0, 4*len(links))
-	for _, l := range links {
-		b = strconv.AppendInt(append(b, ' '), int64(l), 10)
-	}
-	return string(b)
+	return qi, noise.BuildPlan(p.net.opt, p.rwa[qi], asg), nil
 }

@@ -3,7 +3,9 @@ package arrow
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -203,14 +205,27 @@ func TestOnFiberCutUnknownScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A triple cut is certainly below cutoff.
-	if _, err := plan.OnFiberCut(fibers[0], fibers[1], fibers[2]); err == nil {
-		t.Fatal("expected unknown-scenario error")
+	// A triple cut is certainly below cutoff, and fiber 99 does not exist.
+	for _, cut := range [][]FiberID{{fibers[0], fibers[1], fibers[2]}, {99}} {
+		if _, err := plan.OnFiberCut(cut...); !errors.Is(err, ErrUnplannedCut) {
+			t.Errorf("OnFiberCut%v: got %v, want ErrUnplannedCut", cut, err)
+		}
+		if _, err := plan.ROADMConfig(cut...); !errors.Is(err, ErrUnplannedCut) {
+			t.Errorf("ROADMConfig%v: got %v, want ErrUnplannedCut", cut, err)
+		}
 	}
 }
 
-// TestOnFiberCutRecordsMetrics pins that the reaction's RWA re-solve reports
-// to the recorder the planner was planned with, like every other solve.
+// reactionWork is what the reaction must not do, as the recorder counts it:
+// RWA solves, LP solves and surrogate-path searches (one observation per
+// failed link searched).
+func reactionWork(reg *obs.Registry) [3]int64 {
+	return [3]int64{reg.Counter("rwa.solves"), reg.Counter("lp.solves"), reg.Snapshot().Histograms["rwa.surrogate_paths"].Count}
+}
+
+// TestOnFiberCutRecordsMetrics pins that the reaction is a read: under the
+// recorder the planner was planned with, which does see the offline stage's
+// solves, a reaction records no RWA solve, no LP solve and no path search.
 func TestOnFiberCutRecordsMetrics(t *testing.T) {
 	net, fibers, _ := buildSquare(t)
 	reg := obs.NewRegistry()
@@ -223,15 +238,15 @@ func TestOnFiberCutRecordsMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rwaBefore, lpBefore := reg.Counter("rwa.solves"), reg.Counter("lp.solves")
+	before := reactionWork(reg)
+	if before[0] == 0 || before[1] == 0 || before[2] == 0 {
+		t.Fatalf("the recorder saw no offline work (%v): it cannot show the reaction does none", before)
+	}
 	if _, err := plan.OnFiberCut(fibers[2]); err != nil {
 		t.Fatal(err)
 	}
-	if got := reg.Counter("rwa.solves") - rwaBefore; got != 1 {
-		t.Fatalf("OnFiberCut recorded %d rwa.solves, want 1", got)
-	}
-	if reg.Counter("lp.solves") <= lpBefore {
-		t.Fatal("OnFiberCut recorded no lp.solves")
+	if got := reactionWork(reg); got != before {
+		t.Fatalf("OnFiberCut moved rwa.solves, lp.solves, rwa.surrogate_paths from %v to %v, want no change", before, got)
 	}
 }
 
@@ -501,76 +516,88 @@ func TestPlanCorrelated(t *testing.T) {
 	}
 }
 
-// refEqualIntSets is how OnFiberCut used to recognise a scenario: a scan of
-// every planned scenario with this comparison.
-func refEqualIntSets(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
+// sameFiberSet reports whether a cut and a list of fibers name the same set,
+// whatever the order and repeats.
+func sameFiberSet(cut []int, fibers []FiberID) bool {
+	set := map[int]bool{}
+	for _, f := range fibers {
+		set[int(f)] = true
 	}
-	set := make(map[int]bool, len(a))
-	for _, x := range a {
-		set[x] = true
-	}
-	for _, x := range b {
-		if !set[x] {
+	for _, f := range cut {
+		if !set[f] {
 			return false
 		}
 	}
-	return true
+	return len(set) == len(cut)
 }
 
-// The scenario index answers what the scan answered: the first planned
-// scenario failing exactly the cut's links, or none.
+// The scenario index answers what a scan of the planned cuts answers: the one
+// scenario whose cut is the fiber set, whatever order and repeats the fibers
+// come in ({b,a} and {a,a,b} are {a,b}). It finds no fiber the network lacks
+// and no cut below the cutoff, not even one that fails exactly the links of a
+// planned scenario.
 func TestScenarioIndexMatchesScan(t *testing.T) {
 	net, fibers, _ := buildSquare(t)
-	planner, err := net.Plan(PlanOptions{Tickets: 3, Cutoff: 1e-9, Seed: 1})
+	// Every single and pair of fibers 0-2 is planned (fiber 1 carries no link,
+	// so its single is not kept); fiber 3's single is below the cutoff.
+	planner, err := net.Plan(PlanOptions{Tickets: 3, Cutoff: 1e-5, Seed: 1, FailureProbs: []float64{0.01, 0.01, 0.01, 1e-7}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if planner.NumScenarios() < 5 {
-		t.Fatalf("fixture plans %d scenarios", planner.NumScenarios())
-	}
-	cuts := [][]int{{int(fibers[0]), int(fibers[1]), int(fibers[2]), int(fibers[3])}, {99}}
-	for a := range fibers {
-		cuts = append(cuts, []int{int(fibers[a])})
-		for b := range fibers {
-			cuts = append(cuts, []int{int(fibers[a]), int(fibers[b])})
+	var forms [][]FiberID
+	for _, cut := range planner.cuts {
+		fs := make([]FiberID, len(cut))
+		for i, f := range cut {
+			fs[i] = FiberID(f)
 		}
+		reversed := slices.Clone(fs)
+		slices.Reverse(reversed)
+		forms = append(forms, fs, reversed, append([]FiberID{fs[len(fs)-1]}, fs...))
 	}
-	found, shared := 0, 0
-	for _, cut := range cuts {
-		failed := net.opt.FailedLinks(cut)
-		want := -1
-		for i := range planner.scenarios {
-			if refEqualIntSets(planner.scenarios[i].FailedLinks, failed) {
-				if want < 0 {
-					want = i
-				} else {
-					shared++ // a later scenario fails the same links: the first must win
-				}
+	// {0,1,2} is not enumerated and fails what the planned {0,2} fails.
+	unplanned := [][]FiberID{{99}, {fibers[1]}, {fibers[3]}, {fibers[0], fibers[1], fibers[2]}}
+	if !slices.Equal(net.FailedLinks(unplanned[3]...), net.FailedLinks(fibers[0], fibers[2])) {
+		t.Fatal("fixture: the triple cut fails other links than the pair {0,2}")
+	}
+	shadowed := 0
+	for qi := range planner.scenarios {
+		for _, earlier := range planner.scenarios[:qi] {
+			if slices.Equal(earlier.FailedLinks, planner.scenarios[qi].FailedLinks) {
+				shadowed++
+				break
 			}
 		}
-		got, ok := planner.byFailed[failedKey(failed)]
+	}
+	if shadowed == 0 {
+		t.Fatal("fixture: no planned scenario fails the links of an earlier one")
+	}
+	for _, form := range append(forms, unplanned...) {
+		want := -1
+		for qi, cut := range planner.cuts {
+			if sameFiberSet(cut, form) {
+				if want >= 0 {
+					t.Fatalf("scenarios %d and %d both cut %v", want, qi, form)
+				}
+				want = qi
+			}
+		}
+		got, ok := planner.scenarioOf(form)
 		if !ok {
 			got = -1
 		}
 		if got != want {
-			t.Fatalf("cut %v fails %v: index says scenario %d, the scan %d", cut, failed, got, want)
-		}
-		if want >= 0 {
-			found++
+			t.Errorf("cut %v: index says scenario %d, the scan %d", form, got, want)
 		}
 	}
-	if found == 0 || shared == 0 {
-		t.Fatalf("%d cuts found a scenario, %d scenarios shared their failed links with an earlier one", found, shared)
-	}
-	if failedKey([]int{7, 2, 11}) != failedKey([]int{2, 7, 11}) || failedKey([]int{2, 7}) == failedKey([]int{27}) {
-		t.Fatal("failedKey is not canonical")
+	for _, cut := range unplanned {
+		if qi, ok := planner.scenarioOf(cut); ok {
+			t.Errorf("unplanned cut %v found as scenario %d", cut, qi)
+		}
 	}
 }
 
-// ROADMConfig reads its plan off the same re-solve as OnFiberCut: under the
-// planner's recorder, and refusing an unplanned cut in the same words.
+// ROADMConfig reads its plan the way OnFiberCut does: without a solve under
+// the planner's recorder, and refusing an unplanned cut in the same words.
 func TestROADMConfigSharesTheReactionSolve(t *testing.T) {
 	net, fibers, _ := buildSquare(t)
 	reg := obs.NewRegistry()
@@ -583,12 +610,12 @@ func TestROADMConfigSharesTheReactionSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := reg.Counter("rwa.solves")
+	before := reactionWork(reg)
 	if _, err := plan.ROADMConfig(fibers[2]); err != nil {
 		t.Fatal(err)
 	}
-	if got := reg.Counter("rwa.solves") - before; got != 1 {
-		t.Fatalf("ROADMConfig recorded %d rwa.solves, want 1", got)
+	if got := reactionWork(reg); got != before {
+		t.Fatalf("ROADMConfig moved rwa.solves, lp.solves, rwa.surrogate_paths from %v to %v, want no change", before, got)
 	}
 	_, cutErr := plan.OnFiberCut(fibers[0], fibers[1], fibers[2])
 	_, cfgErr := plan.ROADMConfig(fibers[0], fibers[1], fibers[2])

@@ -16,6 +16,7 @@ package main
 import (
 	"bufio"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -157,8 +158,11 @@ func run(topoFile, demFile, out, roadmDir string, popts arrow.PlanOptions, naive
 		written := 0
 		for f := 0; f < net.NumFibers(); f++ {
 			cfg, err := plan.ROADMConfig(arrow.FiberID(f))
-			if err != nil {
+			if errors.Is(err, arrow.ErrUnplannedCut) {
 				continue // scenario below cutoff or fails no links
+			}
+			if err != nil {
+				return err
 			}
 			path := filepath.Join(roadmDir, fmt.Sprintf("cut-fiber-%d.conf", f))
 			if err := os.WriteFile(path, []byte(cfg), 0o644); err != nil {

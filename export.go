@@ -93,14 +93,14 @@ func (tp *TrafficPlan) Export() ([]byte, error) {
 
 // ROADMConfig renders the installable ROADM reconfiguration rules for the
 // scenario that cuts exactly the given fibers (the text the paper's §3.3
-// "installs on ROADM config files").
+// "installs on ROADM config files"). Like OnFiberCut, it reads the plan and
+// refuses an unplanned cut with an error wrapping ErrUnplannedCut.
 func (tp *TrafficPlan) ROADMConfig(fibers ...FiberID) (string, error) {
-	rs, err := tp.restoration(fibers)
+	_, roadm, err := tp.restoration(fibers)
 	if err != nil {
 		return "", err
 	}
-	cfg := noise.BuildConfig(fmt.Sprintf("cut%v", rs.cut), rs.plan)
-	return cfg.Render(), nil
+	return noise.BuildConfig(fmt.Sprintf("cut%v", fibers), roadm).Render(), nil
 }
 
 // PerDemandAvailability returns each demand's individual probability-

@@ -12,6 +12,7 @@ package noise
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/arrow-te/arrow/internal/optical"
 	"github.com/arrow-te/arrow/internal/rwa"
@@ -122,40 +123,49 @@ type Plan struct {
 }
 
 // NumAddDropROADMs returns the number of distinct add/drop ROADMs touched.
-func (p *Plan) NumAddDropROADMs() int { return distinctROADMs(p.AddDropOps) }
+func (p *Plan) NumAddDropROADMs() int { return len(DistinctROADMs(p.AddDropOps)) }
 
 // NumIntermediateROADMs returns the number of distinct intermediate ROADMs.
-func (p *Plan) NumIntermediateROADMs() int { return distinctROADMs(p.IntermediateOps) }
+func (p *Plan) NumIntermediateROADMs() int { return len(DistinctROADMs(p.IntermediateOps)) }
 
-func distinctROADMs(ops []Op) int {
-	seen := map[optical.ROADM]bool{}
+// DistinctROADMs lists the ROADMs ops touch, each once, in first-touch order.
+// A wave touches a few dozen ROADMs at most: a scan of the list needs no set.
+func DistinctROADMs(ops []Op) []int {
+	var out []int
 	for _, op := range ops {
-		seen[op.ROADM] = true
+		if !slices.Contains(out, int(op.ROADM)) {
+			out = append(out, int(op.ROADM))
+		}
 	}
-	return len(seen)
+	return out
 }
 
 // BuildPlan compiles an integral restoration assignment into ROADM
 // operations. For each restored wavelength of failed link e routed on
 // surrogate path P: the link's source and destination ROADMs perform
 // add/drop swaps (replace noise with data on the first/last fiber), and
-// every interior ROADM of P performs an intermediate steer.
+// every interior ROADM of P performs an intermediate steer. A cut's reaction
+// compiles its plan on every call, so both op lists share one allocation,
+// sized by a first pass over the picks.
 func BuildPlan(net *optical.Network, res *rwa.Result, asg *rwa.Assignment) *Plan {
-	p := &Plan{}
+	nAD, nI := 0, 0
+	for li := range res.Failed {
+		for _, pick := range asg.PerLink[li] {
+			nAD, nI = nAD+2, nI+len(res.Options[li][pick[0]].Fibers)-1
+		}
+	}
+	ops := make([]Op, 0, nAD+nI)
+	p := &Plan{AddDropOps: ops[:0:nAD], IntermediateOps: ops[nAD:nAD]}
 	for li, linkID := range res.Failed {
 		link := net.LinkByID(linkID)
 		origMod := 0.0
 		if len(link.Waves) > 0 {
 			origMod = link.Waves[0].Modulation.GbpsPerWavelength
 		}
-		origSlots := map[int]bool{}
-		for _, w := range link.Waves {
-			origSlots[w.Slot] = true
-		}
 		for _, pick := range asg.PerLink[li] {
 			opt := res.Options[li][pick[0]]
 			slot := pick[1]
-			if !origSlots[slot] {
+			if !slices.ContainsFunc(link.Waves, func(w optical.Lightpath) bool { return w.Slot == slot }) {
 				p.Retunes++
 			}
 			if opt.Modulation.GbpsPerWavelength < origMod {

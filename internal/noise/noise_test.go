@@ -1,6 +1,7 @@
 package noise
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -88,6 +89,32 @@ func TestBuildPlanWaves(t *testing.T) {
 		if op.ROADM != 2 {
 			t.Fatalf("intermediate op at ROADM %d", op.ROADM)
 		}
+	}
+}
+
+// BuildPlan sizes both op lists exactly in one backing array; growing the
+// add/drop list must not run into the intermediate one.
+func TestBuildPlanListsAreExactAndSeparate(t *testing.T) {
+	_, res, asg := triangle(t, false)
+	plan := BuildPlan(res.Req.Net, res, asg)
+	if len(plan.AddDropOps) != 2 || cap(plan.AddDropOps) != 2 || len(plan.IntermediateOps) != 1 || cap(plan.IntermediateOps) != 1 {
+		t.Fatalf("op lists len/cap %d/%d and %d/%d, want 2/2 and 1/1",
+			len(plan.AddDropOps), cap(plan.AddDropOps), len(plan.IntermediateOps), cap(plan.IntermediateOps))
+	}
+	inter := plan.IntermediateOps[0]
+	_ = append(plan.AddDropOps, Op{ROADM: 7})
+	if plan.IntermediateOps[0] != inter {
+		t.Fatal("appending an add/drop op overwrote an intermediate one")
+	}
+}
+
+func TestDistinctROADMsKeepsFirstTouchOrder(t *testing.T) {
+	ops := []Op{{ROADM: 4}, {ROADM: 1}, {ROADM: 4}, {ROADM: 9}, {ROADM: 1}}
+	if got := DistinctROADMs(ops); !slices.Equal(got, []int{4, 1, 9}) {
+		t.Fatalf("DistinctROADMs = %v, want [4 1 9]", got)
+	}
+	if got := DistinctROADMs(nil); got != nil {
+		t.Fatalf("DistinctROADMs(nil) = %v, want nil", got)
 	}
 }
 

@@ -67,8 +67,9 @@ type Options struct {
 	Profiler *obs.StageProfiler
 }
 
-// Offline is what the stage produces. Scenarios, Naive and RWA are aligned:
-// entry i is the i-th relevant scenario in enumeration (probability) order.
+// Offline is what the stage produces. Scenarios, Naive, RWA and Cuts are
+// aligned: entry i is the i-th relevant scenario in enumeration (probability)
+// order.
 type Offline struct {
 	Set *scenario.Set
 	// Scenarios carries the full ticket set Z^q per scenario; Tickets[0] is
@@ -77,23 +78,13 @@ type Offline struct {
 	// Naive is Scenarios with that first ticket alone (Arrow-Naive). The
 	// ticket slices alias Scenarios' and are capped at one element.
 	Naive []te.RestorableScenario
-	// RWA holds each kept scenario's relaxed RWA solution.
+	// RWA holds each kept scenario's relaxed RWA solution. Its Failed is the
+	// scenario's TicketLinks (the same slice), and every ticket of the
+	// scenario is assignable on it by rwa.AssignIntegral.
 	RWA []*rwa.Result
-}
-
-// Request is the restoration RWA request of this code base: k surrogate
-// paths per failed link, transponder retuning and modulation fallback
-// allowed. The offline stage builds every one of its requests here and so
-// does the reaction to a cut (TrafficPlan.OnFiberCut), with the planner's
-// own k and solver switches, so what a reaction re-solves is what was
-// planned. ExportBasis and WarmFrom are left for the call sites that need
-// them.
-func Request(net *optical.Network, cut []int, k int, noWarm bool, healthEvery int, rec obs.Recorder) rwa.Request {
-	return rwa.Request{
-		Net: net, Cut: cut, K: k,
-		AllowTuning: true, AllowModulationChange: true,
-		Recorder: rec, NoWarm: noWarm, HealthEvery: healthEvery,
-	}
+	// Cuts holds each kept scenario's cut fibers, ascending and without
+	// duplicates: Set.Scenarios' own Cut slices, not copies.
+	Cuts [][]int
 }
 
 // solveRWA is rwa.Solve behind a seam so tests can inject failures into the
@@ -204,6 +195,7 @@ func Build(ctx context.Context, net *optical.Network, failProbs []float64, group
 		Scenarios: make([]te.RestorableScenario, 0, budget),
 		Naive:     make([]te.RestorableScenario, 0, budget),
 		RWA:       make([]*rwa.Result, 0, budget),
+		Cuts:      make([][]int, 0, budget),
 	}
 	for lo := 0; lo < enumerated && len(off.Scenarios) < budget; {
 		hi := min(lo+budget-len(off.Scenarios), enumerated)
@@ -237,6 +229,7 @@ func Build(ctx context.Context, net *optical.Network, failProbs []float64, group
 				FailureScenario: fs, TicketLinks: a.res.Failed, Tickets: a.tickets[:1:1],
 			})
 			off.RWA = append(off.RWA, a.res)
+			off.Cuts = append(off.Cuts, sc.Cut)
 		}
 		lo = hi
 	}
@@ -244,9 +237,17 @@ func Build(ctx context.Context, net *optical.Network, failProbs []float64, group
 	return off, nil
 }
 
-// request is Request with this stage's network and solver switches.
+// request is the restoration RWA request of this code base: k surrogate
+// paths per failed link, transponder retuning and modulation fallback
+// allowed, under the stage's solver switches and recorder. Every RWA request
+// of the stage is built here; ExportBasis and WarmFrom are left for the call
+// sites that need them.
 func (s *stage) request(cut []int) rwa.Request {
-	return Request(s.net, cut, s.opts.K, s.opts.NoWarm, s.opts.HealthEvery, s.rec)
+	return rwa.Request{
+		Net: s.net, Cut: cut, K: s.opts.K,
+		AllowTuning: true, AllowModulationChange: true,
+		Recorder: s.rec, NoWarm: s.opts.NoWarm, HealthEvery: s.opts.HealthEvery,
+	}
 }
 
 // solveSingles is the compositional pre-stage (correlated path only): solve

@@ -65,7 +65,7 @@ func (in offlineInstance) pipelineOptions(workers int) eval.PipelineOptions {
 
 // rebuildThroughBuilder re-enters a generated topology through the public
 // Builder, as benchmark/workloads.go:buildNetwork and cmd/arrow-plan do.
-func rebuildThroughBuilder(t *testing.T, tp *topo.Topology) *Network {
+func rebuildThroughBuilder(t testing.TB, tp *topo.Topology) *Network {
 	t.Helper()
 	b := NewBuilder(tp.Opt.NumROADMs, tp.Opt.SlotCount)
 	for _, f := range tp.Opt.Fibers {
