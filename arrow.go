@@ -1,4 +1,4 @@
-//go:generate go run ./cmd/arrow-bench -write-metrics-md METRICS.md
+//go:generate go test ./internal/obs -run TestMetricsMDFresh -update
 
 // Package arrow is a restoration-aware traffic-engineering library: a Go
 // implementation of ARROW (Zhong et al., SIGCOMM 2021).

@@ -6,7 +6,6 @@
 //	arrow-experiments -list
 //	arrow-experiments -exp fig13 [-full] [-seed 1] [-parallelism 8]
 //	arrow-experiments -all [-full]
-//	arrow-experiments -bench-json [-bench-out BENCH_pipeline.json]
 //
 // Without -full, experiments run in fast mode: smaller sweeps with the same
 // comparison structure. Independent experiments fan out over the worker
@@ -17,11 +16,9 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -39,12 +36,9 @@ func main() {
 		md       = flag.Bool("md", false, "emit GitHub-flavoured markdown instead of text tables")
 		seed     = flag.Int64("seed", 1, "random seed for all generators")
 		parallel = flag.Int("parallelism", 0, "worker count for scenario-parallel loops (0 = NumCPU, 1 = sequential; results are identical)")
-		bench    = flag.Bool("bench-json", false, "measure the parallel offline pipeline + simulator and write a perf snapshot JSON")
-		benchOut = flag.String("bench-out", "BENCH_pipeline.json", "path for the -bench-json snapshot")
 		verbose  = flag.Bool("v", false, "log per-experiment progress at debug level")
 		warm     = flag.Bool("warm", true, "warm-start LP solves from deterministic bases (-warm=false for cold A/B comparison)")
 		colgen   = flag.Bool("colgen", true, "price ticket blocks into the TE master lazily (-colgen=false enumerates every ticket up front for A/B comparison)")
-		force    = flag.Bool("bench-force", false, "overwrite a -bench-json snapshot even when it was measured at a different GOMAXPROCS")
 		health   = flag.Int("health-every", 0, "probe every LP solve's numerical health every N pivots (0 = off; probes never change results)")
 	)
 	obsFlags := obs.RegisterFlags(flag.CommandLine)
@@ -78,14 +72,6 @@ func main() {
 		os.Exit(exitCode)
 	}()
 
-	if *bench {
-		if err := writeBenchSnapshot(*benchOut, *seed, *parallel, !*warm, !*colgen, *force); err != nil {
-			fmt.Fprintln(os.Stderr, "bench-json:", err)
-			exitCode = 1
-		}
-		return
-	}
-
 	var ids []string
 	switch {
 	case *all:
@@ -95,7 +81,7 @@ func main() {
 	case *exp != "":
 		ids = strings.Split(*exp, ",")
 	default:
-		fmt.Fprintln(os.Stderr, "nothing to do: pass -list, -exp <ids>, -all or -bench-json")
+		fmt.Fprintln(os.Stderr, "nothing to do: pass -list, -exp <ids> or -all")
 		exitCode = 2
 		return
 	}
@@ -145,152 +131,4 @@ func main() {
 	if failed > 0 {
 		exitCode = 1
 	}
-}
-
-// benchSnapshot is the BENCH_pipeline.json schema: wall-clock measurements
-// of the two parallelised hot paths at 1, 2 and N workers, so future PRs
-// can track the perf trajectory of the offline stage.
-type benchSnapshot struct {
-	GoVersion string `json:"go_version"`
-	NumCPU    int    `json:"num_cpu"`
-	// GoMaxProcs is the effective parallelism ceiling of the measuring
-	// host (GOMAXPROCS may be below NumCPU in cgroup-limited CI runners).
-	GoMaxProcs  int                `json:"go_max_procs"`
-	Seed        int64              `json:"seed"`
-	Timestamp   string             `json:"timestamp"`
-	Pipeline    []benchMeasurement `json:"build_pipeline"`
-	Fig13       []benchMeasurement `json:"fig13_availability"`
-	SpeedupPipe float64            `json:"build_pipeline_speedup"`
-	SpeedupF13  float64            `json:"fig13_speedup"`
-	// SpeedupValid marks the speedup ratios as meaningful: false when the
-	// snapshot was measured with fewer than 2 effective CPUs, where the
-	// "parallel" runs share one core and the ratios are scheduling noise.
-	// arrow-report -diff skips speedup comparison for such snapshots.
-	SpeedupValid bool   `json:"speedup_valid"`
-	Note         string `json:"note,omitempty"`
-	// Metrics is the solver/pipeline metrics snapshot of one instrumented
-	// standard build (workers = max of the measured set), so the perf
-	// trajectory carries the work counts (LP pivots, MIP nodes, rounding
-	// attempts) alongside the wall-clock numbers.
-	Metrics *obs.Snapshot `json:"metrics"`
-}
-
-type benchMeasurement struct {
-	Workers int     `json:"workers"`
-	Seconds float64 `json:"seconds"`
-}
-
-// checkBenchOverwrite guards the snapshot file against silent apples-to-
-// oranges baselines: wall-clock numbers measured at a different GOMAXPROCS
-// are not comparable, so refusing the overwrite (unless -bench-force) keeps
-// a checked-in baseline honest when a re-measure runs on a smaller host.
-func checkBenchOverwrite(path string, force bool) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return err
-	}
-	var prev benchSnapshot
-	if err := json.Unmarshal(data, &prev); err != nil {
-		// Unparseable previous snapshot: overwriting cannot make the
-		// baseline any less comparable.
-		return nil
-	}
-	if prev.GoMaxProcs != 0 && prev.GoMaxProcs != runtime.GOMAXPROCS(0) {
-		if force {
-			fmt.Fprintf(os.Stderr, "bench-json: warning: overwriting snapshot measured at GOMAXPROCS=%d with GOMAXPROCS=%d (-bench-force)\n",
-				prev.GoMaxProcs, runtime.GOMAXPROCS(0))
-			return nil
-		}
-		return fmt.Errorf("%s was measured at GOMAXPROCS=%d but this host has GOMAXPROCS=%d; wall-clock numbers would not be comparable (pass -bench-force to overwrite anyway)",
-			path, prev.GoMaxProcs, runtime.GOMAXPROCS(0))
-	}
-	return nil
-}
-
-func writeBenchSnapshot(path string, seed int64, parallelism int, noWarm, noColgen, force bool) error {
-	if err := checkBenchOverwrite(path, force); err != nil {
-		return err
-	}
-	workerSets := []int{1, 2}
-	if n := par.Workers(parallelism); n > 2 {
-		workerSets = append(workerSets, n)
-	}
-	snap := &benchSnapshot{
-		GoVersion:    runtime.Version(),
-		NumCPU:       runtime.NumCPU(),
-		GoMaxProcs:   runtime.GOMAXPROCS(0),
-		Seed:         seed,
-		Timestamp:    time.Now().UTC().Format(time.RFC3339),
-		SpeedupValid: runtime.GOMAXPROCS(0) >= 2,
-	}
-	if !snap.SpeedupValid {
-		snap.Note = "measured with <2 effective CPUs; speedup ratios are scheduling noise and are not comparable"
-		fmt.Fprintln(os.Stderr, "bench-json: warning:", snap.Note)
-	}
-
-	for _, w := range workerSets {
-		secs, err := timeBuildPipeline(seed, w, noWarm, noColgen)
-		if err != nil {
-			return err
-		}
-		snap.Pipeline = append(snap.Pipeline, benchMeasurement{Workers: w, Seconds: secs})
-		fmt.Fprintf(os.Stderr, "build-pipeline workers=%d: %.3fs\n", w, secs)
-	}
-	for _, w := range workerSets {
-		secs, err := timeFig13(seed, w, noWarm, noColgen)
-		if err != nil {
-			return err
-		}
-		snap.Fig13 = append(snap.Fig13, benchMeasurement{Workers: w, Seconds: secs})
-		fmt.Fprintf(os.Stderr, "fig13 workers=%d: %.3fs\n", w, secs)
-	}
-	snap.SpeedupPipe = snap.Pipeline[0].Seconds / snap.Pipeline[len(snap.Pipeline)-1].Seconds
-	snap.SpeedupF13 = snap.Fig13[0].Seconds / snap.Fig13[len(snap.Fig13)-1].Seconds
-
-	// One more instrumented build to embed the work counters (timed runs
-	// stay uninstrumented so the measurements keep the zero-overhead path).
-	reg := obs.NewRegistry()
-	if err := eval.BuildPipelineInstrumented(seed, workerSets[len(workerSets)-1], reg, noWarm, noColgen); err != nil {
-		return err
-	}
-	snap.Metrics = reg.Snapshot()
-
-	data, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	suffix := ""
-	if !snap.SpeedupValid {
-		suffix = " [not comparable: <2 effective CPUs]"
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s (pipeline speedup %.2fx, fig13 speedup %.2fx at %d workers)%s\n",
-		path, snap.SpeedupPipe, snap.SpeedupF13, workerSets[len(workerSets)-1], suffix)
-	return nil
-}
-
-func timeBuildPipeline(seed int64, workers int, noWarm, noColgen bool) (float64, error) {
-	start := time.Now()
-	if err := eval.BuildPipelineBench(seed, workers, noWarm, noColgen); err != nil {
-		return 0, err
-	}
-	return time.Since(start).Seconds(), nil
-}
-
-func timeFig13(seed int64, workers int, noWarm, noColgen bool) (float64, error) {
-	e, ok := eval.ByID("fig13")
-	if !ok {
-		return 0, fmt.Errorf("fig13 not registered")
-	}
-	eval.ResetSweepCache() // measure the computation, not the memo
-	start := time.Now()
-	if _, err := e.Run(eval.Config{Fast: true, Seed: seed, Parallelism: workers, NoWarm: noWarm, NoColgen: noColgen}); err != nil {
-		return 0, err
-	}
-	return time.Since(start).Seconds(), nil
 }

@@ -13,67 +13,21 @@ import (
 	"github.com/arrow-te/arrow/internal/obs"
 )
 
-// benchFile is the tolerant view of a comparable snapshot: either a
-// BENCH_*.json written by arrow-experiments -bench-json (metrics nested
-// under "metrics") or a plain -metrics-json obs.Snapshot (counters at the
-// top level). Unknown fields are ignored so older and newer snapshots stay
-// comparable.
-type benchFile struct {
-	NumCPU     int     `json:"num_cpu"`
-	GoMaxProcs int     `json:"go_max_procs"`
-	Speedup    float64 `json:"build_pipeline_speedup"`
-	SpeedupF13 float64 `json:"fig13_speedup"`
-	// SpeedupValid marks snapshots taken with >= 2 effective CPUs; older
-	// snapshots lack the field and are treated per their num_cpu.
-	SpeedupValid *bool              `json:"speedup_valid,omitempty"`
-	Metrics      *obs.Snapshot      `json:"metrics"`
-	Counters     map[string]int64   `json:"counters"`
-	Gauges       map[string]float64 `json:"gauges"`
-}
-
-// counters returns the counter map regardless of which layout the file had.
-func (b *benchFile) counters() map[string]int64 {
-	if b.Metrics != nil {
-		return b.Metrics.Counters
-	}
-	return b.Counters
-}
-
-// gauges returns the gauge map regardless of which layout the file had
-// (may be nil: gauges are optional in both layouts).
-func (b *benchFile) gauges() map[string]float64 {
-	if b.Metrics != nil {
-		return b.Metrics.Gauges
-	}
-	return b.Gauges
-}
-
-// speedupUsable reports whether the snapshot's speedup figures mean
-// anything: parallel speedup measured on a single effective CPU is noise.
-func (b *benchFile) speedupUsable() bool {
-	if b.SpeedupValid != nil {
-		return *b.SpeedupValid
-	}
-	procs := b.GoMaxProcs
-	if procs == 0 {
-		procs = b.NumCPU
-	}
-	return procs >= 2
-}
-
-func loadBenchFile(path string) (*benchFile, error) {
+// loadSnapshot reads a -metrics-json obs.Snapshot. Unknown fields are
+// ignored so older and newer snapshots stay comparable.
+func loadSnapshot(path string) (*obs.Snapshot, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var b benchFile
-	if err := json.Unmarshal(data, &b); err != nil {
+	var snap obs.Snapshot
+	if err := json.Unmarshal(data, &snap); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if b.counters() == nil {
-		return nil, fmt.Errorf("%s: neither a bench snapshot (metrics.counters) nor a metrics snapshot (counters)", path)
+	if snap.Counters == nil {
+		return nil, fmt.Errorf("%s: not a metrics snapshot (no counters)", path)
 	}
-	return &b, nil
+	return &snap, nil
 }
 
 // timingCounters accumulate wall-clock, not work: schedule-dependent, never
@@ -85,8 +39,8 @@ var timingCounters = map[string]bool{
 
 // machineDependentGauge reports gauges excluded from the -diff gate by
 // default: the bench.*_seconds family measures wall-clock on whatever
-// machine took the snapshot, so comparing it across hosts (CI runner vs
-// the laptop that committed the baseline) gates on hardware, not code.
+// machine took the snapshot, so comparing it across hosts gates on
+// hardware, not code.
 func machineDependentGauge(key string) bool {
 	return strings.HasPrefix(key, "bench.") && strings.HasSuffix(key, "_seconds")
 }
@@ -157,9 +111,9 @@ type diffOptions struct {
 	minLatencyRatio float64
 	// requireDrop inverts the gate for specific counters: each key must
 	// SHRINK to at most old*(1-frac) in the new snapshot
-	// ("lp.phase1_pivots=0.4" requires a 40% drop). CI uses it to assert the
-	// warm-start engine keeps eliminating phase-1 work versus the committed
-	// cold baseline. A key missing from the new snapshot is a regression —
+	// ("te.phase1_pivot_work=0.25" requires a 25% drop). CI uses it to
+	// assert column generation keeps cutting phase-1 work versus full
+	// enumeration. A key missing from the new snapshot is a regression —
 	// the run that produced it lost the counter, not the work.
 	requireDrop map[string]float64
 	// maxAnomalies is the absolute ceiling on the new snapshot's
@@ -307,7 +261,7 @@ func diffWinners(w io.Writer, oldPath, newPath string, oldW, newW map[int]int) i
 // runDiff compares two snapshot files and writes a report; it returns the
 // number of regressions. When both files are flight-recorder ledger
 // snapshots the comparison is winner equality; otherwise both must be
-// BENCH/metrics snapshots and the comparison is the counter gate.
+// metrics snapshots and the comparison is the counter gate.
 func runDiff(w io.Writer, oldPath, newPath string, opts diffOptions) (int, error) {
 	oldW, oldIsLedger, err := ledgerWinners(oldPath)
 	if err != nil {
@@ -324,16 +278,16 @@ func runDiff(w io.Writer, oldPath, newPath string, opts diffOptions) (int, error
 		return diffWinners(w, oldPath, newPath, oldW, newW), nil
 	}
 
-	oldB, err := loadBenchFile(oldPath)
+	oldS, err := loadSnapshot(oldPath)
 	if err != nil {
 		return 0, err
 	}
-	newB, err := loadBenchFile(newPath)
+	newS, err := loadSnapshot(newPath)
 	if err != nil {
 		return 0, err
 	}
 
-	findings := diffCounters(oldB.counters(), newB.counters(), opts)
+	findings := diffCounters(oldS.Counters, newS.Counters, opts)
 	regressions := 0
 	fmt.Fprintf(w, "counter diff %s -> %s (default threshold +%.0f%%):\n", oldPath, newPath, 100*opts.threshold)
 	for _, f := range findings {
@@ -352,15 +306,15 @@ func runDiff(w io.Writer, oldPath, newPath string, opts diffOptions) (int, error
 
 	// Required drops gate the other direction: the named counters must have
 	// SHRUNK by at least their fraction. Deterministic pivot counts make
-	// this hardware-independent — CI asserts the warm-start engine still
-	// eliminates phase-1 work relative to the committed cold baseline.
+	// this hardware-independent — CI asserts column generation still cuts
+	// phase-1 work relative to the full-enumeration run.
 	if len(opts.requireDrop) > 0 {
 		keys := make([]string, 0, len(opts.requireDrop))
 		for k := range opts.requireDrop {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
-		oldC, newC := oldB.counters(), newB.counters()
+		oldC, newC := oldS.Counters, newS.Counters
 		for _, k := range keys {
 			frac := opts.requireDrop[k]
 			o, okOld := oldC[k]
@@ -386,7 +340,7 @@ func runDiff(w io.Writer, oldPath, newPath string, opts diffOptions) (int, error
 	// timing gauges (bench.*_seconds), which are reported but never gated —
 	// wall-clock across hosts is hardware, not code. A per-key override
 	// opts a timing gauge back in.
-	for _, f := range diffGauges(oldB.gauges(), newB.gauges(), opts) {
+	for _, f := range diffGauges(oldS.Gauges, newS.Gauges, opts) {
 		mark := "  "
 		switch {
 		case f.Excluded:
@@ -409,7 +363,7 @@ func runDiff(w io.Writer, oldPath, newPath string, opts diffOptions) (int, error
 
 	// Certificate failures are an absolute gate: any nonzero count in the
 	// new snapshot is a solver-soundness regression regardless of growth.
-	if n := newB.counters()["lp.cert_failures"]; n > 0 {
+	if n := newS.Counters["lp.cert_failures"]; n > 0 {
 		fmt.Fprintf(w, "✗ lp.cert_failures = %d in new snapshot (must be 0)\n", n)
 		regressions++
 	}
@@ -418,7 +372,7 @@ func runDiff(w io.Writer, oldPath, newPath string, opts diffOptions) (int, error
 	// per-flow loss contributions must sum exactly (within 1e-9) to the
 	// headline availability loss. Any violation is an attribution-engine
 	// bug, never a tuning question.
-	if n := newB.counters()["attr.identity_violations"]; n > 0 {
+	if n := newS.Counters["attr.identity_violations"]; n > 0 {
 		fmt.Fprintf(w, "✗ attr.identity_violations = %d in new snapshot (must be 0)\n", n)
 		regressions++
 	}
@@ -429,7 +383,7 @@ func runDiff(w io.Writer, oldPath, newPath string, opts diffOptions) (int, error
 	// suspicion — is a regression, not a threshold question. -max-anomalies
 	// -1 disables the gate for snapshots taken with probing off.
 	if opts.maxAnomalies >= 0 {
-		if n := newB.counters()["lp.health.anomalies"]; n > opts.maxAnomalies {
+		if n := newS.Counters["lp.health.anomalies"]; n > opts.maxAnomalies {
 			fmt.Fprintf(w, "✗ lp.health.anomalies = %d in new snapshot (max %d)\n", n, opts.maxAnomalies)
 			regressions++
 		} else {
@@ -441,7 +395,7 @@ func runDiff(w io.Writer, oldPath, newPath string, opts diffOptions) (int, error
 	// testbed must keep legacy amplifier reconfiguration at least
 	// minLatencyRatio times slower than noise loading.
 	if opts.minLatencyRatio > 0 {
-		ratio, ok := newB.gauges()["emu.latency_ratio"]
+		ratio, ok := newS.Gauges["emu.latency_ratio"]
 		switch {
 		case !ok:
 			fmt.Fprintf(w, "✗ emu.latency_ratio missing from new snapshot (gate requires >= %.0fx)\n", opts.minLatencyRatio)
@@ -451,19 +405,6 @@ func runDiff(w io.Writer, oldPath, newPath string, opts diffOptions) (int, error
 			regressions++
 		default:
 			fmt.Fprintf(w, "  emu.latency_ratio = %.0fx (gate >= %.0fx)\n", ratio, opts.minLatencyRatio)
-		}
-	}
-
-	// Speedup figures gate only when BOTH snapshots were measured with >= 2
-	// effective CPUs; otherwise the ratio is noise and is skipped.
-	if oldB.Speedup > 0 && newB.Speedup > 0 {
-		if oldB.speedupUsable() && newB.speedupUsable() {
-			if newB.Speedup < oldB.Speedup*0.5 {
-				fmt.Fprintf(w, "✗ build_pipeline_speedup halved: %.2fx -> %.2fx\n", oldB.Speedup, newB.Speedup)
-				regressions++
-			}
-		} else {
-			fmt.Fprintf(w, "  (speedup comparison skipped: <2 effective CPUs)\n")
 		}
 	}
 

@@ -2,8 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -105,26 +103,10 @@ func TestDiffMinLatencyRatioGate(t *testing.T) {
 	oldPath := filepath.Join(dir, "old.json")
 	writeSnapshot(t, oldPath, map[string]int64{"emu.episodes": 2}, nil)
 
-	writeGauged := func(path string, gauges map[string]float64) {
-		t.Helper()
-		doc := map[string]any{"metrics": map[string]any{
-			"schema_version": 1,
-			"counters":       map[string]int64{"emu.episodes": 2},
-			"gauges":         gauges,
-		}}
-		data, err := json.Marshal(doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-
 	passPath := filepath.Join(dir, "pass.json")
-	writeGauged(passPath, map[string]float64{"emu.latency_ratio": 120})
+	writeSnapshot(t, passPath, map[string]int64{"emu.episodes": 2}, map[string]float64{"emu.latency_ratio": 120})
 	lowPath := filepath.Join(dir, "low.json")
-	writeGauged(lowPath, map[string]float64{"emu.latency_ratio": 12})
+	writeSnapshot(t, lowPath, map[string]int64{"emu.episodes": 2}, map[string]float64{"emu.latency_ratio": 12})
 
 	var out, errb bytes.Buffer
 	if code := run([]string{"-diff", "-min-latency-ratio", "50", oldPath, passPath}, &out, &errb); code != 0 {
@@ -158,7 +140,7 @@ func TestRunReportIncludesLatencySection(t *testing.T) {
 	}
 	led := ledger.New()
 	reg := obs.NewRegistry()
-	if _, _, err := eval.RunRecorded(1, 2, reg, led, false); err != nil {
+	if _, _, _, err := eval.RunRecorded(eval.RunOptions{Seed: 1, Workers: 2, Recorder: reg, Ledger: led}); err != nil {
 		t.Fatal(err)
 	}
 	tb, err := eval.RunTestbedRecorded(1, reg, led)

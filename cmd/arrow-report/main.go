@@ -6,20 +6,20 @@
 //
 //	arrow-report -run [-seed 1] [-parallelism 8] [-out report.md] [-json report.json] [-ledger-json ledger.json]
 //	arrow-report -ledger ledger.json [-metrics metrics.json] [-out report.md] [-json report.json]
-//	arrow-report -diff old.json new.json [-threshold 0.2] [-key-threshold ticket.infeasible=0.2] [-require-drop lp.phase1_pivots=0.4]
+//	arrow-report -diff old.json new.json [-threshold 0.2] [-key-threshold ticket.infeasible=0.2] [-require-drop te.phase1_pivot_work=0.25]
 //
-// -run executes the standard recorded pipeline (the same B4 instance the
-// bench snapshot measures), solves the ARROW scheme, and renders the
+// -run executes the standard recorded pipeline (eval.RunRecorded's B4
+// instance), solves the ARROW scheme, and renders the
 // decision ledger: which tickets were generated or rejected (and why),
 // which ticket won each scenario with its restored-capacity fraction, the
 // two-phase LP certificates, and the residual unmet demand.
 //
-// -diff compares the deterministic counters of two BENCH/metrics snapshots
-// with per-key growth thresholds and exits nonzero on regression; CI runs
-// it against the committed baseline. -require-drop inverts the gate for
-// named counters: they must shrink by at least the given fraction (CI uses
-// it to pin the warm-start engine's phase-1 pivot elimination against the
-// committed cold baseline).
+// -diff compares the deterministic counters of two -metrics-json snapshots
+// with per-key growth thresholds and exits nonzero on regression.
+// -require-drop inverts the gate for named counters: they must shrink by at
+// least the given fraction (CI uses it to pin column generation's phase-1
+// work saving against a full-enumeration run). Given two ledger snapshots,
+// -diff compares the winning ticket of every scenario instead.
 package main
 
 import (
@@ -30,7 +30,6 @@ import (
 	"os"
 	"sync/atomic"
 
-	"github.com/arrow-te/arrow/internal/bench"
 	"github.com/arrow-te/arrow/internal/eval"
 	"github.com/arrow-te/arrow/internal/ledger"
 	"github.com/arrow-te/arrow/internal/obs"
@@ -53,7 +52,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		doAttr     = fs.Bool("attr", false, "with -run: run the availability-attribution pass (loss decomposition, shadow prices, what-if probes) after the solve; results are identical on or off")
 		attrOut    = fs.String("attr-json", "", "with -run -attr: write the attribution report JSON to this path")
 		metricsOut = fs.String("metrics-out", "", "with -run: write the run's metrics snapshot JSON to this path (diffable with -diff)")
-		benchHist  = fs.String("bench-history", "", "with -run: render trend sparklines from this arrow-bench JSONL history in the Performance section")
 		ledgerIn   = fs.String("ledger", "", "render an existing ledger snapshot JSON instead of running")
 		metricsIn  = fs.String("metrics", "", "metrics snapshot JSON to embed in the report (with -ledger)")
 		out        = fs.String("out", "-", "markdown report output path (- = stdout)")
@@ -156,7 +154,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		logger.Info("building recorded pipeline", "seed", *seed, "parallelism", *parallel, "colgen", !*noColgen, "health_every", *healthEvr, "attr", *doAttr)
 		prof := obs.NewStageProfiler()
 		endTotal := prof.Total()
-		_, _, attrRep, err := eval.RunRecordedAttr(scenFlags.ApplyRun(eval.RunOptions{
+		_, _, attrRep, err := eval.RunRecorded(scenFlags.ApplyRun(eval.RunOptions{
 			Seed: *seed, Workers: *parallel, Recorder: reg, Ledger: led,
 			NoColgen: *noColgen, HealthEvery: *healthEvr, Profiler: prof,
 			Attribution: *doAttr,
@@ -219,14 +217,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			}
 		}
 		rep := buildReport(led.Snapshot(), reg.Snapshot())
-		var hist []bench.Entry
-		if *benchHist != "" {
-			if hist, err = bench.ReadHistory(*benchHist); err != nil {
-				fmt.Fprintln(stderr, "arrow-report:", err)
-				return 1
-			}
-		}
-		rep.Performance = buildPerf(prof.Snapshot(), hist)
+		rep.Performance = buildPerf(prof.Snapshot())
 		logger.Info("run recorded", "events", led.Len(), "scenarios", len(rep.Scenarios), "cert_failures", rep.Certificates.Failures)
 		code := emitReport(rep, *out, *jsonOut, stdout, stderr)
 		if code == 0 && !rep.Certificates.AllPassing {

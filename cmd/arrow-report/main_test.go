@@ -9,9 +9,9 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/arrow-te/arrow/internal/bench"
 	"github.com/arrow-te/arrow/internal/ledger"
 	"github.com/arrow-te/arrow/internal/lp"
+	"github.com/arrow-te/arrow/internal/obs"
 )
 
 // TestBuildReportJoins checks the enum->pipeline-index join: ticket events
@@ -64,15 +64,11 @@ func TestBuildReportJoins(t *testing.T) {
 	}
 }
 
-// writeSnapshot writes a minimal bench-style snapshot with the given
-// counters.
-func writeSnapshot(t *testing.T, path string, counters map[string]int64, extra map[string]any) {
+// writeSnapshot writes a minimal metrics snapshot with the given counters
+// and gauges.
+func writeSnapshot(t *testing.T, path string, counters map[string]int64, gauges map[string]float64) {
 	t.Helper()
-	doc := map[string]any{"metrics": map[string]any{"schema_version": 1, "counters": counters}}
-	for k, v := range extra {
-		doc[k] = v
-	}
-	data, err := json.Marshal(doc)
+	data, err := json.Marshal(&obs.Snapshot{SchemaVersion: obs.SchemaVersion, Counters: counters, Gauges: gauges})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,21 +174,6 @@ func TestDiffRequireDrop(t *testing.T) {
 	}
 }
 
-// writeGaugeSnapshot writes a bench-style snapshot with counters and gauges.
-func writeGaugeSnapshot(t *testing.T, path string, counters map[string]int64, gauges map[string]float64) {
-	t.Helper()
-	doc := map[string]any{"metrics": map[string]any{
-		"schema_version": 1, "counters": counters, "gauges": gauges,
-	}}
-	data, err := json.Marshal(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestDiffBenchTimingGaugesExcluded pins satellite honesty for gauges: the
 // bench.*_seconds family is wall-clock on whatever host took the snapshot,
 // so it is reported but never gated by default — while a grown non-timing
@@ -201,10 +182,10 @@ func TestDiffBenchTimingGaugesExcluded(t *testing.T) {
 	dir := t.TempDir()
 	oldPath := filepath.Join(dir, "old.json")
 	newPath := filepath.Join(dir, "new.json")
-	writeGaugeSnapshot(t, oldPath, map[string]int64{"lp.pivots": 100},
-		map[string]float64{"bench.timeline_sim_seconds": 0.5, "eval.unmet_gbps": 10})
-	writeGaugeSnapshot(t, newPath, map[string]int64{"lp.pivots": 100},
-		map[string]float64{"bench.timeline_sim_seconds": 50, "eval.unmet_gbps": 10})
+	writeSnapshot(t, oldPath, map[string]int64{"lp.pivots": 100},
+		map[string]float64{"bench.stage_total_seconds": 0.5, "eval.unmet_gbps": 10})
+	writeSnapshot(t, newPath, map[string]int64{"lp.pivots": 100},
+		map[string]float64{"bench.stage_total_seconds": 50, "eval.unmet_gbps": 10})
 
 	// A 100x-grown timing gauge does not gate by default.
 	var out, errb bytes.Buffer
@@ -216,8 +197,8 @@ func TestDiffBenchTimingGaugesExcluded(t *testing.T) {
 	}
 
 	// A grown non-timing gauge does gate.
-	writeGaugeSnapshot(t, newPath, map[string]int64{"lp.pivots": 100},
-		map[string]float64{"bench.timeline_sim_seconds": 0.5, "eval.unmet_gbps": 25})
+	writeSnapshot(t, newPath, map[string]int64{"lp.pivots": 100},
+		map[string]float64{"bench.stage_total_seconds": 0.5, "eval.unmet_gbps": 25})
 	out.Reset()
 	if code := run([]string{"-diff", oldPath, newPath}, &out, &errb); code != 1 {
 		t.Errorf("grown non-timing gauge did not gate: exit %d:\n%s", code, out.String())
@@ -227,10 +208,10 @@ func TestDiffBenchTimingGaugesExcluded(t *testing.T) {
 	}
 
 	// A per-key override re-enables gating on a timing gauge explicitly.
-	writeGaugeSnapshot(t, newPath, map[string]int64{"lp.pivots": 100},
-		map[string]float64{"bench.timeline_sim_seconds": 50, "eval.unmet_gbps": 10})
+	writeSnapshot(t, newPath, map[string]int64{"lp.pivots": 100},
+		map[string]float64{"bench.stage_total_seconds": 50, "eval.unmet_gbps": 10})
 	out.Reset()
-	if code := run([]string{"-diff", "-key-threshold", "bench.timeline_sim_seconds=0.5",
+	if code := run([]string{"-diff", "-key-threshold", "bench.stage_total_seconds=0.5",
 		oldPath, newPath}, &out, &errb); code != 1 {
 		t.Errorf("override did not re-enable the timing gauge gate: exit %d:\n%s", code, out.String())
 	}
@@ -266,30 +247,6 @@ func TestDiffCertFailuresAbsoluteGate(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run([]string{"-diff", "-threshold", "1e9", oldPath, newPath}, &out, &errb); code != 1 {
 		t.Errorf("cert failure did not gate: exit %d:\n%s", code, out.String())
-	}
-}
-
-// TestDiffSpeedupSkippedOnSingleCPU pins satellite honesty: speedup ratios
-// measured on one effective CPU are skipped, not compared.
-func TestDiffSpeedupSkippedOnSingleCPU(t *testing.T) {
-	dir := t.TempDir()
-	oldPath := filepath.Join(dir, "old.json")
-	newPath := filepath.Join(dir, "new.json")
-	writeSnapshot(t, oldPath, map[string]int64{}, map[string]any{"build_pipeline_speedup": 3.5, "num_cpu": 8})
-	writeSnapshot(t, newPath, map[string]int64{}, map[string]any{"build_pipeline_speedup": 0.9, "num_cpu": 1})
-	var out, errb bytes.Buffer
-	if code := run([]string{"-diff", oldPath, newPath}, &out, &errb); code != 0 {
-		t.Errorf("single-CPU speedup gated the diff: exit %d:\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "skipped") {
-		t.Errorf("diff output does not mention the skip:\n%s", out.String())
-	}
-
-	// With both snapshots on multi-CPU hosts, a halved speedup gates.
-	writeSnapshot(t, newPath, map[string]int64{}, map[string]any{"build_pipeline_speedup": 0.9, "num_cpu": 8})
-	out.Reset()
-	if code := run([]string{"-diff", oldPath, newPath}, &out, &errb); code != 1 {
-		t.Errorf("halved speedup did not gate: exit %d:\n%s", code, out.String())
 	}
 }
 
@@ -370,8 +327,8 @@ func TestRunUsageErrors(t *testing.T) {
 // TestRunPerformanceAttribution is the observatory's acceptance gate: the
 // Performance table of a recorded run must name the required top-level
 // stages and be internally consistent (its percent column adds up to the
-// reported coverage), and the markdown must render the table plus trend
-// sparklines from a benchmark history. It asserts structure only: how much of
+// reported coverage), and the markdown must render the table. It asserts
+// structure only: how much of
 // a ~0.06 s run falls inside a stage is wall-clock share, which moves with the
 // scheduler and with every solver speed-up, and is gated by the benchmark
 // tooling instead (ROADMAP item 1).
@@ -380,19 +337,11 @@ func TestRunPerformanceAttribution(t *testing.T) {
 		t.Skip("runs the full recorded pipeline")
 	}
 	dir := t.TempDir()
-	histPath := filepath.Join(dir, "hist.jsonl")
-	for _, m := range []float64{0.51, 0.49, 0.50} {
-		e := &bench.Entry{SchemaVersion: bench.EntrySchemaVersion, GoMaxProcs: 1,
-			Results: []bench.Result{{Workload: "timeline-sim", MedianSeconds: m}}}
-		if err := bench.AppendEntry(histPath, e); err != nil {
-			t.Fatal(err)
-		}
-	}
 	jsonPath := filepath.Join(dir, "report.json")
 	mdPath := filepath.Join(dir, "report.md")
 	var out, errb bytes.Buffer
 	code := run([]string{"-run", "-parallelism", "2", "-out", mdPath,
-		"-json", jsonPath, "-bench-history", histPath}, &out, &errb)
+		"-json", jsonPath}, &out, &errb)
 	if code != 0 {
 		t.Fatalf("exit %d:\n%s", code, errb.String())
 	}
@@ -429,15 +378,12 @@ func TestRunPerformanceAttribution(t *testing.T) {
 	if math.Abs(pctSum-100*p.Coverage) > 0.5 {
 		t.Errorf("percent column sums to %.2f, want 100*coverage = %.2f", pctSum, 100*p.Coverage)
 	}
-	if len(p.Trends) != 1 || p.Trends[0].Workload != "timeline-sim" || p.Trends[0].Spark == "" {
-		t.Errorf("trends %+v", p.Trends)
-	}
 
 	md, err := os.ReadFile(mdPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"## Performance", "% of total", "pipeline.offline", "timeline-sim", "Benchmark history"} {
+	for _, want := range []string{"## Performance", "% of total", "pipeline.offline"} {
 		if !strings.Contains(string(md), want) {
 			t.Errorf("markdown missing %q", want)
 		}

@@ -124,8 +124,8 @@ type RunReport struct {
 	Attribution *AttributionReport `json:"attribution,omitempty"`
 	// Performance is the stage-level resource-attribution section: per-stage
 	// wall time, allocation and GC-pause deltas of this run with the covered
-	// share of the total bracket, plus trend sparklines from the committed
-	// benchmark history. Absent when the run was not profiled (-ledger mode).
+	// share of the total bracket. Absent when the run was not profiled
+	// (-ledger mode).
 	Performance *PerfReport `json:"performance,omitempty"`
 	// Metrics embeds the metrics snapshot of the run, when available.
 	Metrics *obs.Snapshot `json:"metrics,omitempty"`

@@ -24,7 +24,7 @@ func TestRunRecordedAttrIdentityAndDeterminism(t *testing.T) {
 	}
 
 	// Baseline: attribution off, sequential.
-	basePl, baseAl, baseRep, err := RunRecordedAttr(RunOptions{Seed: 1, Workers: 1})
+	basePl, baseAl, baseRep, err := RunRecorded(RunOptions{Seed: 1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestRunRecordedAttrIdentityAndDeterminism(t *testing.T) {
 	for _, workers := range []int{1, 4, 8} {
 		reg := obs.NewRegistry()
 		led := ledger.New()
-		pl, al, rep, err := RunRecordedAttr(RunOptions{
+		pl, al, rep, err := RunRecorded(RunOptions{
 			Seed: 1, Workers: workers, Recorder: reg, Ledger: led, Attribution: true,
 		})
 		if err != nil {

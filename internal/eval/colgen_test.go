@@ -12,8 +12,8 @@ import (
 	"github.com/arrow-te/arrow/internal/traffic"
 )
 
-// solveStandardArrow builds the standard B4 pipeline instance (the one the
-// bench snapshot and arrow-report -run use) and solves the ARROW scheme
+// solveStandardArrow builds the standard B4 pipeline instance (the one
+// arrow-report -run uses) and solves the ARROW scheme
 // with the given colgen mode, worker count and recorder attached to the TE
 // solve only (the pipeline build stays unrecorded so counter comparisons
 // isolate the two-phase TE).

@@ -106,6 +106,15 @@ var (
 	sweepCache = map[sweepKey]*sweepEntry{}
 )
 
+// ResetSweepCache drops the memoised availability sweeps. The repository
+// benchmark (benchmark/) calls it so repeated fig13 runs measure the
+// computation rather than the cache hit.
+func ResetSweepCache() {
+	sweepMu.Lock()
+	defer sweepMu.Unlock()
+	sweepCache = map[sweepKey]*sweepEntry{}
+}
+
 func availabilitySweep(cfg Config, name string) (*sweepData, error) {
 	// Parallelism, Recorder and HealthEvery are deliberately absent from the
 	// key: the sweep is bit-identical for every worker count, and recorders
@@ -189,7 +198,7 @@ func computeSweep(cfg Config, name string) (*sweepData, error) {
 		c := jobs[j]
 		a, _, err := pl.SchemeAvailability(schemes[c.zi], bases[c.mi], scales[c.si])
 		if err != nil {
-			return 0, fmt.Errorf("%s at scale %g: %w", schemes[c.zi], scales[c.si], err)
+			return 0, fmt.Errorf("%s matrix %d: %s at scale %g: %w", name, c.mi, schemes[c.zi], scales[c.si], err)
 		}
 		return a, nil
 	})

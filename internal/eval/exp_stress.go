@@ -47,8 +47,7 @@ func runScenarioStress(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	// The stress run reads its own counters back, so it always records into
-	// a private registry (cfg.Recorder still receives nothing here — the
-	// bench harness wraps this experiment with its own recorder instead).
+	// a private registry; cfg.Recorder receives nothing here.
 	reg := obs.NewRegistry()
 	po := stressOptions(cfg, reg)
 

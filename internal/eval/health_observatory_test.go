@@ -182,7 +182,7 @@ func TestScrapeWhileSolve(t *testing.T) {
 	}()
 	<-sseReady
 
-	if _, _, err := RunRecordedWith(RunOptions{
+	if _, _, _, err := RunRecorded(RunOptions{
 		Seed: 1, Workers: 4, Recorder: reg, Ledger: led, HealthEvery: 32,
 	}); err != nil {
 		t.Fatal(err)

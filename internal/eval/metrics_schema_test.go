@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/arrow-te/arrow/internal/obs"
+	"github.com/arrow-te/arrow/internal/topo"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden metrics-schema file")
@@ -24,8 +25,15 @@ func TestMetricsSchemaGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a full pipeline")
 	}
+	tp, err := topo.B4(6)
+	if err != nil {
+		t.Fatal(err)
+	}
 	reg := obs.NewRegistry()
-	if err := BuildPipelineInstrumented(1, 2, reg, false, false); err != nil {
+	if _, err := BuildPipeline(tp, PipelineOptions{
+		Cutoff: 0.001, NumTickets: 12, Seed: 1, MaxScenarios: 16,
+		Parallelism: 2, Recorder: reg,
+	}); err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()

@@ -86,17 +86,18 @@ func TestBuildPipelineDeterministicAcrossParallelism(t *testing.T) {
 // determinism contract: every warm source is fixed before the solve fans
 // out (slack basis for RWA, never "whichever sibling finished first"), so
 // the LP pivot and warm-start counters must be identical at every worker
-// count — not merely the solutions.
+// count — not merely the solutions. A cold (NoWarm) leg pins what the warm
+// starts buy: at most 60 % of the cold build's phase-1 pivots.
 func TestWarmCountersDeterministicAcrossParallelism(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds three full pipelines")
+		t.Skip("builds four full pipelines")
 	}
 	counterKeys := []string{
 		"lp.solves", "lp.pivots", "lp.phase1_pivots",
 		"lp.warm_starts", "lp.warm_accepted", "lp.warm_repairs",
 		"lp.phase1_skipped", "lp.pivots_saved",
 	}
-	snap := func(workers int) map[string]int64 {
+	snap := func(workers int, noWarm bool) map[string]int64 {
 		t.Helper()
 		tp, err := topo.B4(6)
 		if err != nil {
@@ -105,7 +106,7 @@ func TestWarmCountersDeterministicAcrossParallelism(t *testing.T) {
 		reg := obs.NewRegistry()
 		if _, err := BuildPipeline(tp, PipelineOptions{
 			Cutoff: 0.001, NumTickets: 8, Seed: 1, MaxScenarios: 12,
-			Parallelism: workers, Recorder: reg,
+			Parallelism: workers, Recorder: reg, NoWarm: noWarm,
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -116,12 +117,20 @@ func TestWarmCountersDeterministicAcrossParallelism(t *testing.T) {
 		}
 		return out
 	}
-	p1 := snap(1)
+	p1 := snap(1, false)
 	if p1["lp.warm_starts"] == 0 || p1["lp.phase1_skipped"] == 0 {
 		t.Fatalf("pipeline exercised no warm starts: %v", p1)
 	}
+	cold := snap(1, true)
+	if cold["lp.phase1_pivots"] == 0 {
+		t.Fatalf("cold build spent no phase-1 pivots, so the warm-start drop is vacuous: %v", cold)
+	}
+	if warm, limit := p1["lp.phase1_pivots"], 0.6*float64(cold["lp.phase1_pivots"]); float64(warm) > limit {
+		t.Errorf("warm starts no longer cut phase-1 work: %d phase-1 pivots warm vs %d cold, want <= %.0f",
+			warm, cold["lp.phase1_pivots"], limit)
+	}
 	for _, workers := range []int{4, 8} {
-		if pw := snap(workers); !reflect.DeepEqual(p1, pw) {
+		if pw := snap(workers, false); !reflect.DeepEqual(p1, pw) {
 			t.Errorf("warm counters differ between Parallelism 1 and %d:\n  1: %v\n  %d: %v",
 				workers, p1, workers, pw)
 		}

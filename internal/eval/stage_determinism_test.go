@@ -68,7 +68,7 @@ func TestStageProfilingPreservesDeterminism(t *testing.T) {
 	// The TE solve must be equally oblivious: same allocation with the
 	// profiler threaded through SolveScheme (te.phase1/te.phase2 stages).
 	runOnce := func(prof *obs.StageProfiler) *pipelineSolve {
-		pl, al, err := RunRecordedWith(RunOptions{Seed: 1, Workers: 2, Profiler: prof})
+		pl, al, _, err := RunRecorded(RunOptions{Seed: 1, Workers: 2, Profiler: prof})
 		if err != nil {
 			t.Fatal(err)
 		}

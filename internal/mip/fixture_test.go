@@ -73,9 +73,10 @@ func loadILPFixture(t *testing.T, name string) *lp.Model {
 }
 
 // TestRecorderCountsBranchAndBound drives the branch-and-bound recorder
-// path with the knapsack fixture: the committed BENCH snapshot carries all
-// mip.* counters at zero because the bench pipeline never branches, so this
-// test is the proof the recorder seam actually works when the search runs.
+// path with the knapsack fixture: a snapshot of the standard pipeline
+// carries all mip.* counters at zero because the pipeline never branches, so
+// this test is the proof the recorder seam actually works when the search
+// runs.
 func TestRecorderCountsBranchAndBound(t *testing.T) {
 	m := loadILPFixture(t, "knapsack.json")
 	reg := obs.NewRegistry()

@@ -41,11 +41,6 @@ type ServeOpts struct {
 	// Sampler backs /timeseries with its ring-buffer window. The caller
 	// owns the sampler's Start/Stop lifecycle.
 	Sampler *Sampler
-	// Bench backs /bench: called per request, it returns the latest
-	// benchmark state to serialise (typically the current *bench.Entry or
-	// a history slice). Declared as any to keep obs free of a bench
-	// dependency.
-	Bench func() any
 	// Attribution backs /attribution: called per request, it returns the
 	// latest availability-attribution report to serialise (typically the
 	// current *attr.Report). Declared as any to keep obs free of an attr
@@ -78,7 +73,6 @@ func wantProm(r *http.Request) bool {
 //	/healthz          aggregated solver anomaly state (200 healthy / 503)
 //	/events           SSE stream of ledger events (slow clients drop)
 //	/timeseries       sampler ring-buffer window as JSON
-//	/bench            latest benchmark harness state as JSON
 //	/attribution      latest availability-attribution report as JSON
 //
 // Binding failures are reported immediately rather than from the serving
@@ -122,23 +116,6 @@ func ServeWith(addr string, opts ServeOpts) (*DebugServer, error) {
 		}
 		w.Header().Set("Content-Type", "application/json")
 		if err := opts.Sampler.WriteJSON(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
-	mux.HandleFunc("/bench", func(w http.ResponseWriter, _ *http.Request) {
-		if opts.Bench == nil {
-			http.Error(w, "bench source disabled", http.StatusNotFound)
-			return
-		}
-		state := opts.Bench()
-		if state == nil {
-			http.Error(w, "no benchmark run recorded yet", http.StatusNotFound)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(state); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})

@@ -116,51 +116,9 @@ func TestServeContextGracefulShutdown(t *testing.T) {
 	}
 }
 
-// TestDebugServerBenchEndpoint covers /bench in all three states: no
-// source wired (404), a source with no run yet (404), and a recorded run
-// (JSON round trip).
-func TestDebugServerBenchEndpoint(t *testing.T) {
-	off, err := ServeWith("127.0.0.1:0", ServeOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer off.Close()
-	if code, _ := get(t, "http://"+off.Addr()+"/bench"); code != http.StatusNotFound {
-		t.Errorf("/bench without a source: status %d, want 404", code)
-	}
-
-	var state any // what a CLI would publish after each harness run
-	srv, err := ServeWith("127.0.0.1:0", ServeOpts{Bench: func() any { return state }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	base := "http://" + srv.Addr()
-	if code, _ := get(t, base+"/bench"); code != http.StatusNotFound {
-		t.Errorf("/bench before any run: status %d, want 404", code)
-	}
-	state = map[string]any{"go_max_procs": 4, "results": []any{map[string]any{"workload": "pipeline-build"}}}
-	code, body := get(t, base+"/bench")
-	if code != http.StatusOK {
-		t.Fatalf("/bench status %d: %s", code, body)
-	}
-	var got struct {
-		GoMaxProcs int `json:"go_max_procs"`
-		Results    []struct {
-			Workload string `json:"workload"`
-		} `json:"results"`
-	}
-	if err := json.Unmarshal(body, &got); err != nil {
-		t.Fatalf("/bench not JSON: %v\n%s", err, body)
-	}
-	if got.GoMaxProcs != 4 || len(got.Results) != 1 || got.Results[0].Workload != "pipeline-build" {
-		t.Errorf("/bench round trip: %+v", got)
-	}
-}
-
-// TestDebugServerAttributionEndpoint mirrors the /bench contract for
-// /attribution: 404 without a source, 404 while the source has nothing to
-// report, and the published report as JSON once the attributed run lands.
+// TestDebugServerAttributionEndpoint covers /attribution in all three
+// states: 404 without a source, 404 while the source has nothing to report,
+// and the published report as JSON once the attributed run lands.
 func TestDebugServerAttributionEndpoint(t *testing.T) {
 	off, err := ServeWith("127.0.0.1:0", ServeOpts{})
 	if err != nil {

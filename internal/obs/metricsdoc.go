@@ -73,8 +73,6 @@ var counterHelp = map[string]string{
 	"mip.unhealthy_nodes":                    "branch-and-bound nodes whose LP relaxation probed unhealthy",
 	"obs.late_hist_registrations":            "histogram registrations after first observation (bucket mismatch tripwire)",
 	"obs.sse.dropped_events":                 "SSE events dropped on slow /events clients",
-	"bench.workloads":                        "benchmark workloads completed by the arrow-bench harness",
-	"bench.iterations":                       "measured benchmark iterations across all workloads",
 	"attr.runs":                              "availability-attribution passes completed",
 	"attr.scenarios":                         "scenario-level loss contributions decomposed",
 	"attr.flows":                             "flow-level loss contributions decomposed",
@@ -93,9 +91,6 @@ var CoreGauges = []MetricDoc{
 	{"bench.stage.<stage>.wall_seconds", "gauge", "per-stage wall time of the last profiled run (aggregate stages: summed busy time)"},
 	{"bench.stage.<stage>.alloc_bytes", "gauge", "per-stage heap allocation delta (top-level stages only)"},
 	{"bench.stage.<stage>.gc_pause_seconds", "gauge", "per-stage GC pause share (top-level stages only)"},
-	{"bench.<workload>.median_seconds", "gauge", "arrow-bench workload median wall time of the last harness run"},
-	{"bench.<workload>.mad_seconds", "gauge", "arrow-bench workload wall-time median absolute deviation"},
-	{"bench.<workload>.<extra>", "gauge", "arrow-bench workload extra metric (speedup, phase1_work_ratio, ...)"},
 }
 
 // CoreHistograms documents every histogram the instrumented layers observe.
@@ -134,14 +129,13 @@ func CounterDocs() []MetricDoc {
 }
 
 // MetricsDoc renders the full metric-namespace reference (METRICS.md).
-// Regenerate with `go generate ./...` or
-// `go run ./cmd/arrow-bench -write-metrics-md METRICS.md`; a freshness test
-// keeps the committed file in sync with this source of truth.
+// METRICS.md is its golden: `go generate ./...` rewrites the file, and
+// TestMetricsMDFresh fails while it is stale.
 func MetricsDoc() string {
 	var b strings.Builder
 	b.WriteString("# Metric namespace\n\n")
 	b.WriteString("<!-- Generated by internal/obs.MetricsDoc — do not edit by hand.\n")
-	b.WriteString("     Regenerate: go run ./cmd/arrow-bench -write-metrics-md METRICS.md -->\n\n")
+	b.WriteString("     Regenerate: go generate ./... -->\n\n")
 	b.WriteString("Every metric the observability plane can emit, by kind. Counters are\n")
 	b.WriteString("pre-seeded on every registry (schema version ")
 	fmt.Fprintf(&b, "%d", SchemaVersion)

@@ -28,7 +28,7 @@ func TestMetricsDocContent(t *testing.T) {
 	for _, want := range []string{
 		"# Metric namespace",
 		"## Counters", "## Gauges", "## Histograms",
-		"`lp.pivots`", "`bench.workloads`", "`emu.latency_ratio`",
+		"`lp.pivots`", "`attr.runs`", "`emu.latency_ratio`",
 		"`bench.stage_coverage`", "`lp.pivots_per_solve`",
 		"`testbed.restore_seconds`",
 	} {
@@ -43,15 +43,22 @@ func TestMetricsDocContent(t *testing.T) {
 	}
 }
 
-// TestMetricsMDFresh is the go:generate freshness gate: the committed
-// METRICS.md must match what MetricsDoc renders. Regenerate with
-// `go run ./cmd/arrow-bench -write-metrics-md METRICS.md`.
+// TestMetricsMDFresh pins METRICS.md as the golden of MetricsDoc.
+// Regenerate with `go generate ./...`, which runs:
+//
+//	go test ./internal/obs -run TestMetricsMDFresh -update
 func TestMetricsMDFresh(t *testing.T) {
-	raw, err := os.ReadFile("../../METRICS.md")
+	const path = "../../METRICS.md"
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(MetricsDoc()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("METRICS.md unreadable (regenerate with arrow-bench -write-metrics-md): %v", err)
+		t.Fatalf("METRICS.md unreadable (regenerate with go generate ./...): %v", err)
 	}
 	if string(raw) != MetricsDoc() {
-		t.Error("METRICS.md is stale; regenerate: go run ./cmd/arrow-bench -write-metrics-md METRICS.md")
+		t.Error("METRICS.md is stale; regenerate: go generate ./...")
 	}
 }

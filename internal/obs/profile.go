@@ -37,9 +37,6 @@ type Flags struct {
 	// events feeds the debug server's /events SSE stream; set it with
 	// SetEventStream before Start.
 	events EventSource
-	// bench feeds the debug server's /bench endpoint; set it with
-	// SetBenchSource before Start.
-	bench func() any
 	// attribution feeds the debug server's /attribution endpoint; set it
 	// with SetAttributionSource before Start.
 	attribution func() any
@@ -49,12 +46,6 @@ type Flags struct {
 // into the debug server's /events endpoint. Must be called before Start to
 // take effect; a nil source leaves /events disabled.
 func (f *Flags) SetEventStream(src EventSource) { f.events = src }
-
-// SetBenchSource wires a benchmark-state provider (normally a closure over
-// cmd/arrow-bench's latest *bench.Entry) into the debug server's /bench
-// endpoint. Must be called before Start to take effect; a nil source leaves
-// /bench disabled.
-func (f *Flags) SetBenchSource(src func() any) { f.bench = src }
 
 // SetAttributionSource wires an attribution-report provider (normally a
 // closure over the latest *attr.Report) into the debug server's
@@ -133,7 +124,6 @@ func (f *Flags) Start() (*Session, error) {
 			Registry:    s.reg,
 			Events:      f.events,
 			Sampler:     s.sampler,
-			Bench:       f.bench,
 			Attribution: f.attribution,
 		})
 		if err != nil {

@@ -12,7 +12,7 @@ import (
 	"testing"
 )
 
-var updatePromGolden = flag.Bool("update", false, "rewrite the golden Prometheus exposition file")
+var updateGolden = flag.Bool("update", false, "rewrite the golden files: the Prometheus exposition and METRICS.md")
 
 // promTestSnapshot is a hand-built snapshot exercising every section and
 // the formatting edge cases (dots in names, +Inf, float values).
@@ -55,7 +55,7 @@ func TestPromExpositionGolden(t *testing.T) {
 	}
 	got := b.String()
 	golden := filepath.Join("testdata", "prom_exposition.golden")
-	if *updatePromGolden {
+	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}

@@ -81,9 +81,6 @@ var CoreCounters = []string{
 	// Observability plane self-accounting.
 	"obs.late_hist_registrations",
 	"obs.sse.dropped_events",
-	// Performance observatory (internal/bench harness).
-	"bench.workloads",
-	"bench.iterations",
 	// Availability-attribution observatory (internal/attr).
 	"attr.runs",
 	"attr.scenarios",
@@ -362,7 +359,7 @@ type SpanSnapshot struct {
 }
 
 // Snapshot is the exported registry state. The JSON form is the
-// -metrics-json output and the metrics block embedded in BENCH_*.json.
+// -metrics-json output.
 type Snapshot struct {
 	SchemaVersion int                          `json:"schema_version"`
 	Counters      map[string]int64             `json:"counters"`

@@ -130,7 +130,7 @@ type StageRecord struct {
 }
 
 // StageProfile is the exported profiler state (the arrow-report
-// "Performance" section and the /bench history entries embed it).
+// "Performance" section).
 type StageProfile struct {
 	// TotalSeconds is the Total() bracket (0 when Total was never closed).
 	TotalSeconds float64 `json:"total_seconds"`

@@ -143,9 +143,9 @@ func Median(xs []float64) float64 {
 	return (s[mid-1] + s[mid]) / 2
 }
 
-// MAD returns the median absolute deviation from the median: the robust
-// spread estimator the benchmark harness gates regressions with (one wild
-// outlier cannot inflate it the way it inflates a standard deviation).
+// MAD returns the median absolute deviation from the median: a robust
+// spread estimator (one wild outlier cannot inflate it the way it inflates
+// a standard deviation).
 // The result is the raw MAD, NOT scaled by the 1.4826 normal-consistency
 // constant. An empty (or all-NaN) input yields NaN.
 func MAD(xs []float64) float64 {

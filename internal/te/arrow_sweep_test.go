@@ -10,9 +10,9 @@ import (
 	"github.com/arrow-te/arrow/internal/traffic"
 )
 
-// b4Fast is the fast B4 instance of the availability sweep, the kernel
-// golden and the bench snapshot: the network at demand scale 1 and the
-// pipeline's restorable scenarios.
+// b4Fast is the fast B4 instance of the availability sweep and the kernel
+// golden: the network at demand scale 1 and the pipeline's restorable
+// scenarios.
 func b4Fast(tb testing.TB) (*te.Network, []te.RestorableScenario) {
 	tb.Helper()
 	const seed = 1

@@ -39,10 +39,10 @@ func basisDigest(vars, rows []lp.BasisStatus) string {
 }
 
 // TestKernelPivotSequenceGolden pins, for every kind of LP the seed pipeline
-// solves (the standard B4 instance behind arrow-report -run and the bench
-// snapshot), how many pivots the simplex takes and which basis it ends on:
-// the RWA assignment LPs of the offline stage, ARROW's phase-I masters and
-// phase II, FFC and TeaVaR. A kernel change that is meant to keep the pivot
+// solves (the standard B4 instance behind arrow-report -run and
+// TestMetricsSchemaGolden), how many pivots the simplex takes and which
+// basis it ends on: the RWA assignment LPs of the offline stage, ARROW's
+// phase-I masters and phase II, FFC and TeaVaR. A kernel change that is meant to keep the pivot
 // sequence (sparser storage, fewer allocations) must leave this file alone;
 // one that is meant to change it (incremental reduced costs, partial
 // pricing, a dual simplex) regenerates it deliberately and says so:
