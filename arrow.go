@@ -40,10 +40,7 @@ import (
 	"slices"
 
 	"github.com/arrow-te/arrow/internal/availability"
-	"github.com/arrow-te/arrow/internal/ledger"
-	"github.com/arrow-te/arrow/internal/lp"
 	"github.com/arrow-te/arrow/internal/noise"
-	"github.com/arrow-te/arrow/internal/obs"
 	"github.com/arrow-te/arrow/internal/optical"
 	"github.com/arrow-te/arrow/internal/plan"
 	"github.com/arrow-te/arrow/internal/rwa"
@@ -258,13 +255,9 @@ type Planner struct {
 	naive     []te.RestorableScenario
 	tunnels   int
 	set       *scenario.Set
-	rec       obs.Recorder
-	led       *ledger.Ledger
-	// noWarm, noColgen, workers and healthEvery are the TE solves' settings.
-	noWarm      bool
-	noColgen    bool
-	workers     int
-	healthEvery int
+	// teOpts is what every Solve copies: the TE settings and the sinks of the
+	// context the planner was planned with.
+	teOpts te.ArrowOptions
 	// rwa and cuts are aligned with scenarios: each planned scenario's
 	// relaxed RWA result and its cut fibers (ascending, distinct). A reaction
 	// reads its ROADM plan off the one and finds its scenario by the other,
@@ -291,8 +284,10 @@ func (n *Network) Plan(opts PlanOptions) (*Planner, error) {
 // CLIs do) instruments the RWA solves, ticket generation and worker pool
 // without appearing in this package's API. A flight recorder attached via
 // ledger.WithLedger likewise captures the per-scenario decision stream
-// (tickets generated/rejected, solver health, TE solves, winners) through
-// this planner and its Solve calls. A plain context reproduces Plan exactly.
+// (tickets generated/rejected, solver health, TE solves, winners), and a
+// stage profiler attached via obs.WithProfiler the stage attribution. The
+// planner keeps all three for its Solve calls. A plain context reproduces
+// Plan exactly.
 //
 // The stage itself is internal/plan's, shared with the experiments'
 // eval.BuildPipeline; this function only maps the options onto it and indexes
@@ -306,19 +301,19 @@ func (n *Network) PlanContext(ctx context.Context, opts PlanOptions) (*Planner, 
 	}
 	off, err := plan.Build(ctx, n.opt, opts.FailureProbs, n.srlgs, plan.Options{
 		Tickets: opts.Tickets, K: opts.SurrogatePaths, Seed: opts.Seed, Cutoff: opts.Cutoff,
-		MaxCutSize: opts.MaxCutSize, UseSRLGs: opts.UseSRLGs,
-		TargetMass: opts.TargetMass, MaxEnumerated: opts.MaxEnumerated,
-		NoCompose: opts.NoCompose, NoWarm: opts.NoWarm, HealthEvery: opts.HealthEvery,
-		Parallelism: opts.Parallelism,
+		Space: plan.Space{
+			MaxCutSize: opts.MaxCutSize, UseSRLGs: opts.UseSRLGs, TargetMass: opts.TargetMass,
+			MaxEnumerated: opts.MaxEnumerated, NoCompose: opts.NoCompose,
+		},
+		NoWarm: opts.NoWarm, HealthEvery: opts.HealthEvery, Parallelism: opts.Parallelism,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("arrow: %w", err)
 	}
 	p := &Planner{
-		net: n, set: off.Set, scenarios: off.Scenarios, naive: off.Naive,
-		tunnels: opts.TunnelsPerFlow, rec: obs.FromContext(ctx), led: ledger.FromContext(ctx),
-		noWarm: opts.NoWarm, noColgen: opts.NoColgen, workers: opts.Parallelism, healthEvery: opts.HealthEvery,
-		rwa: off.RWA, cuts: off.Cuts, byCut: make([]int, len(off.Cuts)),
+		net: n, set: off.Set, scenarios: off.Scenarios, naive: off.Naive, tunnels: opts.TunnelsPerFlow,
+		teOpts: te.SessionOptions(ctx, opts.NoWarm, opts.NoColgen, opts.Parallelism, opts.HealthEvery),
+		rwa:    off.RWA, cuts: off.Cuts, byCut: make([]int, len(off.Cuts)),
 	}
 	p.ipAdj, p.linkFibers = ipGraph(n.opt)
 	for qi := range p.byCut {
@@ -403,15 +398,13 @@ func (p *Planner) Solve(demands []Demand, opts SolveOptions) (*TrafficPlan, erro
 	if err != nil {
 		return nil, err
 	}
-	teOpts := &te.ArrowOptions{Alpha: opts.Alpha, Ledger: p.led, NoWarm: p.noWarm, NoColgen: p.noColgen, Parallelism: p.workers}
-	if p.rec != nil || p.healthEvery > 0 {
-		teOpts.LP = &lp.Options{Recorder: p.rec, HealthEvery: p.healthEvery}
-	}
+	teOpts := p.teOpts
+	teOpts.Alpha = opts.Alpha
 	var alloc *te.Allocation
 	if opts.NaiveOnly {
-		alloc, err = te.ArrowNaive(net, p.naive, teOpts)
+		alloc, err = te.ArrowNaive(net, p.naive, &teOpts)
 	} else {
-		alloc, err = te.Arrow(net, p.scenarios, teOpts)
+		alloc, err = te.Arrow(net, p.scenarios, &teOpts)
 	}
 	if err != nil {
 		return nil, err

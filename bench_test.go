@@ -13,6 +13,7 @@
 package arrow
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -259,7 +260,7 @@ func BenchmarkSimParallel(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				r := sim.NewRunner(n, al, project, pl.Plain, restored)
 				r.Parallelism = w
-				if rep := r.Run(events, horizon); rep.Intervals == 0 {
+				if rep := r.Run(context.Background(), events, horizon); rep.Intervals == 0 {
 					b.Fatal("no intervals evaluated")
 				}
 			}

@@ -25,6 +25,7 @@ import (
 	"github.com/arrow-te/arrow/internal/eval"
 	"github.com/arrow-te/arrow/internal/obs"
 	"github.com/arrow-te/arrow/internal/par"
+	"github.com/arrow-te/arrow/internal/plan"
 )
 
 func main() {
@@ -42,7 +43,7 @@ func main() {
 		health   = flag.Int("health-every", 0, "probe every LP solve's numerical health every N pivots (0 = off; probes never change results)")
 	)
 	obsFlags := obs.RegisterFlags(flag.CommandLine)
-	scenFlags := eval.RegisterScenarioFlags(flag.CommandLine)
+	space := plan.RegisterScenarioFlags(flag.CommandLine)
 	flag.Parse()
 	logger := obsFlags.Logger(*verbose)
 
@@ -86,7 +87,7 @@ func main() {
 		return
 	}
 
-	cfg := scenFlags.ApplyConfig(eval.Config{Fast: !*full, Seed: *seed, Parallelism: *parallel, Recorder: sess.Recorder(), NoWarm: !*warm, NoColgen: !*colgen, HealthEvery: *health})
+	cfg := eval.Config{Fast: !*full, Seed: *seed, Parallelism: *parallel, Recorder: sess.Recorder(), NoWarm: !*warm, NoColgen: !*colgen, HealthEvery: *health, Space: *space}
 
 	// Independent experiments are themselves scenario-independent jobs:
 	// fan them out on the shared pool and print the rendered outputs in

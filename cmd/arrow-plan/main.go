@@ -28,6 +28,7 @@ import (
 	arrow "github.com/arrow-te/arrow"
 	"github.com/arrow-te/arrow/internal/ledger"
 	"github.com/arrow-te/arrow/internal/obs"
+	"github.com/arrow-te/arrow/internal/plan"
 	"github.com/arrow-te/arrow/internal/topo"
 )
 
@@ -47,13 +48,9 @@ func main() {
 		warm      = flag.Bool("warm", true, "warm-start LP solves from deterministic bases (-warm=false for cold A/B comparison)")
 		colgen    = flag.Bool("colgen", true, "price ticket blocks into the TE master lazily (-colgen=false enumerates every ticket up front for A/B comparison)")
 		healthEvr = flag.Int("health-every", 0, "probe every LP solve's numerical health every N pivots (0 = off; probes never change results)")
-		maxCut    = flag.Int("max-cut-size", 0, "enumerate correlated cut sets of up to this many failure elements (0 = legacy singles+pairs enumerator)")
-		srlgs     = flag.Bool("srlgs", false, "expand the topology file's srlg lines as correlated failure elements")
-		mass      = flag.Float64("target-mass", 0, "stop enumerating once this fraction of the failure probability mass is covered (0 = cutoff only)")
-		maxEnum   = flag.Int("max-enumerated", 0, "hard cap on enumerated cut sets (0 = uncapped)")
-		compose   = flag.Bool("compose", true, "warm-start multi-cut RWA solves from pre-staged single-cut bases and seed composed tickets (-compose=false for the cold A/B)")
 	)
 	obsFlags := obs.RegisterFlags(flag.CommandLine)
+	space := plan.RegisterScenarioFlags(flag.CommandLine)
 	flag.Parse()
 	logger := obsFlags.Logger(*verbose)
 	if *topoFile == "" || *demFile == "" {
@@ -81,12 +78,15 @@ func main() {
 	popts := arrow.PlanOptions{
 		Tickets: *tickets, Cutoff: *cutoff, Seed: *seed, Parallelism: *parallel,
 		NoWarm: !*warm, NoColgen: !*colgen, HealthEvery: *healthEvr,
-		MaxCutSize: *maxCut, UseSRLGs: *srlgs, TargetMass: *mass,
-		MaxEnumerated: *maxEnum, NoCompose: !*compose,
+		MaxCutSize: space.MaxCutSize, UseSRLGs: space.UseSRLGs, TargetMass: space.TargetMass,
+		MaxEnumerated: space.MaxEnumerated, NoCompose: space.NoCompose,
 	}
-	err = run(*topoFile, *demFile, *out, *roadmDir, popts, *naive, sess.Recorder(), led)
+	// The recorder and flight recorder ride the context so the public Plan
+	// API stays instrumentation-free.
+	ctx := ledger.WithLedger(obs.WithRecorder(context.Background(), sess.Recorder()), led)
+	err = run(ctx, *topoFile, *demFile, *out, *roadmDir, popts, *naive)
 	if err == nil && *ledgerOut != "" {
-		err = writeLedger(*ledgerOut, led)
+		err = led.WriteFile(*ledgerOut)
 	}
 	if cerr := sess.Close(); err == nil {
 		err = cerr
@@ -97,20 +97,7 @@ func main() {
 	}
 }
 
-// writeLedger dumps the recorded event stream for arrow-report -ledger.
-func writeLedger(path string, led *ledger.Ledger) error {
-	fd, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := led.WriteJSON(fd); err != nil {
-		fd.Close()
-		return err
-	}
-	return fd.Close()
-}
-
-func run(topoFile, demFile, out, roadmDir string, popts arrow.PlanOptions, naive bool, rec obs.Recorder, led *ledger.Ledger) error {
+func run(ctx context.Context, topoFile, demFile, out, roadmDir string, popts arrow.PlanOptions, naive bool) error {
 	net, err := loadNetwork(topoFile)
 	if err != nil {
 		return err
@@ -122,12 +109,6 @@ func run(topoFile, demFile, out, roadmDir string, popts arrow.PlanOptions, naive
 	fmt.Fprintf(os.Stderr, "loaded %d sites, %d fibers, %d IP links, %d demands\n",
 		net.NumSites(), net.NumFibers(), net.NumLinks(), len(demands))
 
-	// The recorder and flight recorder ride the context so the public Plan
-	// API stays instrumentation-free.
-	ctx := obs.WithRecorder(context.Background(), rec)
-	if led != nil {
-		ctx = ledger.WithLedger(ctx, led)
-	}
 	planner, err := net.PlanContext(ctx, popts)
 	if err != nil {
 		return err

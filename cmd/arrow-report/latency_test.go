@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -140,10 +141,11 @@ func TestRunReportIncludesLatencySection(t *testing.T) {
 	}
 	led := ledger.New()
 	reg := obs.NewRegistry()
-	if _, _, _, err := eval.RunRecorded(eval.RunOptions{Seed: 1, Workers: 2, Recorder: reg, Ledger: led}); err != nil {
+	ctx := ledger.WithLedger(obs.WithRecorder(context.Background(), reg), led)
+	if _, _, _, err := eval.RunRecorded(ctx, eval.RunOptions{Seed: 1, Workers: 2}); err != nil {
 		t.Fatal(err)
 	}
-	tb, err := eval.RunTestbedRecorded(1, reg, led)
+	tb, err := eval.RunTestbed(ctx, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,6 +23,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -33,6 +34,7 @@ import (
 	"github.com/arrow-te/arrow/internal/eval"
 	"github.com/arrow-te/arrow/internal/ledger"
 	"github.com/arrow-te/arrow/internal/obs"
+	"github.com/arrow-te/arrow/internal/plan"
 )
 
 func main() {
@@ -66,7 +68,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		verbose    = fs.Bool("v", false, "verbose: mirror ledger events to the structured log")
 	)
 	obsFlags := obs.RegisterFlags(fs)
-	scenFlags := eval.RegisterScenarioFlags(fs)
+	space := plan.RegisterScenarioFlags(fs)
 	if err := fs.Parse(argv); err != nil {
 		return 2
 	}
@@ -153,12 +155,12 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		}
 		logger.Info("building recorded pipeline", "seed", *seed, "parallelism", *parallel, "colgen", !*noColgen, "health_every", *healthEvr, "attr", *doAttr)
 		prof := obs.NewStageProfiler()
+		ctx := obs.WithProfiler(ledger.WithLedger(obs.WithRecorder(context.Background(), reg), led), prof)
 		endTotal := prof.Total()
-		_, _, attrRep, err := eval.RunRecorded(scenFlags.ApplyRun(eval.RunOptions{
-			Seed: *seed, Workers: *parallel, Recorder: reg, Ledger: led,
-			NoColgen: *noColgen, HealthEvery: *healthEvr, Profiler: prof,
-			Attribution: *doAttr,
-		}))
+		_, _, attrRep, err := eval.RunRecorded(ctx, eval.RunOptions{
+			Seed: *seed, Workers: *parallel, NoColgen: *noColgen, HealthEvery: *healthEvr,
+			Attribution: *doAttr, Space: *space,
+		})
 		if err != nil {
 			fmt.Fprintln(stderr, "arrow-report:", err)
 			return 1
@@ -169,7 +171,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 				"identity_gap", attrRep.IdentityGap, "sensitivities", len(attrRep.Sensitivities),
 				"probes", len(attrRep.Probes))
 		}
-		tb, err := eval.RunTestbedAttributed(*seed, reg, led, prof, *doAttr)
+		tb, err := eval.RunTestbed(ctx, *seed, *doAttr)
 		endTotal()
 		if err != nil {
 			fmt.Fprintln(stderr, "arrow-report:", err)
@@ -178,17 +180,10 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		prof.PublishGauges(reg)
 		logger.Info("testbed observatory recorded", "latency_ratio", tb.LatencyRatio)
 		if *ledgerOut != "" {
-			fd, err := os.Create(*ledgerOut)
-			if err != nil {
+			if err := led.WriteFile(*ledgerOut); err != nil {
 				fmt.Fprintln(stderr, "arrow-report:", err)
 				return 1
 			}
-			if err := led.WriteJSON(fd); err != nil {
-				fd.Close()
-				fmt.Fprintln(stderr, "arrow-report:", err)
-				return 1
-			}
-			fd.Close()
 		}
 		if *attrOut != "" {
 			if attrRep == nil {

@@ -47,9 +47,10 @@ func main() {
 			led.SetLogger(logger)
 		}
 	}
-	err = run(*seed, *healthEvr, *series, sess.Recorder(), led, logger)
+	ctx := ledger.WithLedger(obs.WithRecorder(context.Background(), sess.Recorder()), led)
+	err = run(ctx, *seed, *healthEvr, *series, logger)
 	if err == nil && *ledgerOut != "" {
-		err = writeLedger(*ledgerOut, led)
+		err = led.WriteFile(*ledgerOut)
 	}
 	if cerr := sess.Close(); err == nil {
 		err = cerr
@@ -60,24 +61,12 @@ func main() {
 	}
 }
 
-// writeLedger dumps the recorded event stream for arrow-report -ledger.
-func writeLedger(path string, led *ledger.Ledger) error {
-	fd, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := led.WriteJSON(fd); err != nil {
-		fd.Close()
-		return err
-	}
-	return fd.Close()
-}
-
-func run(seed int64, healthEvery int, series bool, rec obs.Recorder, led *ledger.Ledger, logger *slog.Logger) error {
+// run runs both trials under the recorder and ledger on ctx.
+func run(ctx context.Context, seed int64, healthEvery int, series bool, logger *slog.Logger) error {
 	if logger == nil {
 		logger = slog.New(slog.DiscardHandler)
 	}
-	ctx := ledger.WithLedger(obs.WithRecorder(context.Background(), rec), led)
+	rec := obs.FromContext(ctx)
 	fmt.Println("testbed: 4 ROADMs (A,B,D,C), 4 fiber spans, 2160 km, 34 amplifiers, 16x200G wavelengths")
 	fmt.Println("cutting fiber D-C (carries 14 wavelengths, 2.8 Tbps over links AC, BD, CD)")
 

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -10,23 +11,23 @@ import (
 )
 
 func TestRunTestbedTrial(t *testing.T) {
-	if err := run(1, 0, false, nil, nil, nil); err != nil {
+	if err := run(context.Background(), 1, 0, false, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(2, 0, true, nil, nil, nil); err != nil {
+	if err := run(context.Background(), 2, 0, true, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestRunRecordsObservatory checks the observability wiring: an
 // instrumented run produces the emulated-clock waterfall, the latency-ratio
-// gauge, and a ledger that round-trips through writeLedger/ReadJSON with
+// gauge, and a ledger that round-trips through Ledger.WriteFile/ReadJSON with
 // both modes' episodes.
 func TestRunRecordsObservatory(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.EnableTrace()
 	led := ledger.New()
-	if err := run(1, 0, false, reg, led, nil); err != nil {
+	if err := run(ledger.WithLedger(obs.WithRecorder(context.Background(), reg), led), 1, 0, false, nil); err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()
@@ -47,7 +48,7 @@ func TestRunRecordsObservatory(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "ledger.json")
-	if err := writeLedger(path, led); err != nil {
+	if err := led.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
 	fd, err := os.Open(path)

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -19,6 +20,7 @@ import (
 	"github.com/arrow-te/arrow/internal/eval"
 	"github.com/arrow-te/arrow/internal/ledger"
 	"github.com/arrow-te/arrow/internal/obs"
+	"github.com/arrow-te/arrow/internal/plan"
 	"github.com/arrow-te/arrow/internal/topo"
 	"github.com/arrow-te/arrow/internal/traffic"
 )
@@ -37,7 +39,7 @@ func main() {
 		verbose   = flag.Bool("v", false, "print the per-scenario restoration plan and mirror ledger events to the log")
 	)
 	obsFlags := obs.RegisterFlags(flag.CommandLine)
-	scenFlags := eval.RegisterScenarioFlags(flag.CommandLine)
+	space := plan.RegisterScenarioFlags(flag.CommandLine)
 	flag.Parse()
 	logger := obsFlags.Logger(*verbose)
 
@@ -57,9 +59,10 @@ func main() {
 			led.SetLogger(logger)
 		}
 	}
-	err = run(*topoName, *file, *scheme, *scale, *tickets, *seed, *flows, *parallel, *verbose, scenFlags, sess.Recorder(), led)
+	ctx := ledger.WithLedger(obs.WithRecorder(context.Background(), sess.Recorder()), led)
+	err = run(ctx, *topoName, *file, *scheme, *scale, *tickets, *seed, *flows, *parallel, *verbose, *space)
 	if err == nil && *ledgerOut != "" {
-		err = writeLedger(*ledgerOut, led)
+		err = led.WriteFile(*ledgerOut)
 	}
 	if cerr := sess.Close(); err == nil {
 		err = cerr
@@ -70,20 +73,8 @@ func main() {
 	}
 }
 
-// writeLedger dumps the recorded event stream for arrow-report -ledger.
-func writeLedger(path string, led *ledger.Ledger) error {
-	fd, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := led.WriteJSON(fd); err != nil {
-		fd.Close()
-		return err
-	}
-	return fd.Close()
-}
-
-func run(topoName, file, scheme string, scale float64, tickets int, seed int64, flows, parallelism int, verbose bool, scenFlags *eval.ScenarioFlags, rec obs.Recorder, led *ledger.Ledger) error {
+// run plans and solves one instance under the recorder and ledger on ctx.
+func run(ctx context.Context, topoName, file, scheme string, scale float64, tickets int, seed int64, flows, parallelism int, verbose bool, space plan.Space) error {
 	var tp *topo.Topology
 	var err error
 	if file != "" {
@@ -103,10 +94,10 @@ func run(topoName, file, scheme string, scale float64, tickets int, seed int64, 
 	fmt.Printf("topology %s: %d routers, %d ROADMs, %d fibers, %d IP links, %.1f Tbps\n",
 		tp.Name, s.Routers, s.ROADMs, s.Fibers, s.IPLinks, s.TotalCapacityGbps/1000)
 
-	pl, err := eval.BuildPipeline(tp, scenFlags.Apply(eval.PipelineOptions{
+	pl, err := eval.BuildPipelineContext(ctx, tp, eval.PipelineOptions{
 		Cutoff: 0.001, NumTickets: tickets, Seed: seed, MaxScenarios: 24,
-		Parallelism: parallelism, Recorder: rec, Ledger: led,
-	}))
+		Parallelism: parallelism, Space: space,
+	})
 	if err != nil {
 		return err
 	}

@@ -30,6 +30,7 @@
 package attr
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -73,11 +74,6 @@ type Options struct {
 	// probes; optional. Links without an entry (or without the slice) probe
 	// at 1 Gbps.
 	WaveGbps []float64
-	// Recorder receives the attr.* counters; nil costs nothing.
-	Recorder obs.Recorder
-	// Ledger receives typed attribution/sensitivity/whatif events; nil
-	// costs nothing.
-	Ledger *ledger.Ledger
 }
 
 func (o *Options) topFlows() int {
@@ -106,20 +102,6 @@ func (o *Options) fdTol() float64 {
 		return 1e-6
 	}
 	return o.FDTol
-}
-
-func (o *Options) recorder() obs.Recorder {
-	if o == nil {
-		return nil
-	}
-	return o.Recorder
-}
-
-func (o *Options) ledger() *ledger.Ledger {
-	if o == nil {
-		return nil
-	}
-	return o.Ledger
 }
 
 // Input is the pipeline state one attribution pass reads.
@@ -231,8 +213,10 @@ type Report struct {
 // Run executes the attribution passes over one solved pipeline state.
 // Sensitivities and probes require in.Alloc.Sens (a Phase II solved with
 // te.ArrowOptions.CaptureSensitivity); without it only the decomposition
-// runs.
-func Run(in Input, opts *Options) (*Report, error) {
+// runs. The finished report is published to ctx's recorder (the attr.*
+// counters, obs.FromContext) and ledger (attribution/sensitivity/whatif
+// events, ledger.FromContext); either may be absent.
+func Run(ctx context.Context, in Input, opts *Options) (*Report, error) {
 	if in.Net == nil || in.Alloc == nil {
 		return nil, fmt.Errorf("attr: nil network or allocation")
 	}
@@ -246,7 +230,7 @@ func Run(in Input, opts *Options) (*Report, error) {
 			return nil, err
 		}
 	}
-	emit(opts, rep)
+	emit(obs.FromContext(ctx), ledger.FromContext(ctx), rep)
 	return rep, nil
 }
 
@@ -578,8 +562,8 @@ func probes(in Input, h *te.SensitivityHandle, opts *Options, rep *Report) error
 // emission happens here, after every pass, in report order — one
 // deterministic event stream regardless of how the passes interleaved
 // their work.
-func emit(opts *Options, rep *Report) {
-	if rec := opts.recorder(); rec != nil {
+func emit(rec obs.Recorder, L *ledger.Ledger, rep *Report) {
+	if rec != nil {
 		rec.Add("attr.runs", 1)
 		rec.Add("attr.scenarios", int64(len(rep.Scenarios)+1))
 		flows := len(rep.Healthy.Flows)
@@ -600,7 +584,6 @@ func emit(opts *Options, rep *Report) {
 		rec.Add("attr.fd_mismatches", int64(fdMiss))
 		rec.Add("attr.probes", int64(len(rep.Probes)))
 	}
-	L := opts.ledger()
 	if L == nil {
 		return
 	}

@@ -1,6 +1,7 @@
 package attr
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -57,7 +58,7 @@ func TestDecompositionIdentity(t *testing.T) {
 	n, al, scs := solveFig7(t)
 	reg := obs.NewRegistry()
 	led := ledger.New()
-	rep, err := Run(Input{Net: n, Alloc: al, Scenarios: scs}, &Options{Recorder: reg, Ledger: led})
+	rep, err := Run(ledger.WithLedger(obs.WithRecorder(context.Background(), reg), led), Input{Net: n, Alloc: al, Scenarios: scs}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestDecompositionIdentity(t *testing.T) {
 
 func TestSensitivitiesMatchFiniteDifferences(t *testing.T) {
 	n, al, scs := solveFig7(t)
-	rep, err := Run(Input{Net: n, Alloc: al, Scenarios: scs}, nil)
+	rep, err := Run(context.Background(), Input{Net: n, Alloc: al, Scenarios: scs}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,11 +123,11 @@ func TestProbesRankedAndSideEffectFree(t *testing.T) {
 	// The attribution pass perturbs the captured model's RHS values; it must
 	// restore every one, so a second run from the same handle is identical.
 	b0 := append([]float64(nil), al.B...)
-	rep1, err := Run(Input{Net: n, Alloc: al, Scenarios: scs}, nil)
+	rep1, err := Run(context.Background(), Input{Net: n, Alloc: al, Scenarios: scs}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep2, err := Run(Input{Net: n, Alloc: al, Scenarios: scs}, nil)
+	rep2, err := Run(context.Background(), Input{Net: n, Alloc: al, Scenarios: scs}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -24,7 +25,7 @@ func TestRunRecordedAttrIdentityAndDeterminism(t *testing.T) {
 	}
 
 	// Baseline: attribution off, sequential.
-	basePl, baseAl, baseRep, err := RunRecorded(RunOptions{Seed: 1, Workers: 1})
+	basePl, baseAl, baseRep, err := RunRecorded(context.Background(), RunOptions{Seed: 1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,8 +41,8 @@ func TestRunRecordedAttrIdentityAndDeterminism(t *testing.T) {
 	for _, workers := range []int{1, 4, 8} {
 		reg := obs.NewRegistry()
 		led := ledger.New()
-		pl, al, rep, err := RunRecorded(RunOptions{
-			Seed: 1, Workers: workers, Recorder: reg, Ledger: led, Attribution: true,
+		pl, al, rep, err := RunRecorded(withSinks(reg, led, nil), RunOptions{
+			Seed: 1, Workers: workers, Attribution: true,
 		})
 		if err != nil {
 			t.Fatal(err)

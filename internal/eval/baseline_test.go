@@ -6,6 +6,7 @@ import (
 
 	"github.com/arrow-te/arrow/internal/lp"
 	"github.com/arrow-te/arrow/internal/obs"
+	"github.com/arrow-te/arrow/internal/plan"
 	"github.com/arrow-te/arrow/internal/te"
 	"github.com/arrow-te/arrow/internal/topo"
 	"github.com/arrow-te/arrow/internal/traffic"
@@ -101,20 +102,20 @@ func TestSweepMemoKeyedOnScenarioKnobs(t *testing.T) {
 		}
 		return r.Rows, reg
 	}
-	fig13(Config{MaxCutSize: 1})
+	fig13(Config{Space: plan.Space{MaxCutSize: 1}})
 	// On this instance the 16 most probable cuts are the same under both
 	// sizes, so the tables agree; what tells the sweeps apart is that the
 	// second one built its own pipeline.
-	rows3, reg3 := fig13(Config{MaxCutSize: 3})
+	rows3, reg3 := fig13(Config{Space: plan.Space{MaxCutSize: 3}})
 	if reg3.Counter("pipeline.scenarios_relevant") == 0 {
 		t.Error("MaxCutSize 3 was served MaxCutSize 1's memoised sweep")
 	}
-	capped, _ := fig13(Config{MaxCutSize: 3, MaxEnumerated: 5})
+	capped, _ := fig13(Config{Space: plan.Space{MaxCutSize: 3, MaxEnumerated: 5}})
 	if reflect.DeepEqual(capped, rows3) {
 		t.Error("MaxEnumerated 5 printed the uncapped sweep's table")
 	}
 	// Recorders and worker counts share an entry.
-	again, regAgain := fig13(Config{MaxCutSize: 3, Parallelism: 2})
+	again, regAgain := fig13(Config{Space: plan.Space{MaxCutSize: 3}, Parallelism: 2})
 	if !reflect.DeepEqual(again, rows3) || regAgain.Counter("pipeline.scenarios_relevant") != 0 {
 		t.Error("a second recorder or worker count recomputed the sweep")
 	}

@@ -5,17 +5,18 @@ import (
 	"testing"
 
 	"github.com/arrow-te/arrow/internal/obs"
+	"github.com/arrow-te/arrow/internal/plan"
 	"github.com/arrow-te/arrow/internal/topo"
 )
 
 // correlatedOpts is the shared correlated-enumerator configuration of the
 // compositional-pipeline tests: 3-way cuts, conduit SRLGs, enough kept
 // scenarios to include both singles and multi-cuts.
-func correlatedOpts(workers int, rec obs.Recorder) PipelineOptions {
+func correlatedOpts(workers int) PipelineOptions {
 	return PipelineOptions{
 		Cutoff: 1e-5, NumTickets: 6, Seed: 7, MaxScenarios: 24,
-		MaxCutSize: 3, UseSRLGs: true,
-		Parallelism: workers, Recorder: rec,
+		Space:       plan.Space{MaxCutSize: 3, UseSRLGs: true},
+		Parallelism: workers,
 	}
 }
 
@@ -33,7 +34,7 @@ func TestCorrelatedPipelineDeterministicAcrossParallelism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pl, err := BuildPipeline(tp, correlatedOpts(workers, nil))
+		pl, err := BuildPipeline(tp, correlatedOpts(workers))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +103,7 @@ func TestCorrelatedPairsMatchLegacyPipeline(t *testing.T) {
 	}
 	correlated, err := BuildPipeline(tp2, PipelineOptions{
 		Cutoff: 0.001, NumTickets: 8, Seed: 1, MaxScenarios: 12,
-		MaxCutSize: 2, NoCompose: true,
+		Space: plan.Space{MaxCutSize: 2, NoCompose: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -134,9 +135,9 @@ func TestComposeReducesPivotWork(t *testing.T) {
 			t.Fatal(err)
 		}
 		reg := obs.NewRegistry()
-		opts := correlatedOpts(0, reg)
-		opts.NoCompose = noCompose
-		if _, err := BuildPipeline(tp, opts); err != nil {
+		opts := correlatedOpts(0)
+		opts.Space.NoCompose = noCompose
+		if _, err := BuildPipelineContext(withSinks(reg, nil, nil), tp, opts); err != nil {
 			t.Fatal(err)
 		}
 		return reg.Snapshot().Counters

@@ -6,11 +6,14 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
 
 	"github.com/arrow-te/arrow/internal/obs"
+	"github.com/arrow-te/arrow/internal/plan"
+	"github.com/arrow-te/arrow/internal/topo"
 )
 
 // Config controls experiment scale.
@@ -26,8 +29,9 @@ type Config struct {
 	// Results are identical for every setting and seed.
 	Parallelism int
 	// Recorder receives solver and pipeline metrics from every layer an
-	// experiment touches. A nil Recorder costs nothing and never changes
-	// any result.
+	// experiment touches: the experiment attaches it to the context its
+	// pipelines and solves read their sinks from. A nil Recorder costs
+	// nothing and never changes any result.
 	Recorder obs.Recorder
 	// NoWarm disables LP warm starts throughout the experiments (pipeline
 	// RWA solves and TE solves). Exposed as arrow-experiments -warm=false
@@ -42,31 +46,25 @@ type Config struct {
 	// period (0 = off). Exposed as arrow-experiments -health-every; probes
 	// only read solver state and never change any result.
 	HealthEvery int
-	// MaxCutSize, UseSRLGs, TargetMass and MaxEnumerated opt experiments
-	// into the correlated k-failure scenario enumerator (see the matching
-	// PipelineOptions fields). All-zero keeps the legacy singles+pairs
-	// enumerator and byte-identical results. Exposed as arrow-experiments
-	// -max-cut-size / -srlgs / -target-mass / -max-enumerated.
-	MaxCutSize    int
-	UseSRLGs      bool
-	TargetMass    float64
-	MaxEnumerated int
-	// NoCompose disables the compositional offline stage (warm-started
-	// multi-cut RWA solves and composed seed tickets) for A/B pivot-work
-	// comparison. Exposed as arrow-experiments -compose=false.
-	NoCompose bool
+	// Space is the scenario space every experiment pipeline plans (see
+	// plan.Space); the zero value keeps the legacy singles+pairs enumerator
+	// and byte-identical results. Exposed as arrow-experiments -max-cut-size
+	// / -srlgs / -target-mass / -max-enumerated / -compose.
+	Space plan.Space
 }
 
-// applyScenario copies the Config's correlated-enumeration knobs onto a
-// PipelineOptions literal, so every experiment builds its pipeline under
-// the session's scenario-space settings without repeating the five fields.
-func (c Config) applyScenario(po PipelineOptions) PipelineOptions {
-	po.MaxCutSize = c.MaxCutSize
-	po.UseSRLGs = c.UseSRLGs
-	po.TargetMass = c.TargetMass
-	po.MaxEnumerated = c.MaxEnumerated
-	po.NoCompose = c.NoCompose
-	return po
+// ctx is the context an experiment runs under: the session's recorder
+// attached.
+func (c Config) ctx() context.Context {
+	return obs.WithRecorder(context.Background(), c.Recorder)
+}
+
+// pipeline builds an experiment's pipeline under the session: its recorder,
+// worker count, solver switches and scenario space, over whatever po sets of
+// the instance.
+func (c Config) pipeline(tp *topo.Topology, po PipelineOptions) (*Pipeline, error) {
+	po.Parallelism, po.NoWarm, po.NoColgen, po.HealthEvery, po.Space = c.Parallelism, c.NoWarm, c.NoColgen, c.HealthEvery, c.Space
+	return BuildPipelineContext(c.ctx(), tp, po)
 }
 
 // Result is one regenerated table or figure.

@@ -40,7 +40,10 @@ func runThm31(cfg Config) (*Result, error) {
 	// Use the first cut scenario with a genuinely fractional RWA solution.
 	var res *rwa.Result
 	for f := range tp.Opt.Fibers {
-		r, err := rwa.Solve(&rwa.Request{Net: tp.Opt, Cut: []int{f}, K: 3, AllowTuning: true, AllowModulationChange: true, NoWarm: cfg.NoWarm})
+		r, err := rwa.Solve(&rwa.Request{
+			Net: tp.Opt, Cut: []int{f}, K: 3, AllowTuning: true, AllowModulationChange: true,
+			Recorder: cfg.Recorder, NoWarm: cfg.NoWarm, HealthEvery: cfg.HealthEvery,
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -91,7 +94,7 @@ func runAblationAlpha(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	pl, err := BuildPipeline(tp, cfg.applyScenario(PipelineOptions{Cutoff: p.cutoff, NumTickets: 20, Seed: cfg.Seed, MaxScenarios: p.maxScenarios, Recorder: cfg.Recorder, NoWarm: cfg.NoWarm, NoColgen: cfg.NoColgen, HealthEvery: cfg.HealthEvery}))
+	pl, err := cfg.pipeline(tp, PipelineOptions{Cutoff: p.cutoff, NumTickets: 20, Seed: cfg.Seed, MaxScenarios: p.maxScenarios})
 	if err != nil {
 		return nil, err
 	}
@@ -104,7 +107,9 @@ func runAblationAlpha(cfg Config) (*Result, error) {
 	r := &Result{ID: "ablation-alpha", Title: "ARROW vs Phase I slack bound (B4, 4.2x demand)",
 		Header: []string{"alpha", "throughput", "availability"}}
 	for _, alpha := range []float64{0.2, 0.1, 0.05} {
-		al, err := te.Arrow(n, pl.Scenarios, &te.ArrowOptions{Alpha: alpha, NoWarm: cfg.NoWarm, NoColgen: cfg.NoColgen, HealthEvery: cfg.HealthEvery})
+		opts := pl.arrowOptions()
+		opts.Alpha = alpha
+		al, err := te.Arrow(n, pl.Scenarios, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -125,7 +130,7 @@ func runAblationStride(cfg Config) (*Result, error) {
 	r := &Result{ID: "ablation-stride", Title: "ARROW vs rounding stride (B4, 4.2x demand, |Z|=20)",
 		Header: []string{"delta", "distinct feasible tickets/scenario", "throughput"}}
 	for _, delta := range []int{1, 2, 3, 5} {
-		pl, err := BuildPipeline(tp, cfg.applyScenario(PipelineOptions{Cutoff: p.cutoff, NumTickets: 20, Stride: delta, Seed: cfg.Seed, MaxScenarios: p.maxScenarios, Recorder: cfg.Recorder, NoWarm: cfg.NoWarm, NoColgen: cfg.NoColgen, HealthEvery: cfg.HealthEvery}))
+		pl, err := cfg.pipeline(tp, PipelineOptions{Cutoff: p.cutoff, NumTickets: 20, Stride: delta, Seed: cfg.Seed, MaxScenarios: p.maxScenarios})
 		if err != nil {
 			return nil, err
 		}
@@ -141,7 +146,7 @@ func runAblationStride(cfg Config) (*Result, error) {
 			return nil, err
 		}
 		n := base.Scaled(4.2)
-		al, err := te.Arrow(n, pl.Scenarios, arrowOptsFor(cfg))
+		al, err := te.Arrow(n, pl.Scenarios, pl.arrowOptions())
 		if err != nil {
 			return nil, err
 		}

@@ -33,7 +33,7 @@ func runTimeline(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	pl, err := BuildPipeline(tp, cfg.applyScenario(PipelineOptions{Cutoff: p.cutoff, NumTickets: p.tickets, Seed: cfg.Seed, MaxScenarios: p.maxScenarios, Parallelism: cfg.Parallelism, Recorder: cfg.Recorder, NoWarm: cfg.NoWarm, NoColgen: cfg.NoColgen, HealthEvery: cfg.HealthEvery}))
+	pl, err := cfg.pipeline(tp, PipelineOptions{Cutoff: p.cutoff, NumTickets: p.tickets, Seed: cfg.Seed, MaxScenarios: p.maxScenarios})
 	if err != nil {
 		return nil, err
 	}
@@ -67,8 +67,7 @@ func runTimeline(cfg Config) (*Result, error) {
 		runner := sim.NewRunner(n, al, project, pl.Plain, restored)
 		runner.ECMPRebalance = s == SchemeECMP
 		runner.Parallelism = cfg.Parallelism
-		runner.Recorder = cfg.Recorder
-		rep := runner.Run(events, horizon)
+		rep := runner.Run(cfg.ctx(), events, horizon)
 		return []string{string(s), f4(rep.Delivered), pct(rep.FullServiceFrac), f4(rep.Worst), f1(rep.UnplannedHours)}, nil
 	})
 	if err != nil {

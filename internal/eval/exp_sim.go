@@ -7,8 +7,6 @@ import (
 	"time"
 
 	"github.com/arrow-te/arrow/internal/availability"
-	"github.com/arrow-te/arrow/internal/lp"
-	"github.com/arrow-te/arrow/internal/obs"
 	"github.com/arrow-te/arrow/internal/par"
 	"github.com/arrow-te/arrow/internal/te"
 	"github.com/arrow-te/arrow/internal/topo"
@@ -120,8 +118,8 @@ func availabilitySweep(cfg Config, name string) (*sweepData, error) {
 	// key: the sweep is bit-identical for every worker count, and recorders
 	// and health probes only read solver state, so all settings share one
 	// entry. Every other field decides the pipeline or the solves — the
-	// scenario-space knobs of applyScenario included — and a field added to
-	// Config later is part of the key until it is zeroed here.
+	// scenario Space included — and a field added to Config later is part of
+	// the key until it is zeroed here.
 	key := sweepKey{name: name, cfg: cfg}
 	key.cfg.Parallelism, key.cfg.Recorder, key.cfg.HealthEvery = 0, nil, 0
 	sweepMu.Lock()
@@ -135,30 +133,15 @@ func availabilitySweep(cfg Config, name string) (*sweepData, error) {
 	return e.d, e.err
 }
 
-// arrowOptsFor forwards the config's recorder, warm-start and colgen
-// switches into a direct te.Arrow call; nil when none is set, exactly as
-// before instrumentation.
-func arrowOptsFor(cfg Config) *te.ArrowOptions {
-	if cfg.Recorder == nil && !cfg.NoWarm && !cfg.NoColgen {
-		return nil
-	}
-	opts := &te.ArrowOptions{NoWarm: cfg.NoWarm, NoColgen: cfg.NoColgen}
-	if cfg.Recorder != nil {
-		opts.LP = &lp.Options{Recorder: cfg.Recorder}
-	}
-	return opts
-}
-
 func computeSweep(cfg Config, name string) (*sweepData, error) {
 	p := paramsFor(name, cfg.Fast)
 	tp, err := topo.ByName(name, cfg.Seed+5)
 	if err != nil {
 		return nil, err
 	}
-	pl, err := BuildPipeline(tp, cfg.applyScenario(PipelineOptions{
+	pl, err := cfg.pipeline(tp, PipelineOptions{
 		Cutoff: p.cutoff, NumTickets: p.tickets, Seed: cfg.Seed, MaxScenarios: p.maxScenarios,
-		Parallelism: cfg.Parallelism, Recorder: cfg.Recorder, NoWarm: cfg.NoWarm, NoColgen: cfg.NoColgen,
-	}))
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -194,7 +177,7 @@ func computeSweep(cfg Config, name string) (*sweepData, error) {
 			}
 		}
 	}
-	avails, err := par.Map(obs.WithRecorder(context.Background(), cfg.Recorder), cfg.Parallelism, len(jobs), func(_ context.Context, j int) (float64, error) {
+	avails, err := par.Map(cfg.ctx(), cfg.Parallelism, len(jobs), func(_ context.Context, j int) (float64, error) {
 		c := jobs[j]
 		a, _, err := pl.SchemeAvailability(schemes[c.zi], bases[c.mi], scales[c.si])
 		if err != nil {
@@ -319,7 +302,7 @@ func runFig14(cfg Config) (*Result, error) {
 		Header: []string{"tickets |Z|", "throughput"}}
 	var series []float64
 	for _, tc := range ticketCounts {
-		pl, err := BuildPipeline(tp, cfg.applyScenario(PipelineOptions{Cutoff: p.cutoff, NumTickets: tc, Seed: cfg.Seed, MaxScenarios: p.maxScenarios, Parallelism: cfg.Parallelism, Recorder: cfg.Recorder, NoWarm: cfg.NoWarm, NoColgen: cfg.NoColgen, HealthEvery: cfg.HealthEvery}))
+		pl, err := cfg.pipeline(tp, PipelineOptions{Cutoff: p.cutoff, NumTickets: tc, Seed: cfg.Seed, MaxScenarios: p.maxScenarios})
 		if err != nil {
 			return nil, err
 		}
@@ -328,7 +311,7 @@ func runFig14(cfg Config) (*Result, error) {
 			return nil, err
 		}
 		n := base.Scaled(scale)
-		al, err := te.Arrow(n, pl.Scenarios, arrowOptsFor(cfg))
+		al, err := te.Arrow(n, pl.Scenarios, pl.arrowOptions())
 		if err != nil {
 			return nil, err
 		}
@@ -357,7 +340,7 @@ func runFig15(cfg Config) (*Result, error) {
 	r := &Result{ID: "fig15", Title: "ARROW TE solve time vs |Z| (B4, this machine)",
 		Header: []string{"tickets |Z|", "phase I+II solve (s)", "phase I rows", "simplex iters"}}
 	for _, tc := range ticketCounts {
-		pl, err := BuildPipeline(tp, cfg.applyScenario(PipelineOptions{Cutoff: p.cutoff, NumTickets: tc, Seed: cfg.Seed, MaxScenarios: p.maxScenarios, Parallelism: cfg.Parallelism, Recorder: cfg.Recorder, NoWarm: cfg.NoWarm, NoColgen: cfg.NoColgen, HealthEvery: cfg.HealthEvery}))
+		pl, err := cfg.pipeline(tp, PipelineOptions{Cutoff: p.cutoff, NumTickets: tc, Seed: cfg.Seed, MaxScenarios: p.maxScenarios})
 		if err != nil {
 			return nil, err
 		}
@@ -367,7 +350,7 @@ func runFig15(cfg Config) (*Result, error) {
 		}
 		n := base.Scaled(2.5)
 		start := time.Now()
-		al, err := te.Arrow(n, pl.Scenarios, arrowOptsFor(cfg))
+		al, err := te.Arrow(n, pl.Scenarios, pl.arrowOptions())
 		if err != nil {
 			return nil, err
 		}
@@ -385,7 +368,7 @@ func runFig16(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	pl, err := BuildPipeline(tp, cfg.applyScenario(PipelineOptions{Cutoff: d.cutoff, NumTickets: d.tickets, Seed: cfg.Seed, MaxScenarios: d.maxScenarios, Parallelism: cfg.Parallelism, Recorder: cfg.Recorder, NoWarm: cfg.NoWarm, NoColgen: cfg.NoColgen, HealthEvery: cfg.HealthEvery}))
+	pl, err := cfg.pipeline(tp, PipelineOptions{Cutoff: d.cutoff, NumTickets: d.tickets, Seed: cfg.Seed, MaxScenarios: d.maxScenarios})
 	if err != nil {
 		return nil, err
 	}

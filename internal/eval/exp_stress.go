@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"time"
 
 	"github.com/arrow-te/arrow/internal/obs"
@@ -22,22 +23,21 @@ func init() {
 // k<=5 failure lattice of 23 elements, ~3e4 distinct cut sets after SRLG
 // expansion merges overlapping subsets. Fast mode trims to 3-way cuts
 // (~1.8e3 scenarios) so the registry stays laptop-sized.
-func stressOptions(cfg Config, rec obs.Recorder) PipelineOptions {
+func stressOptions(cfg Config) PipelineOptions {
 	po := PipelineOptions{
 		Cutoff: 0, NumTickets: 4, Seed: cfg.Seed, Parallelism: cfg.Parallelism,
-		Recorder: rec, NoWarm: cfg.NoWarm, NoColgen: cfg.NoColgen, HealthEvery: cfg.HealthEvery,
-		MaxCutSize: 5, UseSRLGs: true, NoCompose: cfg.NoCompose,
+		NoWarm: cfg.NoWarm, NoColgen: cfg.NoColgen, HealthEvery: cfg.HealthEvery,
+		// The session's scenario space (e.g. -max-enumerated, -target-mass),
+		// always with the SRLGs, and the stress cut size unless one is set.
+		Space: cfg.Space,
 	}
-	if cfg.Fast {
-		po.MaxCutSize = 3
+	po.Space.UseSRLGs = true
+	if po.Space.MaxCutSize <= 0 {
+		po.Space.MaxCutSize = 5
+		if cfg.Fast {
+			po.Space.MaxCutSize = 3
+		}
 	}
-	// Session-level scenario knobs (e.g. -max-enumerated, -target-mass)
-	// override the stress defaults when explicitly set.
-	if cfg.MaxCutSize > 0 {
-		po.MaxCutSize = cfg.MaxCutSize
-	}
-	po.TargetMass = cfg.TargetMass
-	po.MaxEnumerated = cfg.MaxEnumerated
 	return po
 }
 
@@ -49,10 +49,10 @@ func runScenarioStress(cfg Config) (*Result, error) {
 	// The stress run reads its own counters back, so it always records into
 	// a private registry; cfg.Recorder receives nothing here.
 	reg := obs.NewRegistry()
-	po := stressOptions(cfg, reg)
+	po := stressOptions(cfg)
 
 	start := time.Now()
-	pl, err := BuildPipeline(tp, po)
+	pl, err := BuildPipelineContext(obs.WithRecorder(context.Background(), reg), tp, po)
 	if err != nil {
 		return nil, err
 	}
@@ -90,7 +90,7 @@ func runScenarioStress(cfg Config) (*Result, error) {
 	r := &Result{ID: "stress-scenarios", Title: "Scenario-space stress (B4 + conduit SRLGs)",
 		Header: []string{"metric", "value"}}
 	r.AddRow("failure elements", fi(len(tp.Opt.Fibers)+len(tp.SRLGs)))
-	r.AddRow("max cut size k", fi(po.MaxCutSize))
+	r.AddRow("max cut size k", fi(po.Space.MaxCutSize))
 	r.AddRow("scenarios enumerated", fi(int(c["scenario.enumerated"])))
 	r.AddRow("lattice nodes pruned", fi(int(c["scenario.pruned"])))
 	r.AddRow("residual probability", f4(pl.Set.ResidualProb))

@@ -23,9 +23,9 @@ func buildHealth(t *testing.T, workers, healthEvery int, rec obs.Recorder, led *
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := BuildPipeline(tp, PipelineOptions{
+	pl, err := BuildPipelineContext(withSinks(rec, led, nil), tp, PipelineOptions{
 		Cutoff: 0.001, NumTickets: 8, Seed: 1, MaxScenarios: 12,
-		Parallelism: workers, Recorder: rec, Ledger: led, HealthEvery: healthEvery,
+		Parallelism: workers, HealthEvery: healthEvery,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -182,8 +182,8 @@ func TestScrapeWhileSolve(t *testing.T) {
 	}()
 	<-sseReady
 
-	if _, _, _, err := RunRecorded(RunOptions{
-		Seed: 1, Workers: 4, Recorder: reg, Ledger: led, HealthEvery: 32,
+	if _, _, _, err := RunRecorded(withSinks(reg, led, nil), RunOptions{
+		Seed: 1, Workers: 4, HealthEvery: 32,
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -30,9 +30,9 @@ func TestMetricsSchemaGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	if _, err := BuildPipeline(tp, PipelineOptions{
+	if _, err := BuildPipelineContext(withSinks(reg, nil, nil), tp, PipelineOptions{
 		Cutoff: 0.001, NumTickets: 12, Seed: 1, MaxScenarios: 16,
-		Parallelism: 2, Recorder: reg,
+		Parallelism: 2,
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -55,9 +55,9 @@ func TestInstrumentationPreservesDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pl, err := BuildPipeline(tp, PipelineOptions{
+		pl, err := BuildPipelineContext(withSinks(rec, led, nil), tp, PipelineOptions{
 			Cutoff: 0.001, NumTickets: 8, Seed: 1, MaxScenarios: 12,
-			Parallelism: workers, Recorder: rec, Ledger: led,
+			Parallelism: workers,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -158,9 +158,7 @@ func TestInstrumentationPreservesDeterminism(t *testing.T) {
 		r := sim.NewRunner(n, al, func(cut []int) []int { return baseline.Topo.Opt.FailedLinks(cut) },
 			baseline.Plain, restored)
 		r.Parallelism = workers
-		r.Recorder = rec
-		r.Ledger = led
-		return *r.Run(events, horizon)
+		return *r.Run(withSinks(rec, led, nil), events, horizon)
 	}
 	wantRep := replay(1, nil, nil)
 	for _, workers := range []int{1, 4} {

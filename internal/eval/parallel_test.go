@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -75,7 +76,7 @@ func TestBuildPipelineDeterministicAcrossParallelism(t *testing.T) {
 		r := sim.NewRunner(n, al, func(cut []int) []int { return seq.Topo.Opt.FailedLinks(cut) },
 			seq.Plain, restored)
 		r.Parallelism = workers
-		return *r.Run(events, horizon)
+		return *r.Run(context.Background(), events, horizon)
 	}
 	if r1, r8 := replay(1), replay(8); r1 != r8 {
 		t.Errorf("sim reports differ between Parallelism 1 and 8:\n  1: %+v\n  8: %+v", r1, r8)
@@ -104,9 +105,9 @@ func TestWarmCountersDeterministicAcrossParallelism(t *testing.T) {
 			t.Fatal(err)
 		}
 		reg := obs.NewRegistry()
-		if _, err := BuildPipeline(tp, PipelineOptions{
+		if _, err := BuildPipelineContext(withSinks(reg, nil, nil), tp, PipelineOptions{
 			Cutoff: 0.001, NumTickets: 8, Seed: 1, MaxScenarios: 12,
-			Parallelism: workers, Recorder: reg, NoWarm: noWarm,
+			Parallelism: workers, NoWarm: noWarm,
 		}); err != nil {
 			t.Fatal(err)
 		}

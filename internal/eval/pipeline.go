@@ -6,9 +6,6 @@ import (
 	"sort"
 
 	"github.com/arrow-te/arrow/internal/availability"
-	"github.com/arrow-te/arrow/internal/ledger"
-	"github.com/arrow-te/arrow/internal/lp"
-	"github.com/arrow-te/arrow/internal/obs"
 	"github.com/arrow-te/arrow/internal/plan"
 	"github.com/arrow-te/arrow/internal/rwa"
 	"github.com/arrow-te/arrow/internal/scenario"
@@ -35,14 +32,9 @@ type Pipeline struct {
 	RWAResults []*rwa.Result
 
 	baseUtilization float64
-	rec             obs.Recorder
-	led             *ledger.Ledger
-	noWarm          bool
-	noColgen        bool
-	parallelism     int
-	healthEvery     int
-	prof            *obs.StageProfiler
-	captureSens     bool
+	// teOpts is what every ARROW solve of the pipeline copies: the TE
+	// settings and the sinks of the context it was built with.
+	teOpts te.ArrowOptions
 }
 
 // PipelineOptions configures pipeline construction.
@@ -57,30 +49,10 @@ type PipelineOptions struct {
 	// sizes tractable; 0 = no cap. Cuts that touch no IP link never count
 	// against the budget.
 	MaxScenarios int
-	// MaxCutSize switches scenario enumeration to the correlated k-failure
-	// enumerator (scenario.EnumerateCorrelated) with up to MaxCutSize
-	// simultaneous element failures. 0 keeps the legacy singles+pairs
-	// enumerator and the byte-identical pre-existing pipeline; note that
-	// MaxCutSize=2 without SRLGs produces the same scenario set through the
-	// best-first lattice walk.
-	MaxCutSize int
-	// UseSRLGs adds the topology's shared-risk link groups as correlated
-	// failure elements (conduit cuts that down several fibers at once).
-	// Implies the correlated enumerator.
-	UseSRLGs bool
-	// TargetMass stops enumeration once the emitted scenarios cover this
-	// much probability mass (0 = disabled). Implies the correlated
-	// enumerator.
-	TargetMass float64
-	// MaxEnumerated caps the number of distinct cut sets the correlated
-	// enumerator emits (0 = unbounded). Unlike MaxScenarios it bounds the
-	// ENUMERATION itself, which is what keeps 10^4–10^5-scenario sweeps
-	// from materialising the full failure lattice. Implies the correlated
-	// enumerator.
-	MaxEnumerated int
-	// NoCompose is plan.Options.NoCompose, the cold A/B reference of the
-	// compositional offline stage.
-	NoCompose bool
+	// Space is the scenario space (see plan.Space); the zero value keeps the
+	// legacy singles+pairs enumerator and the byte-identical pre-existing
+	// pipeline.
+	Space plan.Space
 	// Parallelism is the worker count for the per-scenario RWA solves and
 	// LotteryTicket generation (the offline stage is embarrassingly
 	// parallel, §6.3). 0 selects runtime.NumCPU(); 1 is fully sequential.
@@ -92,18 +64,6 @@ type PipelineOptions struct {
 	// satisfiable state — every scheme admits 100% — and scales up
 	// several-fold until the failure-protection knees separate the schemes).
 	BaseUtilization float64
-	// Recorder receives pipeline metrics (scenario counts, stage spans,
-	// relaxation gaps) and is threaded through every layer the offline
-	// stage touches: RWA, ticket generation, the LP solver and the worker
-	// pool, plus the TE solves issued later via SolveScheme. A nil
-	// Recorder costs nothing and never changes the pipeline.
-	Recorder obs.Recorder
-	// Ledger, when non-nil, records the per-run decision stream: scenario
-	// enumeration and relevance, per-ticket generation/rejection (tagged
-	// with the ENUMERATED scenario index), and — through SolveScheme — the
-	// TE solves, winners and residual demand. Same contract as Recorder:
-	// nil costs nothing and results are byte-identical either way.
-	Ledger *ledger.Ledger
 	// NoWarm disables LP warm starts in the per-scenario RWA solves and the
 	// TE solves issued later via SolveScheme. The default (warm) uses only
 	// deterministic warm sources, so results stay schedule-independent at
@@ -121,14 +81,6 @@ type PipelineOptions struct {
 	// keeps probing off. Probes only read solver state: results are
 	// byte-identical probed or not, at every Parallelism.
 	HealthEvery int
-	// Profiler attributes the build's resources to stages: the top-level
-	// pipeline.graph / pipeline.enumerate / pipeline.offline wall stages
-	// plus the rwa.solve / ticket.generate aggregates summed across
-	// workers. It is threaded into the TE solves issued later via
-	// SolveScheme (te.phase1, te.phase2, te.pricing). Same contract as
-	// Recorder: nil costs a nil check and the pipeline is byte-identical
-	// profiled or not, at every Parallelism.
-	Profiler *obs.StageProfiler
 	// CaptureSensitivity makes the ARROW solves issued via SolveScheme
 	// attach the final Phase II model/basis/duals to the allocation
 	// (te.ArrowOptions.CaptureSensitivity) for post-solve availability
@@ -145,21 +97,20 @@ func BuildPipeline(tp *topo.Topology, opts PipelineOptions) (*Pipeline, error) {
 	return BuildPipelineContext(context.Background(), tp, opts)
 }
 
-// BuildPipelineContext is BuildPipeline with cancellation: ctx aborts the
-// worker pool between scenario solves (a failing RWA solve likewise
-// cancels all outstanding work). The stage itself is internal/plan's, shared
-// with the public arrow.Network.PlanContext; this function hands it the
-// topology's network and SRLGs, attaches the options' recorder and ledger to
-// the context it reads them from, and keeps what SolveScheme needs later.
+// BuildPipelineContext is BuildPipeline with cancellation and sinks: ctx
+// aborts the worker pool between scenario solves (a failing RWA solve
+// likewise cancels all outstanding work), and the recorder, ledger and stage
+// profiler attached to it (obs.WithRecorder, ledger.WithLedger,
+// obs.WithProfiler) instrument the build and every TE solve the pipeline
+// issues later. Sinks never change a result. The stage itself is
+// internal/plan's, shared with the public arrow.Network.PlanContext; this
+// function hands it the topology's network and SRLGs and keeps what
+// SolveScheme needs later.
 func BuildPipelineContext(ctx context.Context, tp *topo.Topology, opts PipelineOptions) (*Pipeline, error) {
-	ctx = ledger.WithLedger(obs.WithRecorder(ctx, opts.Recorder), opts.Ledger)
 	off, err := plan.Build(ctx, tp.Opt, nil, tp.SRLGs, plan.Options{
 		Tickets: opts.NumTickets, Stride: opts.Stride, K: opts.K, Seed: opts.Seed,
-		Cutoff: opts.Cutoff, MaxScenarios: opts.MaxScenarios,
-		MaxCutSize: opts.MaxCutSize, UseSRLGs: opts.UseSRLGs,
-		TargetMass: opts.TargetMass, MaxEnumerated: opts.MaxEnumerated,
-		NoCompose: opts.NoCompose, NoWarm: opts.NoWarm, HealthEvery: opts.HealthEvery,
-		Parallelism: opts.Parallelism, Profiler: opts.Profiler,
+		Cutoff: opts.Cutoff, MaxScenarios: opts.MaxScenarios, Space: opts.Space,
+		NoWarm: opts.NoWarm, HealthEvery: opts.HealthEvery, Parallelism: opts.Parallelism,
 	})
 	if err != nil {
 		return nil, err
@@ -168,11 +119,9 @@ func BuildPipelineContext(ctx context.Context, tp *topo.Topology, opts PipelineO
 		Topo: tp, Set: off.Set, Scenarios: off.Scenarios, Naive: off.Naive, RWAResults: off.RWA,
 		Plain:           make([]te.FailureScenario, len(off.Scenarios)),
 		baseUtilization: opts.BaseUtilization,
-		rec:             obs.FromContext(ctx), led: ledger.FromContext(ctx),
-		noWarm: opts.NoWarm, noColgen: opts.NoColgen, parallelism: opts.Parallelism,
-		healthEvery: opts.HealthEvery, prof: opts.Profiler,
-		captureSens: opts.CaptureSensitivity,
+		teOpts:          te.SessionOptions(ctx, opts.NoWarm, opts.NoColgen, opts.Parallelism, opts.HealthEvery),
 	}
+	p.teOpts.CaptureSensitivity = opts.CaptureSensitivity
 	for i := range off.Scenarios {
 		p.Plain[i] = off.Scenarios[i].FailureScenario
 	}
@@ -201,30 +150,15 @@ func AllSchemes() []Scheme {
 // SolveScheme runs one TE scheme on the network and returns its allocation
 // plus the per-scenario restored-capacity maps to use during evaluation.
 func (p *Pipeline) SolveScheme(s Scheme, n *te.Network) (*te.Allocation, []map[int]float64, error) {
-	// Thread the pipeline's recorder, ledger, warm-start/colgen switches and
-	// pricing parallelism into the two-phase LP solves; with none of them
-	// the options stay nil exactly as before (nil defaults to colgen on,
-	// serial pricing — same results, just an unfanned pricing sweep).
-	var arrowOpts *te.ArrowOptions
-	if p.rec != nil || p.led != nil || p.noWarm || p.noColgen || p.parallelism > 1 || p.healthEvery > 0 || p.prof != nil || p.captureSens {
-		arrowOpts = &te.ArrowOptions{
-			Ledger: p.led, NoWarm: p.noWarm,
-			NoColgen: p.noColgen, Parallelism: p.parallelism,
-			Profiler: p.prof, CaptureSensitivity: p.captureSens,
-		}
-		if p.rec != nil || p.healthEvery > 0 {
-			arrowOpts.LP = &lp.Options{Recorder: p.rec, HealthEvery: p.healthEvery}
-		}
-	}
 	switch s {
 	case SchemeArrow:
-		al, err := te.Arrow(n, p.Scenarios, arrowOpts)
+		al, err := te.Arrow(n, p.Scenarios, p.arrowOptions())
 		if err != nil {
 			return nil, nil, err
 		}
 		return al, al.RestoredGbps, nil
 	case SchemeArrowNaive:
-		al, err := te.ArrowNaive(n, p.Naive, arrowOpts)
+		al, err := te.ArrowNaive(n, p.Naive, p.arrowOptions())
 		if err != nil {
 			return nil, nil, err
 		}
@@ -246,6 +180,13 @@ func (p *Pipeline) SolveScheme(s Scheme, n *te.Network) (*te.Allocation, []map[i
 		return al, nil, err
 	}
 	return nil, nil, fmt.Errorf("eval: unknown scheme %q", s)
+}
+
+// arrowOptions returns a copy of the options every ARROW solve of the
+// pipeline runs under: the session's settings and sinks.
+func (p *Pipeline) arrowOptions() *te.ArrowOptions {
+	o := p.teOpts
+	return &o
 }
 
 // singleCutScenarios projects all <=k fiber-cut combinations onto IP links

@@ -1,0 +1,81 @@
+package eval
+
+import (
+	"context"
+	"runtime"
+	"testing"
+
+	"github.com/arrow-te/arrow/internal/ledger"
+	"github.com/arrow-te/arrow/internal/obs"
+	"github.com/arrow-te/arrow/internal/topo"
+)
+
+// withSinks is the context a recorded run reads its sinks from; any of the
+// three may be nil.
+func withSinks(rec obs.Recorder, led *ledger.Ledger, prof *obs.StageProfiler) context.Context {
+	return obs.WithProfiler(ledger.WithLedger(obs.WithRecorder(context.Background(), rec), led), prof)
+}
+
+// TestExperimentsReachEverySolve holds the experiments to the session's
+// settings: every TE solve an experiment issues, not only its pipeline's
+// offline stage, runs under the Config's recorder, health probing and worker
+// count.
+func TestExperimentsReachEverySolve(t *testing.T) {
+	run := func(t *testing.T, id string, cfg Config) *obs.Registry {
+		t.Helper()
+		e, ok := ByID(id)
+		if !ok {
+			t.Fatalf("experiment %s is not registered", id)
+		}
+		reg := obs.NewRegistry()
+		cfg.Fast, cfg.Seed, cfg.Recorder = true, 1, reg
+		if _, err := e.Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		return reg
+	}
+
+	t.Run("table9 probes its TE solves", func(t *testing.T) {
+		// table9 builds no pipeline: its only LPs are the two-phase solves.
+		reg := run(t, "table9", Config{Parallelism: 1, HealthEvery: 1})
+		if reg.Counter("lp.solves") == 0 {
+			t.Fatal("table9 recorded no LP solve")
+		}
+		if got := reg.Counter("lp.health.probes"); got == 0 {
+			t.Errorf("lp.health.probes = 0 over %d LP solves at HealthEvery 1", reg.Counter("lp.solves"))
+		}
+	})
+
+	t.Run("ablation-alpha honours Parallelism 1", func(t *testing.T) {
+		if runtime.NumCPU() < 2 {
+			t.Skip("a 1-CPU host runs 1 worker whatever the setting")
+		}
+		reg := run(t, "ablation-alpha", Config{Parallelism: 1})
+		if h, ok := reg.Snapshot().Histograms["par.queue_wait_seconds"]; ok && h.Count > 0 {
+			t.Errorf("%d par.queue_wait_seconds observations at Parallelism 1", h.Count)
+		}
+		if idle := reg.Counter("par.idle_ns"); idle != 0 {
+			t.Errorf("par.idle_ns = %d at Parallelism 1", idle)
+		}
+	})
+
+	t.Run("ablation-alpha records its TE solves", func(t *testing.T) {
+		reg := run(t, "ablation-alpha", Config{Parallelism: 1})
+		// The same pipeline alone: what ablation-alpha records beyond it is
+		// its three te.Arrow solves, each at least a Phase I and a Phase II.
+		p := paramsFor("B4", true)
+		tp, err := topo.B4(1 + 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		offline := obs.NewRegistry()
+		if _, err := BuildPipelineContext(obs.WithRecorder(context.Background(), offline), tp, PipelineOptions{
+			Cutoff: p.cutoff, NumTickets: 20, Seed: 1, MaxScenarios: p.maxScenarios, Parallelism: 1,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if te := reg.Counter("lp.solves") - offline.Counter("lp.solves"); te < 6 {
+			t.Errorf("the three TE solves counted %d lp.solves, want >= 6", te)
+		}
+	})
+}

@@ -24,9 +24,9 @@ func TestStageProfilingPreservesDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pl, err := BuildPipeline(tp, PipelineOptions{
+		pl, err := BuildPipelineContext(withSinks(nil, nil, prof), tp, PipelineOptions{
 			Cutoff: 0.001, NumTickets: 8, Seed: 1, MaxScenarios: 12,
-			Parallelism: workers, Profiler: prof,
+			Parallelism: workers,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -68,7 +68,7 @@ func TestStageProfilingPreservesDeterminism(t *testing.T) {
 	// The TE solve must be equally oblivious: same allocation with the
 	// profiler threaded through SolveScheme (te.phase1/te.phase2 stages).
 	runOnce := func(prof *obs.StageProfiler) *pipelineSolve {
-		pl, al, _, err := RunRecorded(RunOptions{Seed: 1, Workers: 2, Profiler: prof})
+		pl, al, _, err := RunRecorded(withSinks(nil, nil, prof), RunOptions{Seed: 1, Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

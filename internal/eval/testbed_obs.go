@@ -4,13 +4,12 @@ import (
 	"context"
 
 	"github.com/arrow-te/arrow/internal/emu"
-	"github.com/arrow-te/arrow/internal/ledger"
 	"github.com/arrow-te/arrow/internal/obs"
 	"github.com/arrow-te/arrow/internal/sim"
 	"github.com/arrow-te/arrow/internal/te"
 )
 
-// TestbedOutcome is RunTestbedRecorded's result: the paired emulated
+// TestbedOutcome is RunTestbed's result: the paired emulated
 // restoration episodes and the latency-aware availability replays they
 // parameterise.
 type TestbedOutcome struct {
@@ -45,33 +44,20 @@ func latencySimNet() (*te.Network, sim.Projector, []te.FailureScenario, []map[in
 	return n, project, scenarios, restored
 }
 
-// RunTestbedRecorded runs the restoration-latency observatory: both §5
-// testbed episodes (legacy and noise loading) with the recorder and ledger
-// attached — producing the per-stage emulated-clock waterfall, emu.*
-// metrics and typed device events — then replays one failure timeline
+// RunTestbed runs the restoration-latency observatory under the recorder,
+// ledger and stage profiler attached to ctx: both §5 testbed episodes (legacy
+// and noise loading) — producing the per-stage emulated-clock waterfall,
+// emu.* metrics and typed device events — then replays one failure timeline
 // twice, drawing each cut's restoration latency from that scheme's
-// emu-measured samples. The emu.latency_ratio gauge and the mode-tagged
+// emu-measured samples. The emulated episodes land in the testbed.emulate
+// stage, the latency-sample episodes in testbed.latency_samples and the
+// replays in sim.replay. The emu.latency_ratio gauge and the mode-tagged
 // sim_summary events feed cmd/arrow-report's latency section and the -diff
-// latency-ratio gate.
-func RunTestbedRecorded(seed int64, rec obs.Recorder, led *ledger.Ledger) (*TestbedOutcome, error) {
-	return RunTestbedProfiled(seed, rec, led, nil)
-}
-
-// RunTestbedProfiled is RunTestbedRecorded with stage attribution: the
-// emulated episodes land in testbed.emulate, the empirical latency-sample
-// episodes in testbed.latency_samples, and the replays in sim.replay. A nil
-// profiler reproduces RunTestbedRecorded exactly (byte-identical outcome).
-func RunTestbedProfiled(seed int64, rec obs.Recorder, led *ledger.Ledger, prof *obs.StageProfiler) (*TestbedOutcome, error) {
-	return RunTestbedAttributed(seed, rec, led, prof, false)
-}
-
-// RunTestbedAttributed is RunTestbedProfiled with the replay's per-cut
-// loss attribution switched on: each sim.Runner additionally emits one
-// mode-tagged attribution event per distinct fiber-cut set with its
-// time-weighted loss share (sim.Runner.AttributeLoss). Off reproduces
-// RunTestbedProfiled byte-identically.
-func RunTestbedAttributed(seed int64, rec obs.Recorder, led *ledger.Ledger, prof *obs.StageProfiler, attrLoss bool) (*TestbedOutcome, error) {
-	ctx := ledger.WithLedger(obs.WithRecorder(context.Background(), rec), led)
+// latency-ratio gate. attrLoss switches on the replays' per-cut loss
+// attribution (sim.Runner.AttributeLoss). The outcome is byte-identical with
+// or without sinks.
+func RunTestbed(ctx context.Context, seed int64, attrLoss bool) (*TestbedOutcome, error) {
+	prof := obs.ProfilerFrom(ctx)
 	episode := func(noiseLoading bool) (*emu.Trial, error) {
 		net, err := emu.Testbed()
 		if err != nil {
@@ -91,7 +77,7 @@ func RunTestbedAttributed(seed int64, rec obs.Recorder, led *ledger.Ledger, prof
 		return nil, err
 	}
 	out := &TestbedOutcome{Legacy: legacy, Arrow: arrow, LatencyRatio: legacy.DoneSec / arrow.DoneSec}
-	obs.Gauge(rec, "emu.latency_ratio", out.LatencyRatio)
+	obs.Gauge(obs.FromContext(ctx), "emu.latency_ratio", out.LatencyRatio)
 
 	// The availability coupling: same network, same timeline, same latency
 	// seed — only the (emu-measured) latency distribution differs.
@@ -108,11 +94,8 @@ func RunTestbedAttributed(seed int64, rec obs.Recorder, led *ledger.Ledger, prof
 		r.Latency = sim.EmpiricalLatency{SamplesSec: samples}
 		r.LatencySeed = seed
 		r.Label = label
-		r.Recorder = rec
-		r.Ledger = led
-		r.Profiler = prof
 		r.AttributeLoss = attrLoss
-		return r.Run(events, 90*24), nil
+		return r.Run(ctx, events, 90*24), nil
 	}
 	if out.LegacySim, err = replay("legacy", false); err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"testing"
 
 	"github.com/arrow-te/arrow/internal/ledger"
@@ -17,7 +18,7 @@ func TestRunTestbedRecordedLatencyObservatory(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.EnableTrace()
 	led := ledger.New()
-	out, err := RunTestbedRecorded(1, reg, led)
+	out, err := RunTestbed(withSinks(reg, led, nil), 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestRunTestbedRecordedLatencyObservatory(t *testing.T) {
 	}
 
 	// Determinism across invocations: the observatory is seed-stable.
-	out2, err := RunTestbedRecorded(1, nil, nil)
+	out2, err := RunTestbed(context.Background(), 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -378,53 +378,6 @@ func (g *Graph) KShortestPathsAvoiding(src, dst Node, k int, maxWeight float64, 
 	return accepted
 }
 
-// DisjointPaths greedily extracts up to k paths from src to dst that share
-// no edge label (labels typically identify fibers, so label-disjoint means
-// fiber-disjoint). Paths are found shortest-first.
-func (g *Graph) DisjointPaths(src, dst Node, k int) []Path {
-	usedLabels := map[int]bool{}
-	var out []Path
-	for len(out) < k {
-		p, ok := g.ShortestPath(src, dst, func(id int) bool { return usedLabels[g.edges[id].Label] })
-		if !ok {
-			break
-		}
-		for _, id := range p.Edges {
-			usedLabels[g.edges[id].Label] = true
-		}
-		out = append(out, p)
-	}
-	return out
-}
-
-// Reachable reports whether dst is reachable from src skipping banned edges.
-func (g *Graph) Reachable(src, dst Node, banned func(edgeID int) bool) bool {
-	if src == dst {
-		return true
-	}
-	seen := make([]bool, g.n)
-	stack := []Node{src}
-	seen[src] = true
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, id := range g.out[n] {
-			if banned != nil && banned(id) {
-				continue
-			}
-			to := g.edges[id].To
-			if to == dst {
-				return true
-			}
-			if !seen[to] {
-				seen[to] = true
-				stack = append(stack, to)
-			}
-		}
-	}
-	return false
-}
-
 func equalInts(a, b []int) bool {
 	if len(a) != len(b) {
 		return false
@@ -435,102 +388,4 @@ func equalInts(a, b []int) bool {
 		}
 	}
 	return true
-}
-
-// MaxFlow computes the maximum s->t flow with Edmonds-Karp (BFS augmenting
-// paths). capacity gives each edge's capacity by edge ID; opposite directed
-// edges are treated independently. Used for topology diagnostics (min-cut
-// checks) and as a combinatorial cross-check of the LP solver.
-func (g *Graph) MaxFlow(s, t Node, capacity func(edgeID int) float64) float64 {
-	if s == t {
-		return 0
-	}
-	residual := make([]float64, len(g.edges))
-	for id := range g.edges {
-		residual[id] = capacity(id)
-	}
-	// reverse[id] is the edge ID of the reverse residual arc; built lazily
-	// as a virtual arc (flow pushed back along id).
-	flowOn := make([]float64, len(g.edges))
-
-	total := 0.0
-	for {
-		// BFS over residual graph: forward arcs with residual > 0, and
-		// backward arcs with flow > 0.
-		type step struct {
-			edge    int
-			forward bool
-		}
-		prev := make(map[Node]step, g.n)
-		visited := make([]bool, g.n)
-		visited[s] = true
-		queue := []Node{s}
-		found := false
-		for len(queue) > 0 && !found {
-			u := queue[0]
-			queue = queue[1:]
-			for _, id := range g.out[u] {
-				e := &g.edges[id]
-				if residual[id] > 1e-12 && !visited[e.To] {
-					visited[e.To] = true
-					prev[e.To] = step{id, true}
-					if e.To == t {
-						found = true
-						break
-					}
-					queue = append(queue, e.To)
-				}
-			}
-			if found {
-				break
-			}
-			// Backward arcs: edges INTO u with positive flow.
-			for id := range g.edges {
-				e := &g.edges[id]
-				if e.To == u && flowOn[id] > 1e-12 && !visited[e.From] {
-					visited[e.From] = true
-					prev[e.From] = step{id, false}
-					if e.From == t {
-						found = true
-						break
-					}
-					queue = append(queue, e.From)
-				}
-			}
-		}
-		if !found {
-			return total
-		}
-		// Find bottleneck.
-		bottleneck := math.Inf(1)
-		for at := t; at != s; {
-			st := prev[at]
-			e := &g.edges[st.edge]
-			if st.forward {
-				if residual[st.edge] < bottleneck {
-					bottleneck = residual[st.edge]
-				}
-				at = e.From
-			} else {
-				if flowOn[st.edge] < bottleneck {
-					bottleneck = flowOn[st.edge]
-				}
-				at = e.To
-			}
-		}
-		for at := t; at != s; {
-			st := prev[at]
-			e := &g.edges[st.edge]
-			if st.forward {
-				residual[st.edge] -= bottleneck
-				flowOn[st.edge] += bottleneck
-				at = e.From
-			} else {
-				flowOn[st.edge] -= bottleneck
-				residual[st.edge] += bottleneck
-				at = e.To
-			}
-		}
-		total += bottleneck
-	}
 }

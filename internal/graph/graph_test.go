@@ -46,12 +46,6 @@ func TestShortestPathUnreachable(t *testing.T) {
 	if _, ok := g.ShortestPath(0, 3, nil); ok {
 		t.Fatal("expected unreachable")
 	}
-	if g.Reachable(0, 3, nil) {
-		t.Fatal("Reachable disagreed")
-	}
-	if !g.Reachable(0, 1, nil) {
-		t.Fatal("0->1 should be reachable")
-	}
 }
 
 func TestShortestPathBannedEdges(t *testing.T) {
@@ -149,31 +143,6 @@ func TestKShortestPathsLoopless(t *testing.T) {
 	}
 }
 
-func TestDisjointPaths(t *testing.T) {
-	// Two label-disjoint routes plus one sharing a label.
-	g := New(4)
-	g.AddEdge(0, 1, 1, 100)
-	g.AddEdge(1, 3, 1, 101)
-	g.AddEdge(0, 2, 1, 102)
-	g.AddEdge(2, 3, 1, 103)
-	g.AddEdge(0, 3, 10, 100) // shares label 100 with first hop
-	ps := g.DisjointPaths(0, 3, 3)
-	if len(ps) != 2 {
-		t.Fatalf("got %d disjoint paths, want 2", len(ps))
-	}
-	labels := map[int]int{}
-	for _, p := range ps {
-		for _, id := range p.Edges {
-			labels[g.Edge(id).Label]++
-		}
-	}
-	for l, c := range labels {
-		if c > 1 {
-			t.Fatalf("label %d reused %d times", l, c)
-		}
-	}
-}
-
 func TestKShortestAgainstBruteForce(t *testing.T) {
 	// Enumerate all simple paths on a random small graph and compare the
 	// sorted weights with Yen's output.
@@ -225,81 +194,6 @@ func TestKShortestAgainstBruteForce(t *testing.T) {
 			if math.Abs(ps[i].Weight-all[i]) > 1e-9 {
 				t.Fatalf("trial %d: path %d weight %g want %g", trial, i, ps[i].Weight, all[i])
 			}
-		}
-	}
-}
-
-func TestMaxFlowKnown(t *testing.T) {
-	// Classic CLRS-style network: s=0, t=5.
-	g := New(6)
-	caps := map[int]float64{}
-	add := func(a, b Node, c float64) {
-		id := g.AddEdge(a, b, 1, 0)
-		caps[id] = c
-	}
-	add(0, 1, 16)
-	add(0, 2, 13)
-	add(1, 2, 10)
-	add(2, 1, 4)
-	add(1, 3, 12)
-	add(3, 2, 9)
-	add(2, 4, 14)
-	add(4, 3, 7)
-	add(3, 5, 20)
-	add(4, 5, 4)
-	got := g.MaxFlow(0, 5, func(id int) float64 { return caps[id] })
-	if math.Abs(got-23) > 1e-9 {
-		t.Fatalf("max flow %g, want 23", got)
-	}
-	// Unreachable sink.
-	g2 := New(3)
-	g2.AddEdge(0, 1, 1, 0)
-	if f := g2.MaxFlow(0, 2, func(int) float64 { return 5 }); f != 0 {
-		t.Fatalf("flow to unreachable sink %g", f)
-	}
-	if f := g.MaxFlow(0, 0, func(int) float64 { return 5 }); f != 0 {
-		t.Fatalf("s==t flow %g", f)
-	}
-}
-
-func TestMaxFlowMatchesLPOnRandomGraphs(t *testing.T) {
-	// Cross-check against the min of all s-t cut values on small random
-	// graphs (max-flow = min-cut).
-	rng := rand.New(rand.NewSource(77))
-	// Exact check: enumerate all cuts (max-flow = min-cut) on small graphs.
-	for trial := 0; trial < 25; trial++ {
-		n := 4 + rng.Intn(4)
-		g := New(n)
-		caps := map[int]float64{}
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if i != j && rng.Float64() < 0.45 {
-					id := g.AddEdge(Node(i), Node(j), 1, 0)
-					caps[id] = float64(1 + rng.Intn(9))
-				}
-			}
-		}
-		flow := g.MaxFlow(0, Node(n-1), func(id int) float64 { return caps[id] })
-		// Min cut by enumeration over subsets containing s but not t.
-		minCut := math.Inf(1)
-		for mask := 0; mask < 1<<n; mask++ {
-			if mask&1 == 0 || mask&(1<<(n-1)) != 0 {
-				continue
-			}
-			cut := 0.0
-			for id, e := range g.Edges() {
-				inS := mask&(1<<int(e.From)) != 0
-				inT := mask&(1<<int(e.To)) == 0
-				if inS && inT {
-					cut += caps[id]
-				}
-			}
-			if cut < minCut {
-				minCut = cut
-			}
-		}
-		if math.Abs(flow-minCut) > 1e-9 {
-			t.Fatalf("trial %d: max flow %g != min cut %g", trial, flow, minCut)
 		}
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"os"
 	"sync"
 
 	"github.com/arrow-te/arrow/internal/lp"
@@ -320,6 +321,20 @@ func (l *Ledger) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(l.Snapshot())
+}
+
+// WriteFile writes the ledger snapshot to path (created or truncated), the
+// file every CLI's -ledger-json flag names and arrow-report -ledger reads.
+func (l *Ledger) WriteFile(path string) error {
+	fd, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := l.WriteJSON(fd); err != nil {
+		fd.Close()
+		return err
+	}
+	return fd.Close()
 }
 
 // ReadJSON parses a snapshot previously written by WriteJSON.

@@ -25,7 +25,7 @@ func (d *DebugServer) Addr() string { return d.addr }
 // Close shuts the listener down immediately.
 func (d *DebugServer) Close() { d.srv.Close() }
 
-// Done is closed once a ServeContext listener has finished shutting down
+// Done is closed once a ServeContextWith listener has finished shutting down
 // after its context was cancelled. For plain Serve listeners it never
 // closes.
 func (d *DebugServer) Done() <-chan struct{} { return d.done }
@@ -148,15 +148,10 @@ func Serve(addr string, reg *Registry) (*DebugServer, error) {
 	return ServeWith(addr, ServeOpts{Registry: reg})
 }
 
-// ServeContext starts the diagnostics listener like ServeWith and
+// ServeContextWith starts the diagnostics listener like ServeWith and
 // additionally shuts it down gracefully (in-flight requests drain, bounded
 // by a 5 s deadline) when ctx is cancelled. Done() closes once shutdown
 // completes.
-func ServeContext(ctx context.Context, addr string, reg *Registry) (*DebugServer, error) {
-	return ServeContextWith(ctx, addr, ServeOpts{Registry: reg})
-}
-
-// ServeContextWith is ServeWith plus graceful context-driven shutdown.
 func ServeContextWith(ctx context.Context, addr string, opts ServeOpts) (*DebugServer, error) {
 	d, err := ServeWith(addr, opts)
 	if err != nil {

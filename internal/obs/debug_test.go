@@ -96,7 +96,7 @@ func TestDebugServerBindFailure(t *testing.T) {
 // listener serves until the context is cancelled, then drains and closes.
 func TestServeContextGracefulShutdown(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	srv, err := ServeContext(ctx, "127.0.0.1:0", NewRegistry())
+	srv, err := ServeContextWith(ctx, "127.0.0.1:0", ServeOpts{Registry: NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,6 +65,7 @@ type ctxKey int
 const (
 	recorderKey ctxKey = iota
 	trackKey
+	profilerKey
 )
 
 // WithRecorder attaches r to the context. A nil r returns ctx unchanged.
@@ -79,6 +80,21 @@ func WithRecorder(ctx context.Context, r Recorder) context.Context {
 func FromContext(ctx context.Context) Recorder {
 	r, _ := ctx.Value(recorderKey).(Recorder)
 	return r
+}
+
+// WithProfiler attaches p to the context. A nil p returns ctx unchanged.
+func WithProfiler(ctx context.Context, p *StageProfiler) context.Context {
+	if p == nil {
+		return ctx
+	}
+	return context.WithValue(ctx, profilerKey, p)
+}
+
+// ProfilerFrom returns the StageProfiler attached to ctx, or nil (which every
+// StageProfiler method accepts).
+func ProfilerFrom(ctx context.Context) *StageProfiler {
+	p, _ := ctx.Value(profilerKey).(*StageProfiler)
+	return p
 }
 
 // WithTrack pins subsequent spans under ctx to the given timeline track.

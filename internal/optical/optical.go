@@ -56,18 +56,6 @@ func (l *IPLink) CapacityGbps() float64 {
 	return c
 }
 
-// UsesFiber reports whether any wavelength of the link traverses fiber id.
-func (l *IPLink) UsesFiber(id int) bool {
-	for _, w := range l.Waves {
-		for _, f := range w.FiberPath {
-			if f == id {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // Network is an optical-layer topology with its provisioned IP links.
 type Network struct {
 	NumROADMs int

@@ -6,16 +6,19 @@
 // plan the same scenarios, ticket for ticket, by construction
 // (TestOfflineStageFingerprints in the root package pins that).
 //
-// The metrics recorder and the flight-recorder ledger ride the context
-// (obs.WithRecorder, ledger.WithLedger): the public API may not name either
-// type in a signature, and a stage that read them from two places could be
-// handed two different sinks. Options therefore carries no sink.
+// The metrics recorder, the flight-recorder ledger and the stage profiler
+// ride the context (obs.WithRecorder, ledger.WithLedger, obs.WithProfiler):
+// the public API may not name them in a signature, and a stage that read them
+// from two places could be handed two different sinks. Options therefore
+// carries no sink.
 package plan
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"sort"
+	"strconv"
 
 	"github.com/arrow-te/arrow/internal/ledger"
 	"github.com/arrow-te/arrow/internal/obs"
@@ -26,6 +29,58 @@ import (
 	"github.com/arrow-te/arrow/internal/te"
 	"github.com/arrow-te/arrow/internal/ticket"
 )
+
+// Space is the scenario space the stage enumerates and how it plans it. The
+// zero value is the legacy singles+pairs enumeration; any of the first four
+// fields selects the correlated k-failure enumerator
+// (scenario.EnumerateCorrelated). It is one comparable value, so a memo may
+// key on it.
+type Space struct {
+	// MaxCutSize bounds a cut set's simultaneously failed elements (0 = 2 on
+	// the correlated path). MaxCutSize 2 without SRLGs enumerates the legacy
+	// set through the best-first lattice walk.
+	MaxCutSize int
+	// UseSRLGs adds the shared-risk link groups as correlated failure
+	// elements (conduit cuts that down several fibers at once).
+	UseSRLGs bool
+	// TargetMass stops enumeration once the emitted scenarios cover this much
+	// probability mass (0 = disabled).
+	TargetMass float64
+	// MaxEnumerated caps the distinct cut sets enumerated (0 = unbounded).
+	// Unlike Options.MaxScenarios it bounds the enumeration itself, which is
+	// what keeps 10^4–10^5-scenario sweeps from materialising the full
+	// failure lattice.
+	MaxEnumerated int
+	// NoCompose turns the compositional pre-stage off (correlated path only):
+	// every multi-fiber cut's RWA then solves cold from the slack basis, and
+	// its ticket pool has no composed-from-singles candidate (Seeds stays 0
+	// and rounding draws one more ticket in its place). The scenario space
+	// and every RWA objective are the same either way; the ticket pools, and
+	// with them the winning tickets, may differ. What the tests pin is less
+	// than identity: composition spends fewer simplex pivots over the same
+	// enumerated scenarios (eval's TestComposeReducesPivotWork), and on the
+	// square test WAN the exported plan happens to be byte-identical with
+	// and without it (the root package's TestPlanCorrelated).
+	NoCompose bool
+}
+
+// RegisterScenarioFlags installs the scenario-space flags the CLIs share
+// (-max-cut-size, -srlgs, -target-mass, -max-enumerated, -compose) and
+// returns the Space they fill once fs is parsed. All-default is the zero
+// Space.
+func RegisterScenarioFlags(fs *flag.FlagSet) *Space {
+	s := &Space{}
+	fs.IntVar(&s.MaxCutSize, "max-cut-size", 0, "enumerate correlated cut sets of up to this many failure elements (0 = legacy singles+pairs enumerator)")
+	fs.BoolVar(&s.UseSRLGs, "srlgs", false, "expand the topology's shared-risk link groups as correlated failure elements")
+	fs.Float64Var(&s.TargetMass, "target-mass", 0, "stop enumerating once this fraction of the failure probability mass is covered (0 = cutoff only)")
+	fs.IntVar(&s.MaxEnumerated, "max-enumerated", 0, "hard cap on enumerated cut sets (0 = uncapped)")
+	fs.BoolFunc("compose", "warm-start multi-cut RWA solves from pre-staged single-cut bases and seed composed tickets (default true; -compose=false for the cold A/B)", func(v string) error {
+		compose, err := strconv.ParseBool(v)
+		s.NoCompose = !compose
+		return err
+	})
+	return s
+}
 
 // Options configures one run of the offline stage. The fields restate what
 // arrow.PlanOptions and eval.PipelineOptions expose; their doc comments are
@@ -39,32 +94,11 @@ type Options struct {
 	// MaxScenarios caps the RELEVANT scenarios (cuts that fail at least one IP
 	// link) kept from the probability-sorted list; 0 keeps every one.
 	MaxScenarios int
-	// MaxCutSize, UseSRLGs, TargetMass and MaxEnumerated select the correlated
-	// k-failure enumerator when any is set; all zero keeps the legacy
-	// singles+pairs enumeration.
-	MaxCutSize    int
-	UseSRLGs      bool
-	TargetMass    float64
-	MaxEnumerated int
-	// NoCompose turns the compositional pre-stage off (correlated path only):
-	// every multi-fiber cut's RWA then solves cold from the slack basis, and
-	// its ticket pool has no composed-from-singles candidate (Seeds stays 0
-	// and rounding draws one more ticket in its place). The scenario space
-	// and every RWA objective are the same either way; the ticket pools, and
-	// with them the winning tickets, may differ. What the tests pin is less
-	// than identity: composition spends fewer simplex pivots over the same
-	// enumerated scenarios (eval's TestComposeReducesPivotWork), and on the
-	// square test WAN the exported plan happens to be byte-identical with
-	// and without it (the root package's TestPlanCorrelated).
-	NoCompose bool
+	Space        Space
 	// NoWarm and HealthEvery are forwarded into every RWA request.
 	NoWarm      bool
 	HealthEvery int
 	Parallelism int // workers of the per-scenario fan-out (0 = NumCPU)
-	// Profiler attributes the build to stages: pipeline.enumerate,
-	// pipeline.graph, pipeline.singles and pipeline.offline by wall time,
-	// rwa.solve and ticket.generate summed across workers. Nil-safe.
-	Profiler *obs.StageProfiler
 }
 
 // Offline is what the stage produces. Scenarios, Naive, RWA and Cuts are
@@ -91,13 +125,18 @@ type Offline struct {
 // parallel stage without constructing a pathological topology.
 var solveRWA = rwa.Solve
 
-// stage is the read-only state the per-scenario workers share.
+// stage is the read-only state the per-scenario workers share. rec, led and
+// prof are the sinks Build reads once from its context; prof attributes the
+// build to stages (pipeline.enumerate, pipeline.graph, pipeline.singles and
+// pipeline.offline by wall time, rwa.solve and ticket.generate summed across
+// workers).
 type stage struct {
 	net  *optical.Network
 	set  *scenario.Set
 	opts Options
 	rec  obs.Recorder
 	led  *ledger.Ledger
+	prof *obs.StageProfiler
 	// singles holds the pre-staged single-fiber-cut RWA solve of every fiber
 	// in a multi-fiber cut, and waves its naive integral wave count per
 	// failed IP link: the warm-start source and the ticket-composition base
@@ -120,10 +159,10 @@ type artifacts struct {
 // Build runs the offline stage on net. failProbs gives each fiber's failure
 // probability (nil draws them from the paper's Weibull model with
 // opts.Seed); groups are the shared-risk link groups, read only when
-// opts.UseSRLGs is set. Cancelling ctx aborts the worker pool between
+// opts.Space.UseSRLGs is set. Cancelling ctx aborts the worker pool between
 // scenario solves, and a failing RWA solve cancels all outstanding work and
 // is reported with its enumerated scenario index. The result is identical at
-// every opts.Parallelism.
+// every opts.Parallelism, and with or without sinks on ctx.
 func Build(ctx context.Context, net *optical.Network, failProbs []float64, groups []scenario.Group, opts Options) (*Offline, error) {
 	if opts.Tickets <= 0 {
 		opts.Tickets = 20
@@ -131,29 +170,30 @@ func Build(ctx context.Context, net *optical.Network, failProbs []float64, group
 	if failProbs != nil && len(failProbs) != len(net.Fibers) {
 		return nil, fmt.Errorf("plan: %d failure probabilities for %d fibers", len(failProbs), len(net.Fibers))
 	}
-	s := &stage{net: net, opts: opts, rec: obs.FromContext(ctx), led: ledger.FromContext(ctx)}
+	s := &stage{net: net, opts: opts, rec: obs.FromContext(ctx), led: ledger.FromContext(ctx), prof: obs.ProfilerFrom(ctx)}
 	defer obs.Span(ctx, "pipeline.build")()
 
 	endEnum := obs.Span(ctx, "pipeline.enumerate")
-	endEnumStage := opts.Profiler.Stage("pipeline.enumerate")
+	endEnumStage := s.prof.Stage("pipeline.enumerate")
 	if failProbs == nil {
 		failProbs = scenario.FailureProbabilities(len(net.Fibers), scenario.DefaultShape, scenario.DefaultScale, opts.Seed)
 	}
 	// The correlated k-failure enumerator engages only when one of its knobs
 	// is set; the default path keeps the legacy singles+pairs enumeration
 	// and byte-identical plans.
-	correlated := opts.MaxCutSize > 0 || opts.UseSRLGs || opts.TargetMass > 0 || opts.MaxEnumerated > 0
+	sp := opts.Space
+	correlated := sp.MaxCutSize > 0 || sp.UseSRLGs || sp.TargetMass > 0 || sp.MaxEnumerated > 0
 	if correlated {
-		k := opts.MaxCutSize
+		k := sp.MaxCutSize
 		if k <= 0 {
 			k = 2
 		}
-		if !opts.UseSRLGs {
+		if !sp.UseSRLGs {
 			groups = nil
 		}
 		s.set = scenario.EnumerateCorrelated(failProbs, groups, scenario.EnumOptions{
-			K: k, Cutoff: opts.Cutoff, TargetMass: opts.TargetMass,
-			MaxEnumerated: opts.MaxEnumerated, Recorder: s.rec,
+			K: k, Cutoff: opts.Cutoff, TargetMass: sp.TargetMass,
+			MaxEnumerated: sp.MaxEnumerated, Recorder: s.rec,
 		})
 	} else {
 		s.set = scenario.Enumerate(failProbs, opts.Cutoff)
@@ -169,11 +209,11 @@ func Build(ctx context.Context, net *optical.Network, failProbs []float64, group
 	// Pre-build the lazily-memoised optical graph once, on this goroutine,
 	// before fanning out (the memoisation itself is also mutex-guarded; this
 	// just avoids serialising the first wave of workers on that lock).
-	endGraph := opts.Profiler.Stage("pipeline.graph")
+	endGraph := s.prof.Stage("pipeline.graph")
 	net.Graph()
 	endGraph()
 
-	if correlated && !opts.NoCompose {
+	if correlated && !sp.NoCompose {
 		if err := s.solveSingles(ctx); err != nil {
 			return nil, err
 		}
@@ -189,7 +229,7 @@ func Build(ctx context.Context, net *optical.Network, failProbs []float64, group
 		budget = enumerated
 	}
 	defer obs.Span(ctx, "pipeline.offline")()
-	defer opts.Profiler.Stage("pipeline.offline")()
+	defer s.prof.Stage("pipeline.offline")()
 	off := &Offline{
 		Set:       s.set,
 		Scenarios: make([]te.RestorableScenario, 0, budget),
@@ -270,7 +310,7 @@ func (s *stage) solveSingles(ctx context.Context) error {
 		fibers = append(fibers, f)
 	}
 	sort.Ints(fibers)
-	endSingles := s.opts.Profiler.Stage("pipeline.singles")
+	endSingles := s.prof.Stage("pipeline.singles")
 	solved, err := par.Map(ctx, s.opts.Parallelism, len(fibers), func(_ context.Context, i int) (*rwa.Result, error) {
 		req := s.request([]int{fibers[i]})
 		req.ExportBasis = true
@@ -318,7 +358,7 @@ func (s *stage) scenario(si int) (artifacts, error) {
 		}
 		req := s.request(cut)
 		req.WarmFrom = warm
-		endRWA := s.opts.Profiler.StageAgg("rwa.solve")
+		endRWA := s.prof.StageAgg("rwa.solve")
 		var err error
 		res, err = solveRWA(&req)
 		endRWA()
@@ -367,7 +407,7 @@ func (s *stage) scenario(si int) (artifacts, error) {
 	// With nothing left to draw (Tickets: 1, or 2 behind a composed
 	// candidate) the generator is not even re-seeded.
 	if s.opts.Tickets > len(a.tickets) {
-		endTickets := s.opts.Profiler.StageAgg("ticket.generate")
+		endTickets := s.prof.StageAgg("ticket.generate")
 		rolled := ticket.Generate(res, ticket.Options{
 			Count:            s.opts.Tickets - len(a.tickets),
 			Stride:           s.opts.Stride,

@@ -162,10 +162,6 @@ func pathKey(fibers []int) string {
 	return string(append(b, ']'))
 }
 
-// RestorableGbps returns the (fractional) restorable bandwidth of failed
-// link i: FracWaves[i] * GbpsPerWave[i].
-func (r *Result) RestorableGbps(i int) float64 { return r.FracWaves[i] * r.GbpsPerWave[i] }
-
 // scratch is the working memory of one Solve or AssignIntegral at a time:
 // everything they need that is sized by the network (fibers, slots, fibers x
 // slots) or by the assignment model and that no Result keeps. It only grows,

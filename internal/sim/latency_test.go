@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -27,7 +28,7 @@ func latencyRunner(model LatencyModel) *Runner {
 func TestLatencyWindowDefersRestoration(t *testing.T) {
 	r := latencyRunner(ConstLatency{Sec: 3600})
 	events := []Event{{TimeH: 10, Fiber: 0, Up: false}, {TimeH: 60, Fiber: 0, Up: true}}
-	rep := r.Run(events, 100)
+	rep := r.Run(context.Background(), events, 100)
 
 	if math.Abs(rep.RestoringHours-1) > 1e-9 {
 		t.Fatalf("restoring %g h, want 1", rep.RestoringHours)
@@ -46,7 +47,7 @@ func TestLatencyWindowDefersRestoration(t *testing.T) {
 
 	// The same replay without a latency model never leaves full service.
 	r0 := latencyRunner(nil)
-	rep0 := r0.Run(events, 100)
+	rep0 := r0.Run(context.Background(), events, 100)
 	if rep0.FullServiceFrac != 1 || rep0.RestoringHours != 0 || rep0.RestoreLatency.Count != 0 {
 		t.Fatalf("zero-latency replay %+v", rep0)
 	}
@@ -61,8 +62,8 @@ func TestLegacyLatencyCostsAvailability(t *testing.T) {
 
 	legacy := latencyRunner(ConstLatency{Sec: 1021})
 	noise := latencyRunner(ConstLatency{Sec: 8})
-	lrep := legacy.Run(events, 5000)
-	nrep := noise.Run(events, 5000)
+	lrep := legacy.Run(context.Background(), events, 5000)
+	nrep := noise.Run(context.Background(), events, 5000)
 
 	if lrep.FullServiceFrac >= nrep.FullServiceFrac {
 		t.Fatalf("legacy full service %g not below noise loading %g",
@@ -87,7 +88,7 @@ func TestLatencyReportScheduleIndependent(t *testing.T) {
 		r := latencyRunner(EmpiricalLatency{SamplesSec: []float64{8, 500, 1021}})
 		r.LatencySeed = 11
 		r.Parallelism = par
-		return r.Run(events, 3000)
+		return r.Run(context.Background(), events, 3000)
 	}
 	want := base(1)
 	if want.RestoreLatency.Count == 0 || want.RestoringHours == 0 {
@@ -140,7 +141,7 @@ func TestHarmlessCutDrawsNoLatency(t *testing.T) {
 	r := NewRunner(n, al, project, scenarios, restored)
 	r.Latency = ConstLatency{Sec: 7200}
 	events := []Event{{TimeH: 5, Fiber: 1, Up: false}, {TimeH: 50, Fiber: 1, Up: true}}
-	rep := r.Run(events, 100)
+	rep := r.Run(context.Background(), events, 100)
 	if rep.RestoreLatency.Count != 0 || rep.RestoringHours != 0 {
 		t.Fatalf("harmless cut opened a latency window: %+v", rep)
 	}

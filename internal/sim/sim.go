@@ -110,18 +110,6 @@ type Runner struct {
 	// runtime.NumCPU(); 1 restores sequential replay. Reports are
 	// identical for every setting.
 	Parallelism int
-	// Recorder receives replay metrics (sim.intervals,
-	// sim.unplanned_intervals, a sim.run span) and is handed to the worker
-	// pool. A nil Recorder costs nothing and never changes the Report.
-	Recorder obs.Recorder
-	// Ledger, when non-nil, records one sim_summary event per replay with
-	// the interval count and the time-weighted delivered fraction. Same
-	// contract as Recorder: nil costs nothing and never changes the Report.
-	Ledger *ledger.Ledger
-	// Profiler attributes the replay's wall time and allocations to the
-	// sim.replay stage. Nil costs a nil check; reports are byte-identical
-	// profiled or not.
-	Profiler *obs.StageProfiler
 	// Latency, when non-nil, makes the replay restoration-latency-aware:
 	// each cut that fails IP links draws a restoration latency and the
 	// precomputed plan only takes effect once that window elapses — before
@@ -140,8 +128,8 @@ type Runner struct {
 	// time-weighted share of lost delivery (the operational counterpart of
 	// the static internal/attr decomposition). Events are aggregated and
 	// emitted from the sequential integration pass in a sorted order, so
-	// the stream is identical at every Parallelism; without a Ledger the
-	// switch is inert.
+	// the stream is identical at every Parallelism; without a ledger on the
+	// Run context the switch is inert.
 	AttributeLoss bool
 
 	// plans maps a canonical failed-link-set key to the precomputed
@@ -277,17 +265,25 @@ type intervalEval struct {
 // interval's state is fixed by the event sweep, the plan lookup table is
 // read-only, and the integration happens afterwards in time order), so the
 // report is identical for every worker count.
-func (r *Runner) Run(events []Event, durationH float64) *Report {
-	defer r.Profiler.Stage("sim.replay")()
+//
+// ctx carries the sinks, none of which changes the Report: its recorder
+// (obs.FromContext) receives sim.intervals, sim.unplanned_intervals,
+// sim.restoring_intervals and a sim.run span and is handed to the worker
+// pool; its ledger (ledger.FromContext) one sim_summary event with the
+// interval count and the time-weighted delivered fraction; its stage
+// profiler (obs.ProfilerFrom) the sim.replay stage. The replay is pure
+// computation and is not cancelled by ctx.
+func (r *Runner) Run(ctx context.Context, events []Event, durationH float64) *Report {
+	defer obs.ProfilerFrom(ctx).Stage("sim.replay")()
 	ev := &availability.Evaluator{Net: r.Net, Alloc: r.Alloc, ECMPRebalance: r.ECMPRebalance}
 	ivs, draws := r.intervals(events, durationH)
 
+	rec := obs.FromContext(ctx)
 	var runStart time.Time
-	if r.Recorder != nil {
+	if rec != nil {
 		runStart = time.Now()
 	}
-	ctx := obs.WithRecorder(context.Background(), r.Recorder)
-	evals, err := par.Map(ctx, r.Parallelism, len(ivs), func(_ context.Context, i int) (intervalEval, error) {
+	evals, err := par.Map(context.WithoutCancel(ctx), r.Parallelism, len(ivs), func(_ context.Context, i int) (intervalEval, error) {
 		iv := ivs[i]
 		out := intervalEval{delivered: 1}
 		if len(iv.cut) > 0 {
@@ -338,7 +334,7 @@ func (r *Runner) Run(events []Event, durationH float64) *Report {
 		rep.Worst = 1
 	}
 	rep.RestoreLatency = stats.Summarize(draws)
-	if rec := r.Recorder; rec != nil {
+	if rec != nil {
 		unplanned, restoring := 0, 0
 		for i, e := range evals {
 			if e.unplanned {
@@ -353,15 +349,15 @@ func (r *Runner) Run(events []Event, durationH float64) *Report {
 		rec.Add("sim.restoring_intervals", int64(restoring))
 		rec.SpanDone("sim.run", 0, runStart, time.Since(runStart))
 	}
-	if r.Ledger != nil {
-		r.Ledger.Emit(ledger.Event{
+	if led := ledger.FromContext(ctx); led != nil {
+		led.Emit(ledger.Event{
 			Kind: ledger.KindSimSummary, Scenario: -1, Mode: r.Label,
 			Count: rep.Intervals, Fraction: rep.Delivered,
 			FullService: rep.FullServiceFrac, RestoringH: rep.RestoringHours,
 			Detail: fmt.Sprintf("unplanned_h=%.3f worst=%.4f", rep.UnplannedHours, rep.Worst),
 		})
 		if r.AttributeLoss {
-			r.emitLossAttribution(ivs, evals, durationH)
+			r.emitLossAttribution(led, ivs, evals, durationH)
 		}
 	}
 	return rep
@@ -380,7 +376,7 @@ type cutLoss struct {
 // parallel evaluation, in time order, and emission is sorted by loss
 // descending (ties by cut key), so the event stream is deterministic at
 // every worker count.
-func (r *Runner) emitLossAttribution(ivs []interval, evals []intervalEval, durationH float64) {
+func (r *Runner) emitLossAttribution(led *ledger.Ledger, ivs []interval, evals []intervalEval, durationH float64) {
 	agg := map[string]*cutLoss{}
 	var keys []string
 	for i, iv := range ivs {
@@ -407,7 +403,7 @@ func (r *Runner) emitLossAttribution(ivs []interval, evals []intervalEval, durat
 	})
 	for _, key := range keys {
 		cl := agg[key]
-		r.Ledger.Emit(ledger.Event{
+		led.Emit(ledger.Event{
 			Kind: ledger.KindAttribution, Scenario: -1, Mode: r.Label,
 			Links: append([]int(nil), cl.cut...), DurSec: cl.hours * 3600,
 			Fraction: cl.lossFrac, Detail: "sim_cut",

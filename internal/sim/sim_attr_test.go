@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -28,9 +29,8 @@ func TestAttributeLossPerCut(t *testing.T) {
 	run := func(workers int, attrLoss bool, led *ledger.Ledger) *Report {
 		r := NewRunner(n, al, project, scenarios, nil)
 		r.Parallelism = workers
-		r.Ledger = led
 		r.AttributeLoss = attrLoss
-		return r.Run(events, 100)
+		return r.Run(ledger.WithLedger(context.Background(), led), events, 100)
 	}
 
 	base := run(1, false, nil)

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -66,7 +67,7 @@ func TestRunNoEventsFullService(t *testing.T) {
 	n, project := simpleNet()
 	al := &te.Allocation{B: []float64{150}, A: [][]float64{{75, 75}}}
 	r := NewRunner(n, al, project, nil, nil)
-	rep := r.Run(nil, 100)
+	rep := r.Run(context.Background(), nil, 100)
 	if rep.Delivered != 1 || rep.FullServiceFrac != 1 || rep.Worst != 1 {
 		t.Fatalf("healthy replay %+v", rep)
 	}
@@ -80,7 +81,7 @@ func TestRunTimeWeighting(t *testing.T) {
 	events := []Event{{TimeH: 10, Fiber: 0, Up: false}, {TimeH: 60, Fiber: 0, Up: true}}
 	scenarios := []te.FailureScenario{{FailedLinks: []int{0}}}
 	r := NewRunner(n, al, project, scenarios, nil)
-	rep := r.Run(events, 100)
+	rep := r.Run(context.Background(), events, 100)
 	want := (50*1.0 + 50*(100.0/150)) / 100
 	if math.Abs(rep.Delivered-want) > 1e-9 {
 		t.Fatalf("delivered %g want %g", rep.Delivered, want)
@@ -103,7 +104,7 @@ func TestRunRestorationPlanApplied(t *testing.T) {
 	scenarios := []te.FailureScenario{{FailedLinks: []int{0}}}
 	restored := []map[int]float64{{0: 50}}
 	r := NewRunner(n, al, project, scenarios, restored)
-	rep := r.Run(events, 10)
+	rep := r.Run(context.Background(), events, 10)
 	// Tunnel 0 revived at 50: delivered (50+75)/150.
 	want := (50 + 75.0) / 150
 	if math.Abs(rep.Delivered-want) > 1e-9 {
@@ -122,7 +123,7 @@ func TestRunUnplannedScenarioCounted(t *testing.T) {
 	}
 	scenarios := []te.FailureScenario{{FailedLinks: []int{0}}}
 	r := NewRunner(n, al, project, scenarios, nil)
-	rep := r.Run(events, 10)
+	rep := r.Run(context.Background(), events, 10)
 	if math.Abs(rep.UnplannedHours-4) > 1e-9 {
 		t.Fatalf("unplanned %g want 4", rep.UnplannedHours)
 	}
@@ -162,8 +163,8 @@ func TestArrowOutlastsBaselineOnTimeline(t *testing.T) {
 
 	withPlans := NewRunner(n, al, project, plain, al.RestoredGbps)
 	withoutPlans := NewRunner(n, al, project, plain, nil)
-	a := withPlans.Run(events, 2000)
-	b := withoutPlans.Run(events, 2000)
+	a := withPlans.Run(context.Background(), events, 2000)
+	b := withoutPlans.Run(context.Background(), events, 2000)
 	if a.Delivered < b.Delivered {
 		t.Fatalf("restoration made things worse: %g vs %g", a.Delivered, b.Delivered)
 	}

@@ -143,50 +143,6 @@ func Median(xs []float64) float64 {
 	return (s[mid-1] + s[mid]) / 2
 }
 
-// MAD returns the median absolute deviation from the median: a robust
-// spread estimator (one wild outlier cannot inflate it the way it inflates
-// a standard deviation).
-// The result is the raw MAD, NOT scaled by the 1.4826 normal-consistency
-// constant. An empty (or all-NaN) input yields NaN.
-func MAD(xs []float64) float64 {
-	m := Median(xs)
-	if math.IsNaN(m) {
-		return math.NaN()
-	}
-	dev := make([]float64, 0, len(xs))
-	for _, x := range xs {
-		if !math.IsNaN(x) {
-			dev = append(dev, math.Abs(x-m))
-		}
-	}
-	return Median(dev)
-}
-
-// TrimOutliers returns a copy of xs with every sample farther than k MADs
-// from the median removed (k <= 0 defaults to 3). When the MAD is zero —
-// more than half the samples are identical — only exact deviants are
-// dropped. NaNs are always removed. The input is not modified.
-func TrimOutliers(xs []float64, k float64) []float64 {
-	if k <= 0 {
-		k = 3
-	}
-	m := Median(xs)
-	if math.IsNaN(m) {
-		return nil
-	}
-	mad := MAD(xs)
-	out := make([]float64, 0, len(xs))
-	for _, x := range xs {
-		if math.IsNaN(x) {
-			continue
-		}
-		if math.Abs(x-m) <= k*mad {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
 // Summary condenses a sample set into the usual five-number-plus-mean view,
 // JSON-ready for run reports.
 type Summary struct {

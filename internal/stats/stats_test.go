@@ -217,58 +217,3 @@ func TestMedian(t *testing.T) {
 		t.Errorf("Median mutated its input: %v", in)
 	}
 }
-
-func TestMAD(t *testing.T) {
-	nan := math.NaN()
-	for _, tc := range []struct {
-		name string
-		in   []float64
-		want float64
-	}{
-		{"empty", nil, nan},
-		{"constant", []float64{5, 5, 5}, 0},
-		{"odd", []float64{1, 2, 3, 4, 100}, 1},   // median 3, |dev| = {2,1,0,1,97} -> 1
-		{"symmetric", []float64{1, 3, 5}, 2},     // median 3, |dev| = {2,0,2}
-		{"nan-dropped", []float64{1, nan, 3}, 1}, // median 2, |dev| = {1,1}
-	} {
-		got := MAD(tc.in)
-		if math.IsNaN(tc.want) {
-			if !math.IsNaN(got) {
-				t.Errorf("%s: MAD = %v, want NaN", tc.name, got)
-			}
-			continue
-		}
-		if got != tc.want {
-			t.Errorf("%s: MAD = %v, want %v", tc.name, got, tc.want)
-		}
-	}
-}
-
-func TestTrimOutliers(t *testing.T) {
-	nan := math.NaN()
-	for _, tc := range []struct {
-		name string
-		in   []float64
-		k    float64
-		want []float64
-	}{
-		{"empty", nil, 3, nil},
-		{"no-outliers", []float64{1, 2, 3}, 3, []float64{1, 2, 3}},
-		{"one-wild", []float64{1, 2, 3, 4, 1000}, 3, []float64{1, 2, 3, 4}},
-		{"default-k", []float64{1, 2, 3, 4, 1000}, 0, []float64{1, 2, 3, 4}},
-		{"zero-mad-keeps-ties", []float64{5, 5, 5, 9}, 3, []float64{5, 5, 5}},
-		{"nan-dropped", []float64{1, nan, 2}, 3, []float64{1, 2}},
-	} {
-		got := TrimOutliers(tc.in, tc.k)
-		if len(got) != len(tc.want) {
-			t.Errorf("%s: TrimOutliers = %v, want %v", tc.name, got, tc.want)
-			continue
-		}
-		for i := range got {
-			if got[i] != tc.want[i] {
-				t.Errorf("%s: TrimOutliers = %v, want %v", tc.name, got, tc.want)
-				break
-			}
-		}
-	}
-}

@@ -1,6 +1,7 @@
 package te
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -38,11 +39,6 @@ type ArrowOptions struct {
 	// pricing is index-addressed per scenario and appends happen in
 	// scenario order after each sweep.
 	Parallelism int
-	// HealthEvery probes both phases' LP solves for numerical health at
-	// this pivot period (see lp.Options.HealthEvery). It overlays the LP
-	// options (a non-zero LP.HealthEvery wins); probes only read solver
-	// state and never change the allocation.
-	HealthEvery int
 	// Profiler attributes the solve's wall time and allocations to stages
 	// (te.phase1, te.phase2, plus the te.pricing aggregate for the colgen
 	// sweeps). Same contract as the recorder: nil costs a nil check and the
@@ -97,21 +93,25 @@ func (o *ArrowOptions) recorder() obs.Recorder {
 	return o.LP.Recorder
 }
 
-// lpOpts resolves the LP options both phases solve under: o.LP with the
-// option-level HealthEvery overlaid (an explicit LP.HealthEvery wins).
 func (o *ArrowOptions) lpOpts() *lp.Options {
 	if o == nil {
 		return nil
 	}
-	if o.HealthEvery <= 0 || (o.LP != nil && o.LP.HealthEvery > 0) {
-		return o.LP
+	return o.LP
+}
+
+// SessionOptions is the one place a context becomes TE options: the
+// recorder (obs.FromContext, as LP.Recorder), the ledger (ledger.FromContext)
+// and the stage profiler (obs.ProfilerFrom) attached to ctx, with a
+// session's solver settings. healthEvery lands in LP.HealthEvery. Callers
+// build it once per session and give every solve a copy, changing only
+// Alpha.
+func SessionOptions(ctx context.Context, noWarm, noColgen bool, parallelism, healthEvery int) ArrowOptions {
+	return ArrowOptions{
+		LP:     &lp.Options{Recorder: obs.FromContext(ctx), HealthEvery: healthEvery},
+		Ledger: ledger.FromContext(ctx), Profiler: obs.ProfilerFrom(ctx),
+		NoWarm: noWarm, NoColgen: noColgen, Parallelism: parallelism,
 	}
-	var v lp.Options
-	if o.LP != nil {
-		v = *o.LP
-	}
-	v.HealthEvery = o.HealthEvery
-	return &v
 }
 
 // phase1Recorder mirrors the LP engine's pivot counters under te.phase1_*
@@ -130,9 +130,8 @@ func (p phase1Recorder) Add(name string, d int64) {
 	}
 }
 
-// phase1LP returns the LP options Phase I solves run under: the resolved
-// options (see lpOpts) with the recorder wrapped in phase1Recorder
-// (pass-through when unset).
+// phase1LP returns the LP options Phase I solves run under: o.LP with the
+// recorder wrapped in phase1Recorder (pass-through when unset).
 func (o *ArrowOptions) phase1LP() *lp.Options {
 	base := o.lpOpts()
 	if base == nil || base.Recorder == nil {

@@ -91,15 +91,6 @@ func (t *Topology) LinkFibers() [][]int {
 	return out
 }
 
-// FailedLinksByScenario maps fiber-cut scenarios to failed IP link sets.
-func (t *Topology) FailedLinksByScenario(cuts [][]int) [][]int {
-	out := make([][]int, len(cuts))
-	for i, c := range cuts {
-		out[i] = t.Opt.FailedLinks(c)
-	}
-	return out
-}
-
 // Stats summarises the topology for Table 4.
 type Stats struct {
 	Routers, ROADMs, Fibers, IPLinks, Wavelengths int

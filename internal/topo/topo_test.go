@@ -194,10 +194,6 @@ func TestScenarioProjection(t *testing.T) {
 	if len(set.Scenarios) == 0 {
 		t.Fatal("no scenarios above cutoff")
 	}
-	fl := tp.FailedLinksByScenario([][]int{set.Scenarios[0].Cut})
-	if len(fl) != 1 {
-		t.Fatal("projection size wrong")
-	}
 }
 
 func TestRestorationWorksOnB4(t *testing.T) {

@@ -16,6 +16,7 @@ import (
 
 	"github.com/arrow-te/arrow/internal/eval"
 	"github.com/arrow-te/arrow/internal/ledger"
+	"github.com/arrow-te/arrow/internal/plan"
 	"github.com/arrow-te/arrow/internal/rwa"
 	"github.com/arrow-te/arrow/internal/scenario"
 	"github.com/arrow-te/arrow/internal/te"
@@ -59,7 +60,7 @@ func (in offlineInstance) planOptions(workers int) PlanOptions {
 func (in offlineInstance) pipelineOptions(workers int) eval.PipelineOptions {
 	return eval.PipelineOptions{
 		NumTickets: fingerprintTickets, Cutoff: in.cutoff, Seed: fingerprintSeed,
-		MaxCutSize: in.maxCutSize, UseSRLGs: in.srlgs, Parallelism: workers,
+		Space: plan.Space{MaxCutSize: in.maxCutSize, UseSRLGs: in.srlgs}, Parallelism: workers,
 	}
 }
 
@@ -181,17 +182,17 @@ func TestOfflineStageFingerprints(t *testing.T) {
 		var plan, rwaHash, ledgerHash string
 		var scenarios int
 		for _, workers := range []int{1, 4} {
-			ctx, pipelineOpts := context.Background(), in.pipelineOptions(workers)
-			var planLedger *ledger.Ledger
+			planCtx, pipelineCtx := context.Background(), context.Background()
+			var planLedger, pipelineLedger *ledger.Ledger
 			if workers > 1 {
-				planLedger, pipelineOpts.Ledger = ledger.New(), ledger.New()
-				ctx = ledger.WithLedger(ctx, planLedger)
+				planLedger, pipelineLedger = ledger.New(), ledger.New()
+				planCtx, pipelineCtx = ledger.WithLedger(planCtx, planLedger), ledger.WithLedger(pipelineCtx, pipelineLedger)
 			}
-			p, err := net.PlanContext(ctx, in.planOptions(workers))
+			p, err := net.PlanContext(planCtx, in.planOptions(workers))
 			if err != nil {
 				t.Fatalf("%s: PlanContext (workers=%d): %v", in.name, workers, err)
 			}
-			pl, err := eval.BuildPipeline(tp, pipelineOpts)
+			pl, err := eval.BuildPipelineContext(pipelineCtx, tp, in.pipelineOptions(workers))
 			if err != nil {
 				t.Fatalf("%s: BuildPipeline (workers=%d): %v", in.name, workers, err)
 			}
@@ -228,7 +229,7 @@ func TestOfflineStageFingerprints(t *testing.T) {
 				t.Errorf("%s: fingerprints move with the worker count: plan %s -> %s / %s, rwa %s -> %s", in.name, plan, viaPlanner, viaPipeline, rwaHash, r)
 			}
 			ledgerHash = ledgerFingerprint(t, planLedger)
-			if viaPipeline := ledgerFingerprint(t, pipelineOpts.Ledger); viaPipeline != ledgerHash {
+			if viaPipeline := ledgerFingerprint(t, pipelineLedger); viaPipeline != ledgerHash {
 				t.Errorf("%s: ledger multisets differ: planner %s, pipeline %s", in.name, ledgerHash, viaPipeline)
 			}
 		}
