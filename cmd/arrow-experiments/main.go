@@ -38,7 +38,7 @@ func main() {
 		seed     = flag.Int64("seed", 1, "random seed for all generators")
 		parallel = flag.Int("parallelism", 0, "worker count for scenario-parallel loops (0 = NumCPU, 1 = sequential; results are identical)")
 		verbose  = flag.Bool("v", false, "log per-experiment progress at debug level")
-		warm     = flag.Bool("warm", true, "warm-start LP solves from deterministic bases (-warm=false for cold A/B comparison)")
+		warm     = flag.Bool("warm", true, "warm-start the RWA and ARROW LP solves from deterministic bases (-warm=false for cold A/B comparison; baselines always start from the slack basis)")
 		colgen   = flag.Bool("colgen", true, "price ticket blocks into the TE master lazily (-colgen=false enumerates every ticket up front for A/B comparison)")
 		health   = flag.Int("health-every", 0, "probe every LP solve's numerical health every N pivots (0 = off; probes never change results)")
 	)

@@ -13,7 +13,8 @@ import (
 )
 
 // baselineInstance is the B4 fast sweep's pipeline and its one traffic
-// matrix at demand scale 3, the instance the kernel golden also pins.
+// matrix at demand scale 1; at scale 3 it is the instance the kernel golden
+// also pins.
 func baselineInstance(t testing.TB) (*Pipeline, *te.Network) {
 	t.Helper()
 	const seed = 1
@@ -30,7 +31,7 @@ func baselineInstance(t testing.TB) (*Pipeline, *te.Network) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return pl, base.Scaled(3)
+	return pl, base
 }
 
 var baselineSchemes = []Scheme{SchemeFFC1, SchemeFFC2, SchemeTeaVaR}
@@ -43,7 +44,8 @@ func TestBaselineModelsStaySmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a full pipeline")
 	}
-	pl, n := baselineInstance(t)
+	pl, base := baselineInstance(t)
+	n := base.Scaled(3)
 	budget := map[Scheme][2]int{ // rows, vars
 		SchemeFFC1:   {230, 360},
 		SchemeFFC2:   {260, 360},
@@ -65,10 +67,37 @@ func TestBaselineModelsStaySmall(t *testing.T) {
 	}
 }
 
+// TestEverySchemeCarriesACertificate solves every scheme at each of the fast
+// sweep's nine demand scales through SolveScheme: each allocation must carry
+// the size of its LP and a certificate that passes. ECMP used to return
+// neither.
+func TestEverySchemeCarriesACertificate(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a full pipeline and solves 63 LPs")
+	}
+	pl, base := baselineInstance(t)
+	for _, scale := range []float64{1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 7.0} {
+		n := base.Scaled(scale)
+		for _, s := range append(AllSchemes(), SchemeFullyRest) {
+			al, _, err := pl.SolveScheme(s, n)
+			if err != nil {
+				t.Fatalf("%s at scale %g: %v", s, scale, err)
+			}
+			if al.Stats.Phase2Rows == 0 || al.Stats.Phase2Vars == 0 {
+				t.Errorf("%s at scale %g: no model size in %+v", s, scale, al.Stats)
+			}
+			if err := lp.CheckCertificate(al.Cert, lp.DefaultCertTol); err != nil {
+				t.Errorf("%s at scale %g: %v", s, scale, err)
+			}
+		}
+	}
+}
+
 // BenchmarkBaselineCells times one sweep cell of each baseline scheme and
 // reports the size of the LP behind it and the pivots it took.
 func BenchmarkBaselineCells(b *testing.B) {
-	pl, n := baselineInstance(b)
+	pl, base := baselineInstance(b)
+	n := base.Scaled(3)
 	for _, s := range baselineSchemes {
 		b.Run(string(s), func(b *testing.B) {
 			var al *te.Allocation

@@ -33,9 +33,10 @@ type Config struct {
 	// pipelines and solves read their sinks from. A nil Recorder costs
 	// nothing and never changes any result.
 	Recorder obs.Recorder
-	// NoWarm disables LP warm starts throughout the experiments (pipeline
-	// RWA solves and TE solves). Exposed as arrow-experiments -warm=false
-	// for A/B comparison of pivot counts; the default keeps warm starts on.
+	// NoWarm disables LP warm starts in the pipeline RWA solves and ARROW's
+	// TE solves; the baseline schemes always start from the all-slack basis.
+	// Exposed as arrow-experiments -warm=false for A/B comparison of pivot
+	// counts; the default keeps warm starts on.
 	NoWarm bool
 	// NoColgen disables ticket column generation in the two-phase TE
 	// solves, enumerating every ticket block up front. Exposed as

@@ -65,7 +65,8 @@ type PipelineOptions struct {
 	// several-fold until the failure-protection knees separate the schemes).
 	BaseUtilization float64
 	// NoWarm disables LP warm starts in the per-scenario RWA solves and the
-	// TE solves issued later via SolveScheme. The default (warm) uses only
+	// ARROW solves issued later via SolveScheme (the baselines always start
+	// from the all-slack basis). The default (warm) uses only
 	// deterministic warm sources, so results stay schedule-independent at
 	// every Parallelism; the switch exists for A/B pivot-count comparison.
 	NoWarm bool
@@ -149,7 +150,10 @@ func AllSchemes() []Scheme {
 
 // SolveScheme runs one TE scheme on the network and returns its allocation
 // plus the per-scenario restored-capacity maps to use during evaluation.
+// Every scheme solves under the session's LP options: its recorder and
+// health probes see the baselines as well as ARROW.
 func (p *Pipeline) SolveScheme(s Scheme, n *te.Network) (*te.Allocation, []map[int]float64, error) {
+	bl := te.Baselines{LP: p.teOpts.LP}
 	switch s {
 	case SchemeArrow:
 		al, err := te.Arrow(n, p.Scenarios, p.arrowOptions())
@@ -164,19 +168,19 @@ func (p *Pipeline) SolveScheme(s Scheme, n *te.Network) (*te.Allocation, []map[i
 		}
 		return al, al.RestoredGbps, nil
 	case SchemeFFC1:
-		al, err := te.FFC(n, p.singleCutScenarios(1))
+		al, err := bl.FFC(n, p.singleCutScenarios(1))
 		return al, nil, err
 	case SchemeFFC2:
-		al, err := te.FFC(n, p.singleCutScenarios(2))
+		al, err := bl.FFC(n, p.singleCutScenarios(2))
 		return al, nil, err
 	case SchemeTeaVaR:
-		al, err := te.TeaVaR(n, p.Plain, &te.TeaVaROptions{Beta: 0.999})
+		al, err := bl.TeaVaR(n, p.Plain, &te.TeaVaROptions{Beta: 0.999})
 		return al, nil, err
 	case SchemeECMP:
-		al, err := te.ECMP(n)
+		al, err := bl.ECMP(n)
 		return al, nil, err
 	case SchemeFullyRest:
-		al, err := te.MaxThroughput(n)
+		al, err := bl.MaxThroughput(n)
 		return al, nil, err
 	}
 	return nil, nil, fmt.Errorf("eval: unknown scheme %q", s)

@@ -150,47 +150,84 @@ func (bm *baseModel) extract(n *Network, sol *lp.Solution) *Allocation {
 			al.A[f][ti] = sol.X[v]
 		}
 	}
+	return al.solvedBy(bm.m, sol)
+}
+
+// solvedBy records on al the size of the model it was read from, the pivots
+// its solve took and the solve's certificate.
+func (al *Allocation) solvedBy(m *lp.Model, sol *lp.Solution) *Allocation {
+	al.Stats.Phase2Vars = m.NumVars()
+	al.Stats.Phase2Rows = m.NumConstrs()
+	al.Stats.Phase2Iters = sol.Iterations
+	al.Cert = sol.Cert
 	return al
 }
 
-// solve runs the LP cold and fails on any non-optimal status: every TE
-// model in this package is feasible by construction (b_f = a_{f,t} = 0
-// always works) and bounded (b_f <= d_f), so anything else is an internal
-// error.
-func (bm *baseModel) solve(n *Network, opts *lp.Options) (*Allocation, error) {
-	al, _, err := bm.solveLP(n, opts, nil)
-	return al, err
+// Baselines solves the schemes ARROW is compared against (§6): FFC, TeaVaR,
+// ECMP and the Fully-Restorable max-throughput TE, under one session's LP
+// options, so the session's recorder counts their solves and its health
+// probes watch them. The package-level FFC, TeaVaR, ECMP and MaxThroughput
+// solve with the zero value, unobserved. There is no cold path: every
+// baseline LP starts from its all-slack basis (solveFromSlack).
+type Baselines struct {
+	LP *lp.Options
 }
 
-// solveLP is solve with an optional warm-start basis (nil = cold solve).
-// It also returns the raw lp.Solution so callers can inspect the final
-// basis and warm-start outcome.
-func (bm *baseModel) solveLP(n *Network, opts *lp.Options, warm *lp.Basis) (*Allocation, *lp.Solution, error) {
-	var sol *lp.Solution
-	var err error
-	if warm != nil {
-		sol, err = lp.SolveWithBasis(bm.m, warm, opts)
-	} else {
-		sol, err = lp.Solve(bm.m, opts)
+// solveFromSlack is how every baseline LP is solved: from the model's
+// all-slack basis, failing on any non-optimal status or a certificate that
+// does not pass at lp.DefaultCertTol. The models are feasible by
+// construction (b = a = 0 always works) and bounded (b_f <= d_f; TeaVaR
+// minimises a CVaR >= 0), so anything else is an internal error. Every FFC,
+// ECMP and max-throughput row holds at x = 0, so phase 1 is skipped;
+// TeaVaR's cvar rows are the only ones x = 0 violates, and the warm engine's
+// selective repair swaps their slacks for artificials that one pivot of
+// theta drives out, where a cold start would re-derive the whole vertex in
+// phase 1.
+func solveFromSlack(m *lp.Model, opts *lp.Options) (*lp.Solution, error) {
+	sol, err := lp.SolveWithBasis(m, lp.SlackBasis(m), opts)
+	if err != nil {
+		return nil, fmt.Errorf("te: %s: %w", m.Name(), err)
 	}
+	if sol.Status != lp.StatusOptimal {
+		return nil, fmt.Errorf("te: %s: unexpected status %v", m.Name(), sol.Status)
+	}
+	if err := lp.CheckCertificate(sol.Cert, lp.DefaultCertTol); err != nil {
+		return nil, fmt.Errorf("te: %s: certificate: %w", m.Name(), err)
+	}
+	return sol, nil
+}
+
+// solve runs a baseline model through solveFromSlack.
+func (bm *baseModel) solve(n *Network, opts *lp.Options) (*Allocation, error) {
+	sol, err := solveFromSlack(bm.m, opts)
+	if err != nil {
+		return nil, err
+	}
+	return bm.extract(n, sol), nil
+}
+
+// solveLP solves one of ARROW's phase II models from the given basis (nil =
+// cold, for NoWarm) and also returns the raw lp.Solution, whose final basis
+// and warm-start outcome the caller reports.
+func (bm *baseModel) solveLP(n *Network, opts *lp.Options, warm *lp.Basis) (*Allocation, *lp.Solution, error) {
+	sol, err := lp.SolveWithBasis(bm.m, warm, opts)
 	if err != nil {
 		return nil, nil, fmt.Errorf("te: %s: %w", bm.m.Name(), err)
 	}
 	if sol.Status != lp.StatusOptimal {
 		return nil, sol, fmt.Errorf("te: %s: unexpected status %v", bm.m.Name(), sol.Status)
 	}
-	al := bm.extract(n, sol)
-	al.Stats.Phase2Vars = bm.m.NumVars()
-	al.Stats.Phase2Rows = bm.m.NumConstrs()
-	al.Stats.Phase2Iters = sol.Iterations
-	al.Cert = sol.Cert
-	return al, sol, nil
+	return bm.extract(n, sol), sol, nil
 }
 
 // MaxConcurrentScale solves the max-concurrent-flow problem: the largest
 // uniform demand scale s such that EVERY flow can be fully satisfied at
 // demand s*d_f within link capacities. Used to normalise traffic matrices
 // to the paper's "demand scale 1.0" (a fully satisfiable starting state).
+//
+// Unlike the baselines it solves cold, on purpose: s sets the demand level
+// of every availability-sweep cell, and a slack start moves it in the last
+// bits, which moves ARROW's cells with it.
 func MaxConcurrentScale(n *Network) (float64, error) {
 	if err := n.Validate(); err != nil {
 		return 0, err
@@ -230,9 +267,12 @@ func MaxConcurrentScale(n *Network) (float64, error) {
 // constraints (1)-(3) only. It doubles as the hypothetical Fully Restorable
 // TE of Fig. 16 (a TE that can always restore every failure needs no
 // failure constraints).
-func MaxThroughput(n *Network) (*Allocation, error) {
+func MaxThroughput(n *Network) (*Allocation, error) { return Baselines{}.MaxThroughput(n) }
+
+// MaxThroughput is the package-level MaxThroughput under bl's LP options.
+func (bl Baselines) MaxThroughput(n *Network) (*Allocation, error) {
 	if err := n.Validate(); err != nil {
 		return nil, err
 	}
-	return newBaseModel("max-throughput", n).solve(n, nil)
+	return newBaseModel("max-throughput", n).solve(n, bl.LP)
 }

@@ -10,7 +10,10 @@ import (
 // admitted bandwidth equally across all of its tunnels, with no failure
 // awareness. Admission is still maximised subject to link capacities, which
 // reduces to an LP over b_f alone since a_{f,t} = b_f / |T_f|.
-func ECMP(n *Network) (*Allocation, error) {
+func ECMP(n *Network) (*Allocation, error) { return Baselines{}.ECMP(n) }
+
+// ECMP is the package-level ECMP under bl's LP options.
+func (bl Baselines) ECMP(n *Network) (*Allocation, error) {
 	if err := n.Validate(); err != nil {
 		return nil, err
 	}
@@ -32,12 +35,9 @@ func ECMP(n *Network) (*Allocation, error) {
 			m.AddConstr(expr, lp.LE, n.LinkCap[e], fmt.Sprintf("cap_e%d", e))
 		}
 	}
-	sol, err := lp.Solve(m, nil)
+	sol, err := solveFromSlack(m, bl.LP)
 	if err != nil {
-		return nil, fmt.Errorf("te: ecmp: %w", err)
-	}
-	if sol.Status != lp.StatusOptimal {
-		return nil, fmt.Errorf("te: ecmp: status %v", sol.Status)
+		return nil, err
 	}
 	al := &Allocation{
 		B:         make([]float64, len(n.Flows)),
@@ -51,5 +51,5 @@ func ECMP(n *Network) (*Allocation, error) {
 			al.A[f][ti] = al.B[f] / float64(len(n.Tunnels[f]))
 		}
 	}
-	return al, nil
+	return al.solvedBy(m, sol), nil
 }

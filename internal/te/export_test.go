@@ -18,7 +18,9 @@ type KernelSolve struct {
 // master and as the full model, phase II from the all-slack basis), FFC and
 // TeaVaR on one instance, for the golden test of the solver's pivot
 // sequence. A phase-I line pins the final master basis over the base
-// model's variables and rows, the part every master shares.
+// model's variables and rows, the part every master shares. The FFC and
+// TeaVaR models are solved cold, although FFC and TeaVaR themselves start
+// from the slack basis: the cold walk is the longer test of the kernel.
 func KernelSolves(n *Network, scs []RestorableScenario, ffc1, plain []FailureScenario) ([]KernelSolve, error) {
 	var out []KernelSolve
 	var winners []int
@@ -77,12 +79,13 @@ var (
 	SameAnswersAsPhase1Start = sameAnswersAsPhase1Start
 )
 
-// RefFFC is FFC on the reference model: a (4') row for every distinct
-// residual set, dominated ones included.
+// RefFFC is FFC on the reference model, solved cold: a (4') row for every
+// distinct residual set, dominated ones included.
 func RefFFC(n *Network, scs []FailureScenario) (*Allocation, error) {
 	bm := newBaseModel("ffc-ref", n)
 	refAddResidualGuarantees(bm, n, scs)
-	return bm.solve(n, nil)
+	al, _, err := bm.solveLP(n, nil, nil)
+	return al, err
 }
 
 // RefTeaVaRObjective is the optimum of TeaVaR's reference LP, with an s

@@ -16,13 +16,16 @@ import (
 // Only the rows that say something are emitted: one per minimal residual
 // set of each flow (see addResidualGuarantees) — equivalent but far smaller
 // than the naive encoding.
-func FFC(n *Network, scs []FailureScenario) (*Allocation, error) {
+func FFC(n *Network, scs []FailureScenario) (*Allocation, error) { return Baselines{}.FFC(n, scs) }
+
+// FFC is the package-level FFC under bl's LP options.
+func (bl Baselines) FFC(n *Network, scs []FailureScenario) (*Allocation, error) {
 	if err := n.Validate(); err != nil {
 		return nil, err
 	}
 	bm := newBaseModel("ffc", n)
 	addResidualGuarantees(bm, n, scs)
-	return bm.solve(n, nil)
+	return bm.solve(n, bl.LP)
 }
 
 // addResidualGuarantees emits a constraint (4') row for each minimal

@@ -31,6 +31,11 @@ type TeaVaROptions struct {
 // scenario) normalised over the enumerated mass. The returned Allocation's
 // b_f is the healthy-state satisfied demand min(d_f, sum_t a_{f,t}).
 func TeaVaR(n *Network, scs []FailureScenario, opts *TeaVaROptions) (*Allocation, error) {
+	return Baselines{}.TeaVaR(n, scs, opts)
+}
+
+// TeaVaR is the package-level TeaVaR under bl's LP options.
+func (bl Baselines) TeaVaR(n *Network, scs []FailureScenario, opts *TeaVaROptions) (*Allocation, error) {
 	if err := n.Validate(); err != nil {
 		return nil, err
 	}
@@ -48,18 +53,15 @@ func TeaVaR(n *Network, scs []FailureScenario, opts *TeaVaROptions) (*Allocation
 		return nil, fmt.Errorf("te: teavar: beta %g must be < 1", beta)
 	}
 	if n.TotalDemand() <= 0 {
-		return MaxThroughput(n)
+		return bl.MaxThroughput(n)
 	}
 	m, a, err := teavarModel(n, scs, beta, tie)
 	if err != nil {
 		return nil, err
 	}
-	sol, err := lp.Solve(m, nil)
+	sol, err := solveFromSlack(m, bl.LP)
 	if err != nil {
-		return nil, fmt.Errorf("te: teavar: %w", err)
-	}
-	if sol.Status != lp.StatusOptimal {
-		return nil, fmt.Errorf("te: teavar: status %v", sol.Status)
+		return nil, err
 	}
 
 	al := &Allocation{
@@ -76,11 +78,7 @@ func TeaVaR(n *Network, scs []FailureScenario, opts *TeaVaROptions) (*Allocation
 		al.B[f] = math.Min(n.Flows[f].Demand, sum)
 		al.Objective += al.B[f]
 	}
-	al.Stats.Phase2Vars = m.NumVars()
-	al.Stats.Phase2Rows = m.NumConstrs()
-	al.Stats.Phase2Iters = sol.Iterations
-	al.Cert = sol.Cert
-	return al, nil
+	return al.solvedBy(m, sol), nil
 }
 
 // teavarModel builds TeaVaR's LP for a network with positive total demand
