@@ -212,15 +212,10 @@ type PlanOptions struct {
 	Parallelism int
 	// NoWarm disables LP warm starts in the offline RWA solves and in the
 	// TE solves issued by this planner (arrow-plan -warm=false). The warm
-	// sources are deterministic, so the switch only changes solver effort,
-	// never plan quality.
+	// sources are deterministic, but the LPs are degenerate: a cold start can
+	// reach another optimal vertex, so the switch can change the tickets, the
+	// winners and the throughput, not only solver effort (ROADMAP item 1).
 	NoWarm bool
-	// NoColgen disables ticket column generation in the TE solves issued
-	// by this planner (arrow-plan -colgen=false): every ticket block is
-	// enumerated into the Phase I master up front instead of being priced
-	// in lazily. Both modes produce identical winning tickets; the switch
-	// exists for A/B comparison of solver effort.
-	NoColgen bool
 	// HealthEvery probes the numerical health of every LP solve this
 	// planner issues (offline RWA, TE phases) at this pivot period; see
 	// lp.Options.HealthEvery. 0 disables probing; probes never change
@@ -312,7 +307,7 @@ func (n *Network) PlanContext(ctx context.Context, opts PlanOptions) (*Planner, 
 	}
 	p := &Planner{
 		net: n, set: off.Set, scenarios: off.Scenarios, naive: off.Naive, tunnels: opts.TunnelsPerFlow,
-		teOpts: te.SessionOptions(ctx, opts.NoWarm, opts.NoColgen, opts.Parallelism, opts.HealthEvery),
+		teOpts: te.SessionOptions(ctx, opts.NoWarm, opts.Parallelism, opts.HealthEvery),
 		rwa:    off.RWA, cuts: off.Cuts, byCut: make([]int, len(off.Cuts)),
 	}
 	p.ipAdj, p.linkFibers = ipGraph(n.opt)

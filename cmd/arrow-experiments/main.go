@@ -38,8 +38,7 @@ func main() {
 		seed     = flag.Int64("seed", 1, "random seed for all generators")
 		parallel = flag.Int("parallelism", 0, "worker count for scenario-parallel loops (0 = NumCPU, 1 = sequential; results are identical)")
 		verbose  = flag.Bool("v", false, "log per-experiment progress at debug level")
-		warm     = flag.Bool("warm", true, "warm-start the RWA and ARROW LP solves from deterministic bases (-warm=false for cold A/B comparison; baselines always start from the slack basis)")
-		colgen   = flag.Bool("colgen", true, "price ticket blocks into the TE master lazily (-colgen=false enumerates every ticket up front for A/B comparison)")
+		warm     = flag.Bool("warm", true, "warm-start the RWA and ARROW LP solves from deterministic bases (-warm=false starts them cold, which can change tickets, winners and throughput; baselines always start from the slack basis)")
 		health   = flag.Int("health-every", 0, "probe every LP solve's numerical health every N pivots (0 = off; probes never change results)")
 	)
 	obsFlags := obs.RegisterFlags(flag.CommandLine)
@@ -87,7 +86,7 @@ func main() {
 		return
 	}
 
-	cfg := eval.Config{Fast: !*full, Seed: *seed, Parallelism: *parallel, Recorder: sess.Recorder(), NoWarm: !*warm, NoColgen: !*colgen, HealthEvery: *health, Space: *space}
+	cfg := eval.Config{Fast: !*full, Seed: *seed, Parallelism: *parallel, Recorder: sess.Recorder(), NoWarm: !*warm, HealthEvery: *health, Space: *space}
 
 	// Independent experiments are themselves scenario-independent jobs:
 	// fan them out on the shared pool and print the rendered outputs in

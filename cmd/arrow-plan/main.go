@@ -45,8 +45,7 @@ func main() {
 		parallel  = flag.Int("parallelism", 0, "worker count for per-scenario offline planning (0 = NumCPU, 1 = sequential; results are identical)")
 		ledgerOut = flag.String("ledger-json", "", "write the flight-recorder ledger snapshot JSON to this file")
 		verbose   = flag.Bool("v", false, "mirror flight-recorder events to the structured log")
-		warm      = flag.Bool("warm", true, "warm-start LP solves from deterministic bases (-warm=false for cold A/B comparison)")
-		colgen    = flag.Bool("colgen", true, "price ticket blocks into the TE master lazily (-colgen=false enumerates every ticket up front for A/B comparison)")
+		warm      = flag.Bool("warm", true, "warm-start LP solves from deterministic bases (-warm=false starts them cold, which can change tickets, winners and throughput)")
 		healthEvr = flag.Int("health-every", 0, "probe every LP solve's numerical health every N pivots (0 = off; probes never change results)")
 	)
 	obsFlags := obs.RegisterFlags(flag.CommandLine)
@@ -77,7 +76,7 @@ func main() {
 	}
 	popts := arrow.PlanOptions{
 		Tickets: *tickets, Cutoff: *cutoff, Seed: *seed, Parallelism: *parallel,
-		NoWarm: !*warm, NoColgen: !*colgen, HealthEvery: *healthEvr,
+		NoWarm: !*warm, HealthEvery: *healthEvr,
 		MaxCutSize: space.MaxCutSize, UseSRLGs: space.UseSRLGs, TargetMass: space.TargetMass,
 		MaxEnumerated: space.MaxEnumerated, NoCompose: space.NoCompose,
 	}

@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -93,41 +92,6 @@ func TestBuildLatencyAbsentWithoutEpisodes(t *testing.T) {
 	renderMarkdown(&md, rep)
 	if strings.Contains(md.String(), "Restoration latency") {
 		t.Error("markdown renders an empty latency section")
-	}
-}
-
-// TestDiffMinLatencyRatioGate pins the -min-latency-ratio absolute gate: a
-// missing gauge or a sub-threshold ratio regresses; a passing ratio and a
-// disabled gate (default 0) do not.
-func TestDiffMinLatencyRatioGate(t *testing.T) {
-	dir := t.TempDir()
-	oldPath := filepath.Join(dir, "old.json")
-	writeSnapshot(t, oldPath, map[string]int64{"emu.episodes": 2}, nil)
-
-	passPath := filepath.Join(dir, "pass.json")
-	writeSnapshot(t, passPath, map[string]int64{"emu.episodes": 2}, map[string]float64{"emu.latency_ratio": 120})
-	lowPath := filepath.Join(dir, "low.json")
-	writeSnapshot(t, lowPath, map[string]int64{"emu.episodes": 2}, map[string]float64{"emu.latency_ratio": 12})
-
-	var out, errb bytes.Buffer
-	if code := run([]string{"-diff", "-min-latency-ratio", "50", oldPath, passPath}, &out, &errb); code != 0 {
-		t.Errorf("passing ratio gated: exit %d:\n%s", code, out.String())
-	}
-	out.Reset()
-	if code := run([]string{"-diff", "-min-latency-ratio", "50", oldPath, lowPath}, &out, &errb); code != 1 {
-		t.Errorf("low ratio did not gate: exit %d:\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "emu.latency_ratio") {
-		t.Errorf("diff output does not name the gauge:\n%s", out.String())
-	}
-	out.Reset()
-	if code := run([]string{"-diff", "-min-latency-ratio", "50", oldPath, oldPath}, &out, &errb); code != 1 {
-		t.Errorf("missing gauge did not gate: exit %d:\n%s", code, out.String())
-	}
-	// The gate is off by default: the same gauge-less snapshot passes.
-	out.Reset()
-	if code := run([]string{"-diff", oldPath, oldPath}, &out, &errb); code != 0 {
-		t.Errorf("default diff gated on missing gauge: exit %d:\n%s", code, out.String())
 	}
 }
 

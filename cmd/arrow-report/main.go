@@ -1,25 +1,26 @@
 // Command arrow-report renders ARROW flight-recorder ledgers and metrics
-// snapshots into per-scenario run reports, and gates CI on snapshot
-// regressions.
+// snapshots into per-scenario run reports, and compares two metrics
+// snapshots counter by counter.
 //
 // Usage:
 //
 //	arrow-report -run [-seed 1] [-parallelism 8] [-out report.md] [-json report.json] [-ledger-json ledger.json]
 //	arrow-report -ledger ledger.json [-metrics metrics.json] [-out report.md] [-json report.json]
-//	arrow-report -diff old.json new.json [-threshold 0.2] [-key-threshold ticket.infeasible=0.2] [-require-drop te.phase1_pivot_work=0.25]
+//	arrow-report -diff old.json new.json
 //
 // -run executes the standard recorded pipeline (eval.RunRecorded's B4
 // instance), solves the ARROW scheme, and renders the
 // decision ledger: which tickets were generated or rejected (and why),
 // which ticket won each scenario with its restored-capacity fraction, the
-// two-phase LP certificates, and the residual unmet demand.
+// two-phase LP certificates, and the residual unmet demand. It exits 1 when
+// a certificate fails.
 //
-// -diff compares the deterministic counters of two -metrics-json snapshots
-// with per-key growth thresholds and exits nonzero on regression.
-// -require-drop inverts the gate for named counters: they must shrink by at
-// least the given fraction (CI uses it to pin column generation's phase-1
-// work saving against a full-enumeration run). Given two ledger snapshots,
-// -diff compares the winning ticket of every scenario instead.
+// -diff prints every deterministic counter that differs between two
+// -metrics-json snapshots (the wall-clock par.busy_ns and par.idle_ns are
+// skipped) and exits 1 if any does, 2 if either file is not a metrics
+// snapshot. It is the parent-vs-change check of a refactor; the properties a
+// run must have (no anomalies, no certificate failures, an exact attribution
+// identity) are asserted by the tests in internal/eval.
 package main
 
 import (
@@ -49,7 +50,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		doRun      = fs.Bool("run", false, "run the standard recorded pipeline and render its report")
 		seed       = fs.Int64("seed", 1, "random seed for -run")
 		parallel   = fs.Int("parallelism", 0, "worker count for -run (0 = NumCPU; results are identical)")
-		noColgen   = fs.Bool("no-colgen", false, "with -run: enumerate every ticket into the TE master up front instead of pricing lazily (A/B reference for the colgen default)")
 		healthEvr  = fs.Int("health-every", 0, "with -run: probe every LP solve's numerical health every N pivots (0 = off; probes never change results)")
 		doAttr     = fs.Bool("attr", false, "with -run: run the availability-attribution pass (loss decomposition, shadow prices, what-if probes) after the solve; results are identical on or off")
 		attrOut    = fs.String("attr-json", "", "with -run -attr: write the attribution report JSON to this path")
@@ -59,12 +59,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		out        = fs.String("out", "-", "markdown report output path (- = stdout)")
 		jsonOut    = fs.String("json", "", "also write the report as JSON to this path")
 		ledgerOut  = fs.String("ledger-json", "", "with -run: write the raw ledger snapshot to this path")
-		doDiff     = fs.Bool("diff", false, "compare two snapshot JSONs: arrow-report -diff old.json new.json")
-		threshold  = fs.Float64("threshold", 0.20, "default allowed relative counter growth for -diff (0.20 = +20%)")
-		keyThresh  = fs.String("key-threshold", "", "per-key -diff overrides, e.g. ticket.infeasible=0.1,lp.pivots=0.5 (negative = exempt)")
-		reqDrop    = fs.String("require-drop", "", "with -diff: require counters to SHRINK by at least the fraction, e.g. lp.phase1_pivots=0.4 (missing counter = regression)")
-		minRatio   = fs.Float64("min-latency-ratio", 0, "with -diff: require the new snapshot's emu.latency_ratio gauge to be at least this (0 disables; the paper measures 127x)")
-		maxAnomaly = fs.Int64("max-anomalies", 0, "with -diff: ceiling on the new snapshot's lp.health.anomalies counter (-1 disables the gate)")
+		doDiff     = fs.Bool("diff", false, "print the counters that differ between two metrics snapshots and exit 1 if any does: arrow-report -diff old.json new.json")
 		verbose    = fs.Bool("v", false, "verbose: mirror ledger events to the structured log")
 	)
 	obsFlags := obs.RegisterFlags(fs)
@@ -80,22 +75,12 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "usage: arrow-report -diff old.json new.json")
 			return 2
 		}
-		perKey, err := parseKeyThresholds(*keyThresh)
+		differ, err := runDiff(stdout, fs.Arg(0), fs.Arg(1))
 		if err != nil {
 			fmt.Fprintln(stderr, "arrow-report:", err)
 			return 2
 		}
-		drops, err := parseKeyThresholds(*reqDrop)
-		if err != nil {
-			fmt.Fprintln(stderr, "arrow-report:", err)
-			return 2
-		}
-		regressions, err := runDiff(stdout, fs.Arg(0), fs.Arg(1), diffOptions{threshold: *threshold, perKey: perKey, minLatencyRatio: *minRatio, requireDrop: drops, maxAnomalies: *maxAnomaly})
-		if err != nil {
-			fmt.Fprintln(stderr, "arrow-report:", err)
-			return 2
-		}
-		if regressions > 0 {
+		if differ > 0 {
 			return 1
 		}
 		return 0
@@ -153,12 +138,12 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		if addr := sess.DebugAddr(); addr != "" {
 			logger.Info("debug server listening", "addr", addr)
 		}
-		logger.Info("building recorded pipeline", "seed", *seed, "parallelism", *parallel, "colgen", !*noColgen, "health_every", *healthEvr, "attr", *doAttr)
+		logger.Info("building recorded pipeline", "seed", *seed, "parallelism", *parallel, "health_every", *healthEvr, "attr", *doAttr)
 		prof := obs.NewStageProfiler()
 		ctx := obs.WithProfiler(ledger.WithLedger(obs.WithRecorder(context.Background(), reg), led), prof)
 		endTotal := prof.Total()
 		_, _, attrRep, err := eval.RunRecorded(ctx, eval.RunOptions{
-			Seed: *seed, Workers: *parallel, NoColgen: *noColgen, HealthEvery: *healthEvr,
+			Seed: *seed, Workers: *parallel, HealthEvery: *healthEvr,
 			Attribution: *doAttr, Space: *space,
 		})
 		if err != nil {

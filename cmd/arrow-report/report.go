@@ -109,8 +109,8 @@ type RunReport struct {
 	// when the ledger recorded no emulated episodes or tagged replays.
 	Latency *LatencyReport `json:"latency,omitempty"`
 	// Pricing is the column-generation section: sweeps, columns priced per
-	// sweep and the reduced-cost trajectory. Absent when the run used full
-	// enumeration (-no-colgen) or the ledger predates pricing events.
+	// sweep and the reduced-cost trajectory. Absent when the ledger carries
+	// no pricing events (it predates them).
 	Pricing *PricingReport `json:"pricing,omitempty"`
 	// SolverHealth is the solver-health observatory section: anomaly
 	// findings, numerical-quality percentiles and per-phase pivot-progress

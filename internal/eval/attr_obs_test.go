@@ -14,6 +14,9 @@ import (
 // availability-attribution observatory on the standard seed configuration:
 //
 //   - the loss decomposition is an identity (gap <= 1e-9, zero violations),
+//   - the attributed legs, probed every 32 pivots as arrow-report -run
+//     -health-every 32 -attr runs, report probes, no solver anomaly and no
+//     failed certificate,
 //   - every harvested shadow price agrees with its finite-difference warm
 //     re-solve bracket within 1e-6,
 //   - pipeline results are byte-identical with attribution on or off at
@@ -42,7 +45,7 @@ func TestRunRecordedAttrIdentityAndDeterminism(t *testing.T) {
 		reg := obs.NewRegistry()
 		led := ledger.New()
 		pl, al, rep, err := RunRecorded(withSinks(reg, led, nil), RunOptions{
-			Seed: 1, Workers: workers, Attribution: true,
+			Seed: 1, Workers: workers, HealthEvery: 32, Attribution: true,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -83,6 +86,15 @@ func TestRunRecordedAttrIdentityAndDeterminism(t *testing.T) {
 		}
 		if snap.Counters["attr.identity_violations"] != 0 {
 			t.Errorf("workers=%d: attr.identity_violations = %d", workers, snap.Counters["attr.identity_violations"])
+		}
+		if snap.Counters["lp.health.probes"] == 0 {
+			t.Errorf("workers=%d: lp.health.probes = 0 at HealthEvery 32", workers)
+		}
+		if v := snap.Counters["lp.health.anomalies"]; v != 0 {
+			t.Errorf("workers=%d: lp.health.anomalies = %d", workers, v)
+		}
+		if v := snap.Counters["lp.cert_failures"]; v != 0 {
+			t.Errorf("workers=%d: lp.cert_failures = %d", workers, v)
 		}
 		if snap.Counters["attr.fd_mismatches"] != 0 {
 			t.Errorf("workers=%d: attr.fd_mismatches = %d", workers, snap.Counters["attr.fd_mismatches"])

@@ -35,14 +35,10 @@ type Config struct {
 	Recorder obs.Recorder
 	// NoWarm disables LP warm starts in the pipeline RWA solves and ARROW's
 	// TE solves; the baseline schemes always start from the all-slack basis.
-	// Exposed as arrow-experiments -warm=false for A/B comparison of pivot
-	// counts; the default keeps warm starts on.
+	// Exposed as arrow-experiments -warm=false; the default keeps warm starts
+	// on. The LPs are degenerate, so a cold start can change tickets, winners
+	// and throughput (fig14 moves; ROADMAP item 1).
 	NoWarm bool
-	// NoColgen disables ticket column generation in the two-phase TE
-	// solves, enumerating every ticket block up front. Exposed as
-	// arrow-experiments -colgen=false for A/B comparison against the lazy
-	// pricing default; both modes produce identical winning tickets.
-	NoColgen bool
 	// HealthEvery probes every LP solve for numerical health at this pivot
 	// period (0 = off). Exposed as arrow-experiments -health-every; probes
 	// only read solver state and never change any result.
@@ -64,7 +60,7 @@ func (c Config) ctx() context.Context {
 // worker count, solver switches and scenario space, over whatever po sets of
 // the instance.
 func (c Config) pipeline(tp *topo.Topology, po PipelineOptions) (*Pipeline, error) {
-	po.Parallelism, po.NoWarm, po.NoColgen, po.HealthEvery, po.Space = c.Parallelism, c.NoWarm, c.NoColgen, c.HealthEvery, c.Space
+	po.Parallelism, po.NoWarm, po.HealthEvery, po.Space = c.Parallelism, c.NoWarm, c.HealthEvery, c.Space
 	return BuildPipelineContext(c.ctx(), tp, po)
 }
 

@@ -26,7 +26,7 @@ func init() {
 func stressOptions(cfg Config) PipelineOptions {
 	po := PipelineOptions{
 		Cutoff: 0, NumTickets: 4, Seed: cfg.Seed, Parallelism: cfg.Parallelism,
-		NoWarm: cfg.NoWarm, NoColgen: cfg.NoColgen, HealthEvery: cfg.HealthEvery,
+		NoWarm: cfg.NoWarm, HealthEvery: cfg.HealthEvery,
 		// The session's scenario space (e.g. -max-enumerated, -target-mass),
 		// always with the SRLGs, and the stress cut size unless one is set.
 		Space: cfg.Space,

@@ -79,8 +79,8 @@ func TestHealthProbesPreserveDeterminism(t *testing.T) {
 		if snap.Counters["lp.health.probes"] == 0 {
 			t.Errorf("probed run at %d workers recorded no health probes", workers)
 		}
-		// The standard instance must be numerically clean: this is the
-		// premise of the CI gate (arrow-report -diff -max-anomalies 0).
+		// The standard instance must be numerically clean, as the probed
+		// arrow-report -run is (TestRunRecordedAttrIdentityAndDeterminism).
 		if v := snap.Counters["lp.health.anomalies"]; v != 0 {
 			t.Errorf("standard pipeline at %d workers reports %d solver anomalies, want 0", workers, v)
 		}

@@ -68,14 +68,10 @@ type PipelineOptions struct {
 	// ARROW solves issued later via SolveScheme (the baselines always start
 	// from the all-slack basis). The default (warm) uses only
 	// deterministic warm sources, so results stay schedule-independent at
-	// every Parallelism; the switch exists for A/B pivot-count comparison.
+	// every Parallelism. Warm and cold starts can reach different optimal
+	// vertices, so the switch can change tickets, winners and throughput
+	// (ROADMAP item 1).
 	NoWarm bool
-	// NoColgen makes the ARROW Phase I solves issued via SolveScheme
-	// enumerate every ticket up front instead of pricing ticket columns in
-	// lazily. Both modes produce identical winning-ticket allocations at
-	// every Parallelism; the switch exists for A/B comparison of pivot
-	// counts and master sizes.
-	NoColgen bool
 	// HealthEvery probes every LP the pipeline issues (the per-scenario RWA
 	// assignment solves and, via SolveScheme, the TE masters) for numerical
 	// health every HealthEvery pivots (see lp.Options.HealthEvery). Zero
@@ -120,7 +116,7 @@ func BuildPipelineContext(ctx context.Context, tp *topo.Topology, opts PipelineO
 		Topo: tp, Set: off.Set, Scenarios: off.Scenarios, Naive: off.Naive, RWAResults: off.RWA,
 		Plain:           make([]te.FailureScenario, len(off.Scenarios)),
 		baseUtilization: opts.BaseUtilization,
-		teOpts:          te.SessionOptions(ctx, opts.NoWarm, opts.NoColgen, opts.Parallelism, opts.HealthEvery),
+		teOpts:          te.SessionOptions(ctx, opts.NoWarm, opts.Parallelism, opts.HealthEvery),
 	}
 	p.teOpts.CaptureSensitivity = opts.CaptureSensitivity
 	for i := range off.Scenarios {

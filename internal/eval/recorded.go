@@ -16,10 +16,6 @@ import (
 type RunOptions struct {
 	Seed    int64
 	Workers int
-	// NoColgen switches the TE solves to full ticket enumeration, the A/B
-	// reference for the column-generation default (arrow-report -run
-	// -no-colgen).
-	NoColgen bool
 	// HealthEvery probes every LP solve's numerical health at this pivot
 	// period (0 = off); see PipelineOptions.HealthEvery.
 	HealthEvery int
@@ -55,7 +51,7 @@ func RunRecorded(ctx context.Context, opts RunOptions) (*Pipeline, *te.Allocatio
 	}
 	pl, err := BuildPipelineContext(ctx, tp, PipelineOptions{
 		Cutoff: 0.001, NumTickets: 12, Seed: seed, MaxScenarios: 16,
-		Parallelism: opts.Workers, NoColgen: opts.NoColgen, HealthEvery: opts.HealthEvery,
+		Parallelism: opts.Workers, HealthEvery: opts.HealthEvery,
 		CaptureSensitivity: opts.Attribution, Space: opts.Space,
 	})
 	if err != nil {

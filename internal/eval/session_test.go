@@ -46,6 +46,28 @@ func TestExperimentsReachEverySolve(t *testing.T) {
 		}
 	})
 
+	t.Run("probed experiments are numerically clean", func(t *testing.T) {
+		// A probed session of table5, table9 and ablation-alpha: the probes
+		// run (table9's LPs alone are too short for a 32-pivot period), find
+		// no anomaly, and every certificate passes. table5's sweep is memoised
+		// across recorders; dropping the memo makes it solve under this one.
+		ResetSweepCache()
+		probes := int64(0)
+		for _, id := range []string{"table5", "table9", "ablation-alpha"} {
+			reg := run(t, id, Config{Parallelism: 1, HealthEvery: 32})
+			probes += reg.Counter("lp.health.probes")
+			if v := reg.Counter("lp.health.anomalies"); v != 0 {
+				t.Errorf("%s: lp.health.anomalies = %d", id, v)
+			}
+			if v := reg.Counter("lp.cert_failures"); v != 0 {
+				t.Errorf("%s: lp.cert_failures = %d", id, v)
+			}
+		}
+		if probes == 0 {
+			t.Error("lp.health.probes = 0 over the session at HealthEvery 32")
+		}
+	})
+
 	t.Run("ablation-alpha honours Parallelism 1", func(t *testing.T) {
 		if runtime.NumCPU() < 2 {
 			t.Skip("a 1-CPU host runs 1 worker whatever the setting")

@@ -52,8 +52,8 @@ func latencySimNet() (*te.Network, sim.Projector, []te.FailureScenario, []map[in
 // emu-measured samples. The emulated episodes land in the testbed.emulate
 // stage, the latency-sample episodes in testbed.latency_samples and the
 // replays in sim.replay. The emu.latency_ratio gauge and the mode-tagged
-// sim_summary events feed cmd/arrow-report's latency section and the -diff
-// latency-ratio gate. attrLoss switches on the replays' per-cut loss
+// sim_summary events feed cmd/arrow-report's latency section;
+// TestRunTestbedRecordedLatencyObservatory holds the ratio above 50x. attrLoss switches on the replays' per-cut loss
 // attribution (sim.Runner.AttributeLoss). The outcome is byte-identical with
 // or without sinks.
 func RunTestbed(ctx context.Context, seed int64, attrLoss bool) (*TestbedOutcome, error) {

@@ -46,7 +46,8 @@ type Request struct {
 	// NoWarm disables warm-starting the assignment LP from a slack basis.
 	// The assignment LP is slack-feasible by construction (all rows are <=
 	// with nonnegative rhs), so the warm start deterministically skips
-	// phase 1; NoWarm exists for A/B comparison, not correctness.
+	// phase 1. The LP is degenerate, so a cold start (NoWarm) can end on
+	// another optimal vertex and change the tickets rounded from it.
 	NoWarm bool
 
 	// WarmFrom supplies already-solved constituent Results (typically the

@@ -25,14 +25,15 @@ type ArrowOptions struct {
 	// artificial basis and the simplex's feasibility phase) instead of from
 	// their model's all-slack basis, which is feasible for either. The warm
 	// source is a function of the model alone (never "whichever solve
-	// finished first"), so the switch exists only for A/B pivot-count
-	// comparison.
+	// finished first"), but the phases' LPs are degenerate: a cold start can
+	// land on another optimal vertex and so pick other winners and another
+	// throughput (ROADMAP item 1).
 	NoWarm bool
-	// NoColgen disables column generation for Phase I: the master then
-	// enumerates every ticket's rows up front (the pre-colgen formulation)
-	// instead of pricing ticket blocks in lazily. Both modes optimise the
-	// same feasible region; the switch exists for A/B comparison of pivot
-	// counts and master sizes.
+	// NoColgen makes Phase I enumerate every ticket's rows up front
+	// (arrowPhase1Full, the pre-colgen formulation) instead of pricing ticket
+	// blocks in lazily. It is the reference the column-generation tests
+	// compare against (TestColgenMatchesFullEnumeration,
+	// TestColgenReducesWork); no session setting reaches it.
 	NoColgen bool
 	// Parallelism bounds the workers of the colgen pricing fan-out
 	// (<= 0 means serial). Results are byte-identical at any worker count:
@@ -106,11 +107,11 @@ func (o *ArrowOptions) lpOpts() *lp.Options {
 // session's solver settings. healthEvery lands in LP.HealthEvery. Callers
 // build it once per session and give every solve a copy, changing only
 // Alpha.
-func SessionOptions(ctx context.Context, noWarm, noColgen bool, parallelism, healthEvery int) ArrowOptions {
+func SessionOptions(ctx context.Context, noWarm bool, parallelism, healthEvery int) ArrowOptions {
 	return ArrowOptions{
 		LP:     &lp.Options{Recorder: obs.FromContext(ctx), HealthEvery: healthEvery},
 		Ledger: ledger.FromContext(ctx), Profiler: obs.ProfilerFrom(ctx),
-		NoWarm: noWarm, NoColgen: noColgen, Parallelism: parallelism,
+		NoWarm: noWarm, Parallelism: parallelism,
 	}
 }
 
@@ -344,7 +345,9 @@ func arrowPhase1Dispatch(n *Network, scs []RestorableScenario, opts *ArrowOption
 }
 
 // arrowPhase1Full solves Phase I on the full enumeration: every ticket's
-// block in the master up front.
+// block in the master up front. Column generation stops once every deferred
+// block prices out, so its winners equal this solve's; the colgen tests use
+// it as their reference (ArrowOptions.NoColgen).
 func arrowPhase1Full(n *Network, scs []RestorableScenario, opts *ArrowOptions) (*phase1Master, error) {
 	bm := newBaseModel("arrow-phase1", n)
 	alpha := opts.alpha()
