@@ -26,6 +26,7 @@ import (
 	"github.com/arrow-te/arrow/internal/obs"
 	"github.com/arrow-te/arrow/internal/par"
 	"github.com/arrow-te/arrow/internal/plan"
+	"github.com/arrow-te/arrow/internal/session"
 )
 
 func main() {
@@ -41,10 +42,9 @@ func main() {
 		warm     = flag.Bool("warm", true, "warm-start the RWA and ARROW LP solves from deterministic bases (-warm=false starts them cold, which can change tickets, winners and throughput; baselines always start from the slack basis)")
 		health   = flag.Int("health-every", 0, "probe every LP solve's numerical health every N pivots (0 = off; probes never change results)")
 	)
-	obsFlags := obs.RegisterFlags(flag.CommandLine)
+	flags := session.RegisterFlags(flag.CommandLine)
 	space := plan.RegisterScenarioFlags(flag.CommandLine)
 	flag.Parse()
-	logger := obsFlags.Logger(*verbose)
 
 	if *list {
 		for _, e := range eval.Experiments() {
@@ -53,17 +53,15 @@ func main() {
 		return
 	}
 
-	sess, err := obsFlags.Start()
+	sess, err := flags.Start(0, *verbose) // the experiments record metrics, no ledger
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "arrow-experiments:", err)
 		os.Exit(1)
 	}
-	if addr := sess.DebugAddr(); addr != "" {
-		logger.Info("debug listener started", "url", "http://"+addr)
-	}
+	ctx, logger := sess.Context(), sess.Logger()
 	exitCode := 0
 	defer func() {
-		if err := sess.Close(); err != nil {
+		if _, err := sess.Close(); err != nil {
 			fmt.Fprintln(os.Stderr, "arrow-experiments:", err)
 			if exitCode == 0 {
 				exitCode = 1
@@ -86,7 +84,7 @@ func main() {
 		return
 	}
 
-	cfg := eval.Config{Fast: !*full, Seed: *seed, Parallelism: *parallel, Recorder: sess.Recorder(), NoWarm: !*warm, HealthEvery: *health, Space: *space}
+	cfg := eval.Config{Fast: !*full, Seed: *seed, Parallelism: *parallel, Recorder: obs.FromContext(ctx), NoWarm: !*warm, HealthEvery: *health, Space: *space}
 
 	// Independent experiments are themselves scenario-independent jobs:
 	// fan them out on the shared pool and print the rendered outputs in
@@ -96,7 +94,7 @@ func main() {
 		text string
 		err  error
 	}
-	outs, _ := par.Map(obs.WithRecorder(context.Background(), sess.Recorder()), *parallel, len(ids), func(_ context.Context, i int) (outcome, error) {
+	outs, _ := par.Map(ctx, *parallel, len(ids), func(_ context.Context, i int) (outcome, error) {
 		id := strings.TrimSpace(ids[i])
 		e, ok := eval.ByID(id)
 		if !ok {

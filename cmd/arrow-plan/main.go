@@ -26,9 +26,8 @@ import (
 	"strings"
 
 	arrow "github.com/arrow-te/arrow"
-	"github.com/arrow-te/arrow/internal/ledger"
-	"github.com/arrow-te/arrow/internal/obs"
 	"github.com/arrow-te/arrow/internal/plan"
+	"github.com/arrow-te/arrow/internal/session"
 	"github.com/arrow-te/arrow/internal/topo"
 )
 
@@ -43,36 +42,21 @@ func main() {
 		seed      = flag.Int64("seed", 1, "random seed")
 		naive     = flag.Bool("naive", false, "skip Phase I (Arrow-Naive)")
 		parallel  = flag.Int("parallelism", 0, "worker count for per-scenario offline planning (0 = NumCPU, 1 = sequential; results are identical)")
-		ledgerOut = flag.String("ledger-json", "", "write the flight-recorder ledger snapshot JSON to this file")
 		verbose   = flag.Bool("v", false, "mirror flight-recorder events to the structured log")
 		warm      = flag.Bool("warm", true, "warm-start LP solves from deterministic bases (-warm=false starts them cold, which can change tickets, winners and throughput)")
 		healthEvr = flag.Int("health-every", 0, "probe every LP solve's numerical health every N pivots (0 = off; probes never change results)")
 	)
-	obsFlags := obs.RegisterFlags(flag.CommandLine)
+	flags := session.RegisterFlags(flag.CommandLine)
 	space := plan.RegisterScenarioFlags(flag.CommandLine)
 	flag.Parse()
-	logger := obsFlags.Logger(*verbose)
 	if *topoFile == "" || *demFile == "" {
 		fmt.Fprintln(os.Stderr, "arrow-plan: -topo and -demands are required")
 		os.Exit(2)
 	}
-	// The ledger exists before the observability session starts so a
-	// -debug-addr session can stream the planning events live over /events.
-	var led *ledger.Ledger
-	if *ledgerOut != "" || *verbose || obsFlags.DebugAddr != "" {
-		led = ledger.New()
-		if *verbose {
-			led.SetLogger(logger)
-		}
-		obsFlags.SetEventStream(obs.EventSource(func(buf int) obs.EventSub { return led.SubscribeJSON(buf) }))
-	}
-	sess, err := obsFlags.Start()
+	sess, err := flags.Start(session.Ledger, *verbose)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "arrow-plan:", err)
 		os.Exit(1)
-	}
-	if addr := sess.DebugAddr(); addr != "" {
-		logger.Info("debug listener started", "url", "http://"+addr)
 	}
 	popts := arrow.PlanOptions{
 		Tickets: *tickets, Cutoff: *cutoff, Seed: *seed, Parallelism: *parallel,
@@ -80,14 +64,10 @@ func main() {
 		MaxCutSize: space.MaxCutSize, UseSRLGs: space.UseSRLGs, TargetMass: space.TargetMass,
 		MaxEnumerated: space.MaxEnumerated, NoCompose: space.NoCompose,
 	}
-	// The recorder and flight recorder ride the context so the public Plan
-	// API stays instrumentation-free.
-	ctx := ledger.WithLedger(obs.WithRecorder(context.Background(), sess.Recorder()), led)
-	err = run(ctx, *topoFile, *demFile, *out, *roadmDir, popts, *naive)
-	if err == nil && *ledgerOut != "" {
-		err = led.WriteFile(*ledgerOut)
-	}
-	if cerr := sess.Close(); err == nil {
+	// The recorder and flight recorder ride the session's context so the
+	// public Plan API stays instrumentation-free.
+	err = run(sess.Context(), *topoFile, *demFile, *out, *roadmDir, popts, *naive)
+	if _, cerr := sess.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {

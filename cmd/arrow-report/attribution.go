@@ -12,51 +12,51 @@ import (
 // AttrScenarioRow is one scenario's availability-loss contribution, joined
 // from scenario-level attribution events (scenario -1 = healthy state).
 type AttrScenarioRow struct {
-	Scenario  int     `json:"scenario"`
-	Prob      float64 `json:"prob"`
-	UnmetGbps float64 `json:"unmet_gbps"`
-	Loss      float64 `json:"loss"`
+	Scenario  int
+	Prob      float64
+	UnmetGbps float64
+	Loss      float64
 	// Cut is the scenario's fiber-cut set, joined from the scenario events
 	// so the decomposition rows carry the same {f3,f7} labels.
-	Cut   []int         `json:"cut,omitempty"`
-	Flows []AttrFlowRow `json:"flows,omitempty"`
+	Cut   []int
+	Flows []AttrFlowRow
 }
 
 // AttrFlowRow is one flow's contribution within a scenario.
 type AttrFlowRow struct {
-	Flow      int     `json:"flow"`
-	UnmetGbps float64 `json:"unmet_gbps"`
-	Loss      float64 `json:"loss"`
+	Flow      int
+	UnmetGbps float64
+	Loss      float64
 }
 
 // AttrSensitivityRow is one FD-validated shadow price (KindSensitivity).
 type AttrSensitivityRow struct {
-	Row      string  `json:"row"`
-	Link     int     `json:"link"`
-	Scenario int     `json:"scenario"`
-	Fiber    int     `json:"fiber"`
-	Dual     float64 `json:"dual"`
-	FDLow    float64 `json:"fd_low"`
-	FDHigh   float64 `json:"fd_high"` // 0 when the row had no feasible left step
+	Row      string
+	Link     int
+	Scenario int
+	Fiber    int
+	Dual     float64
+	FDLow    float64
+	FDHigh   float64 // 0 when the row had no feasible left step
 }
 
 // AttrProbeRow is one evaluated what-if perturbation (KindWhatIf).
 type AttrProbeRow struct {
-	Label            string  `json:"label"`
-	Link             int     `json:"link"`
-	Fiber            int     `json:"fiber"`
-	Scenario         int     `json:"scenario"`
-	CapacityGbps     float64 `json:"capacity_gbps"`
-	AvailabilityGain float64 `json:"availability_gain"`
+	Label            string
+	Link             int
+	Fiber            int
+	Scenario         int
+	CapacityGbps     float64
+	AvailabilityGain float64
 }
 
 // AttrSimCutRow is one replayed fiber-cut set's time-weighted loss share
 // (sim.Runner.AttributeLoss events, Detail "sim_cut").
 type AttrSimCutRow struct {
-	Mode     string  `json:"mode"`
-	Cut      []int   `json:"cut"`
-	Hours    float64 `json:"hours"`
-	LossFrac float64 `json:"loss_frac"`
+	Mode     string
+	Cut      []int
+	Hours    float64
+	LossFrac float64
 }
 
 // AttributionReport is the availability-attribution section of the run
@@ -66,11 +66,11 @@ type AttributionReport struct {
 	// Scenarios holds the per-scenario loss decomposition sorted by loss
 	// descending (the top-regret table); the healthy state keeps scenario
 	// index -1.
-	Scenarios     []AttrScenarioRow    `json:"scenarios"`
-	TotalLoss     float64              `json:"total_loss"`
-	Sensitivities []AttrSensitivityRow `json:"sensitivities,omitempty"`
-	Probes        []AttrProbeRow       `json:"probes,omitempty"`
-	SimCuts       []AttrSimCutRow      `json:"sim_cuts,omitempty"`
+	Scenarios     []AttrScenarioRow
+	TotalLoss     float64
+	Sensitivities []AttrSensitivityRow
+	Probes        []AttrProbeRow
+	SimCuts       []AttrSimCutRow
 }
 
 // buildAttribution joins the attribution event stream into the report

@@ -1,32 +1,12 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 
-	"github.com/arrow-te/arrow/internal/obs"
+	"github.com/arrow-te/arrow/internal/session"
 )
-
-// loadSnapshot reads a -metrics-json obs.Snapshot. Unknown fields are
-// ignored so older and newer snapshots stay comparable; a file without
-// counters (a ledger, say) is an error.
-func loadSnapshot(path string) (*obs.Snapshot, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var snap obs.Snapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if snap.Counters == nil {
-		return nil, fmt.Errorf("%s: not a metrics snapshot (no counters)", path)
-	}
-	return &snap, nil
-}
 
 // timingCounters accumulate wall-clock, not work: schedule-dependent, never
 // diffed.
@@ -35,20 +15,21 @@ var timingCounters = map[string]bool{
 	"par.idle_ns": true,
 }
 
-// runDiff prints every counter that differs between two metrics snapshots,
-// a counter present in only one of them included, and returns how many
-// differ. Counters are deterministic work counts, so two runs of the same
+// runDiff prints every counter that differs between the metrics of two run
+// bundles, a counter present in only one of them included, and returns how
+// many differ. Counters are deterministic work counts, so two runs of the same
 // code and settings must agree on every one of them; the wall-clock
 // timingCounters are skipped.
 func runDiff(w io.Writer, oldPath, newPath string) (int, error) {
-	oldS, err := loadSnapshot(oldPath)
+	oldB, err := session.ReadFile(oldPath)
 	if err != nil {
 		return 0, err
 	}
-	newS, err := loadSnapshot(newPath)
+	newB, err := session.ReadFile(newPath)
 	if err != nil {
 		return 0, err
 	}
+	oldS, newS := oldB.Metrics, newB.Metrics
 	keys := make([]string, 0, len(newS.Counters))
 	for k := range newS.Counters {
 		keys = append(keys, k)

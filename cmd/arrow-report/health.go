@@ -12,36 +12,36 @@ import (
 
 // AnomalyRow is one solver_anomaly ledger event in report form.
 type AnomalyRow struct {
-	Solver   string  `json:"solver"`
-	Scenario int     `json:"scenario"`
-	Reason   string  `json:"reason"`
-	Phase    int     `json:"phase"`
-	Iter     int     `json:"iter"`
-	Value    float64 `json:"value"`
-	Detail   string  `json:"detail"`
+	Solver   string
+	Scenario int
+	Reason   string
+	Phase    int
+	Iter     int
+	Value    float64
+	Detail   string
 }
 
 // HealthSpark is one probed solve phase's objective-progress trajectory
 // (downsampled by the ledger to <= 32 points) with its unicode sparkline.
 type HealthSpark struct {
-	Solver   string    `json:"solver"`
-	Scenario int       `json:"scenario"`
-	Phase    int       `json:"phase"`
-	Probes   int       `json:"probes"`
-	WorstRes float64   `json:"worst_residual_inf"`
-	Series   []float64 `json:"series"`
-	Spark    string    `json:"spark"`
+	Solver   string
+	Scenario int
+	Phase    int
+	Probes   int
+	WorstRes float64
+	Series   []float64
+	Spark    string
 }
 
 // QuantileRow is one health histogram's percentile summary from the
 // metrics snapshot.
 type QuantileRow struct {
-	Metric string  `json:"metric"`
-	Count  int64   `json:"count"`
-	P50    float64 `json:"p50"`
-	P90    float64 `json:"p90"`
-	P99    float64 `json:"p99"`
-	Max    float64 `json:"max"`
+	Metric string
+	Count  int64
+	P50    float64
+	P90    float64
+	P99    float64
+	Max    float64
 }
 
 // SolverHealthReport is the solver-health observatory section of a run
@@ -50,13 +50,13 @@ type QuantileRow struct {
 type SolverHealthReport struct {
 	// Probes / Anomalies mirror the lp.health.* counters when a metrics
 	// snapshot is embedded (counted from ledger events otherwise).
-	Probes    int64 `json:"probes"`
-	Anomalies int64 `json:"anomalies"`
+	Probes    int64
+	Anomalies int64
 	// Clean is the CI gate: true iff no anomaly was detected anywhere.
-	Clean     bool          `json:"clean"`
-	Findings  []AnomalyRow  `json:"findings,omitempty"`
-	Quantiles []QuantileRow `json:"quantiles,omitempty"`
-	Sparks    []HealthSpark `json:"sparklines,omitempty"`
+	Clean     bool
+	Findings  []AnomalyRow
+	Quantiles []QuantileRow
+	Sparks    []HealthSpark
 }
 
 // healthQuantileMetrics are the per-probe histograms summarised in the

@@ -2,12 +2,12 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 
 	"github.com/arrow-te/arrow/internal/ledger"
 	"github.com/arrow-te/arrow/internal/obs"
+	"github.com/arrow-te/arrow/internal/session"
 )
 
 // TestSparkline pins the unicode scaling: min maps to the lowest block, max
@@ -112,7 +112,7 @@ func TestBuildSolverHealthNilWhenUnprobed(t *testing.T) {
 		t.Errorf("unprobed run without metrics built a health section: %+v", h)
 	}
 
-	rep := buildReport(l.Snapshot(), nil)
+	rep := buildReport(&session.Bundle{Ledger: l.Snapshot()})
 	var md bytes.Buffer
 	renderMarkdown(&md, rep)
 	if strings.Contains(md.String(), "Solver health") {
@@ -122,22 +122,10 @@ func TestBuildSolverHealthNilWhenUnprobed(t *testing.T) {
 	// A clean probed run gets the section with the CLEAN verdict.
 	l.Emit(ledger.Event{Kind: ledger.KindSolverHealth, Scenario: -1, Solver: "arrow-phase2",
 		Phase: 1, Count: 3, Value: 1e-12, Series: []float64{3, 2, 1}})
-	rep = buildReport(l.Snapshot(), nil)
+	rep = buildReport(&session.Bundle{Ledger: l.Snapshot()})
 	md.Reset()
 	renderMarkdown(&md, rep)
 	if !strings.Contains(md.String(), "CLEAN") {
 		t.Error("clean probed report missing the CLEAN verdict")
-	}
-	// JSON round-trip keeps the section.
-	data, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back RunReport
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.SolverHealth == nil || !back.SolverHealth.Clean {
-		t.Errorf("solver-health section lost in JSON round-trip: %+v", back.SolverHealth)
 	}
 }

@@ -10,36 +10,36 @@ import (
 
 // LatencyStage is one row of an episode's restoration waterfall.
 type LatencyStage struct {
-	Stage    string  `json:"stage"`
-	Device   string  `json:"device,omitempty"`
-	Lane     int     `json:"lane"`
-	StartSec float64 `json:"start_sec"`
-	DurSec   float64 `json:"dur_sec"`
+	Stage    string
+	Device   string
+	Lane     int
+	StartSec float64
+	DurSec   float64
 }
 
 // LatencyEpisode is one emulated restoration episode reconstructed from the
 // ledger's emu_stage/emu_episode events.
 type LatencyEpisode struct {
-	Mode         string  `json:"mode"`
-	TotalSec     float64 `json:"total_sec"`
-	RestoredGbps float64 `json:"restored_gbps"`
-	AmpsSettled  int     `json:"amps_settled"`
+	Mode         string
+	TotalSec     float64
+	RestoredGbps float64
+	AmpsSettled  int
 	// Stages is the full waterfall, including per-amplifier settle spans.
-	Stages []LatencyStage `json:"stages"`
+	Stages []LatencyStage
 	// StageSumSec is the critical-path stage sum (serial lane plus slowest
 	// concurrent lane, amp_settle spans folded into their chain); it equals
 	// TotalSec when the waterfall accounts for the whole episode.
-	StageSumSec float64 `json:"stage_sum_sec"`
+	StageSumSec float64
 }
 
 // LatencySim is one latency-aware availability replay (a mode-tagged
 // sim_summary event).
 type LatencySim struct {
-	Mode            string  `json:"mode"`
-	Delivered       float64 `json:"delivered"`
-	FullServiceFrac float64 `json:"full_service_frac"`
-	RestoringHours  float64 `json:"restoring_hours"`
-	Intervals       int     `json:"intervals"`
+	Mode            string
+	Delivered       float64
+	FullServiceFrac float64
+	RestoringHours  float64
+	Intervals       int
 }
 
 // LatencyReport is the "Restoration latency" section of the run report:
@@ -47,15 +47,15 @@ type LatencySim struct {
 // (Fig. 20 shape), the legacy/ARROW latency ratio, and the latency-aware
 // availability comparison.
 type LatencyReport struct {
-	Episodes []LatencyEpisode `json:"episodes"`
+	Episodes []LatencyEpisode
 	// AmpSettle summarises per-amplifier settle durations across episodes;
 	// AmpSettleP99 extends the summary to the tail percentile.
-	AmpSettle    stats.Summary `json:"amp_settle_sec"`
-	AmpSettleP99 float64       `json:"amp_settle_p99_sec"`
+	AmpSettle    stats.Summary
+	AmpSettleP99 float64
 	// LatencyRatio is mean legacy episode latency over mean noise-loading
 	// episode latency (0 when either mode is absent; paper: 127x).
-	LatencyRatio float64      `json:"latency_ratio,omitempty"`
-	Sims         []LatencySim `json:"sims,omitempty"`
+	LatencyRatio float64
+	Sims         []LatencySim
 }
 
 // criticalPathSec mirrors emu.(*Trial).CriticalPathSec over report rows.
@@ -143,7 +143,7 @@ func buildLatency(snap *ledger.Snapshot) *LatencyReport {
 
 // renderLatency writes the markdown "Restoration latency" section. The
 // per-amplifier settle spans are summarised as percentiles rather than
-// listed (a legacy episode has dozens); the JSON report keeps every span.
+// listed (a legacy episode has dozens); the bundle's ledger keeps every span.
 func renderLatency(w io.Writer, lr *LatencyReport) {
 	fmt.Fprintf(w, "\n## Restoration latency\n\n")
 	if len(lr.Episodes) > 0 {
@@ -167,7 +167,7 @@ func renderLatency(w io.Writer, lr *LatencyReport) {
 					st.Stage, st.Device, st.Lane, st.StartSec, st.DurSec)
 			}
 			if settles > 0 {
-				fmt.Fprintf(w, "\n%d per-amplifier settle spans folded into their chains (see JSON report for each).\n", settles)
+				fmt.Fprintf(w, "\n%d per-amplifier settle spans folded into their chains (the run bundle's ledger lists each).\n", settles)
 			}
 		}
 	}

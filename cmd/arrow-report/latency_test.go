@@ -9,6 +9,7 @@ import (
 	"github.com/arrow-te/arrow/internal/eval"
 	"github.com/arrow-te/arrow/internal/ledger"
 	"github.com/arrow-te/arrow/internal/obs"
+	"github.com/arrow-te/arrow/internal/session"
 )
 
 // TestBuildLatencySection checks episode reconstruction from a synthetic
@@ -32,7 +33,7 @@ func TestBuildLatencySection(t *testing.T) {
 	l.Emit(ledger.Event{Kind: ledger.KindSimSummary, Scenario: -1, Mode: "noise_loading", Count: 9, Fraction: 0.99, FullService: 0.98, RestoringH: 0.1})
 	l.Emit(ledger.Event{Kind: ledger.KindSimSummary, Scenario: -1, Count: 7, Fraction: 0.97})
 
-	rep := buildReport(l.Snapshot(), nil)
+	rep := buildReport(&session.Bundle{Ledger: l.Snapshot()})
 	lr := rep.Latency
 	if lr == nil {
 		t.Fatal("no latency section built")
@@ -84,7 +85,7 @@ func TestBuildLatencySection(t *testing.T) {
 func TestBuildLatencyAbsentWithoutEpisodes(t *testing.T) {
 	l := ledger.New()
 	l.Emit(ledger.Event{Kind: ledger.KindSimSummary, Scenario: -1, Count: 3, Fraction: 0.9})
-	rep := buildReport(l.Snapshot(), nil)
+	rep := buildReport(&session.Bundle{Ledger: l.Snapshot()})
 	if rep.Latency != nil {
 		t.Fatalf("latency section built from untagged events: %+v", rep.Latency)
 	}
@@ -113,7 +114,7 @@ func TestRunReportIncludesLatencySection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := buildReport(led.Snapshot(), reg.Snapshot())
+	rep := buildReport(&session.Bundle{Ledger: led.Snapshot(), Metrics: reg.Snapshot()})
 	lr := rep.Latency
 	if lr == nil {
 		t.Fatal("recorded run has no latency section")

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 	"github.com/arrow-te/arrow/internal/ledger"
 	"github.com/arrow-te/arrow/internal/lp"
 	"github.com/arrow-te/arrow/internal/obs"
+	"github.com/arrow-te/arrow/internal/session"
 )
 
 // TestBuildReportJoins checks the enum->pipeline-index join: ticket events
@@ -34,7 +36,7 @@ func TestBuildReportJoins(t *testing.T) {
 	l.Emit(ledger.Event{Kind: ledger.KindWinner, Scenario: 0, Ticket: 2, Gbps: 300, Fraction: 0.6})
 	l.Emit(ledger.Event{Kind: ledger.KindUnmetDemand, Scenario: -1, Gbps: 50, Fraction: 0.05})
 
-	rep := buildReport(l.Snapshot(), nil)
+	rep := buildReport(&session.Bundle{Ledger: l.Snapshot()})
 	if rep.Enumerated != 5 || len(rep.Scenarios) != 1 {
 		t.Fatalf("enumerated=%d scenarios=%d", rep.Enumerated, len(rep.Scenarios))
 	}
@@ -64,11 +66,14 @@ func TestBuildReportJoins(t *testing.T) {
 	}
 }
 
-// writeSnapshot writes a metrics snapshot with the given counters and
-// returns its path.
-func writeSnapshot(t *testing.T, dir, name string, counters map[string]int64) string {
+// writeBundle writes a run bundle with the given counters and returns its
+// path.
+func writeBundle(t *testing.T, dir, name string, counters map[string]int64) string {
 	t.Helper()
-	data, err := json.Marshal(&obs.Snapshot{SchemaVersion: obs.SchemaVersion, Counters: counters})
+	data, err := json.Marshal(&session.Bundle{
+		SchemaVersion: session.SchemaVersion,
+		Metrics:       &obs.Snapshot{SchemaVersion: obs.SchemaVersion, Counters: counters},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,25 +89,41 @@ func writeFile(t *testing.T, dir, name, body string) string {
 	return path
 }
 
+// foreignFiles are the files arrow-report refuses with exit 2, by -diff and
+// by the render path alike: none is a run bundle this build can read.
+func foreignFiles(t *testing.T, dir string) []struct{ name, path string } {
+	counters := `{"schema_version":1,"counters":{"lp.pivots":1000}}`
+	return []struct{ name, path string }{
+		{"ledger file", writeFile(t, dir, "ledger.json", `{"schema_version":1,"events":[{"seq":1,"kind":"winner","scenario":0,"ticket":2}]}`)},
+		{"metrics snapshot", writeFile(t, dir, "metrics.json", counters)},
+		{"malformed file", writeFile(t, dir, "bad.json", "{not json")},
+		{"newer bundle schema", writeFile(t, dir, "newer.json", fmt.Sprintf(`{"schema_version":%d,"metrics":%s}`, session.SchemaVersion+1, counters))},
+		{"newer ledger schema", writeFile(t, dir, "newer_ledger.json", fmt.Sprintf(`{"schema_version":%d,"metrics":%s,"ledger":{"schema_version":%d,"events":[]}}`,
+			session.SchemaVersion, counters, ledger.SchemaVersion+1))},
+	}
+}
+
 // TestDiffDetectsPerturbedSnapshot pins -diff's contract: it names every
-// counter that moved and exits 1, exits 0 on equal snapshots, and refuses
-// anything that is not a metrics snapshot with exit 2.
+// counter that moved and exits 1, exits 0 on equal bundles, and refuses
+// anything that is not a run bundle this build can read with exit 2.
 func TestDiffDetectsPerturbedSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	base := map[string]int64{"lp.pivots": 1000, "ticket.infeasible": 100}
-	old := writeSnapshot(t, dir, "old.json", base)
-	for _, tc := range []struct {
-		name string
-		new  string
-		code int
-		want string
-	}{
-		{"equal snapshots", writeSnapshot(t, dir, "equal.json", base), 0, "0 of 2 counters differ"},
-		{"one counter moved", writeSnapshot(t, dir, "moved.json", map[string]int64{
+	old := writeBundle(t, dir, "old.json", base)
+	type diffCase struct {
+		name, new string
+		code      int
+		want      string
+	}
+	cases := []diffCase{
+		{"equal snapshots", writeBundle(t, dir, "equal.json", base), 0, "0 of 2 counters differ"},
+		{"one counter moved", writeBundle(t, dir, "moved.json", map[string]int64{
 			"lp.pivots": 1000, "ticket.infeasible": 101}), 1, "ticket.infeasible"},
-		{"ledger file", writeFile(t, dir, "ledger.json", `{"events":[{"seq":1,"kind":"winner","scenario":0,"ticket":2}]}`), 2, ""},
-		{"malformed file", writeFile(t, dir, "bad.json", "{not json"), 2, ""},
-	} {
+	}
+	for _, f := range foreignFiles(t, dir) {
+		cases = append(cases, diffCase{f.name, f.path, 2, ""})
+	}
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var out, errb bytes.Buffer
 			if code := run([]string{"-diff", old, tc.new}, &out, &errb); code != tc.code {
@@ -115,12 +136,26 @@ func TestDiffDetectsPerturbedSnapshot(t *testing.T) {
 	}
 }
 
+// TestRenderRejectsForeignFiles is the render path's half of the same
+// contract: arrow-report FILE exits 2 on anything that is not a run bundle
+// this build can read.
+func TestRenderRejectsForeignFiles(t *testing.T) {
+	for _, f := range foreignFiles(t, t.TempDir()) {
+		t.Run(f.name, func(t *testing.T) {
+			var out, errb bytes.Buffer
+			if code := run([]string{f.path}, &out, &errb); code != 2 {
+				t.Fatalf("exit %d, want 2; err:\n%s", code, errb.String())
+			}
+		})
+	}
+}
+
 // TestDiffTimingCountersExcluded pins that the wall-clock par.* counters
 // never count as a difference: they are schedule-dependent noise.
 func TestDiffTimingCountersExcluded(t *testing.T) {
 	dir := t.TempDir()
-	oldPath := writeSnapshot(t, dir, "old.json", map[string]int64{"lp.pivots": 1000, "par.busy_ns": 1000, "par.idle_ns": 10})
-	newPath := writeSnapshot(t, dir, "new.json", map[string]int64{"lp.pivots": 1000, "par.busy_ns": 99000, "par.idle_ns": 99000})
+	oldPath := writeBundle(t, dir, "old.json", map[string]int64{"lp.pivots": 1000, "par.busy_ns": 1000, "par.idle_ns": 10})
+	newPath := writeBundle(t, dir, "new.json", map[string]int64{"lp.pivots": 1000, "par.busy_ns": 99000, "par.idle_ns": 99000})
 	var out, errb bytes.Buffer
 	if code := run([]string{"-diff", oldPath, newPath}, &out, &errb); code != 0 {
 		t.Errorf("timing counters gated the diff: exit %d:\n%s", code, out.String())
@@ -133,29 +168,27 @@ func TestDiffTimingCountersExcluded(t *testing.T) {
 // TestRunReportNamesEveryWinner is the end-to-end acceptance criterion:
 // arrow-report -run on the default pipeline must name the winning ticket
 // and restored-capacity fraction for every relevant scenario, and every LP
-// solve must carry a sub-tolerance certificate.
+// solve must carry a sub-tolerance certificate. The run's bundle renders
+// to the same bytes as the run itself, Performance and Attribution
+// sections included.
 func TestRunReportNamesEveryWinner(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full recorded pipeline")
 	}
 	dir := t.TempDir()
-	jsonPath := filepath.Join(dir, "report.json")
-	ledgerPath := filepath.Join(dir, "ledger.json")
+	bundlePath := filepath.Join(dir, "run.json")
+	runMD, savedMD := filepath.Join(dir, "run.md"), filepath.Join(dir, "saved.md")
 	var out, errb bytes.Buffer
-	code := run([]string{"-run", "-parallelism", "2", "-out", filepath.Join(dir, "report.md"),
-		"-json", jsonPath, "-ledger-json", ledgerPath}, &out, &errb)
+	code := run([]string{"-run", "-parallelism", "2", "-attr", "-out", runMD, "-run-out", bundlePath}, &out, &errb)
 	if code != 0 {
 		t.Fatalf("exit %d:\n%s", code, errb.String())
 	}
 
-	data, err := os.ReadFile(jsonPath)
+	b, err := session.ReadFile(bundlePath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rep RunReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatal(err)
-	}
+	rep := buildReport(b)
 	if len(rep.Scenarios) == 0 {
 		t.Fatal("report has no scenarios")
 	}
@@ -176,14 +209,28 @@ func TestRunReportNamesEveryWinner(t *testing.T) {
 	if rep.Metrics == nil || rep.Metrics.Counters["lp.certificates"] == 0 {
 		t.Error("report metrics missing lp.certificates")
 	}
-
-	// The written ledger must round-trip through the -ledger render mode.
-	out.Reset()
-	if code := run([]string{"-ledger", ledgerPath}, &out, &errb); code != 0 {
-		t.Fatalf("-ledger render exit %d:\n%s", code, errb.String())
+	if b.Attribution == nil || b.Attribution.IdentityViolations != 0 {
+		t.Errorf("bundle attribution %+v, want a report with an exact identity", b.Attribution)
 	}
-	if !strings.Contains(out.String(), "## Ticket win/loss per scenario") {
-		t.Error("-ledger render missing the win/loss table")
+
+	if code := run([]string{bundlePath, "-out", savedMD}, &out, &errb); code != 0 {
+		t.Fatalf("render exit %d:\n%s", code, errb.String())
+	}
+	fromRun, err := os.ReadFile(runMD)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromBundle, err := os.ReadFile(savedMD)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(fromRun, fromBundle) {
+		t.Errorf("the saved bundle renders differently from its run:\n--- run\n%s\n--- bundle\n%s", fromRun, fromBundle)
+	}
+	for _, want := range []string{"## Ticket win/loss per scenario", "## Performance", "## Availability attribution"} {
+		if !bytes.Contains(fromBundle, []byte(want)) {
+			t.Errorf("rendered bundle missing %q", want)
+		}
 	}
 }
 
@@ -196,8 +243,11 @@ func TestRunUsageErrors(t *testing.T) {
 	if code := run([]string{"-diff", "only-one.json"}, &out, &errb); code != 2 {
 		t.Errorf("-diff with one arg exit %d, want 2", code)
 	}
-	if code := run([]string{"-ledger", filepath.Join(t.TempDir(), "missing.json")}, &out, &errb); code != 2 {
-		t.Errorf("missing ledger exit %d, want 2", code)
+	if code := run([]string{filepath.Join(t.TempDir(), "missing.json")}, &out, &errb); code != 2 {
+		t.Errorf("missing bundle exit %d, want 2", code)
+	}
+	if code := run([]string{"-run", "run.json"}, &out, &errb); code != 2 {
+		t.Errorf("-run with a bundle exit %d, want 2", code)
 	}
 }
 
@@ -214,24 +264,20 @@ func TestRunPerformanceAttribution(t *testing.T) {
 		t.Skip("runs the full recorded pipeline")
 	}
 	dir := t.TempDir()
-	jsonPath := filepath.Join(dir, "report.json")
+	bundlePath := filepath.Join(dir, "run.json")
 	mdPath := filepath.Join(dir, "report.md")
 	var out, errb bytes.Buffer
 	code := run([]string{"-run", "-parallelism", "2", "-out", mdPath,
-		"-json", jsonPath}, &out, &errb)
+		"-run-out", bundlePath}, &out, &errb)
 	if code != 0 {
 		t.Fatalf("exit %d:\n%s", code, errb.String())
 	}
 
-	data, err := os.ReadFile(jsonPath)
+	b, err := session.ReadFile(bundlePath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rep RunReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatal(err)
-	}
-	p := rep.Performance
+	p := buildReport(b).Performance
 	if p == nil {
 		t.Fatal("report has no Performance section")
 	}

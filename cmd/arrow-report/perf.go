@@ -9,24 +9,24 @@ import (
 
 // StageRow is one attributed pipeline stage in the Performance section.
 type StageRow struct {
-	Name           string  `json:"name"`
-	Count          int64   `json:"count"`
-	WallSeconds    float64 `json:"wall_seconds"`
-	Percent        float64 `json:"percent"` // share of the total bracket (aggregates excluded)
-	AllocBytes     uint64  `json:"alloc_bytes,omitempty"`
-	GCPauseSeconds float64 `json:"gc_pause_seconds,omitempty"`
-	Aggregate      bool    `json:"aggregate,omitempty"`
+	Name           string
+	Count          int64
+	WallSeconds    float64
+	Percent        float64 // share of the total bracket (aggregates excluded)
+	AllocBytes     uint64
+	GCPauseSeconds float64
+	Aggregate      bool
 }
 
 // PerfReport is the Performance section of a run report: the per-stage
 // wall/allocation attribution of this run.
 type PerfReport struct {
-	TotalSeconds float64 `json:"total_seconds"`
+	TotalSeconds float64
 	// Coverage is the fraction of the total bracket attributed to
 	// top-level stages: the Percent column adds up to 100 × Coverage, and
 	// the remainder ran outside every stage.
-	Coverage float64    `json:"coverage"`
-	Stages   []StageRow `json:"stages"`
+	Coverage float64
+	Stages   []StageRow
 }
 
 // buildPerf converts a stage profile into the report section. Returns nil

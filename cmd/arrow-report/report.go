@@ -9,71 +9,69 @@ import (
 	"github.com/arrow-te/arrow/internal/ledger"
 	"github.com/arrow-te/arrow/internal/lp"
 	"github.com/arrow-te/arrow/internal/obs"
+	"github.com/arrow-te/arrow/internal/session"
 	"github.com/arrow-te/arrow/internal/stats"
 )
-
-// reportSchemaVersion identifies the run-report JSON layout.
-const reportSchemaVersion = 1
 
 // ScenarioReport is one scenario's row of the run report, joined from the
 // scenario / ticket / winner events of the ledger.
 type ScenarioReport struct {
 	// Scenario is the pipeline index, Enum the enumerated (probability-
 	// ordered) index ticket events were tagged with.
-	Scenario int     `json:"scenario"`
-	Enum     int     `json:"enum"`
-	Prob     float64 `json:"prob"`
-	Links    []int   `json:"links"`
+	Scenario int
+	Enum     int
+	Prob     float64
+	Links    []int
 	// Cut is the fiber-cut set behind the scenario (multi-fiber under
 	// k-failure/SRLG enumeration); empty on ledgers that predate it.
-	Cut []int `json:"cut,omitempty"`
+	Cut []int
 	// Tickets is the candidate-set size the TE saw (|Z^q| after filtering).
-	Tickets int `json:"tickets"`
+	Tickets int
 	// Generated / rejection tallies from the randomized-rounding stage.
-	Generated          int `json:"generated"`
-	RejectedRounding   int `json:"rejected_rounding_infeasible"`
-	RejectedSpectrum   int `json:"rejected_spectrum_clash"`
-	RejectedDuplicates int `json:"rejected_duplicate"`
+	Generated          int
+	RejectedRounding   int
+	RejectedSpectrum   int
+	RejectedDuplicates int
 	// WinningTicket and the restored capacity it revives.
-	WinningTicket    int     `json:"winning_ticket"`
-	RestoredGbps     float64 `json:"restored_gbps"`
-	RestoredFraction float64 `json:"restored_fraction"`
+	WinningTicket    int
+	RestoredGbps     float64
+	RestoredFraction float64
 	// HasWinner is false when the ledger carries no winner event for the
 	// scenario (e.g. the run stopped before the TE solve).
-	HasWinner bool `json:"has_winner"`
+	HasWinner bool
 }
 
 // SolveReport is one LP/MILP solve with its certificate.
 type SolveReport struct {
-	Solver string          `json:"solver"`
-	Status string          `json:"status"`
-	Cert   *lp.Certificate `json:"certificate,omitempty"`
+	Solver string
+	Status string
+	Cert   *lp.Certificate
 	// CertOK reports lp.CheckCertificate at the default tolerance.
-	CertOK bool `json:"cert_ok"`
+	CertOK bool
 }
 
 // CertSummary aggregates the certificates of a run.
 type CertSummary struct {
-	Solves     int     `json:"solves"`
-	Certified  int     `json:"certified"`
-	Failures   int     `json:"failures"`
-	MaxGap     float64 `json:"max_gap"`
-	MaxPrimal  float64 `json:"max_primal_inf"`
-	MaxDual    float64 `json:"max_dual_inf"`
-	AllPassing bool    `json:"all_passing"`
+	Solves     int
+	Certified  int
+	Failures   int
+	MaxGap     float64
+	MaxPrimal  float64
+	MaxDual    float64
+	AllPassing bool
 }
 
 // PricingRound is one column-generation sweep over the deferred ticket
 // blocks of the Phase I restricted master, from a KindPricingRound event.
 type PricingRound struct {
-	Round   int `json:"round"`
-	Columns int `json:"columns"`
+	Round   int
+	Columns int
 	// WorstRC is the most negative reduced cost seen in the sweep (0 in the
 	// final, priced-out sweep).
-	WorstRC float64 `json:"worst_reduced_cost"`
+	WorstRC float64
 	// Master is the restricted master's size after the sweep's appends
 	// ("<vars>v/<rows>r").
-	Master string `json:"master"`
+	Master string
 }
 
 // PricingReport is the column-generation trajectory of a run: how many
@@ -81,62 +79,65 @@ type PricingRound struct {
 // in, and how the worst reduced cost decayed toward the priced-out
 // certificate.
 type PricingReport struct {
-	Rounds        int            `json:"rounds"`
-	ColumnsPriced int            `json:"columns_priced"`
-	Trajectory    []PricingRound `json:"trajectory"`
+	Rounds        int
+	ColumnsPriced int
+	Trajectory    []PricingRound
 }
 
 // RunReport is the rendered artifact of one recorded run.
 type RunReport struct {
-	SchemaVersion int              `json:"schema_version"`
-	Enumerated    int              `json:"scenarios_enumerated"`
-	Scenarios     []ScenarioReport `json:"scenarios"`
-	Solves        []SolveReport    `json:"solves"`
-	Certificates  CertSummary      `json:"certificates"`
+	Enumerated   int
+	Scenarios    []ScenarioReport
+	Solves       []SolveReport
+	Certificates CertSummary
 	// Restoration summarises the restored-capacity fractions of the
 	// winning tickets across scenarios (the per-run restoration CDF).
-	Restoration stats.Summary `json:"restoration_fraction"`
+	Restoration stats.Summary
 	// UnmetGbps / UnmetFraction is the residual demand of the final plan.
-	UnmetGbps     float64 `json:"unmet_gbps"`
-	UnmetFraction float64 `json:"unmet_fraction"`
+	UnmetGbps     float64
+	UnmetFraction float64
 	// SimIntervals / SimDelivered summarise untagged sim_summary events, if
 	// any (mode-tagged replays land in Latency.Sims instead).
-	SimIntervals int     `json:"sim_intervals,omitempty"`
-	SimDelivered float64 `json:"sim_delivered,omitempty"`
+	SimIntervals int
+	SimDelivered float64
 	// Latency is the restoration-latency observatory section: emulated
 	// episode waterfalls, amplifier-settling percentiles, the legacy/ARROW
 	// latency ratio and the latency-aware availability comparison. Absent
 	// when the ledger recorded no emulated episodes or tagged replays.
-	Latency *LatencyReport `json:"latency,omitempty"`
+	Latency *LatencyReport
 	// Pricing is the column-generation section: sweeps, columns priced per
 	// sweep and the reduced-cost trajectory. Absent when the ledger carries
 	// no pricing events (it predates them).
-	Pricing *PricingReport `json:"pricing,omitempty"`
+	Pricing *PricingReport
 	// SolverHealth is the solver-health observatory section: anomaly
 	// findings, numerical-quality percentiles and per-phase pivot-progress
 	// sparklines. Absent when the run carried no health probes
 	// (-health-every 0, the default).
-	SolverHealth *SolverHealthReport `json:"solver_health,omitempty"`
+	SolverHealth *SolverHealthReport
 	// Attribution is the availability-attribution section: the per-scenario
 	// / per-flow loss decomposition, FD-validated shadow prices and ranked
 	// what-if probes of the internal/attr pass, plus per-cut replay loss
 	// shares. Absent when the run carried no attribution events (-attr off).
-	Attribution *AttributionReport `json:"attribution,omitempty"`
+	Attribution *AttributionReport
 	// Performance is the stage-level resource-attribution section: per-stage
 	// wall time, allocation and GC-pause deltas of this run with the covered
-	// share of the total bracket. Absent when the run was not profiled
-	// (-ledger mode).
-	Performance *PerfReport `json:"performance,omitempty"`
+	// share of the total bracket. Absent when the bundle carries no stage
+	// profile (only arrow-report -run records one).
+	Performance *PerfReport
 	// Metrics embeds the metrics snapshot of the run, when available.
-	Metrics *obs.Snapshot `json:"metrics,omitempty"`
+	Metrics *obs.Snapshot
 }
 
-// buildReport joins a ledger event stream into a RunReport. Ticket events
-// are tagged with the enumerated scenario index; scenario events provide
-// the enum->pipeline mapping, so rejected tickets of never-kept scenarios
-// are dropped (they have no row to land in).
-func buildReport(snap *ledger.Snapshot, metrics *obs.Snapshot) *RunReport {
-	rep := &RunReport{SchemaVersion: reportSchemaVersion, Metrics: metrics}
+// buildReport joins a run bundle into a RunReport. Ticket events are tagged
+// with the enumerated scenario index; scenario events provide the
+// enum->pipeline mapping, so rejected tickets of never-kept scenarios are
+// dropped (they have no row to land in).
+func buildReport(b *session.Bundle) *RunReport {
+	snap, metrics := b.Ledger, b.Metrics
+	if snap == nil {
+		snap = &ledger.Snapshot{} // a CLI that records no ledger
+	}
+	rep := &RunReport{Metrics: metrics, Performance: buildPerf(b.Stages)}
 
 	for _, ev := range snap.Events {
 		switch ev.Kind {

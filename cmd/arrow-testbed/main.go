@@ -3,8 +3,9 @@
 // links) and restores it twice — once with legacy amplifier reconfiguration
 // and once with ARROW's ASE noise loading — printing the event logs and the
 // Fig. 12 latency comparison. With -trace-out the run exports the
-// per-device restoration waterfall on the emulated clock; with -ledger-json
-// it dumps the typed stage/episode event stream for arrow-report.
+// per-device restoration waterfall on the emulated clock; with -run-out it
+// writes the run bundle, whose ledger carries the typed stage/episode
+// events arrow-report renders as the restoration-latency section.
 package main
 
 import (
@@ -16,8 +17,8 @@ import (
 	"time"
 
 	"github.com/arrow-te/arrow/internal/emu"
-	"github.com/arrow-te/arrow/internal/ledger"
 	"github.com/arrow-te/arrow/internal/obs"
+	"github.com/arrow-te/arrow/internal/session"
 )
 
 func main() {
@@ -25,34 +26,17 @@ func main() {
 		seed      = flag.Int64("seed", 1, "random seed for device timing jitter")
 		healthEvr = flag.Int("health-every", 0, "probe the restoration LP's numerical health every N pivots (0 = off; probes never change results)")
 		series    = flag.Bool("series", false, "print the restored-capacity time series")
-		ledgerOut = flag.String("ledger-json", "", "write the flight-recorder ledger snapshot JSON to this file")
 		verbose   = flag.Bool("v", false, "log per-trial timings at debug level")
 	)
-	obsFlags := obs.RegisterFlags(flag.CommandLine)
+	flags := session.RegisterFlags(flag.CommandLine)
 	flag.Parse()
-	logger := obsFlags.Logger(*verbose)
-	sess, err := obsFlags.Start()
+	sess, err := flags.Start(session.Ledger, *verbose)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "arrow-testbed:", err)
 		os.Exit(1)
 	}
-	if addr := sess.DebugAddr(); addr != "" {
-		logger.Info("debug listener started", "url", "http://"+addr)
-	}
-	// The flight recorder stays nil (zero overhead) unless a sink wants it.
-	var led *ledger.Ledger
-	if *ledgerOut != "" || *verbose {
-		led = ledger.New()
-		if *verbose {
-			led.SetLogger(logger)
-		}
-	}
-	ctx := ledger.WithLedger(obs.WithRecorder(context.Background(), sess.Recorder()), led)
-	err = run(ctx, *seed, *healthEvr, *series, logger)
-	if err == nil && *ledgerOut != "" {
-		err = led.WriteFile(*ledgerOut)
-	}
-	if cerr := sess.Close(); err == nil {
+	err = run(sess.Context(), *seed, *healthEvr, *series, sess.Logger())
+	if _, cerr := sess.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {

@@ -2,12 +2,12 @@ package main
 
 import (
 	"context"
-	"os"
 	"path/filepath"
 	"testing"
 
 	"github.com/arrow-te/arrow/internal/ledger"
 	"github.com/arrow-te/arrow/internal/obs"
+	"github.com/arrow-te/arrow/internal/session"
 )
 
 func TestRunTestbedTrial(t *testing.T) {
@@ -21,24 +21,19 @@ func TestRunTestbedTrial(t *testing.T) {
 
 // TestRunRecordsObservatory checks the observability wiring: an
 // instrumented run produces the emulated-clock waterfall, the latency-ratio
-// gauge, and a ledger that round-trips through Ledger.WriteFile/ReadJSON with
-// both modes' episodes.
+// gauge, and a bundle whose ledger reads back with both modes' episodes.
 func TestRunRecordsObservatory(t *testing.T) {
-	reg := obs.NewRegistry()
-	reg.EnableTrace()
-	led := ledger.New()
-	if err := run(ledger.WithLedger(obs.WithRecorder(context.Background(), reg), led), 1, 0, false, nil); err != nil {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "run.json")
+	sess, err := (&session.Flags{RunOut: path, TraceOut: filepath.Join(dir, "trace.json")}).Start(session.Ledger, false)
+	if err != nil {
 		t.Fatal(err)
 	}
-	snap := reg.Snapshot()
-	if snap.Counters["emu.episodes"] != 2 || snap.Counters["testbed.trials"] != 2 {
-		t.Fatalf("episode counters %v", snap.Counters)
-	}
-	if snap.Gauges["emu.latency_ratio"] < 50 {
-		t.Fatalf("latency ratio gauge %g, want >50", snap.Gauges["emu.latency_ratio"])
+	if err := run(sess.Context(), 1, 0, false, nil); err != nil {
+		t.Fatal(err)
 	}
 	emuSpans := 0
-	for _, ev := range reg.TraceEvents() {
+	for _, ev := range obs.FromContext(sess.Context()).(*obs.Registry).TraceEvents() {
 		if ev.PID == obs.EmuPID {
 			emuSpans++
 		}
@@ -46,22 +41,22 @@ func TestRunRecordsObservatory(t *testing.T) {
 	if emuSpans == 0 {
 		t.Fatal("no emulated-clock waterfall in the trace")
 	}
+	if _, err := sess.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-	path := filepath.Join(t.TempDir(), "ledger.json")
-	if err := led.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	fd, err := os.Open(path)
+	b, err := session.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fd.Close()
-	ls, err := ledger.ReadJSON(fd)
-	if err != nil {
-		t.Fatal(err)
+	if b.Metrics.Counters["emu.episodes"] != 2 || b.Metrics.Counters["testbed.trials"] != 2 {
+		t.Fatalf("episode counters %v", b.Metrics.Counters)
+	}
+	if b.Metrics.Gauges["emu.latency_ratio"] < 50 {
+		t.Fatalf("latency ratio gauge %g, want >50", b.Metrics.Gauges["emu.latency_ratio"])
 	}
 	modes := map[string]bool{}
-	for _, ev := range ls.Events {
+	for _, ev := range b.Ledger.Events {
 		if ev.Kind == ledger.KindEmuEpisode {
 			modes[ev.Mode] = true
 		}

@@ -18,53 +18,35 @@ import (
 
 	"github.com/arrow-te/arrow/internal/availability"
 	"github.com/arrow-te/arrow/internal/eval"
-	"github.com/arrow-te/arrow/internal/ledger"
-	"github.com/arrow-te/arrow/internal/obs"
 	"github.com/arrow-te/arrow/internal/plan"
+	"github.com/arrow-te/arrow/internal/session"
 	"github.com/arrow-te/arrow/internal/topo"
 	"github.com/arrow-te/arrow/internal/traffic"
 )
 
 func main() {
 	var (
-		topoName  = flag.String("topo", "B4", "topology: B4, IBM or Facebook")
-		scheme    = flag.String("scheme", "ARROW", "TE scheme: ARROW, ARROW-Naive, FFC-1, FFC-2, TeaVaR, ECMP")
-		scale     = flag.Float64("scale", 2.0, "uniform demand scale (1.0 = comfortably satisfiable)")
-		tickets   = flag.Int("tickets", 20, "LotteryTickets per failure scenario")
-		seed      = flag.Int64("seed", 1, "random seed")
-		flows     = flag.Int("flows", 40, "number of largest flows kept from the traffic matrix")
-		file      = flag.String("file", "", "load a custom topology file instead of -topo (see internal/topo/format.go)")
-		parallel  = flag.Int("parallelism", 0, "worker count for the per-scenario offline stage (0 = NumCPU, 1 = sequential; results are identical)")
-		ledgerOut = flag.String("ledger-json", "", "write the flight-recorder ledger snapshot JSON to this file")
-		verbose   = flag.Bool("v", false, "print the per-scenario restoration plan and mirror ledger events to the log")
+		topoName = flag.String("topo", "B4", "topology: B4, IBM or Facebook")
+		scheme   = flag.String("scheme", "ARROW", "TE scheme: ARROW, ARROW-Naive, FFC-1, FFC-2, TeaVaR, ECMP")
+		scale    = flag.Float64("scale", 2.0, "uniform demand scale (1.0 = comfortably satisfiable)")
+		tickets  = flag.Int("tickets", 20, "LotteryTickets per failure scenario")
+		seed     = flag.Int64("seed", 1, "random seed")
+		flows    = flag.Int("flows", 40, "number of largest flows kept from the traffic matrix")
+		file     = flag.String("file", "", "load a custom topology file instead of -topo (see internal/topo/format.go)")
+		parallel = flag.Int("parallelism", 0, "worker count for the per-scenario offline stage (0 = NumCPU, 1 = sequential; results are identical)")
+		verbose  = flag.Bool("v", false, "print the per-scenario restoration plan and mirror ledger events to the log")
 	)
-	obsFlags := obs.RegisterFlags(flag.CommandLine)
+	flags := session.RegisterFlags(flag.CommandLine)
 	space := plan.RegisterScenarioFlags(flag.CommandLine)
 	flag.Parse()
-	logger := obsFlags.Logger(*verbose)
 
-	sess, err := obsFlags.Start()
+	sess, err := flags.Start(session.Ledger, *verbose)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "arrow:", err)
 		os.Exit(1)
 	}
-	if addr := sess.DebugAddr(); addr != "" {
-		logger.Info("debug listener started", "url", "http://"+addr)
-	}
-	// The flight recorder stays nil (zero overhead) unless a sink wants it.
-	var led *ledger.Ledger
-	if *ledgerOut != "" || *verbose {
-		led = ledger.New()
-		if *verbose {
-			led.SetLogger(logger)
-		}
-	}
-	ctx := ledger.WithLedger(obs.WithRecorder(context.Background(), sess.Recorder()), led)
-	err = run(ctx, *topoName, *file, *scheme, *scale, *tickets, *seed, *flows, *parallel, *verbose, *space)
-	if err == nil && *ledgerOut != "" {
-		err = led.WriteFile(*ledgerOut)
-	}
-	if cerr := sess.Close(); err == nil {
+	err = run(sess.Context(), *topoName, *file, *scheme, *scale, *tickets, *seed, *flows, *parallel, *verbose, *space)
+	if _, cerr := sess.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {

@@ -2,12 +2,12 @@ package main
 
 import (
 	"context"
-	"os"
 	"path/filepath"
 	"testing"
 
 	"github.com/arrow-te/arrow/internal/ledger"
 	"github.com/arrow-te/arrow/internal/plan"
+	"github.com/arrow-te/arrow/internal/session"
 )
 
 func TestRunB4Arrow(t *testing.T) {
@@ -19,22 +19,34 @@ func TestRunB4Arrow(t *testing.T) {
 	}
 }
 
-// TestRunRecordsLedger checks the -ledger-json wiring: a run with a live
-// flight recorder captures the decision stream and Ledger.WriteFile round-trips
-// it through ledger.ReadJSON.
+// TestRunRecordsLedger checks the -run-out wiring: a run under a session
+// that records a ledger captures the decision stream, and the bundle Close
+// writes reads back with every event.
 func TestRunRecordsLedger(t *testing.T) {
 	if testing.Short() {
 		t.Skip("solves TE instances")
 	}
-	led := ledger.New()
-	if err := run(ledger.WithLedger(context.Background(), led), "B4", "", "ARROW", 2.0, 4, 1, 10, 0, false, plan.Space{}); err != nil {
+	path := filepath.Join(t.TempDir(), "run.json")
+	sess, err := (&session.Flags{RunOut: path}).Start(session.Ledger, false)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if led.Len() == 0 {
-		t.Fatal("ledger recorded no events")
+	if err := run(sess.Context(), "B4", "", "ARROW", 2.0, 4, 1, 10, 0, false, plan.Space{}); err != nil {
+		t.Fatal(err)
+	}
+	recorded, err := sess.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := session.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b.Ledger.Events) == 0 || len(b.Ledger.Events) != len(recorded.Ledger.Events) {
+		t.Fatalf("bundle has %d events, the run recorded %d", len(b.Ledger.Events), len(recorded.Ledger.Events))
 	}
 	winners := 0
-	for _, ev := range led.Events() {
+	for _, ev := range b.Ledger.Events {
 		if ev.Kind == ledger.KindWinner {
 			winners++
 		}
@@ -42,21 +54,8 @@ func TestRunRecordsLedger(t *testing.T) {
 	if winners == 0 {
 		t.Error("ledger has no winner events")
 	}
-	path := filepath.Join(t.TempDir(), "ledger.json")
-	if err := led.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	fd, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fd.Close()
-	snap, err := ledger.ReadJSON(fd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snap.Events) != led.Len() {
-		t.Errorf("round-trip lost events: %d != %d", len(snap.Events), led.Len())
+	if b.Metrics.Counters["lp.solves"] == 0 {
+		t.Error("bundle metrics recorded no LP solve")
 	}
 }
 

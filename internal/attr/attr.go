@@ -31,6 +31,7 @@ package attr
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
@@ -160,6 +161,19 @@ type Sensitivity struct {
 	FDLow     float64 `json:"fd_low"`
 	FDHigh    float64 `json:"fd_high"`
 	Validated bool    `json:"validated"`
+}
+
+// MarshalJSON writes an infinite FDHigh as 0, the ledger's convention for
+// "no feasible left step": JSON has no infinity, and one such row would
+// otherwise fail the whole report (the run bundle's attribution section,
+// /attribution).
+func (s Sensitivity) MarshalJSON() ([]byte, error) {
+	type plain Sensitivity
+	p := plain(s)
+	if math.IsInf(p.FDHigh, 1) {
+		p.FDHigh = 0
+	}
+	return json.Marshal(p)
 }
 
 // FiberPrice aggregates healthy-link shadow prices over one fiber span:

@@ -13,7 +13,8 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden metrics-schema file")
 
-// TestMetricsSchemaGolden pins the -metrics-json schema: the section-
+// TestMetricsSchemaGolden pins the metrics schema (the metrics section of a
+// -run-out bundle, and /metrics): the section-
 // qualified key listing of an instrumented standard pipeline build must
 // match testdata/metrics_schema.golden exactly. Metric VALUES are timing-
 // dependent; the KEY SET is deterministic for a fixed seed and must not

@@ -18,11 +18,7 @@ package ledger
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
-	"io"
 	"log/slog"
-	"os"
 	"sync"
 
 	"github.com/arrow-te/arrow/internal/lp"
@@ -306,6 +302,8 @@ func (l *Ledger) Events() []Event {
 }
 
 // Snapshot is the serialised ledger: schema version plus the event stream.
+// It is the ledger section of a run bundle (internal/session), whose reader
+// refuses a newer SchemaVersion.
 type Snapshot struct {
 	SchemaVersion int     `json:"schema_version"`
 	Events        []Event `json:"events"`
@@ -314,39 +312,6 @@ type Snapshot struct {
 // Snapshot exports the ledger's current state.
 func (l *Ledger) Snapshot() *Snapshot {
 	return &Snapshot{SchemaVersion: SchemaVersion, Events: l.Events()}
-}
-
-// WriteJSON writes the ledger snapshot as indented JSON.
-func (l *Ledger) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(l.Snapshot())
-}
-
-// WriteFile writes the ledger snapshot to path (created or truncated), the
-// file every CLI's -ledger-json flag names and arrow-report -ledger reads.
-func (l *Ledger) WriteFile(path string) error {
-	fd, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := l.WriteJSON(fd); err != nil {
-		fd.Close()
-		return err
-	}
-	return fd.Close()
-}
-
-// ReadJSON parses a snapshot previously written by WriteJSON.
-func ReadJSON(r io.Reader) (*Snapshot, error) {
-	var s Snapshot
-	if err := json.NewDecoder(r).Decode(&s); err != nil {
-		return nil, fmt.Errorf("ledger: parse snapshot: %w", err)
-	}
-	if s.SchemaVersion > SchemaVersion {
-		return nil, fmt.Errorf("ledger: snapshot schema v%d is newer than this build (v%d)", s.SchemaVersion, SchemaVersion)
-	}
-	return &s, nil
 }
 
 type ctxKey struct{}

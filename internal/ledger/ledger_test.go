@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"log/slog"
-	"strings"
 	"sync"
 	"testing"
 
@@ -87,8 +86,24 @@ func TestConcurrentEmit(t *testing.T) {
 	}
 }
 
+// roundTrip marshals the ledger's snapshot and reads it back, as a run
+// bundle's ledger section travels.
+func roundTrip(t *testing.T, l *Ledger) *Snapshot {
+	t.Helper()
+	data, err := json.Marshal(l.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap Snapshot
+	if err := json.Unmarshal(data, &snap); err != nil {
+		t.Fatal(err)
+	}
+	return &snap
+}
+
 // TestJSONRoundTrip writes a snapshot and reads it back, including a nested
-// certificate.
+// certificate. A newer schema is refused by the bundle reader
+// (internal/session).
 func TestJSONRoundTrip(t *testing.T) {
 	l := New()
 	l.Emit(Event{Kind: KindSolveStart, Scenario: -1, Solver: "arrow-phase1"})
@@ -96,14 +111,7 @@ func TestJSONRoundTrip(t *testing.T) {
 		Kind: KindSolveEnd, Scenario: -1, Solver: "arrow-phase1", Status: "optimal",
 		Cert: &lp.Certificate{Primal: 10, Dual: 10, Gap: 0},
 	})
-	var buf bytes.Buffer
-	if err := l.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := roundTrip(t, l)
 	if snap.SchemaVersion != SchemaVersion {
 		t.Errorf("schema version %d", snap.SchemaVersion)
 	}
@@ -113,15 +121,6 @@ func TestJSONRoundTrip(t *testing.T) {
 	c := snap.Events[1].Cert
 	if c == nil || c.Primal != 10 || c.Dual != 10 {
 		t.Errorf("certificate did not survive round trip: %+v", c)
-	}
-
-	// A future schema version must be rejected, not misparsed.
-	future, _ := json.Marshal(Snapshot{SchemaVersion: SchemaVersion + 1})
-	if _, err := ReadJSON(bytes.NewReader(future)); err == nil {
-		t.Error("accepted snapshot from a newer schema")
-	}
-	if _, err := ReadJSON(strings.NewReader("{garbage")); err == nil {
-		t.Error("accepted malformed JSON")
 	}
 }
 
@@ -142,14 +141,7 @@ func TestEmuEventsRoundTrip(t *testing.T) {
 		Kind: KindSimSummary, Scenario: -1, Mode: "noise_loading",
 		Count: 12, Fraction: 0.995, FullService: 0.98, RestoringH: 0.4,
 	})
-	var buf bytes.Buffer
-	if err := l.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := roundTrip(t, l)
 	ep, st, sum := snap.Events[0], snap.Events[1], snap.Events[2]
 	if ep.Mode != "legacy" || ep.DurSec != 1021 || ep.Count != 25 {
 		t.Errorf("episode corrupted: %+v", ep)

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"encoding/json"
 	"expvar"
 	"fmt"
@@ -12,11 +11,10 @@ import (
 	"time"
 )
 
-// DebugServer is a running diagnostics listener (see Serve / ServeWith).
+// DebugServer is a running diagnostics listener (see ServeWith).
 type DebugServer struct {
 	srv  *http.Server
 	addr string
-	done chan struct{}
 }
 
 // Addr returns the bound listen address (useful with ":0").
@@ -24,11 +22,6 @@ func (d *DebugServer) Addr() string { return d.addr }
 
 // Close shuts the listener down immediately.
 func (d *DebugServer) Close() { d.srv.Close() }
-
-// Done is closed once a ServeContextWith listener has finished shutting down
-// after its context was cancelled. For plain Serve listeners it never
-// closes.
-func (d *DebugServer) Done() <-chan struct{} { return d.done }
 
 // ServeOpts selects the export surfaces of a debug listener. Every field
 // is optional; zero fields disable their endpoints (404).
@@ -138,31 +131,5 @@ func ServeWith(addr string, opts ServeOpts) (*DebugServer, error) {
 	})
 	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
 	go srv.Serve(ln) //nolint:errcheck // Serve always returns once closed
-	return &DebugServer{srv: srv, addr: ln.Addr().String(), done: make(chan struct{})}, nil
-}
-
-// Serve starts the diagnostics listener with only the registry surfaces
-// enabled (the original debug-server shape; see ServeWith for the full
-// export plane).
-func Serve(addr string, reg *Registry) (*DebugServer, error) {
-	return ServeWith(addr, ServeOpts{Registry: reg})
-}
-
-// ServeContextWith starts the diagnostics listener like ServeWith and
-// additionally shuts it down gracefully (in-flight requests drain, bounded
-// by a 5 s deadline) when ctx is cancelled. Done() closes once shutdown
-// completes.
-func ServeContextWith(ctx context.Context, addr string, opts ServeOpts) (*DebugServer, error) {
-	d, err := ServeWith(addr, opts)
-	if err != nil {
-		return nil, err
-	}
-	go func() {
-		defer close(d.done)
-		<-ctx.Done()
-		sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		d.srv.Shutdown(sctx) //nolint:errcheck // best-effort drain; Close is the fallback
-	}()
-	return d, nil
+	return &DebugServer{srv: srv, addr: ln.Addr().String()}, nil
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"encoding/json"
 	"io"
 	"net"
@@ -32,7 +31,7 @@ func TestDebugServerRoundTrip(t *testing.T) {
 	reg := NewRegistry()
 	reg.Add("lp.pivots", 7)
 
-	srv, err := Serve("127.0.0.1:0", reg)
+	srv, err := ServeWith("127.0.0.1:0", ServeOpts{Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +67,7 @@ func TestDebugServerRoundTrip(t *testing.T) {
 // TestDebugServerNilRegistry pins the /metrics behaviour when no metrics
 // sink was requested: 404, not a crash.
 func TestDebugServerNilRegistry(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0", nil)
+	srv, err := ServeWith("127.0.0.1:0", ServeOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,32 +86,8 @@ func TestDebugServerBindFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	if _, err := Serve(ln.Addr().String(), nil); err == nil {
+	if _, err := ServeWith(ln.Addr().String(), ServeOpts{}); err == nil {
 		t.Fatal("bound an already-bound address")
-	}
-}
-
-// TestServeContextGracefulShutdown covers the context-cancel path: the
-// listener serves until the context is cancelled, then drains and closes.
-func TestServeContextGracefulShutdown(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	srv, err := ServeContextWith(ctx, "127.0.0.1:0", ServeOpts{Registry: NewRegistry()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := "http://" + srv.Addr()
-	if code, _ := get(t, base+"/metrics"); code != http.StatusOK {
-		t.Fatalf("/metrics before cancel: status %d", code)
-	}
-
-	cancel()
-	select {
-	case <-srv.Done():
-	case <-time.After(5 * time.Second):
-		t.Fatal("shutdown did not complete after context cancel")
-	}
-	if _, err := http.Get(base + "/metrics"); err == nil {
-		t.Error("listener still accepting after context cancel")
 	}
 }
 

@@ -1,8 +1,10 @@
 // Package obs is the observability substrate of the ARROW stack: a
 // concurrency-safe metrics registry (counters, gauges, fixed-bucket
 // histograms), lightweight spans that double as a Chrome trace_event
-// timeline, and the profiling/diagnostics wiring shared by the CLIs
-// (-cpuprofile, -memprofile, -trace-out, -metrics-json, -debug-addr).
+// timeline, the stage profiler, and the debug listener's export plane
+// (pprof, expvar, /metrics, /healthz, /events, /timeseries). The CLIs'
+// flags and the run bundle they write live one layer up, in
+// internal/session, which can name the ledger.
 //
 // Everything goes through the Recorder interface. The nil Recorder is the
 // disabled state: the package-level helpers (Add, Gauge, Observe, Span)

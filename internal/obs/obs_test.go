@@ -7,7 +7,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"os"
 	"sync"
 	"testing"
 	"time"
@@ -184,7 +183,7 @@ func TestSnapshotKeys(t *testing.T) {
 func TestDebugListener(t *testing.T) {
 	r := NewRegistry()
 	r.Add("lp.pivots", 9)
-	srv, err := Serve("127.0.0.1:0", r)
+	srv, err := ServeWith("127.0.0.1:0", ServeOpts{Registry: r})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,47 +217,5 @@ func TestDebugListener(t *testing.T) {
 	}
 	if len(get("/debug/pprof/")) == 0 {
 		t.Fatal("/debug/pprof/ empty")
-	}
-}
-
-func TestSessionLifecycle(t *testing.T) {
-	dir := t.TempDir()
-	f := &Flags{
-		MetricsJSON: dir + "/metrics.json",
-		TraceOut:    dir + "/trace.json",
-		MemProfile:  dir + "/mem.pprof",
-	}
-	s, err := f.Start()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := s.Recorder()
-	if rec == nil {
-		t.Fatal("recorder should be live with -metrics-json set")
-	}
-	rec.Add("lp.pivots", 2)
-	rec.SpanDone("x", 0, time.Now(), time.Millisecond)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for _, path := range []string{f.MetricsJSON, f.TraceOut, f.MemProfile} {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(data) == 0 {
-			t.Fatalf("%s is empty", path)
-		}
-	}
-	// A fully-disabled session must be inert: nil recorder, no-op close.
-	empty, err := (&Flags{}).Start()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if empty.Recorder() != nil {
-		t.Fatal("empty flags must yield a nil recorder")
-	}
-	if err := empty.Close(); err != nil {
-		t.Fatal(err)
 	}
 }

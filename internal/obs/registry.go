@@ -358,8 +358,8 @@ type SpanSnapshot struct {
 	MaxSeconds   float64 `json:"max_seconds"`
 }
 
-// Snapshot is the exported registry state. The JSON form is the
-// -metrics-json output.
+// Snapshot is the exported registry state. The JSON form is what /metrics
+// serves and the metrics section of a run bundle.
 type Snapshot struct {
 	SchemaVersion int                          `json:"schema_version"`
 	Counters      map[string]int64             `json:"counters"`
