@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -10,63 +9,41 @@ import (
 
 // TestBuildAttributionJoins pins the event-stream join: scenario rows sorted
 // by loss descending with their flow splits attached, sensitivities and
-// probes carried through, sim_cut events landing in SimCuts, and a ledger
-// without attribution events yielding nil (section omitted).
+// probes carried through, sim_cut events landing in the replay-loss table,
+// and a ledger without attribution events omitting the section.
 func TestBuildAttributionJoins(t *testing.T) {
-	l := ledger.New()
-	// Healthy state loses nothing; scenario 1 dominates scenario 0.
-	l.Emit(ledger.Event{Kind: ledger.KindAttribution, Scenario: -1, Prob: 0.97, Detail: "scenario"})
-	l.Emit(ledger.Event{Kind: ledger.KindAttribution, Scenario: 0, Prob: 0.01, Gbps: 50, Fraction: 0.001, Detail: "scenario"})
-	l.Emit(ledger.Event{Kind: ledger.KindAttribution, Scenario: 0, Flow: 1, Gbps: 50, Fraction: 0.001, Detail: "flow"})
-	l.Emit(ledger.Event{Kind: ledger.KindAttribution, Scenario: 1, Prob: 0.02, Gbps: 200, Fraction: 0.004, Detail: "scenario"})
-	l.Emit(ledger.Event{Kind: ledger.KindAttribution, Scenario: 1, Flow: 0, Gbps: 120, Fraction: 0.0024, Detail: "flow"})
-	l.Emit(ledger.Event{Kind: ledger.KindAttribution, Scenario: 1, Flow: 2, Gbps: 80, Fraction: 0.0016, Detail: "flow"})
-	l.Emit(ledger.Event{Kind: ledger.KindSensitivity, Scenario: -1, Link: 3, Fiber: -1,
-		Value: 0.8, FDLow: 0.79, FDHigh: 0.81, Detail: "cap_e3"})
-	l.Emit(ledger.Event{Kind: ledger.KindWhatIf, Scenario: -1, Link: 3, Fiber: 2,
-		Gbps: 100, Value: 0.002, Detail: "+1 wave on fiber 2"})
-	l.Emit(ledger.Event{Kind: ledger.KindAttribution, Scenario: -1, Mode: "arrow",
-		Links: []int{4, 5}, DurSec: 7200, Fraction: 0.01, Detail: "sim_cut"})
-
-	a := buildAttribution(l.Snapshot())
-	if a == nil {
-		t.Fatal("buildAttribution returned nil on an attributed ledger")
-	}
-	if len(a.Scenarios) != 3 || a.Scenarios[0].Scenario != 1 || a.Scenarios[1].Scenario != 0 {
-		t.Fatalf("scenario order wrong: %+v", a.Scenarios)
-	}
-	if len(a.Scenarios[0].Flows) != 2 || a.Scenarios[0].Flows[0].Flow != 0 {
-		t.Fatalf("flow split wrong: %+v", a.Scenarios[0].Flows)
-	}
-	if a.TotalLoss != 0.005 {
-		t.Fatalf("total loss %g, want 0.005", a.TotalLoss)
-	}
-	if len(a.Sensitivities) != 1 || a.Sensitivities[0].Row != "cap_e3" || a.Sensitivities[0].Dual != 0.8 {
-		t.Fatalf("sensitivities wrong: %+v", a.Sensitivities)
-	}
-	if len(a.Probes) != 1 || a.Probes[0].CapacityGbps != 100 {
-		t.Fatalf("probes wrong: %+v", a.Probes)
-	}
-	if len(a.SimCuts) != 1 || a.SimCuts[0].Hours != 2 || a.SimCuts[0].Mode != "arrow" {
-		t.Fatalf("sim cuts wrong: %+v", a.SimCuts)
-	}
-
-	var md bytes.Buffer
-	renderAttribution(&md, a)
-	for _, want := range []string{
-		"## Availability attribution", "Shadow prices (FD-validated)",
-		"What-if probes", "Replay loss by fiber-cut set",
-		"cap_e3", "+1 wave on fiber 2", "{f4,f5}",
-	} {
-		if !strings.Contains(md.String(), want) {
-			t.Errorf("markdown missing %q", want)
-		}
-	}
+	md := renderEvents(nil,
+		// Healthy state loses nothing; scenario 1 dominates scenario 0.
+		ledger.Event{Kind: ledger.KindAttribution, Scenario: -1, Prob: 0.97, Detail: "scenario"},
+		ledger.Event{Kind: ledger.KindAttribution, Scenario: 0, Prob: 0.01, Gbps: 50, Fraction: 0.001, Detail: "scenario"},
+		ledger.Event{Kind: ledger.KindAttribution, Scenario: 0, Flow: 1, Gbps: 50, Fraction: 0.001, Detail: "flow"},
+		ledger.Event{Kind: ledger.KindAttribution, Scenario: 1, Prob: 0.02, Gbps: 200, Fraction: 0.004, Detail: "scenario"},
+		ledger.Event{Kind: ledger.KindAttribution, Scenario: 1, Flow: 0, Gbps: 120, Fraction: 0.0024, Detail: "flow"},
+		ledger.Event{Kind: ledger.KindAttribution, Scenario: 1, Flow: 2, Gbps: 80, Fraction: 0.0016, Detail: "flow"},
+		ledger.Event{Kind: ledger.KindSensitivity, Scenario: -1, Link: 3, Fiber: -1,
+			Value: 0.8, FDLow: 0.79, FDHigh: 0.81, Detail: "cap_e3"},
+		ledger.Event{Kind: ledger.KindWhatIf, Scenario: -1, Link: 3, Fiber: 2,
+			Gbps: 100, Value: 0.002, Detail: "+1 wave on fiber 2"},
+		ledger.Event{Kind: ledger.KindAttribution, Scenario: -1, Mode: "arrow",
+			Links: []int{4, 5}, DurSec: 7200, Fraction: 0.01, Detail: "sim_cut"},
+	)
+	wantLines(t, md,
+		"## Availability attribution",
+		"Loss decomposition over 3 states (healthy = scenario -1); contributions sum to the headline availability loss 5.000e-03 by identity.",
+		"| 1 | - | 2.00e-02 | 200.0 | 4.000e-03 | 0:120.0 2:80.0 |\n"+
+			"| 0 | - | 1.00e-02 | 50.0 | 1.000e-03 | 1:50.0 |\n"+
+			"| -1 | - | 9.70e-01 | 0.0 | 0.000e+00 | - |\n",
+		"### Shadow prices (FD-validated)",
+		"| cap_e3 | 3 | -1 | -1 | 0.8 | 0.79 | 0.81 |",
+		"### What-if probes",
+		"| +1 wave on fiber 2 | 100.0 | 2.000e-03 |",
+		"### Replay loss by fiber-cut set",
+		"| arrow | {f4,f5} | 2.0 | 1.000e-02 |",
+	)
 
 	// A ledger with no attribution events omits the section entirely.
-	empty := ledger.New()
-	empty.Emit(ledger.Event{Kind: ledger.KindWinner, Scenario: 0, Ticket: 1})
-	if got := buildAttribution(empty.Snapshot()); got != nil {
-		t.Fatalf("unattributed ledger yielded a section: %+v", got)
+	md = renderEvents(nil, ledger.Event{Kind: ledger.KindWinner, Scenario: 0, Ticket: 1})
+	if strings.Contains(md, "Availability attribution") {
+		t.Fatalf("unattributed ledger rendered a section:\n%s", md)
 	}
 }

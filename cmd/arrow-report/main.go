@@ -27,6 +27,7 @@ package main
 
 import (
 	"bytes"
+	"cmp"
 	"flag"
 	"fmt"
 	"io"
@@ -96,11 +97,11 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "arrow-report:", err)
 			return 1
 		}
-		rep := buildReport(b)
-		if code := emitReport(rep, *out, stdout, stderr); code != 0 {
+		r := newReport(b)
+		if code := emitReport(r, *out, stdout, stderr); code != 0 {
 			return code
 		}
-		if !rep.Certificates.AllPassing {
+		if certFailures(r) > 0 {
 			fmt.Fprintln(stderr, "arrow-report: certificate verification failed")
 			return 1
 		}
@@ -112,7 +113,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "arrow-report:", err)
 			return 2
 		}
-		return emitReport(buildReport(b), *out, stdout, stderr)
+		return emitReport(newReport(b), *out, stdout, stderr)
 	}
 
 	fmt.Fprintln(stderr, "nothing to do: pass -run, a run bundle, or -diff old.json new.json")
@@ -149,13 +150,9 @@ func record(flags *session.Flags, verbose bool, opts eval.RunOptions) (*session.
 		}
 	}
 	endTotal()
-	prof.PublishGauges(obs.FromContext(ctx))
 	b, cerr := sess.Close()
-	if err != nil {
+	if err := cmp.Or(err, cerr); err != nil {
 		return nil, err
-	}
-	if cerr != nil {
-		return nil, cerr
 	}
 	logger.Info("run recorded", "events", len(b.Ledger.Events))
 	// Render what -run-out carries, not what memory held: JSON drops a -0
@@ -169,14 +166,14 @@ func record(flags *session.Flags, verbose bool, opts eval.RunOptions) (*session.
 }
 
 // emitReport writes the markdown rendering to out ("-" = stdout).
-func emitReport(rep *RunReport, out string, stdout, stderr io.Writer) int {
+func emitReport(r *report, out string, stdout, stderr io.Writer) int {
 	if out == "-" || out == "" {
-		renderMarkdown(stdout, rep)
+		renderMarkdown(stdout, r)
 		return 0
 	}
 	fd, err := os.Create(out)
 	if err == nil {
-		renderMarkdown(fd, rep)
+		renderMarkdown(fd, r)
 		err = fd.Close()
 	}
 	if err != nil {

@@ -7,6 +7,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -16,52 +18,76 @@ import (
 	"github.com/arrow-te/arrow/internal/session"
 )
 
+// renderEvents renders a bundle of the given metrics and ledger events.
+func renderEvents(metrics *obs.Snapshot, events ...ledger.Event) string {
+	l := ledger.New()
+	for _, ev := range events {
+		l.Emit(ev)
+	}
+	var md bytes.Buffer
+	renderMarkdown(&md, newReport(&session.Bundle{Metrics: metrics, Ledger: l.Snapshot()}))
+	return md.String()
+}
+
+// wantLines fails t for each line of want that md lacks.
+func wantLines(t *testing.T, md string, want ...string) {
+	t.Helper()
+	for _, w := range want {
+		if !strings.Contains(md, w) {
+			t.Errorf("markdown missing %q:\n%s", w, md)
+		}
+	}
+}
+
 // TestBuildReportJoins checks the enum->pipeline-index join: ticket events
 // tagged with enumerated indices must land in the right scenario rows.
 func TestBuildReportJoins(t *testing.T) {
-	l := ledger.New()
-	l.Emit(ledger.Event{Kind: ledger.KindEnumerated, Scenario: -1, Count: 5})
-	// Pipeline scenario 0 came from enumerated index 2 (0 and 1 were
-	// irrelevant cuts).
-	l.Emit(ledger.Event{Kind: ledger.KindScenario, Scenario: 0, Enum: 2, Prob: 0.1, Links: []int{4, 7}, Cut: []int{9, 3}, Count: 3})
-	l.Emit(ledger.Event{Kind: ledger.KindTicketGenerated, Scenario: 2, Ticket: 0, Gbps: 100})
-	l.Emit(ledger.Event{Kind: ledger.KindTicketRejected, Scenario: 2, Ticket: 1, Reason: ledger.RejectDuplicate})
-	l.Emit(ledger.Event{Kind: ledger.KindTicketRejected, Scenario: 2, Ticket: 2, Reason: ledger.RejectSpectrumClash})
-	l.Emit(ledger.Event{Kind: ledger.KindTicketRejected, Scenario: 2, Ticket: 3, Reason: ledger.RejectRounding})
-	// Ticket events for an enumerated scenario that was never kept must be
-	// dropped, not crash.
-	l.Emit(ledger.Event{Kind: ledger.KindTicketGenerated, Scenario: 4, Ticket: 0})
-	l.Emit(ledger.Event{Kind: ledger.KindSolveEnd, Scenario: -1, Solver: "arrow-phase2", Status: "optimal",
-		Cert: &lp.Certificate{Primal: 9, Dual: 9}})
-	l.Emit(ledger.Event{Kind: ledger.KindWinner, Scenario: 0, Ticket: 2, Gbps: 300, Fraction: 0.6})
-	l.Emit(ledger.Event{Kind: ledger.KindUnmetDemand, Scenario: -1, Gbps: 50, Fraction: 0.05})
+	md := renderEvents(nil,
+		ledger.Event{Kind: ledger.KindEnumerated, Scenario: -1, Count: 5},
+		// Pipeline scenario 0 came from enumerated index 2 (0 and 1 were
+		// irrelevant cuts).
+		ledger.Event{Kind: ledger.KindScenario, Scenario: 0, Enum: 2, Prob: 0.1, Links: []int{4, 7}, Cut: []int{9, 3}, Count: 3},
+		ledger.Event{Kind: ledger.KindTicketGenerated, Scenario: 2, Ticket: 0, Gbps: 100},
+		ledger.Event{Kind: ledger.KindTicketRejected, Scenario: 2, Ticket: 1, Reason: ledger.RejectDuplicate},
+		ledger.Event{Kind: ledger.KindTicketRejected, Scenario: 2, Ticket: 2, Reason: ledger.RejectSpectrumClash},
+		ledger.Event{Kind: ledger.KindTicketRejected, Scenario: 2, Ticket: 3, Reason: ledger.RejectRounding},
+		// Ticket events for an enumerated scenario that was never kept must be
+		// dropped, not crash.
+		ledger.Event{Kind: ledger.KindTicketGenerated, Scenario: 4, Ticket: 0},
+		ledger.Event{Kind: ledger.KindSolveEnd, Scenario: -1, Solver: "arrow-phase2", Status: "optimal",
+			Cert: &lp.Certificate{Primal: 9, Dual: 9}},
+		ledger.Event{Kind: ledger.KindWinner, Scenario: 0, Ticket: 2, Gbps: 300, Fraction: 0.6},
+		ledger.Event{Kind: ledger.KindUnmetDemand, Scenario: -1, Gbps: 50, Fraction: 0.05},
+	)
+	wantLines(t, md,
+		"Scenarios: 5 enumerated, 1 relevant (kept).",
+		// generated 1, one rejection of each reason, ticket #2 won.
+		"| 0 | 2 | 1.00e-01 | {f3,f9} | 4 7 | 3 | 1 | 1 | 1 | 1 | #2 | 300.0 | 60.0% |",
+		"Residual unmet demand: 50.0 Gbps (5.00% of total).",
+		"1 solves, 1 certified, 0 failures → **PASS**",
+		"| arrow-phase2 | optimal | 9 | 9 | 0.00e+00 | ok |",
+		"Restored-capacity fraction over 1 scenarios: min 0.600, p25 0.600, median 0.600",
+	)
+	// -run exits 1 on this count: the synthetic bundle's failing
+	// certificate counts, its uncertified solve does not.
+	if n := certFailures(newReport(syntheticBundle())); n != 1 {
+		t.Errorf("certFailures = %d, want 1", n)
+	}
+}
 
-	rep := buildReport(&session.Bundle{Ledger: l.Snapshot()})
-	if rep.Enumerated != 5 || len(rep.Scenarios) != 1 {
-		t.Fatalf("enumerated=%d scenarios=%d", rep.Enumerated, len(rep.Scenarios))
-	}
-	sr := rep.Scenarios[0]
-	if sr.Generated != 1 || sr.RejectedDuplicates != 1 || sr.RejectedSpectrum != 1 || sr.RejectedRounding != 1 {
-		t.Errorf("ticket tallies wrong: %+v", sr)
-	}
-	if !sr.HasWinner || sr.WinningTicket != 2 || sr.RestoredFraction != 0.6 {
-		t.Errorf("winner join wrong: %+v", sr)
-	}
-	if rep.UnmetGbps != 50 || rep.UnmetFraction != 0.05 {
-		t.Errorf("unmet demand wrong: %+v", rep)
-	}
-	if !rep.Certificates.AllPassing || rep.Certificates.Certified != 1 {
-		t.Errorf("cert summary wrong: %+v", rep.Certificates)
-	}
-	if rep.Restoration.Count != 1 || rep.Restoration.P50 != 0.6 {
-		t.Errorf("restoration summary wrong: %+v", rep.Restoration)
-	}
-
-	var md bytes.Buffer
-	renderMarkdown(&md, rep)
-	for _, want := range []string{"#2", "60.0%", "arrow-phase2", "PASS", "{f3,f9}"} {
-		if !strings.Contains(md.String(), want) {
-			t.Errorf("markdown missing %q", want)
+// TestNoPlanNoPlanSections pins that a bundle without a plan, such as a
+// testbed run's, renders no scenario header, win/loss table, restoration
+// summary or certificate verdict: there is nothing they could describe.
+func TestNoPlanNoPlanSections(t *testing.T) {
+	md := renderEvents(nil,
+		ledger.Event{Kind: ledger.KindEmuStage, Scenario: -1, Mode: "legacy", Stage: "detect", DurSec: 1},
+		ledger.Event{Kind: ledger.KindEmuEpisode, Scenario: -1, Mode: "legacy", DurSec: 1, Gbps: 100},
+	)
+	wantLines(t, md, "## Restoration latency")
+	for _, bad := range []string{"Scenarios: 0 enumerated", "## Ticket win/loss", "over 0 scenarios",
+		"Residual unmet demand", "## Solver certificates", "→ **PASS**"} {
+		if strings.Contains(md, bad) {
+			t.Errorf("plan-less markdown contains %q:\n%s", bad, md)
 		}
 	}
 }
@@ -188,26 +214,8 @@ func TestRunReportNamesEveryWinner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := buildReport(b)
-	if len(rep.Scenarios) == 0 {
-		t.Fatal("report has no scenarios")
-	}
-	for _, sr := range rep.Scenarios {
-		if !sr.HasWinner {
-			t.Errorf("scenario %d has no winning ticket", sr.Scenario)
-		}
-		if sr.RestoredFraction < 0 || sr.RestoredFraction > 1 {
-			t.Errorf("scenario %d restored fraction %g out of range", sr.Scenario, sr.RestoredFraction)
-		}
-	}
-	if !rep.Certificates.AllPassing || rep.Certificates.Certified == 0 {
-		t.Errorf("certificates not all passing: %+v", rep.Certificates)
-	}
-	if rep.Certificates.MaxGap >= lp.DefaultCertTol {
-		t.Errorf("max duality gap %g exceeds %g", rep.Certificates.MaxGap, lp.DefaultCertTol)
-	}
-	if rep.Metrics == nil || rep.Metrics.Counters["lp.certificates"] == 0 {
-		t.Error("report metrics missing lp.certificates")
+	if b.Metrics.Counters["lp.certificates"] == 0 {
+		t.Error("bundle metrics missing lp.certificates")
 	}
 	if b.Attribution == nil || b.Attribution.IdentityViolations != 0 {
 		t.Errorf("bundle attribution %+v, want a report with an exact identity", b.Attribution)
@@ -227,10 +235,94 @@ func TestRunReportNamesEveryWinner(t *testing.T) {
 	if !bytes.Equal(fromRun, fromBundle) {
 		t.Errorf("the saved bundle renders differently from its run:\n--- run\n%s\n--- bundle\n%s", fromRun, fromBundle)
 	}
-	for _, want := range []string{"## Ticket win/loss per scenario", "## Performance", "## Availability attribution"} {
-		if !bytes.Contains(fromBundle, []byte(want)) {
-			t.Errorf("rendered bundle missing %q", want)
+	md := string(fromBundle)
+	wantLines(t, md, "## Performance", "## Availability attribution")
+
+	rows := tableRows(t, md, "## Ticket win/loss per scenario")
+	if len(rows) == 0 {
+		t.Fatal("report has no scenarios")
+	}
+	for _, row := range rows {
+		if row[10] == "-" {
+			t.Errorf("scenario %s has no winning ticket", row[0])
 		}
+		if pct, err := strconv.ParseFloat(strings.TrimSuffix(row[12], "%"), 64); err != nil || pct < 0 || pct > 100 {
+			t.Errorf("scenario %s restored fraction %q out of range", row[0], row[12])
+		}
+	}
+	m := regexp.MustCompile(`(\d+) certified, 0 failures → \*\*PASS\*\*\. Max duality gap (\S+),`).FindStringSubmatch(md)
+	if m == nil || m[1] == "0" {
+		t.Fatalf("certificates not all passing:\n%s", md)
+	}
+	if gap, err := strconv.ParseFloat(m[2], 64); err != nil || gap >= lp.DefaultCertTol {
+		t.Errorf("max duality gap %s exceeds %g", m[2], lp.DefaultCertTol)
+	}
+}
+
+// tableRows returns the cells of the data rows of the first table after
+// heading in md.
+func tableRows(t *testing.T, md, heading string) [][]string {
+	t.Helper()
+	_, section, ok := strings.Cut(md, heading+"\n")
+	if !ok {
+		t.Fatalf("markdown has no %q", heading)
+	}
+	var rows [][]string
+	lines := 0
+	for _, line := range strings.Split(section, "\n") {
+		if !strings.HasPrefix(line, "|") {
+			if lines > 0 {
+				break
+			}
+			continue
+		}
+		if lines++; lines <= 2 {
+			continue // the header and its rule
+		}
+		cells := strings.Split(strings.Trim(line, "|"), "|")
+		for i := range cells {
+			cells[i] = strings.TrimSpace(cells[i])
+		}
+		rows = append(rows, cells)
+	}
+	return rows
+}
+
+// TestRunReportIndependentOfWorkers pins the report's determinism end to
+// end: -run at one and at four workers renders the same bytes once the
+// wall-clock parts of the bundle (the stage profile and the par.busy_ns /
+// par.idle_ns counters) are dropped.
+func TestRunReportIndependentOfWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the full recorded pipeline twice")
+	}
+	dir := t.TempDir()
+	var reports []string
+	for _, workers := range []string{"1", "4"} {
+		path := filepath.Join(dir, "run"+workers+".json")
+		var out, errb bytes.Buffer
+		if code := run([]string{"-run", "-attr", "-health-every", "32", "-parallelism", workers, "-run-out", path}, &out, &errb); code != 0 {
+			t.Fatalf("-parallelism %s: exit %d:\n%s", workers, code, errb.String())
+		}
+		b, err := session.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Stages = nil
+		delete(b.Metrics.Counters, "par.busy_ns")
+		delete(b.Metrics.Counters, "par.idle_ns")
+		var md bytes.Buffer
+		renderMarkdown(&md, newReport(b))
+		reports = append(reports, md.String())
+	}
+	one, four := strings.Split(reports[0], "\n"), strings.Split(reports[1], "\n")
+	for i := range min(len(one), len(four)) {
+		if one[i] != four[i] {
+			t.Fatalf("line %d differs:\n 1 worker:  %s\n 4 workers: %s", i+1, one[i], four[i])
+		}
+	}
+	if len(one) != len(four) {
+		t.Fatalf("reports have %d and %d lines", len(one), len(four))
 	}
 }
 
@@ -277,38 +369,36 @@ func TestRunPerformanceAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := buildReport(b).Performance
-	if p == nil {
-		t.Fatal("report has no Performance section")
+	sp := b.Stages
+	if sp == nil || sp.TotalSeconds <= 0 {
+		t.Fatalf("bundle stage profile %+v, want a total bracket", sp)
 	}
-	if p.TotalSeconds <= 0 {
-		t.Fatalf("total %v", p.TotalSeconds)
-	}
-	if p.Coverage <= 0 || p.Coverage > 1 {
-		t.Errorf("stage coverage %v, want in (0, 1]; stages: %+v", p.Coverage, p.Stages)
-	}
-	stages := map[string]StageRow{}
-	var pctSum float64
-	for _, st := range p.Stages {
-		stages[st.Name] = st
-		pctSum += st.Percent
-	}
-	for _, name := range []string{"pipeline.offline", "te.phase1", "testbed.emulate", "sim.replay"} {
-		if stages[name].Count == 0 {
-			t.Errorf("stage %q missing from the table", name)
-		}
-	}
-	if math.Abs(pctSum-100*p.Coverage) > 0.5 {
-		t.Errorf("percent column sums to %.2f, want 100*coverage = %.2f", pctSum, 100*p.Coverage)
+	if sp.Coverage <= 0 || sp.Coverage > 1 {
+		t.Errorf("stage coverage %v, want in (0, 1]; stages: %+v", sp.Coverage, sp.Stages)
 	}
 
 	md, err := os.ReadFile(mdPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"## Performance", "% of total", "pipeline.offline"} {
-		if !strings.Contains(string(md), want) {
-			t.Errorf("markdown missing %q", want)
+	wantLines(t, string(md), "## Performance", "% of total", "pipeline.offline")
+	calls := map[string]string{}
+	var pctSum float64
+	top := 0
+	for _, row := range tableRows(t, string(md), "## Performance") {
+		calls[row[0]] = row[1]
+		if pct, err := strconv.ParseFloat(strings.TrimSuffix(row[3], "%"), 64); err == nil {
+			pctSum += pct
+			top++
 		}
+	}
+	for _, name := range []string{"pipeline.offline", "te.phase1", "testbed.emulate", "sim.replay"} {
+		if c := calls[name]; c == "" || c == "0" {
+			t.Errorf("stage %q missing from the table", name)
+		}
+	}
+	// Each rendered percentage is rounded to 0.1.
+	if math.Abs(pctSum-100*sp.Coverage) > 0.05*float64(top)+0.01 {
+		t.Errorf("percent column sums to %.2f, want 100*coverage = %.2f", pctSum, 100*sp.Coverage)
 	}
 }

@@ -86,11 +86,6 @@ var counterHelp = map[string]string{
 // CoreGauges documents the gauge families the instrumented layers publish.
 var CoreGauges = []MetricDoc{
 	{"emu.latency_ratio", "gauge", "legacy-over-ARROW restoration latency ratio from the paired testbed episodes"},
-	{"bench.stage_total_seconds", "gauge", "StageProfiler total bracket wall time of the last profiled run"},
-	{"bench.stage_coverage", "gauge", "fraction of the total bracket attributed to top-level stages (report gate: >= 0.9)"},
-	{"bench.stage.<stage>.wall_seconds", "gauge", "per-stage wall time of the last profiled run (aggregate stages: summed busy time)"},
-	{"bench.stage.<stage>.alloc_bytes", "gauge", "per-stage heap allocation delta (top-level stages only)"},
-	{"bench.stage.<stage>.gc_pause_seconds", "gauge", "per-stage GC pause share (top-level stages only)"},
 }
 
 // CoreHistograms documents every histogram the instrumented layers observe.

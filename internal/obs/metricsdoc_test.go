@@ -29,7 +29,7 @@ func TestMetricsDocContent(t *testing.T) {
 		"# Metric namespace",
 		"## Counters", "## Gauges", "## Histograms",
 		"`lp.pivots`", "`attr.runs`", "`emu.latency_ratio`",
-		"`bench.stage_coverage`", "`lp.pivots_per_solve`",
+		"`lp.health.probes`", "`lp.pivots_per_solve`",
 		"`testbed.restore_seconds`",
 	} {
 		if !strings.Contains(doc, want) {

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"runtime"
 	"sort"
 	"sync"
@@ -135,7 +134,7 @@ type StageProfile struct {
 	// TotalSeconds is the Total() bracket (0 when Total was never closed).
 	TotalSeconds float64 `json:"total_seconds"`
 	// Coverage is the share of TotalSeconds the top-level stages account
-	// for (0 without a Total bracket). The report gate requires >= 0.9.
+	// for (0 without a Total bracket).
 	Coverage float64       `json:"coverage"`
 	Stages   []StageRecord `json:"stages"`
 }
@@ -169,26 +168,6 @@ func (p *StageProfiler) Snapshot() *StageProfile {
 		sp.Coverage = float64(topNS) / float64(total)
 	}
 	return sp
-}
-
-// PublishGauges exports the profile onto a Recorder as bench.stage.*
-// gauges (plus bench.stage_total_seconds / bench.stage_coverage), putting
-// stage attribution on the same Prometheus//metrics plane as everything
-// else. Nil-safe in both arguments.
-func (p *StageProfiler) PublishGauges(rec Recorder) {
-	if p == nil || rec == nil {
-		return
-	}
-	sp := p.Snapshot()
-	rec.Gauge("bench.stage_total_seconds", sp.TotalSeconds)
-	rec.Gauge("bench.stage_coverage", sp.Coverage)
-	for _, st := range sp.Stages {
-		rec.Gauge(fmt.Sprintf("bench.stage.%s.wall_seconds", st.Name), st.WallSeconds)
-		if !st.Aggregate {
-			rec.Gauge(fmt.Sprintf("bench.stage.%s.alloc_bytes", st.Name), float64(st.AllocBytes))
-			rec.Gauge(fmt.Sprintf("bench.stage.%s.gc_pause_seconds", st.Name), st.GCPauseSeconds)
-		}
-	}
 }
 
 // SortedByWall returns the stages sorted by descending wall time

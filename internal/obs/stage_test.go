@@ -12,7 +12,6 @@ func TestStageProfilerNilSafe(t *testing.T) {
 	p.Total()()
 	p.Stage("a")()
 	p.StageAgg("b")()
-	p.PublishGauges(NewRegistry())
 	sp := p.Snapshot()
 	if sp.TotalSeconds != 0 || sp.Coverage != 0 || len(sp.Stages) != 0 {
 		t.Fatalf("nil profiler snapshot not empty: %+v", sp)
@@ -95,33 +94,6 @@ func TestStageProfilerAggregateExcludedFromCoverage(t *testing.T) {
 	}
 	if sp.Coverage != 0 {
 		t.Errorf("coverage = %v, want 0 (only aggregate stages ran)", sp.Coverage)
-	}
-}
-
-func TestStageProfilerPublishGauges(t *testing.T) {
-	p := NewStageProfiler()
-	endTotal := p.Total()
-	p.Stage("build")()
-	p.StageAgg("rwa.solve")()
-	endTotal()
-	reg := NewRegistry()
-	p.PublishGauges(reg)
-	snap := reg.Snapshot()
-	for _, want := range []string{
-		"bench.stage_total_seconds",
-		"bench.stage_coverage",
-		"bench.stage.build.wall_seconds",
-		"bench.stage.build.alloc_bytes",
-		"bench.stage.build.gc_pause_seconds",
-		"bench.stage.rwa.solve.wall_seconds",
-	} {
-		if _, ok := snap.Gauges[want]; !ok {
-			t.Errorf("gauge %q missing; have %v", want, snap.Gauges)
-		}
-	}
-	// Aggregate stages carry no memstats deltas, so no alloc gauge.
-	if _, ok := snap.Gauges["bench.stage.rwa.solve.alloc_bytes"]; ok {
-		t.Error("aggregate stage published an alloc_bytes gauge")
 	}
 }
 
