@@ -1,0 +1,72 @@
+package plan
+
+import (
+	"context"
+	"runtime"
+	"testing"
+
+	"github.com/arrow-te/arrow/internal/race"
+	"github.com/arrow-te/arrow/internal/topo"
+)
+
+// srlgInstance is the benchmark's offline-plan instance: B4 with its conduit
+// SRLGs, cut sets of up to three failure elements, every relevant scenario
+// kept.
+func srlgInstance(t testing.TB) (*topo.Topology, Options) {
+	t.Helper()
+	tp, err := topo.B4(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tp, Options{
+		Tickets: 12, Cutoff: 1e-12, Seed: 1, Parallelism: 1,
+		Space: Space{MaxCutSize: 3, UseSRLGs: true},
+	}
+}
+
+// TestOfflineStageAllocBudget holds the bytes one planned scenario allocates
+// on the B4 + SRLG instance (1,791 scenarios): 5.9 KB measured (go1.24,
+// linux/amd64), against 11.9 KB before the build's rwa.Memo answered the
+// surrogate searches from ranked lists and interned the option sets, and
+// before the naive and composed tickets stopped building an Assignment. The
+// budget leaves 10 % for the runtime's own variation.
+func TestOfflineStageAllocBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector's shadow allocations distort the count")
+	}
+	tp, opts := srlgInstance(t)
+	build := func() *Offline {
+		off, err := Build(context.Background(), tp.Opt, nil, tp.SRLGs, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return off
+	}
+	build() // size the pooled scratches
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	off := build()
+	runtime.ReadMemStats(&after)
+	n := len(off.Scenarios)
+	if n < 1500 {
+		t.Fatalf("fixture: %d scenarios planned", n)
+	}
+	perScenario := float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+	t.Logf("%d scenarios, %.0f bytes allocated per scenario", n, perScenario)
+	const budget = 6500.0
+	if perScenario > budget {
+		t.Errorf("%.0f bytes allocated per planned scenario, budget %.0f", perScenario, budget)
+	}
+}
+
+// BenchmarkOfflineStageSRLG is one op of the repository benchmark's
+// offline-plan workload: the whole stage on the B4 + SRLG instance.
+func BenchmarkOfflineStageSRLG(b *testing.B) {
+	tp, opts := srlgInstance(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Build(context.Background(), tp.Opt, nil, tp.SRLGs, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -14,3 +14,6 @@ func (s *Scratch) AssignIntegral(res *Result, target []int) (*Assignment, bool) 
 func DropPooledScratches() {
 	scratchPool.Drop()
 }
+
+// WithoutPathKeys is withoutPathKeys for the external tests.
+var WithoutPathKeys = withoutPathKeys

@@ -112,47 +112,87 @@ func TestSolveDirtyScratchMatchesFresh(t *testing.T) {
 	}
 }
 
-// Goroutines sharing one optical.Network — its graph, its incidence index —
-// and the pools behind Solve, AssignIntegral and Generate get what a single
-// goroutine gets (run under -race).
-func TestOfflineStageConcurrentOnSharedNetwork(t *testing.T) {
-	n := b4(t)
-	reqs := offlineRequests(t, n)[:40]
-	one := func(i int) offlineArtifacts {
-		res, err := rwa.Solve(reqs[i])
-		if err != nil {
-			t.Error(err)
-			return offlineArtifacts{}
-		}
-		a := offlineArtifacts{res: res}
-		if len(res.Failed) > 0 {
-			a.asg, _ = rwa.AssignIntegral(res, res.OrigWaves)
-			a.tickets = generate(res, int64(i))
-		}
-		return a
+// artifactsOf solves req and, if it fails a link, assigns and rolls the
+// tickets of request i.
+func artifactsOf(t *testing.T, req *rwa.Request, i int) offlineArtifacts {
+	res, err := rwa.Solve(req)
+	if err != nil {
+		t.Error(err)
+		return offlineArtifacts{}
 	}
-	want := make([]offlineArtifacts, len(reqs))
-	for i := range reqs {
-		want[i] = one(i)
+	a := offlineArtifacts{res: res}
+	if len(res.Failed) > 0 {
+		a.asg, _ = rwa.AssignIntegral(res, res.OrigWaves)
+		a.tickets = generate(res, int64(i))
 	}
+	return a
+}
+
+// inStep runs check(w, i) for every request index on two goroutines, the
+// second walking the requests backwards so that the two meet mid-way.
+func inStep(n int, check func(w, i int) bool) {
 	var wg sync.WaitGroup
 	for w := 0; w < 2; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for k := range reqs {
+			for k := 0; k < n; k++ {
 				i := k
 				if w == 1 {
-					i = len(reqs) - 1 - k // the two meet mid-way, out of step
+					i = n - 1 - k
 				}
-				if got := one(i); !reflect.DeepEqual(got, want[i]) {
-					t.Errorf("goroutine %d, request %d (cut %v): %+v, alone %+v", w, i, reqs[i].Cut, got, want[i])
+				if !check(w, i) {
 					return
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
+}
+
+// Goroutines sharing one optical.Network — its graph, its incidence index —
+// and the pools behind Solve, AssignIntegral and Generate get what a single
+// goroutine gets (run under -race).
+func TestOfflineStageConcurrentOnSharedNetwork(t *testing.T) {
+	n := b4(t)
+	reqs := offlineRequests(t, n)[:40]
+	want := make([]offlineArtifacts, len(reqs))
+	for i := range reqs {
+		want[i] = artifactsOf(t, reqs[i], i)
+	}
+	inStep(len(reqs), func(w, i int) bool {
+		if got := artifactsOf(t, reqs[i], i); !reflect.DeepEqual(got, want[i]) {
+			t.Errorf("goroutine %d, request %d (cut %v): %+v, alone %+v", w, i, reqs[i].Cut, got, want[i])
+			return false
+		}
+		return true
+	})
+}
+
+// One memo shared by two goroutines over the offline mix on B4 — singles
+// exporting their bases, multi-cuts composing from them, both tuning modes —
+// changes no result, assignment or ticket of a request solved without it
+// (run under -race).
+func TestMemoSharedByGoroutinesMatchesPlainSolves(t *testing.T) {
+	n := b4(t)
+	reqs := offlineRequests(t, n)
+	want := make([]offlineArtifacts, len(reqs))
+	for i := range reqs {
+		want[i] = artifactsOf(t, reqs[i], i)
+		want[i].res = rwa.WithoutPathKeys(want[i].res)
+	}
+	memo := rwa.NewMemo(n)
+	inStep(len(reqs), func(w, i int) bool {
+		req := *reqs[i]
+		req.Memo = memo
+		got := artifactsOf(t, &req, i)
+		got.res = rwa.WithoutPathKeys(got.res)
+		if !reflect.DeepEqual(got, want[i]) {
+			t.Errorf("goroutine %d, request %d (cut %v): with the memo %+v, without %+v", w, i, reqs[i].Cut, got, want[i])
+			return false
+		}
+		return true
+	})
 }
 
 var benchTickets []ticket.Ticket

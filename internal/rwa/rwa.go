@@ -71,6 +71,13 @@ type Request struct {
 	// into the assignment LP (see lp.Options.HealthEvery). Zero keeps
 	// probing off; the probes never change the solve.
 	HealthEvery int
+
+	// Memo, when set, is shared by the solves of one plan: it answers the
+	// surrogate-path searches from ranked lists and hands out one copy of
+	// each distinct option set (see Memo). It never changes a Result's
+	// content, only whether its Options are shared. It must have been made
+	// for Net.
+	Memo *Memo
 }
 
 func (r *Request) k() int {
@@ -117,7 +124,10 @@ type Result struct {
 	GbpsPerWave []float64
 	// OrigWaves is gamma_e: the pre-failure wavelength count per failed link.
 	OrigWaves []int
-	// Options lists each failed link's surrogate path options.
+	// Options lists each failed link's surrogate path options. A solve with
+	// a Memo shares them with every other solve of the memo that found the
+	// same options for the link: treat them, and the slices inside them, as
+	// read-only.
 	Options [][]PathOption
 	// Objective is the LP's total restorable wavelength count.
 	Objective float64
@@ -174,6 +184,15 @@ type scratch struct {
 	spectra []*spectrum.Bitmap // the network's SpectrumUnderCut for it
 	common  *spectrum.Bitmap   // one path's end-to-end spectrum
 	orig    stamps             // slots the link at hand's own wavelengths occupy
+
+	// One link's surrogate options as surrogatePaths builds them: the paths
+	// a memo returned, each option's scalar fields, and its fibers, slots
+	// and original slots as spans of ints. key is their content key.
+	paths []graph.Path
+	opts  []PathOption
+	spans []optionSpans
+	ints  []int
+	key   []byte
 
 	// The assignment model. Variables are numbered in (link, path option,
 	// slot position) order: the k-th slot of option o is variable
@@ -256,6 +275,9 @@ func Solve(req *Request) (*Result, error) {
 }
 
 func (sc *scratch) solve(req *Request) (*Result, error) {
+	if req.Memo != nil && req.Memo.net != req.Net {
+		panic("rwa: Request.Memo was made for another network")
+	}
 	obs.Add(req.Recorder, "rwa.solves", 1)
 	res := &Result{Req: req}
 	res.Failed = req.Net.FailedLinks(req.Cut)
@@ -305,9 +327,15 @@ func linkModulation(l *optical.IPLink) spectrum.Modulation {
 	return l.Waves[0].Modulation
 }
 
+// optionSpans locates one option's fibers, slots and original slots in
+// scratch.ints: ints[fibers:slots], ints[slots:orig] and ints[orig:end].
+type optionSpans struct{ fibers, slots, orig, end int }
+
 // surrogatePaths computes up to K usable surrogate restoration paths for a
 // failed link: k-shortest paths on the optical graph avoiding cut fibers,
-// bounded by modulation reach, each annotated with its continuity slots.
+// bounded by modulation reach, each annotated with its continuity slots. It
+// builds them in sc, then copies them out — or, with a memo, returns the
+// memo's copy of the same options.
 func (sc *scratch) surrogatePaths(req *Request, link *optical.IPLink) []PathOption {
 	g := req.Net.Graph()
 
@@ -324,12 +352,18 @@ func (sc *scratch) surrogatePaths(req *Request, link *optical.IPLink) []PathOpti
 	}
 
 	// Yen's algorithm on the shared optical graph with the cut fibers masked
-	// out: the paths of a copy built without them, found without building it.
-	paths := g.KShortestPathsAvoiding(graph.Node(link.Src), graph.Node(link.Dst), req.k(), maxReach, sc.cut)
+	// out: the paths of a copy built without them, found without building it
+	// (or read off the memo's ranked list, which gives the same paths).
+	src, dst := graph.Node(link.Src), graph.Node(link.Dst)
+	paths := sc.paths[:0]
+	if req.Memo != nil {
+		paths = req.Memo.paths.KShortestPathsAvoiding(paths, src, dst, req.k(), maxReach, sc.cut)
+	} else {
+		paths = g.KShortestPathsAvoiding(src, dst, req.k(), maxReach, sc.cut)
+	}
 	sc.markOrig(link, req.Net.SlotCount)
-	needKey := req.ExportBasis || len(req.WarmFrom) > 0
 
-	var out []PathOption
+	sc.opts, sc.spans, sc.ints = sc.opts[:0], sc.spans[:0], sc.ints[:0]
 	for _, p := range paths {
 		mod := origMod
 		if p.Weight > origMod.ReachKm {
@@ -342,33 +376,56 @@ func (sc *scratch) surrogatePaths(req *Request, link *optical.IPLink) []PathOpti
 			}
 			mod = m
 		}
-		// The path is ours: its edge IDs become the option's fiber IDs.
-		fibers := p.Edges
-		for i, eid := range fibers {
-			fibers[i] = g.Edge(eid).Label
+		sp := optionSpans{fibers: len(sc.ints)}
+		for _, eid := range p.Edges {
+			sc.ints = append(sc.ints, g.Edge(eid).Label)
 		}
-		slots := sc.usableSlots(req, link, fibers)
-		if len(slots) == 0 {
+		sp.slots = len(sc.ints)
+		sc.ints = sc.appendUsableSlots(sc.ints, req, link, sc.ints[sp.fibers:sp.slots])
+		sp.orig = len(sc.ints)
+		if sp.orig == sp.slots {
+			sc.ints = sc.ints[:sp.fibers]
 			continue
 		}
-		opt := PathOption{
-			LinkID: link.ID, Fibers: fibers, LengthKm: p.Weight,
-			Modulation: mod, Slots: slots, prepared: true,
-		}
 		if req.AllowTuning {
-			if n := sc.countOrig(slots); n > 0 {
-				opt.orig = sc.appendOrig(make([]int, 0, n), slots)
-			}
-		} else {
-			opt.orig = slots // only original slots qualify
+			sc.ints = sc.appendOrig(sc.ints, sc.ints[sp.slots:sp.orig])
 		}
-		if needKey {
-			opt.key = pathKey(fibers)
+		sp.end = len(sc.ints)
+		sc.spans = append(sc.spans, sp)
+		sc.opts = append(sc.opts, PathOption{LinkID: link.ID, LengthKm: p.Weight, Modulation: mod, prepared: true})
+	}
+	if req.Memo != nil {
+		clear(paths) // the memo's paths, not to be held past this call
+		sc.paths = paths[:0]
+	}
+	if len(sc.opts) == 0 {
+		return nil
+	}
+	if req.Memo != nil {
+		return req.Memo.intern(sc, req.AllowTuning)
+	}
+	return sc.ownOptions(req.AllowTuning, req.ExportBasis || len(req.WarmFrom) > 0)
+}
+
+// ownOptions copies the options built in sc into memory of their own, every
+// fiber, slot and original slot of them in one array, with their pathKey when
+// withKey is set.
+func (sc *scratch) ownOptions(tuning, withKey bool) []PathOption {
+	ints := append(make([]int, 0, len(sc.ints)), sc.ints...)
+	out := append(make([]PathOption, 0, len(sc.opts)), sc.opts...)
+	for i, sp := range sc.spans {
+		opt := &out[i]
+		opt.Fibers = ints[sp.fibers:sp.slots:sp.slots]
+		opt.Slots = ints[sp.slots:sp.orig:sp.orig]
+		switch {
+		case !tuning:
+			opt.orig = opt.Slots // only original slots qualify
+		case sp.end > sp.orig:
+			opt.orig = ints[sp.orig:sp.end:sp.end]
 		}
-		if out == nil {
-			out = make([]PathOption, 0, len(paths))
+		if withKey {
+			opt.key = pathKey(opt.Fibers)
 		}
-		out = append(out, opt)
 	}
 	return out
 }
@@ -381,17 +438,6 @@ func (sc *scratch) markOrig(link *optical.IPLink, slots int) {
 	}
 }
 
-// countOrig counts those of slots that are in sc.orig.
-func (sc *scratch) countOrig(slots []int) int {
-	n := 0
-	for _, s := range slots {
-		if sc.orig.has(s) {
-			n++
-		}
-	}
-	return n
-}
-
 // appendOrig appends to dst those of slots that are in sc.orig, in order.
 func (sc *scratch) appendOrig(dst, slots []int) []int {
 	for _, s := range slots {
@@ -402,12 +448,12 @@ func (sc *scratch) appendOrig(dst, slots []int) []int {
 	return dst
 }
 
-// usableSlots returns, ascending, the slots free on every fiber of the path.
-// Without frequency tuning, only the failed wavelengths' original slots
-// qualify.
-func (sc *scratch) usableSlots(req *Request, link *optical.IPLink, fibers []int) []int {
+// appendUsableSlots appends to dst, ascending, the slots free on every fiber
+// of the path. Without frequency tuning, only the failed wavelengths'
+// original slots qualify.
+func (sc *scratch) appendUsableSlots(dst []int, req *Request, link *optical.IPLink, fibers []int) []int {
 	if len(fibers) == 0 {
-		return nil
+		return dst
 	}
 	common := sc.common
 	common.CopyFrom(sc.spectra[fibers[0]])
@@ -415,21 +461,18 @@ func (sc *scratch) usableSlots(req *Request, link *optical.IPLink, fibers []int)
 		common.IntersectInto(sc.spectra[f])
 	}
 	if req.AllowTuning {
-		if n := common.Count(); n > 0 {
-			return common.AppendAvailable(make([]int, 0, n))
-		}
-		return nil
+		return common.AppendAvailable(dst)
 	}
-	var out []int
+	lo := len(dst)
 	sc.slotUsed.reset(common.Len())
 	for _, w := range link.Waves {
 		if !sc.slotUsed.has(w.Slot) && common.Available(w.Slot) {
 			sc.slotUsed.add(w.Slot)
-			out = append(out, w.Slot)
+			dst = append(dst, w.Slot)
 		}
 	}
-	slices.Sort(out)
-	return out
+	slices.Sort(dst[lo:])
+	return dst
 }
 
 // buildModel builds the wavelength-assignment model of res (Appendix A.2,
@@ -835,16 +878,26 @@ func SlotCapacity(res *Result, li int) int {
 	return c
 }
 
+// IntegralWaves runs AssignIntegral's greedy for target and returns what it
+// restores per failed link — the assignment's Waves(i) — and whether every
+// target was met, without building the assignment.
+func IntegralWaves(res *Result, target []int) ([]int, bool) {
+	sc := scratchPool.Get()
+	defer scratchPool.Put(sc)
+	ok := sc.assign(res, target)
+	out := make([]int, len(res.Failed))
+	for li, sp := range sc.span[:len(res.Failed)] {
+		out[li] = sp[1] - sp[0]
+	}
+	return out, ok
+}
+
 // MaxIntegralWaves runs the greedy assignment asking for every link's full
 // wavelength count and returns the per-link restored counts. This is the
 // integral analogue of the LP objective, used for restoration-ratio
 // measurements (Fig. 6).
 func MaxIntegralWaves(res *Result) []int {
-	a, _ := AssignIntegral(res, res.OrigWaves)
-	out := make([]int, len(res.Failed))
-	for i := range out {
-		out[i] = a.Waves(i)
-	}
+	out, _ := IntegralWaves(res, res.OrigWaves)
 	return out
 }
 

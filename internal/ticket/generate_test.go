@@ -6,8 +6,12 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/arrow-te/arrow/internal/ledger"
+	"github.com/arrow-te/arrow/internal/obs"
+	"github.com/arrow-te/arrow/internal/optical"
 	"github.com/arrow-te/arrow/internal/race"
 	"github.com/arrow-te/arrow/internal/rwa"
+	"github.com/arrow-te/arrow/internal/spectrum"
 )
 
 // refGenerate is Generate as it was, for the options the offline stage
@@ -56,6 +60,127 @@ func TestGenerateMatchesPerBatchGenerator(t *testing.T) {
 	}
 	if kept < 200 || dropped < 200 {
 		t.Fatalf("%d tickets kept, %d dropped: one side of the filter is barely exercised", kept, dropped)
+	}
+}
+
+// handBuiltResult draws a Result no Solve produced: links over a chain of
+// fibers, options over arbitrary fiber sets with slots in any order (some
+// repeated), and a fractional point anywhere in [0, orig+1]. The roundings
+// then overshoot a link's slot capacity, clash on the spectrum, or fit.
+func handBuiltResult(rng *rand.Rand) *rwa.Result {
+	fibers, slots := 2+rng.Intn(5), 4+rng.Intn(8)
+	n := optical.NewNetwork(fibers+1, slots)
+	for f := 0; f < fibers; f++ {
+		n.AddFiber(optical.ROADM(f), optical.ROADM(f+1), 100)
+	}
+	res := &rwa.Result{Req: &rwa.Request{Net: n, AllowTuning: rng.Intn(2) == 0}}
+	for links := 1 + rng.Intn(4); links > 0; links-- {
+		f := rng.Intn(fibers)
+		var ws []optical.Lightpath
+		for s := 0; s < slots; s++ {
+			if n.Fibers[f].Slots.Available(s) && rng.Intn(3) == 0 {
+				ws = append(ws, optical.Lightpath{Slot: s, Modulation: spectrum.Table6[0], FiberPath: []int{f}})
+			}
+		}
+		if len(ws) == 0 {
+			continue
+		}
+		l, err := n.Provision(optical.ROADM(f), optical.ROADM(f+1), ws)
+		if err != nil {
+			panic(err)
+		}
+		var opts []rwa.PathOption
+		for o := rng.Intn(3); o > 0; o-- {
+			opt := rwa.PathOption{LinkID: l.ID, Fibers: rng.Perm(fibers)[:1+rng.Intn(fibers)], Slots: rng.Perm(slots)[:rng.Intn(slots/2+1)]}
+			if len(opt.Slots) > 1 && rng.Intn(4) == 0 {
+				opt.Slots = append(opt.Slots, opt.Slots[0])
+			}
+			opts = append(opts, opt)
+		}
+		res.Failed = append(res.Failed, l.ID)
+		res.OrigWaves = append(res.OrigWaves, len(ws))
+		res.FracWaves = append(res.FracWaves, rng.Float64()*float64(len(ws)+1))
+		res.GbpsPerWave = append(res.GbpsPerWave, 100)
+		res.Options = append(res.Options, opts)
+	}
+	return res
+}
+
+// refRecorded is Generate's filter as it was: the greedy asked first, the
+// reason worked out after a rejection.
+func refRecorded(res *rwa.Result, opts Options) []Ticket {
+	rng := rand.New(rand.NewSource(opts.Seed))
+	n := len(res.Failed)
+	var out []Ticket
+	seen := map[string]bool{}
+	infeasible, duplicates := 0, 0
+	for z := 0; z < opts.Count; z++ {
+		tk := Ticket{Waves: make([]int, n), Gbps: make([]float64, n)}
+		for e := 0; e < n; e++ {
+			tk.Waves[e] = roundOnce(rng, res.FracWaves[e], res.OrigWaves[e], opts.stride())
+			tk.Gbps[e] = float64(tk.Waves[e]) * res.GbpsPerWave[e]
+		}
+		if !rwa.Feasible(res, tk.Waves) {
+			infeasible++
+			reason := ledger.RejectSpectrumClash
+			for li, w := range tk.Waves {
+				if min(w, res.OrigWaves[li]) > rwa.SlotCapacity(res, li) {
+					reason = ledger.RejectRounding
+					break
+				}
+			}
+			opts.Ledger.Emit(ledger.Event{Kind: ledger.KindTicketRejected, Scenario: opts.Scenario, Ticket: z, Reason: reason, Gbps: tk.TotalGbps()})
+			continue
+		}
+		if seen[tk.Key()] {
+			duplicates++
+			opts.Ledger.Emit(ledger.Event{Kind: ledger.KindTicketRejected, Scenario: opts.Scenario, Ticket: z, Reason: ledger.RejectDuplicate, Gbps: tk.TotalGbps()})
+			continue
+		}
+		seen[tk.Key()] = true
+		opts.Ledger.Emit(ledger.Event{Kind: ledger.KindTicketGenerated, Scenario: opts.Scenario, Ticket: z, Gbps: tk.TotalGbps()})
+		out = append(out, tk)
+	}
+	r := opts.Recorder
+	r.Add("ticket.rounding_attempts", int64(opts.Count))
+	r.Add("ticket.infeasible", int64(infeasible))
+	r.Add("ticket.duplicates", int64(duplicates))
+	r.Add("ticket.generated", int64(len(out)))
+	r.Observe("ticket.yield_per_batch", float64(len(out)))
+	return out
+}
+
+// Rejecting a rounding above some link's slot capacity before the greedy
+// runs keeps the tickets, the ledger events and the ticket counters of the
+// filter that asked the greedy first.
+func TestCapacityCheckMatchesGreedyFirstFilter(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	reasons := map[ledger.RejectReason]int{}
+	for trial := 0; trial < 400; trial++ {
+		res := handBuiltResult(rng)
+		opts := Options{Count: 1 + rng.Intn(16), Stride: 1 + rng.Intn(3), Seed: int64(trial), CheckFeasibility: true, Dedup: true, Scenario: trial}
+		got, want := opts, opts
+		gotReg, wantReg := obs.NewRegistry(), obs.NewRegistry()
+		got.Recorder, got.Ledger = gotReg, ledger.New()
+		want.Recorder, want.Ledger = wantReg, ledger.New()
+		if g, w := Generate(res, got), refRecorded(res, want); !reflect.DeepEqual(g, w) {
+			t.Fatalf("trial %d: tickets %v, reference %v", trial, g, w)
+		}
+		gotEv, wantEv := got.Ledger.Events(), want.Ledger.Events()
+		if !reflect.DeepEqual(gotEv, wantEv) {
+			t.Fatalf("trial %d: events %+v, reference %+v", trial, gotEv, wantEv)
+		}
+		for _, ev := range gotEv {
+			reasons[ev.Reason]++
+		}
+		if g, w := gotReg.Snapshot(), wantReg.Snapshot(); !reflect.DeepEqual(g.Counters, w.Counters) || !reflect.DeepEqual(g.Histograms, w.Histograms) {
+			t.Fatalf("trial %d: counters %v, reference %v", trial, g.Counters, w.Counters)
+		}
+	}
+	for _, r := range []ledger.RejectReason{ledger.RejectRounding, ledger.RejectSpectrumClash, ledger.RejectDuplicate, ""} {
+		if reasons[r] < 20 {
+			t.Errorf("%d events with reason %q: %v is too thin a mix", reasons[r], r, reasons)
+		}
 	}
 }
 

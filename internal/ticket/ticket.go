@@ -129,12 +129,10 @@ func Compose(res *rwa.Result, cut []int, waves map[int]map[int]int) (Ticket, boo
 			target[i] = res.OrigWaves[i]
 		}
 	}
-	asg, _ := rwa.AssignIntegral(res, target)
-	tk := Ticket{Waves: make([]int, len(res.Failed)), Gbps: make([]float64, len(res.Failed))}
+	realised, _ := rwa.IntegralWaves(res, target)
+	tk := Ticket{Waves: realised, Gbps: make([]float64, len(res.Failed))}
 	total := 0
-	for i := range res.Failed {
-		w := asg.Waves(i)
-		tk.Waves[i] = w
+	for i, w := range realised {
 		tk.Gbps[i] = float64(w) * res.GbpsPerWave[i]
 		total += w
 	}
@@ -172,12 +170,12 @@ func Generate(res *rwa.Result, opts Options) []Ticket {
 			tk.Gbps[e] = float64(tk.Waves[e]) * res.GbpsPerWave[e]
 		}
 		if opts.CheckFeasibility {
-			if !rwa.Feasible(res, tk.Waves) {
+			if reason := infeasibility(res, tk.Waves); reason != "" {
 				infeasible++
 				if opts.Ledger != nil {
 					opts.Ledger.Emit(ledger.Event{
 						Kind: ledger.KindTicketRejected, Scenario: opts.Scenario,
-						Ticket: z, Reason: rejectReason(res, tk.Waves), Gbps: tk.TotalGbps(),
+						Ticket: z, Reason: reason, Gbps: tk.TotalGbps(),
 					})
 				}
 				continue
@@ -216,19 +214,20 @@ func Generate(res *rwa.Result, opts Options) []Ticket {
 	return out
 }
 
-// rejectReason classifies a failed integral assignment for the ledger: if
-// some clamped target exceeds the link's standalone slot capacity the
-// rounding itself overshot (rounding_infeasible); otherwise every link was
-// individually satisfiable and the greedy assignment lost to cross-link
-// spectrum contention (spectrum_clash).
-func rejectReason(res *rwa.Result, waves []int) ledger.RejectReason {
+// infeasibility says why the greedy integral assignment cannot realise
+// waves, or returns "" when it can. A clamped target above its link's
+// standalone slot capacity is a rounding that overshot (rounding_infeasible):
+// the greedy places at most that many wavelengths on the link, so it need not
+// be run. A rounding within every capacity that the greedy still cannot
+// realise lost to cross-link spectrum contention (spectrum_clash).
+func infeasibility(res *rwa.Result, waves []int) ledger.RejectReason {
 	for li, w := range waves {
-		if w > res.OrigWaves[li] {
-			w = res.OrigWaves[li]
-		}
-		if w > rwa.SlotCapacity(res, li) {
+		if min(w, res.OrigWaves[li]) > rwa.SlotCapacity(res, li) {
 			return ledger.RejectRounding
 		}
+	}
+	if rwa.Feasible(res, waves) {
+		return ""
 	}
 	return ledger.RejectSpectrumClash
 }
