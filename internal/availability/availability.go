@@ -7,6 +7,7 @@ package availability
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"github.com/arrow-te/arrow/internal/te"
@@ -36,33 +37,18 @@ type Evaluator struct {
 // scenario: flows send b_f over their active tunnels (surviving plus
 // restored), link overloads shed traffic proportionally, and a tunnel's
 // delivery is limited by its most-congested link.
-func (ev *Evaluator) Delivered(sc *ScenarioEval) float64 {
-	totalDemand := ev.Net.TotalDemand()
-	if totalDemand <= 0 {
-		return 1
-	}
-	delivered := 0.0
-	for _, d := range ev.deliveredPerFlow(sc) {
-		delivered += d
-	}
-	return delivered / totalDemand
-}
+func (ev *Evaluator) Delivered(sc *ScenarioEval) float64 { return ev.newPass().fraction(sc) }
 
 // Availability computes the §6.1 metric: the probability-weighted average
 // demand satisfaction over the healthy state and all enumerated scenarios,
 // normalised by the covered probability mass.
 func (ev *Evaluator) Availability(scs []ScenarioEval) float64 {
-	healthyProb := 1.0
-	for _, sc := range scs {
-		healthyProb -= sc.Prob
-	}
-	if healthyProb < 0 {
-		healthyProb = 0
-	}
-	total := healthyProb * ev.Delivered(&ScenarioEval{})
+	healthyProb := healthy(scs)
+	p := ev.newPass()
+	total := healthyProb * p.fraction(&ScenarioEval{})
 	mass := healthyProb
 	for i := range scs {
-		total += scs[i].Prob * ev.Delivered(&scs[i])
+		total += scs[i].Prob * p.fraction(&scs[i])
 		mass += scs[i].Prob
 	}
 	if mass <= 0 {
@@ -81,28 +67,33 @@ func (ev *Evaluator) GuaranteedThroughput(scs []ScenarioEval, beta float64) floa
 		delivered float64
 		prob      float64
 	}
-	healthyProb := 1.0
-	for _, sc := range scs {
-		healthyProb -= sc.Prob
-	}
-	if healthyProb < 0 {
-		healthyProb = 0
-	}
-	pts := []point{{ev.Delivered(&ScenarioEval{}), healthyProb}}
+	healthyProb := healthy(scs)
+	p := ev.newPass()
+	pts := make([]point, 1, 1+len(scs))
+	pts[0] = point{p.fraction(&ScenarioEval{}), healthyProb}
 	mass := healthyProb
 	for i := range scs {
-		pts = append(pts, point{ev.Delivered(&scs[i]), scs[i].Prob})
+		pts = append(pts, point{p.fraction(&scs[i]), scs[i].Prob})
 		mass += scs[i].Prob
 	}
 	sort.SliceStable(pts, func(a, b int) bool { return pts[a].delivered > pts[b].delivered })
 	cum := 0.0
-	for _, p := range pts {
-		cum += p.prob
+	for _, pt := range pts {
+		cum += pt.prob
 		if cum >= beta*mass {
-			return p.delivered
+			return pt.delivered
 		}
 	}
 	return pts[len(pts)-1].delivered
+}
+
+// healthy is the probability of the healthy state: what scs leave of 1, or 0.
+func healthy(scs []ScenarioEval) float64 {
+	p := 1.0
+	for _, sc := range scs {
+		p -= sc.Prob
+	}
+	return max(p, 0)
 }
 
 // RequiredCapacity computes the Fig. 16 cost proxy: CAP_e is the worst-case
@@ -111,15 +102,19 @@ func (ev *Evaluator) GuaranteedThroughput(scs []ScenarioEval, beta float64) floa
 // returned value is CAP normalised by the availability-guaranteed
 // throughput at beta (so schemes are compared at equal delivered service).
 func (ev *Evaluator) RequiredCapacity(scs []ScenarioEval, beta float64) float64 {
-	n := ev.Net
-	worst := make([]float64, len(n.LinkCap))
+	worst := make([]float64, len(ev.Net.LinkCap))
+	p := ev.newPass()
 	measure := func(sc *ScenarioEval) {
-		loads := ev.linkLoads(sc)
-		for e, l := range loads {
+		p.route(sc)
+		for e, l := range p.load {
+			if c := p.linkCap[e]; l > c {
+				l = c // shed traffic does not occupy ports
+			}
 			if l > worst[e] {
 				worst[e] = l
 			}
 		}
+		p.done(sc)
 	}
 	measure(&ScenarioEval{})
 	for i := range scs {
@@ -136,68 +131,6 @@ func (ev *Evaluator) RequiredCapacity(scs []ScenarioEval, beta float64) float64 
 	return cap / gt
 }
 
-// linkLoads returns the post-shedding traffic on each link under sc.
-func (ev *Evaluator) linkLoads(sc *ScenarioEval) []float64 {
-	n := ev.Net
-	capOf := make(map[int]float64, len(sc.Failed))
-	for _, e := range sc.Failed {
-		capOf[e] = 0
-		if sc.Restored != nil {
-			capOf[e] = sc.Restored[e]
-		}
-	}
-	linkCap := func(e int) float64 {
-		if c, ok := capOf[e]; ok {
-			return c
-		}
-		return n.LinkCap[e]
-	}
-	load := make([]float64, len(n.LinkCap))
-	for f := range n.Flows {
-		var active []int
-		for ti, t := range n.Tunnels[f] {
-			ok := true
-			for _, e := range t.Links {
-				if linkCap(e) <= 0 {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				active = append(active, ti)
-			}
-		}
-		if len(active) == 0 {
-			continue
-		}
-		b := ev.Alloc.B[f]
-		wsum := 0.0
-		if !ev.ECMPRebalance {
-			for _, ti := range active {
-				wsum += ev.Alloc.A[f][ti]
-			}
-		}
-		for _, ti := range active {
-			var send float64
-			if ev.ECMPRebalance || wsum <= 0 {
-				send = b / float64(len(active))
-			} else {
-				send = b * ev.Alloc.A[f][ti] / wsum
-			}
-			for _, e := range n.Tunnels[f][ti].Links {
-				load[e] += send
-			}
-		}
-	}
-	// Clamp at capacity: shed traffic does not occupy ports.
-	for e := range load {
-		if c := linkCap(e); load[e] > c {
-			load[e] = c
-		}
-	}
-	return load
-}
-
 // PerFlowAvailability computes each flow's probability-weighted delivered
 // fraction (its individual SLA view): delivered_f / d_f averaged over the
 // healthy state and all scenarios, weighted by probability. Flows with zero
@@ -205,13 +138,7 @@ func (ev *Evaluator) linkLoads(sc *ScenarioEval) []float64 {
 func (ev *Evaluator) PerFlowAvailability(scs []ScenarioEval) []float64 {
 	n := ev.Net
 	out := make([]float64, len(n.Flows))
-	healthyProb := 1.0
-	for _, sc := range scs {
-		healthyProb -= sc.Prob
-	}
-	if healthyProb < 0 {
-		healthyProb = 0
-	}
+	healthyProb := healthy(scs)
 	mass := healthyProb
 	for _, sc := range scs {
 		mass += sc.Prob
@@ -222,8 +149,9 @@ func (ev *Evaluator) PerFlowAvailability(scs []ScenarioEval) []float64 {
 		}
 		return out
 	}
+	p := ev.newPass()
 	accumulate := func(sc *ScenarioEval, prob float64) {
-		per := ev.deliveredPerFlow(sc)
+		per := p.deliveredPerFlow(sc)
 		for f := range out {
 			if d := n.Flows[f].Demand; d > 0 {
 				out[f] += prob / mass * math.Min(1, per[f]/d)
@@ -243,84 +171,117 @@ func (ev *Evaluator) PerFlowAvailability(scs []ScenarioEval) []float64 {
 // sc — the per-flow breakdown of Delivered, for availability-loss
 // attribution (internal/attr).
 func (ev *Evaluator) DeliveredPerFlow(sc *ScenarioEval) []float64 {
-	return ev.deliveredPerFlow(sc)
+	return ev.newPass().deliveredPerFlow(sc)
 }
 
-// deliveredPerFlow mirrors Delivered but returns absolute Gbps per flow.
-func (ev *Evaluator) deliveredPerFlow(sc *ScenarioEval) []float64 {
+// pass is an evaluation's working memory, sized for the network once and
+// carried over all of the evaluation's scenarios.
+type pass struct {
+	ev      *Evaluator
+	linkCap []float64 // the network's, the scenario's failed links patched in
+	sends   []float64 // flow by flow, one entry per tunnel
+	load    []float64 // per link
+	out     []float64 // per flow
+	active  []int
+}
+
+func (ev *Evaluator) newPass() *pass {
 	n := ev.Net
-	capOf := make(map[int]float64, len(sc.Failed))
-	for _, e := range sc.Failed {
-		capOf[e] = 0
-		if sc.Restored != nil {
-			capOf[e] = sc.Restored[e]
-		}
-	}
-	linkCap := func(e int) float64 {
-		if c, ok := capOf[e]; ok {
-			return c
-		}
-		return n.LinkCap[e]
-	}
 	tunnels := 0
 	for f := range n.Flows {
 		tunnels += len(n.Tunnels[f])
 	}
-	sends := make([]float64, tunnels) // flow by flow, one entry per tunnel
-	load := make([]float64, len(n.LinkCap))
-	var active []int
+	return &pass{
+		ev: ev, linkCap: slices.Clone(n.LinkCap), sends: make([]float64, tunnels),
+		load: make([]float64, len(n.LinkCap)), out: make([]float64, len(n.Flows)),
+	}
+}
+
+// route is the one scenario pass behind every metric: it patches sc's failed
+// links into p.linkCap (the plan's restored capacity, 0 where it restores
+// none; a link outside the network changes nothing), and sends every flow's
+// b_f over its active tunnels — those with capacity left on every link —
+// into p.sends and, before any shedding, p.load. done undoes the patch.
+func (p *pass) route(sc *ScenarioEval) {
+	n, al := p.ev.Net, p.ev.Alloc
+	for _, e := range sc.Failed {
+		if e >= 0 && e < len(p.linkCap) {
+			p.linkCap[e] = sc.Restored[e]
+		}
+	}
+	clear(p.sends)
+	clear(p.load)
 	off := 0
 	for f := range n.Flows {
-		send := sends[off : off+len(n.Tunnels[f])]
+		send := p.sends[off : off+len(n.Tunnels[f])]
 		off += len(send)
-		active = active[:0]
+		p.active = p.active[:0]
 		for ti, t := range n.Tunnels[f] {
-			ok := true
-			for _, e := range t.Links {
-				if linkCap(e) <= 0 {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				active = append(active, ti)
+			if !slices.ContainsFunc(t.Links, func(e int) bool { return p.linkCap[e] <= 0 }) {
+				p.active = append(p.active, ti)
 			}
 		}
-		if len(active) == 0 {
+		if len(p.active) == 0 {
 			continue
 		}
-		b := ev.Alloc.B[f]
+		b := al.B[f]
 		wsum := 0.0
-		if !ev.ECMPRebalance {
-			for _, ti := range active {
-				wsum += ev.Alloc.A[f][ti]
+		if !p.ev.ECMPRebalance {
+			for _, ti := range p.active {
+				wsum += al.A[f][ti]
 			}
 		}
-		for _, ti := range active {
-			if ev.ECMPRebalance || wsum <= 0 {
-				send[ti] = b / float64(len(active))
+		for _, ti := range p.active {
+			if p.ev.ECMPRebalance || wsum <= 0 {
+				send[ti] = b / float64(len(p.active))
 			} else {
-				send[ti] = b * ev.Alloc.A[f][ti] / wsum
+				send[ti] = b * al.A[f][ti] / wsum
 			}
 			for _, e := range n.Tunnels[f][ti].Links {
-				load[e] += send[ti]
+				p.load[e] += send[ti]
 			}
 		}
 	}
-	shed := load // each link's load gives way to the share of it that gets through
-	for e := range shed {
-		c := linkCap(e)
-		if load[e] <= c || load[e] <= 0 {
-			shed[e] = 1
-		} else {
-			shed[e] = c / load[e]
+}
+
+func (p *pass) done(sc *ScenarioEval) {
+	for _, e := range sc.Failed {
+		if e >= 0 && e < len(p.linkCap) {
+			p.linkCap[e] = p.ev.Net.LinkCap[e]
 		}
 	}
-	out := make([]float64, len(n.Flows))
-	off = 0
+}
+
+// fraction is Delivered on p.
+func (p *pass) fraction(sc *ScenarioEval) float64 {
+	totalDemand := p.ev.Net.TotalDemand()
+	if totalDemand <= 0 {
+		return 1
+	}
+	delivered := 0.0
+	for _, d := range p.deliveredPerFlow(sc) {
+		delivered += d
+	}
+	return delivered / totalDemand
+}
+
+// deliveredPerFlow returns the absolute Gbps every flow gets through under
+// sc, in p's memory.
+func (p *pass) deliveredPerFlow(sc *ScenarioEval) []float64 {
+	n := p.ev.Net
+	p.route(sc)
+	shed := p.load // each link's load gives way to the share of it that gets through
+	for e, l := range p.load {
+		if c := p.linkCap[e]; l <= c || l <= 0 {
+			shed[e] = 1
+		} else {
+			shed[e] = c / l
+		}
+	}
+	off := 0
 	for f := range n.Flows {
 		df := 0.0
-		for ti, send := range sends[off : off+len(n.Tunnels[f])] {
+		for ti, send := range p.sends[off : off+len(n.Tunnels[f])] {
 			if send <= 0 {
 				continue
 			}
@@ -333,7 +294,8 @@ func (ev *Evaluator) deliveredPerFlow(sc *ScenarioEval) []float64 {
 			df += send * factor
 		}
 		off += len(n.Tunnels[f])
-		out[f] = math.Min(df, n.Flows[f].Demand)
+		p.out[f] = math.Min(df, n.Flows[f].Demand)
 	}
-	return out
+	p.done(sc)
+	return p.out
 }

@@ -76,6 +76,7 @@ func runScenarioStress(cfg Config) (*Result, error) {
 		sub.Naive = sub.Naive[:teScenarios]
 		sub.Plain = sub.Plain[:teScenarios]
 		sub.RWAResults = sub.RWAResults[:teScenarios]
+		sub.ffc = new(ffcLists) // FFC-2's list reads Plain
 	}
 	m := traffic.Generate(traffic.Options{Sites: tp.NumRouters(), Count: 1, MaxFlows: 40, TotalGbps: 1, Seed: cfg.Seed + 7})[0]
 	base, err := sub.BaseNetwork(m, 8)

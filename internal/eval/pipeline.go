@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync"
 
 	"github.com/arrow-te/arrow/internal/availability"
 	"github.com/arrow-te/arrow/internal/plan"
@@ -35,6 +36,15 @@ type Pipeline struct {
 	// teOpts is what every ARROW solve of the pipeline copies: the TE
 	// settings and the sinks of the context it was built with.
 	teOpts te.ArrowOptions
+	// ffc holds the FFC-k scenario lists, made once per k for every cell.
+	ffc *ffcLists
+}
+
+// ffcLists memoises singleCutScenarios for k = 1 and k >= 2: the sweep's
+// cells run in parallel, and every FFC cell of one k reads the same list.
+type ffcLists struct {
+	once [2]sync.Once
+	scs  [2][]te.FailureScenario
 }
 
 // PipelineOptions configures pipeline construction.
@@ -117,6 +127,7 @@ func BuildPipelineContext(ctx context.Context, tp *topo.Topology, opts PipelineO
 		Plain:           make([]te.FailureScenario, len(off.Scenarios)),
 		baseUtilization: opts.BaseUtilization,
 		teOpts:          te.SessionOptions(ctx, opts.NoWarm, opts.Parallelism, opts.HealthEvery),
+		ffc:             new(ffcLists),
 	}
 	p.teOpts.CaptureSensitivity = opts.CaptureSensitivity
 	for i := range off.Scenarios {
@@ -190,9 +201,16 @@ func (p *Pipeline) arrowOptions() *te.ArrowOptions {
 }
 
 // singleCutScenarios projects all <=k fiber-cut combinations onto IP links
-// for FFC-k. To stay tractable, double cuts reuse the enumerated scenario
-// set (which contains the probable doubles) plus all single cuts.
+// for FFC-k, once per pipeline and k. To stay tractable, double cuts reuse
+// the enumerated scenario set (which contains the probable doubles) plus all
+// single cuts.
 func (p *Pipeline) singleCutScenarios(k int) []te.FailureScenario {
+	i := min(k, 2) - 1
+	p.ffc.once[i].Do(func() { p.ffc.scs[i] = p.cutScenarios(k) })
+	return p.ffc.scs[i]
+}
+
+func (p *Pipeline) cutScenarios(k int) []te.FailureScenario {
 	var out []te.FailureScenario
 	for f := range p.Topo.Opt.Fibers {
 		failed := p.Topo.Opt.FailedLinks([]int{f})

@@ -61,12 +61,15 @@ type Model struct {
 	integer []bool // used by package mip; ignored by the LP solver
 
 	rows []rowData
-	// terms is the arena the rows' terms are carved from: a row's terms are
-	// a full slice of the chunk that was current when it was added, so
-	// growing one row (AddVarToConstrs) copies it out instead of running
-	// into its neighbour. used counts the terms carved since the last Reset.
-	terms []Term
-	used  int
+	// chunk is the arena chunk the rows' terms are carved from and free its
+	// uncarved tail: a row's terms are a full slice of the chunk current when
+	// it was added, so growing one row (AddVarToConstrs) copies it out. used
+	// counts the terms carved since the last Reset; pos is combineTerms'
+	// stamp per variable. chunk and free keep length 0 and pos all zeros, so
+	// reflect.DeepEqual sees what a model holds, not how it reused memory.
+	chunk, free []Term
+	used        int
+	pos         []int
 }
 
 // Arena chunks grow with the model between these sizes (in terms): a small
@@ -108,6 +111,7 @@ func (m *Model) AddVar(lb, ub, obj float64, name string) Var {
 	m.obj = append(m.obj, obj)
 	m.varName = append(m.varName, name)
 	m.integer = append(m.integer, false)
+	m.pos = append(m.pos, 0)
 	return Var(len(m.obj) - 1)
 }
 
@@ -174,15 +178,16 @@ func (m *Model) AddConstr(expr Expr, sense Sense, rhs float64, name string) Cons
 			panic(fmt.Sprintf("lp: constraint %q references unknown variable %d", name, t.Var))
 		}
 	}
-	if cap(m.terms)-len(m.terms) < len(expr) {
+	if cap(m.free) < len(expr) {
 		chunk := min(max(m.used, minTermChunk), maxTermChunk)
-		m.terms = make([]Term, 0, max(chunk, len(expr)))
+		m.chunk = make([]Term, 0, max(chunk, len(expr)))
+		m.free = m.chunk
 	}
-	lo := len(m.terms)
-	m.terms = combineTerms(m.terms, expr)
-	hi := len(m.terms)
-	m.used += hi - lo
-	m.rows = append(m.rows, rowData{terms: m.terms[lo:hi:hi], sense: sense, rhs: rhs, name: name})
+	row := combineTerms(m.free, expr, m.pos)
+	n := len(row)
+	m.free = row[n:n]
+	m.used += n
+	m.rows = append(m.rows, rowData{terms: row[:n:n], sense: sense, rhs: rhs, name: name})
 	return Constr(len(m.rows) - 1)
 }
 
@@ -191,12 +196,12 @@ func (m *Model) AddConstr(expr Expr, sense Sense, rhs float64, name string) Cons
 // held before allocates nothing. Handles from before the Reset are invalid.
 func (m *Model) Reset() {
 	m.obj, m.lb, m.ub = m.obj[:0], m.lb[:0], m.ub[:0]
-	m.varName, m.integer = m.varName[:0], m.integer[:0]
+	m.varName, m.integer, m.pos = m.varName[:0], m.integer[:0], m.pos[:0]
 	m.TruncateConstrs(0)
-	if m.used > cap(m.terms) {
-		m.terms = make([]Term, 0, m.used) // the next build fits one chunk
+	if m.used > cap(m.chunk) {
+		m.chunk = make([]Term, 0, m.used) // the next build fits one chunk
 	}
-	m.terms, m.used = m.terms[:0], 0
+	m.free, m.used = m.chunk, 0
 }
 
 // ColumnEntry is one (constraint, coefficient) pair of a column appended
@@ -220,17 +225,16 @@ func (m *Model) AddVarToConstrs(lb, ub, obj float64, name string, col []ColumnEn
 		}
 	}
 	v := m.AddVar(lb, ub, obj, name)
-	seen := make(map[Constr]int, len(col))
 	for _, e := range col {
 		if e.Coef == 0 {
 			continue
 		}
+		// v is new, so a row that holds it already holds it last.
 		r := &m.rows[e.Constr]
-		if i, ok := seen[e.Constr]; ok {
-			r.terms[i].Coef += e.Coef
+		if k := len(r.terms) - 1; k >= 0 && r.terms[k].Var == v {
+			r.terms[k].Coef += e.Coef
 			continue
 		}
-		seen[e.Constr] = len(r.terms)
 		r.terms = append(r.terms, Term{Var: v, Coef: e.Coef})
 	}
 	return v
@@ -292,8 +296,8 @@ func (m *Model) TruncateConstrs(n int) {
 
 // combineTerms appends expr to dst with duplicate variables summed and zero
 // coefficients dropped, preserving first-occurrence order. dst must have
-// room for len(expr) more terms.
-func combineTerms(dst []Term, expr Expr) []Term {
+// room for len(expr) more terms; pos, a zero per variable, is zeros on return.
+func combineTerms(dst []Term, expr Expr, pos []int) []Term {
 	increasing := true
 	for i := 1; i < len(expr); i++ {
 		if expr[i].Var <= expr[i-1].Var {
@@ -306,14 +310,17 @@ func combineTerms(dst []Term, expr Expr) []Term {
 		// No variable repeats, so there is nothing to look up or sum.
 		dst = append(dst, expr...)
 	} else {
-		seen := make(map[Var]int, len(expr))
+		// pos[v] is 1 + the index in dst of v's first term, 0 before it.
 		for _, t := range expr {
-			if i, ok := seen[t.Var]; ok {
-				dst[i].Coef += t.Coef
+			if i := pos[t.Var]; i > 0 {
+				dst[i-1].Coef += t.Coef
 				continue
 			}
-			seen[t.Var] = len(dst)
 			dst = append(dst, t)
+			pos[t.Var] = len(dst)
+		}
+		for _, t := range dst[base:] {
+			pos[t.Var] = 0
 		}
 	}
 	w := base
@@ -336,6 +343,7 @@ func (m *Model) Clone() *Model {
 		ub:       append([]float64(nil), m.ub...),
 		varName:  append([]string(nil), m.varName...),
 		integer:  append([]bool(nil), m.integer...),
+		pos:      make([]int, len(m.pos)),
 		rows:     make([]rowData, len(m.rows)),
 	}
 	for i, r := range m.rows {

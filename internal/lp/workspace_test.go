@@ -53,7 +53,8 @@ func TestCombineTermsFastPathMatchesMapPath(t *testing.T) {
 		}
 		prefix := []Term{{Var: 99, Coef: 7}}
 		dst := append(make([]Term, 0, 1+len(expr)), prefix...)
-		got := combineTerms(dst, expr)
+		pos := make([]int, 100)
+		got := combineTerms(dst, expr, pos)
 		want := refCombineTerms(expr)
 		if !reflect.DeepEqual(got[:1], prefix) {
 			t.Fatalf("trial %d: combineTerms rewrote what dst held: %v", trial, got[:1])
@@ -61,9 +62,52 @@ func TestCombineTermsFastPathMatchesMapPath(t *testing.T) {
 		if len(got[1:]) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got[1:], want)) {
 			t.Fatalf("trial %d: %v combined to %v, want %v", trial, expr, got[1:], want)
 		}
+		if !reflect.DeepEqual(pos, make([]int, 100)) {
+			t.Fatalf("trial %d: combineTerms left stamps behind: %v", trial, pos)
+		}
 	}
 	if increasing < 500 {
 		t.Fatalf("only %d increasing expressions drawn", increasing)
+	}
+}
+
+// TestCombineTermsTable pins AddConstr's row semantics case by case: first-
+// occurrence order, duplicates summed, zeros (given or summed to) dropped,
+// and a row long enough that a quadratic scan would show.
+func TestCombineTermsTable(t *testing.T) {
+	long := make(Expr, 0, 400)
+	var longWant []Term
+	for i := 199; i >= 0; i-- {
+		long = long.Plus(1, Var(i))
+		longWant = append(longWant, Term{Var: Var(i), Coef: 2})
+	}
+	for i := 199; i >= 0; i-- {
+		long = long.Plus(1, Var(i))
+	}
+	for _, c := range []struct {
+		name string
+		expr Expr
+		want []Term
+	}{
+		{"empty", nil, nil},
+		{"increasing", Expr{{0, 1}, {3, 2}, {7, -1}}, []Term{{0, 1}, {3, 2}, {7, -1}}},
+		{"increasing with a zero", Expr{{0, 1}, {3, 0}, {7, -1}}, []Term{{0, 1}, {7, -1}}},
+		{"duplicates", Expr{{5, 1}, {2, 2}, {5, 3}, {2, 0.5}}, []Term{{5, 4}, {2, 2.5}}},
+		{"cancelling", Expr{{4, 1}, {1, 2}, {4, -1}}, []Term{{1, 2}}},
+		{"decreasing", Expr{{9, 1}, {8, 1}, {0, -2}}, []Term{{9, 1}, {8, 1}, {0, -2}}},
+		{"long, every variable twice", long, longWant},
+	} {
+		m := NewModel("t")
+		for j := 0; j < 200; j++ {
+			m.AddVar(0, 1, 0, "")
+		}
+		row := m.rows[m.AddConstr(c.expr, LE, 1, "")].terms
+		if len(row) != len(c.want) || (len(row) > 0 && !reflect.DeepEqual(row, c.want)) {
+			t.Errorf("%s: %v combined to %v, want %v", c.name, c.expr, row, c.want)
+		}
+		if !reflect.DeepEqual(m.pos, make([]int, 200)) {
+			t.Errorf("%s: stamps left behind", c.name)
+		}
 	}
 }
 

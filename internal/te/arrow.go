@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/arrow-te/arrow/internal/ledger"
 	"github.com/arrow-te/arrow/internal/lp"
@@ -212,12 +213,12 @@ func Arrow(n *Network, scs []RestorableScenario, opts *ArrowOptions) (*Allocatio
 		return nil, err
 	}
 	endP1 := opts.profiler().Stage("te.phase1")
-	winners, p1stats, err := arrowPhase1Dispatch(n, scs, opts)
+	winners, p1stats, like, err := phase1Winners(n, scs, opts)
 	endP1()
 	if err != nil {
 		return nil, err
 	}
-	al, err := ArrowPhase2(n, scs, winners, opts)
+	al, err := arrowPhase2(n, scs, winners, opts, like)
 	if err != nil {
 		return nil, err
 	}
@@ -235,20 +236,21 @@ func Arrow(n *Network, scs []RestorableScenario, opts *ArrowOptions) (*Allocatio
 		}
 	}
 	if !allFirst {
-		fallback, err := ArrowPhase2(n, scs, make([]int, len(scs)), opts)
+		fallback, err := arrowPhase2(n, scs, make([]int, len(scs)), opts, like)
 		if err != nil {
 			return nil, err
 		}
 		if fallback.Objective > al.Objective+1e-9 {
 			al = fallback
-		} else if fallback.Objective > al.Objective-1e-9 && totalRestored(fallback) > totalRestored(al)+1e-9 {
+		} else if fallback.Objective > al.Objective-1e-9 && restoredTotal(scs, fallback.WinningTicket) > restoredTotal(scs, al.WinningTicket)+1e-9 {
 			// On a throughput tie, prefer the plan that revives more capacity:
 			// extra restored bandwidth can only improve delivery under failures.
 			al = fallback
 		}
 	}
-	// Phase I stats attach to whichever allocation survived the fallback
-	// comparison (the fallback's own Stats carry Phase II numbers only).
+	// The plan and Phase I stats attach to whichever allocation survived
+	// (the fallback's own Stats carry Phase II numbers only).
+	al.RestoredGbps = restoredPlan(scs, al.WinningTicket)
 	al.Stats.Phase1Vars = p1stats.Phase1Vars
 	al.Stats.Phase1Rows = p1stats.Phase1Rows
 	al.Stats.Phase1Iters = p1stats.Phase1Iters
@@ -258,11 +260,26 @@ func Arrow(n *Network, scs []RestorableScenario, opts *ArrowOptions) (*Allocatio
 	return al, nil
 }
 
-func totalRestored(al *Allocation) float64 {
+// restoredPlan is the RestoredGbps of the given winners.
+func restoredPlan(scs []RestorableScenario, winners []int) []map[int]float64 {
+	out := make([]map[int]float64, len(scs))
+	for qi := range scs {
+		out[qi] = map[int]float64{}
+		for _, link := range scs[qi].FailedLinks {
+			out[qi][link] = scs[qi].TicketGbps(winners[qi], link)
+		}
+	}
+	return out
+}
+
+// restoredTotal sums what restoredPlan(scs, winners) would hold.
+func restoredTotal(scs []RestorableScenario, winners []int) float64 {
 	t := 0.0
-	for _, plan := range al.RestoredGbps {
-		for _, g := range plan {
-			t += g
+	for qi := range scs {
+		for i, link := range scs[qi].FailedLinks {
+			if !slices.Contains(scs[qi].FailedLinks[:i], link) {
+				t += scs[qi].TicketGbps(winners[qi], link)
+			}
 		}
 	}
 	return t
@@ -309,7 +326,7 @@ func ArrowNaive(n *Network, scs []RestorableScenario, opts *ArrowOptions) (*Allo
 // identical surviving+restorable tunnel sets, which collapses the common
 // case where every ticket restores some capacity on every link.
 func ArrowPhase1(n *Network, scs []RestorableScenario, opts *ArrowOptions) ([]int, error) {
-	winners, _, err := arrowPhase1Dispatch(n, scs, opts)
+	winners, _, _, err := phase1Winners(n, scs, opts)
 	return winners, err
 }
 
@@ -323,13 +340,14 @@ type phase1Master struct {
 	iters   int
 }
 
-// arrowPhase1Dispatch routes Phase I to the column-generation restricted
-// master (the default) or the full up-front enumeration (NoColgen), picks
-// the winners at the solved master and reports its size and pivots.
-func arrowPhase1Dispatch(n *Network, scs []RestorableScenario, opts *ArrowOptions) ([]int, SolveStats, error) {
+// phase1Winners routes Phase I to the column-generation restricted master
+// (the default) or the full up-front enumeration (NoColgen), picks the
+// winners at the solved master and reports its size and pivots. It returns
+// the master, its model back in the pool, for Phase II to build on.
+func phase1Winners(n *Network, scs []RestorableScenario, opts *ArrowOptions) ([]int, SolveStats, *baseModel, error) {
 	for qi := range scs {
 		if len(scs[qi].Tickets) == 0 {
-			return nil, SolveStats{}, fmt.Errorf("te: arrow: scenario %d has no tickets", qi)
+			return nil, SolveStats{}, nil, fmt.Errorf("te: arrow: scenario %d has no tickets", qi)
 		}
 	}
 	solve := arrowPhase1Full
@@ -338,10 +356,12 @@ func arrowPhase1Dispatch(n *Network, scs []RestorableScenario, opts *ArrowOption
 	}
 	pm, err := solve(n, scs, opts)
 	if err != nil {
-		return nil, SolveStats{}, err
+		return nil, SolveStats{}, nil, err
 	}
 	stats := SolveStats{Phase1Vars: pm.bm.m.NumVars(), Phase1Rows: pm.bm.m.NumConstrs(), Phase1Iters: pm.iters}
-	return pickWinners(scs, pm.refLoad, pm.sol.X), stats, nil
+	winners := pickWinners(scs, pm.refLoad, pm.sol.X)
+	modelPool.Put(pm.bm.m)
+	return winners, stats, pm.bm, nil
 }
 
 // arrowPhase1Full solves Phase I on the full enumeration: every ticket's
@@ -363,10 +383,10 @@ func arrowPhase1Full(n *Network, scs []RestorableScenario, opts *ArrowOptions) (
 	// relaxation column u in [0, alpha*totalR]): identical formulations are
 	// what make the two modes' masters — and their peak column counts —
 	// directly comparable.
+	sc := new(splitScratch)
 	for qi := range scs {
-		q := &scs[qi]
-		for z := range q.Tickets {
-			blk := buildTicketBlock(n, q, z, bm)
+		for z := range scs[qi].Tickets {
+			blk := sc.ticketBlock(n, &scs[qi], z, bm)
 			appendTicketBlock(bm, nil, qi, z, &blk, alpha, coverSeen)
 		}
 	}
@@ -426,12 +446,24 @@ func arrowPhase1Full(n *Network, scs []RestorableScenario, opts *ArrowOptions) (
 // matrices: 2,157-2,366 pivots from it, 2,300-2,509 cold, 345-427 from
 // all-slack, same optimum). A dual simplex would turn that around.
 func ArrowPhase2(n *Network, scs []RestorableScenario, winners []int, opts *ArrowOptions) (*Allocation, error) {
+	al, err := arrowPhase2(n, scs, winners, opts, nil)
+	if err != nil {
+		return nil, err
+	}
+	al.RestoredGbps = restoredPlan(scs, winners)
+	return al, nil
+}
+
+// arrowPhase2 is ArrowPhase2 on like's layout (see baseModelLike) without
+// RestoredGbps, which Arrow builds for the allocation it keeps.
+func arrowPhase2(n *Network, scs []RestorableScenario, winners []int, opts *ArrowOptions, like *baseModel) (*Allocation, error) {
 	if len(winners) != len(scs) {
 		return nil, fmt.Errorf("te: arrow phase 2: %d winners for %d scenarios", len(winners), len(scs))
 	}
 	defer opts.profiler().Stage("te.phase2")()
-	bm := newBaseModel("arrow-phase2", n)
-	var row lp.Expr // every row is built here: AddConstr copies its terms
+	bm := baseModelLike("arrow-phase2", n, like)
+	row := bm.row
+	sc := new(splitScratch)
 	for qi := range scs {
 		q := &scs[qi]
 		if winners[qi] < 0 || winners[qi] >= len(q.Tickets) {
@@ -440,7 +472,7 @@ func ArrowPhase2(n *Network, scs []RestorableScenario, winners []int, opts *Arro
 		z := winners[qi]
 		restored := func(link int) float64 { return q.TicketGbps(z, link) }
 		// Constraint (10).
-		failed := bm.eachTouched(n, q, restored, func(s tunnelSplit) {
+		failed := bm.eachTouched(n, q, restored, sc, func(s tunnelSplit) {
 			if e, ok := bm.coverExpr(row[:0], s); ok {
 				bm.m.AddConstr(e, lp.GE, 0, fmt.Sprintf("p2cover_f%d_q%d", s.f, qi))
 				row = e
@@ -450,7 +482,9 @@ func ArrowPhase2(n *Network, scs []RestorableScenario, winners []int, opts *Arro
 		for _, link := range q.FailedLinks {
 			if load := bm.restorableLoad(row[:0], n, link, failed, restored); len(load) > 0 {
 				c := bm.m.AddConstr(load, lp.LE, restored(link), fmt.Sprintf("p2cap_e%d_q%d", link, qi))
-				bm.capRows = append(bm.capRows, CapRow{Link: link, Scenario: qi, Constr: c})
+				if opts.captureSensitivity() {
+					bm.capRows = append(bm.capRows, CapRow{Link: link, Scenario: qi, Constr: c})
+				}
 				row = load
 			}
 		}
@@ -487,21 +521,15 @@ func ArrowPhase2(n *Network, scs []RestorableScenario, winners []int, opts *Arro
 	if err != nil {
 		return nil, err
 	}
-	if opts.captureSensitivity() && sol != nil {
+	if opts.captureSensitivity() {
 		al.Sens = &SensitivityHandle{
 			Model: bm.m, Basis: sol.Basis, Duals: sol.Duals,
 			Objective: sol.Objective, CapRows: bm.capRows,
 			BVars: bm.b, AVars: bm.a,
 		}
+	} else {
+		modelPool.Put(bm.m)
 	}
 	al.WinningTicket = append([]int(nil), winners...)
-	al.RestoredGbps = make([]map[int]float64, len(scs))
-	for qi := range scs {
-		plan := map[int]float64{}
-		for _, link := range scs[qi].FailedLinks {
-			plan[link] = scs[qi].TicketGbps(winners[qi], link)
-		}
-		al.RestoredGbps[qi] = plan
-	}
 	return al, nil
 }

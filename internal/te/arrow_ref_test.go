@@ -57,7 +57,7 @@ func refBuildTicketBlock(n *Network, q *RestorableScenario, z int, bm *baseModel
 			e = e.Plus(1, bm.a[f][ti])
 		}
 		e = e.Plus(-1, bm.b[f])
-		blk.covers = append(blk.covers, p1Cover{f: f, key: fmt.Sprint(res, rst), expr: e})
+		blk.covers = append(blk.covers, p1Cover{f: f, key: string(coverKey(nil, len(n.Tunnels[f]), res, rst)), expr: e})
 	}
 
 	for _, link := range q.FailedLinks {

@@ -3,9 +3,24 @@ package te
 import (
 	"fmt"
 	"slices"
+	"strconv"
 
 	"github.com/arrow-te/arrow/internal/lp"
+	"github.com/arrow-te/arrow/internal/pool"
 )
+
+// modelPool hands TE models from one solve to the next (DESIGN.md, "ARROW's
+// builders"): each goes back once its solve's answer is read off it, except
+// the Phase II model Allocation.Sens keeps.
+var modelPool pool.Free[lp.Model]
+
+func newModel(name string, maximize bool) *lp.Model {
+	m := modelPool.Get()
+	m.Reset()
+	m.SetName(name)
+	m.SetMaximize(maximize)
+	return m
+}
 
 // baseModel holds the LP variables shared by every scheme: a_{f,t} and b_f,
 // with the standard constraints (1)-(3) of Table 2 already added.
@@ -21,48 +36,85 @@ type baseModel struct {
 	// each once however often it revisits e: the incidence the ARROW
 	// builders read instead of rescanning flows x tunnels x links.
 	cross [][]tunnelRef
+	row   lp.Expr // the scratch every row is assembled in; AddConstr copies it
 }
 
 // tunnelRef names flow f's ti-th tunnel.
 type tunnelRef struct{ f, ti int }
 
-// newBaseModel builds the common part of all TE LPs:
+// newBaseModel builds the common part of all TE LPs in a pooled model:
 //
 //	maximise sum_f b_f
 //	(1) forall f: sum_t a_{f,t} >= b_f
 //	(2) forall e: sum_{f,t} a_{f,t} L[t,e] <= c_e
 //	(3) forall f: 0 <= b_f <= d_f
-func newBaseModel(name string, n *Network) *baseModel {
-	m := lp.NewModel(name)
-	m.SetMaximize(true)
-	bm := &baseModel{m: m, a: make([][]lp.Var, len(n.Flows)), b: make([]lp.Var, len(n.Flows)), cross: make([][]tunnelRef, len(n.LinkCap))}
+func newBaseModel(name string, n *Network) *baseModel { return baseModelLike(name, n, nil) }
 
-	linkLoad := make([]lp.Expr, len(n.LinkCap))
-	for f := range n.Flows {
-		bm.b[f] = m.AddVar(0, n.Flows[f].Demand, 1, fmt.Sprintf("b_f%d", f)) // (3)
-		bm.a[f] = make([]lp.Var, len(n.Tunnels[f]))
-		var cover lp.Expr
-		for ti, t := range n.Tunnels[f] {
-			v := m.AddVar(0, lp.Inf, 0, fmt.Sprintf("a_f%d_t%d", f, ti))
-			bm.a[f][ti] = v
-			cover = cover.Plus(1, v)
-			for _, e := range t.Links {
-				linkLoad[e] = linkLoad[e].Plus(1, v)
-				if c := bm.cross[e]; len(c) == 0 || c[len(c)-1] != (tunnelRef{f, ti}) {
-					bm.cross[e] = append(c, tunnelRef{f, ti})
-				}
+// baseModelLike is newBaseModel on like's variable handles and incidence
+// (nil: its own): every base model of n numbers b_f, then f's a_{f,t}, flow
+// by flow, so Arrow works them out once for its three models.
+func baseModelLike(name string, n *Network, like *baseModel) *baseModel {
+	if like == nil {
+		like = &baseModel{a: make([][]lp.Var, len(n.Flows)), b: make([]lp.Var, len(n.Flows)), cross: crossOf(n)}
+		v := lp.Var(0)
+		for f, ts := range n.Tunnels {
+			like.b[f], like.a[f] = v, make([]lp.Var, len(ts))
+			for ti := range ts {
+				v++
+				like.a[f][ti] = v
 			}
+			v++
 		}
-		cover = cover.Plus(-1, bm.b[f])
-		m.AddConstr(cover, lp.GE, 0, fmt.Sprintf("cover_f%d", f)) // (1)
 	}
-	for e, expr := range linkLoad {
-		if len(expr) > 0 {
-			c := m.AddConstr(expr, lp.LE, n.LinkCap[e], fmt.Sprintf("cap_e%d", e)) // (2)
+	m := newModel(name, true)
+	bm := &baseModel{m: m, a: like.a, b: like.b, cross: like.cross}
+	for f := range n.Flows {
+		m.AddVar(0, n.Flows[f].Demand, 1, "") // b_f, (3)
+		bm.row = bm.row[:0]
+		for _, v := range bm.a[f] {
+			m.AddVar(0, lp.Inf, 0, "")
+			bm.row = bm.row.Plus(1, v)
+		}
+		bm.row = bm.row.Plus(-1, bm.b[f])
+		m.AddConstr(bm.row, lp.GE, 0, "") // (1)
+	}
+	for e, refs := range bm.cross {
+		if len(refs) > 0 {
+			bm.row = capRow(bm.row[:0], n, e, refs, bm.a)
+			c := m.AddConstr(bm.row, lp.LE, n.LinkCap[e], "cap_e"+strconv.Itoa(e)) // (2)
 			bm.capRows = append(bm.capRows, CapRow{Link: e, Scenario: -1, Constr: c})
 		}
 	}
 	return bm
+}
+
+// crossOf returns n's tunnel-link incidence (baseModel.cross).
+func crossOf(n *Network) [][]tunnelRef {
+	cross := make([][]tunnelRef, len(n.LinkCap))
+	for f, ts := range n.Tunnels {
+		for ti, t := range ts {
+			for _, e := range t.Links {
+				if c := cross[e]; len(c) == 0 || c[len(c)-1] != (tunnelRef{f, ti}) {
+					cross[e] = append(c, tunnelRef{f, ti})
+				}
+			}
+		}
+	}
+	return cross
+}
+
+// capRow appends to dst constraint (2)'s load on link e off refs = cross[e]:
+// a tunnel's a_{f,t} once per crossing, which AddConstr sums into the
+// tunnel's multiplicity on e.
+func capRow(dst lp.Expr, n *Network, e int, refs []tunnelRef, a [][]lp.Var) lp.Expr {
+	for _, c := range refs {
+		for _, l := range n.Tunnels[c.f][c.ti].Links {
+			if l == e {
+				dst = dst.Plus(1, a[c.f][c.ti])
+			}
+		}
+	}
+	return dst
 }
 
 // tunnelSplit is how one scenario and ticket split flow f's tunnels: res
@@ -72,13 +124,24 @@ type tunnelSplit struct {
 	res, rst []int
 }
 
+// splitScratch is eachTouched's working memory, one per scan (a scenario's
+// tickets, a Phase II model); colgen's workers take theirs from splitPool.
+type splitScratch struct {
+	failed, touched []bool
+	res, rst        []int
+	key             []byte // coverKey's
+}
+
+var splitPool pool.Free[splitScratch]
+
 // eachTouched calls visit, ascending f, with the split of every flow that
 // some failed link of q touches under the given per-link restoration, and
 // returns q's failedSet. Every other flow keeps all its tunnels and adds no
-// row to any ARROW model. The split's slices are reused between visits.
-func (bm *baseModel) eachTouched(n *Network, q *RestorableScenario, restored func(link int) float64, visit func(tunnelSplit)) []bool {
-	failed := failedSet(n, q.FailedLinks)
-	touched := make([]bool, len(n.Flows))
+// row to any ARROW model. The split and the mask are sc's.
+func (bm *baseModel) eachTouched(n *Network, q *RestorableScenario, restored func(link int) float64, sc *splitScratch, visit func(tunnelSplit)) []bool {
+	failed := failedInto(sc.failed, n, q.FailedLinks)
+	touched := append(sc.touched[:0], make([]bool, len(n.Flows))...)
+	sc.failed, sc.touched = failed, touched
 	for e, down := range failed {
 		if down {
 			for _, c := range bm.cross[e] {
@@ -86,18 +149,17 @@ func (bm *baseModel) eachTouched(n *Network, q *RestorableScenario, restored fun
 			}
 		}
 	}
-	var res, rst []int
 	for f, hit := range touched {
 		if hit {
-			res, rst = res[:0], rst[:0]
+			sc.res, sc.rst = sc.res[:0], sc.rst[:0]
 			for ti, t := range n.Tunnels[f] {
 				if !slices.ContainsFunc(t.Links, func(e int) bool { return failed[e] }) {
-					res = append(res, ti)
+					sc.res = append(sc.res, ti)
 				} else if restorable(t, failed, restored) {
-					rst = append(rst, ti)
+					sc.rst = append(sc.rst, ti)
 				}
 			}
-			visit(tunnelSplit{f, res, rst})
+			visit(tunnelSplit{f, sc.res, sc.rst})
 		}
 	}
 	return failed
@@ -197,13 +259,16 @@ func solveFromSlack(m *lp.Model, opts *lp.Options) (*lp.Solution, error) {
 	return sol, nil
 }
 
-// solve runs a baseline model through solveFromSlack.
+// solve runs a baseline model through solveFromSlack and returns the model
+// to the pool.
 func (bm *baseModel) solve(n *Network, opts *lp.Options) (*Allocation, error) {
 	sol, err := solveFromSlack(bm.m, opts)
 	if err != nil {
 		return nil, err
 	}
-	return bm.extract(n, sol), nil
+	al := bm.extract(n, sol)
+	modelPool.Put(bm.m)
+	return al, nil
 }
 
 // solveLP solves one of ARROW's phase II models from the given basis (nil =
@@ -232,25 +297,25 @@ func MaxConcurrentScale(n *Network) (float64, error) {
 	if err := n.Validate(); err != nil {
 		return 0, err
 	}
-	m := lp.NewModel("max-concurrent")
-	m.SetMaximize(true)
-	s := m.AddVar(0, lp.Inf, 1, "scale")
-	linkLoad := make([]lp.Expr, len(n.LinkCap))
+	m := newModel("max-concurrent", true)
+	defer modelPool.Put(m)
+	s := m.AddVar(0, lp.Inf, 1, "")
+	a := make([][]lp.Var, len(n.Flows))
+	var row lp.Expr
 	for f := range n.Flows {
-		var cover lp.Expr
-		for ti, t := range n.Tunnels[f] {
-			v := m.AddVar(0, lp.Inf, 0, fmt.Sprintf("a_f%d_t%d", f, ti))
-			cover = cover.Plus(1, v)
-			for _, e := range t.Links {
-				linkLoad[e] = linkLoad[e].Plus(1, v)
-			}
+		a[f] = make([]lp.Var, len(n.Tunnels[f]))
+		row = row[:0]
+		for ti := range n.Tunnels[f] {
+			a[f][ti] = m.AddVar(0, lp.Inf, 0, "")
+			row = row.Plus(1, a[f][ti])
 		}
-		cover = cover.Plus(-n.Flows[f].Demand, s)
-		m.AddConstr(cover, lp.GE, 0, fmt.Sprintf("cover_f%d", f))
+		row = row.Plus(-n.Flows[f].Demand, s)
+		m.AddConstr(row, lp.GE, 0, "")
 	}
-	for e, expr := range linkLoad {
-		if len(expr) > 0 {
-			m.AddConstr(expr, lp.LE, n.LinkCap[e], fmt.Sprintf("cap_e%d", e))
+	for e, refs := range crossOf(n) {
+		if len(refs) > 0 {
+			row = capRow(row[:0], n, e, refs, a)
+			m.AddConstr(row, lp.LE, n.LinkCap[e], "")
 		}
 	}
 	sol, err := lp.Solve(m, nil)

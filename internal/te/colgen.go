@@ -36,16 +36,22 @@ type loadKey struct{ qi, link int }
 // the link would see under full restoration). Evaluating each ticket
 // against per-ticket restorable sets would systematically favour tickets
 // that restore fewer links (their Y sets shrink, so their measured loads
-// shrink); a fixed reference keeps the comparison apples-to-apples.
+// shrink); a fixed reference keeps the comparison apples-to-apples. A link's
+// load is read off cross once, for every scenario that fails it.
 func buildRefLoads(scs []RestorableScenario, bm *baseModel) map[loadKey]lp.Expr {
 	refLoad := map[loadKey]lp.Expr{}
+	byLink := make([]lp.Expr, len(bm.cross))
 	for qi := range scs {
 		for _, link := range scs[qi].FailedLinks {
 			var load lp.Expr
 			if link >= 0 && link < len(bm.cross) {
-				for _, c := range bm.cross[link] {
-					load = load.Plus(1, bm.a[c.f][c.ti])
+				if refs := bm.cross[link]; byLink[link] == nil && len(refs) > 0 {
+					byLink[link] = make(lp.Expr, 0, len(refs))
+					for _, c := range refs {
+						byLink[link] = byLink[link].Plus(1, bm.a[c.f][c.ti])
+					}
 				}
+				load = byLink[link]
 			}
 			refLoad[loadKey{qi, link}] = load
 		}
@@ -63,7 +69,7 @@ func newCoverSeen(n *Network) []map[string]bool {
 
 // p1Cover is one constraint (4) row of a ticket block: residual plus
 // restorable tunnels of flow f cover b_f. The key identifies the
-// surviving+restorable tunnel set for cross-block deduplication.
+// surviving+restorable tunnel set for cross-block deduplication (coverKey).
 type p1Cover struct {
 	f    int
 	key  string
@@ -79,17 +85,31 @@ type p1Block struct {
 	totalR float64
 }
 
-// buildTicketBlock computes ticket (q, z)'s constraint block against the
-// shared base-model variables. Pure (no model mutation), so blocks can be
-// precomputed in parallel and priced repeatedly without rebuilding.
-func buildTicketBlock(n *Network, q *RestorableScenario, z int, bm *baseModel) p1Block {
+// coverKey writes into buf a cover row's dedup key: its residual and
+// restorable sets as two tunnelSets as wide as the flow's, one after the other.
+func coverKey(buf []byte, tunnels int, res, rst []int) []byte {
+	w := (tunnels + 7) / 8
+	buf = append(buf[:0], make([]byte, 2*w)...)
+	for i, set := range [2][]int{res, rst} {
+		for _, ti := range set {
+			tunnelSet(buf[i*w:]).add(ti)
+		}
+	}
+	return buf
+}
+
+// ticketBlock computes ticket (q, z)'s constraint block against the shared
+// base-model variables. Pure (no model mutation), so blocks can be
+// precomputed in parallel, a scratch per worker, and priced repeatedly.
+func (sc *splitScratch) ticketBlock(n *Network, q *RestorableScenario, z int, bm *baseModel) p1Block {
 	restored := func(link int) float64 { return q.TicketGbps(z, link) }
 	var blk p1Block
 	rst := 0
-	failed := bm.eachTouched(n, q, restored, func(s tunnelSplit) {
+	failed := bm.eachTouched(n, q, restored, sc, func(s tunnelSplit) {
 		rst += len(s.rst)
 		if e, ok := bm.coverExpr(nil, s); ok {
-			blk.covers = append(blk.covers, p1Cover{f: s.f, key: fmt.Sprint(s.res, s.rst), expr: e})
+			sc.key = coverKey(sc.key, len(n.Tunnels[s.f]), s.res, s.rst)
+			blk.covers = append(blk.covers, p1Cover{f: s.f, key: string(sc.key), expr: e})
 		}
 	})
 	if rst > 0 { // each restorable tunnel loads at least one failed link
@@ -170,11 +190,11 @@ func setCanonicalObjective(bm *baseModel, scs []RestorableScenario, refLoad map[
 			}
 		}
 	}
-	var lock lp.Expr
+	bm.row = bm.row[:0]
 	for _, b := range bm.b {
-		lock = lock.Plus(1, b)
+		bm.row = bm.row.Plus(1, b)
 	}
-	bm.m.AddConstr(lock, lp.GE, primalObj, "p1lock")
+	bm.m.AddConstr(bm.row, lp.GE, primalObj, "p1lock")
 	for _, b := range bm.b {
 		bm.m.SetObj(b, 0)
 	}
@@ -228,12 +248,11 @@ func solveCanonical(bm *baseModel, warm *lp.Basis, opts *ArrowOptions) (*lp.Solu
 // master. Cover rows dedup against coverSeen exactly as the full
 // enumeration does. The aggregate slack row is written in delta-column
 // form — totalLoad - u <= totalR with a fresh relaxation column
-// u in [0, alpha*totalR] appended via AppendColumn — which is feasibly
-// identical to the enumerated (1+alpha)*totalR row but grows the model
-// column-wise so the warm basis extends in place (new rows slack-basic, the
-// new column nonbasic at zero). Returns the number of columns appended
-// (0 or 1).
-func appendTicketBlock(bm *baseModel, basis *lp.Basis, qi, z int, blk *p1Block, alpha float64, coverSeen []map[string]bool) int {
+// u in [0, alpha*totalR], added before the row that ends in it — which is
+// feasibly identical to the enumerated (1+alpha)*totalR row but grows the
+// model column-wise so the warm basis extends in place (new rows
+// slack-basic, the new column nonbasic at zero).
+func appendTicketBlock(bm *baseModel, basis *lp.Basis, qi, z int, blk *p1Block, alpha float64, coverSeen []map[string]bool) {
 	for _, cv := range blk.covers {
 		if coverSeen[cv.f][cv.key] {
 			continue
@@ -241,16 +260,14 @@ func appendTicketBlock(bm *baseModel, basis *lp.Basis, qi, z int, blk *p1Block, 
 		coverSeen[cv.f][cv.key] = true
 		bm.m.AddConstr(cv.expr, lp.GE, 0, fmt.Sprintf("p1cover_f%d_q%d_z%d", cv.f, qi, z))
 	}
-	if len(blk.load) == 0 {
-		if basis != nil {
-			basis.ExtendTo(bm.m)
-		}
-		return 0
+	if len(blk.load) > 0 {
+		u := bm.m.AddVar(0, alpha*blk.totalR, 0, "")
+		bm.row = append(append(bm.row[:0], blk.load...), lp.Term{Var: u, Coef: -1})
+		bm.m.AddConstr(bm.row, lp.LE, blk.totalR, fmt.Sprintf("p1slack_q%d_z%d", qi, z))
 	}
-	c := bm.m.AddConstr(blk.load, lp.LE, blk.totalR, fmt.Sprintf("p1slack_q%d_z%d", qi, z))
-	bm.m.AppendColumn(basis, 0, alpha*blk.totalR, 0,
-		fmt.Sprintf("p1relax_q%d_z%d", qi, z), []lp.ColumnEntry{{Constr: c, Coef: -1}})
-	return 1
+	if basis != nil {
+		basis.ExtendTo(bm.m)
+	}
 }
 
 // blockViolation is the pricing measure of a deferred block at the current
@@ -297,10 +314,11 @@ func arrowPhase1Colgen(n *Network, scs []RestorableScenario, opts *ArrowOptions)
 	ctx := context.Background()
 	workers := opts.parallelism()
 	blocks, err := par.Map(ctx, workers, len(scs), func(_ context.Context, qi int) ([]p1Block, error) {
-		q := &scs[qi]
+		q, sc := &scs[qi], splitPool.Get()
+		defer splitPool.Put(sc)
 		out := make([]p1Block, len(q.Tickets))
 		for z := range q.Tickets {
-			out[z] = buildTicketBlock(n, q, z, bm)
+			out[z] = sc.ticketBlock(n, q, z, bm)
 		}
 		return out, nil
 	})

@@ -1,10 +1,6 @@
 package te
 
-import (
-	"fmt"
-
-	"github.com/arrow-te/arrow/internal/lp"
-)
+import "github.com/arrow-te/arrow/internal/lp"
 
 // ECMP models equal-cost multi-path routing [21]: each flow splits its
 // admitted bandwidth equally across all of its tunnels, with no failure
@@ -17,12 +13,11 @@ func (bl Baselines) ECMP(n *Network) (*Allocation, error) {
 	if err := n.Validate(); err != nil {
 		return nil, err
 	}
-	m := lp.NewModel("ecmp")
-	m.SetMaximize(true)
+	m := newModel("ecmp", true)
 	b := make([]lp.Var, len(n.Flows))
 	linkLoad := make([]lp.Expr, len(n.LinkCap))
 	for f, fl := range n.Flows {
-		b[f] = m.AddVar(0, fl.Demand, 1, fmt.Sprintf("b_f%d", f))
+		b[f] = m.AddVar(0, fl.Demand, 1, "")
 		share := 1.0 / float64(len(n.Tunnels[f]))
 		for _, t := range n.Tunnels[f] {
 			for _, e := range t.Links {
@@ -32,13 +27,14 @@ func (bl Baselines) ECMP(n *Network) (*Allocation, error) {
 	}
 	for e, expr := range linkLoad {
 		if len(expr) > 0 {
-			m.AddConstr(expr, lp.LE, n.LinkCap[e], fmt.Sprintf("cap_e%d", e))
+			m.AddConstr(expr, lp.LE, n.LinkCap[e], "")
 		}
 	}
 	sol, err := solveFromSlack(m, bl.LP)
 	if err != nil {
 		return nil, err
 	}
+	defer modelPool.Put(m)
 	al := &Allocation{
 		B:         make([]float64, len(n.Flows)),
 		A:         make([][]float64, len(n.Flows)),

@@ -71,6 +71,29 @@ func KernelSolves(n *Network, scs []RestorableScenario, ffc1, plain []FailureSce
 	return out, nil
 }
 
+// buildTicketBlock is one ticket's block built in a scratch of its own, for
+// the tests that take blocks one at a time.
+func buildTicketBlock(n *Network, q *RestorableScenario, z int, bm *baseModel) p1Block {
+	return new(splitScratch).ticketBlock(n, q, z, bm)
+}
+
+// arrowPhase1Dispatch is phase1Winners without the master it leaves.
+func arrowPhase1Dispatch(n *Network, scs []RestorableScenario, opts *ArrowOptions) ([]int, SolveStats, error) {
+	winners, stats, _, err := phase1Winners(n, scs, opts)
+	return winners, stats, err
+}
+
+// totalRestored is the capacity al's restoration plan revives in all.
+func totalRestored(al *Allocation) float64 {
+	t := 0.0
+	for _, plan := range al.RestoredGbps {
+		for _, g := range plan {
+			t += g
+		}
+	}
+	return t
+}
+
 // The ARROW checks of arrow_ref_test.go and arrow_equiv_test.go, for the
 // tests that need an eval pipeline to build their instance.
 var (

@@ -1,10 +1,6 @@
 package te
 
-import (
-	"fmt"
-
-	"github.com/arrow-te/arrow/internal/lp"
-)
+import "github.com/arrow-te/arrow/internal/lp"
 
 // FFC solves Forward Fault Correction [63] extended to fiber cuts as in §6:
 // the allocation must guarantee b_f for every scenario in scs (typically all
@@ -39,13 +35,14 @@ func (bl Baselines) FFC(n *Network, scs []FailureScenario) (*Allocation, error) 
 // guarantee is vacuous, and pre-emptively zeroing the flow would punish it
 // in every OTHER scenario too.
 func addResidualGuarantees(bm *baseModel, n *Network, scs []FailureScenario) {
-	rc := classifyResiduals(n, scs)
+	rc := classifyResiduals(n, scs, false)
 	for f, sets := range rc.sets {
 		for c, set := range sets {
 			if c == 0 || set.empty() || !minimalAmong(sets, c) {
 				continue
 			}
-			bm.m.AddConstr(set.sumOf(bm.a[f]).Plus(-1, bm.b[f]), lp.GE, 0, fmt.Sprintf("ffc_f%d_r%d", f, c))
+			bm.row = set.sumOf(bm.row[:0], bm.a[f]).Plus(-1, bm.b[f])
+			bm.m.AddConstr(bm.row, lp.GE, 0, "")
 		}
 	}
 }

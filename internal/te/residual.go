@@ -10,16 +10,15 @@ func (s tunnelSet) has(ti int) bool { return s[ti>>3]&(1<<(ti&7)) != 0 }
 func (s tunnelSet) add(ti int)      { s[ti>>3] |= 1 << (ti & 7) }
 func (s tunnelSet) remove(ti int)   { s[ti>>3] &^= 1 << (ti & 7) }
 
-// sumOf returns the sum of the set's tunnels' variables, a being the flow's
-// a_{f,t} in tunnel order.
-func (s tunnelSet) sumOf(a []lp.Var) lp.Expr {
-	var e lp.Expr
+// sumOf appends to dst the sum of the set's tunnels' variables, a being the
+// flow's a_{f,t} in tunnel order.
+func (s tunnelSet) sumOf(dst lp.Expr, a []lp.Var) lp.Expr {
 	for ti, v := range a {
 		if s.has(ti) {
-			e = e.Plus(1, v)
+			dst = dst.Plus(1, v)
 		}
 	}
-	return e
+	return dst
 }
 
 func (s tunnelSet) empty() bool {
@@ -51,16 +50,17 @@ type residualClasses struct {
 	// order, after sets[f][0], which is always the full tunnel set (what
 	// the healthy state and every scenario that cuts no tunnel of f leave).
 	sets [][]tunnelSet
-	// class[f][qi] indexes sets[f] with scenario qi's residual set.
+	// class[f][qi] indexes sets[f] with scenario qi's residual set; only
+	// TeaVaR reads it, so only TeaVaR has it filled.
 	class [][]int
 }
 
-// classifyResiduals computes every scenario's failed-link mask once and
-// files each (flow, scenario) under its residual set.
-func classifyResiduals(n *Network, scs []FailureScenario) *residualClasses {
-	rc := &residualClasses{
-		sets:  make([][]tunnelSet, len(n.Flows)),
-		class: make([][]int, len(n.Flows)),
+// classifyResiduals computes every scenario's failed-link mask, in one
+// buffer, and files each (flow, scenario) under its residual set.
+func classifyResiduals(n *Network, scs []FailureScenario, withClass bool) *residualClasses {
+	rc := &residualClasses{sets: make([][]tunnelSet, len(n.Flows))}
+	if withClass {
+		rc.class = make([][]int, len(n.Flows))
 	}
 	index := make([]map[string]int, len(n.Flows))
 	for f := range n.Flows {
@@ -69,15 +69,18 @@ func classifyResiduals(n *Network, scs []FailureScenario) *residualClasses {
 			full.add(ti)
 		}
 		rc.sets[f] = []tunnelSet{full}
-		rc.class[f] = make([]int, len(scs))
+		if withClass {
+			rc.class[f] = make([]int, len(scs))
+		}
 		index[f] = map[string]int{string(full): 0}
 	}
 	// One scratch set serves every lookup (residualTunnels would allocate
 	// per flow and scenario, and FFC-2's list runs to thousands of scenarios);
 	// only a set seen for the first time is copied.
 	var set tunnelSet
+	var failed []bool
 	for qi, q := range scs {
-		failed := failedSet(n, q.FailedLinks)
+		failed = failedInto(failed, n, q.FailedLinks)
 		for f := range n.Flows {
 			set = append(set[:0], rc.sets[f][0]...)
 			for ti, t := range n.Tunnels[f] {
@@ -94,7 +97,9 @@ func classifyResiduals(n *Network, scs []FailureScenario) *residualClasses {
 				rc.sets[f] = append(rc.sets[f], append(tunnelSet(nil), set...))
 				index[f][string(set)] = c
 			}
-			rc.class[f][qi] = c
+			if withClass {
+				rc.class[f][qi] = c
+			}
 		}
 	}
 	return rc

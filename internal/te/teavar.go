@@ -63,6 +63,7 @@ func (bl Baselines) TeaVaR(n *Network, scs []FailureScenario, opts *TeaVaROption
 	if err != nil {
 		return nil, err
 	}
+	defer modelPool.Put(m)
 
 	al := &Allocation{
 		B: make([]float64, len(n.Flows)),
@@ -82,7 +83,7 @@ func (bl Baselines) TeaVaR(n *Network, scs []FailureScenario, opts *TeaVaROption
 }
 
 // teavarModel builds TeaVaR's LP for a network with positive total demand
-// and returns it with the tunnel-reservation variables a[f][t].
+// and returns it (pooled) with the tunnel-reservation variables a[f][t].
 //
 // s_f^q enters only >= rows with non-negative coefficients and has a
 // non-positive cost, so its optimum is min(d_f, sum_{t in T_f^q} a_{f,t}),
@@ -112,28 +113,24 @@ func teavarModel(n *Network, scs []FailureScenario, beta, tie float64) (*lp.Mode
 	}
 
 	D := n.TotalDemand()
-	m := lp.NewModel("teavar")
-	// Minimisation problem.
+	m := newModel("teavar", false)
 	a := make([][]lp.Var, len(n.Flows))
-	linkLoad := make([]lp.Expr, len(n.LinkCap))
 	for f := range n.Flows {
 		a[f] = make([]lp.Var, len(n.Tunnels[f]))
-		for ti, t := range n.Tunnels[f] {
-			v := m.AddVar(0, lp.Inf, 0, fmt.Sprintf("a_f%d_t%d", f, ti))
-			a[f][ti] = v
-			for _, e := range t.Links {
-				linkLoad[e] = linkLoad[e].Plus(1, v)
-			}
+		for ti := range n.Tunnels[f] {
+			a[f][ti] = m.AddVar(0, lp.Inf, 0, "")
 		}
 	}
-	for e, expr := range linkLoad {
-		if len(expr) > 0 {
-			m.AddConstr(expr, lp.LE, n.LinkCap[e], fmt.Sprintf("cap_e%d", e))
+	var row lp.Expr
+	for e, refs := range crossOf(n) {
+		if len(refs) > 0 {
+			row = capRow(row[:0], n, e, refs, a)
+			m.AddConstr(row, lp.LE, n.LinkCap[e], "")
 		}
 	}
-	theta := m.AddVar(-lp.Inf, lp.Inf, 1, "theta")
+	theta := m.AddVar(-lp.Inf, lp.Inf, 1, "")
 
-	rc := classifyResiduals(n, scens)
+	rc := classifyResiduals(n, scens, true)
 	s := make([][]lp.Var, len(n.Flows))
 	for f, sets := range rc.sets {
 		s[f] = make([]lp.Var, len(sets))
@@ -146,22 +143,23 @@ func teavarModel(n *Network, scs []FailureScenario, beta, tie float64) (*lp.Mode
 			if c == 0 {
 				obj = -tie / D // tie-break toward healthy throughput
 			}
-			s[f][c] = m.AddVar(0, n.Flows[f].Demand, obj, fmt.Sprintf("s_f%d_r%d", f, c))
-			m.AddConstr(set.sumOf(a[f]).Plus(-1, s[f][c]), lp.GE, 0, fmt.Sprintf("sat_f%d_r%d", f, c))
+			s[f][c] = m.AddVar(0, n.Flows[f].Demand, obj, "")
+			row = set.sumOf(row[:0], a[f]).Plus(-1, s[f][c])
+			m.AddConstr(row, lp.GE, 0, "")
 		}
 	}
 	for qi, q := range scens {
-		u := m.AddVar(0, lp.Inf, q.Prob/totalP/(1-beta), fmt.Sprintf("u_q%d", qi))
+		u := m.AddVar(0, lp.Inf, q.Prob/totalP/(1-beta), "")
 		// loss_q - theta - u <= 0  with  loss_q = 1 - sum_f s_f/D:
 		// 1 - sum_f s_f/D - theta - u <= 0   =>   sum_f s_f/D + theta + u >= 1.
-		var lossExpr lp.Expr
+		row = row[:0]
 		for f := range n.Flows {
 			if sv := s[f][rc.class[f][qi]]; sv >= 0 {
-				lossExpr = lossExpr.Plus(1/D, sv)
+				row = row.Plus(1/D, sv)
 			}
 		}
-		lossExpr = lossExpr.Plus(1, theta).Plus(1, u)
-		m.AddConstr(lossExpr, lp.GE, 1, fmt.Sprintf("cvar_q%d", qi))
+		row = row.Plus(1, theta).Plus(1, u)
+		m.AddConstr(row, lp.GE, 1, "")
 	}
 	return m, a, nil
 }

@@ -265,8 +265,11 @@ func restorable(t Tunnel, failed []bool, restored func(link int) float64) bool {
 // failedSet returns the given failed links as a mask over n's link indices
 // (tunnels index the same space). A link outside it is one no tunnel can
 // cross and is ignored.
-func failedSet(n *Network, links []int) []bool {
-	m := make([]bool, len(n.LinkCap))
+func failedSet(n *Network, links []int) []bool { return failedInto(nil, n, links) }
+
+// failedInto is failedSet written over dst's memory.
+func failedInto(dst []bool, n *Network, links []int) []bool {
+	m := append(dst[:0], make([]bool, len(n.LinkCap))...)
 	for _, e := range links {
 		if e >= 0 && e < len(m) {
 			m[e] = true
