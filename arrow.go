@@ -367,7 +367,8 @@ type Demand struct {
 
 // SolveOptions configures the online TE solve.
 type SolveOptions struct {
-	// Alpha is the Phase I slack bound fraction (default 0.1).
+	// Alpha is the Phase I slack bound fraction (0 means the default, 0.1;
+	// a negative, NaN or infinite alpha is refused).
 	Alpha float64
 	// NaiveOnly skips Phase I and uses the optical-layer candidate for
 	// every scenario (the paper's Arrow-Naive baseline).
@@ -386,7 +387,7 @@ type TrafficPlan struct {
 // Solve runs ARROW's restoration-aware TE for the given demands. Tunnels
 // are selected automatically (fiber-disjoint first, then shortest paths).
 func (p *Planner) Solve(demands []Demand, opts SolveOptions) (*TrafficPlan, error) {
-	if math.IsNaN(opts.Alpha) || math.IsInf(opts.Alpha, 0) {
+	if opts.Alpha < 0 || math.IsNaN(opts.Alpha) || math.IsInf(opts.Alpha, 0) {
 		return nil, fmt.Errorf("arrow: invalid alpha %v", opts.Alpha)
 	}
 	net, err := p.buildTENetwork(demands)

@@ -172,7 +172,7 @@ func TestSolveRejectsBadDemand(t *testing.T) {
 			t.Errorf("Gbps %v: got %v, want an error naming demand 1", g, err)
 		}
 	}
-	for _, a := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+	for _, a := range []float64{-0.5, math.NaN(), math.Inf(1), math.Inf(-1)} {
 		_, err := planner.Solve([]Demand{{Src: 0, Dst: 1, Gbps: 50}}, SolveOptions{Alpha: a})
 		if err == nil || !strings.Contains(err.Error(), "arrow: invalid alpha") {
 			t.Errorf("Alpha %v: got %v, want an invalid-alpha error", a, err)

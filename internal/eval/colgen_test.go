@@ -3,6 +3,7 @@ package eval
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/arrow-te/arrow/internal/lp"
@@ -13,11 +14,12 @@ import (
 )
 
 // solveStandardArrow builds the standard B4 pipeline instance (the one
-// arrow-report -run uses) and solves the ARROW scheme
-// with the given colgen mode, worker count and recorder attached to the TE
-// solve only (the pipeline build stays unrecorded so counter comparisons
-// isolate the two-phase TE).
-func solveStandardArrow(t testing.TB, seed int64, workers int, noColgen bool, rec obs.Recorder) *te.Allocation {
+// arrow-report -run uses) and solves the ARROW scheme with the given worker
+// count and recorder attached to the TE solve only (the pipeline build
+// stays unrecorded so counter comparisons isolate the two-phase TE). With
+// fullEnum every ticket is seeded, so the column-generation master starts
+// as the full enumeration and prices nothing in.
+func solveStandardArrow(t testing.TB, seed int64, workers int, fullEnum bool, rec obs.Recorder) *te.Allocation {
 	t.Helper()
 	tp, err := topo.B4(seed + 5)
 	if err != nil {
@@ -36,11 +38,18 @@ func solveStandardArrow(t testing.TB, seed int64, workers int, noColgen bool, re
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := &te.ArrowOptions{NoColgen: noColgen, Parallelism: workers}
+	scs := pl.Scenarios
+	if fullEnum {
+		scs = slices.Clone(scs)
+		for qi := range scs {
+			scs[qi].Seeds = len(scs[qi].Tickets)
+		}
+	}
+	opts := &te.ArrowOptions{Parallelism: workers}
 	if rec != nil {
 		opts.LP = &lp.Options{Recorder: rec}
 	}
-	al, err := te.Arrow(base.Scaled(3), pl.Scenarios, opts)
+	al, err := te.Arrow(base.Scaled(3), scs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,13 +166,13 @@ func TestColgenCounters(t *testing.T) {
 func BenchmarkColgenVsFullEnum(b *testing.B) {
 	for _, mode := range []struct {
 		name     string
-		noColgen bool
+		fullEnum bool
 	}{{"colgen", false}, {"fullenum", true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			var al *te.Allocation
 			reg := obs.NewRegistry()
 			for i := 0; i < b.N; i++ {
-				al = solveStandardArrow(b, 1, 1, mode.noColgen, reg)
+				al = solveStandardArrow(b, 1, 1, mode.fullEnum, reg)
 			}
 			c := reg.Snapshot().Counters
 			b.ReportMetric(float64(c["te.phase1_pivot_work"])/float64(b.N), "p1work/op")

@@ -212,14 +212,11 @@ func Solve(m *lp.Model, opts *Options) (*Solution, error) {
 			pruned++
 			continue
 		}
-		var rel *lp.Solution
-		var err error
-		if opt.NoWarm || cur.basis == nil {
-			// Root node (or warm starts disabled): cold solve.
-			rel, err = lp.Solve(work, lpOpts)
-		} else {
-			rel, err = lp.SolveWithBasis(work, cur.basis, lpOpts)
+		start := cur.basis // nil at the root node: cold
+		if opt.NoWarm {
+			start = nil
 		}
+		rel, err := lp.SolveWithBasis(work, start, lpOpts)
 		if err != nil {
 			return nil, err
 		}

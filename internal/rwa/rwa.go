@@ -604,24 +604,21 @@ func (sc *scratch) solveAssignmentLP(req *Request, res *Result) error {
 	if req.Recorder != nil || req.HealthEvery > 0 {
 		lpo = &lp.Options{Recorder: req.Recorder, HealthEvery: req.HealthEvery}
 	}
-	var sol *lp.Solution
-	var err error
-	if req.NoWarm {
-		sol, err = lp.Solve(m, lpo)
-	} else {
+	var basis *lp.Basis // nil: cold
+	if !req.NoWarm {
 		// All rows are <= with nonnegative rhs, so the all-slack basis is
 		// primal feasible and the warm start skips phase 1 entirely. With
 		// WarmFrom sources, the slack basis is further seeded with the
 		// constituent solves' chosen variables (restricted to stay
 		// feasible), so phase 2 also starts near the composed optimum.
-		basis := &sc.basis
+		basis = &sc.basis
 		basis.ResetSlack(m)
 		if len(req.WarmFrom) > 0 {
 			res.ComposedVars = sc.composeWarmBasis(req, basis, res)
 			obs.Add(req.Recorder, "rwa.compose_adopted", int64(res.ComposedVars))
 		}
-		sol, err = lp.SolveWithBasis(m, basis, lpo)
 	}
+	sol, err := lp.SolveWithBasis(m, basis, lpo)
 	if err != nil {
 		return fmt.Errorf("rwa assignment LP: %w", err)
 	}

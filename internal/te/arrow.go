@@ -30,12 +30,6 @@ type ArrowOptions struct {
 	// land on another optimal vertex and so pick other winners and another
 	// throughput (ROADMAP item 1).
 	NoWarm bool
-	// NoColgen makes Phase I enumerate every ticket's rows up front
-	// (arrowPhase1Full, the pre-colgen formulation) instead of pricing ticket
-	// blocks in lazily. It is the reference the column-generation tests
-	// compare against (TestColgenMatchesFullEnumeration,
-	// TestColgenReducesWork); no session setting reaches it.
-	NoColgen bool
 	// Parallelism bounds the workers of the colgen pricing fan-out
 	// (<= 0 means serial). Results are byte-identical at any worker count:
 	// pricing is index-addressed per scenario and appends happen in
@@ -68,11 +62,22 @@ func (o *ArrowOptions) ledger() *ledger.Ledger {
 	return o.Ledger
 }
 
-func (o *ArrowOptions) noWarm() bool { return o != nil && o.NoWarm }
+// start is the basis a solve of m begins from: nil (cold) under NoWarm,
+// else warm, else m's all-slack basis. Every row of both phases' models
+// holds at x = 0, so the all-slack basis skips the simplex's feasibility
+// phase; the canonical Phase I pass, whose lock row x = 0 violates, always
+// has a warm basis.
+func (o *ArrowOptions) start(m *lp.Model, warm *lp.Basis) *lp.Basis {
+	switch {
+	case o != nil && o.NoWarm:
+		return nil
+	case warm != nil:
+		return warm
+	}
+	return lp.SlackBasis(m)
+}
 
 func (o *ArrowOptions) captureSensitivity() bool { return o != nil && o.CaptureSensitivity }
-
-func (o *ArrowOptions) colgen() bool { return o == nil || !o.NoColgen }
 
 func (o *ArrowOptions) parallelism() int {
 	if o == nil || o.Parallelism <= 0 {
@@ -142,28 +147,6 @@ func (o *ArrowOptions) phase1LP() *lp.Options {
 	lpo := *base
 	lpo.Recorder = phase1Recorder{base.Recorder}
 	return &lpo
-}
-
-// emitWarmStart records a warm-started solve's outcome on the ledger:
-// whether the starting basis let the solver skip phase 1 entirely, was
-// accepted (possibly after repair), or was rejected in favour of a cold
-// start, plus the phase-1 pivots saved versus a cold start.
-func emitWarmStart(L *ledger.Ledger, solver string, sol *lp.Solution) {
-	if L == nil || sol == nil || sol.Warm == nil {
-		return
-	}
-	wi := sol.Warm
-	status := "rejected"
-	switch {
-	case wi.Phase1Skipped:
-		status = "phase1_skipped"
-	case wi.Accepted:
-		status = "accepted"
-	}
-	L.Emit(ledger.Event{
-		Kind: ledger.KindWarmStart, Scenario: -1, Solver: solver,
-		Status: status, Count: wi.PivotsSaved,
-	})
 }
 
 // emitPlan records the final restoration plan: one winner event per
@@ -340,8 +323,7 @@ type phase1Master struct {
 	iters   int
 }
 
-// phase1Winners routes Phase I to the column-generation restricted master
-// (the default) or the full up-front enumeration (NoColgen), picks the
+// phase1Winners solves Phase I as the column-generation master, picks the
 // winners at the solved master and reports its size and pivots. It returns
 // the master, its model back in the pool, for Phase II to build on.
 func phase1Winners(n *Network, scs []RestorableScenario, opts *ArrowOptions) ([]int, SolveStats, *baseModel, error) {
@@ -350,11 +332,7 @@ func phase1Winners(n *Network, scs []RestorableScenario, opts *ArrowOptions) ([]
 			return nil, SolveStats{}, nil, fmt.Errorf("te: arrow: scenario %d has no tickets", qi)
 		}
 	}
-	solve := arrowPhase1Full
-	if opts.colgen() {
-		solve = arrowPhase1Colgen
-	}
-	pm, err := solve(n, scs, opts)
+	pm, err := arrowPhase1Colgen(n, scs, opts)
 	if err != nil {
 		return nil, SolveStats{}, nil, err
 	}
@@ -362,76 +340,6 @@ func phase1Winners(n *Network, scs []RestorableScenario, opts *ArrowOptions) ([]
 	winners := pickWinners(scs, pm.refLoad, pm.sol.X)
 	modelPool.Put(pm.bm.m)
 	return winners, stats, pm.bm, nil
-}
-
-// arrowPhase1Full solves Phase I on the full enumeration: every ticket's
-// block in the master up front. Column generation stops once every deferred
-// block prices out, so its winners equal this solve's; the colgen tests use
-// it as their reference (ArrowOptions.NoColgen).
-func arrowPhase1Full(n *Network, scs []RestorableScenario, opts *ArrowOptions) (*phase1Master, error) {
-	bm := newBaseModel("arrow-phase1", n)
-	alpha := opts.alpha()
-
-	refLoad := buildRefLoads(scs, bm)
-	// coverSeen[f] dedups constraint (4) rows per flow across (q,z) pairs
-	// with identical surviving+restorable tunnel sets.
-	coverSeen := newCoverSeen(n)
-
-	// Every ticket's block goes in up front, in the same delta-column form
-	// the colgen master uses (constraint (4) cover rows, then the
-	// constraints (5)+(6) aggregate row load - u <= totalR with the
-	// relaxation column u in [0, alpha*totalR]): identical formulations are
-	// what make the two modes' masters — and their peak column counts —
-	// directly comparable.
-	sc := new(splitScratch)
-	for qi := range scs {
-		for z := range scs[qi].Tickets {
-			blk := sc.ticketBlock(n, &scs[qi], z, bm)
-			appendTicketBlock(bm, nil, qi, z, &blk, alpha, coverSeen)
-		}
-	}
-
-	lpo := opts.phase1LP()
-	L := opts.ledger()
-	if L != nil {
-		L.Emit(ledger.Event{Kind: ledger.KindSolveStart, Scenario: -1, Solver: bm.m.Name()})
-	}
-	var sol *lp.Solution
-	var err error
-	if opts.noWarm() {
-		sol, err = lp.Solve(bm.m, lpo)
-	} else {
-		// Every Phase I row is satisfied at x = 0 (GE rows have rhs 0, LE
-		// rows nonnegative rhs), so the all-slack basis skips phase 1.
-		sol, err = lp.SolveWithBasis(bm.m, lp.SlackBasis(bm.m), lpo)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("te: arrow phase 1: %w", err)
-	}
-	if L != nil {
-		emitWarmStart(L, bm.m.Name(), sol)
-		L.Emit(ledger.Event{
-			Kind: ledger.KindSolveEnd, Scenario: -1, Solver: bm.m.Name(),
-			Status: sol.Status.String(), Cert: sol.Cert,
-		})
-		ledger.EmitSolverHealth(L, -1, bm.m.Name(), sol.Health)
-	}
-	if sol.Status != lp.StatusOptimal {
-		return nil, fmt.Errorf("te: arrow phase 1: status %v", sol.Status)
-	}
-	primaryIters := sol.Iterations
-
-	// Canonicalise the vertex before winner selection: lock the primary
-	// optimum and minimise the total reference load, so the winner ranking
-	// does not depend on which degenerate optimum the pivot path happened
-	// to reach (see setCanonicalObjective). The colgen path runs the same
-	// pass, which is what makes the two modes agree on winners.
-	setCanonicalObjective(bm, scs, refLoad, sol.Objective)
-	sol, err = solveCanonical(bm, sol.Basis, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &phase1Master{bm: bm, refLoad: refLoad, sol: sol, iters: primaryIters + sol.Iterations}, nil
 }
 
 // ArrowPhase2 solves the Table 3 LP with the given winning ticket per
@@ -490,37 +398,11 @@ func arrowPhase2(n *Network, scs []RestorableScenario, winners []int, opts *Arro
 		}
 	}
 
-	lpo := opts.lpOpts()
-	L := opts.ledger()
-	if L != nil {
-		L.Emit(ledger.Event{Kind: ledger.KindSolveStart, Scenario: -1, Solver: bm.m.Name()})
-	}
-	var start *lp.Basis // nil: cold
-	if !opts.noWarm() {
-		start = lp.SlackBasis(bm.m)
-	}
-	al, sol, err := bm.solveLP(n, lpo, start)
-	if L != nil {
-		emitWarmStart(L, bm.m.Name(), sol)
-		status := "optimal"
-		if err != nil {
-			status = "error"
-		}
-		var cert *lp.Certificate
-		if al != nil {
-			cert = al.Cert
-		}
-		L.Emit(ledger.Event{
-			Kind: ledger.KindSolveEnd, Scenario: -1, Solver: bm.m.Name(),
-			Status: status, Cert: cert,
-		})
-		if sol != nil {
-			ledger.EmitSolverHealth(L, -1, bm.m.Name(), sol.Health)
-		}
-	}
+	sol, err := solveModel(bm.m, bm.m.Name(), opts.start(bm.m, nil), opts.lpOpts(), opts.ledger())
 	if err != nil {
 		return nil, err
 	}
+	al := bm.extract(n, sol)
 	if opts.captureSensitivity() {
 		al.Sens = &SensitivityHandle{
 			Model: bm.m, Basis: sol.Basis, Duals: sol.Duals,

@@ -252,10 +252,12 @@ func arrowFromPhase1Basis(n *Network, scs []RestorableScenario) (*Allocation, er
 			VarStatus: append([]lp.BasisStatus(nil), pm.sol.Basis.VarStatus[:base.NumVars()]...),
 			RowStatus: append([]lp.BasisStatus(nil), pm.sol.Basis.RowStatus[:base.NumConstrs()]...),
 		}
-		al, _, err := refPhase2Model(n, scs, w).solveLP(n, nil, start)
+		bm := refPhase2Model(n, scs, w)
+		sol, err := solveModel(bm.m, bm.m.Name(), start, nil, nil)
 		if err != nil {
 			return nil, err
 		}
+		al := bm.extract(n, sol)
 		al.WinningTicket = w
 		for qi := range scs {
 			plan := map[int]float64{}

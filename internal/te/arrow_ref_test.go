@@ -202,10 +202,10 @@ func buildersMatchReference(n *Network, scs []RestorableScenario) error {
 	}
 	var winners []int
 	for _, mode := range []struct {
-		name  string
-		solve func(*Network, []RestorableScenario, *ArrowOptions) (*phase1Master, error)
-	}{{"full", arrowPhase1Full}, {"colgen", arrowPhase1Colgen}} {
-		pm, err := mode.solve(n, scs, nil)
+		name string
+		scs  []RestorableScenario
+	}{{"full", allSeeded(scs)}, {"colgen", scs}} {
+		pm, err := arrowPhase1Colgen(n, mode.scs, nil)
 		if err != nil {
 			return fmt.Errorf("phase I %s: %w", mode.name, err)
 		}

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strconv"
 
+	"github.com/arrow-te/arrow/internal/ledger"
 	"github.com/arrow-te/arrow/internal/lp"
 	"github.com/arrow-te/arrow/internal/pool"
 )
@@ -230,59 +231,79 @@ func (al *Allocation) solvedBy(m *lp.Model, sol *lp.Solution) *Allocation {
 // options, so the session's recorder counts their solves and its health
 // probes watch them. The package-level FFC, TeaVaR, ECMP and MaxThroughput
 // solve with the zero value, unobserved. There is no cold path: every
-// baseline LP starts from its all-slack basis (solveFromSlack).
+// baseline LP starts from its all-slack basis. Every FFC, ECMP and
+// max-throughput row holds at x = 0, so phase 1 is skipped; TeaVaR's cvar
+// rows are the only ones x = 0 violates, and the warm engine's selective
+// repair swaps their slacks for artificials that one pivot of theta drives
+// out, where a cold start would re-derive the whole vertex in phase 1.
 type Baselines struct {
 	LP *lp.Options
 }
 
-// solveFromSlack is how every baseline LP is solved: from the model's
-// all-slack basis, failing on any non-optimal status or a certificate that
-// does not pass at lp.DefaultCertTol. The models are feasible by
-// construction (b = a = 0 always works) and bounded (b_f <= d_f; TeaVaR
-// minimises a CVaR >= 0), so anything else is an internal error. Every FFC,
-// ECMP and max-throughput row holds at x = 0, so phase 1 is skipped;
-// TeaVaR's cvar rows are the only ones x = 0 violates, and the warm engine's
-// selective repair swaps their slacks for artificials that one pivot of
-// theta drives out, where a cold start would re-derive the whole vertex in
-// phase 1.
-func solveFromSlack(m *lp.Model, opts *lp.Options) (*lp.Solution, error) {
-	sol, err := lp.SolveWithBasis(m, lp.SlackBasis(m), opts)
+// solveModel is how every LP of this package is solved: from start (nil:
+// cold) under opts, bracketed on L (nil: unrecorded) by the solve_start,
+// warm_start, solve_end and solver-health events of solver, and failing on
+// any status but optimal or a certificate that does not pass at
+// lp.DefaultCertTol. The models are feasible by construction (b = a = 0
+// always works) and bounded (b_f <= d_f; TeaVaR minimises a CVaR >= 0), so
+// anything else is an internal error.
+func solveModel(m *lp.Model, solver string, start *lp.Basis, opts *lp.Options, L *ledger.Ledger) (*lp.Solution, error) {
+	if L != nil {
+		L.Emit(ledger.Event{Kind: ledger.KindSolveStart, Scenario: -1, Solver: solver})
+	}
+	sol, err := lp.SolveWithBasis(m, start, opts)
 	if err != nil {
-		return nil, fmt.Errorf("te: %s: %w", m.Name(), err)
+		return nil, fmt.Errorf("te: %s: %w", solver, err)
+	}
+	if L != nil {
+		emitWarmStart(L, solver, sol)
+		L.Emit(ledger.Event{
+			Kind: ledger.KindSolveEnd, Scenario: -1, Solver: solver,
+			Status: sol.Status.String(), Cert: sol.Cert,
+		})
+		ledger.EmitSolverHealth(L, -1, solver, sol.Health)
 	}
 	if sol.Status != lp.StatusOptimal {
-		return nil, fmt.Errorf("te: %s: unexpected status %v", m.Name(), sol.Status)
+		return nil, fmt.Errorf("te: %s: status %v", solver, sol.Status)
 	}
 	if err := lp.CheckCertificate(sol.Cert, lp.DefaultCertTol); err != nil {
-		return nil, fmt.Errorf("te: %s: certificate: %w", m.Name(), err)
+		return nil, fmt.Errorf("te: %s: certificate: %w", solver, err)
 	}
 	return sol, nil
 }
 
-// solve runs a baseline model through solveFromSlack and returns the model
-// to the pool.
+// emitWarmStart records a warm-started solve's outcome on the ledger:
+// whether the starting basis let the solver skip phase 1 entirely, was
+// accepted (possibly after repair), or was rejected in favour of a cold
+// start, plus the phase-1 pivots saved versus a cold start.
+func emitWarmStart(L *ledger.Ledger, solver string, sol *lp.Solution) {
+	if sol.Warm == nil {
+		return
+	}
+	wi := sol.Warm
+	status := "rejected"
+	switch {
+	case wi.Phase1Skipped:
+		status = "phase1_skipped"
+	case wi.Accepted:
+		status = "accepted"
+	}
+	L.Emit(ledger.Event{
+		Kind: ledger.KindWarmStart, Scenario: -1, Solver: solver,
+		Status: status, Count: wi.PivotsSaved,
+	})
+}
+
+// solve runs a baseline model from its all-slack basis and returns the
+// model to the pool.
 func (bm *baseModel) solve(n *Network, opts *lp.Options) (*Allocation, error) {
-	sol, err := solveFromSlack(bm.m, opts)
+	sol, err := solveModel(bm.m, bm.m.Name(), lp.SlackBasis(bm.m), opts, nil)
 	if err != nil {
 		return nil, err
 	}
 	al := bm.extract(n, sol)
 	modelPool.Put(bm.m)
 	return al, nil
-}
-
-// solveLP solves one of ARROW's phase II models from the given basis (nil =
-// cold, for NoWarm) and also returns the raw lp.Solution, whose final basis
-// and warm-start outcome the caller reports.
-func (bm *baseModel) solveLP(n *Network, opts *lp.Options, warm *lp.Basis) (*Allocation, *lp.Solution, error) {
-	sol, err := lp.SolveWithBasis(bm.m, warm, opts)
-	if err != nil {
-		return nil, nil, fmt.Errorf("te: %s: %w", bm.m.Name(), err)
-	}
-	if sol.Status != lp.StatusOptimal {
-		return nil, sol, fmt.Errorf("te: %s: unexpected status %v", bm.m.Name(), sol.Status)
-	}
-	return bm.extract(n, sol), sol, nil
 }
 
 // MaxConcurrentScale solves the max-concurrent-flow problem: the largest
@@ -318,12 +339,9 @@ func MaxConcurrentScale(n *Network) (float64, error) {
 			m.AddConstr(row, lp.LE, n.LinkCap[e], "")
 		}
 	}
-	sol, err := lp.Solve(m, nil)
+	sol, err := solveModel(m, m.Name(), nil, nil, nil)
 	if err != nil {
-		return 0, fmt.Errorf("te: max-concurrent: %w", err)
-	}
-	if sol.Status != lp.StatusOptimal {
-		return 0, fmt.Errorf("te: max-concurrent: status %v", sol.Status)
+		return 0, err
 	}
 	return sol.X[s], nil
 }

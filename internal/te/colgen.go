@@ -12,11 +12,12 @@ import (
 )
 
 // This file implements Phase I as a restricted master problem with lazy
-// ticket pricing (column generation). The full-enumeration master keeps
-// every ticket's constraint block; here the master starts from one seed
-// block per scenario (ticket 0, the RWA-derived candidate) and each pricing
-// round appends, per scenario, the deferred ticket block whose rows are most
-// violated at the current master optimum.
+// ticket pricing (column generation). The master starts from the seed
+// blocks of each scenario (ticket 0, the RWA-derived candidate, unless
+// RestorableScenario.Seeds asks for more) and each pricing round appends,
+// per scenario, the deferred ticket block whose rows are most violated at
+// the current master optimum. With every ticket seeded the master is the
+// full enumeration, which the colgen tests take as their reference.
 //
 // Why row violation IS the reduced cost: in the dual of the phase-I LP each
 // primal ROW owns a dual variable whose reduced cost at the current master
@@ -205,45 +206,6 @@ func setCanonicalObjective(bm *baseModel, scs []RestorableScenario, refLoad map[
 	}
 }
 
-// solveCanonical solves the master after setCanonicalObjective, warm from
-// the primary-optimal basis when warm starts are enabled (the lock row is
-// active at the warm point, so the solver pads it slack-basic and skips its
-// LP phase 1). Solve events carry the "-canon" suffixed solver name so
-// reports and tests can tell the canonicalisation pass from primary solves.
-func solveCanonical(bm *baseModel, warm *lp.Basis, opts *ArrowOptions) (*lp.Solution, error) {
-	lpo := opts.phase1LP()
-	L := opts.ledger()
-	name := bm.m.Name() + "-canon"
-	if L != nil {
-		L.Emit(ledger.Event{Kind: ledger.KindSolveStart, Scenario: -1, Solver: name})
-	}
-	var sol *lp.Solution
-	var err error
-	if opts.noWarm() || warm == nil {
-		sol, err = lp.Solve(bm.m, lpo)
-	} else {
-		sol, err = lp.SolveWithBasis(bm.m, warm, lpo)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("te: arrow phase 1 canonical: %w", err)
-	}
-	if L != nil {
-		emitWarmStart(L, name, sol)
-		L.Emit(ledger.Event{
-			Kind: ledger.KindSolveEnd, Scenario: -1, Solver: name,
-			Status: sol.Status.String(), Cert: sol.Cert,
-		})
-		ledger.EmitSolverHealth(L, -1, name, sol.Health)
-	}
-	if sol.Status != lp.StatusOptimal {
-		return nil, fmt.Errorf("te: arrow phase 1 canonical: status %v", sol.Status)
-	}
-	if err := lp.CheckCertificate(sol.Cert, lp.DefaultCertTol); err != nil {
-		return nil, fmt.Errorf("te: arrow phase 1 canonical: certificate: %w", err)
-	}
-	return sol, nil
-}
-
 // appendTicketBlock splices ticket (q, z)'s block into the restricted
 // master. Cover rows dedup against coverSeen exactly as the full
 // enumeration does. The aggregate slack row is written in delta-column
@@ -295,12 +257,12 @@ func blockViolation(blk *p1Block, alpha float64, coverSeen []map[string]bool, x 
 	return worst
 }
 
-// arrowPhase1Colgen is the column-generation Phase I: seed the restricted
-// master with ticket 0 per scenario, then alternate pricing sweeps (fanned
-// over par.Map, one oracle call per scenario) with warm master re-solves
-// until every deferred block prices out. Certificates are checked on every
-// master re-solve; the converged optimum equals the full-enumeration
-// optimum exactly (see the file comment for the termination argument).
+// arrowPhase1Colgen is Phase I: seed the restricted master, then alternate
+// pricing sweeps (fanned over par.Map, one oracle call per scenario) with
+// warm master re-solves until every deferred block prices out. Certificates
+// are checked on every master re-solve; the converged optimum equals the
+// full-enumeration optimum exactly (see the file comment for the
+// termination argument).
 func arrowPhase1Colgen(n *Network, scs []RestorableScenario, opts *ArrowOptions) (*phase1Master, error) {
 	bm := newBaseModel("arrow-phase1", n)
 	alpha := opts.alpha()
@@ -353,50 +315,17 @@ func arrowPhase1Colgen(n *Network, scs []RestorableScenario, opts *ArrowOptions)
 		}
 	}
 
-	solve := func(warm *lp.Basis) (*lp.Solution, error) {
-		if L != nil {
-			L.Emit(ledger.Event{Kind: ledger.KindSolveStart, Scenario: -1, Solver: bm.m.Name()})
+	// solve re-solves the master from warm, or from the all-slack basis
+	// when there is none: every master row (cover, slack-in-delta-form,
+	// seeds and priced-in blocks alike) holds at x = 0. The canonical pass
+	// solves under the "-canon" suffixed name, so reports and tests can tell
+	// it from the primary solves. Every master re-solve checks its
+	// certificate: a priced-in column that broke dual feasibility would
+	// silently corrupt every later pricing decision.
+	solve := func(suffix string) func(*lp.Basis) (*lp.Solution, error) {
+		return func(warm *lp.Basis) (*lp.Solution, error) {
+			return solveModel(bm.m, bm.m.Name()+suffix, opts.start(bm.m, warm), lpo, L)
 		}
-		var sol *lp.Solution
-		var err error
-		switch {
-		case opts.noWarm():
-			sol, err = lp.Solve(bm.m, lpo)
-		case warm == nil:
-			// Every master row (cover, slack-in-delta-form, seeds and
-			// priced-in blocks alike) is satisfied at x = 0, so the
-			// all-slack basis skips the LP's feasibility phase entirely.
-			// That beats warm-starting from the previous round's basis:
-			// freshly appended rows are VIOLATED at the previous optimum
-			// (that is why they priced in), and repairing a primal-
-			// infeasible warm basis costs close to a cold solve in the
-			// bounded simplex, while phase 2 from all-slack on the small
-			// restricted master is cheap.
-			sol, err = lp.SolveWithBasis(bm.m, lp.SlackBasis(bm.m), lpo)
-		default:
-			sol, err = lp.SolveWithBasis(bm.m, warm, lpo)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("te: arrow phase 1: %w", err)
-		}
-		if L != nil {
-			emitWarmStart(L, bm.m.Name(), sol)
-			L.Emit(ledger.Event{
-				Kind: ledger.KindSolveEnd, Scenario: -1, Solver: bm.m.Name(),
-				Status: sol.Status.String(), Cert: sol.Cert,
-			})
-			ledger.EmitSolverHealth(L, -1, bm.m.Name(), sol.Health)
-		}
-		if sol.Status != lp.StatusOptimal {
-			return nil, fmt.Errorf("te: arrow phase 1: status %v", sol.Status)
-		}
-		// Certificate check on every master re-solve: a priced-in column
-		// that broke dual feasibility would silently corrupt every later
-		// pricing decision, so fail loudly here instead.
-		if err := lp.CheckCertificate(sol.Cert, lp.DefaultCertTol); err != nil {
-			return nil, fmt.Errorf("te: arrow phase 1: master certificate: %w", err)
-		}
-		return sol, nil
 	}
 
 	oracle := ticket.PricingOracle{}
@@ -466,12 +395,13 @@ func arrowPhase1Colgen(n *Network, scs []RestorableScenario, opts *ArrowOptions)
 		return sol, nil
 	}
 
-	sol, err := solve(nil)
+	primary, canonical := solve(""), solve("-canon")
+	sol, err := primary(nil)
 	if err != nil {
 		return nil, err
 	}
 	totalIters += sol.Iterations
-	if sol, err = priceOut(sol, solve); err != nil {
+	if sol, err = priceOut(sol, primary); err != nil {
 		return nil, err
 	}
 
@@ -484,11 +414,11 @@ func arrowPhase1Colgen(n *Network, scs []RestorableScenario, opts *ArrowOptions)
 	if sol.Basis != nil {
 		sol.Basis.ExtendTo(bm.m)
 	}
-	if sol, err = solveCanonical(bm, sol.Basis, opts); err != nil {
+	if sol, err = canonical(sol.Basis); err != nil {
 		return nil, err
 	}
 	totalIters += sol.Iterations
-	if sol, err = priceOut(sol, func(b *lp.Basis) (*lp.Solution, error) { return solveCanonical(bm, b, opts) }); err != nil {
+	if sol, err = priceOut(sol, canonical); err != nil {
 		return nil, err
 	}
 

@@ -30,7 +30,7 @@ func (bl Baselines) ECMP(n *Network) (*Allocation, error) {
 			m.AddConstr(expr, lp.LE, n.LinkCap[e], "")
 		}
 	}
-	sol, err := solveFromSlack(m, bl.LP)
+	sol, err := solveModel(m, m.Name(), lp.SlackBasis(m), bl.LP, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package te
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/arrow-te/arrow/internal/lp"
 )
@@ -14,8 +15,9 @@ type KernelSolve struct {
 	Basis              *lp.Basis
 }
 
-// KernelSolves solves the LPs behind Arrow (phase I as a column-generation
-// master and as the full model, phase II from the all-slack basis), FFC and
+// KernelSolves solves the LPs behind Arrow (phase I as the full model, every
+// ticket seeded, and as a column-generation master, phase II from the
+// all-slack basis), FFC and
 // TeaVaR on one instance, for the golden test of the solver's pivot
 // sequence. A phase-I line pins the final master basis over the base
 // model's variables and rows, the part every master shares. The FFC and
@@ -26,10 +28,10 @@ func KernelSolves(n *Network, scs []RestorableScenario, ffc1, plain []FailureSce
 	var winners []int
 	base := newBaseModel("base", n).m
 	for _, v := range []struct {
-		name  string
-		solve func(*Network, []RestorableScenario, *ArrowOptions) (*phase1Master, error)
-	}{{"te.phase1.full", arrowPhase1Full}, {"te.phase1.colgen", arrowPhase1Colgen}} {
-		pm, err := v.solve(n, scs, nil)
+		name string
+		scs  []RestorableScenario
+	}{{"te.phase1.full", allSeeded(scs)}, {"te.phase1.colgen", scs}} {
+		pm, err := arrowPhase1Colgen(n, v.scs, nil)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", v.name, err)
 		}
@@ -52,7 +54,7 @@ func KernelSolves(n *Network, scs []RestorableScenario, ffc1, plain []FailureSce
 	}{{"te.ffc1", ffc1}, {"te.ffc.plain", plain}} {
 		bm := newBaseModel("ffc", n)
 		addResidualGuarantees(bm, n, v.scs)
-		_, sol, err := bm.solveLP(n, nil, nil)
+		sol, err := solveModel(bm.m, bm.m.Name(), nil, nil, nil)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", v.name, err)
 		}
@@ -69,6 +71,16 @@ func KernelSolves(n *Network, scs []RestorableScenario, ffc1, plain []FailureSce
 	}
 	out = append(out, KernelSolve{"te.teavar", m.NumConstrs(), m.NumVars(), sol.Iterations, sol.Basis})
 	return out, nil
+}
+
+// allSeeded is scs with every ticket seeded: the column-generation master
+// then starts as the full enumeration and its sweeps price nothing in.
+func allSeeded(scs []RestorableScenario) []RestorableScenario {
+	out := slices.Clone(scs)
+	for qi := range out {
+		out[qi].Seeds = len(out[qi].Tickets)
+	}
+	return out
 }
 
 // buildTicketBlock is one ticket's block built in a scratch of its own, for
@@ -107,8 +119,11 @@ var (
 func RefFFC(n *Network, scs []FailureScenario) (*Allocation, error) {
 	bm := newBaseModel("ffc-ref", n)
 	refAddResidualGuarantees(bm, n, scs)
-	al, _, err := bm.solveLP(n, nil, nil)
-	return al, err
+	sol, err := solveModel(bm.m, bm.m.Name(), nil, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	return bm.extract(n, sol), nil
 }
 
 // RefTeaVaRObjective is the optimum of TeaVaR's reference LP, with an s

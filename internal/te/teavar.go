@@ -59,7 +59,7 @@ func (bl Baselines) TeaVaR(n *Network, scs []FailureScenario, opts *TeaVaROption
 	if err != nil {
 		return nil, err
 	}
-	sol, err := solveFromSlack(m, bl.LP)
+	sol, err := solveModel(m, m.Name(), lp.SlackBasis(m), bl.LP, nil)
 	if err != nil {
 		return nil, err
 	}
