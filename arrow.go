@@ -248,7 +248,6 @@ type Planner struct {
 	net       *Network
 	scenarios []te.RestorableScenario
 	naive     []te.RestorableScenario
-	tunnels   int
 	set       *scenario.Set
 	// teOpts is what every Solve copies: the TE settings and the sinks of the
 	// context the planner was planned with.
@@ -261,11 +260,11 @@ type Planner struct {
 	rwa   []*rwa.Result
 	cuts  [][]int
 	byCut []int
-	// ipAdj is the IP-layer adjacency by site and linkFibers the distinct
-	// fibers under each IP link: tunnel selection's graph, built when the
-	// planner is planned and read-only afterwards.
-	ipAdj      [][]ipHop
-	linkFibers [][]int
+	// tunnels[src*sites+dst] is the tunnel set of every flow from site src
+	// to site dst (tunnelTable): selected once, when the planner is planned,
+	// since it depends only on the network and TunnelsPerFlow. Read-only,
+	// and shared by the te.Network of every Solve.
+	tunnels [][]te.Tunnel
 }
 
 // Plan runs ARROW's offline stage: enumerate probable fiber-cut scenarios,
@@ -306,11 +305,10 @@ func (n *Network) PlanContext(ctx context.Context, opts PlanOptions) (*Planner, 
 		return nil, fmt.Errorf("arrow: %w", err)
 	}
 	p := &Planner{
-		net: n, set: off.Set, scenarios: off.Scenarios, naive: off.Naive, tunnels: opts.TunnelsPerFlow,
+		net: n, set: off.Set, scenarios: off.Scenarios, naive: off.Naive, tunnels: tunnelTable(n.opt, opts.TunnelsPerFlow),
 		teOpts: te.SessionOptions(ctx, opts.NoWarm, opts.Parallelism, opts.HealthEvery),
 		rwa:    off.RWA, cuts: off.Cuts, byCut: make([]int, len(off.Cuts)),
 	}
-	p.ipAdj, p.linkFibers = ipGraph(n.opt)
 	for qi := range p.byCut {
 		p.byCut[qi] = qi
 	}
@@ -384,8 +382,15 @@ type TrafficPlan struct {
 	demands []Demand
 }
 
-// Solve runs ARROW's restoration-aware TE for the given demands. Tunnels
-// are selected automatically (fiber-disjoint first, then shortest paths).
+// Solve runs ARROW's restoration-aware TE for the given demands. Each
+// demand's tunnels were selected when the planner was planned, once per site
+// pair. With k = PlanOptions.TunnelsPerFlow, each of the first ⌊k/2⌋ (at
+// least one) is a shortest path by hop count that shares no fiber with the
+// tunnels before it (where there is none, the shortest path not chosen yet);
+// the rest are the shortest paths not chosen yet.
+// EXPERIMENTS.md's numbers use the evaluation's rule instead (topo.Tunnels:
+// fiber-disjoint shortest paths until none is left, then Yen's k shortest),
+// and neither rule reads better than the other on both (ROADMAP item 12).
 func (p *Planner) Solve(demands []Demand, opts SolveOptions) (*TrafficPlan, error) {
 	if opts.Alpha < 0 || math.IsNaN(opts.Alpha) || math.IsInf(opts.Alpha, 0) {
 		return nil, fmt.Errorf("arrow: invalid alpha %v", opts.Alpha)
@@ -408,28 +413,29 @@ func (p *Planner) Solve(demands []Demand, opts SolveOptions) (*TrafficPlan, erro
 	return &TrafficPlan{planner: p, network: net, alloc: alloc, demands: demands}, nil
 }
 
-// buildTENetwork derives the IP-layer TE instance from the optical network.
+// buildTENetwork checks the demands and assembles the IP-layer TE instance,
+// reading each demand's tunnels off the planner's table.
 func (p *Planner) buildTENetwork(demands []Demand) (*te.Network, error) {
-	n := p.net
-	caps := make([]float64, len(n.opt.IPLinks))
-	for i, l := range n.opt.IPLinks {
-		caps[i] = l.CapacityGbps()
+	opt := p.net.opt
+	net := &te.Network{
+		LinkCap: make([]float64, len(opt.IPLinks)),
+		Flows:   make([]te.Flow, len(demands)), Tunnels: make([][]te.Tunnel, len(demands)),
 	}
-	net := &te.Network{LinkCap: caps}
-	search := newBFS(len(p.ipAdj))
+	for i, l := range opt.IPLinks {
+		net.LinkCap[i] = l.CapacityGbps()
+	}
 	for i, d := range demands {
-		if d.Src < 0 || d.Src >= n.opt.NumROADMs || d.Dst < 0 || d.Dst >= n.opt.NumROADMs || d.Src == d.Dst {
+		if d.Src < 0 || d.Src >= opt.NumROADMs || d.Dst < 0 || d.Dst >= opt.NumROADMs || d.Src == d.Dst {
 			return nil, fmt.Errorf("arrow: invalid demand %d->%d", d.Src, d.Dst)
 		}
 		if !(d.Gbps >= 0) || math.IsInf(d.Gbps, 1) {
 			return nil, fmt.Errorf("arrow: demand %d (%d->%d) has invalid Gbps %v", i, d.Src, d.Dst, d.Gbps)
 		}
-		tunnels := p.findTunnels(search, d.Src, d.Dst, p.tunnels)
-		if len(tunnels) == 0 {
+		net.Tunnels[i] = p.tunnels[d.Src*opt.NumROADMs+d.Dst]
+		if len(net.Tunnels[i]) == 0 {
 			return nil, fmt.Errorf("arrow: no IP path from %d to %d", d.Src, d.Dst)
 		}
-		net.Flows = append(net.Flows, te.Flow{Src: d.Src, Dst: d.Dst, Demand: d.Gbps})
-		net.Tunnels = append(net.Tunnels, tunnels)
+		net.Flows[i] = te.Flow{Src: d.Src, Dst: d.Dst, Demand: d.Gbps}
 	}
 	return net, nil
 }
@@ -440,110 +446,122 @@ type ipHop struct {
 	to   int
 }
 
-// ipGraph returns the IP-layer adjacency by site and, per IP link, the
-// distinct fibers its wavelengths ride, in first-seen order.
-func ipGraph(opt *optical.Network) (adj [][]ipHop, linkFibers [][]int) {
-	adj = make([][]ipHop, opt.NumROADMs)
-	linkFibers = make([][]int, len(opt.IPLinks))
+// tunnelSearch is the IP-layer graph tunnel selection walks (adjacency by
+// site, the distinct fibers under each IP link) and its scratch, reused from
+// one search to the next: the fibers the chosen tunnels ride and, per site,
+// whether the BFS reached it, the hop that first did (to = its predecessor)
+// and how many hops from the source that was.
+type tunnelSearch struct {
+	adj        [][]ipHop
+	linkFibers [][]int
+	usedFiber  []bool
+	visited    []bool
+	via        []ipHop
+	depth      []int
+	queue      []int
+}
+
+// tunnelTable selects up to k tunnels for every ordered pair of sites that
+// end an IP link, indexed src*sites+dst; pairs with no IP path get none.
+func tunnelTable(opt *optical.Network, k int) [][]te.Tunnel {
+	sites := opt.NumROADMs
+	s := &tunnelSearch{
+		adj: make([][]ipHop, sites), linkFibers: make([][]int, len(opt.IPLinks)), usedFiber: make([]bool, len(opt.Fibers)),
+		visited: make([]bool, sites), via: make([]ipHop, sites), depth: make([]int, sites),
+	}
 	for _, l := range opt.IPLinks {
-		adj[l.Src] = append(adj[l.Src], ipHop{l.ID, int(l.Dst)})
-		adj[l.Dst] = append(adj[l.Dst], ipHop{l.ID, int(l.Src)})
+		s.adj[l.Src] = append(s.adj[l.Src], ipHop{l.ID, int(l.Dst)})
+		s.adj[l.Dst] = append(s.adj[l.Dst], ipHop{l.ID, int(l.Src)})
 		for _, w := range l.Waves {
 			for _, f := range w.FiberPath {
-				if !slices.Contains(linkFibers[l.ID], f) {
-					linkFibers[l.ID] = append(linkFibers[l.ID], f)
+				if !slices.Contains(s.linkFibers[l.ID], f) {
+					s.linkFibers[l.ID] = append(s.linkFibers[l.ID], f)
 				}
 			}
 		}
 	}
-	return adj, linkFibers
+	table := make([][]te.Tunnel, sites*sites)
+	for src := range sites {
+		for dst := range sites {
+			if src != dst && len(s.adj[src]) > 0 && len(s.adj[dst]) > 0 {
+				table[src*sites+dst] = s.tunnels(src, dst, k)
+			}
+		}
+	}
+	return table
 }
 
-// findTunnels runs fiber-disjoint-first tunnel selection over the IP graph.
-func (p *Planner) findTunnels(b *bfs, src, dst, k int) []te.Tunnel {
-	adj, linkFibers := p.ipAdj, p.linkFibers
+// tunnels selects up to k distinct tunnels from src to dst: the first
+// max(⌊k/2⌋, 1) are shortest paths (by hop count) sharing no fiber with the
+// tunnels before them, where such a path exists; the rest are the shortest
+// paths not chosen yet.
+func (s *tunnelSearch) tunnels(src, dst, k int) []te.Tunnel {
+	clear(s.usedFiber)
+	disjoint := max(k/2, 1)
 	var out []te.Tunnel
-	usedFibers := map[int]bool{}
-	seenPaths := map[string]bool{}
 	for len(out) < k {
-		// BFS shortest path avoiding used fibers (after the first pass, no
-		// fiber constraint to fill remaining slots).
-		banned := func(link int) bool {
-			for _, f := range linkFibers[link] {
-				if usedFibers[f] {
-					return true
-				}
-			}
-			return false
+		var path []int
+		if len(out) < disjoint {
+			path = s.shortest(src, dst, out, true)
 		}
-		relaxed := len(out) > 0 && len(out) >= k/2
-		path := b.bfsPath(adj, src, dst, func(link int) bool { return !relaxed && banned(link) }, seenPaths)
 		if path == nil {
-			if !relaxed {
-				// retry fully relaxed
-				path = b.bfsPath(adj, src, dst, func(int) bool { return false }, seenPaths)
-			}
-			if path == nil {
+			if path = s.shortest(src, dst, out, false); path == nil {
 				break
 			}
 		}
-		key := fmt.Sprint(path)
-		if seenPaths[key] {
-			break
-		}
-		seenPaths[key] = true
 		out = append(out, te.Tunnel{Links: path})
 		for _, l := range path {
-			for _, f := range linkFibers[l] {
-				usedFibers[f] = true
+			for _, f := range s.linkFibers[l] {
+				s.usedFiber[f] = true
 			}
 		}
 	}
-	return out
+	return slices.Clip(out)
 }
 
-// bfs is bfsPath's search state, reused from one search to the next: per
-// site, whether it was reached, the hop that first reached it (to = its
-// predecessor) and how many hops from the source that was.
-type bfs struct {
-	visited []bool
-	via     []ipHop
-	depth   []int
-	queue   []int
-}
-
-func newBFS(sites int) *bfs {
-	return &bfs{visited: make([]bool, sites), via: make([]ipHop, sites), depth: make([]int, sites)}
-}
-
-// bfsPath finds a shortest link path avoiding banned links and previously
-// seen paths (by exact sequence).
-func (b *bfs) bfsPath(adj [][]ipHop, src, dst int, banned func(link int) bool, seen map[string]bool) []int {
-	clear(b.visited)
-	b.visited[src], b.depth[src] = true, 0
-	b.queue = append(b.queue[:0], src)
-	for head := 0; head < len(b.queue); head++ {
-		cur := b.queue[head]
-		for _, h := range adj[cur] {
-			if banned(h.link) || b.visited[h.to] {
+// shortest returns the first path from src to dst in BFS order that is not
+// one of the chosen tunnels, skipping links on a used fiber when disjoint is
+// set; nil if there is none.
+func (s *tunnelSearch) shortest(src, dst int, chosen []te.Tunnel, disjoint bool) []int {
+	clear(s.visited)
+	s.visited[src], s.depth[src] = true, 0
+	s.queue = append(s.queue[:0], src)
+	for head := 0; head < len(s.queue); head++ {
+		cur := s.queue[head]
+	hops:
+		for _, h := range s.adj[cur] {
+			if s.visited[h.to] || disjoint && s.onUsedFiber(h.link) {
 				continue
 			}
-			if h.to == dst {
-				np := make([]int, b.depth[cur]+1)
-				np[b.depth[cur]] = h.link
-				for v := cur; v != src; v = b.via[v].to {
-					np[b.depth[v]-1] = b.via[v].link
-				}
-				if !seen[fmt.Sprint(np)] {
-					return np
-				}
+			if h.to != dst {
+				s.visited[h.to], s.via[h.to], s.depth[h.to] = true, ipHop{to: cur, link: h.link}, s.depth[cur]+1
+				s.queue = append(s.queue, h.to)
 				continue
 			}
-			b.visited[h.to], b.via[h.to], b.depth[h.to] = true, ipHop{to: cur, link: h.link}, b.depth[cur]+1
-			b.queue = append(b.queue, h.to)
+			path := make([]int, s.depth[cur]+1)
+			path[s.depth[cur]] = h.link
+			for v := cur; v != src; v = s.via[v].to {
+				path[s.depth[v]-1] = s.via[v].link
+			}
+			for _, t := range chosen {
+				if slices.Equal(t.Links, path) {
+					continue hops
+				}
+			}
+			return path
 		}
 	}
 	return nil
+}
+
+// onUsedFiber reports whether IP link l rides a fiber a chosen tunnel rides.
+func (s *tunnelSearch) onUsedFiber(l int) bool {
+	for _, f := range s.linkFibers[l] {
+		if s.usedFiber[f] {
+			return true
+		}
+	}
+	return false
 }
 
 // AdmittedGbps returns the total bandwidth the plan admits.

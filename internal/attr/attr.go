@@ -51,22 +51,23 @@ const SchemaVersion = 1
 // contributions stays many orders of magnitude below it.
 const IdentityTol = 1e-9
 
-// Options tunes the attribution passes. The zero value is usable.
+// The passes' bounds: the flow-level contributions retained per scenario in
+// the report and ledger (the identity is always checked over the full
+// per-flow sum before truncation); the capacity rows harvested, FD-validated
+// and reported, ranked by |dual| (ties broken by row order); the "+1
+// wavelength" warm re-solve probes (the analytic drop-scenario probes are
+// cheap and always evaluated); and the slack allowed when checking a dual
+// against its finite-difference bracket.
+const (
+	topFlows         = 5
+	topSensitivities = 8
+	topProbes        = 4
+	fdTol            = 1e-6
+)
+
+// Options gives the attribution passes the topology's data. The zero value
+// is usable.
 type Options struct {
-	// TopFlows bounds the flow-level contributions RETAINED per scenario in
-	// the report and ledger (the identity is always checked over the full
-	// per-flow sum before truncation). Default 5.
-	TopFlows int
-	// TopSensitivities bounds the capacity rows harvested, FD-validated and
-	// reported, ranked by |dual| (ties broken by row order). Default 8.
-	TopSensitivities int
-	// TopProbes bounds the "+1 wavelength" warm re-solve probes (the
-	// analytic drop-scenario probes are cheap and always evaluated).
-	// Default 4.
-	TopProbes int
-	// FDTol is the allowed slack when checking a dual against its
-	// finite-difference bracket. Default 1e-6.
-	FDTol float64
 	// LinkFibers maps IP link -> underlying fiber IDs (topo.LinkFibers);
 	// optional. With it, sensitivities aggregate into per-fiber shadow
 	// prices and probes name the fiber a wavelength would ride.
@@ -75,34 +76,6 @@ type Options struct {
 	// probes; optional. Links without an entry (or without the slice) probe
 	// at 1 Gbps.
 	WaveGbps []float64
-}
-
-func (o *Options) topFlows() int {
-	if o == nil || o.TopFlows <= 0 {
-		return 5
-	}
-	return o.TopFlows
-}
-
-func (o *Options) topSens() int {
-	if o == nil || o.TopSensitivities <= 0 {
-		return 8
-	}
-	return o.TopSensitivities
-}
-
-func (o *Options) topProbes() int {
-	if o == nil || o.TopProbes <= 0 {
-		return 4
-	}
-	return o.TopProbes
-}
-
-func (o *Options) fdTol() float64 {
-	if o == nil || o.FDTol <= 0 {
-		return 1e-6
-	}
-	return o.FDTol
 }
 
 // Input is the pipeline state one attribution pass reads.
@@ -135,7 +108,7 @@ type ScenarioLoss struct {
 	// Loss = Weight * (1 - Delivered): this scenario's availability regret.
 	Loss float64 `json:"loss"`
 	// FlowLossSum is the untruncated per-flow loss total (the inner
-	// identity checks it against Loss); Flows retains only the TopFlows
+	// identity checks it against Loss); Flows retains only the topFlows
 	// largest contributors.
 	FlowLossSum float64    `json:"flow_loss_sum"`
 	Flows       []FlowLoss `json:"flows,omitempty"`
@@ -235,7 +208,7 @@ func Run(ctx context.Context, in Input, opts *Options) (*Report, error) {
 		return nil, fmt.Errorf("attr: nil network or allocation")
 	}
 	rep := &Report{SchemaVersion: SchemaVersion}
-	decompose(in, opts, rep)
+	decompose(in, rep)
 	if h := in.Alloc.Sens; h != nil && h.Basis != nil && len(h.Duals) > 0 {
 		if err := sensitivities(in, h, opts, rep); err != nil {
 			return nil, err
@@ -251,7 +224,7 @@ func Run(ctx context.Context, in Input, opts *Options) (*Report, error) {
 // decompose splits 1 - availability into per-scenario and per-flow
 // contributions, mirroring availability.Evaluator.Availability term by
 // term so the identity holds to float rounding.
-func decompose(in Input, opts *Options, rep *Report) {
+func decompose(in Input, rep *Report) {
 	ev := &availability.Evaluator{Net: in.Net, Alloc: in.Alloc}
 	scs := in.Scenarios
 	totalDemand := in.Net.TotalDemand()
@@ -276,7 +249,6 @@ func decompose(in Input, opts *Options, rep *Report) {
 		return
 	}
 
-	topFlows := opts.topFlows()
 	one := func(idx int, prob float64, sc *availability.ScenarioEval) ScenarioLoss {
 		per := ev.DeliveredPerFlow(sc)
 		deliveredGbps := 0.0
@@ -358,8 +330,8 @@ func sensitivities(in Input, h *te.SensitivityHandle, opts *Options, rep *Report
 	sort.SliceStable(cands, func(a, b int) bool {
 		return math.Abs(cands[a].dual) > math.Abs(cands[b].dual)
 	})
-	if top := opts.topSens(); len(cands) > top {
-		cands = cands[:top]
+	if len(cands) > topSensitivities {
+		cands = cands[:topSensitivities]
 	}
 
 	fiberOf := func(link int) int {
@@ -369,7 +341,6 @@ func sensitivities(in Input, h *te.SensitivityHandle, opts *Options, rep *Report
 		return opts.LinkFibers[link][0]
 	}
 
-	tol := opts.fdTol()
 	for _, c := range cands {
 		m, con := h.Model, c.row.Constr
 		rhs := m.RHS(con)
@@ -397,7 +368,7 @@ func sensitivities(in Input, h *te.SensitivityHandle, opts *Options, rep *Report
 			}
 			s.FDHigh = (h.Objective - down) / leps
 		}
-		s.Validated = s.Dual >= s.FDLow-tol && s.Dual <= s.FDHigh+tol
+		s.Validated = s.Dual >= s.FDLow-fdTol && s.Dual <= s.FDHigh+fdTol
 		rep.Sensitivities = append(rep.Sensitivities, s)
 	}
 
@@ -506,8 +477,8 @@ func probes(in Input, h *te.SensitivityHandle, opts *Options, rep *Report) error
 		}
 	}
 	sort.SliceStable(cands, func(a, b int) bool { return cands[a].dual > cands[b].dual })
-	if top := opts.topProbes(); len(cands) > top {
-		cands = cands[:top]
+	if len(cands) > topProbes {
+		cands = cands[:topProbes]
 	}
 	for _, c := range cands {
 		m, con := h.Model, c.row.Constr

@@ -31,8 +31,6 @@ type Pipeline struct {
 	// RWAResults holds the per-scenario relaxed RWA solutions, aligned with
 	// Scenarios.
 	RWAResults []*rwa.Result
-
-	baseUtilization float64
 	// teOpts is what every ARROW solve of the pipeline copies: the TE
 	// settings and the sinks of the context it was built with.
 	teOpts te.ArrowOptions
@@ -68,12 +66,6 @@ type PipelineOptions struct {
 	// parallel, §6.3). 0 selects runtime.NumCPU(); 1 is fully sequential.
 	// Results are identical for every setting.
 	Parallelism int
-	// BaseUtilization positions demand scale 1.0 relative to the
-	// max-concurrent-flow saturation point (default 0.1: production WANs
-	// are over-provisioned, so the paper's sweep starts from a comfortably
-	// satisfiable state — every scheme admits 100% — and scales up
-	// several-fold until the failure-protection knees separate the schemes).
-	BaseUtilization float64
 	// NoWarm disables LP warm starts in the per-scenario RWA solves and the
 	// ARROW solves issued later via SolveScheme (the baselines always start
 	// from the all-slack basis). The default (warm) uses only
@@ -124,10 +116,9 @@ func BuildPipelineContext(ctx context.Context, tp *topo.Topology, opts PipelineO
 	}
 	p := &Pipeline{
 		Topo: tp, Set: off.Set, Scenarios: off.Scenarios, Naive: off.Naive, RWAResults: off.RWA,
-		Plain:           make([]te.FailureScenario, len(off.Scenarios)),
-		baseUtilization: opts.BaseUtilization,
-		teOpts:          te.SessionOptions(ctx, opts.NoWarm, opts.Parallelism, opts.HealthEvery),
-		ffc:             new(ffcLists),
+		Plain:  make([]te.FailureScenario, len(off.Scenarios)),
+		teOpts: te.SessionOptions(ctx, opts.NoWarm, opts.Parallelism, opts.HealthEvery),
+		ffc:    new(ffcLists),
 	}
 	p.teOpts.CaptureSensitivity = opts.CaptureSensitivity
 	for i := range off.Scenarios {
@@ -287,6 +278,13 @@ func (p *Pipeline) SchemeAvailability(s Scheme, base *te.Network, scale float64)
 	return avail, al.Throughput(n), nil
 }
 
+// baseUtilization positions demand scale 1.0 relative to the
+// max-concurrent-flow saturation point: production WANs are over-provisioned,
+// so the paper's sweep starts from a comfortably satisfiable state (every
+// scheme admits 100%) and scales up several-fold until the failure-protection
+// knees separate the schemes.
+const baseUtilization = 0.1
+
 // BaseNetwork builds the normalised TE network for one traffic matrix:
 // demand scale 1.0 is set to baseUtilization of the max-concurrent-flow
 // saturation point, mirroring the paper's over-provisioned starting state
@@ -300,12 +298,8 @@ func (p *Pipeline) BaseNetwork(m traffic.Matrix, tunnelsPerFlow int) (*te.Networ
 	if _, err := traffic.NormalizeToFit(n); err != nil {
 		return nil, err
 	}
-	u := p.baseUtilization
-	if u <= 0 {
-		u = 0.1
-	}
 	for i := range n.Flows {
-		n.Flows[i].Demand *= u
+		n.Flows[i].Demand *= baseUtilization
 	}
 	return n, nil
 }

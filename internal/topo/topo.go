@@ -10,7 +10,7 @@ package topo
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"github.com/arrow-te/arrow/internal/graph"
 	"github.com/arrow-te/arrow/internal/optical"
@@ -73,20 +73,15 @@ func (t *Topology) IPGraph() *graph.Graph {
 	return t.ipGraph
 }
 
-// LinkFibers returns the set of fiber IDs underlying each IP link.
+// LinkFibers returns the set of fiber IDs underlying each IP link, ascending.
 func (t *Topology) LinkFibers() [][]int {
 	out := make([][]int, len(t.Opt.IPLinks))
 	for i, l := range t.Opt.IPLinks {
-		seen := map[int]bool{}
 		for _, w := range l.Waves {
-			for _, f := range w.FiberPath {
-				if !seen[f] {
-					seen[f] = true
-					out[i] = append(out[i], f)
-				}
-			}
+			out[i] = append(out[i], w.FiberPath...)
 		}
-		sort.Ints(out[i])
+		slices.Sort(out[i])
+		out[i] = slices.Compact(out[i])
 	}
 	return out
 }
@@ -117,48 +112,50 @@ func (t *Topology) Stats() Stats {
 // k-shortest loopless paths. Every returned tunnel is a distinct IP-link
 // path.
 func (t *Topology) Tunnels(src, dst, k int) []te.Tunnel {
+	return t.tunnels(src, dst, k, t.LinkFibers(), make([]bool, len(t.Opt.Fibers)))
+}
+
+// tunnels is Tunnels over the links' fibers (LinkFibers) with a scratch
+// marking used fibers, which it clears first.
+func (t *Topology) tunnels(src, dst, k int, linkFibers [][]int, usedFiber []bool) []te.Tunnel {
 	if src == dst {
 		return nil
 	}
 	g := t.IPGraph()
-	linkFibers := t.LinkFibers()
-
+	clear(usedFiber)
 	var out []te.Tunnel
-	seen := map[string]bool{}
+	// add appends p unless an earlier tunnel rides the same links.
 	add := func(p graph.Path) bool {
 		links := make([]int, len(p.Edges))
 		for i, eid := range p.Edges {
 			links[i] = g.Edge(eid).Label
 		}
-		key := fmt.Sprint(links)
-		if seen[key] {
-			return false
+		for _, tu := range out {
+			if slices.Equal(tu.Links, links) {
+				return false
+			}
 		}
-		seen[key] = true
 		out = append(out, te.Tunnel{Links: links})
 		return true
 	}
+	onUsedFiber := func(eid int) bool {
+		for _, f := range linkFibers[g.Edge(eid).Label] {
+			if usedFiber[f] {
+				return true
+			}
+		}
+		return false
+	}
 
 	// Pass 1: fiber-disjoint paths.
-	usedFibers := map[int]bool{}
 	for len(out) < k {
-		p, ok := g.ShortestPath(graph.Node(src), graph.Node(dst), func(eid int) bool {
-			for _, f := range linkFibers[g.Edge(eid).Label] {
-				if usedFibers[f] {
-					return true
-				}
-			}
-			return false
-		})
-		if !ok {
-			break
-		}
-		if !add(p) {
+		p, ok := g.ShortestPath(graph.Node(src), graph.Node(dst), onUsedFiber)
+		if !ok || !add(p) {
 			break
 		}
 		for _, eid := range p.Edges {
 			for _, f := range linkFibers[g.Edge(eid).Label] {
-				usedFibers[f] = true
+				usedFiber[f] = true
 			}
 		}
 	}
@@ -177,8 +174,9 @@ func (t *Topology) Tunnels(src, dst, k int) []te.Tunnel {
 // TENetwork assembles the te.Network for the given flows.
 func (t *Topology) TENetwork(flows []te.Flow, tunnelsPerFlow int) (*te.Network, error) {
 	n := &te.Network{LinkCap: t.LinkCaps(), Flows: flows, Tunnels: make([][]te.Tunnel, len(flows))}
+	linkFibers, usedFiber := t.LinkFibers(), make([]bool, len(t.Opt.Fibers))
 	for i, f := range flows {
-		ts := t.Tunnels(f.Src, f.Dst, tunnelsPerFlow)
+		ts := t.tunnels(f.Src, f.Dst, tunnelsPerFlow, linkFibers, usedFiber)
 		if len(ts) == 0 {
 			return nil, fmt.Errorf("topo: no tunnel for flow %d->%d", f.Src, f.Dst)
 		}
