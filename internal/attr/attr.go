@@ -420,8 +420,8 @@ func resolveAt(m *lp.Model, con lp.Constr, rhs float64, basis *lp.Basis) (float6
 	if err != nil {
 		return 0, fmt.Errorf("attr: probe re-solve %s: %w", m.ConstrName(con), err)
 	}
-	if sol.Status != lp.StatusOptimal {
-		return 0, fmt.Errorf("attr: probe re-solve %s: status %v", m.ConstrName(con), sol.Status)
+	if err := sol.Status.Err(); err != nil {
+		return 0, fmt.Errorf("attr: probe re-solve %s: %w", m.ConstrName(con), err)
 	}
 	return sol.Objective, nil
 }
@@ -490,8 +490,8 @@ func probes(in Input, h *te.SensitivityHandle, opts *Options, rep *Report) error
 		if err != nil {
 			return fmt.Errorf("attr: what-if %s: %w", m.ConstrName(con), err)
 		}
-		if sol.Status != lp.StatusOptimal {
-			return fmt.Errorf("attr: what-if %s: status %v", m.ConstrName(con), sol.Status)
+		if err := sol.Status.Err(); err != nil {
+			return fmt.Errorf("attr: what-if %s: %w", m.ConstrName(con), err)
 		}
 		// Evaluate the probe allocation on a network that really has the
 		// extra capacity (the evaluator sheds at LinkCap otherwise).

@@ -35,7 +35,7 @@ type frozenLP struct {
 	} `json:"constrs"`
 }
 
-func loadFrozenLP(t *testing.T, name string) *Model {
+func loadFrozenLP(t testing.TB, name string) *Model {
 	t.Helper()
 	f, err := os.Open(filepath.Join("testdata", name))
 	if err != nil {
@@ -114,7 +114,40 @@ func TestFrozenTeaVaRSingularCold(t *testing.T) {
 	if testing.Short() || race.Enabled {
 		return // the cold solve runs 3 s before it fails, a minute under the race detector
 	}
-	if _, err := Solve(m, nil); !errors.Is(err, errSingular) {
-		t.Errorf("cold Solve returned %v, want %v: if the kernel now solves it, flip this assertion", err, errSingular)
+	if _, err := Solve(m, nil); !errors.Is(err, ErrSingular) {
+		t.Errorf("cold Solve returned %v, want %v: if the kernel now solves it, flip this assertion", err, ErrSingular)
+	}
+}
+
+// TestFrozenArrowPhase2 pins the LP the online benchmark spends its Phase II
+// in: ARROW's Phase II model on the Facebook topology (topo.Facebook with
+// seed 6, cutoff 2e-4, 12 tickets; traffic matrix 0 of 120 flows, each
+// scaled to 3.75 % of the summed IP capacity), frozen as the pipeline built
+// it. From the all-slack start the pipeline takes it is hypersparse: a pivot
+// touches a dozen rows of 1,716, and the kernel's work counts say the
+// passes of a pivot follow that.
+func TestFrozenArrowPhase2(t *testing.T) {
+	m := loadFrozenLP(t, "arrow_phase2_facebook_m0.json.gz")
+	if st := m.Stats(); st.Vars != 600 || st.Constrs != 1716 || st.Nonzeros != 7789 {
+		t.Fatalf("frozen model is %d vars x %d rows with %d nonzeros, want 600 x 1716 with 7789", st.Vars, st.Constrs, st.Nonzeros)
+	}
+	rec := newHealthFakeRecorder()
+	sol, err := SolveWithBasis(m, SlackBasis(m), &Options{Recorder: rec})
+	if err != nil || sol.Status != StatusOptimal {
+		t.Fatalf("slack start: %+v, %v", sol, err)
+	}
+	if err := CheckCertificate(sol.Cert, DefaultCertTol); err != nil {
+		t.Errorf("slack start: %v", err)
+	}
+	if sol.Iterations != 345 {
+		t.Errorf("slack start took %d pivots, want 345", sol.Iterations)
+	}
+	c := rec.counters
+	pivots := float64(c["lp.pivots"])
+	ratio, scan := float64(c["lp.ratio_rows"])/pivots, float64(c["lp.scan_cols"])/pivots
+	t.Logf("per pivot: %.1f ratio-test rows, %.0f scores scanned, %.1f columns re-priced, %.1f LU steps visited",
+		ratio, scan, float64(c["lp.repriced_cols"])/pivots, float64(c["lp.solve_reach"])/pivots)
+	if ratio > 50 {
+		t.Errorf("the ratio test visited %.1f rows a pivot: not d's pattern", ratio)
 	}
 }

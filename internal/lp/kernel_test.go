@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -18,8 +19,8 @@ import (
 //
 // The references are the code the kernel replaced, kept whole: the dense
 // etas below, the full-length triangular passes (luFactors.solveFull and
-// solveTFull, which the kernel itself falls back on) and refPrice, the
-// full pricing scan.
+// solveTFull, which the kernel itself falls back on), refPrice, the full
+// pricing scan, and refRatio, the ratio test over every row.
 
 // denseEta is an eta as the dense kernel stored it: the whole entering
 // column in basis coordinates, pivot entry included.
@@ -168,6 +169,9 @@ type pricingStats struct {
 	// checkKernelAgainstDense: FTRAN/BTRAN comparisons in which both
 	// triangular passes followed their reach, and the others.
 	reachSolves, fullSolves int
+	// checkPatterns: pivots whose y and d came with a pattern, and whose
+	// ratio test and eta capture ran over d's.
+	sparseY, sparseD, etasChecked int
 }
 
 // checkPricing makes sx verify its pricing cache in every iteration: each
@@ -226,6 +230,168 @@ func checkPricing(t *testing.T, sx *simplex, label string, st *pricingStats) {
 		if lastEnter = enter; enter >= 0 {
 			lastStatus = sx.status[enter]
 		}
+	}
+	checkPatterns(t, sx, label, st)
+}
+
+// refRatio is the ratio test over every row, as pivot ran it before it
+// followed d's pattern: the leaving position, -1 for none.
+func refRatio(sx *simplex, enter int, dir float64, d []float64) int {
+	limit := Inf
+	if lb, ub := sx.lb[enter], sx.ub[enter]; !math.IsInf(lb, -1) && !math.IsInf(ub, 1) {
+		limit = ub - lb
+	}
+	leave, leaveT, pivAbs := -1, limit, 0.0
+	for pos := 0; pos < sx.nRow; pos++ {
+		w := dir * d[pos]
+		if math.Abs(w) < 1e-9 {
+			continue
+		}
+		jb := sx.basisOf[pos]
+		bound := sx.lb[jb]
+		if w < 0 {
+			bound = sx.ub[jb]
+		}
+		if math.IsInf(bound, 0) {
+			continue
+		}
+		t := (sx.x[jb] - bound) / w
+		if t < -sx.opt.FeasTol {
+			t = 0
+		}
+		if t < leaveT-1e-12 || (t < leaveT+1e-12 && math.Abs(d[pos]) > pivAbs) {
+			leave, leaveT, pivAbs = pos, math.Max(t, 0), math.Abs(d[pos])
+		}
+	}
+	return leave
+}
+
+// covers reports the first nonzero of v outside the rows listed in idx, or a
+// row idx lists twice, or -1.
+func covers(v []float64, idx []int32) int {
+	in := make([]bool, len(v))
+	for _, i := range idx {
+		if in[i] {
+			return int(i) // listed twice
+		}
+		in[i] = true
+	}
+	for i, x := range v {
+		if x != 0 && !in[i] {
+			return i
+		}
+	}
+	return -1
+}
+
+// checkPatterns makes sx hold the pivot loop's patterns to the dense
+// kernel in every iteration: c_B and its nonzero list to cost over the
+// basis, y to the dense BTRAN and d to the dense FTRAN bit for bit, each
+// pattern to every nonzero of the dense vector, and — once the pivot is
+// done — the leaving position and the eta it recorded to refRatio's choice
+// and the nonzeros of d around it. It chains onto afterPricing.
+func checkPatterns(t *testing.T, sx *simplex, label string, st *pricingStats) {
+	t.Helper()
+	type expect struct {
+		enter, leave, refactors, etas int
+		piv                           float64
+		idx                           []int32
+		val                           []float64
+	}
+	var pending *expect
+	settle := func(at string) {
+		t.Helper()
+		e := pending
+		if pending = nil; e == nil {
+			return
+		}
+		pos := sx.posOf[e.enter]
+		switch {
+		case e.leave < 0 && pos >= 0:
+			t.Fatalf("%s: %d entered at %d, the dense ratio test leaves none", at, e.enter, pos)
+		case e.leave >= 0 && pos != e.leave && (pos >= 0 || sx.refactors == e.refactors):
+			t.Fatalf("%s: %d entered at %d, the dense ratio test leaves %d", at, e.enter, pos, e.leave)
+		case pos >= 0 && sx.refactors == e.refactors:
+			if len(sx.etas) != e.etas+1 {
+				t.Fatalf("%s: %d etas after a pivot from %d", at, len(sx.etas), e.etas)
+			}
+			k := sx.etas[e.etas]
+			sameVals := len(e.val) == k.hi-k.lo
+			if sameVals {
+				_, sameVals = sameBits(sx.etaVal[k.lo:k.hi], e.val)
+			}
+			if k.pos != e.leave || math.Float64bits(k.piv) != math.Float64bits(e.piv) ||
+				!slices.Equal(sx.etaIdx[k.lo:k.hi], e.idx) || !sameVals {
+				t.Fatalf("%s: eta (%d, %v, %v, %v), the dense capture (%d, %v, %v, %v)", at,
+					k.pos, k.piv, sx.etaIdx[k.lo:k.hi], sx.etaVal[k.lo:k.hi], e.leave, e.piv, e.idx, e.val)
+			}
+			st.etasChecked++
+		}
+	}
+	basicCosts := func(cost []float64) []float64 {
+		cb := make([]float64, sx.nRow)
+		for pos, j := range sx.basisOf {
+			cb[pos] = cost[j]
+		}
+		return cb
+	}
+	priced := sx.afterPricing
+	sx.afterPricing = func(cost []float64, phase1 bool, enter int, dir float64) {
+		t.Helper()
+		priced(cost, phase1, enter, dir)
+		at := fmt.Sprintf("%s, pivot %d (phase1=%v)", label, sx.iters, phase1)
+		settle(at)
+		if !sx.loop {
+			return
+		}
+		cb := basicCosts(cost)
+		if i, ok := sameBits(sx.cb, cb); !ok {
+			t.Fatalf("%s: cb[%d] = %v, cost of the basic variable %v", at, i, sx.cb[i], cb[i])
+		}
+		if i := covers(cb, sx.cbIdx); i >= 0 || len(sx.cbIdx) != len(slices.DeleteFunc(cb, func(v float64) bool { return v == 0 })) {
+			t.Fatalf("%s: cb's list %v misses or adds position %d", at, sx.cbIdx, i)
+		}
+		want := make([]float64, sx.nRow)
+		denseBtran(sx, denseEtas(sx), basicCosts(cost), want)
+		if i, ok := sameBits(sx.y, want); !ok {
+			t.Fatalf("%s: y[%d] = %v, dense BTRAN %v", at, i, sx.y[i], want[i])
+		}
+		if !sx.yFull {
+			if i := covers(want, sx.yIdx); i >= 0 {
+				t.Fatalf("%s: y's pattern %v misses row %d", at, sx.yIdx, i)
+			}
+			st.sparseY++
+		}
+	}
+	sx.beforePivot = func(enter int, dir float64) {
+		t.Helper()
+		at := fmt.Sprintf("%s, pivot %d, entering %d", label, sx.iters, enter)
+		in := make([]float64, sx.nRow)
+		c := &sx.cols[enter]
+		for i, r := range c.rows {
+			in[r] += c.vals[i]
+		}
+		want := make([]float64, sx.nRow)
+		denseFtran(sx, denseEtas(sx), in, want)
+		if i, ok := sameBits(sx.d, want); !ok {
+			t.Fatalf("%s: d[%d] = %v, dense FTRAN %v", at, i, sx.d[i], want[i])
+		}
+		if sx.loop && !sx.dFull {
+			if i := covers(want, sx.dIdx); i >= 0 || !slices.IsSorted(sx.dIdx) {
+				t.Fatalf("%s: d's pattern %v misses position %d or is not ascending", at, sx.dIdx, i)
+			}
+			st.sparseD++
+		}
+		e := &expect{enter: enter, leave: refRatio(sx, enter, dir, sx.d), refactors: sx.refactors, etas: len(sx.etas)}
+		if e.leave >= 0 {
+			e.piv = sx.d[e.leave]
+			for i, v := range sx.d {
+				if v != 0 && i != e.leave {
+					e.idx, e.val = append(e.idx, int32(i)), append(e.val, v)
+				}
+			}
+		}
+		pending = e
 	}
 }
 
@@ -424,8 +590,26 @@ func TestSparseKernelMatchesDenseAtEveryPivot(t *testing.T) {
 		count(m, nil, "fixture "+m.Name())
 		count(m, SlackBasis(m), "fixture "+m.Name()+" from the slack basis")
 	}
+	// The online benchmark's Phase II LP is too large to solve once per pivot
+	// count. It is stepped through once, from the all-slack start its
+	// pipeline takes, with every per-pivot check on: the hypersparse shape
+	// the patterns are for.
+	frozen := loadFrozenLP(t, "arrow_phase2_facebook_m0.json.gz")
+	sx, err := newSimplex(frozen, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := st
+	checkPricing(t, sx, frozen.Name(), &st)
+	if sol, err := sx.solveWarm(SlackBasis(frozen)); err != nil || sol.Status != StatusOptimal {
+		t.Fatalf("%s: %+v, %v", frozen.Name(), sol, err)
+	}
+	pivots += sx.iters
+	if sparse := st.sparseD - before.sparseD; sparse < sx.iters*9/10 || st.sparseY-before.sparseY < sx.iters*9/10 {
+		t.Fatalf("%s: %d of %d pivots had a pattern for d, %d for y", frozen.Name(), sparse, sx.iters, st.sparseY-before.sparseY)
+	}
 	// The comparison is empty unless etas really have zeros to skip.
-	sx, err := newSimplex(healthNetworkModel(3), &Options{MaxIter: 40})
+	sx, err = newSimplex(healthNetworkModel(3), &Options{MaxIter: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,13 +623,15 @@ func TestSparseKernelMatchesDenseAtEveryPivot(t *testing.T) {
 	if pivots < 1000 || etaStored == 0 || etaStored*2 > etaFull {
 		t.Fatalf("weak coverage: %d pivots checked, %d of %d off-pivot eta entries stored", pivots, etaStored, etaFull)
 	}
-	if st.phase1 < 500 || st.phase2 < 500 || st.flips < 20 || st.reachSolves < 5000 || st.fullSolves < 5000 {
-		t.Fatalf("weak coverage of the pricing cache: %+v", st)
+	if st.phase1 < 500 || st.phase2 < 500 || st.flips < 20 || st.reachSolves < 5000 || st.fullSolves < 5000 ||
+		st.sparseY < 400 || st.sparseD < 800 || st.etasChecked < 2000 {
+		t.Fatalf("weak coverage of the pricing cache and the patterns: %+v", st)
 	}
 	t.Logf("%d pivot states checked; network fixture stores %d of %d off-pivot eta entries", pivots, etaStored, etaFull)
 	t.Logf("pricing cache checked at %d iterations: %d in phase 1, %d in phase 2, %d after a bound flip, %d never-installed artificials scanned",
 		st.checks, st.phase1, st.phase2, st.flips, st.emptyArts)
 	t.Logf("%d FTRAN/BTRAN comparisons followed their reach, %d ran a full-length pass", st.reachSolves, st.fullSolves)
+	t.Logf("patterns checked: y at %d pivots, d at %d; %d etas checked against the dense capture", st.sparseY, st.sparseD, st.etasChecked)
 }
 
 // luSnapshot copies the factors proper (not the scratch space) out of f, so
@@ -487,7 +673,7 @@ func TestLUReuseMatchesFresh(t *testing.T) {
 	for round := 0; round < 30; round++ {
 		switch round % 3 {
 		case 1:
-			if _, err := reused.factor(singular(), false); !errors.Is(err, errSingular) {
+			if _, err := reused.factor(singular(), false); !errors.Is(err, ErrSingular) {
 				t.Fatalf("round %d: singular basis factored, err = %v", round, err)
 			}
 		case 2:

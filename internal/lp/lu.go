@@ -3,11 +3,12 @@ package lp
 import (
 	"errors"
 	"math"
+	"math/bits"
 	"slices"
 )
 
-// errSingular is returned when the basis matrix cannot be factorised.
-var errSingular = errors.New("lp: singular basis")
+// ErrSingular is returned when the basis matrix cannot be factorised.
+var ErrSingular = errors.New("lp: singular basis")
 
 // spCol is one sparse column: parallel row-index and value slices.
 type spCol struct {
@@ -37,12 +38,15 @@ func (c *spCol) add(row int, val float64) {
 // full-length pass takes them. A step that is not reached holds an exact
 // zero, which the full pass skips or multiplies by, so the two give the same
 // float64s up to the sign of a zero (see stepsFrom for when the full pass
-// runs instead).
+// runs instead). solveAt and solveTAt are told where the right-hand side may
+// be nonzero and write into a zero result, so that a call that follows its
+// reach touches no vector whole.
 type luFactors struct {
 	n          int
-	colOrder   []int // colOrder[k] = basis position factored at step k
-	rowOfPivot []int // rowOfPivot[k] = original row pivoted at step k
-	pinv       []int // pinv[origRow] = pivot step, -1 while unpivoted
+	colOrder   []int   // colOrder[k] = basis position factored at step k
+	stepAt     []int32 // stepAt[pos] = the step that factored basis position pos
+	rowOfPivot []int   // rowOfPivot[k] = original row pivoted at step k
+	pinv       []int   // pinv[origRow] = pivot step, -1 while unpivoted
 	udiag      []float64
 
 	// L column k: entries (origRow, multiplier), rows pivoted later
@@ -63,9 +67,10 @@ type luFactors struct {
 
 	// workspaces reused across factorisations and solves
 	work    []float64
-	stack   []int32 // reach's output
-	steps   []int32 // the step list before it: a pass's start set
-	all     []int32 // 0..n-1, the step list of a full-length pass
+	stack   []int32  // reach's output
+	steps   []int32  // the step list before it: a pass's start set
+	all     []int32  // 0..n-1, the step list of a full-length pass
+	set     []uint64 // ascending's bitset, n bits, zero between calls
 	mark    []int32
 	epoch   int32
 	budget  int // steps reach may still visit
@@ -85,11 +90,14 @@ type luFactors struct {
 const (
 	// A pass whose reach exceeds n/reachShare steps runs full length instead,
 	// and the next bypassCalls calls on its side do not look for a reach at
-	// all. Both loops do the same arithmetic, so the choice shows in time
-	// only and needs no setting. What chose the values (PR 19, CHANGES.md):
-	// ARROW's Facebook bases (n ≈ 960) reach some 25 steps a pass and run 295
-	// of 3,000 solves per TE solve full length on their own, 491 with the
-	// bypass — noise in that workload. The B4 sweep's bases (n ≈ 220–355,
+	// all; the pivot loop holds the entering column's pattern to the same
+	// share. Both loops do the same arithmetic, so the choice shows in time
+	// only and needs no setting. What chose the values (CHANGES.md), and
+	// what they read now: the online benchmark's Phase II LP (n = 1,716,
+	// testdata/arrow_phase2_facebook_m0.json.gz) reaches ≈ 57 steps a pass
+	// and no pivot of its 345 runs one full length; a whole Facebook TE
+	// solve, Phase I's masters included, runs a sixth of its solves full
+	// length, bypass included. The B4 sweep's bases (n ≈ 220–355,
 	// FFC's and TeaVaR's among them) run two thirds of their solves full
 	// length, in runs, 38 % of all after a search that gave up: searching
 	// before every solve made the FFC and TeaVaR cells 8–32 % slower than the
@@ -120,6 +128,7 @@ func newLUFactors(n int) *luFactors {
 func (f *luFactors) resize(n int) {
 	f.n = n
 	f.colOrder = zeroed(f.colOrder, n)
+	f.stepAt = zeroed(f.stepAt, n)
 	f.rowOfPivot = zeroed(f.rowOfPivot, n)
 	f.pinv = zeroed(f.pinv, n)
 	f.udiag = zeroed(f.udiag, n)
@@ -144,6 +153,7 @@ func (f *luFactors) resize(n int) {
 		}
 	}
 	f.all = f.all[:n]
+	f.set = zeroed(f.set, (n+63)/64)
 	f.bypass = [2]int{}
 	f.visited, f.fullSolves = 0, 0
 }
@@ -188,7 +198,7 @@ func (f *luFactors) sortByCount(cols []spCol) {
 // unit column of the lowest-index still-unpivoted row, which pivots
 // trivially with value 1. Every substitution is reported so the caller can
 // update its basis bookkeeping; the factors then describe the patched matrix
-// exactly. Without repair such a column fails the call with errSingular and
+// exactly. Without repair such a column fails the call with ErrSingular and
 // leaves f unusable until the next successful factor.
 func (f *luFactors) factor(cols []spCol, repair bool) ([]patchedCol, error) {
 	n := f.n
@@ -208,6 +218,7 @@ func (f *luFactors) factor(cols []spCol, repair bool) ([]patchedCol, error) {
 	for k := 0; k < n; k++ {
 		j := f.order[k]
 		f.colOrder[k] = j
+		f.stepAt[j] = int32(k)
 		col := &cols[j]
 
 		// Scatter the column and record its nonzero original rows.
@@ -255,7 +266,7 @@ func (f *luFactors) factor(cols []spCol, repair bool) ([]patchedCol, error) {
 				w[r] = 0
 			}
 			if !repair {
-				return nil, errSingular
+				return nil, ErrSingular
 			}
 			// Patch: pivot the unit column of the lowest-index unpivoted
 			// row instead. Its single entry sits in an unpivoted row, so
@@ -268,7 +279,7 @@ func (f *luFactors) factor(cols []spCol, repair bool) ([]patchedCol, error) {
 				}
 			}
 			if pr < 0 {
-				return nil, errSingular // unreachable: k < n pivots placed
+				return nil, ErrSingular // unreachable: k < n pivots placed
 			}
 			patched = append(patched, patchedCol{pos: j, row: pr})
 			f.rowOfPivot[k] = pr
@@ -400,9 +411,48 @@ func (f *luFactors) stepsFrom(side int, start []int32, ptr []int, idx []int32, r
 		f.bypass[side] = bypassCalls
 		return f.all
 	}
-	slices.Sort(s)
+	f.ascending(s)
 	f.steps, f.stack = s, f.steps
 	return s
+}
+
+// ascending sorts s, distinct values below n, in place: by slices.Sort when
+// s is short next to n/64, else by one pass over an n-bit set.
+func (f *luFactors) ascending(s []int32) {
+	if len(s)*len(s) <= 4*len(f.set) {
+		slices.Sort(s)
+		return
+	}
+	for _, v := range s {
+		f.set[v>>6] |= 1 << (v & 63)
+	}
+	i := 0
+	for w, b := range f.set {
+		for ; b != 0; b &= b - 1 {
+			s[i] = int32(w<<6 + bits.TrailingZeros64(b))
+			i++
+		}
+		f.set[w] = 0
+	}
+}
+
+// startAt lists the steps a pass starts from: the entries of at (each listed
+// once) at which v is nonzero, mapped through to unless it is nil. It stops
+// one past n/reachShare, where stepsFrom takes the full-length pass anyway.
+func (f *luFactors) startAt(v []float64, at, to []int32) []int32 {
+	start := f.steps[:0]
+	for _, i := range at {
+		if v[i] == 0 {
+			continue
+		}
+		if to != nil {
+			i = to[i]
+		}
+		if start = append(start, i); len(start) > f.n/reachShare {
+			break
+		}
+	}
+	return start
 }
 
 // countSteps adds one call's two passes to the work counts.
@@ -416,25 +466,30 @@ func (f *luFactors) countSteps(a, b []int32) {
 // solve computes x with B x = b. b is indexed by original row; the result is
 // indexed by basis position. b is overwritten with scratch data.
 func (f *luFactors) solve(b, x []float64) {
+	clear(x)
+	f.solveAt(b, x, f.all)
+}
+
+// solveAt is solve for a b that is zero outside the rows at lists, each once,
+// into an x that is zero, without a pass over all n rows. It returns the
+// steps of U it ran, ascending (f.all: full length): x is zero outside their
+// colOrder and b outside their rowOfPivot. The list lives until the next
+// solve of either kind.
+func (f *luFactors) solveAt(b, x []float64, at []int32) []int32 {
 	lsteps := f.all
 	if f.bypass[0] > 0 {
 		f.bypass[0]--
 	} else {
-		start := f.steps[:0]
-		for r, v := range b {
-			if v != 0 {
-				if start = append(start, int32(r)); len(start) > f.n/reachShare {
-					break
-				}
-			}
-		}
-		lsteps = f.stepsFrom(0, start, f.lptr, f.lrows, true)
+		lsteps = f.stepsFrom(0, f.startAt(b, at, nil), f.lptr, f.lrows, true)
 	}
-	f.solveSteps(b, x, lsteps, f.stepsFrom(0, lsteps, f.uptr, f.urows, false))
+	usteps := f.stepsFrom(0, lsteps, f.uptr, f.urows, false)
+	f.solveSteps(b, x, lsteps, usteps)
+	return usteps
 }
 
-// solveSteps is solve over the given steps of L and of U, ascending; the
-// steps left out must be ones at which the solution is zero.
+// solveSteps is solve over the given steps of L and of U, ascending, into
+// an x that is zero outside the colOrder of usteps; the steps left out must
+// be ones at which the solution is zero.
 func (f *luFactors) solveSteps(b, x []float64, lsteps, usteps []int32) {
 	f.countSteps(lsteps, usteps)
 	// Forward: L y = b (column-oriented), y in pivot-step space.
@@ -465,9 +520,6 @@ func (f *luFactors) solveSteps(b, x []float64, lsteps, usteps []int32) {
 			y[f.rowOfPivot[t]] -= uv[i] * zk
 		}
 	}
-	if len(usteps) < f.n {
-		clear(x)
-	}
 	for _, k := range usteps {
 		x[f.colOrder[k]] = z[k]
 		z[k] = 0
@@ -477,26 +529,31 @@ func (f *luFactors) solveSteps(b, x []float64, lsteps, usteps []int32) {
 // solveT computes y with Bᵀ y = c. c is indexed by basis position; the
 // result is indexed by original row. c is left unmodified.
 func (f *luFactors) solveT(c, y []float64) {
+	clear(y)
+	f.solveTAt(c, y, f.all)
+}
+
+// solveTAt is solveT for a c that is zero outside the basis positions at
+// lists, each once, into a y that is zero, without a pass over all n
+// positions. It returns the steps of Lᵀ it ran, ascending (f.all: full
+// length), outside whose rowOfPivot y is zero. The list lives until the next
+// solve of either kind.
+func (f *luFactors) solveTAt(c, y []float64, at []int32) []int32 {
 	usteps := f.all
 	if f.bypass[1] > 0 {
 		f.bypass[1]--
 	} else {
-		start := f.steps[:0]
-		for k, pos := range f.colOrder {
-			if c[pos] != 0 {
-				if start = append(start, int32(k)); len(start) > f.n/reachShare {
-					break
-				}
-			}
-		}
-		usteps = f.stepsFrom(1, start, f.utptr, f.utidx, false)
+		usteps = f.stepsFrom(1, f.startAt(c, at, f.stepAt), f.utptr, f.utidx, false)
 	}
-	f.solveTSteps(c, y, usteps, f.stepsFrom(1, usteps, f.ltptr, f.ltidx, false))
+	lsteps := f.stepsFrom(1, usteps, f.ltptr, f.ltidx, false)
+	f.solveTSteps(c, y, usteps, lsteps)
+	return lsteps
 }
 
 // solveTSteps is solveT over the given steps of Uᵀ and of Lᵀ, ascending and
-// the second containing the first; the steps left out must be ones at which
-// the solution is zero.
+// the second containing the first, into a y that is zero outside the
+// rowOfPivot of lsteps; the steps left out must be ones at which the
+// solution is zero.
 func (f *luFactors) solveTSteps(c, y []float64, usteps, lsteps []int32) {
 	f.countSteps(usteps, lsteps)
 	v := f.work
@@ -520,9 +577,6 @@ func (f *luFactors) solveTSteps(c, y []float64, usteps, lsteps []int32) {
 			s -= lv[i] * v[f.pinv[r]]
 		}
 		v[k] = s
-	}
-	if len(lsteps) < f.n {
-		clear(y)
 	}
 	for _, t := range lsteps {
 		y[f.rowOfPivot[t]] = v[t]

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"github.com/arrow-te/arrow/internal/obs"
 	"github.com/arrow-te/arrow/internal/pool"
@@ -32,6 +33,31 @@ func (s Status) String() string {
 		return "iteration-limit"
 	}
 	return fmt.Sprintf("Status(%d)", int(s))
+}
+
+// The errors of the non-optimal statuses (Status.Err), which the packages
+// that solve LPs wrap, so that a caller tells a failure's class with
+// errors.Is. ErrSingular, the numerical failure, is the fourth class.
+var (
+	ErrInfeasible = errors.New("lp: infeasible")
+	ErrUnbounded  = errors.New("lp: unbounded")
+	ErrIterLimit  = errors.New("lp: iteration limit")
+)
+
+// Err returns nil for StatusOptimal and the error of the status's class
+// otherwise.
+func (s Status) Err() error {
+	switch s {
+	case StatusOptimal:
+		return nil
+	case StatusInfeasible:
+		return ErrInfeasible
+	case StatusUnbounded:
+		return ErrUnbounded
+	case StatusIterLimit:
+		return ErrIterLimit
+	}
+	return fmt.Errorf("lp: %v", s)
 }
 
 // Solution holds the result of solving a Model.
@@ -197,8 +223,33 @@ type simplex struct {
 	colStamp        []int32
 	colEpoch        int32
 	// afterPricing, set by tests only, runs in every iteration once the
-	// entering variable is chosen (enter < 0: none left).
+	// entering variable is chosen (enter < 0: none left); beforePivot runs
+	// once d holds the entering column.
 	afterPricing func(cost []float64, phase1 bool, enter int, dir float64)
+	beforePivot  func(enter int, dir float64)
+
+	// The pivot loop's patterns: where, while iterate runs (loop set), each
+	// vector of a pivot may be nonzero, so that every pass of the pivot costs
+	// the entries it touches. cb is nonzero at the positions cbIdx lists
+	// (cbAt: a position's index in it, -1 if absent); d at dIdx, ascending;
+	// y at the rows yIdx lists, and the y before at yPrev; an artificial at
+	// a row of arts. A full flag says the vector may be nonzero anywhere: a
+	// full-length pass, or a pass over all rows, wrote it. w and bt, BTRAN's
+	// copy of c_B, are zero between pivots. Outside the loop, and in every
+	// loop of a simplex with dense set (by tests only, as the reference),
+	// each pass runs over all rows.
+	loop, dense      bool
+	cbIdx, cbAt      []int32
+	dIdx             []int32
+	dFull            bool
+	yIdx, yPrev      []int32
+	yFull, yPrevFull bool
+	bt               []float64
+	btAt             []int32  // the positions of bt one BTRAN writes
+	arts             []uint64 // a bit per row: its artificial may be nonzero
+	// mark dedupes btAt, dIdx and the rows repriceMoved visits.
+	mark  []int32
+	epoch int32
 
 	degenerate int // consecutive degenerate pivots (Bland trigger)
 
@@ -214,6 +265,8 @@ type simplex struct {
 	degenTotal  int
 	maxEtaDepth int
 	repriced    int // reduced costs recomputed, full passes included
+	ratioRows   int // entries of d the ratio test visited
+	scanCols    int // scores the entering choice examined
 	cert        *Certificate
 
 	// health is the probe machinery (see health.go); nil unless
@@ -250,6 +303,14 @@ func zeroed[T any](s []T, n int) []T {
 	s = s[:n]
 	clear(s)
 	return s
+}
+
+// sized returns s emptied, with room for n elements.
+func sized(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, 0, n)
+	}
+	return s[:0]
 }
 
 // newSimplex builds the computational form of m in a workspace of its own.
@@ -293,6 +354,13 @@ func (sx *simplex) init(m *Model, opts *Options) error {
 		yRef: zeroed(old.yRef, nRow), colStamp: zeroed(old.colStamp, nStr),
 		phase1Buf: old.phase1Buf,
 		cand:      old.cand,
+
+		cbIdx: sized(old.cbIdx, nRow), cbAt: zeroed(old.cbAt, nRow),
+		dIdx: sized(old.dIdx, nRow),
+		yIdx: sized(old.yIdx, nRow), yPrev: sized(old.yPrev, nRow),
+		bt: zeroed(old.bt, nRow), btAt: sized(old.btAt, nRow),
+		arts: zeroed(old.arts, (nRow+63)/64),
+		mark: zeroed(old.mark, nRow),
 	}
 	if sx.lu == nil {
 		sx.lu = new(luFactors)
@@ -407,6 +475,8 @@ func (sx *simplex) flushMetrics() {
 	// restricted-master savings when raw pivot counts come out even.
 	r.Add("lp.pivot_work", int64(sx.iters)*int64(sx.nnz+sx.nRow))
 	r.Add("lp.repriced_cols", int64(sx.repriced))
+	r.Add("lp.ratio_rows", int64(sx.ratioRows))
+	r.Add("lp.scan_cols", int64(sx.scanCols))
 	r.Add("lp.solve_reach", int64(sx.lu.visited))
 	r.Add("lp.full_solves", int64(sx.lu.fullSolves))
 	r.Add("lp.phase1_pivots", int64(sx.phase1Iters))
@@ -582,12 +652,38 @@ func (sx *simplex) duals() []float64 {
 	return y
 }
 
+// artificialSum sums |x| over the artificials in index order. In the pivot
+// loop it visits only those arts holds: the others are exact zeros, which
+// cannot change the sum.
 func (sx *simplex) artificialSum() float64 {
 	s := 0.0
-	for i := 0; i < sx.nRow; i++ {
-		s += math.Abs(sx.x[sx.nStr+sx.nRow+i])
+	a0 := sx.nStr + sx.nRow
+	if !sx.loop {
+		for i := 0; i < sx.nRow; i++ {
+			s += math.Abs(sx.x[a0+i])
+		}
+		return s
+	}
+	for w, b := range sx.arts {
+		for ; b != 0; b &= b - 1 {
+			s += math.Abs(sx.x[a0+w<<6+bits.TrailingZeros64(b)])
+		}
 	}
 	return s
+}
+
+// noteArt keeps arts up to date for variable j after a pivot has moved it:
+// an artificial's bit is set while it is basic or off zero.
+func (sx *simplex) noteArt(j int) {
+	i := j - sx.nStr - sx.nRow
+	if i < 0 {
+		return
+	}
+	if sx.status[j] == basic || sx.x[j] != 0 {
+		sx.arts[i>>6] |= 1 << (i & 63)
+	} else {
+		sx.arts[i>>6] &^= 1 << (i & 63)
+	}
 }
 
 func (sx *simplex) extract() []float64 {
@@ -655,6 +751,12 @@ func (sx *simplex) recomputeBasics() {
 // ftran computes v = B⁻¹ in (in is clobbered; out indexed by basis position).
 func (sx *simplex) ftran(in, out []float64) {
 	sx.lu.solve(in, out)
+	sx.ftranEtas(out, nil)
+}
+
+// ftranEtas applies the eta file to out. With a pattern, every position it
+// makes nonzero that mark does not hold for this epoch is added.
+func (sx *simplex) ftranEtas(out []float64, pattern []int32) []int32 {
 	for k := range sx.etas {
 		e := &sx.etas[k]
 		t := out[e.pos] / e.piv
@@ -663,15 +765,77 @@ func (sx *simplex) ftran(in, out []float64) {
 			for p, i := range sx.etaIdx[e.lo:e.hi] {
 				out[i] -= val[p] * t
 			}
+			if pattern != nil {
+				pattern = sx.marked(pattern, int32(e.pos))
+				for _, i := range sx.etaIdx[e.lo:e.hi] {
+					pattern = sx.marked(pattern, i)
+				}
+			}
 		}
 		out[e.pos] = t
 	}
+	return pattern
+}
+
+// ftranEntering computes d = B⁻¹ a_enter, and in the pivot loop d's
+// pattern: the positions of the U steps the solve ran and those the etas
+// fill, ascending, unless there are more than nRow/reachShare of them, as in
+// a full-length pass, when every pass over d runs over all rows.
+func (sx *simplex) ftranEntering(enter int) {
+	w, d := sx.w, sx.d
+	ec := &sx.cols[enter]
+	if !sx.loop {
+		clear(w)
+		for i, r := range ec.rows {
+			w[r] += ec.vals[i]
+		}
+		sx.ftran(w, d)
+		return
+	}
+	if sx.dFull {
+		clear(d)
+	} else {
+		for _, p := range sx.dIdx {
+			d[p] = 0
+		}
+	}
+	for i, r := range ec.rows {
+		w[r] += ec.vals[i]
+	}
+	f := sx.lu
+	us := f.solveAt(w, d, ec.rows)
+	if sx.dFull = len(us) == f.n; sx.dFull {
+		clear(w)
+		sx.ftranEtas(d, nil)
+		return
+	}
+	sx.nextEpoch()
+	pattern := sx.dIdx[:0]
+	for _, k := range us {
+		w[f.rowOfPivot[k]] = 0
+		pattern = sx.marked(pattern, int32(f.colOrder[k]))
+	}
+	pattern = sx.ftranEtas(d, pattern)
+	if sx.dFull = len(pattern) > sx.nRow/reachShare; !sx.dFull {
+		f.ascending(pattern)
+	}
+	sx.dIdx = pattern
 }
 
 // btran computes y = B⁻ᵀ c (c indexed by basis position; out by row).
 func (sx *simplex) btran(c, out []float64) {
 	tmp := sx.accum
 	copy(tmp, c)
+	sx.btranEtas(tmp, nil)
+	sx.lu.solveT(tmp, out)
+	for i := range tmp {
+		tmp[i] = 0
+	}
+}
+
+// btranEtas applies the eta file, last to first, to tmp, adding the position
+// each eta writes to at unless mark holds it for this epoch.
+func (sx *simplex) btranEtas(tmp []float64, at []int32) []int32 {
 	for k := len(sx.etas) - 1; k >= 0; k-- {
 		e := &sx.etas[k]
 		s := tmp[e.pos]
@@ -680,10 +844,110 @@ func (sx *simplex) btran(c, out []float64) {
 			s -= val[p] * tmp[i]
 		}
 		tmp[e.pos] = s / e.piv
+		if at != nil {
+			at = sx.marked(at, int32(e.pos))
+		}
 	}
-	sx.lu.solveT(tmp, out)
-	for i := range tmp {
-		tmp[i] = 0
+	return at
+}
+
+// btranCB computes y = B⁻ᵀ c_B. In the pivot loop it starts from cb's
+// nonzeros and the positions the etas write, and leaves y's pattern in yIdx
+// and the one before in yPrev, unless cb has more than nRow/reachShare
+// nonzeros, which start a full-length pass anyway.
+func (sx *simplex) btranCB(cost []float64) {
+	cb, y := sx.cb, sx.y
+	if !sx.loop {
+		for pos, j := range sx.basisOf {
+			cb[pos] = cost[j]
+		}
+	}
+	if !sx.loop || len(sx.cbIdx) > sx.nRow/reachShare {
+		sx.btran(cb, y)
+		sx.yPrevFull, sx.yFull = sx.yFull, true
+		return
+	}
+	if sx.yFull {
+		clear(y)
+	} else {
+		for _, r := range sx.yIdx {
+			y[r] = 0
+		}
+	}
+	sx.yPrev, sx.yIdx, sx.yPrevFull = sx.yIdx, sx.yPrev[:0], sx.yFull
+	sx.nextEpoch()
+	at := sx.btAt[:0]
+	for _, p := range sx.cbIdx {
+		sx.bt[p] = cb[p]
+		at = sx.marked(at, p)
+	}
+	at = sx.btranEtas(sx.bt, at)
+	f := sx.lu
+	ls := f.solveTAt(sx.bt, y, at)
+	for _, p := range at {
+		sx.bt[p] = 0
+	}
+	sx.btAt = at
+	if sx.yFull = len(ls) == f.n; !sx.yFull {
+		for _, t := range ls {
+			sx.yIdx = append(sx.yIdx, int32(f.rowOfPivot[t]))
+		}
+	}
+}
+
+// nextEpoch starts a new round of mark.
+func (sx *simplex) nextEpoch() {
+	if sx.epoch++; sx.epoch == math.MaxInt32 {
+		clear(sx.mark)
+		sx.epoch = 1
+	}
+}
+
+// marked appends i to list unless mark holds it for this epoch, and marks it.
+func (sx *simplex) marked(list []int32, i int32) []int32 {
+	if sx.mark[i] == sx.epoch {
+		return list
+	}
+	sx.mark[i] = sx.epoch
+	return append(list, i)
+}
+
+// setCB sets cb[pos], keeping cbIdx its nonzero positions.
+func (sx *simplex) setCB(pos int, v float64) {
+	sx.cb[pos] = v
+	k := sx.cbAt[pos]
+	switch {
+	case v != 0 && k < 0:
+		sx.cbAt[pos] = int32(len(sx.cbIdx))
+		sx.cbIdx = append(sx.cbIdx, int32(pos))
+	case v == 0 && k >= 0:
+		last := sx.cbIdx[len(sx.cbIdx)-1]
+		sx.cbIdx[k], sx.cbAt[last] = last, k
+		sx.cbIdx = sx.cbIdx[:len(sx.cbIdx)-1]
+		sx.cbAt[pos] = -1
+	}
+}
+
+// startLoop sets the pivot loop's patterns up for cost: w, d and y zero, cb
+// its basic costs, arts every artificial that is basic or off zero.
+func (sx *simplex) startLoop(cost []float64) {
+	sx.loop = !sx.dense
+	if !sx.loop {
+		return
+	}
+	clear(sx.w)
+	clear(sx.d)
+	clear(sx.y)
+	sx.dIdx, sx.dFull = sx.dIdx[:0], false
+	sx.yIdx, sx.yFull = sx.yIdx[:0], false
+	sx.cbIdx = sx.cbIdx[:0]
+	for pos, j := range sx.basisOf {
+		sx.cbAt[pos] = -1
+		sx.setCB(pos, cost[j])
+	}
+	clear(sx.arts)
+	for a := sx.nStr + sx.nRow; a < sx.nTot; a++ {
+		sx.noteArt(a)
 	}
 }
 
@@ -697,8 +961,19 @@ func (sx *simplex) btran(c, out []float64) {
 // dj is the float a full pass would compute from the current y. Nothing
 // survives the call: the cost vector and the pinned set change between
 // phases.
+//
+// So do the passes of a pivot, over the patterns startLoop sets up: each
+// does the arithmetic of its loop over all rows, in the same order, less the
+// terms that are exact zeros.
 func (sx *simplex) iterate(cost []float64, phase1 bool) (Status, error) {
-	cb := sx.cb
+	sx.startLoop(cost)
+	st, err := sx.pivots(cost, phase1)
+	sx.loop = false
+	return st, err
+}
+
+// pivots is iterate's loop.
+func (sx *simplex) pivots(cost []float64, phase1 bool) (Status, error) {
 	d := sx.d // entering column in basis coordinates
 	// Phase 2 leaves the artificial range out of the scan: phases pins every
 	// artificial at zero before it starts, so none could enter.
@@ -716,10 +991,7 @@ func (sx *simplex) iterate(cost []float64, phase1 bool) (Status, error) {
 		}
 
 		// Pricing: y = B⁻ᵀ c_B, reduced costs d_j = c_j − y·a_j.
-		for pos, j := range sx.basisOf {
-			cb[pos] = cost[j]
-		}
-		sx.btran(cb, sx.y)
+		sx.btranCB(cost)
 		if priced {
 			sx.repriceMoved(cost, phase1)
 		} else {
@@ -735,6 +1007,11 @@ func (sx *simplex) iterate(cost []float64, phase1 bool) (Status, error) {
 			sx.healthNoteCycling(phase1)
 		}
 		enter, dir := sx.pickEntering(scan, useBland)
+		if useBland && enter >= 0 {
+			sx.scanCols += enter + 1
+		} else {
+			sx.scanCols += scan
+		}
 		if sx.afterPricing != nil {
 			sx.afterPricing(cost, phase1, enter, dir)
 		}
@@ -742,19 +1019,16 @@ func (sx *simplex) iterate(cost []float64, phase1 bool) (Status, error) {
 			return StatusOptimal, nil
 		}
 
-		// FTRAN entering column.
-		for i := range sx.w {
-			sx.w[i] = 0
+		sx.ftranEntering(enter)
+		if sx.beforePivot != nil {
+			sx.beforePivot(enter, dir)
 		}
-		ec := &sx.cols[enter]
-		for i, r := range ec.rows {
-			sx.w[r] += ec.vals[i]
-		}
-		sx.ftran(sx.w, d)
-
 		st, err := sx.pivot(enter, dir, d, phase1)
 		if err != nil {
 			return 0, err
+		}
+		if p := sx.posOf[enter]; p >= 0 && sx.loop {
+			sx.setCB(p, cost[enter])
 		}
 		if st != statusContinue {
 			if st == statusUnbounded {
@@ -807,28 +1081,48 @@ func (sx *simplex) rescore(j int) {
 // row whose y differs from yRef's is re-priced, once, along with that row's
 // slack and, in phase 1, its artificial. A NaN differs from itself, so the
 // columns it touches are re-priced to NaN on every pivot, as a full pass
-// would have them.
+// would have them. In the pivot loop only the rows of y's pattern and of
+// the y before can differ; it looks at those, each once, unless a
+// full-length pass wrote either.
 func (sx *simplex) repriceMoved(cost []float64, phase1 bool) {
 	sx.colEpoch++
 	if sx.colEpoch == math.MaxInt32 {
 		clear(sx.colStamp)
 		sx.colEpoch = 1
 	}
-	for i, yi := range sx.y {
-		if yi == sx.yRef[i] {
-			continue
+	if !sx.loop || sx.yFull || sx.yPrevFull {
+		for i := range sx.y {
+			sx.repriceRow(cost, i, phase1)
 		}
-		sx.yRef[i] = yi
-		for _, t := range sx.m.rows[i].terms {
-			if j := int(t.Var); sx.colStamp[j] != sx.colEpoch {
-				sx.colStamp[j] = sx.colEpoch
-				sx.reprice(cost, j)
+		return
+	}
+	sx.nextEpoch()
+	for _, rows := range [2][]int32{sx.yPrev, sx.yIdx} {
+		for _, r := range rows {
+			if sx.mark[r] != sx.epoch {
+				sx.mark[r] = sx.epoch
+				sx.repriceRow(cost, int(r), phase1)
 			}
 		}
-		sx.reprice(cost, sx.nStr+i)
-		if phase1 {
-			sx.reprice(cost, sx.nStr+sx.nRow+i)
+	}
+}
+
+// repriceRow is repriceMoved's step for row i.
+func (sx *simplex) repriceRow(cost []float64, i int, phase1 bool) {
+	yi := sx.y[i]
+	if yi == sx.yRef[i] {
+		return
+	}
+	sx.yRef[i] = yi
+	for _, t := range sx.m.rows[i].terms {
+		if j := int(t.Var); sx.colStamp[j] != sx.colEpoch {
+			sx.colStamp[j] = sx.colEpoch
+			sx.reprice(cost, j)
 		}
+	}
+	sx.reprice(cost, sx.nStr+i)
+	if phase1 {
+		sx.reprice(cost, sx.nStr+sx.nRow+i)
 	}
 }
 
@@ -874,10 +1168,23 @@ const (
 	statusUnbounded
 )
 
+// dPos lists the positions at which d may be nonzero, ascending: its pattern
+// in the pivot loop, unless a full-length pass wrote it, and all of them
+// otherwise.
+func (sx *simplex) dPos() []int32 {
+	if sx.loop && !sx.dFull {
+		return sx.dIdx
+	}
+	return sx.lu.all
+}
+
 // pivot performs the ratio test and updates the basis. d is the entering
-// column in basis coordinates (B⁻¹ a_enter).
+// column in basis coordinates (B⁻¹ a_enter). Every pass over d runs over
+// dPos in ascending order, so ties break as they would over all rows.
 func (sx *simplex) pivot(enter int, dir float64, d []float64, phase1 bool) (Status, error) {
 	ftol := sx.opt.FeasTol
+	at := sx.dPos()
+	sx.ratioRows += len(at)
 	// Bound-flip limit from the entering variable's own range.
 	limit := Inf
 	if lb, ub := sx.lb[enter], sx.ub[enter]; !math.IsInf(lb, -1) && !math.IsInf(ub, 1) {
@@ -885,7 +1192,8 @@ func (sx *simplex) pivot(enter int, dir float64, d []float64, phase1 bool) (Stat
 	}
 	leave, leaveT, leaveDirUp := -1, limit, false
 	pivAbs := 0.0
-	for pos := 0; pos < sx.nRow; pos++ {
+	for _, p := range at {
+		pos := int(p)
 		w := dir * d[pos]
 		if math.Abs(w) < 1e-9 {
 			continue
@@ -929,6 +1237,9 @@ func (sx *simplex) pivot(enter int, dir float64, d []float64, phase1 bool) (Stat
 		} else {
 			sx.status[enter] = atLower
 		}
+		if sx.loop {
+			sx.noteArt(enter)
+		}
 		sx.rescore(enter)
 		sx.degenerate = 0
 		return statusContinue, nil
@@ -968,13 +1279,17 @@ func (sx *simplex) pivot(enter int, dir float64, d []float64, phase1 bool) (Stat
 	sx.status[enter] = basic
 	sx.rescore(jout)
 	sx.rescore(enter)
+	if sx.loop {
+		sx.noteArt(jout)
+		sx.noteArt(enter)
+	}
 
 	// Record the eta for the new basis: the nonzeros of d other than the
 	// pivot entry, appended to the arena.
 	lo := len(sx.etaIdx)
-	for i, v := range d {
-		if v != 0 && i != leave {
-			sx.etaIdx = append(sx.etaIdx, int32(i))
+	for _, i := range at {
+		if v := d[i]; v != 0 && int(i) != leave {
+			sx.etaIdx = append(sx.etaIdx, i)
 			sx.etaVal = append(sx.etaVal, v)
 		}
 	}
@@ -991,7 +1306,7 @@ func (sx *simplex) applyStep(enter int, dir, t float64, d []float64) {
 		return
 	}
 	sx.x[enter] += dir * t
-	for pos := 0; pos < sx.nRow; pos++ {
+	for _, pos := range sx.dPos() {
 		if d[pos] != 0 {
 			jb := sx.basisOf[pos]
 			sx.x[jb] -= dir * t * d[pos]

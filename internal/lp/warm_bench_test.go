@@ -66,13 +66,25 @@ func BenchmarkSolveWarmVsCold(b *testing.B) {
 	})
 }
 
-// BenchmarkSimplexKernel times phase-2 pivots on the model and from the
-// start TestPivotLoopAllocatesNothing uses, one Options.Refactor block and a
-// refactorisation per iteration, and reports what one pivot costs beside
-// what it touched: the columns re-priced and the pivot steps its two
-// triangular solves visited.
+// BenchmarkSimplexKernel times phase-2 pivots from the all-slack start on
+// two models — the one TestPivotLoopAllocatesNothing uses and the online
+// benchmark's Phase II LP (TestFrozenArrowPhase2) — one Options.Refactor
+// block and a refactorisation per iteration, and reports what one pivot
+// costs beside what it touched: the columns re-priced, the pivot steps its
+// two triangular solves visited and the rows its ratio test visited.
 func BenchmarkSimplexKernel(b *testing.B) {
-	m := benchWarmModel(900, 450, 7)
+	for _, c := range []struct {
+		name string
+		m    *Model
+	}{
+		{"bench-warm", benchWarmModel(900, 450, 7)},
+		{"arrow-phase2", loadFrozenLP(b, "arrow_phase2_facebook_m0.json.gz")},
+	} {
+		b.Run(c.name, func(b *testing.B) { benchKernel(b, c.m) })
+	}
+}
+
+func benchKernel(b *testing.B, m *Model) {
 	start := func() *simplex {
 		sx, err := newSimplex(m, nil)
 		if err != nil {
@@ -85,11 +97,12 @@ func BenchmarkSimplexKernel(b *testing.B) {
 		return sx
 	}
 	sx := start()
-	pivots, repriced, visited := 0, 0, 0
+	pivots, repriced, visited, ratio := 0, 0, 0, 0
 	tally := func() {
 		pivots += sx.iters
 		repriced += sx.repriced
 		visited += sx.lu.visited
+		ratio += sx.ratioRows
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -111,4 +124,5 @@ func BenchmarkSimplexKernel(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(pivots), "ns/pivot")
 	b.ReportMetric(float64(repriced)/float64(pivots), "repriced-cols/pivot")
 	b.ReportMetric(float64(visited)/float64(2*pivots), "reach/solve")
+	b.ReportMetric(float64(ratio)/float64(pivots), "ratio-rows/pivot")
 }

@@ -3,7 +3,6 @@ package rwa
 import (
 	"fmt"
 
-	"github.com/arrow-te/arrow/internal/lp"
 	"github.com/arrow-te/arrow/internal/mip"
 )
 
@@ -37,8 +36,8 @@ func SolveExact(req *Request, opts *mip.Options) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rwa exact: %w", err)
 	}
-	if sol.Status != lp.StatusOptimal {
-		return nil, fmt.Errorf("rwa exact: status %v", sol.Status)
+	if err := sol.Status.Err(); err != nil {
+		return nil, fmt.Errorf("rwa exact: %w", err)
 	}
 	out := &Result{
 		Req: req, Failed: res.Failed, OrigWaves: res.OrigWaves,

@@ -622,8 +622,8 @@ func (sc *scratch) solveAssignmentLP(req *Request, res *Result) error {
 	if err != nil {
 		return fmt.Errorf("rwa assignment LP: %w", err)
 	}
-	if sol.Status != lp.StatusOptimal {
-		return fmt.Errorf("rwa assignment LP: status %v", sol.Status)
+	if err := sol.Status.Err(); err != nil {
+		return fmt.Errorf("rwa assignment LP: %w", err)
 	}
 	res.Health = sol.Health
 	res.Warm = sol.Warm

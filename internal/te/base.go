@@ -263,8 +263,8 @@ func solveModel(m *lp.Model, solver string, start *lp.Basis, opts *lp.Options, L
 		})
 		ledger.EmitSolverHealth(L, -1, solver, sol.Health)
 	}
-	if sol.Status != lp.StatusOptimal {
-		return nil, fmt.Errorf("te: %s: status %v", solver, sol.Status)
+	if err := sol.Status.Err(); err != nil {
+		return nil, fmt.Errorf("te: %s: %w", solver, err)
 	}
 	if err := lp.CheckCertificate(sol.Cert, lp.DefaultCertTol); err != nil {
 		return nil, fmt.Errorf("te: %s: certificate: %w", solver, err)

@@ -90,8 +90,8 @@ func BinaryILP(n *Network, scs []RestorableScenario, opts *mip.Options) (*Alloca
 	if err != nil {
 		return nil, nil, fmt.Errorf("te: binary ilp: %w", err)
 	}
-	if sol.Status != lp.StatusOptimal {
-		return nil, nil, fmt.Errorf("te: binary ilp: status %v", sol.Status)
+	if err := sol.Status.Err(); err != nil {
+		return nil, nil, fmt.Errorf("te: binary ilp: %w", err)
 	}
 	al := &Allocation{
 		B:         make([]float64, len(n.Flows)),
@@ -260,8 +260,8 @@ func JointILP(ji *JointInstance, opts *mip.Options) (*Allocation, error) {
 	if err != nil {
 		return nil, fmt.Errorf("te: joint ilp: %w", err)
 	}
-	if sol.Status != lp.StatusOptimal {
-		return nil, fmt.Errorf("te: joint ilp: status %v", sol.Status)
+	if err := sol.Status.Err(); err != nil {
+		return nil, fmt.Errorf("te: joint ilp: %w", err)
 	}
 	al := &Allocation{
 		B:         make([]float64, len(n.Flows)),
