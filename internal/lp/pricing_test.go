@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -292,5 +293,68 @@ func TestPivotRescoresEnteringAndLeaving(t *testing.T) {
 	}
 	if want, _ := enteringScore(sx.status[jout], sx.dj[jout], sx.opt.OptTol); want != 1 || sx.score[jout] != want {
 		t.Errorf("leaving variable (status %d, dj %v) has score %v, want %v = 1", sx.status[jout], sx.dj[jout], sx.score[jout], want)
+	}
+}
+
+// The entering choice keeps each block of scoreBlock scores' largest and
+// recomputes only the blocks whose scores moved. checkPricing holds its pick
+// to the full scan's under both rules at every pivot; these solves take the
+// blocks across each place a stale maximum could survive: one workspace
+// solving a larger model, then a smaller one, then the larger again; a cold
+// start, whose phase 1 scans the artificials and whose phase 2 does not;
+// and scans that end inside a block.
+func TestBlockedEnteringChoice(t *testing.T) {
+	large, small := benchWarmModel(300, 150, 7), benchWarmModel(80, 40, 8)
+	sx := new(simplex)
+	for i, m := range []*Model{large, small, large} {
+		if err := sx.init(m, nil); err != nil {
+			t.Fatal(err)
+		}
+		if sx.nTot%scoreBlock == 0 || (sx.nStr+sx.nRow)%scoreBlock == 0 || sx.nTot < 2*scoreBlock {
+			t.Fatalf("model %d: scans of %d and %d columns do not both end inside a block", i, sx.nTot, sx.nStr+sx.nRow)
+		}
+		st := new(pricingStats)
+		label := fmt.Sprintf("model %d (%d columns)", i, sx.nTot)
+		checkPricing(t, sx, label, st)
+		sol, err := sx.solve()
+		if err != nil || sol.Status != StatusOptimal {
+			t.Fatalf("%s: %+v, %v", label, sol, err)
+		}
+		if st.phase1 == 0 || st.phase2 == 0 {
+			t.Fatalf("%s: want pivots in both phases, got %+v", label, st)
+		}
+		fresh, err := newSimplex(m, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.solve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(sol, want) {
+			t.Fatalf("%s: the reused workspace took %d pivots to %v, a fresh one %d to %v", label, sol.Iterations, sol.Objective, want.Iterations, want.Objective)
+		}
+	}
+}
+
+// A block's maximum is of the scan it was computed over: pickEntering over
+// phase 1's range and then over phase 2's, with no rescore in between, must
+// not offer phase 2 an artificial that shares a block with its last
+// columns.
+func TestEnteringChoiceFollowsScan(t *testing.T) {
+	sx, err := newSimplex(benchWarmModel(80, 40, 8), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, noArts := sx.nTot, sx.nStr+sx.nRow
+	art := noArts + 5 // in the block of the last columns phase 2 scans
+	if art/scoreBlock != (noArts-1)/scoreBlock || art >= all {
+		t.Fatalf("fixture: artificial %d is not in the block of column %d", art, noArts-1)
+	}
+	sx.score[noArts-20], sx.score[art] = 1, 5
+	for _, c := range []struct{ scan, want int }{{all, art}, {noArts, noArts - 20}, {all, art}} {
+		if got, _ := sx.pickEntering(c.scan, false); got != c.want {
+			t.Fatalf("scan %d picks %d, want %d", c.scan, got, c.want)
+		}
 	}
 }

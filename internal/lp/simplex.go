@@ -222,6 +222,16 @@ type simplex struct {
 	dj, score, yRef []float64
 	colStamp        []int32
 	colEpoch        int32
+	// The entering choice's summary of score, one entry per block of
+	// scoreBlock columns: the block's largest score and the first column
+	// holding it (blockArg -1: no positive score), over the columns of
+	// [0, blockScan). rescore sets its column's dirty bit; pickEntering
+	// recomputes only the dirty blocks, and all of them when its scan is
+	// not blockScan (0 after init: none computed yet).
+	blockMax  []float64
+	blockArg  []int32
+	dirty     []bool
+	blockScan int
 	// afterPricing, set by tests only, runs in every iteration once the
 	// entering variable is chosen (enter < 0: none left); beforePivot runs
 	// once d holds the entering column.
@@ -266,7 +276,7 @@ type simplex struct {
 	maxEtaDepth int
 	repriced    int // reduced costs recomputed, full passes included
 	ratioRows   int // entries of d the ratio test visited
-	scanCols    int // scores the entering choice examined
+	scanCols    int // scores the entering choice read: dirty blocks, block maxima, Bland's walk
 	cert        *Certificate
 
 	// health is the probe machinery (see health.go); nil unless
@@ -325,6 +335,7 @@ func (sx *simplex) init(m *Model, opts *Options) error {
 	nRow := m.NumConstrs()
 	nStr := m.NumVars()
 	nTot := nStr + 2*nRow
+	nBlock := (nTot + scoreBlock - 1) / scoreBlock
 	old := *sx
 	*sx = simplex{
 		m:    m,
@@ -352,6 +363,8 @@ func (sx *simplex) init(m *Model, opts *Options) error {
 		cb: zeroed(old.cb, nRow), d: zeroed(old.d, nRow),
 		dj: zeroed(old.dj, nTot), score: zeroed(old.score, nTot),
 		yRef: zeroed(old.yRef, nRow), colStamp: zeroed(old.colStamp, nStr),
+		blockMax: zeroed(old.blockMax, nBlock), blockArg: zeroed(old.blockArg, nBlock),
+		dirty:     zeroed(old.dirty, nBlock),
 		phase1Buf: old.phase1Buf,
 		cand:      old.cand,
 
@@ -1007,11 +1020,6 @@ func (sx *simplex) pivots(cost []float64, phase1 bool) (Status, error) {
 			sx.healthNoteCycling(phase1)
 		}
 		enter, dir := sx.pickEntering(scan, useBland)
-		if useBland && enter >= 0 {
-			sx.scanCols += enter + 1
-		} else {
-			sx.scanCols += scan
-		}
 		if sx.afterPricing != nil {
 			sx.afterPricing(cost, phase1, enter, dir)
 		}
@@ -1069,6 +1077,7 @@ func (sx *simplex) reprice(cost []float64, j int) {
 // and for a pinned one (lb == ub: fixed variables, EQ slacks, retired
 // artificials), which cannot enter.
 func (sx *simplex) rescore(j int) {
+	sx.dirty[j/scoreBlock] = true
 	st := sx.status[j]
 	if st == basic || (sx.lb[j] == sx.ub[j] && st != atFree) {
 		sx.score[j] = 0
@@ -1126,16 +1135,34 @@ func (sx *simplex) repriceRow(cost []float64, i int, phase1 bool) {
 	}
 }
 
+// scoreBlock is the width of the entering choice's blocks of scores.
+const scoreBlock = 64
+
 // pickEntering selects the entering variable among the first scan columns and
 // its direction (+1 increase from lower bound / free, −1 decrease from upper
 // bound): the first largest score — Dantzig's rule, ties to the lowest index
-// — or, when anti-cycling is engaged, Bland's first positive one.
+// — or, when anti-cycling is engaged, Bland's first positive one. It reads
+// the block maxima in index order with the full scan's strict >, after
+// recomputing the blocks whose scores moved, so its pick is the full scan's:
+// the first block holding the largest score holds its first column, and the
+// first block with a positive maximum holds the first positive score.
 func (sx *simplex) pickEntering(scan int, bland bool) (int, float64) {
+	if scan != sx.blockScan {
+		sx.blockScan = scan
+		for b := range sx.dirty {
+			sx.dirty[b] = true
+		}
+	}
 	best, bestScore := -1, 0.0
-	for j, s := range sx.score[:scan] {
-		if s > bestScore {
-			best, bestScore = j, s
+	for b, lo := 0, 0; lo < scan; b, lo = b+1, lo+scoreBlock {
+		if sx.dirty[b] {
+			sx.rescanBlock(b, lo, min(lo+scoreBlock, scan))
+		}
+		sx.scanCols++
+		if s := sx.blockMax[b]; s > bestScore {
+			best, bestScore = int(sx.blockArg[b]), s
 			if bland {
+				best = sx.firstPositive(lo, best)
 				break
 			}
 		}
@@ -1144,6 +1171,30 @@ func (sx *simplex) pickEntering(scan int, bland bool) (int, float64) {
 		return best, -1
 	}
 	return best, 1
+}
+
+// rescanBlock recomputes block b, the scores of columns [lo, hi).
+func (sx *simplex) rescanBlock(b, lo, hi int) {
+	arg, bestScore := int32(-1), 0.0
+	for j, s := range sx.score[lo:hi] {
+		if s > bestScore {
+			arg, bestScore = int32(lo+j), s
+		}
+	}
+	sx.blockMax[b], sx.blockArg[b], sx.dirty[b] = bestScore, arg, false
+	sx.scanCols += hi - lo
+}
+
+// firstPositive is the first column of [lo, upTo] with a positive score:
+// upTo's, the block's first largest, unless one comes before it.
+func (sx *simplex) firstPositive(lo, upTo int) int {
+	for j := lo; j < upTo; j++ {
+		sx.scanCols++
+		if sx.score[j] > 0 {
+			return j
+		}
+	}
+	return upTo
 }
 
 // enteringScore rates a nonbasic variable with status st and reduced cost dj

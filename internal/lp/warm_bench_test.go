@@ -97,12 +97,13 @@ func benchKernel(b *testing.B, m *Model) {
 		return sx
 	}
 	sx := start()
-	pivots, repriced, visited, ratio := 0, 0, 0, 0
+	pivots, repriced, visited, ratio, scan := 0, 0, 0, 0, 0
 	tally := func() {
 		pivots += sx.iters
 		repriced += sx.repriced
 		visited += sx.lu.visited
 		ratio += sx.ratioRows
+		scan += sx.scanCols
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -125,4 +126,5 @@ func benchKernel(b *testing.B, m *Model) {
 	b.ReportMetric(float64(repriced)/float64(pivots), "repriced-cols/pivot")
 	b.ReportMetric(float64(visited)/float64(2*pivots), "reach/solve")
 	b.ReportMetric(float64(ratio)/float64(pivots), "ratio-rows/pivot")
+	b.ReportMetric(float64(scan)/float64(pivots), "scan-cols/pivot")
 }

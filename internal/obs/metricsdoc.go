@@ -37,6 +37,7 @@ var counterHelp = map[string]string{
 	"te.tickets_deferred":                    "ticket blocks left out of the master by lazy pricing",
 	"te.phase1_pivots":                       "simplex pivots attributed to ARROW Phase I masters",
 	"te.phase1_pivot_work":                   "pivot work units attributed to ARROW Phase I masters",
+	"te.fallback_kept":                       "ARROW solves that kept the all-ticket-0 Phase II over Phase I's winners",
 	"mip.solves":                             "branch-and-bound solves completed",
 	"mip.nodes":                              "branch-and-bound nodes explored",
 	"mip.pruned":                             "nodes pruned by bound",

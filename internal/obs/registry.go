@@ -40,6 +40,7 @@ var CoreCounters = []string{
 	"te.tickets_deferred",
 	"te.phase1_pivots",
 	"te.phase1_pivot_work",
+	"te.fallback_kept",
 	"mip.solves",
 	"mip.nodes",
 	"mip.pruned",

@@ -223,12 +223,14 @@ func Arrow(n *Network, scs []RestorableScenario, opts *ArrowOptions) (*Allocatio
 		if err != nil {
 			return nil, err
 		}
-		if fallback.Objective > al.Objective+1e-9 {
+		// On a throughput tie, prefer the plan that revives more capacity:
+		// extra restored bandwidth can only improve delivery under failures.
+		if fallback.Objective > al.Objective+1e-9 ||
+			(fallback.Objective > al.Objective-1e-9 && restoredTotal(scs, fallback.WinningTicket) > restoredTotal(scs, al.WinningTicket)+1e-9) {
 			al = fallback
-		} else if fallback.Objective > al.Objective-1e-9 && restoredTotal(scs, fallback.WinningTicket) > restoredTotal(scs, al.WinningTicket)+1e-9 {
-			// On a throughput tie, prefer the plan that revives more capacity:
-			// extra restored bandwidth can only improve delivery under failures.
-			al = fallback
+			if rec := opts.recorder(); rec != nil {
+				rec.Add("te.fallback_kept", 1)
+			}
 		}
 	}
 	// The plan and Phase I stats attach to whichever allocation survived
@@ -318,7 +320,7 @@ func ArrowPhase1(n *Network, scs []RestorableScenario, opts *ArrowOptions) ([]in
 // and the pivots every solve behind it took.
 type phase1Master struct {
 	bm      *baseModel
-	refLoad map[loadKey]lp.Expr
+	refLoad [][]lp.Expr
 	sol     *lp.Solution
 	iters   int
 }

@@ -102,7 +102,7 @@ func TestCrossIndex(t *testing.T) {
 	}
 	// One term per tunnel in the load rows too, as the full scan's break has it.
 	scs := []RestorableScenario{{FailureScenario: FailureScenario{FailedLinks: []int{1}}}}
-	if got := buildRefLoads(scs, bm)[loadKey{0, 1}]; !reflect.DeepEqual(got, lp.Expr{{Var: bm.a[0][0], Coef: 1}, {Var: bm.a[1][0], Coef: 1}}) {
+	if got := buildRefLoads(scs, bm)[0][0]; !reflect.DeepEqual(got, lp.Expr{{Var: bm.a[0][0], Coef: 1}, {Var: bm.a[1][0], Coef: 1}}) {
 		t.Fatalf("reference load over link 1 = %v", got)
 	}
 }
@@ -133,9 +133,9 @@ func TestBuildersAddNoRowWhereNothingIsLost(t *testing.T) {
 	}
 	bm := newBaseModel("t", n)
 	refLoad := buildRefLoads(scs, bm)
-	for _, k := range []loadKey{{0, 4}, {0, -1}, {2, 3}} {
-		if load, ok := refLoad[k]; !ok || load != nil {
-			t.Errorf("reference load %v = %v (present %v), want a nil entry", k, load, ok)
+	for _, k := range [][2]int{{0, 1}, {0, 2}, {2, 0}} {
+		if load := refLoad[k[0]][k[1]]; load != nil {
+			t.Errorf("reference load of scenario %d's failed link #%d = %v, want nil", k[0], k[1], load)
 		}
 	}
 	blk := buildTicketBlock(n, &scs[0], 0, bm)

@@ -13,10 +13,11 @@ import (
 // They are the oracle the indexed builders (buildRefLoads, buildTicketBlock
 // and ArrowPhase2's rows) are compared against, row by row.
 
-func refBuildRefLoads(n *Network, scs []RestorableScenario, bm *baseModel) map[loadKey]lp.Expr {
-	refLoad := map[loadKey]lp.Expr{}
+func refBuildRefLoads(n *Network, scs []RestorableScenario, bm *baseModel) [][]lp.Expr {
+	refLoad := make([][]lp.Expr, len(scs))
 	for qi := range scs {
-		for _, link := range scs[qi].FailedLinks {
+		refLoad[qi] = make([]lp.Expr, len(scs[qi].FailedLinks))
+		for i, link := range scs[qi].FailedLinks {
 			var load lp.Expr
 			for f := range n.Flows {
 				for ti, t := range n.Tunnels[f] {
@@ -28,7 +29,7 @@ func refBuildRefLoads(n *Network, scs []RestorableScenario, bm *baseModel) map[l
 					}
 				}
 			}
-			refLoad[loadKey{qi, link}] = load
+			refLoad[qi][i] = load
 		}
 	}
 	return refLoad
@@ -141,7 +142,7 @@ func refPhase1Master(n *Network, scs []RestorableScenario, alpha float64, got *l
 	for c := bm.m.NumConstrs(); c < got.NumConstrs(); c++ {
 		name := got.ConstrName(lp.Constr(c))
 		if name == "p1lock" {
-			setCanonicalObjective(bm, scs, refLoad, got.RHS(lp.Constr(c)))
+			setCanonicalObjective(bm, refLoad, got.RHS(lp.Constr(c)))
 			continue
 		}
 		var id ticketID

@@ -131,6 +131,7 @@ type splitScratch struct {
 	failed, touched []bool
 	res, rst        []int
 	key             []byte // coverKey's
+	lit             []bool // scenarioBlocks': which failed links each ticket lights
 }
 
 var splitPool pool.Free[splitScratch]

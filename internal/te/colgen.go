@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/arrow-te/arrow/internal/ledger"
 	"github.com/arrow-te/arrow/internal/lp"
@@ -28,33 +29,37 @@ import (
 // exactly, not approximately. The eps threshold (ticket.DefaultPricingEps)
 // only guards against floating-point residue on satisfied rows.
 
-// loadKey addresses one (scenario, failed link) reference-load expression.
-type loadKey struct{ qi, link int }
-
 // buildRefLoads returns the ticket-INDEPENDENT reference loads used to rank
-// tickets in post-processing: for each (scenario, failed link), the
-// allocation carried by every tunnel that crosses the failed link (the load
-// the link would see under full restoration). Evaluating each ticket
-// against per-ticket restorable sets would systematically favour tickets
-// that restore fewer links (their Y sets shrink, so their measured loads
-// shrink); a fixed reference keeps the comparison apples-to-apples. A link's
-// load is read off cross once, for every scenario that fails it.
-func buildRefLoads(scs []RestorableScenario, bm *baseModel) map[loadKey]lp.Expr {
-	refLoad := map[loadKey]lp.Expr{}
+// tickets in post-processing: refLoad[qi][i] is, for scenario qi's i-th
+// failed link, the allocation carried by every tunnel that crosses it (the
+// load the link would see under full restoration), nil for a link no tunnel
+// crosses. Evaluating each ticket against per-ticket restorable sets would
+// systematically favour tickets that restore fewer links (their Y sets
+// shrink, so their measured loads shrink); a fixed reference keeps the
+// comparison apples-to-apples. A link's load is read off cross once, for
+// every scenario that fails it.
+func buildRefLoads(scs []RestorableScenario, bm *baseModel) [][]lp.Expr {
+	total := 0
+	for qi := range scs {
+		total += len(scs[qi].FailedLinks)
+	}
+	flat := make([]lp.Expr, total)
+	refLoad := make([][]lp.Expr, len(scs))
 	byLink := make([]lp.Expr, len(bm.cross))
 	for qi := range scs {
-		for _, link := range scs[qi].FailedLinks {
-			var load lp.Expr
-			if link >= 0 && link < len(bm.cross) {
-				if refs := bm.cross[link]; byLink[link] == nil && len(refs) > 0 {
-					byLink[link] = make(lp.Expr, 0, len(refs))
-					for _, c := range refs {
-						byLink[link] = byLink[link].Plus(1, bm.a[c.f][c.ti])
-					}
-				}
-				load = byLink[link]
+		k := len(scs[qi].FailedLinks)
+		refLoad[qi], flat = flat[:k:k], flat[k:]
+		for i, link := range scs[qi].FailedLinks {
+			if link < 0 || link >= len(bm.cross) {
+				continue
 			}
-			refLoad[loadKey{qi, link}] = load
+			if refs := bm.cross[link]; byLink[link] == nil && len(refs) > 0 {
+				byLink[link] = make(lp.Expr, 0, len(refs))
+				for _, c := range refs {
+					byLink[link] = byLink[link].Plus(1, bm.a[c.f][c.ti])
+				}
+			}
+			refLoad[qi][i] = byLink[link]
 		}
 	}
 	return refLoad
@@ -79,7 +84,9 @@ type p1Cover struct {
 
 // p1Block is the full constraint block ticket (q, z) contributes to the
 // phase-I master: deduplicatable cover rows plus the aggregate
-// restorable-link load expression of constraints (5)+(6).
+// restorable-link load expression of constraints (5)+(6). The tickets of one
+// restoration support share covers and load (scenarioBlocks), so a block is
+// only read once built.
 type p1Block struct {
 	covers []p1Cover
 	load   lp.Expr
@@ -104,7 +111,7 @@ func coverKey(buf []byte, tunnels int, res, rst []int) []byte {
 // precomputed in parallel, a scratch per worker, and priced repeatedly.
 func (sc *splitScratch) ticketBlock(n *Network, q *RestorableScenario, z int, bm *baseModel) p1Block {
 	restored := func(link int) float64 { return q.TicketGbps(z, link) }
-	var blk p1Block
+	blk := p1Block{totalR: blockTotalR(q, z)}
 	rst := 0
 	failed := bm.eachTouched(n, q, restored, sc, func(s tunnelSplit) {
 		rst += len(s.rst)
@@ -117,10 +124,45 @@ func (sc *splitScratch) ticketBlock(n *Network, q *RestorableScenario, z int, bm
 		blk.load = make(lp.Expr, 0, rst)
 	}
 	for _, link := range q.FailedLinks {
-		blk.totalR += restored(link)
 		blk.load = bm.restorableLoad(blk.load, n, link, failed, restored)
 	}
 	return blk
+}
+
+// blockTotalR is ticket (q, z)'s sum_e r_e^{z,q}, over q's failed links in
+// order.
+func blockTotalR(q *RestorableScenario, z int) float64 {
+	t := 0.0
+	for _, link := range q.FailedLinks {
+		t += q.TicketGbps(z, link)
+	}
+	return t
+}
+
+// scenarioBlocks returns the blocks of q's tickets, by ticket. A block
+// depends on its ticket only through totalR and the failed links the ticket
+// lights, those whose restored capacity restorable does not read as dark
+// (!(Gbps <= 0)): the tickets of one such support share the covers and load
+// of the first one's block and keep their own totalR.
+func (sc *splitScratch) scenarioBlocks(n *Network, q *RestorableScenario, bm *baseModel) []p1Block {
+	out := make([]p1Block, len(q.Tickets))
+	k := len(q.FailedLinks)
+	sc.lit = sc.lit[:0]
+	for z := range q.Tickets {
+		for _, link := range q.FailedLinks {
+			sc.lit = append(sc.lit, !(q.TicketGbps(z, link) <= 0))
+		}
+		y := 0
+		for y < z && !slices.Equal(sc.lit[y*k:(y+1)*k], sc.lit[z*k:]) {
+			y++
+		}
+		if y < z {
+			out[z] = p1Block{covers: out[y].covers, load: out[y].load, totalR: blockTotalR(q, z)}
+		} else {
+			out[z] = sc.ticketBlock(n, q, z, bm)
+		}
+	}
+	return out
 }
 
 func evalExprAt(e lp.Expr, x []float64) float64 {
@@ -138,20 +180,21 @@ func evalExprAt(e lp.Expr, x []float64) float64 {
 // Ties break toward maximal total restoration, then maximal load-matched
 // capacity (sum_e min(load_e, r_e)); all comparisons are index-ordered and
 // worker-count independent.
-func pickWinners(scs []RestorableScenario, refLoad map[loadKey]lp.Expr, x []float64) []int {
+func pickWinners(scs []RestorableScenario, refLoad [][]lp.Expr, x []float64) []int {
 	winners := make([]int, len(scs))
+	var loads []float64
 	for qi := range scs {
+		loads = loads[:0]
+		for _, e := range refLoad[qi] {
+			loads = append(loads, evalExprAt(e, x))
+		}
 		best, bestSlack, bestUsable, bestTotal := 0, math.Inf(1), -1.0, -1.0
 		for z := range scs[qi].Tickets {
 			slack, usable := 0.0, 0.0
-			for _, link := range scs[qi].FailedLinks {
+			for i, link := range scs[qi].FailedLinks {
 				r := scs[qi].TicketGbps(z, link)
-				load := 0.0
-				if e, ok := refLoad[loadKey{qi, link}]; ok {
-					load = evalExprAt(e, x)
-				}
-				slack += math.Max(0, load-r)
-				usable += math.Min(load, r)
+				slack += math.Max(0, loads[i]-r)
+				usable += math.Min(loads[i], r)
 			}
 			total := scs[qi].Tickets[z].TotalGbps()
 			// Ranking: minimal slack first (the paper's criterion), then
@@ -180,13 +223,13 @@ func pickWinners(scs []RestorableScenario, refLoad map[loadKey]lp.Expr, x []floa
 // load selects, among the primary optima, the vertices that route away from
 // failure-prone links: the winner choice stabilises across solve modes and
 // tickets are evaluated where the slack criterion is most meaningful.
-func setCanonicalObjective(bm *baseModel, scs []RestorableScenario, refLoad map[loadKey]lp.Expr, primalObj float64) {
+func setCanonicalObjective(bm *baseModel, refLoad [][]lp.Expr, primalObj float64) {
 	// Per-variable weights accumulate in deterministic (scenario, link)
 	// order; every coefficient is 1, so the sums are exact integers.
 	weight := make([]float64, bm.m.NumVars())
-	for qi := range scs {
-		for _, link := range scs[qi].FailedLinks {
-			for _, t := range refLoad[loadKey{qi, link}] {
+	for _, loads := range refLoad {
+		for _, load := range loads {
+			for _, t := range load {
 				weight[t.Var] += t.Coef
 			}
 		}
@@ -276,13 +319,9 @@ func arrowPhase1Colgen(n *Network, scs []RestorableScenario, opts *ArrowOptions)
 	ctx := context.Background()
 	workers := opts.parallelism()
 	blocks, err := par.Map(ctx, workers, len(scs), func(_ context.Context, qi int) ([]p1Block, error) {
-		q, sc := &scs[qi], splitPool.Get()
+		sc := splitPool.Get()
 		defer splitPool.Put(sc)
-		out := make([]p1Block, len(q.Tickets))
-		for z := range q.Tickets {
-			out[z] = sc.ticketBlock(n, q, z, bm)
-		}
-		return out, nil
+		return sc.scenarioBlocks(n, &scs[qi], bm), nil
 	})
 	if err != nil {
 		return nil, fmt.Errorf("te: arrow phase 1 colgen: %w", err)
@@ -410,7 +449,7 @@ func arrowPhase1Colgen(n *Network, scs []RestorableScenario, opts *ArrowOptions)
 	// load-minimal vertex violates still-deferred blocks. The lock row makes
 	// x = 0 infeasible, so secondary re-solves warm from the previous
 	// canonical basis instead of the slack basis.
-	setCanonicalObjective(bm, scs, refLoad, sol.Objective)
+	setCanonicalObjective(bm, refLoad, sol.Objective)
 	if sol.Basis != nil {
 		sol.Basis.ExtendTo(bm.m)
 	}

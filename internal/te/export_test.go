@@ -106,12 +106,14 @@ func totalRestored(al *Allocation) float64 {
 	return t
 }
 
-// The ARROW checks of arrow_ref_test.go and arrow_equiv_test.go, for the
-// tests that need an eval pipeline to build their instance.
+// The ARROW checks of arrow_ref_test.go, arrow_equiv_test.go and
+// blocks_test.go, for the tests that need an eval pipeline to build their
+// instance.
 var (
-	BuildersMatchReference   = buildersMatchReference
-	CheckPhase2Start         = checkPhase2Start
-	SameAnswersAsPhase1Start = sameAnswersAsPhase1Start
+	BuildersMatchReference     = buildersMatchReference
+	CheckPhase2Start           = checkPhase2Start
+	SameAnswersAsPhase1Start   = sameAnswersAsPhase1Start
+	TicketBlocksMatchPerTicket = ticketBlocksMatchPerTicket
 )
 
 // RefFFC is FFC on the reference model, solved cold: a (4') row for every
