@@ -120,9 +120,9 @@ func (b *Builder) AddIPLink(src, dst, waves int, gbpsPerWave float64, path []Fib
 
 // AddSRLG declares a shared-risk link group: the given fibers ride the same
 // physical conduit (or WDM shelf) and are cut TOGETHER with probability
-// prob, independently of the per-fiber failure marginals. Groups feed the
-// correlated k-failure enumerator and only influence planning when
-// PlanOptions.UseSRLGs is set.
+// prob, independently of the per-fiber failure marginals. Groups are
+// failure elements of the scenario enumeration only when PlanOptions.UseSRLGs
+// is set; planning then rejects a prob outside [0, 0.5), NaN included.
 func (b *Builder) AddSRLG(prob float64, fibers ...FiberID) {
 	if b.err != nil {
 		return
@@ -196,8 +196,9 @@ type PlanOptions struct {
 	Tickets int
 	// Cutoff drops failure scenarios below this probability (default 1e-3).
 	Cutoff float64
-	// FailureProbs gives each fiber's failure probability; when nil they
-	// are drawn from the paper's Weibull(0.8, 0.02) model with Seed.
+	// FailureProbs gives each fiber's failure probability, each in
+	// [0, 0.5): planning rejects any other value, NaN included. When nil
+	// they are drawn from the paper's Weibull(0.8, 0.02) model with Seed.
 	FailureProbs []float64
 	// SurrogatePaths is k, the surrogate fiber paths per failed link
 	// (default 3).
@@ -221,13 +222,14 @@ type PlanOptions struct {
 	// lp.Options.HealthEvery. 0 disables probing; probes never change
 	// results (arrow-plan -health-every).
 	HealthEvery int
-	// MaxCutSize, UseSRLGs, TargetMass and MaxEnumerated opt the planner
-	// into the correlated k-failure enumerator: cut sets of up to MaxCutSize
-	// simultaneously failed elements (individual fibers, plus the network's
-	// AddSRLG groups when UseSRLGs is set), enumerated best-first by
-	// probability until Cutoff, TargetMass covered probability mass, or
-	// MaxEnumerated distinct cut sets stops the walk. All four zero keeps
-	// the legacy singles+pairs enumeration and a byte-identical plan
+	// MaxCutSize, UseSRLGs, TargetMass and MaxEnumerated shape the
+	// scenario space: cut sets of up to MaxCutSize (0 = 2) simultaneously
+	// failed elements (individual fibers, plus the network's AddSRLG groups
+	// when UseSRLGs is set), enumerated best-first by probability until
+	// Cutoff, TargetMass covered probability mass, or MaxEnumerated distinct
+	// cut sets stops the walk. All four zero plans every single and double
+	// fiber cut above Cutoff; any of them set also turns on the
+	// compositional stage, which NoCompose turns off
 	// (arrow-plan -max-cut-size/-srlgs/-target-mass/-max-enumerated).
 	MaxCutSize    int
 	UseSRLGs      bool

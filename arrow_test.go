@@ -399,6 +399,44 @@ func TestPlanContextLedger(t *testing.T) {
 	}
 }
 
+// TestPlanRejectsProbabilitiesOutOfRange: a fiber or SRLG failure
+// probability outside [0, 0.5), NaN included, is an error naming its index,
+// not a plan. The enumerator's best-first order needs odds below 1.
+func TestPlanRejectsProbabilitiesOutOfRange(t *testing.T) {
+	net, _, _ := buildSquare(t)
+	for _, p := range []float64{1, 0.5, math.NaN(), -0.01} {
+		probs := []float64{0.01, 0.01, p, 0.01}
+		_, err := net.PlanContext(context.Background(), PlanOptions{Tickets: 2, Seed: 1, FailureProbs: probs})
+		if err == nil || !strings.Contains(err.Error(), "fiber 2") {
+			t.Errorf("fiber probability %g: err = %v, want one naming fiber 2", p, err)
+		}
+	}
+
+	b := NewBuilder(4, 16)
+	var fs []FiberID
+	for i := 0; i < 4; i++ {
+		fs = append(fs, b.AddFiber(i, (i+1)%4, 500))
+	}
+	if _, err := b.AddIPLink(0, 1, 2, 200, fs[:1]); err != nil {
+		t.Fatal(err)
+	}
+	b.AddSRLG(0.01, fs[0], fs[1])
+	b.AddSRLG(0.5, fs[2], fs[3])
+	srlgNet, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	probs := []float64{0.01, 0.01, 0.01, 0.01}
+	_, err = srlgNet.PlanContext(context.Background(), PlanOptions{Tickets: 2, Seed: 1, FailureProbs: probs, UseSRLGs: true})
+	if err == nil || !strings.Contains(err.Error(), "SRLG 1") {
+		t.Errorf("SRLG probability 0.5: err = %v, want one naming SRLG 1", err)
+	}
+	// Without UseSRLGs the groups are not failure elements.
+	if _, err := srlgNet.PlanContext(context.Background(), PlanOptions{Tickets: 2, Seed: 1, FailureProbs: probs}); err != nil {
+		t.Errorf("groups checked without UseSRLGs: %v", err)
+	}
+}
+
 // TestPlanCorrelated exercises the public correlated k-failure path:
 // AddSRLG groups expand into multi-fiber cut scenarios, composed plans stay
 // solvable end to end, the scenario ledger events carry the cut sets, and
@@ -483,8 +521,8 @@ func TestPlanCorrelated(t *testing.T) {
 		}
 	}
 
-	// All-zero knobs on an SRLG-bearing network keep the legacy enumerator:
-	// same plan as a network built without the groups.
+	// All-zero knobs on an SRLG-bearing network leave the groups out of the
+	// enumeration: same plan as a network built without them.
 	legacyOpts := PlanOptions{Tickets: 8, Cutoff: 1e-5, Seed: 1}
 	pWith, err := build().Plan(legacyOpts)
 	if err != nil {

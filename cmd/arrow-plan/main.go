@@ -14,7 +14,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"flag"
@@ -22,13 +21,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 
 	arrow "github.com/arrow-te/arrow"
 	"github.com/arrow-te/arrow/internal/plan"
 	"github.com/arrow-te/arrow/internal/session"
 	"github.com/arrow-te/arrow/internal/topo"
+	"github.com/arrow-te/arrow/internal/traffic"
 )
 
 func main() {
@@ -185,35 +183,16 @@ func loadDemands(path string) ([]arrow.Demand, error) {
 }
 
 func parseDemands(r io.Reader) ([]arrow.Demand, error) {
-	var out []arrow.Demand
-	sc := bufio.NewScanner(r)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		parts := strings.Split(line, ",")
-		if len(parts) != 3 {
-			return nil, fmt.Errorf("line %d: want src,dst,gbps", lineNo)
-		}
-		src, err1 := strconv.Atoi(strings.TrimSpace(parts[0]))
-		dst, err2 := strconv.Atoi(strings.TrimSpace(parts[1]))
-		gbps, err3 := strconv.ParseFloat(strings.TrimSpace(parts[2]), 64)
-		if err1 != nil || err2 != nil || err3 != nil {
-			return nil, fmt.Errorf("line %d: bad demand %q", lineNo, line)
-		}
-		if gbps < 0 {
-			return nil, fmt.Errorf("line %d: negative demand", lineNo)
-		}
-		out = append(out, arrow.Demand{Src: src, Dst: dst, Gbps: gbps})
-	}
-	if err := sc.Err(); err != nil {
+	m, err := traffic.ReadCSV(r)
+	if err != nil {
 		return nil, err
 	}
-	if len(out) == 0 {
+	if len(m.Flows) == 0 {
 		return nil, fmt.Errorf("no demands found")
+	}
+	out := make([]arrow.Demand, len(m.Flows))
+	for i, f := range m.Flows {
+		out[i] = arrow.Demand{Src: f.Src, Dst: f.Dst, Gbps: f.Demand}
 	}
 	return out, nil
 }

@@ -266,9 +266,6 @@ func Testbed() (*optical.Network, error) {
 // FiberDC is the ID of the testbed fiber whose cut reproduces Fig. 11.
 const FiberDC = 2
 
-// FiberAB is the testbed fiber monitored in Fig. 12.
-const FiberAB = 0
-
 // RunRestoration emulates an end-to-end fiber-cut restoration: the cut is
 // detected, the RWA computes the surrogate assignment, ROADMs reconfigure
 // in two parallel waves, and — in legacy mode only — amplifiers along each

@@ -168,11 +168,15 @@ func TestPortReuseAccounting(t *testing.T) {
 	}
 	// 16 wavelengths -> 32 ports provisioned; the DC cut idles 28 of them
 	// (14 failed wavelengths x 2 ends); full restoration reuses all 28.
-	if got := n.PortCount(); got != 32 {
-		t.Fatalf("port count %d, want 32", got)
+	ports, idle := 0, 0
+	for _, l := range n.IPLinks {
+		ports += 2 * len(l.Waves)
 	}
-	if got := n.IdlePortsUnderCut([]int{FiberDC}); got != 28 {
-		t.Fatalf("idle ports %d, want 28", got)
+	for _, lid := range n.FailedLinks([]int{FiberDC}) {
+		idle += 2 * len(n.IPLinks[lid].Waves)
+	}
+	if ports != 32 || idle != 28 {
+		t.Fatalf("ports %d provisioned, %d idled by the cut; want 32 and 28", ports, idle)
 	}
 	tr, err := RunRestoration(n, []int{FiberDC}, Config{NoiseLoading: true, Seed: 1})
 	if err != nil {

@@ -184,33 +184,6 @@ func TestAmpChainSettleFig20(t *testing.T) {
 	}
 }
 
-func TestNoiseLoadingInvariantOnTestbed(t *testing.T) {
-	// The §4 invariant: applying the restoration plan changes no fiber's
-	// lit-channel count when noise loading is on.
-	n, err := Testbed()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := rwa.Solve(&rwa.Request{Net: n, Cut: []int{FiberDC}, K: 3, AllowTuning: true, AllowModulationChange: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	target := make([]int, len(res.Failed))
-	copy(target, res.OrigWaves)
-	asg, ok := rwa.AssignIntegral(res, target)
-	if !ok {
-		t.Fatal("testbed cut should be fully restorable")
-	}
-	loaded := noise.NewSpectrumMap(n, true)
-	if changed := noise.Apply(loaded, n, res, asg); changed != 0 {
-		t.Fatalf("noise-loaded spectrum changed lit count on %d fibers", changed)
-	}
-	dark := noise.NewSpectrumMap(n, false)
-	if changed := noise.Apply(dark, n, res, asg); changed == 0 {
-		t.Fatal("legacy spectrum should change lit counts")
-	}
-}
-
 func TestBuildPlanCountsROADMs(t *testing.T) {
 	n, err := Testbed()
 	if err != nil {

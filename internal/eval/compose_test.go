@@ -80,7 +80,7 @@ func TestCorrelatedPipelineDeterministicAcrossParallelism(t *testing.T) {
 
 // TestCorrelatedPairsMatchLegacyPipeline pins the cross-enumerator identity
 // end to end: MaxCutSize=2 without SRLGs walks the same singles+pairs
-// scenario space as the legacy enumerator, and with composition disabled
+// scenario space as the zero Space, and with composition disabled
 // the offline stage issues the same solves — the pipelines must match
 // field for field.
 func TestCorrelatedPairsMatchLegacyPipeline(t *testing.T) {

@@ -44,9 +44,9 @@ type Config struct {
 	// only read solver state and never change any result.
 	HealthEvery int
 	// Space is the scenario space every experiment pipeline plans (see
-	// plan.Space); the zero value keeps the legacy singles+pairs enumerator
-	// and byte-identical results. Exposed as arrow-experiments -max-cut-size
-	// / -srlgs / -target-mass / -max-enumerated / -compose.
+	// plan.Space); the zero value plans every single and double fiber cut
+	// above the cutoff. Exposed as arrow-experiments -max-cut-size / -srlgs
+	// / -target-mass / -max-enumerated / -compose.
 	Space plan.Space
 }
 

@@ -57,9 +57,8 @@ type PipelineOptions struct {
 	// sizes tractable; 0 = no cap. Cuts that touch no IP link never count
 	// against the budget.
 	MaxScenarios int
-	// Space is the scenario space (see plan.Space); the zero value keeps the
-	// legacy singles+pairs enumerator and the byte-identical pre-existing
-	// pipeline.
+	// Space is the scenario space (see plan.Space); the zero value plans
+	// every single and double fiber cut above Cutoff.
 	Space plan.Space
 	// Parallelism is the worker count for the per-scenario RWA solves and
 	// LotteryTicket generation (the offline stage is embarrassingly

@@ -27,8 +27,8 @@ type RunOptions struct {
 	// sequentially; pipeline results are byte-identical on or off at any
 	// Workers setting.
 	Attribution bool
-	// Space opts the run into the correlated k-failure enumerator; the zero
-	// value keeps the legacy enumeration byte-identical (see plan.Space).
+	// Space is the run's scenario space (see plan.Space); the zero value
+	// plans every single and double fiber cut above the cutoff.
 	Space plan.Space
 }
 

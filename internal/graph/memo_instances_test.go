@@ -38,7 +38,7 @@ func TestPathMemoMatchesSearchOnPlannedCuts(t *testing.T) {
 		}
 		net := tp.Opt
 		probs := scenario.FailureProbabilities(len(net.Fibers), scenario.DefaultShape, scenario.DefaultScale, 3)
-		set := scenario.Enumerate(probs, in.cutoff)
+		set := scenario.EnumerateCorrelated(probs, nil, scenario.EnumOptions{K: 2, Cutoff: in.cutoff})
 		if in.maxCutSize > 0 {
 			set = scenario.EnumerateCorrelated(probs, tp.SRLGs, scenario.EnumOptions{K: in.maxCutSize, Cutoff: in.cutoff})
 		}

@@ -34,9 +34,10 @@ func TestAppendColumnIntoAllSlackBasis(t *testing.T) {
 
 	basis := SlackBasis(m)
 	// Price in a second, more profitable column sharing the capacity row.
-	m.AppendColumn(basis, 0, Inf, 3, "y", []ColumnEntry{{Constr: c, Coef: 1}})
+	m.AddVarToConstrs(0, Inf, 3, "y", []ColumnEntry{{Constr: c, Coef: 1}})
+	basis.ExtendTo(m)
 	if got, want := len(basis.VarStatus), m.NumVars(); got != want {
-		t.Fatalf("basis covers %d vars after AppendColumn, want %d", got, want)
+		t.Fatalf("basis covers %d vars after ExtendTo, want %d", got, want)
 	}
 
 	sol, err := SolveWithBasis(m, basis, nil)
@@ -81,7 +82,7 @@ func TestAppendColumnOntoTruncatedWarmBasis(t *testing.T) {
 	// Regrow with a DIFFERENT block and a relaxation column on it, colgen
 	// style: load - u <= rhs with u bounded.
 	c := m.AddConstr(Expr{}.Plus(1, vars[1]).Plus(1, vars[3]).Plus(1, vars[5]), LE, 14, "blk1")
-	m.AppendColumn(skel, 0, 2, 0, "relax", []ColumnEntry{{Constr: c, Coef: -1}})
+	m.AddVarToConstrs(0, 2, 0, "relax", []ColumnEntry{{Constr: c, Coef: -1}})
 	skel.ExtendTo(m)
 	if len(skel.RowStatus) != m.NumConstrs() || len(skel.VarStatus) != m.NumVars() {
 		t.Fatalf("ExtendTo left basis at %dv/%dr for model %dv/%dr",

@@ -3,6 +3,8 @@ package lp
 import (
 	"fmt"
 	"math"
+
+	"github.com/arrow-te/arrow/internal/obs"
 )
 
 // This file is the solver's numerical-health observatory: per-solve
@@ -293,7 +295,7 @@ func (sx *simplex) attachHealth(sol *Solution) {
 
 // flushHealthMetrics reports the probe record to the recorder under the
 // lp.health.* schema (called from flushMetrics; recorder is non-nil).
-func (sx *simplex) flushHealthMetrics(r recorderIface) {
+func (sx *simplex) flushHealthMetrics(r obs.Recorder) {
 	h := sx.health
 	if h == nil {
 		return
@@ -311,12 +313,4 @@ func (sx *simplex) flushHealthMetrics(r recorderIface) {
 			r.Observe("lp.health.obj_progress", s.ObjDelta)
 		}
 	}
-}
-
-// recorderIface mirrors the obs.Recorder subset the health flush needs; it
-// exists so flushHealthMetrics can be tested with a local fake without the
-// lp package re-importing obs under a second name.
-type recorderIface interface {
-	Add(name string, delta int64)
-	Observe(name string, v float64)
 }

@@ -328,23 +328,23 @@ func TestAnomalyReasonsStable(t *testing.T) {
 	_ = fmt.Sprintf("%v", a)
 }
 
-// TestAnomalyCountersInCoreSchema is the conformance test the
-// obs.CoreCounters comment promises: every reason code's per-reason
+// TestAnomalyCountersInCoreSchema is the conformance test the core counter
+// schema's comment promises: every reason code's per-reason
 // counter (and the aggregate) must be part of the core counter schema, so
 // snapshots always carry the full detector vocabulary even on clean runs.
 func TestAnomalyCountersInCoreSchema(t *testing.T) {
 	core := map[string]bool{}
-	for _, k := range obs.CoreCounters {
-		core[k] = true
+	for _, d := range obs.CounterDocs() {
+		core[d.Name] = true
 	}
 	for _, want := range []string{"lp.health.probes", "lp.health.anomalies"} {
 		if !core[want] {
-			t.Errorf("obs.CoreCounters missing %q", want)
+			t.Errorf("core counter schema missing %q", want)
 		}
 	}
 	for _, r := range AnomalyReasons() {
 		if key := "lp.health.anomaly." + string(r); !core[key] {
-			t.Errorf("obs.CoreCounters missing per-reason counter %q", key)
+			t.Errorf("core counter schema missing per-reason counter %q", key)
 		}
 	}
 }

@@ -205,7 +205,7 @@ func (m *Model) Reset() {
 }
 
 // ColumnEntry is one (constraint, coefficient) pair of a column appended
-// via AddVarToConstrs / AppendColumn.
+// via AddVarToConstrs.
 type ColumnEntry struct {
 	Constr Constr
 	Coef   float64
@@ -217,7 +217,8 @@ type ColumnEntry struct {
 // same constraint are summed (matching AddConstr's combineTerms semantics).
 // Part of the delta API (see SetRHS): together with TruncateConstrs it lets
 // a restricted master problem grow column-wise between warm re-solves
-// without cloning or rebuilding, which is what column generation needs.
+// without cloning or rebuilding, which is what column generation needs; a
+// warm basis follows the grown model through Basis.ExtendTo.
 func (m *Model) AddVarToConstrs(lb, ub, obj float64, name string, col []ColumnEntry) Var {
 	for _, e := range col {
 		if int(e.Constr) < 0 || int(e.Constr) >= len(m.rows) {
@@ -236,22 +237,6 @@ func (m *Model) AddVarToConstrs(lb, ub, obj float64, name string, col []ColumnEn
 			continue
 		}
 		r.terms = append(r.terms, Term{Var: v, Coef: e.Coef})
-	}
-	return v
-}
-
-// AppendColumn is AddVarToConstrs plus warm-basis maintenance: it grows the
-// model with the new column and extends basis (when non-nil) so the new
-// variable enters NONBASIC at its natural starting bound and any rows added
-// since the basis was exported become slack-basic. The extended basis stays
-// a valid warm start for the grown model — the simplex pads exactly this
-// way on import, but extending explicitly keeps the caller's basis usable
-// for inspection and further appends. Mirrors TruncateConstrs on the
-// column side of the delta API.
-func (m *Model) AppendColumn(basis *Basis, lb, ub, obj float64, name string, col []ColumnEntry) Var {
-	v := m.AddVarToConstrs(lb, ub, obj, name, col)
-	if basis != nil {
-		basis.ExtendTo(m)
 	}
 	return v
 }

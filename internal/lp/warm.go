@@ -59,7 +59,7 @@ func (b *Basis) Clone() *Basis {
 // beyond the basis enter NONBASIC at their natural starting bound and rows
 // beyond it enter slack-basic. Extending never touches existing statuses,
 // so a basis exported from an optimal solve stays optimal-adjacent after
-// appending columns via Model.AppendColumn — exactly what a column
+// appending columns via Model.AddVarToConstrs — exactly what a column
 // generation loop needs between master re-solves. ExtendTo panics if the
 // basis is LARGER than the model (use the truncation idiom for shrinking,
 // mirroring Model.TruncateConstrs).

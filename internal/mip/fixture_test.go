@@ -80,7 +80,7 @@ func loadILPFixture(t *testing.T, name string) *lp.Model {
 func TestRecorderCountsBranchAndBound(t *testing.T) {
 	m := loadILPFixture(t, "knapsack.json")
 	reg := obs.NewRegistry()
-	sol, err := Solve(m, &Options{Recorder: reg})
+	sol, err := Solve(m, &Options{LP: &lp.Options{Recorder: reg}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestRecorderIdenticalResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := Solve(loadILPFixture(t, "knapsack.json"), &Options{Recorder: obs.NewRegistry()})
+	rec, err := Solve(loadILPFixture(t, "knapsack.json"), &Options{LP: &lp.Options{Recorder: obs.NewRegistry()}})
 	if err != nil {
 		t.Fatal(err)
 	}

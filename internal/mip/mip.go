@@ -10,7 +10,6 @@
 package mip
 
 import (
-	"errors"
 	"math"
 
 	"github.com/arrow-te/arrow/internal/lp"
@@ -19,15 +18,18 @@ import (
 
 // Options tunes the branch-and-bound search.
 type Options struct {
-	MaxNodes int     // node budget (default 200000)
+	// MaxNodes is the node budget (default 200000). A search that spends it
+	// without an integral solution returns StatusIterLimit and no X, not an
+	// error; one that found an incumbent returns it, with Bound the best
+	// bound still open.
+	MaxNodes int
 	IntTol   float64 // integrality tolerance (default 1e-6)
 	Gap      float64 // relative optimality gap for early stop (default 0)
-	LP       *lp.Options
-	// Recorder receives per-solve metrics (nodes explored/pruned,
-	// incumbent updates) and is forwarded to the node LP relaxations.
-	// Counters accumulate locally and flush once per Solve; a nil Recorder
-	// costs nothing and never changes the search.
-	Recorder obs.Recorder
+	// LP configures the node relaxations. Its Recorder also receives the
+	// per-solve branch-and-bound metrics (nodes explored/pruned, incumbent
+	// updates), which accumulate locally and flush once per Solve; a nil
+	// Recorder costs nothing and never changes the search.
+	LP *lp.Options
 	// NoWarm disables warm-starting child node relaxations from the parent
 	// node's final basis. Warm starts never change which solution is found
 	// (the warm solver reaches the same optimum); the switch exists for A/B
@@ -52,23 +54,16 @@ func (o *Options) withDefaults() Options {
 		v.Gap = o.Gap
 	}
 	v.LP = o.LP
-	v.Recorder = o.Recorder
 	v.NoWarm = o.NoWarm
 	return v
 }
 
-// lpOptions returns the options for node relaxations, forwarding the
-// recorder into the LP layer when one is attached.
-func (o Options) lpOptions() *lp.Options {
-	if o.Recorder == nil {
-		return o.LP
+// recorder is LP.Recorder, or nil without LP options.
+func (o Options) recorder() obs.Recorder {
+	if o.LP == nil {
+		return nil
 	}
-	var v lp.Options
-	if o.LP != nil {
-		v = *o.LP
-	}
-	v.Recorder = o.Recorder
-	return &v
+	return o.LP.Recorder
 }
 
 // Solution is the result of a MILP solve.
@@ -130,14 +125,14 @@ func Solve(m *lp.Model, opts *Options) (*Solution, error) {
 			intVars = append(intVars, lp.Var(j))
 		}
 	}
-	lpOpts := opt.lpOptions()
+	rec := opt.recorder()
 	if len(intVars) == 0 {
-		sol, err := lp.Solve(m, lpOpts)
+		sol, err := lp.Solve(m, opt.LP)
 		if err != nil {
 			return nil, err
 		}
-		obs.Add(opt.Recorder, "mip.solves", 1)
-		obs.Add(opt.Recorder, "mip.nodes", 1)
+		obs.Add(rec, "mip.solves", 1)
+		obs.Add(rec, "mip.nodes", 1)
 		return &Solution{Status: sol.Status, Objective: sol.Objective, X: sol.X, Nodes: 1, Bound: sol.Objective, Cert: sol.Cert}, nil
 	}
 
@@ -168,13 +163,13 @@ func Solve(m *lp.Model, opts *Options) (*Solution, error) {
 	sawIterLimit := false
 	pruned, incumbents, unhealthy := 0, 0, 0
 	defer func() {
-		if r := opt.Recorder; r != nil {
-			r.Add("mip.solves", 1)
-			r.Add("mip.nodes", int64(nodes))
-			r.Add("mip.pruned", int64(pruned))
-			r.Add("mip.incumbents", int64(incumbents))
-			r.Add("mip.unhealthy_nodes", int64(unhealthy))
-			r.Observe("mip.nodes_per_solve", float64(nodes))
+		if rec != nil {
+			rec.Add("mip.solves", 1)
+			rec.Add("mip.nodes", int64(nodes))
+			rec.Add("mip.pruned", int64(pruned))
+			rec.Add("mip.incumbents", int64(incumbents))
+			rec.Add("mip.unhealthy_nodes", int64(unhealthy))
+			rec.Observe("mip.nodes_per_solve", float64(nodes))
 		}
 	}()
 
@@ -216,7 +211,7 @@ func Solve(m *lp.Model, opts *Options) (*Solution, error) {
 		if opt.NoWarm {
 			start = nil
 		}
-		rel, err := lp.SolveWithBasis(work, start, lpOpts)
+		rel, err := lp.SolveWithBasis(work, start, opt.LP)
 		if err != nil {
 			return nil, err
 		}
@@ -307,8 +302,8 @@ func Solve(m *lp.Model, opts *Options) (*Solution, error) {
 	// within m's bounds, so the incumbent is feasible for m and the
 	// certificate must describe the problem the caller posed.
 	best.Cert = certify(m, best)
-	if r := opt.Recorder; r != nil {
-		r.Observe("mip.gap", best.Cert.Gap)
+	if rec != nil {
+		rec.Observe("mip.gap", best.Cert.Gap)
 	}
 	return best, nil
 }
@@ -328,7 +323,3 @@ func roundInts(x []float64, intVars []lp.Var) []float64 {
 	}
 	return out
 }
-
-// ErrNoIncumbent is reported when branch and bound exhausts its node budget
-// without finding any integral solution.
-var ErrNoIncumbent = errors.New("mip: node budget exhausted without incumbent")

@@ -16,11 +16,11 @@ func TestWarmMatchesCold(t *testing.T) {
 	for _, name := range []string{"knapsack.json", "bound_tighten.json"} {
 		t.Run(name, func(t *testing.T) {
 			warmReg, coldReg := obs.NewRegistry(), obs.NewRegistry()
-			warm, err := Solve(loadILPFixture(t, name), &Options{Recorder: warmReg})
+			warm, err := Solve(loadILPFixture(t, name), &Options{LP: &lp.Options{Recorder: warmReg}})
 			if err != nil {
 				t.Fatal(err)
 			}
-			cold, err := Solve(loadILPFixture(t, name), &Options{Recorder: coldReg, NoWarm: true})
+			cold, err := Solve(loadILPFixture(t, name), &Options{LP: &lp.Options{Recorder: coldReg}, NoWarm: true})
 			if err != nil {
 				t.Fatal(err)
 			}

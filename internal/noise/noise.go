@@ -1,90 +1,22 @@
-// Package noise models ARROW's optical noise loading (§4) and ROADM
-// reconfiguration planning (Appendix A.6).
+// Package noise plans ARROW's ROADM reconfiguration under optical noise
+// loading (§4, Appendix A.6).
 //
 // With ASE noise sources, every unused wavelength slot on every fiber
 // carries noise, so amplifiers always see a fully populated spectrum:
 // replacing noise with data (or vice versa) is local to the ROADMs and
-// bypasses amplifier gain reconfiguration entirely. This package tracks
-// per-fiber channel states (data / noise / dark) and compiles a restoration
-// assignment into the two parallel ROADM reconfiguration waves the paper
-// describes: add/drop ROADMs first, then intermediate ROADMs.
+// bypasses amplifier gain reconfiguration entirely. This package compiles a
+// restoration assignment into the two parallel ROADM reconfiguration waves
+// the paper describes: add/drop ROADMs first, then intermediate ROADMs.
+// What the waves cost in time, with and without noise loading, is the
+// emulator's (internal/emu).
 package noise
 
 import (
-	"fmt"
 	"slices"
 
 	"github.com/arrow-te/arrow/internal/optical"
 	"github.com/arrow-te/arrow/internal/rwa"
 )
-
-// ChannelState is the occupancy of one wavelength slot on one fiber.
-type ChannelState uint8
-
-// Channel states.
-const (
-	Dark  ChannelState = iota // unlit (legacy systems without noise loading)
-	Noise                     // carrying ASE noise
-	Data                      // carrying router traffic
-)
-
-func (s ChannelState) String() string {
-	switch s {
-	case Dark:
-		return "dark"
-	case Noise:
-		return "noise"
-	case Data:
-		return "data"
-	}
-	return fmt.Sprintf("ChannelState(%d)", uint8(s))
-}
-
-// SpectrumMap tracks the channel state of every slot on every fiber.
-type SpectrumMap struct {
-	states [][]ChannelState
-}
-
-// NewSpectrumMap derives the channel map from a provisioned network:
-// occupied slots carry Data; free slots carry Noise when noiseLoaded, else
-// Dark.
-func NewSpectrumMap(net *optical.Network, noiseLoaded bool) *SpectrumMap {
-	idle := Dark
-	if noiseLoaded {
-		idle = Noise
-	}
-	sm := &SpectrumMap{states: make([][]ChannelState, len(net.Fibers))}
-	for fi, f := range net.Fibers {
-		sm.states[fi] = make([]ChannelState, net.SlotCount)
-		for s := 0; s < net.SlotCount; s++ {
-			if f.Slots.Available(s) {
-				sm.states[fi][s] = idle
-			} else {
-				sm.states[fi][s] = Data
-			}
-		}
-	}
-	return sm
-}
-
-// State returns the channel state of (fiber, slot).
-func (sm *SpectrumMap) State(fiber, slot int) ChannelState { return sm.states[fiber][slot] }
-
-// Set updates the channel state of (fiber, slot).
-func (sm *SpectrumMap) Set(fiber, slot int, s ChannelState) { sm.states[fiber][slot] = s }
-
-// LitCount returns how many slots on the fiber are powered (data or noise).
-// Amplifier gain settling is triggered when this number changes on a legacy
-// system; with noise loading it never changes.
-func (sm *SpectrumMap) LitCount(fiber int) int {
-	n := 0
-	for _, s := range sm.states[fiber] {
-		if s != Dark {
-			n++
-		}
-	}
-	return n
-}
 
 // OpKind distinguishes the two ROADM reconfiguration waves (Appendix A.6).
 type OpKind uint8
@@ -196,26 +128,4 @@ func BuildPlan(net *optical.Network, res *rwa.Result, asg *rwa.Assignment) *Plan
 		}
 	}
 	return p
-}
-
-// Apply executes the plan on a spectrum map: the restored wavelengths'
-// slots switch from Noise (or Dark) to Data along their surrogate fibers.
-// It returns the number of fibers whose LIT count changed — zero exactly
-// when the map is noise-loaded, which is the §4 invariant that lets ARROW
-// bypass amplifier reconfiguration.
-func Apply(sm *SpectrumMap, net *optical.Network, res *rwa.Result, asg *rwa.Assignment) int {
-	changed := map[int]bool{}
-	for li := range res.Failed {
-		for _, pick := range asg.PerLink[li] {
-			opt := res.Options[li][pick[0]]
-			slot := pick[1]
-			for _, fid := range opt.Fibers {
-				if sm.State(fid, slot) == Dark {
-					changed[fid] = true
-				}
-				sm.Set(fid, slot, Data)
-			}
-		}
-	}
-	return len(changed)
 }

@@ -37,25 +37,6 @@ func triangle(t *testing.T, blockSlot bool) (*optical.Network, *rwa.Result, *rwa
 	return n, res, asg
 }
 
-func TestSpectrumMapStates(t *testing.T) {
-	n, _, _ := triangle(t, false)
-	loaded := NewSpectrumMap(n, true)
-	if loaded.State(0, 5) != Data {
-		t.Fatalf("provisioned slot state %v", loaded.State(0, 5))
-	}
-	if loaded.State(0, 0) != Noise {
-		t.Fatalf("idle slot state %v, want noise", loaded.State(0, 0))
-	}
-	dark := NewSpectrumMap(n, false)
-	if dark.State(0, 0) != Dark {
-		t.Fatalf("idle slot state %v, want dark", dark.State(0, 0))
-	}
-	// Lit counts: loaded fiber is fully lit, dark fiber only where data.
-	if loaded.LitCount(0) != 8 || dark.LitCount(0) != 1 {
-		t.Fatalf("lit counts %d / %d", loaded.LitCount(0), dark.LitCount(0))
-	}
-}
-
 func TestBuildPlanRetuneDetection(t *testing.T) {
 	// Without blocking, the restored wave keeps slot 5: no retune.
 	_, res, asg := triangle(t, false)
@@ -115,28 +96,6 @@ func TestDistinctROADMsKeepsFirstTouchOrder(t *testing.T) {
 	}
 	if got := DistinctROADMs(nil); got != nil {
 		t.Fatalf("DistinctROADMs(nil) = %v, want nil", got)
-	}
-}
-
-func TestApplyInvariant(t *testing.T) {
-	n, res, asg := triangle(t, false)
-	loaded := NewSpectrumMap(n, true)
-	if changed := Apply(loaded, n, res, asg); changed != 0 {
-		t.Fatalf("noise-loaded apply changed %d fibers", changed)
-	}
-	// Restored slots now carry data on the surrogate fibers.
-	if loaded.State(1, 5) != Data || loaded.State(2, 5) != Data {
-		t.Fatal("restored slots not marked data")
-	}
-	dark := NewSpectrumMap(n, false)
-	if changed := Apply(dark, n, res, asg); changed != 2 {
-		t.Fatalf("dark apply changed %d fibers, want 2", changed)
-	}
-}
-
-func TestChannelStateString(t *testing.T) {
-	if Dark.String() != "dark" || Noise.String() != "noise" || Data.String() != "data" {
-		t.Fatal("state strings wrong")
 	}
 }
 

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -12,76 +13,84 @@ type MetricDoc struct {
 	Help string
 }
 
-// counterHelp documents every CoreCounters key. A conformance test keeps
-// the two lists exactly aligned, so adding a counter without documenting it
-// fails the build.
-var counterHelp = map[string]string{
-	"lp.solves":                              "LP solves completed (both simplex phases count as one solve)",
-	"lp.pivots":                              "simplex pivots across all solves",
-	"lp.pivot_work":                          "pivots x (nonzeros + rows): a model-size weight per pivot, not a measure of work done",
-	"lp.repriced_cols":                       "columns whose reduced cost was recomputed (each phase's initial full pass included)",
-	"lp.solve_reach":                         "pivot steps visited by the LU triangular passes of FTRAN/BTRAN (rows of the basis for a full-length pass)",
-	"lp.full_solves":                         "LU solves in which a triangular pass ran full length instead of following its reach",
-	"lp.phase1_pivots":                       "pivots spent in simplex phase 1 (feasibility search)",
-	"lp.refactorizations":                    "basis refactorizations (eta-file resets)",
-	"lp.degenerate_pivots":                   "pivots with a zero step length",
-	"lp.certificates":                        "optimality certificates produced and validated",
-	"lp.cert_failures":                       "certificate validations that failed (solver bug tripwire)",
-	"lp.warm_starts":                         "solves that started from a supplied basis",
-	"lp.warm_accepted":                       "warm bases accepted as-is (no repair needed)",
-	"lp.warm_repairs":                        "warm bases repaired before use (singular or stale rows)",
-	"lp.phase1_skipped":                      "solves that skipped simplex phase 1 thanks to a feasible warm basis",
-	"lp.pivots_saved":                        "estimated pivots saved by warm starts vs the cold baseline",
-	"lp.columns_priced":                      "columns priced in by the column-generation loop",
-	"te.pricing_rounds":                      "column-generation pricing sweeps across all ARROW Phase I solves",
-	"te.tickets_deferred":                    "ticket blocks left out of the master by lazy pricing",
-	"te.phase1_pivots":                       "simplex pivots attributed to ARROW Phase I masters",
-	"te.phase1_pivot_work":                   "pivot work units attributed to ARROW Phase I masters",
-	"te.fallback_kept":                       "ARROW solves that kept the all-ticket-0 Phase II over Phase I's winners",
-	"mip.solves":                             "branch-and-bound solves completed",
-	"mip.nodes":                              "branch-and-bound nodes explored",
-	"mip.pruned":                             "nodes pruned by bound",
-	"mip.incumbents":                         "incumbent improvements found",
-	"rwa.solves":                             "restoration wavelength-assignment solves",
-	"rwa.compose_adopted":                    "basis variables adopted from single-cut solutions when composing multi-cut warm starts",
-	"ticket.rounding_attempts":               "LP-relaxation rounding attempts during ticket generation",
-	"ticket.generated":                       "restoration tickets generated",
-	"ticket.infeasible":                      "candidate tickets rejected as infeasible",
-	"ticket.duplicates":                      "candidate tickets rejected as duplicates",
-	"par.pools":                              "worker pools created",
-	"par.tasks":                              "tasks executed across all pools",
-	"par.busy_ns":                            "cumulative worker busy time (ns)",
-	"par.idle_ns":                            "cumulative worker idle time (ns)",
-	"pipeline.scenarios_enumerated":          "failure scenarios enumerated by the offline pipeline",
-	"pipeline.scenarios_relevant":            "enumerated scenarios kept after the relevance cutoff",
-	"scenario.enumerated":                    "cut sets emitted by the correlated k-failure enumerator",
-	"scenario.pruned":                        "failure-lattice nodes pruned by the enumerator's probability bound",
-	"scenario.warm_from_singles":             "multi-cut RWA solves warm-started from pre-staged single-cut bases",
-	"sim.intervals":                          "timeline replay intervals evaluated",
-	"sim.unplanned_intervals":                "intervals spent in failure states with no precomputed plan",
-	"sim.restoring_intervals":                "intervals spent inside restoration-latency windows",
-	"emu.episodes":                           "emulated restoration episodes run",
-	"emu.amps_settled":                       "amplifiers settled across all episodes",
-	"emu.amp_loops":                          "amplifier settle-loop iterations",
-	"emu.roadm_reconfigs":                    "ROADM reconfigurations performed",
-	"emu.lightpaths_restored":                "lightpaths restored across all episodes",
-	"lp.health.probes":                       "solver-health probes taken (lp.Options.HealthEvery)",
-	"lp.health.anomalies":                    "health probes that flagged an anomaly",
-	"lp.health.anomaly.stall":                "probes flagging objective stall",
-	"lp.health.anomaly.residual_drift":       "probes flagging primal residual drift",
-	"lp.health.anomaly.warm_repair_fallback": "probes flagging a warm-basis repair fallback",
-	"lp.health.anomaly.cycling_suspect":      "probes flagging suspected cycling",
-	"mip.unhealthy_nodes":                    "branch-and-bound nodes whose LP relaxation probed unhealthy",
-	"obs.late_hist_registrations":            "histogram registrations after first observation (bucket mismatch tripwire)",
-	"obs.sse.dropped_events":                 "SSE events dropped on slow /events clients",
-	"attr.runs":                              "availability-attribution passes completed",
-	"attr.scenarios":                         "scenario-level loss contributions decomposed",
-	"attr.flows":                             "flow-level loss contributions decomposed",
-	"attr.identity_violations":               "decomposition identities off by more than 1e-9 (attribution bug tripwire)",
-	"attr.sensitivities":                     "capacity-row shadow prices harvested from the final phase-II basis",
-	"attr.fd_checks":                         "shadow prices validated against finite-difference warm re-solves",
-	"attr.fd_mismatches":                     "shadow prices outside their finite-difference derivative bracket",
-	"attr.probes":                            "what-if perturbations probed by warm re-solve or analytic evaluation",
+// coreCounters is the canonical counter schema, in order: every Registry
+// carries these keys from birth (at zero), so a snapshot always answers "how
+// many pivots / nodes / rounding attempts" even for code paths the run never
+// exercised, and METRICS.md documents each one. Instrumented layers may add
+// further keys on top.
+var coreCounters = []MetricDoc{
+	{"lp.solves", "counter", "LP solves completed (both simplex phases count as one solve)"},
+	{"lp.pivots", "counter", "simplex pivots across all solves"},
+	{"lp.pivot_work", "counter", "pivots x (nonzeros + rows): a model-size weight per pivot, not a measure of work done"},
+	{"lp.repriced_cols", "counter", "columns whose reduced cost was recomputed (each phase's initial full pass included)"},
+	{"lp.solve_reach", "counter", "pivot steps visited by the LU triangular passes of FTRAN/BTRAN (rows of the basis for a full-length pass)"},
+	{"lp.full_solves", "counter", "LU solves in which a triangular pass ran full length instead of following its reach"},
+	{"lp.phase1_pivots", "counter", "pivots spent in simplex phase 1 (feasibility search)"},
+	{"lp.refactorizations", "counter", "basis refactorizations (eta-file resets)"},
+	{"lp.degenerate_pivots", "counter", "pivots with a zero step length"},
+	{"lp.certificates", "counter", "optimality certificates produced and validated"},
+	{"lp.cert_failures", "counter", "certificate validations that failed (solver bug tripwire)"},
+	{"lp.warm_starts", "counter", "solves that started from a supplied basis"},
+	{"lp.warm_accepted", "counter", "warm bases accepted as-is (no repair needed)"},
+	{"lp.warm_repairs", "counter", "warm bases repaired before use (singular or stale rows)"},
+	{"lp.phase1_skipped", "counter", "solves that skipped simplex phase 1 thanks to a feasible warm basis"},
+	{"lp.pivots_saved", "counter", "estimated pivots saved by warm starts vs the cold baseline"},
+	{"lp.columns_priced", "counter", "columns priced in by the column-generation loop"},
+	{"te.pricing_rounds", "counter", "column-generation pricing sweeps across all ARROW Phase I solves"},
+	{"te.tickets_deferred", "counter", "ticket blocks left out of the master by lazy pricing"},
+	{"te.phase1_pivots", "counter", "simplex pivots attributed to ARROW Phase I masters"},
+	{"te.phase1_pivot_work", "counter", "pivot work units attributed to ARROW Phase I masters"},
+	{"te.fallback_kept", "counter", "ARROW solves that kept the all-ticket-0 Phase II over Phase I's winners"},
+	{"mip.solves", "counter", "branch-and-bound solves completed"},
+	{"mip.nodes", "counter", "branch-and-bound nodes explored"},
+	{"mip.pruned", "counter", "nodes pruned by bound"},
+	{"mip.incumbents", "counter", "incumbent improvements found"},
+	{"rwa.solves", "counter", "restoration wavelength-assignment solves"},
+	{"rwa.compose_adopted", "counter", "basis variables adopted from single-cut solutions when composing multi-cut warm starts"},
+	{"ticket.rounding_attempts", "counter", "LP-relaxation rounding attempts during ticket generation"},
+	{"ticket.generated", "counter", "restoration tickets generated"},
+	{"ticket.infeasible", "counter", "candidate tickets rejected as infeasible"},
+	{"ticket.duplicates", "counter", "candidate tickets rejected as duplicates"},
+	{"par.pools", "counter", "worker pools created"},
+	{"par.tasks", "counter", "tasks executed across all pools"},
+	{"par.busy_ns", "counter", "cumulative worker busy time (ns)"},
+	{"par.idle_ns", "counter", "cumulative worker idle time (ns)"},
+	{"pipeline.scenarios_enumerated", "counter", "failure scenarios enumerated by the offline pipeline"},
+	{"pipeline.scenarios_relevant", "counter", "enumerated scenarios kept after the relevance cutoff"},
+	// Correlated k-failure enumeration + compositional offline stage.
+	{"scenario.enumerated", "counter", "cut sets emitted by the correlated k-failure enumerator"},
+	{"scenario.pruned", "counter", "failure-lattice nodes pruned by the enumerator's probability bound"},
+	{"scenario.warm_from_singles", "counter", "multi-cut RWA solves warm-started from pre-staged single-cut bases"},
+	{"sim.intervals", "counter", "timeline replay intervals evaluated"},
+	{"sim.unplanned_intervals", "counter", "intervals spent in failure states with no precomputed plan"},
+	{"sim.restoring_intervals", "counter", "intervals spent inside restoration-latency windows"},
+	{"emu.episodes", "counter", "emulated restoration episodes run"},
+	{"emu.amps_settled", "counter", "amplifiers settled across all episodes"},
+	{"emu.amp_loops", "counter", "amplifier settle-loop iterations"},
+	{"emu.roadm_reconfigs", "counter", "ROADM reconfigurations performed"},
+	{"emu.lightpaths_restored", "counter", "lightpaths restored across all episodes"},
+	// Solver-health observatory (lp.Options.HealthEvery probes). The
+	// per-reason anomaly keys mirror lp.AnomalyReasons(); a conformance test
+	// in internal/lp keeps the two lists aligned.
+	{"lp.health.probes", "counter", "solver-health probes taken (lp.Options.HealthEvery)"},
+	{"lp.health.anomalies", "counter", "health probes that flagged an anomaly"},
+	{"lp.health.anomaly.stall", "counter", "probes flagging objective stall"},
+	{"lp.health.anomaly.residual_drift", "counter", "probes flagging primal residual drift"},
+	{"lp.health.anomaly.warm_repair_fallback", "counter", "probes flagging a warm-basis repair fallback"},
+	{"lp.health.anomaly.cycling_suspect", "counter", "probes flagging suspected cycling"},
+	{"mip.unhealthy_nodes", "counter", "branch-and-bound nodes whose LP relaxation probed unhealthy"},
+	// Observability plane self-accounting.
+	{"obs.late_hist_registrations", "counter", "histogram registrations after first observation (bucket mismatch tripwire)"},
+	{"obs.sse.dropped_events", "counter", "SSE events dropped on slow /events clients"},
+	// Availability-attribution observatory (internal/attr).
+	{"attr.runs", "counter", "availability-attribution passes completed"},
+	{"attr.scenarios", "counter", "scenario-level loss contributions decomposed"},
+	{"attr.flows", "counter", "flow-level loss contributions decomposed"},
+	{"attr.identity_violations", "counter", "decomposition identities off by more than 1e-9 (attribution bug tripwire)"},
+	{"attr.sensitivities", "counter", "capacity-row shadow prices harvested from the final phase-II basis"},
+	{"attr.fd_checks", "counter", "shadow prices validated against finite-difference warm re-solves"},
+	{"attr.fd_mismatches", "counter", "shadow prices outside their finite-difference derivative bracket"},
+	{"attr.probes", "counter", "what-if perturbations probed by warm re-solve or analytic evaluation"},
 }
 
 // CoreGauges documents the gauge families the instrumented layers publish.
@@ -115,13 +124,9 @@ var CoreHistograms = []MetricDoc{
 	{"testbed.restore_seconds", "histogram", "cmd/arrow-testbed episode restoration duration"},
 }
 
-// CounterDocs returns the documented counter schema in CoreCounters order.
+// CounterDocs returns the core counter schema, in order.
 func CounterDocs() []MetricDoc {
-	out := make([]MetricDoc, 0, len(CoreCounters))
-	for _, name := range CoreCounters {
-		out = append(out, MetricDoc{Name: name, Kind: "counter", Help: counterHelp[name]})
-	}
-	return out
+	return slices.Clone(coreCounters)
 }
 
 // MetricsDoc renders the full metric-namespace reference (METRICS.md).

@@ -6,20 +6,25 @@ import (
 	"testing"
 )
 
-// TestCounterHelpCoversSchema keeps counterHelp and CoreCounters exactly
-// aligned: every counter documented, no stale docs for removed counters.
+// TestCounterHelpCoversSchema: every core counter is documented, listed
+// once and of kind counter, and every one is what NewRegistry seeds.
 func TestCounterHelpCoversSchema(t *testing.T) {
+	snap := NewRegistry().Snapshot()
 	seen := map[string]bool{}
-	for _, name := range CoreCounters {
-		if counterHelp[name] == "" {
-			t.Errorf("counter %q has no help text", name)
+	for _, d := range CounterDocs() {
+		if d.Help == "" || d.Kind != "counter" {
+			t.Errorf("counter %q: kind %q, help %q", d.Name, d.Kind, d.Help)
 		}
-		seen[name] = true
+		if seen[d.Name] {
+			t.Errorf("counter %q listed twice", d.Name)
+		}
+		seen[d.Name] = true
+		if _, ok := snap.Counters[d.Name]; !ok {
+			t.Errorf("counter %q not seeded by NewRegistry", d.Name)
+		}
 	}
-	for name := range counterHelp {
-		if !seen[name] {
-			t.Errorf("counterHelp documents %q, which is not in CoreCounters", name)
-		}
+	if len(snap.Counters) != len(seen) {
+		t.Errorf("NewRegistry seeds %d counters, the schema lists %d", len(snap.Counters), len(seen))
 	}
 }
 

@@ -57,9 +57,9 @@ func TestRegistryCountersGaugesHistograms(t *testing.T) {
 		t.Fatalf("histogram stats = %+v", h)
 	}
 	// Every core counter must exist even when untouched.
-	for _, name := range CoreCounters {
-		if _, ok := s.Counters[name]; !ok {
-			t.Fatalf("core counter %q missing from snapshot", name)
+	for _, d := range CounterDocs() {
+		if _, ok := s.Counters[d.Name]; !ok {
+			t.Fatalf("core counter %q missing from snapshot", d.Name)
 		}
 	}
 }

@@ -196,7 +196,7 @@ func TestPromExpositionScraperParseable(t *testing.T) {
 	}
 
 	// A real registry's exposition parses too (covers default buckets and
-	// the full CoreCounters schema).
+	// the full core counter schema).
 	reg := NewRegistry()
 	reg.Add("lp.pivots", 42)
 	reg.Gauge("x.y", 1.5)

@@ -14,85 +14,6 @@ import (
 // compatible).
 const SchemaVersion = 1
 
-// CoreCounters is the canonical counter schema: every Registry carries
-// these keys from birth (at zero), so a snapshot always answers "how many
-// pivots / nodes / rounding attempts" even for code paths the run never
-// exercised. Instrumented layers may add further keys on top.
-var CoreCounters = []string{
-	"lp.solves",
-	"lp.pivots",
-	"lp.pivot_work",
-	"lp.repriced_cols",
-	"lp.solve_reach",
-	"lp.full_solves",
-	"lp.phase1_pivots",
-	"lp.refactorizations",
-	"lp.degenerate_pivots",
-	"lp.certificates",
-	"lp.cert_failures",
-	"lp.warm_starts",
-	"lp.warm_accepted",
-	"lp.warm_repairs",
-	"lp.phase1_skipped",
-	"lp.pivots_saved",
-	"lp.columns_priced",
-	"te.pricing_rounds",
-	"te.tickets_deferred",
-	"te.phase1_pivots",
-	"te.phase1_pivot_work",
-	"te.fallback_kept",
-	"mip.solves",
-	"mip.nodes",
-	"mip.pruned",
-	"mip.incumbents",
-	"rwa.solves",
-	"rwa.compose_adopted",
-	"ticket.rounding_attempts",
-	"ticket.generated",
-	"ticket.infeasible",
-	"ticket.duplicates",
-	"par.pools",
-	"par.tasks",
-	"par.busy_ns",
-	"par.idle_ns",
-	"pipeline.scenarios_enumerated",
-	"pipeline.scenarios_relevant",
-	// Correlated k-failure enumeration + compositional offline stage.
-	"scenario.enumerated",
-	"scenario.pruned",
-	"scenario.warm_from_singles",
-	"sim.intervals",
-	"sim.unplanned_intervals",
-	"sim.restoring_intervals",
-	"emu.episodes",
-	"emu.amps_settled",
-	"emu.amp_loops",
-	"emu.roadm_reconfigs",
-	"emu.lightpaths_restored",
-	// Solver-health observatory (lp.Options.HealthEvery probes). The
-	// per-reason anomaly keys mirror lp.AnomalyReasons(); a conformance test
-	// in internal/lp keeps the two lists aligned.
-	"lp.health.probes",
-	"lp.health.anomalies",
-	"lp.health.anomaly.stall",
-	"lp.health.anomaly.residual_drift",
-	"lp.health.anomaly.warm_repair_fallback",
-	"lp.health.anomaly.cycling_suspect",
-	"mip.unhealthy_nodes",
-	// Observability plane self-accounting.
-	"obs.late_hist_registrations",
-	"obs.sse.dropped_events",
-	// Availability-attribution observatory (internal/attr).
-	"attr.runs",
-	"attr.scenarios",
-	"attr.flows",
-	"attr.identity_violations",
-	"attr.sensitivities",
-	"attr.fd_checks",
-	"attr.fd_mismatches",
-	"attr.probes",
-}
-
 // defBuckets are the default histogram bucket upper bounds: powers of four
 // spanning sub-microsecond durations (in seconds) up to counts in the
 // millions. Callers with a better idea of their range use
@@ -190,8 +111,8 @@ type Registry struct {
 	trace   []TraceEvent
 }
 
-// NewRegistry returns an empty registry pre-seeded with the CoreCounters
-// schema keys.
+// NewRegistry returns an empty registry pre-seeded with the core counter
+// schema (CounterDocs) at zero.
 func NewRegistry() *Registry {
 	r := &Registry{
 		start:  time.Now(),
@@ -203,8 +124,8 @@ func NewRegistry() *Registry {
 	for i := range r.shards {
 		r.shards[i].m = map[string]int64{}
 	}
-	for _, name := range CoreCounters {
-		r.shards[shardIndex(name)].m[name] = 0
+	for _, d := range coreCounters {
+		r.shards[shardIndex(d.Name)].m[d.Name] = 0
 	}
 	return r
 }

@@ -96,7 +96,8 @@ func TestStripedCountersConcurrent(t *testing.T) {
 // TestShardIndexStable pins the shard function's range; the distribution
 // itself is not load-bearing, only that every name maps into [0, shards).
 func TestShardIndexStable(t *testing.T) {
-	for _, name := range CoreCounters {
+	for _, d := range CounterDocs() {
+		name := d.Name
 		i := shardIndex(name)
 		if i < 0 || i >= counterShards {
 			t.Fatalf("shardIndex(%q) = %d out of range", name, i)

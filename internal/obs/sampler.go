@@ -78,9 +78,6 @@ func NewSampler(reg *Registry, interval time.Duration, capacity int) *Sampler {
 	}
 }
 
-// Interval reports the sampling period.
-func (s *Sampler) Interval() time.Duration { return s.interval }
-
 // Start launches the background sampling loop. Subsequent Starts are
 // no-ops. Nil-safe.
 func (s *Sampler) Start() {

@@ -69,7 +69,7 @@ type Network struct {
 	gMu sync.Mutex
 	g   *graph.Graph // ROADM graph; edge label = fiber ID, weight = km
 	// linksOn[f] lists, ascending, the IP links with a wavelength on fiber f.
-	// AddFiber, Provision and Deprovision drop it; linksOnFibers rebuilds it.
+	// AddFiber and Provision drop it; linksOnFibers rebuilds it.
 	linksOn [][]int
 }
 
@@ -181,9 +181,6 @@ func (n *Network) linksOnFibers() [][]int {
 	if n.linksOn == nil {
 		on := make([][]int, len(n.Fibers))
 		for _, l := range n.IPLinks {
-			if l == nil {
-				continue // deprovisioned
-			}
 			for _, w := range l.Waves {
 				for _, fid := range w.FiberPath {
 					// Links arrive in ID order, so a repeat is the last entry.
@@ -287,9 +284,6 @@ func (n *Network) SpectrumUnderCutInto(dst []*spectrum.Bitmap, cutMask []bool, f
 func (n *Network) ProvisionedGbpsOnFiber(id int) float64 {
 	total := 0.0
 	for _, l := range n.IPLinks {
-		if l == nil {
-			continue // deprovisioned
-		}
 		for _, w := range l.Waves {
 			for _, fid := range w.FiberPath {
 				if fid == id {
@@ -321,9 +315,6 @@ func (n *Network) Validate() error {
 	type claim struct{ link, wave int }
 	claims := make(map[[2]int]claim) // (fiber, slot) -> claimant
 	for _, l := range n.IPLinks {
-		if l == nil {
-			continue // deprovisioned
-		}
 		for wi, w := range l.Waves {
 			if err := n.checkPath(l.Src, l.Dst, w.FiberPath); err != nil {
 				return fmt.Errorf("link %d wavelength %d: %w", l.ID, wi, err)
@@ -341,48 +332,4 @@ func (n *Network) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Deprovision removes an IP link, releasing its wavelengths' slots on every
-// fiber of their paths. Later links keep their IDs (the slot is left nil),
-// so existing references stay valid; LinkByID returns nil for removed IDs.
-func (n *Network) Deprovision(id int) error {
-	if id < 0 || id >= len(n.IPLinks) || n.IPLinks[id] == nil {
-		return fmt.Errorf("optical: no IP link %d", id)
-	}
-	l := n.IPLinks[id]
-	for _, w := range l.Waves {
-		for _, fid := range w.FiberPath {
-			n.Fibers[fid].Slots.Set(w.Slot, true)
-		}
-	}
-	n.IPLinks[id] = nil
-	n.dropLinksOn()
-	return nil
-}
-
-// PortCount returns the provisioned router ports (equivalently, DWDM
-// transponders — the mapping is 1-to-1 per Fig. 1 of the paper): one at
-// each end of every wavelength.
-func (n *Network) PortCount() int {
-	total := 0
-	for _, l := range n.IPLinks {
-		if l == nil {
-			continue
-		}
-		total += 2 * len(l.Waves)
-	}
-	return total
-}
-
-// IdlePortsUnderCut returns how many router ports / transponders sit idle
-// when the given fibers are cut and nothing is restored — the waste that
-// motivates ARROW (§1: "when a fiber is cut, the router ports and
-// transponders associated with that fiber are still usable").
-func (n *Network) IdlePortsUnderCut(cut []int) int {
-	idle := 0
-	for _, lid := range n.FailedLinks(cut) {
-		idle += 2 * len(n.IPLinks[lid].Waves)
-	}
-	return idle
 }

@@ -164,40 +164,3 @@ func TestValidateDetectsCorruption(t *testing.T) {
 		t.Fatal("expected validation failure")
 	}
 }
-
-func TestDeprovisionReleasesSlots(t *testing.T) {
-	n, ip1, ip2 := square(t)
-	if err := n.Deprovision(ip1.ID); err != nil {
-		t.Fatal(err)
-	}
-	// ip1's slots 0 and 1 on fibers AD (2) and DC (3) are free again.
-	for _, f := range []int{2, 3} {
-		for _, s := range []int{0, 1} {
-			if !n.Fibers[f].Slots.Available(s) {
-				t.Fatalf("fiber %d slot %d still occupied", f, s)
-			}
-		}
-	}
-	// ip2 untouched.
-	if n.Fibers[3].Slots.Available(2) {
-		t.Fatal("ip2's slot was incorrectly released")
-	}
-	if err := n.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// FailedLinks no longer reports the removed link.
-	if failed := n.FailedLinks([]int{3}); len(failed) != 1 || failed[0] != ip2.ID {
-		t.Fatalf("failed %v", failed)
-	}
-	// Double-deprovision and bad IDs are errors.
-	if err := n.Deprovision(ip1.ID); err == nil {
-		t.Fatal("double deprovision accepted")
-	}
-	if err := n.Deprovision(99); err == nil {
-		t.Fatal("unknown link accepted")
-	}
-	// The released spectrum is reusable.
-	if _, err := n.Provision(0, 2, []Lightpath{{Slot: 0, Modulation: spectrum.Table6[0], FiberPath: []int{2, 3}}}); err != nil {
-		t.Fatalf("re-provision after release: %v", err)
-	}
-}

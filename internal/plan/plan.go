@@ -30,15 +30,13 @@ import (
 	"github.com/arrow-te/arrow/internal/ticket"
 )
 
-// Space is the scenario space the stage enumerates and how it plans it. The
-// zero value is the legacy singles+pairs enumeration; any of the first four
-// fields selects the correlated k-failure enumerator
-// (scenario.EnumerateCorrelated). It is one comparable value, so a memo may
-// key on it.
+// Space is the scenario space the stage enumerates and how it plans it.
+// Every space is enumerated by scenario.EnumerateCorrelated; the zero value
+// is every single and double fiber cut above the cutoff, planned without the
+// compositional pre-stage, which any of the first four fields turns on. It
+// is one comparable value, so a memo may key on it.
 type Space struct {
-	// MaxCutSize bounds a cut set's simultaneously failed elements (0 = 2 on
-	// the correlated path). MaxCutSize 2 without SRLGs enumerates the legacy
-	// set through the best-first lattice walk.
+	// MaxCutSize bounds a cut set's simultaneously failed elements (0 = 2).
 	MaxCutSize int
 	// UseSRLGs adds the shared-risk link groups as correlated failure
 	// elements (conduit cuts that down several fibers at once).
@@ -70,7 +68,7 @@ type Space struct {
 // Space.
 func RegisterScenarioFlags(fs *flag.FlagSet) *Space {
 	s := &Space{}
-	fs.IntVar(&s.MaxCutSize, "max-cut-size", 0, "enumerate correlated cut sets of up to this many failure elements (0 = legacy singles+pairs enumerator)")
+	fs.IntVar(&s.MaxCutSize, "max-cut-size", 0, "enumerate correlated cut sets of up to this many failure elements (0 = 2: single and double cuts)")
 	fs.BoolVar(&s.UseSRLGs, "srlgs", false, "expand the topology's shared-risk link groups as correlated failure elements")
 	fs.Float64Var(&s.TargetMass, "target-mass", 0, "stop enumerating once this fraction of the failure probability mass is covered (0 = cutoff only)")
 	fs.IntVar(&s.MaxEnumerated, "max-enumerated", 0, "hard cap on enumerated cut sets (0 = uncapped)")
@@ -163,16 +161,25 @@ type artifacts struct {
 // Build runs the offline stage on net. failProbs gives each fiber's failure
 // probability (nil draws them from the paper's Weibull model with
 // opts.Seed); groups are the shared-risk link groups, read only when
-// opts.Space.UseSRLGs is set. Cancelling ctx aborts the worker pool between
-// scenario solves, and a failing RWA solve cancels all outstanding work and
-// is reported with its enumerated scenario index. The result is identical at
-// every opts.Parallelism, and with or without sinks on ctx.
+// opts.Space.UseSRLGs is set. Every fiber and group probability must lie in
+// [0, 0.5): Build rejects any other, NaN included, naming its index.
+// Cancelling ctx aborts the worker pool between scenario solves, and a
+// failing RWA solve cancels all outstanding work and is reported with its
+// enumerated scenario index. The result is identical at every
+// opts.Parallelism, and with or without sinks on ctx.
 func Build(ctx context.Context, net *optical.Network, failProbs []float64, groups []scenario.Group, opts Options) (*Offline, error) {
 	if opts.Tickets <= 0 {
 		opts.Tickets = 20
 	}
 	if failProbs != nil && len(failProbs) != len(net.Fibers) {
 		return nil, fmt.Errorf("plan: %d failure probabilities for %d fibers", len(failProbs), len(net.Fibers))
+	}
+	sp := opts.Space
+	if !sp.UseSRLGs {
+		groups = nil
+	}
+	if err := checkProbs(failProbs, groups); err != nil {
+		return nil, err
 	}
 	s := &stage{net: net, opts: opts, rec: obs.FromContext(ctx), led: ledger.FromContext(ctx), prof: obs.ProfilerFrom(ctx)}
 	defer obs.Span(ctx, "pipeline.build")()
@@ -182,26 +189,14 @@ func Build(ctx context.Context, net *optical.Network, failProbs []float64, group
 	if failProbs == nil {
 		failProbs = scenario.FailureProbabilities(len(net.Fibers), scenario.DefaultShape, scenario.DefaultScale, opts.Seed)
 	}
-	// The correlated k-failure enumerator engages only when one of its knobs
-	// is set; the default path keeps the legacy singles+pairs enumeration
-	// and byte-identical plans.
-	sp := opts.Space
-	correlated := sp.MaxCutSize > 0 || sp.UseSRLGs || sp.TargetMass > 0 || sp.MaxEnumerated > 0
-	if correlated {
-		k := sp.MaxCutSize
-		if k <= 0 {
-			k = 2
-		}
-		if !sp.UseSRLGs {
-			groups = nil
-		}
-		s.set = scenario.EnumerateCorrelated(failProbs, groups, scenario.EnumOptions{
-			K: k, Cutoff: opts.Cutoff, TargetMass: sp.TargetMass,
-			MaxEnumerated: sp.MaxEnumerated, Recorder: s.rec,
-		})
-	} else {
-		s.set = scenario.Enumerate(failProbs, opts.Cutoff)
+	k := sp.MaxCutSize
+	if k <= 0 {
+		k = 2
 	}
+	s.set = scenario.EnumerateCorrelated(failProbs, groups, scenario.EnumOptions{
+		K: k, Cutoff: opts.Cutoff, TargetMass: sp.TargetMass,
+		MaxEnumerated: sp.MaxEnumerated, Recorder: s.rec,
+	})
 	endEnumStage()
 	endEnum()
 	enumerated := len(s.set.Scenarios)
@@ -218,6 +213,9 @@ func Build(ctx context.Context, net *optical.Network, failProbs []float64, group
 	s.memo = rwa.NewMemo(net)
 	endGraph()
 
+	// The compositional pre-stage runs only when a scenario-space knob is
+	// set; the zero Space plans without it.
+	correlated := sp.MaxCutSize > 0 || sp.UseSRLGs || sp.TargetMass > 0 || sp.MaxEnumerated > 0
 	if correlated && !sp.NoCompose {
 		if err := s.solveSingles(ctx); err != nil {
 			return nil, err
@@ -280,6 +278,23 @@ func Build(ctx context.Context, net *optical.Network, failProbs []float64, group
 	}
 	obs.Add(s.rec, "pipeline.scenarios_relevant", int64(len(off.Scenarios)))
 	return off, nil
+}
+
+// checkProbs rejects a fiber or SRLG failure probability outside [0, 0.5),
+// NaN included: the enumerator's best-first order, and with it which cuts
+// MaxScenarios and MaxEnumerated keep, holds only for odds below 1.
+func checkProbs(failProbs []float64, groups []scenario.Group) error {
+	for i, p := range failProbs {
+		if !(p >= 0 && p < 0.5) {
+			return fmt.Errorf("plan: fiber %d failure probability %g outside [0, 0.5)", i, p)
+		}
+	}
+	for i, g := range groups {
+		if !(g.Prob >= 0 && g.Prob < 0.5) {
+			return fmt.Errorf("plan: SRLG %d (%q) probability %g outside [0, 0.5)", i, g.Name, g.Prob)
+		}
+	}
+	return nil
 }
 
 // request is the restoration RWA request of this code base: k surrogate

@@ -25,7 +25,7 @@ func TestBuildErrorCancelsPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	probs := scenario.FailureProbabilities(len(tp.Opt.Fibers), scenario.DefaultShape, scenario.DefaultScale, 1)
-	total := len(scenario.Enumerate(probs, 0.001).Scenarios)
+	total := len(scenario.EnumerateCorrelated(probs, nil, scenario.EnumOptions{K: 2, Cutoff: 0.001}).Scenarios)
 
 	orig := solveRWA
 	defer func() { solveRWA = orig }()

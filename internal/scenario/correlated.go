@@ -27,11 +27,10 @@ type EnumOptions struct {
 	// all its member fibers in the cut set). K <= 0 enumerates nothing: the
 	// set holds only the healthy mass. K above the element count is clamped.
 	K int
-	// Cutoff drops scenarios with probability < Cutoff, exactly like
-	// Enumerate's cutoff. Because enumeration is best-first and element
-	// probabilities are < 0.5 (see the package comment), the first candidate
-	// below the cutoff certifies that every unexplored candidate is below it
-	// too.
+	// Cutoff drops scenarios with probability < Cutoff. Because element
+	// probabilities are < 0.5 (see the package comment), no subset is more
+	// probable than the subset it extends, so a candidate bounded below the
+	// cutoff is pruned with its whole unexplored subtree.
 	Cutoff float64
 	// TargetMass, when > 0, stops enumeration once the covered probability
 	// mass (healthy state plus enumerated scenarios) reaches it — e.g. 0.9999
@@ -47,20 +46,27 @@ type EnumOptions struct {
 	Recorder obs.Recorder
 }
 
-// candidate is one frontier state of the best-first search: a subset of the
+// candidate is one state of the best-first search: a subset of the
 // odds-sorted element order, represented by its positions (increasing; the
-// last position drives expansion) plus its canonical element-index tuple and
-// exact probability.
+// last position drives expansion) plus its canonical element-index tuple,
+// its exact probability and its search key.
 type candidate struct {
 	positions []int // indices into the odds-descending element order
 	elems     []int // the same elements as original indices, ascending
-	prob      float64
+	// prob multiplies healthy by the odds in ascending element order, the
+	// order a plain singles+pairs loop uses; key multiplies the same factors
+	// in position order, which makes it exactly nonincreasing along the
+	// lattice walk (every child multiplies its parent's prefix by a factor
+	// no larger, and rounding is monotone). prob is not: it can exceed its
+	// parent's by a rounding, most easily among tied odds.
+	prob, key float64
 }
 
-// candHeap orders candidates by descending probability; exact ties break
-// toward smaller cardinality, then lexicographically smaller element tuples
-// — the same order Enumerate's stable sort leaves its insertion order in,
-// which is what makes the k=2, no-group case byte-identical to Enumerate.
+// candHeap is the emission order: descending probability, exact ties toward
+// smaller cardinality, then lexicographically smaller element tuples — the
+// order a stable sort by probability leaves singles-then-pairs in, which is
+// what makes the k=2, no-group case list single and double cuts exactly as
+// the tests' singles+pairs oracle does.
 type candHeap []*candidate
 
 func (h candHeap) Len() int { return len(h) }
@@ -89,21 +95,32 @@ func (h *candHeap) Pop() interface{} {
 	return x
 }
 
+// searchHeap is the search frontier, by descending key.
+type searchHeap struct{ candHeap }
+
+func (h searchHeap) Less(a, b int) bool { return h.candHeap[a].key > h.candHeap[b].key }
+
 // EnumerateCorrelated enumerates k-simultaneous-failure scenarios over the
 // correlated element model (per-fiber marginals plus SRLGs), best-first by
 // descending probability, without ever materialising the 2^n failure
 // lattice. With no groups, K=2, TargetMass=0 and MaxEnumerated=0 the result
-// is byte-identical to Enumerate(failProb, cutoff) — same scenarios, same
-// order, same floating-point probabilities and residual.
+// is every single and double cut at or above the cutoff, most probable
+// first, ties singles first and then by element tuple — byte-identical to
+// the plain singles+pairs loop the tests keep as its oracle.
 //
 // The search walks the subset lattice of the odds-sorted element order with
 // the classic two-child scheme (extend the subset with the next element, or
 // replace its last element with the next): every nonempty subset of size
 // <= K is reached exactly once, and because element odds are < 1 both
-// children have probability <= their parent, so a max-heap frontier pops
-// candidates in globally nonincreasing probability order. Candidates below
-// the cutoff — and their entire unexplored subtrees — are pruned, counted
-// in scenario.pruned; emitted cut sets count in scenario.enumerated.
+// children have a search key <= their parent's, so a max-heap frontier pops
+// candidates in nonincreasing key order. A candidate's probability is its
+// key up to a few roundings, so a popped candidate waits in a second heap,
+// in emission order, until no candidate still unexplored could reach its
+// probability; emission is then exactly in descending probability, with no
+// float tie or rounding able to reorder it. Candidates whose key bounds
+// them below the cutoff — and their entire unexplored subtrees — are
+// pruned, as are explored candidates below it, counted in scenario.pruned;
+// emitted cut sets count in scenario.enumerated.
 //
 // Element subsets that map to the same cut set (an SRLG expansion overlaps
 // another element's fibers) MERGE: the probability mass is added to the
@@ -153,13 +170,22 @@ func EnumerateCorrelated(failProb []float64, groups []Group, opt EnumOptions) *S
 	}
 	sort.SliceStable(order, func(a, b int) bool { return odds[order[a]] > odds[order[b]] })
 
-	// canonical fills in a candidate's ascending element tuple and its exact
-	// probability, multiplied in ascending element-index order — the same
-	// association order Enumerate uses, which keeps probabilities bit-equal.
+	// ceil bounds the probability of any candidate whose key is at most key:
+	// both are products of the same at most k+1 factors, each rounded at
+	// most k times (a relative error of k·2^-53 apiece, plus an absolute
+	// 2^-1074 per rounding should the product be subnormal).
+	relSlack := 4 * float64(k+1) * 0x1p-53
+	absSlack := 2 * float64(k+1) * 0x1p-1074
+	ceil := func(key float64) float64 { return key*(1+relSlack) + absSlack }
+
+	// canonical fills in a candidate's ascending element tuple, its
+	// probability and its key.
 	canonical := func(c *candidate) {
 		c.elems = make([]int, len(c.positions))
+		c.key = healthy
 		for i, p := range c.positions {
 			c.elems[i] = order[p]
+			c.key *= odds[order[p]]
 		}
 		sort.Ints(c.elems)
 		c.prob = healthy
@@ -169,7 +195,8 @@ func EnumerateCorrelated(failProb []float64, groups []Group, opt EnumOptions) *S
 	}
 
 	var (
-		h          candHeap
+		search     searchHeap
+		ready      candHeap
 		pruned     int64
 		covered    = healthy
 		byCut      = map[string]int{}
@@ -177,22 +204,15 @@ func EnumerateCorrelated(failProb []float64, groups []Group, opt EnumOptions) *S
 	)
 	push := func(c *candidate) {
 		canonical(c)
-		if c.prob < opt.Cutoff {
+		if ceil(c.key) < opt.Cutoff {
 			pruned++ // this candidate and its whole subtree are below cutoff
 			return
 		}
-		heap.Push(&h, c)
+		heap.Push(&search, c)
 	}
-	push(&candidate{positions: []int{0}})
-
-	for h.Len() > 0 {
-		c := heap.Pop(&h).(*candidate)
-		if c.prob < opt.Cutoff {
-			// Best-first: everything still on the frontier is no more
-			// probable than c, so the enumeration is complete.
-			pruned += int64(1 + h.Len())
-			break
-		}
+	// emit records c's cut set, merging it into an emitted one with the same
+	// fibers, and reports whether the enumeration goes on.
+	emit := func(c *candidate) bool {
 		// Expand the cut set: union of member fibers of every element.
 		cutScratch = cutScratch[:0]
 		for _, e := range c.elems {
@@ -214,17 +234,30 @@ func EnumerateCorrelated(failProb []float64, groups []Group, opt EnumOptions) *S
 			s.Scenarios[idx].Prob += c.prob // merge overlapping expansions
 		} else {
 			if opt.MaxEnumerated > 0 && len(s.Scenarios) >= opt.MaxEnumerated {
-				pruned += int64(1 + h.Len())
-				break
+				pruned++
+				return false
 			}
 			byCut[key] = len(s.Scenarios)
 			s.Scenarios = append(s.Scenarios, Scenario{Cut: cut, Prob: c.prob})
 		}
 		covered += c.prob
-		if opt.TargetMass > 0 && covered >= opt.TargetMass {
-			pruned += int64(h.Len())
+		return !(opt.TargetMass > 0 && covered >= opt.TargetMass)
+	}
+	push(&candidate{positions: []int{0}})
+
+	for {
+		// Emit every waiting candidate that no unexplored one can precede:
+		// the frontier's top key bounds every probability still unseen.
+		for ready.Len() > 0 && (search.Len() == 0 || ready[0].prob > ceil(search.candHeap[0].key)) {
+			if !emit(heap.Pop(&ready).(*candidate)) {
+				pruned += int64(ready.Len() + search.Len())
+				search.candHeap, ready = nil, nil
+			}
+		}
+		if search.Len() == 0 {
 			break
 		}
+		c := heap.Pop(&search).(*candidate)
 		// Children: extend with the next element in odds order, and replace
 		// the last element with it. Each subset is generated exactly once.
 		last := c.positions[len(c.positions)-1]
@@ -240,6 +273,11 @@ func EnumerateCorrelated(failProb []float64, groups []Group, opt EnumOptions) *S
 			sib[len(sib)-1] = last + 1
 			push(&candidate{positions: sib})
 		}
+		if c.prob < opt.Cutoff {
+			pruned++
+			continue
+		}
+		heap.Push(&ready, c)
 	}
 
 	s.ResidualProb = 1 - covered

@@ -10,24 +10,6 @@ import (
 	"github.com/arrow-te/arrow/internal/obs"
 )
 
-// TestEnumerateCorrelatedMatchesEnumerate is the byte-identity contract:
-// with no groups, K=2 and no mass/count bounds, the best-first enumerator
-// must reproduce Enumerate exactly — same scenarios, same order, bit-equal
-// probabilities, healthy and residual mass — for Weibull-realistic inputs.
-func TestEnumerateCorrelatedMatchesEnumerate(t *testing.T) {
-	for seed := int64(1); seed <= 5; seed++ {
-		probs := FailureProbabilities(40, DefaultShape, DefaultScale, seed)
-		for _, cutoff := range []float64{0, 1e-6, 1e-4, 1e-3} {
-			want := Enumerate(probs, cutoff)
-			got := EnumerateCorrelated(probs, nil, EnumOptions{K: 2, Cutoff: cutoff})
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("seed %d cutoff %g: best-first enumeration diverged from Enumerate\nwant %d scenarios, got %d",
-					seed, cutoff, len(want.Scenarios), len(got.Scenarios))
-			}
-		}
-	}
-}
-
 // TestEnumerateCorrelatedProperties: mass accumulation is monotone
 // nondecreasing along the emitted order, every scenario respects the
 // cutoff, the order is nonincreasing in probability, and no cut set is

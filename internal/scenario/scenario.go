@@ -3,8 +3,9 @@
 //
 // Following §6 of the paper (which follows TeaVaR's methodology), each
 // fiber's failure probability is drawn from a Weibull distribution
-// (shape 0.8, scale 0.02); Enumerate keeps all single and double fiber cuts
-// whose joint probability exceeds a per-topology cutoff.
+// (shape 0.8, scale 0.02); EnumerateCorrelated with K = 2 and no groups keeps
+// all single and double fiber cuts whose joint probability exceeds a
+// per-topology cutoff.
 //
 // # Probability model for correlated cuts
 //
@@ -35,7 +36,6 @@ package scenario
 
 import (
 	"math/rand"
-	"sort"
 
 	"github.com/arrow-te/arrow/internal/stats"
 )
@@ -82,52 +82,4 @@ func FailureProbabilities(n int, shape, scale float64, seed int64) []float64 {
 		out[i] = p
 	}
 	return out
-}
-
-// Enumerate builds the scenario set for the given per-fiber failure
-// probabilities: all single cuts and double cuts with joint probability
-// above cutoff, sorted by descending probability.
-//
-// Scenario probabilities are exact independent-failure probabilities:
-// P(exactly S fails) = prod_{i in S} p_i * prod_{j not in S} (1 - p_j).
-func Enumerate(failProb []float64, cutoff float64) *Set {
-	n := len(failProb)
-	healthy := 1.0
-	for _, p := range failProb {
-		healthy *= 1 - p
-	}
-	s := &Set{FailProb: append([]float64(nil), failProb...), HealthyProb: healthy}
-
-	// P(exactly {i}) = healthy * p_i / (1-p_i); same trick for pairs.
-	odds := make([]float64, n)
-	for i, p := range failProb {
-		if p >= 1 {
-			odds[i] = 1e18
-		} else {
-			odds[i] = p / (1 - p)
-		}
-	}
-	for i := 0; i < n; i++ {
-		if pr := healthy * odds[i]; pr >= cutoff {
-			s.Scenarios = append(s.Scenarios, Scenario{Cut: []int{i}, Prob: pr})
-		}
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if pr := healthy * odds[i] * odds[j]; pr >= cutoff {
-				s.Scenarios = append(s.Scenarios, Scenario{Cut: []int{i, j}, Prob: pr})
-			}
-		}
-	}
-	sort.SliceStable(s.Scenarios, func(a, b int) bool { return s.Scenarios[a].Prob > s.Scenarios[b].Prob })
-
-	covered := healthy
-	for _, sc := range s.Scenarios {
-		covered += sc.Prob
-	}
-	s.ResidualProb = 1 - covered
-	if s.ResidualProb < 0 {
-		s.ResidualProb = 0
-	}
-	return s
 }

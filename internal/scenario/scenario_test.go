@@ -30,7 +30,7 @@ func TestFailureProbabilitiesDeterministic(t *testing.T) {
 
 func TestEnumerateProbabilitiesConsistent(t *testing.T) {
 	p := []float64{0.1, 0.05, 0.2}
-	s := Enumerate(p, 0)
+	s := EnumerateCorrelated(p, nil, EnumOptions{K: 2})
 	// With cutoff 0 we get all singles and pairs: 3 + 3 = 6 scenarios.
 	if len(s.Scenarios) != 6 {
 		t.Fatalf("%d scenarios", len(s.Scenarios))
@@ -66,8 +66,8 @@ func TestEnumerateProbabilitiesConsistent(t *testing.T) {
 
 func TestEnumerateCutoffFilters(t *testing.T) {
 	p := []float64{0.1, 0.001, 0.2}
-	all := Enumerate(p, 0)
-	cut := Enumerate(p, 0.01)
+	all := EnumerateCorrelated(p, nil, EnumOptions{K: 2})
+	cut := EnumerateCorrelated(p, nil, EnumOptions{K: 2, Cutoff: 0.01})
 	if len(cut.Scenarios) >= len(all.Scenarios) {
 		t.Fatal("cutoff removed nothing")
 	}

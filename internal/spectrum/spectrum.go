@@ -95,21 +95,9 @@ func (b *Bitmap) CopyFrom(o *Bitmap) {
 // Clear marks every slot unavailable.
 func (b *Bitmap) Clear() { clear(b.words) }
 
-// Intersect returns a new bitmap with slots available in both b and o.
-// This realises the wavelength continuity constraint: a wavelength is
+// IntersectInto intersects o into b in place: b keeps the slots available in
+// both. This realises the wavelength continuity constraint: a wavelength is
 // reconfigurable onto a multi-fiber path only in slots free on EVERY fiber.
-func (b *Bitmap) Intersect(o *Bitmap) *Bitmap {
-	if b.n != o.n {
-		panic("spectrum: intersecting bitmaps of different sizes")
-	}
-	out := NewBitmap(b.n)
-	for i := range out.words {
-		out.words[i] = b.words[i] & o.words[i]
-	}
-	return out
-}
-
-// IntersectInto intersects o into b in place.
 func (b *Bitmap) IntersectInto(o *Bitmap) {
 	if b.n != o.n {
 		panic("spectrum: intersecting bitmaps of different sizes")
@@ -127,19 +115,6 @@ func (b *Bitmap) AppendAvailable(dst []int) []int {
 		}
 	}
 	return dst
-}
-
-// FirstAvailable returns the lowest available slot index, or -1.
-func (b *Bitmap) FirstAvailable() int {
-	for wi, w := range b.words {
-		if w != 0 {
-			i := wi*64 + bits.TrailingZeros64(w)
-			if i < b.n {
-				return i
-			}
-		}
-	}
-	return -1
 }
 
 // Modulation is an optical modulation format with its data rate and maximum
@@ -180,12 +155,6 @@ func ModulationByRate(gbps float64) (Modulation, bool) {
 		}
 	}
 	return Modulation{}, false
-}
-
-// Wavelength is one provisioned DWDM carrier.
-type Wavelength struct {
-	Slot       int // frequency slot on the grid
-	Modulation Modulation
 }
 
 // PathSpectrum intersects the spectra of the fibers along a path, returning

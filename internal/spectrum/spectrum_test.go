@@ -2,6 +2,7 @@ package spectrum
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -72,13 +73,14 @@ func TestIntersectContinuity(t *testing.T) {
 	if !common.Available(2) || !common.Available(5) {
 		t.Fatal("wrong common slots")
 	}
-	if common.FirstAvailable() != 2 {
-		t.Fatalf("first available %d", common.FirstAvailable())
+	if got := common.AppendAvailable(nil); !slices.Equal(got, []int{2, 5}) {
+		t.Fatalf("available slots %v, want [2 5]", got)
 	}
 }
 
 func TestIntersectProperty(t *testing.T) {
-	// Property: Intersect(a,b).Available(i) == a.Available(i) && b.Available(i).
+	// Property: after c.IntersectInto(b) on a clone c of a,
+	// c.Available(i) == a.Available(i) && b.Available(i).
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(200)
@@ -87,7 +89,8 @@ func TestIntersectProperty(t *testing.T) {
 			a.Set(i, rng.Intn(2) == 0)
 			b.Set(i, rng.Intn(2) == 0)
 		}
-		c := a.Intersect(b)
+		c := a.Clone()
+		c.IntersectInto(b)
 		for i := 0; i < n; i++ {
 			if c.Available(i) != (a.Available(i) && b.Available(i)) {
 				return false
@@ -148,9 +151,11 @@ func TestModulationByRate(t *testing.T) {
 	}
 }
 
+// TestFirstAvailableEmpty checks that a bitmap with every slot in use offers
+// no first available slot: AppendAvailable lists nothing.
 func TestFirstAvailableEmpty(t *testing.T) {
-	if NewBitmap(70).FirstAvailable() != -1 {
-		t.Fatal("empty bitmap should have no available slot")
+	if got := NewBitmap(70).AppendAvailable(nil); len(got) != 0 {
+		t.Fatalf("empty bitmap lists available slots %v", got)
 	}
 }
 

@@ -61,26 +61,6 @@ func (c *CDF) Percentile(p float64) float64 {
 	return c.sorted[rank-1]
 }
 
-// Points returns up to n evenly spaced (x, P[X<=x]) pairs for rendering.
-func (c *CDF) Points(n int) [][2]float64 {
-	if len(c.sorted) == 0 || n <= 0 {
-		return nil
-	}
-	if n > len(c.sorted) {
-		n = len(c.sorted)
-	}
-	out := make([][2]float64, 0, n)
-	for i := 0; i < n; i++ {
-		idx := (i + 1) * len(c.sorted) / n
-		if idx > len(c.sorted) {
-			idx = len(c.sorted)
-		}
-		x := c.sorted[idx-1]
-		out = append(out, [2]float64{x, float64(idx) / float64(len(c.sorted))})
-	}
-	return out
-}
-
 // Quantile returns the q-th quantile (q in [0,1]); equivalent to
 // Percentile(100*q).
 func (c *CDF) Quantile(q float64) float64 { return c.Percentile(100 * q) }
@@ -190,25 +170,4 @@ func Weibull(rng *rand.Rand, shape, scale float64) float64 {
 // LogNormal samples exp(N(mu, sigma)).
 func LogNormal(rng *rand.Rand, mu, sigma float64) float64 {
 	return math.Exp(mu + sigma*rng.NormFloat64())
-}
-
-// WeightedChoice picks an index with probability proportional to weights.
-// Zero or negative total weight picks uniformly; an empty weight slice
-// returns -1 (rand.Intn(0) would panic).
-func WeightedChoice(rng *rand.Rand, weights []float64) int {
-	if len(weights) == 0 {
-		return -1
-	}
-	total := Sum(weights)
-	if total <= 0 {
-		return rng.Intn(len(weights))
-	}
-	r := rng.Float64() * total
-	for i, w := range weights {
-		r -= w
-		if r <= 0 {
-			return i
-		}
-	}
-	return len(weights) - 1
 }

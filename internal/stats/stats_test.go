@@ -45,23 +45,6 @@ func TestCDFMonotonic(t *testing.T) {
 	}
 }
 
-func TestCDFPoints(t *testing.T) {
-	xs := make([]float64, 100)
-	for i := range xs {
-		xs[i] = float64(i)
-	}
-	pts := NewCDF(xs).Points(10)
-	if len(pts) != 10 {
-		t.Fatalf("%d points", len(pts))
-	}
-	if pts[9][1] != 1 {
-		t.Fatalf("last point y=%g", pts[9][1])
-	}
-	if !sort.SliceIsSorted(pts, func(a, b int) bool { return pts[a][0] < pts[b][0] }) {
-		t.Fatal("points not sorted")
-	}
-}
-
 func TestWeibullMoments(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	const n = 200000
@@ -93,26 +76,6 @@ func TestLogNormalMedian(t *testing.T) {
 	med := xs[n/2]
 	if math.Abs(med-9) > 0.5 {
 		t.Fatalf("lognormal median %g want ~9", med)
-	}
-}
-
-func TestWeightedChoiceDistribution(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	w := []float64{1, 3, 6}
-	counts := make([]int, 3)
-	const n = 60000
-	for i := 0; i < n; i++ {
-		counts[WeightedChoice(rng, w)]++
-	}
-	for i, want := range []float64{0.1, 0.3, 0.6} {
-		got := float64(counts[i]) / n
-		if math.Abs(got-want) > 0.02 {
-			t.Fatalf("choice %d frequency %g want %g", i, got, want)
-		}
-	}
-	// Degenerate weights fall back to uniform without panicking.
-	if i := WeightedChoice(rng, []float64{0, 0}); i < 0 || i > 1 {
-		t.Fatalf("fallback index %d", i)
 	}
 }
 
@@ -162,16 +125,6 @@ func TestQuantileMatchesPercentile(t *testing.T) {
 		if c.Quantile(q) != c.Percentile(100*q) {
 			t.Fatalf("Quantile(%g) = %g != Percentile(%g) = %g", q, c.Quantile(q), 100*q, c.Percentile(100*q))
 		}
-	}
-}
-
-func TestWeightedChoiceEmpty(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	if i := WeightedChoice(rng, nil); i != -1 {
-		t.Fatalf("WeightedChoice(nil) = %d, want -1", i)
-	}
-	if i := WeightedChoice(rng, []float64{}); i != -1 {
-		t.Fatalf("WeightedChoice(empty) = %d, want -1", i)
 	}
 }
 

@@ -190,7 +190,7 @@ func TestScenarioProjection(t *testing.T) {
 		t.Fatal("no fiber cut fails any IP link")
 	}
 	probs := scenario.FailureProbabilities(len(tp.Opt.Fibers), scenario.DefaultShape, scenario.DefaultScale, 1)
-	set := scenario.Enumerate(probs, 0.001)
+	set := scenario.EnumerateCorrelated(probs, nil, scenario.EnumOptions{K: 2, Cutoff: 0.001})
 	if len(set.Scenarios) == 0 {
 		t.Fatal("no scenarios above cutoff")
 	}

@@ -138,18 +138,8 @@ func NormalizeToFit(n *te.Network) (float64, error) {
 	return s, nil
 }
 
-// WriteCSV emits the matrix as "src,dst,gbps" lines (the format consumed by
-// cmd/arrow-plan and ReadCSV).
-func (m Matrix) WriteCSV(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "# traffic matrix epoch %d (%d flows)\n", m.Epoch, len(m.Flows))
-	for _, f := range m.Flows {
-		fmt.Fprintf(bw, "%d,%d,%g\n", f.Src, f.Dst, f.Demand)
-	}
-	return bw.Flush()
-}
-
-// ReadCSV parses "src,dst,gbps" lines into a Matrix.
+// ReadCSV parses "src,dst,gbps" lines into a Matrix, skipping blank and #
+// lines. It is the demand parser behind arrow-plan's -demands flag.
 func ReadCSV(r io.Reader) (Matrix, error) {
 	var m Matrix
 	sc := bufio.NewScanner(r)

@@ -1,7 +1,6 @@
 package traffic
 
 import (
-	"bytes"
 	"math"
 	"strings"
 	"testing"
@@ -109,29 +108,6 @@ func TestNormalizeToFit(t *testing.T) {
 	}
 	if thr := al2.Throughput(n2); thr >= 1-1e-9 {
 		t.Fatalf("throughput %g at 1.01x, normalisation not tight", thr)
-	}
-}
-
-func TestMatrixCSVRoundTrip(t *testing.T) {
-	m := Generate(Options{Sites: 5, Count: 1, TotalGbps: 500, Seed: 9})[0]
-	var buf bytes.Buffer
-	if err := m.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Flows) != len(m.Flows) {
-		t.Fatalf("%d flows back, want %d", len(back.Flows), len(m.Flows))
-	}
-	for i := range m.Flows {
-		if back.Flows[i].Src != m.Flows[i].Src || back.Flows[i].Dst != m.Flows[i].Dst {
-			t.Fatalf("flow %d endpoints changed", i)
-		}
-		if math.Abs(back.Flows[i].Demand-m.Flows[i].Demand) > 1e-9 {
-			t.Fatalf("flow %d demand %g vs %g", i, back.Flows[i].Demand, m.Flows[i].Demand)
-		}
 	}
 }
 
