@@ -84,3 +84,26 @@ func TestRenderMarkdown(t *testing.T) {
 		}
 	}
 }
+
+// TestFig14ShapeReportsWhatWasMeasured: fig14's note states the measured
+// shape — whether throughput ever falls along |Z| and where it peaks (ties
+// to the smallest |Z|) — not the paper's, which the fast run contradicts.
+func TestFig14ShapeReportsWhatWasMeasured(t *testing.T) {
+	tickets := []int{1, 2, 5, 10}
+	for _, tc := range []struct {
+		thr  []float64
+		want string
+	}{
+		{[]float64{0.9097, 0.9097, 0.8700, 0.8469}, "throughput falls somewhere as |Z| grows and peaks at |Z|=1 with 0.9097: first 0.9097 -> last 0.8469"},
+		{[]float64{0.7, 0.8, 0.8, 0.8}, "throughput never falls as |Z| grows and peaks at |Z|=2 with 0.8000: first 0.7000 -> last 0.8000"},
+		{[]float64{0.7, 0.9, 0.8, 0.9}, "throughput falls somewhere as |Z| grows and peaks at |Z|=2 with 0.9000"},
+	} {
+		if got := fig14Shape(tickets, tc.thr); !strings.Contains(got, tc.want) {
+			t.Errorf("%v: note %q, want it to say %q", tc.thr, got, tc.want)
+		}
+	}
+	e, _ := ByID("fig14")
+	if !strings.Contains(e.PaperClaim, "plateaus") {
+		t.Errorf("fig14's PaperClaim %q no longer states the paper's shape", e.PaperClaim)
+	}
+}

@@ -320,10 +320,26 @@ func runFig14(cfg Config) (*Result, error) {
 		r.AddRow(fi(tc), f4(thr))
 	}
 	if len(series) > 1 {
-		r.AddNote("|Z|=1 equals Arrow-Naive; throughput rises with |Z| and plateaus (paper Fig. 14): first %.4f -> last %.4f",
-			series[0], series[len(series)-1])
+		r.AddNote("%s", fig14Shape(ticketCounts, series))
 	}
 	return r, nil
+}
+
+// fig14Shape is fig14's note: the shape the measured throughput takes along
+// |Z| — whether it ever falls, and its peak (the smallest |Z| reaching it) —
+// where the paper's shape is the experiment's PaperClaim.
+func fig14Shape(tickets []int, thr []float64) string {
+	shape, peak := "never falls", 0
+	for i, v := range thr {
+		if v > thr[peak] {
+			peak = i
+		}
+		if i > 0 && v < thr[i-1] {
+			shape = "falls somewhere"
+		}
+	}
+	return fmt.Sprintf("|Z|=1 equals Arrow-Naive; measured, throughput %s as |Z| grows and peaks at |Z|=%d with %.4f: first %.4f -> last %.4f",
+		shape, tickets[peak], thr[peak], thr[0], thr[len(thr)-1])
 }
 
 func runFig15(cfg Config) (*Result, error) {

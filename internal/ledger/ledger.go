@@ -52,8 +52,9 @@ const (
 	KindSolveStart Kind = "solve_start"
 	KindSolveEnd   Kind = "solve_end"
 	// KindWarmStart records one warm-started solve's outcome: Solver names
-	// the model, Status is "phase1_skipped", "accepted" or "rejected", and
-	// Count carries the pivots saved versus a cold start.
+	// the model, Status is "phase1_skipped", "dual" (the dual simplex took
+	// the solve), "accepted" or "rejected", and Count carries the pivots
+	// saved versus a cold start.
 	KindWarmStart Kind = "warm_start"
 	// KindPricingRound records one column-generation sweep over the deferred
 	// tickets of the phase-I restricted master: Round is the sweep index,

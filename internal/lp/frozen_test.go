@@ -16,8 +16,13 @@ import (
 // internal/mip's fixture format, gzip'd, where a null bound stands for an
 // infinite one (JSON has no infinity). Terms are [variable index,
 // coefficient] in the order the model stored them, so the rebuilt model is
-// the frozen one row for row and term for term.
+// the frozen one row for row and term for term. Basis, when present, is the
+// warm basis the pipeline solved the LP from.
 type frozenLP struct {
+	Basis *struct {
+		VarStatus []BasisStatus `json:"var_status"`
+		RowStatus []BasisStatus `json:"row_status"`
+	} `json:"basis"`
 	Name     string `json:"name"`
 	Maximize bool   `json:"maximize"`
 	Vars     []struct {
@@ -36,6 +41,13 @@ type frozenLP struct {
 }
 
 func loadFrozenLP(t testing.TB, name string) *Model {
+	t.Helper()
+	m, _ := loadFrozen(t, name)
+	return m
+}
+
+// loadFrozen rebuilds a frozen LP and its warm basis (nil: none frozen).
+func loadFrozen(t testing.TB, name string) (*Model, *Basis) {
 	t.Helper()
 	f, err := os.Open(filepath.Join("testdata", name))
 	if err != nil {
@@ -77,7 +89,10 @@ func loadFrozenLP(t testing.TB, name string) *Model {
 		}
 		m.AddConstr(e, sense, c.RHS, c.Name)
 	}
-	return m
+	if fx.Basis == nil {
+		return m, nil
+	}
+	return m, &Basis{VarStatus: fx.Basis.VarStatus, RowStatus: fx.Basis.RowStatus}
 }
 
 // TestFrozenTeaVaRSingularCold is the reproducer of the singular basis that
@@ -155,4 +170,55 @@ func TestFrozenArrowPhase2(t *testing.T) {
 	if scan > 400 {
 		t.Errorf("the entering choice read %.0f scores a pivot of 2,316: not the blocks that moved", scan)
 	}
+}
+
+// TestFrozenArrowPhase1Resolve pins the LP the dual simplex was written for:
+// the online benchmark's Phase I column-generation master on Facebook,
+// traffic matrix 0 (the instance of TestFrozenArrowPhase2), at its first
+// pricing re-solve, with the warm basis the pipeline re-solves it from: the
+// previous optimum's, extended over the appended ticket blocks, whose cover
+// rows that optimum violates. The basis prices out, so the solve takes the
+// dual simplex and installs no artificial; its optimum is the cold solve's.
+func TestFrozenArrowPhase1Resolve(t *testing.T) {
+	m, basis := loadFrozen(t, "arrow_phase1_resolve_facebook_m0.json.gz")
+	if st := m.Stats(); st.Vars != 866 || st.Constrs != 897 || st.Nonzeros != 8903 || basis == nil {
+		t.Fatalf("frozen model is %d vars x %d rows with %d nonzeros (basis %v), want 866 x 897 with 8903 and a basis",
+			st.Vars, st.Constrs, st.Nonzeros, basis != nil)
+	}
+	rec := newHealthFakeRecorder()
+	sx, err := newSimplex(m, &Options{Recorder: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, err := sx.solveWarm(basis)
+	if err != nil || sol.Status != StatusOptimal {
+		t.Fatalf("warm re-solve: %+v, %v", sol, err)
+	}
+	sx.flushMetrics()
+	if !sol.Warm.Dual || sol.Warm.Phase1Skipped {
+		t.Errorf("warm re-solve did not take the dual simplex: %+v", sol.Warm)
+	}
+	for a := sx.nStr + sx.nRow; a < sx.nTot; a++ {
+		if len(sx.cols[a].rows) != 0 {
+			t.Fatalf("artificial of row %d installed", a-sx.nStr-sx.nRow)
+		}
+	}
+	if err := CheckCertificate(sol.Cert, DefaultCertTol); err != nil {
+		t.Errorf("warm re-solve: %v", err)
+	}
+	cold, err := Solve(m, nil)
+	if err != nil || cold.Status != StatusOptimal {
+		t.Fatalf("cold solve: %+v, %v", cold, err)
+	}
+	if diff := math.Abs(sol.Objective - cold.Objective); diff > 1e-9*(1+math.Abs(cold.Objective)) {
+		t.Errorf("warm objective %.12g, cold %.12g", sol.Objective, cold.Objective)
+	}
+	c := rec.counters
+	if c["lp.phase1_pivots"] != 0 || c["lp.dual_solves"] != 1 {
+		t.Errorf("%d phase 1 pivots, %d dual solves; want 0 and 1", c["lp.phase1_pivots"], c["lp.dual_solves"])
+	}
+	pivots := float64(c["lp.pivots"])
+	t.Logf("%d pivots (%d dual, %d bound flips; %d cold), per pivot: %.1f LU steps visited, %.2f triangular solves run full length",
+		c["lp.pivots"], c["lp.dual_pivots"], c["lp.bound_flips"], cold.Iterations,
+		float64(c["lp.solve_reach"])/pivots, float64(c["lp.full_solves"])/pivots)
 }

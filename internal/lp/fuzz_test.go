@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -123,8 +124,9 @@ func solveKernel(t *testing.T, m *Model, basis *Basis, dense bool, rng *rand.Ran
 }
 
 // FuzzSimplexKernel solves random sparse LPs with the pivot loop's patterns
-// and with every pass over all rows, cold and from the slack basis, and
-// wants the same pivots, basis and bits.
+// and with every pass over all rows, cold, from the slack basis and, extended
+// as resolveLP extends them, from their optimal basis (the dual simplex's
+// start), and wants the same pivots, basis and bits.
 func FuzzSimplexKernel(f *testing.F) {
 	for seed := int64(0); seed < 24; seed++ {
 		f.Add(seed, uint8(seed*37))
@@ -132,7 +134,12 @@ func FuzzSimplexKernel(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, shape uint8) {
 		m := kernelLP(seed, shape)
 		rng := rand.New(rand.NewSource(seed))
-		for _, basis := range []*Basis{nil, SlackBasis(m)} {
+		models, bases := []*Model{m, m}, []*Basis{nil, SlackBasis(m)}
+		if rm, rb := resolveLP(t, seed, shape, uint8(seed)); rm != nil {
+			models, bases = append(models, rm), append(bases, rb)
+		}
+		for k, basis := range bases {
+			m := models[k]
 			got, gotSteps := solveKernel(t, m, basis, false, rng)
 			want, wantSteps := solveKernel(t, m, basis, true, rng)
 			if !reflect.DeepEqual(gotSteps, wantSteps) {
@@ -149,6 +156,127 @@ func FuzzSimplexKernel(f *testing.F) {
 			if !reflect.DeepEqual(got.Basis, want.Basis) {
 				t.Fatalf("warm=%v: final bases differ", basis != nil)
 			}
+		}
+	})
+}
+
+// resolveLP extends kernelLP(seed, shape) the way this package's callers
+// extend a solved model before a warm re-solve, and returns the extended
+// model with the basis to re-solve it from (nil: the LP has no optimum to
+// extend). mode 0 appends rows the optimum violates, each relaxed by a
+// boxed delta column of its own as a column-generation master's are; mode
+// 1 tightens the bounds of up to two basic variables past their optimal
+// values, as a branch-and-bound child does; mode 2 appends, beside violated
+// rows, a row no point within the bounds meets.
+func resolveLP(t *testing.T, seed int64, shape, mode uint8) (*Model, *Basis) {
+	m := kernelLP(seed, shape%64)
+	sol, err := Solve(m, nil)
+	if err != nil || sol.Status != StatusOptimal {
+		return nil, nil
+	}
+	rng := rand.New(rand.NewSource(seed ^ 0x5eed))
+	x := sol.X
+	boxed := func(j int) bool {
+		lb, ub := m.Bounds(Var(j))
+		return !math.IsInf(lb, 0) && !math.IsInf(ub, 0)
+	}
+	switch mode % 3 {
+	case 1:
+		for j, n := 0, 0; j < len(x) && n < 2; j++ {
+			if sol.Basis.VarStatus[j] != BasisBasic || rng.Intn(3) > 0 {
+				continue
+			}
+			n++
+			lb, ub := m.Bounds(Var(j))
+			if rng.Intn(2) == 0 && x[j]-0.5 >= lb {
+				m.SetBounds(Var(j), lb, math.Floor(x[j]-0.5))
+			} else if x[j]+0.5 <= ub {
+				m.SetBounds(Var(j), math.Ceil(x[j]+0.5), ub)
+			}
+		}
+	default:
+		for k := 1 + rng.Intn(4); k > 0; k-- {
+			var e Expr
+			at := 0.0
+			for n := 1 + rng.Intn(4); n > 0; n-- {
+				j := rng.Intn(len(x))
+				c := float64(rng.Intn(5) - 2)
+				if c == 0 {
+					c = 1
+				}
+				e = e.Plus(c, Var(j))
+				at += c * x[j]
+			}
+			u := m.AddVar(0, float64(rng.Intn(3)), 0, "delta")
+			m.AddConstr(e.Plus(-1, u), LE, at-0.5*float64(1+rng.Intn(3)), "cut")
+		}
+		if mode%3 == 2 {
+			var e Expr
+			min, n := 0.0, 0
+			for j := range x {
+				if boxed(j) && n < 3 {
+					lb, _ := m.Bounds(Var(j))
+					e, min, n = e.Plus(1, Var(j)), min+lb, n+1
+				}
+			}
+			if n == 0 {
+				return nil, nil
+			}
+			m.AddConstr(e, LE, min-1, "impossible")
+		}
+	}
+	basis := sol.Basis.Clone()
+	basis.ExtendTo(m)
+	return m, basis
+}
+
+// FuzzLPResolve re-solves extended LPs (resolveLP) from the warm basis and
+// cold, and wants the same status, objectives within 1e-9 relative and
+// certificates that pass; an extension built infeasible must read
+// ErrInfeasible, and a warm re-solve cut short in its dual pivots
+// ErrIterLimit.
+func FuzzLPResolve(f *testing.F) {
+	for seed := int64(0); seed < 48; seed++ {
+		f.Add(seed, uint8(seed*37), uint8(seed))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, shape, mode uint8) {
+		m, basis := resolveLP(t, seed, shape, mode)
+		if m == nil {
+			return
+		}
+		warm, err := SolveWithBasis(m, basis, nil)
+		if err != nil {
+			t.Fatalf("warm: %v", err)
+		}
+		cold, err := Solve(m, nil)
+		if err != nil {
+			t.Fatalf("cold: %v", err)
+		}
+		if warm.Status != cold.Status {
+			t.Fatalf("warm %v (%+v), cold %v", warm.Status, warm.Warm, cold.Status)
+		}
+		if mode%3 == 2 && !errors.Is(warm.Status.Err(), ErrInfeasible) {
+			t.Fatalf("impossible row: warm status %v", warm.Status)
+		}
+		if warm.Status == StatusOptimal {
+			if diff := math.Abs(warm.Objective - cold.Objective); diff > 1e-9*math.Max(1, math.Abs(cold.Objective)) {
+				t.Fatalf("objective warm %.12g (%+v), cold %.12g", warm.Objective, warm.Warm, cold.Objective)
+			}
+			for _, s := range []*Solution{warm, cold} {
+				if err := CheckCertificate(s.Cert, DefaultCertTol); err != nil {
+					t.Fatalf("warm=%v: %v", s == warm, err)
+				}
+			}
+		}
+		if !warm.Warm.Dual || warm.Iterations < 2 {
+			return
+		}
+		cut, err := SolveWithBasis(m, basis, &Options{MaxIter: warm.Iterations / 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !errors.Is(cut.Status.Err(), ErrIterLimit) {
+			t.Fatalf("cut at %d of %d pivots: status %v", warm.Iterations/2, warm.Iterations, cut.Status)
 		}
 	})
 }

@@ -93,7 +93,9 @@ func (a Anomaly) String() string {
 type HealthSample struct {
 	// Iter is the cumulative pivot count at the probe.
 	Iter int `json:"iter"`
-	// Phase is 1 during the feasibility phase, 2 after.
+	// Phase is 1 during the feasibility phase, 2 after; the dual simplex's
+	// pivots count as phase 2 (they keep the basis optimal for the true
+	// costs while they restore feasibility).
 	Phase int `json:"phase"`
 	// Obj is the current phase's objective (c·x in the solve sense; the
 	// artificial sum during phase 1).

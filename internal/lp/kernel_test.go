@@ -718,7 +718,8 @@ func TestLUReuseMatchesFresh(t *testing.T) {
 
 // TestPivotLoopAllocatesNothing runs blocks of 64 pivots and a
 // refactorisation on a simplex whose arenas have reached their working
-// size, and expects the allocator to stay idle.
+// size, and expects the allocator to stay idle: primal pivots, then dual
+// ones.
 func TestPivotLoopAllocatesNothing(t *testing.T) {
 	m := benchWarmModel(900, 450, 7)
 	sx, err := newSimplex(m, nil)
@@ -731,7 +732,7 @@ func TestPivotLoopAllocatesNothing(t *testing.T) {
 	if sol, err := sx.solveWarm(SlackBasis(m)); err != nil || sol.Status != StatusIterLimit || !sol.Warm.Phase1Skipped {
 		t.Fatalf("set-up solve: %+v, %v", sol, err)
 	}
-	block := func() {
+	checkBlocksAllocateNothing(t, sx, "primal", 4, func() {
 		sx.opt.MaxIter = sx.iters + sx.opt.Refactor
 		st, err := sx.iterate(sx.cost, false)
 		if err != nil || st != StatusIterLimit {
@@ -740,10 +741,46 @@ func TestPivotLoopAllocatesNothing(t *testing.T) {
 		if err := sx.refactorize(); err != nil {
 			t.Fatal(err)
 		}
+	})
+
+	// The model at its optimum, with the upper bound of every basic variable
+	// off zero halved, re-solves from its optimal basis by 495 dual pivots,
+	// 392 bound flips among them; a block's last pivot refactorises.
+	sol, err := SolveWithBasis(m, SlackBasis(m), nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Warm up: a few blocks grow the eta arena, the L/U arenas and the
-	// factorisation scratch; then reserve the worst case so that a denser
-	// eta or a little more fill-in later cannot trigger a regrowth.
+	for j, st := range sol.Basis.VarStatus {
+		if st == BasisBasic && sol.X[j] > 1e-6 {
+			m.SetBounds(Var(j), 0, sol.X[j]/2)
+		}
+	}
+	if sx, err = newSimplex(m, nil); err != nil {
+		t.Fatal(err)
+	}
+	sx.opt.MaxIter = 0
+	if sol, err := sx.solveWarm(sol.Basis); err != nil || sol.Status != StatusIterLimit || !sol.Warm.Dual {
+		t.Fatalf("dual set-up solve: %+v, %v", sol, err)
+	}
+	checkBlocksAllocateNothing(t, sx, "dual", 3, func() {
+		sx.opt.MaxIter = sx.iters + sx.opt.Refactor
+		sx.startDual()
+		st, err := sx.dualPivots()
+		if err != nil || st != StatusIterLimit {
+			t.Fatalf("dual pivot block ended with %v, %v after %d pivots", st, err, sx.iters)
+		}
+	})
+	if sx.boundFlips == 0 {
+		t.Fatal("no bound flipped in the dual blocks")
+	}
+}
+
+// checkBlocksAllocateNothing warms sx up with three blocks, reserves the
+// worst case of its arenas so that a denser eta or a little more fill-in
+// later cannot trigger a regrowth, and wants the next runs+1 blocks to
+// allocate nothing and to refactorise once each.
+func checkBlocksAllocateNothing(t *testing.T, sx *simplex, label string, runs int, block func()) {
+	t.Helper()
 	for i := 0; i < 3; i++ {
 		block()
 	}
@@ -760,11 +797,10 @@ func TestPivotLoopAllocatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	refactors := sx.refactors
-	const runs = 4
 	if avg := testing.AllocsPerRun(runs, block); avg != 0 {
-		t.Fatalf("%v allocations per block of %d pivots + refactorisation, want 0", avg, sx.opt.Refactor)
+		t.Fatalf("%s: %v allocations per block of %d pivots + refactorisation, want 0", label, avg, sx.opt.Refactor)
 	}
 	if got := sx.refactors - refactors; got < runs+1 {
-		t.Fatalf("%d refactorisations in %d blocks", got, runs+1)
+		t.Fatalf("%s: %d refactorisations in %d blocks", label, got, runs+1)
 	}
 }

@@ -66,32 +66,44 @@ func BenchmarkSolveWarmVsCold(b *testing.B) {
 	})
 }
 
-// BenchmarkSimplexKernel times phase-2 pivots from the all-slack start on
-// two models — the one TestPivotLoopAllocatesNothing uses and the online
-// benchmark's Phase II LP (TestFrozenArrowPhase2) — one Options.Refactor
-// block and a refactorisation per iteration, and reports what one pivot
-// costs beside what it touched: the columns re-priced, the pivot steps its
-// two triangular solves visited and the rows its ratio test visited.
+// BenchmarkSimplexKernel times pivots on three models — the one
+// TestPivotLoopAllocatesNothing uses and the online benchmark's Phase II LP
+// (TestFrozenArrowPhase2), phase-2 pivots from the all-slack start, and its
+// Phase I master at its first pricing re-solve (TestFrozenArrowPhase1Resolve),
+// dual pivots from the frozen warm basis — one Options.Refactor block and a
+// refactorisation per iteration, and reports what one pivot costs beside what
+// it touched: the columns re-priced, the pivot steps its triangular solves
+// visited and the rows its ratio test visited.
 func BenchmarkSimplexKernel(b *testing.B) {
+	resolve, basis := loadFrozen(b, "arrow_phase1_resolve_facebook_m0.json.gz")
 	for _, c := range []struct {
-		name string
-		m    *Model
+		name  string
+		m     *Model
+		basis *Basis
 	}{
-		{"bench-warm", benchWarmModel(900, 450, 7)},
-		{"arrow-phase2", loadFrozenLP(b, "arrow_phase2_facebook_m0.json.gz")},
+		{"bench-warm", benchWarmModel(900, 450, 7), nil},
+		{"arrow-phase2", loadFrozenLP(b, "arrow_phase2_facebook_m0.json.gz"), nil},
+		{"phase1-resolve", resolve, basis},
 	} {
-		b.Run(c.name, func(b *testing.B) { benchKernel(b, c.m) })
+		b.Run(c.name, func(b *testing.B) { benchKernel(b, c.m, c.basis) })
 	}
 }
 
-func benchKernel(b *testing.B, m *Model) {
+// benchKernel runs phase-2 pivots from m's slack basis, or dual pivots from
+// basis when there is one.
+func benchKernel(b *testing.B, m *Model, basis *Basis) {
+	dual := basis != nil
+	if !dual {
+		basis = SlackBasis(m)
+	}
 	start := func() *simplex {
 		sx, err := newSimplex(m, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
 		sx.opt.MaxIter = 0
-		if sol, err := sx.solveWarm(SlackBasis(m)); err != nil || sol.Status != StatusIterLimit || !sol.Warm.Phase1Skipped {
+		sol, err := sx.solveWarm(basis)
+		if err != nil || sol.Status != StatusIterLimit || sol.Warm.Dual != dual || sol.Warm.Phase1Skipped == dual {
 			b.Fatalf("set-up solve: %+v, %v", sol, err)
 		}
 		return sx
@@ -108,17 +120,26 @@ func benchKernel(b *testing.B, m *Model) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sx.opt.MaxIter = sx.iters + sx.opt.Refactor
-		st, err := sx.iterate(sx.cost, false)
+		var st Status
+		var err error
+		if dual {
+			sx.startDual()
+			st, err = sx.dualPivots() // its last pivot refactorises
+		} else {
+			st, err = sx.iterate(sx.cost, false)
+		}
 		if err != nil {
 			b.Fatal(err)
 		}
-		if st == StatusOptimal { // start over, off the clock
+		if st != StatusIterLimit { // start over, off the clock
 			b.StopTimer()
 			tally()
 			sx = start()
 			b.StartTimer()
-		} else if err := sx.refactorize(); err != nil {
-			b.Fatal(err)
+		} else if !dual {
+			if err := sx.refactorize(); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 	tally()

@@ -354,7 +354,10 @@ func phase1Winners(n *Network, scs []RestorableScenario, opts *ArrowOptions) ([]
 // only in aggregate, so it is primal infeasible here and a primal simplex
 // regains feasibility at a cold solve's price (Facebook instance, four
 // matrices: 2,157-2,366 pivots from it, 2,300-2,509 cold, 345-427 from
-// all-slack, same optimum). A dual simplex would turn that around.
+// all-slack, same optimum). The dual simplex, which lp.SolveWithBasis takes
+// for a basis that prices out but breaks bounds, leaves the choice as it is:
+// the all-slack start is primal feasible, and any other lands on another
+// vertex of the optimal face and moves what is read off ARROW's vertex.
 func ArrowPhase2(n *Network, scs []RestorableScenario, winners []int, opts *ArrowOptions) (*Allocation, error) {
 	al, err := arrowPhase2(n, scs, winners, opts, nil)
 	if err != nil {

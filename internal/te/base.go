@@ -274,9 +274,10 @@ func solveModel(m *lp.Model, solver string, start *lp.Basis, opts *lp.Options, L
 }
 
 // emitWarmStart records a warm-started solve's outcome on the ledger:
-// whether the starting basis let the solver skip phase 1 entirely, was
-// accepted (possibly after repair), or was rejected in favour of a cold
-// start, plus the phase-1 pivots saved versus a cold start.
+// whether the starting basis let the solver skip phase 1 entirely, took the
+// dual simplex in its place, was accepted (possibly after repair), or was
+// rejected in favour of a cold start, plus the phase-1 pivots saved versus
+// a cold start.
 func emitWarmStart(L *ledger.Ledger, solver string, sol *lp.Solution) {
 	if sol.Warm == nil {
 		return
@@ -286,6 +287,8 @@ func emitWarmStart(L *ledger.Ledger, solver string, sol *lp.Solution) {
 	switch {
 	case wi.Phase1Skipped:
 		status = "phase1_skipped"
+	case wi.Dual:
+		status = "dual"
 	case wi.Accepted:
 		status = "accepted"
 	}

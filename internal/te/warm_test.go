@@ -90,7 +90,7 @@ func TestArrowLedgerWarmStartEvents(t *testing.T) {
 			continue
 		}
 		switch ev.Status {
-		case "phase1_skipped", "accepted", "rejected":
+		case "phase1_skipped", "dual", "accepted", "rejected":
 		default:
 			t.Errorf("warm_start event with unknown status %q", ev.Status)
 		}
