@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"slices"
 	"strings"
@@ -82,6 +83,52 @@ func TestRestorationRatio(t *testing.T) {
 	}
 	if u != 1 {
 		t.Fatalf("U = %g, want 1", u)
+	}
+}
+
+// TestOutOfRangeProbes: asked about a fiber, link, demand or tunnel it does
+// not have, the API names the index and the range it has: RestorationRatio
+// with an error, the getters that return no error with a panic. Each row is
+// one probe.
+func TestOutOfRangeProbes(t *testing.T) {
+	net, _, _ := buildSquare(t)
+	planner, err := net.Plan(PlanOptions{Tickets: 2, Cutoff: 1e-4, Seed: 1, Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := planner.Solve([]Demand{{Src: 0, Dst: 3, Gbps: 100}}, SolveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		probe func() error
+		want  string
+	}{
+		{"RestorationRatio(99)", func() error { _, err := net.RestorationRatio(99); return err }, "no fiber 99 (fibers are [0,4))"},
+		{"RestorationRatio(-1)", func() error { _, err := net.RestorationRatio(-1); return err }, "no fiber -1 (fibers are [0,4))"},
+		{"LinkCapacityGbps(99)", func() error { net.LinkCapacityGbps(99); return nil }, "link 99 outside [0,3)"},
+		{"LinkCapacityGbps(-1)", func() error { net.LinkCapacityGbps(-1); return nil }, "link -1 outside [0,3)"},
+		{"TunnelLinks(9, 9)", func() error { plan.TunnelLinks(9, 9); return nil }, "demand 9 outside [0,1)"},
+		{"TunnelLinks(0, 9)", func() error { plan.TunnelLinks(0, 9); return nil }, "tunnel 9 of demand 0 outside [0,"},
+		{"TunnelLinks(-1, 0)", func() error { plan.TunnelLinks(-1, 0); return nil }, "demand -1 outside [0,1)"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var got string
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						got = fmt.Sprint(r)
+					}
+				}()
+				if err := c.probe(); err != nil {
+					got = err.Error()
+				}
+			}()
+			if !strings.Contains(got, c.want) {
+				t.Errorf("%s: got %q, want it to name %q", c.name, got, c.want)
+			}
+		})
 	}
 }
 

@@ -2,7 +2,6 @@ package te
 
 import (
 	"fmt"
-	"slices"
 	"strconv"
 
 	"github.com/arrow-te/arrow/internal/ledger"
@@ -113,88 +112,6 @@ func capRow(dst lp.Expr, n *Network, e int, refs []tunnelRef, a [][]lp.Var) lp.E
 			if l == e {
 				dst = dst.Plus(1, a[c.f][c.ti])
 			}
-		}
-	}
-	return dst
-}
-
-// tunnelSplit is how one scenario and ticket split flow f's tunnels: res
-// avoid every failed link (T_f^q), rst are restorable (Y_f^{z,q}).
-type tunnelSplit struct {
-	f        int
-	res, rst []int
-}
-
-// splitScratch is eachTouched's working memory, one per scan (a scenario's
-// tickets, a Phase II model); colgen's workers take theirs from splitPool.
-type splitScratch struct {
-	failed, touched []bool
-	res, rst        []int
-	key             []byte // coverKey's
-	lit             []bool // scenarioBlocks': which failed links each ticket lights
-}
-
-var splitPool pool.Free[splitScratch]
-
-// eachTouched calls visit, ascending f, with the split of every flow that
-// some failed link of q touches under the given per-link restoration, and
-// returns q's failedSet. Every other flow keeps all its tunnels and adds no
-// row to any ARROW model. The split and the mask are sc's.
-func (bm *baseModel) eachTouched(n *Network, q *RestorableScenario, restored func(link int) float64, sc *splitScratch, visit func(tunnelSplit)) []bool {
-	failed := failedInto(sc.failed, n, q.FailedLinks)
-	touched := append(sc.touched[:0], make([]bool, len(n.Flows))...)
-	sc.failed, sc.touched = failed, touched
-	for e, down := range failed {
-		if down {
-			for _, c := range bm.cross[e] {
-				touched[c.f] = true
-			}
-		}
-	}
-	for f, hit := range touched {
-		if hit {
-			sc.res, sc.rst = sc.res[:0], sc.rst[:0]
-			for ti, t := range n.Tunnels[f] {
-				if !slices.ContainsFunc(t.Links, func(e int) bool { return failed[e] }) {
-					sc.res = append(sc.res, ti)
-				} else if restorable(t, failed, restored) {
-					sc.rst = append(sc.rst, ti)
-				}
-			}
-			visit(tunnelSplit{f, sc.res, sc.rst})
-		}
-	}
-	return failed
-}
-
-// coverExpr appends to dst the guarantee row of constraints (4) and (10):
-// flow s.f's residual plus restorable tunnels carry b_f. ok is false when
-// nothing was lost (implied by (1)) or nothing is left (vacuous).
-func (bm *baseModel) coverExpr(dst lp.Expr, s tunnelSplit) (e lp.Expr, ok bool) {
-	k := len(s.res) + len(s.rst)
-	if k == len(bm.a[s.f]) || k == 0 {
-		return nil, false
-	}
-	e = slices.Grow(dst, k+1)
-	for _, ti := range s.res {
-		e = e.Plus(1, bm.a[s.f][ti])
-	}
-	for _, ti := range s.rst {
-		e = e.Plus(1, bm.a[s.f][ti])
-	}
-	return e.Plus(-1, bm.b[s.f]), true
-}
-
-// restorableLoad appends to dst the allocation on the restorable tunnels
-// that cross the failed link, ascending (f, ti): the load of constraints
-// (5) and (11). failed is q's failedSet; a link outside it adds nothing.
-func (bm *baseModel) restorableLoad(dst lp.Expr, n *Network, link int, failed []bool, restored func(link int) float64) lp.Expr {
-	if link < 0 || link >= len(bm.cross) {
-		return dst
-	}
-	for _, c := range bm.cross[link] {
-		if restorable(n.Tunnels[c.f][c.ti], failed, restored) {
-			dst = dst.Plus(1, bm.a[c.f][c.ti])
 		}
 	}
 	return dst

@@ -2,15 +2,12 @@ package arrow
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"flag"
 	"fmt"
 	"os"
 	"testing"
-
-	"github.com/arrow-te/arrow/internal/stats"
-	"github.com/arrow-te/arrow/internal/topo"
-	"github.com/arrow-te/arrow/internal/traffic"
 )
 
 var updateOnlinePlans = flag.Bool("update-online-plans", false, "rewrite testdata/online_plans.golden")
@@ -30,23 +27,9 @@ func TestOnlinePlansGolden(t *testing.T) {
 		t.Skip("plans the Facebook network and runs four TE solves")
 	}
 	const golden = "testdata/online_plans.golden"
-	tp, err := topo.Facebook(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net := rebuildThroughBuilder(t, tp)
-	p, err := net.Plan(PlanOptions{Tickets: 12, Cutoff: 2e-4, Parallelism: 1, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ms := traffic.Generate(traffic.Options{Sites: tp.NumRouters(), Count: 4, MaxFlows: 120, TotalGbps: 1, Seed: 8})
-	capSum := stats.Sum(tp.LinkCaps())
+	_, p, sets := onlineInstance(t, context.Background())
 	var got bytes.Buffer
-	for mi, m := range ms {
-		ds := make([]Demand, len(m.Flows))
-		for i, f := range m.Flows {
-			ds[i] = Demand{Src: int(tp.Routers[f.Src]), Dst: int(tp.Routers[f.Dst]), Gbps: f.Demand * (0.0375 * capSum)}
-		}
+	for mi, ds := range sets {
 		plan, err := p.Solve(ds, SolveOptions{})
 		if err != nil {
 			t.Fatalf("matrix %d: %v", mi, err)
