@@ -41,7 +41,9 @@ import (
 
 	"github.com/arrow-te/arrow/internal/availability"
 	"github.com/arrow-te/arrow/internal/noise"
+	"github.com/arrow-te/arrow/internal/obs"
 	"github.com/arrow-te/arrow/internal/optical"
+	"github.com/arrow-te/arrow/internal/par"
 	"github.com/arrow-te/arrow/internal/plan"
 	"github.com/arrow-te/arrow/internal/rwa"
 	"github.com/arrow-te/arrow/internal/scenario"
@@ -56,7 +58,8 @@ type FiberID int
 type LinkID int
 
 // Builder assembles a two-layer WAN: ROADM sites joined by fibers, and IP
-// links provisioned as wavelength bundles over fiber paths.
+// links provisioned as wavelength bundles over fiber paths. Malformed input
+// sets a sticky error, naming it, that every later call returns.
 type Builder struct {
 	net   *optical.Network
 	srlgs []scenario.Group
@@ -66,12 +69,34 @@ type Builder struct {
 // NewBuilder starts a network with numSites ROADM/router sites and the
 // given number of wavelength slots per fiber (96 is the ITU-T DWDM grid).
 func NewBuilder(numSites, slotsPerFiber int) *Builder {
-	return &Builder{net: optical.NewNetwork(numSites, slotsPerFiber)}
+	b := &Builder{net: optical.NewNetwork(numSites, slotsPerFiber)}
+	if numSites <= 0 || slotsPerFiber <= 0 {
+		b.err = fmt.Errorf("arrow: NewBuilder: %d sites, %d slots per fiber: want both > 0", numSites, slotsPerFiber)
+	}
+	return b
 }
 
-// AddFiber adds a fiber span between sites a and b.
+// check makes a site outside the network, else bad, the sticky error and
+// returns the Builder's error.
+func (b *Builder) check(op string, bad error, sites ...int) error {
+	for _, s := range sites {
+		if b.err == nil && (s < 0 || s >= b.net.NumROADMs) {
+			b.err = fmt.Errorf("arrow: %s: site %d outside [0,%d)", op, s, b.net.NumROADMs)
+		}
+	}
+	if b.err == nil && bad != nil {
+		b.err = fmt.Errorf("arrow: %s: %w", op, bad)
+	}
+	return b.err
+}
+
+// AddFiber adds a fiber span of positive length between sites a and b.
 func (b *Builder) AddFiber(a, bb int, lengthKm float64) FiberID {
-	if b.err != nil {
+	var bad error
+	if !(lengthKm > 0) {
+		bad = fmt.Errorf("length %g km, want > 0", lengthKm)
+	}
+	if b.check("AddFiber", bad, a, bb) != nil {
 		return -1
 	}
 	f := b.net.AddFiber(optical.ROADM(a), optical.ROADM(bb), lengthKm)
@@ -80,34 +105,29 @@ func (b *Builder) AddFiber(a, bb int, lengthKm float64) FiberID {
 
 // AddIPLink provisions an IP link of `waves` wavelengths at gbpsPerWave
 // (must be one of the Table 6 rates: 100, 200, 300, 400) between src and
-// dst, riding the given fiber path. Spectrum slots are assigned first-fit
-// with wavelength continuity.
+// dst, riding the given fiber path from src to dst. Spectrum slots are
+// assigned first-fit with wavelength continuity; a link that does not fit is
+// an error that leaves the Builder usable.
 func (b *Builder) AddIPLink(src, dst, waves int, gbpsPerWave float64, path []FiberID) (LinkID, error) {
-	if b.err != nil {
-		return -1, b.err
+	fibers := make([]int, len(path))
+	for i, f := range path {
+		fibers[i] = int(f)
+	}
+	bad := b.net.CheckPath(optical.ROADM(src), optical.ROADM(dst), fibers)
+	if waves <= 0 {
+		bad = fmt.Errorf("%d wavelengths, want > 0", waves)
+	}
+	if err := b.check("AddIPLink", bad, src, dst); err != nil {
+		return -1, err
 	}
 	mod, ok := spectrum.ModulationByRate(gbpsPerWave)
 	if !ok {
 		return -1, fmt.Errorf("arrow: no modulation with rate %g Gbps", gbpsPerWave)
 	}
-	fibers := make([]int, len(path))
-	var bms []*spectrum.Bitmap
-	lenKm := 0.0
-	for i, f := range path {
-		fibers[i] = int(f)
-		bms = append(bms, b.net.Fibers[f].Slots)
-		lenKm += b.net.Fibers[f].LengthKm
-	}
-	if lenKm > mod.ReachKm {
+	if lenKm := b.net.PathLengthKm(fibers); lenKm > mod.ReachKm {
 		return -1, fmt.Errorf("arrow: path is %.0f km, beyond the %.0f km reach of %s", lenKm, mod.ReachKm, mod.Name)
 	}
-	common := spectrum.PathSpectrum(bms)
-	var ws []optical.Lightpath
-	for s := 0; s < common.Len() && len(ws) < waves; s++ {
-		if common.Available(s) {
-			ws = append(ws, optical.Lightpath{Slot: s, Modulation: mod, FiberPath: fibers})
-		}
-	}
+	ws := b.net.FirstFit(fibers, mod, waves)
 	if len(ws) < waves {
 		return -1, fmt.Errorf("arrow: only %d of %d wavelengths fit on the path (wavelength continuity)", len(ws), waves)
 	}
@@ -122,7 +142,8 @@ func (b *Builder) AddIPLink(src, dst, waves int, gbpsPerWave float64, path []Fib
 // physical conduit (or WDM shelf) and are cut TOGETHER with probability
 // prob, independently of the per-fiber failure marginals. Groups are
 // failure elements of the scenario enumeration only when PlanOptions.UseSRLGs
-// is set; planning then rejects a prob outside [0, 0.5), NaN included.
+// is set; planning then rejects a prob outside [0, 0.5), NaN included. Build
+// rejects a group on a fiber the network does not have.
 func (b *Builder) AddSRLG(prob float64, fibers ...FiberID) {
 	if b.err != nil {
 		return
@@ -140,6 +161,13 @@ func (b *Builder) AddSRLG(prob float64, fibers ...FiberID) {
 func (b *Builder) Build() (*Network, error) {
 	if b.err != nil {
 		return nil, b.err
+	}
+	for _, g := range b.srlgs {
+		for _, f := range g.Fibers {
+			if f < 0 || f >= len(b.net.Fibers) {
+				return nil, fmt.Errorf("arrow: %s: fiber %d outside [0,%d)", g.Name, f, len(b.net.Fibers))
+			}
+		}
 	}
 	if err := b.net.Validate(); err != nil {
 		return nil, err
@@ -174,10 +202,15 @@ func (n *Network) LinkCapacityGbps(l LinkID) float64 {
 	return n.opt.LinkByID(int(l)).CapacityGbps()
 }
 
-// FailedLinks returns the IP links that go down when the fibers are cut.
+// FailedLinks returns the IP links that go down when the fibers are cut. It
+// panics, naming the fiber and the valid range, on a fiber the network does
+// not have.
 func (n *Network) FailedLinks(fibers ...FiberID) []LinkID {
 	cut := make([]int, len(fibers))
 	for i, f := range fibers {
+		if f < 0 || int(f) >= n.NumFibers() {
+			panic(fmt.Sprintf("arrow: FailedLinks: fiber %d outside [0,%d)", f, n.NumFibers()))
+		}
 		cut[i] = int(f)
 	}
 	var out []LinkID
@@ -299,8 +332,8 @@ func (n *Network) Plan(opts PlanOptions) (*Planner, error) {
 // ledger.WithLedger likewise captures the per-scenario decision stream
 // (tickets generated/rejected, solver health, TE solves, winners), and a
 // stage profiler attached via obs.WithProfiler the stage attribution. The
-// planner keeps all three for its Solve calls. A plain context reproduces
-// Plan exactly.
+// planner keeps all three, and opts.Parallelism and HealthEvery, which ride
+// the same context, for its Solve calls. A plain context reproduces Plan.
 //
 // The stage itself is internal/plan's, shared with the experiments'
 // eval.BuildPipeline; this function only maps the options onto it and indexes
@@ -312,20 +345,21 @@ func (n *Network) PlanContext(ctx context.Context, opts PlanOptions) (*Planner, 
 	if opts.TunnelsPerFlow <= 0 {
 		opts.TunnelsPerFlow = 4
 	}
+	ctx = par.WithWorkers(obs.WithHealthEvery(ctx, opts.HealthEvery), opts.Parallelism)
 	off, err := plan.Build(ctx, n.opt, opts.FailureProbs, n.srlgs, plan.Options{
 		Tickets: opts.Tickets, K: opts.SurrogatePaths, Seed: opts.Seed, Cutoff: opts.Cutoff,
 		Space: plan.Space{
 			MaxCutSize: opts.MaxCutSize, UseSRLGs: opts.UseSRLGs, TargetMass: opts.TargetMass,
 			MaxEnumerated: opts.MaxEnumerated, NoCompose: opts.NoCompose,
 		},
-		NoWarm: opts.NoWarm, HealthEvery: opts.HealthEvery, Parallelism: opts.Parallelism,
+		NoWarm: opts.NoWarm,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("arrow: %w", err)
 	}
 	p := &Planner{
 		net: n, set: off.Set, scenarios: off.Scenarios, naive: off.Naive, tunnels: tunnelTable(n.opt, opts.TunnelsPerFlow),
-		teOpts: te.SessionOptions(ctx, opts.NoWarm, opts.Parallelism, opts.HealthEvery),
+		teOpts: te.SessionOptions(ctx, opts.NoWarm),
 		rwa:    off.RWA, cuts: off.Cuts, byCut: make([]int, len(off.Cuts)),
 	}
 	for qi := range p.byCut {
@@ -618,18 +652,21 @@ func (tp *TrafficPlan) TunnelLinks(d, t int) []LinkID {
 // Availability computes the probability-weighted demand satisfaction over
 // the planned failure scenarios (§6.1 of the paper).
 func (tp *TrafficPlan) Availability() float64 {
-	ev := &availability.Evaluator{Net: tp.network, Alloc: tp.alloc}
+	ev, scs := tp.evaluator()
+	return ev.Availability(scs)
+}
+
+// evaluator returns the plan's availability evaluator and its planned
+// scenarios, each with the capacity its winning ticket restores.
+func (tp *TrafficPlan) evaluator() (*availability.Evaluator, []availability.ScenarioEval) {
 	scs := make([]availability.ScenarioEval, len(tp.planner.scenarios))
-	for i := range tp.planner.scenarios {
-		scs[i] = availability.ScenarioEval{
-			Prob:   tp.planner.scenarios[i].Prob,
-			Failed: tp.planner.scenarios[i].FailedLinks,
-		}
+	for i, sc := range tp.planner.scenarios {
+		scs[i] = availability.ScenarioEval{Prob: sc.Prob, Failed: sc.FailedLinks}
 		if tp.alloc.RestoredGbps != nil {
 			scs[i].Restored = tp.alloc.RestoredGbps[i]
 		}
 	}
-	return ev.Availability(scs)
+	return &availability.Evaluator{Net: tp.network, Alloc: tp.alloc}, scs
 }
 
 // Reaction is the precomputed response to a fiber cut: which IP links fail,

@@ -12,6 +12,7 @@ import (
 
 	"github.com/arrow-te/arrow/internal/ledger"
 	"github.com/arrow-te/arrow/internal/obs"
+	"github.com/arrow-te/arrow/internal/topo"
 )
 
 // buildSquare constructs a 4-site ring WAN (like the paper's testbed) with
@@ -112,6 +113,8 @@ func TestOutOfRangeProbes(t *testing.T) {
 		{"TunnelLinks(9, 9)", func() error { plan.TunnelLinks(9, 9); return nil }, "demand 9 outside [0,1)"},
 		{"TunnelLinks(0, 9)", func() error { plan.TunnelLinks(0, 9); return nil }, "tunnel 9 of demand 0 outside [0,"},
 		{"TunnelLinks(-1, 0)", func() error { plan.TunnelLinks(-1, 0); return nil }, "demand -1 outside [0,1)"},
+		{"FailedLinks(99)", func() error { net.FailedLinks(99); return nil }, "fiber 99 outside [0,4)"},
+		{"FailedLinks(0, -1)", func() error { net.FailedLinks(0, -1); return nil }, "fiber -1 outside [0,4)"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var got string
@@ -129,6 +132,84 @@ func TestOutOfRangeProbes(t *testing.T) {
 				t.Errorf("%s: got %q, want it to name %q", c.name, got, c.want)
 			}
 		})
+	}
+}
+
+// TestBuilderRejectsMalformedInput holds the Builder to its sticky error:
+// each probe on a 3-site line (fibers 0-1 and 1-2) fails Build with an
+// error that names the bad index or value, and the Builder ignores every
+// call after the first malformed one.
+func TestBuilderRejectsMalformedInput(t *testing.T) {
+	line := func(sites, slots int) *Builder {
+		b := NewBuilder(sites, slots)
+		b.AddFiber(0, 1, 100)
+		b.AddFiber(1, 2, 100)
+		return b
+	}
+	for _, c := range []struct {
+		name  string
+		probe func() *Builder
+		want  string
+	}{
+		{"NewBuilder(-1, 8)", func() *Builder { return NewBuilder(-1, 8) }, "-1 sites"},
+		{"NewBuilder(3, 0)", func() *Builder { return NewBuilder(3, 0) }, "0 slots per fiber"},
+		{"fiber to site 7", func() *Builder { b := line(3, 8); b.AddFiber(0, 7, 100); return b }, "site 7 outside [0,3)"},
+		{"fiber from site -1", func() *Builder { b := line(3, 8); b.AddFiber(-1, 2, 100); return b }, "site -1 outside [0,3)"},
+		{"negative fiber length", func() *Builder { b := line(3, 8); b.AddFiber(0, 2, -5); return b }, "length -5 km"},
+		{"zero fiber length", func() *Builder { b := line(3, 8); b.AddFiber(0, 2, 0); return b }, "length 0 km"},
+		{"NaN fiber length", func() *Builder { b := line(3, 8); b.AddFiber(0, 2, math.NaN()); return b }, "length NaN km"},
+		{"AddIPLink on fiber 99", func() *Builder { b := line(3, 8); b.AddIPLink(0, 1, 1, 100, []FiberID{99}); return b }, "fiber 99 outside [0,2)"},
+		{"AddIPLink on fiber -1", func() *Builder { b := line(3, 8); b.AddIPLink(0, 1, 1, 100, []FiberID{-1}); return b }, "fiber -1 outside [0,2)"},
+		{"AddIPLink on an empty path", func() *Builder { b := line(3, 8); b.AddIPLink(0, 1, 1, 100, nil); return b }, "empty fiber path"},
+		{"AddIPLink on a discontinuous path", func() *Builder { b := line(3, 8); b.AddIPLink(0, 2, 1, 100, []FiberID{1}); return b }, "fiber 1 does not touch ROADM 0"},
+		{"AddIPLink to site 5", func() *Builder { b := line(3, 8); b.AddIPLink(0, 5, 1, 100, []FiberID{0}); return b }, "site 5 outside [0,3)"},
+		{"zero-wave IP link", func() *Builder { b := line(3, 8); b.AddIPLink(0, 1, 0, 100, []FiberID{0}); return b }, "0 wavelengths"},
+		{"SRLG on fiber 42", func() *Builder { b := line(3, 8); b.AddSRLG(0.01, 0, 42); return b }, "srlg0: fiber 42 outside [0,2)"},
+		{"sticky", func() *Builder {
+			b := line(3, 8)
+			b.AddFiber(0, 7, 100)
+			if f := b.AddFiber(0, 2, 100); f != -1 {
+				t.Errorf("AddFiber after an error returned fiber %d, want -1", f)
+			}
+			if _, err := b.AddIPLink(0, 1, 1, 100, []FiberID{0}); err == nil {
+				t.Error("AddIPLink after an error returned no error")
+			}
+			return b
+		}, "site 7 outside [0,3)"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			net, err := c.probe().Build()
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("Build() = %v, %v; want an error naming %q", net, err, c.want)
+			}
+		})
+	}
+	// A rate that has no modulation leaves the Builder usable.
+	b := line(3, 8)
+	if _, err := b.AddIPLink(0, 1, 1, 150, []FiberID{0}); err == nil {
+		t.Error("a 150 Gbps wavelength was accepted")
+	}
+	if _, err := b.AddIPLink(0, 2, 2, 100, []FiberID{0, 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Build(); err != nil {
+		t.Fatalf("a well-formed network after a rejected rate: %v", err)
+	}
+}
+
+// TestBuilderRebuildsTheTopologies rebuilds B4 (with its SRLGs), IBM and
+// Facebook through the Builder, as cmd/arrow-plan and the repository
+// benchmark do.
+func TestBuilderRebuildsTheTopologies(t *testing.T) {
+	for _, name := range []string{"B4", "IBM", "Facebook"} {
+		tp, err := topo.ByName(name, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		net := rebuildThroughBuilder(t, tp)
+		if net.NumFibers() != len(tp.Opt.Fibers) || net.NumSRLGs() != len(tp.SRLGs) {
+			t.Errorf("%s: %d fibers and %d SRLGs, want %d and %d", name, net.NumFibers(), net.NumSRLGs(), len(tp.Opt.Fibers), len(tp.SRLGs))
+		}
 	}
 }
 

@@ -21,6 +21,7 @@ import (
 	"github.com/arrow-te/arrow/internal/emu"
 	"github.com/arrow-te/arrow/internal/eval"
 	"github.com/arrow-te/arrow/internal/lp"
+	"github.com/arrow-te/arrow/internal/par"
 	"github.com/arrow-te/arrow/internal/rwa"
 	"github.com/arrow-te/arrow/internal/sim"
 	"github.com/arrow-te/arrow/internal/te"
@@ -259,8 +260,7 @@ func BenchmarkSimParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				r := sim.NewRunner(n, al, project, pl.Plain, restored)
-				r.Parallelism = w
-				if rep := r.Run(context.Background(), events, horizon); rep.Intervals == 0 {
+				if rep := r.Run(par.WithWorkers(context.Background(), w), events, horizon); rep.Intervals == 0 {
 					b.Fatal("no intervals evaluated")
 				}
 			}
@@ -400,11 +400,7 @@ func BenchmarkAblationROADMWaves(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			var last float64
 			for i := 0; i < b.N; i++ {
-				net, err := emu.Testbed()
-				if err != nil {
-					b.Fatal(err)
-				}
-				tr, err := emu.RunRestoration(net, []int{emu.FiberDC}, emu.Config{NoiseLoading: true, SerialROADM: mode.serial, Seed: 7})
+				tr, err := emu.TestbedTrial(context.Background(), emu.Config{NoiseLoading: true, SerialROADM: mode.serial, Seed: 7})
 				if err != nil {
 					b.Fatal(err)
 				}

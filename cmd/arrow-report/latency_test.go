@@ -11,6 +11,8 @@ import (
 	"github.com/arrow-te/arrow/internal/eval"
 	"github.com/arrow-te/arrow/internal/ledger"
 	"github.com/arrow-te/arrow/internal/obs"
+	"github.com/arrow-te/arrow/internal/par"
+	"github.com/arrow-te/arrow/internal/plan"
 	"github.com/arrow-te/arrow/internal/session"
 )
 
@@ -78,7 +80,7 @@ func TestRunReportIncludesLatencySection(t *testing.T) {
 	led := ledger.New()
 	reg := obs.NewRegistry()
 	ctx := ledger.WithLedger(obs.WithRecorder(context.Background(), reg), led)
-	if _, _, _, err := eval.RunRecorded(ctx, eval.RunOptions{Seed: 1, Workers: 2}); err != nil {
+	if _, _, _, err := eval.RunRecorded(par.WithWorkers(ctx, 2), 1, plan.Space{}, false); err != nil {
 		t.Fatal(err)
 	}
 	tb, err := eval.RunTestbed(ctx, 1, false)

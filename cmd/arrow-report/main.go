@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	arrow-report -run [-seed 1] [-parallelism 8] [-attr] [-out report.md] [-run-out run.json]
+//	arrow-report -run [-seed 1] [-parallelism 8] [-health-every 32] [-attr] [-out report.md] [-run-out run.json]
 //	arrow-report [-out report.md] run.json
 //	arrow-report -diff old.json new.json
 //
@@ -14,6 +14,8 @@
 // rejected (and why), which ticket won each scenario with its
 // restored-capacity fraction, the two-phase LP certificates, and the
 // residual unmet demand. It exits 1 when a certificate fails.
+// -parallelism and -health-every apply to the pipeline; the testbed runs
+// unprobed at the default worker count either way.
 //
 // -diff prints every deterministic counter that differs between two
 // bundles (the wall-clock par.busy_ns and par.idle_ns are skipped) and
@@ -35,6 +37,7 @@ import (
 
 	"github.com/arrow-te/arrow/internal/eval"
 	"github.com/arrow-te/arrow/internal/obs"
+	"github.com/arrow-te/arrow/internal/par"
 	"github.com/arrow-te/arrow/internal/plan"
 	"github.com/arrow-te/arrow/internal/session"
 )
@@ -89,10 +92,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		return 0
 
 	case *doRun && len(args) == 0:
-		b, err := record(flags, *verbose, eval.RunOptions{
-			Seed: *seed, Workers: *parallel, HealthEvery: *healthEvr,
-			Attribution: *doAttr, Space: *space,
-		})
+		b, err := record(flags, *verbose, *seed, *parallel, *healthEvr, *doAttr, *space)
 		if err != nil {
 			fmt.Fprintln(stderr, "arrow-report:", err)
 			return 1
@@ -120,22 +120,24 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	return 2
 }
 
-// record runs the standard recorded pipeline and the emulated testbed under
-// a session that records every sink, and returns the run's bundle (written
-// to -run-out when set). With -debug-addr the live /metrics, /healthz,
-// /timeseries and /events endpoints see the run as it happens, and
-// /attribution serves the attribution pass once it lands.
-func record(flags *session.Flags, verbose bool, opts eval.RunOptions) (*session.Bundle, error) {
+// record runs the standard recorded pipeline (at the given worker count and
+// probe period) and the emulated testbed under a session that records every
+// sink, and returns the run's bundle (written to -run-out when set). With
+// -debug-addr the live /metrics, /healthz, /timeseries and /events endpoints
+// see the run as it happens, and /attribution serves the attribution pass
+// once it lands.
+func record(flags *session.Flags, verbose bool, seed int64, workers, healthEvery int, attribution bool, space plan.Space) (*session.Bundle, error) {
 	sess, err := flags.Start(session.Report, verbose)
 	if err != nil {
 		return nil, err
 	}
 	ctx, logger := sess.Context(), sess.Logger()
 	prof := obs.ProfilerFrom(ctx)
-	logger.Info("building recorded pipeline", "seed", opts.Seed, "parallelism", opts.Workers,
-		"health_every", opts.HealthEvery, "attr", opts.Attribution)
+	logger.Info("building recorded pipeline", "seed", seed, "parallelism", workers,
+		"health_every", healthEvery, "attr", attribution)
 	endTotal := prof.Total()
-	_, _, attrRep, err := eval.RunRecorded(ctx, opts)
+	runCtx := par.WithWorkers(obs.WithHealthEvery(ctx, healthEvery), workers)
+	_, _, attrRep, err := eval.RunRecorded(runCtx, seed, space, attribution)
 	if err == nil && attrRep != nil {
 		sess.SetAttribution(attrRep)
 		logger.Info("attribution recorded", "availability", attrRep.Availability,
@@ -144,7 +146,7 @@ func record(flags *session.Flags, verbose bool, opts eval.RunOptions) (*session.
 	}
 	if err == nil {
 		var tb *eval.TestbedOutcome
-		tb, err = eval.RunTestbed(ctx, opts.Seed, opts.Attribution)
+		tb, err = eval.RunTestbed(ctx, seed, attribution)
 		if err == nil {
 			logger.Info("testbed observatory recorded", "latency_ratio", tb.LatencyRatio)
 		}

@@ -5,7 +5,8 @@
 // Fig. 12 latency comparison. With -trace-out the run exports the
 // per-device restoration waterfall on the emulated clock; with -run-out it
 // writes the run bundle, whose ledger carries the typed stage/episode
-// events arrow-report renders as the restoration-latency section.
+// events arrow-report renders as the restoration-latency section. With
+// -health-every N both trials probe their restoration LP every N pivots.
 package main
 
 import (
@@ -35,7 +36,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "arrow-testbed:", err)
 		os.Exit(1)
 	}
-	err = run(sess.Context(), *seed, *healthEvr, *series, sess.Logger())
+	err = run(obs.WithHealthEvery(sess.Context(), *healthEvr), *seed, *series, sess.Logger())
 	if _, cerr := sess.Close(); err == nil {
 		err = cerr
 	}
@@ -45,8 +46,8 @@ func main() {
 	}
 }
 
-// run runs both trials under the recorder and ledger on ctx.
-func run(ctx context.Context, seed int64, healthEvery int, series bool, logger *slog.Logger) error {
+// run runs both trials under the recorder, ledger and probe period on ctx.
+func run(ctx context.Context, seed int64, series bool, logger *slog.Logger) error {
 	if logger == nil {
 		logger = slog.New(slog.DiscardHandler)
 	}
@@ -59,12 +60,8 @@ func run(ctx context.Context, seed int64, healthEvery int, series bool, logger *
 		name  string
 		noise bool
 	}{{"LEGACY (amplifier reconfiguration)", false}, {"ARROW (ASE noise loading)", true}} {
-		net, err := emu.Testbed()
-		if err != nil {
-			return err
-		}
 		start := time.Now()
-		tr, err := emu.RunRestorationCtx(ctx, net, []int{emu.FiberDC}, emu.Config{NoiseLoading: mode.noise, Seed: seed, HealthEvery: healthEvery})
+		tr, err := emu.TestbedTrial(ctx, emu.Config{NoiseLoading: mode.noise, Seed: seed})
 		if err != nil {
 			return err
 		}

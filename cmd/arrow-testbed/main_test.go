@@ -11,10 +11,10 @@ import (
 )
 
 func TestRunTestbedTrial(t *testing.T) {
-	if err := run(context.Background(), 1, 0, false, nil); err != nil {
+	if err := run(context.Background(), 1, false, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(context.Background(), 2, 0, true, nil); err != nil {
+	if err := run(context.Background(), 2, true, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -29,7 +29,7 @@ func TestRunRecordsObservatory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := run(sess.Context(), 1, 0, false, nil); err != nil {
+	if err := run(sess.Context(), 1, false, nil); err != nil {
 		t.Fatal(err)
 	}
 	emuSpans := 0

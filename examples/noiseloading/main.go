@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -26,11 +27,7 @@ func main() {
 		{"legacy amplifier reconfiguration", false},
 		{"ARROW ASE noise loading", true},
 	} {
-		net, err := emu.Testbed()
-		if err != nil {
-			log.Fatal(err)
-		}
-		tr, err := emu.RunRestoration(net, []int{emu.FiberDC}, emu.Config{NoiseLoading: mode.noise, Seed: 42})
+		tr, err := emu.TestbedTrial(context.Background(), emu.Config{NoiseLoading: mode.noise, Seed: 42})
 		if err != nil {
 			log.Fatal(err)
 		}

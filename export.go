@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"github.com/arrow-te/arrow/internal/availability"
-
 	"github.com/arrow-te/arrow/internal/noise"
 )
 
@@ -106,16 +104,6 @@ func (tp *TrafficPlan) ROADMConfig(fibers ...FiberID) (string, error) {
 // PerDemandAvailability returns each demand's individual probability-
 // weighted delivered fraction — the per-customer SLA view of the plan.
 func (tp *TrafficPlan) PerDemandAvailability() []float64 {
-	ev := &availability.Evaluator{Net: tp.network, Alloc: tp.alloc}
-	scs := make([]availability.ScenarioEval, len(tp.planner.scenarios))
-	for i := range tp.planner.scenarios {
-		scs[i] = availability.ScenarioEval{
-			Prob:   tp.planner.scenarios[i].Prob,
-			Failed: tp.planner.scenarios[i].FailedLinks,
-		}
-		if tp.alloc.RestoredGbps != nil {
-			scs[i].Restored = tp.alloc.RestoredGbps[i]
-		}
-	}
+	ev, scs := tp.evaluator()
 	return ev.PerFlowAvailability(scs)
 }

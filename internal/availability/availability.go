@@ -48,7 +48,7 @@ func (ev *Evaluator) Availability(scs []ScenarioEval) float64 {
 	total := healthyProb * p.fraction(&ScenarioEval{})
 	mass := healthyProb
 	for i := range scs {
-		total += scs[i].Prob * p.fraction(&scs[i])
+		total += float64(scs[i].Prob * p.fraction(&scs[i]))
 		mass += scs[i].Prob
 	}
 	if mass <= 0 {
@@ -154,7 +154,7 @@ func (ev *Evaluator) PerFlowAvailability(scs []ScenarioEval) []float64 {
 		per := p.deliveredPerFlow(sc)
 		for f := range out {
 			if d := n.Flows[f].Demand; d > 0 {
-				out[f] += prob / mass * math.Min(1, per[f]/d)
+				out[f] += float64(prob / mass * math.Min(1, per[f]/d))
 			} else {
 				out[f] += prob / mass
 			}
@@ -291,7 +291,7 @@ func (p *pass) deliveredPerFlow(sc *ScenarioEval) []float64 {
 					factor = shed[e]
 				}
 			}
-			df += send * factor
+			df += float64(send * factor)
 		}
 		off += len(n.Tunnels[f])
 		p.out[f] = math.Min(df, n.Flows[f].Demand)

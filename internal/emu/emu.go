@@ -65,10 +65,6 @@ type Config struct {
 	// parallel waves (Appendix A.6 ablation): each device costs a full
 	// ROADMWaveSec.
 	SerialROADM bool
-	// HealthEvery probes the numerical health of the restoration RWA's LP
-	// solve at this pivot period (lp.Options.HealthEvery via rwa.Request).
-	// 0 disables probing; probes never change results.
-	HealthEvery int
 	// Seed derives the per-consumer randomness streams when Rng is nil.
 	Seed int64
 	// Rng, when non-nil, is the explicit randomness source for every
@@ -266,6 +262,16 @@ func Testbed() (*optical.Network, error) {
 // FiberDC is the ID of the testbed fiber whose cut reproduces Fig. 11.
 const FiberDC = 2
 
+// TestbedTrial runs the Fig. 11 trial under cfg and ctx (see
+// RunRestorationCtx): fiber DC cut on a fresh Testbed.
+func TestbedTrial(ctx context.Context, cfg Config) (*Trial, error) {
+	net, err := Testbed()
+	if err != nil {
+		return nil, err
+	}
+	return RunRestorationCtx(ctx, net, []int{FiberDC}, cfg)
+}
+
 // RunRestoration emulates an end-to-end fiber-cut restoration: the cut is
 // detected, the RWA computes the surrogate assignment, ROADMs reconfigure
 // in two parallel waves, and — in legacy mode only — amplifiers along each
@@ -289,8 +295,8 @@ type pathInfo struct {
 // the context: an obs.Recorder (obs.WithRecorder) receives one emulated-time
 // span per stage plus emu.* counters and histograms, and a ledger.Ledger
 // (ledger.WithLedger) receives one typed event per device action and an
-// episode summary. Both seams follow the nil-default contract — the trial
-// is byte-identical with observability on or off.
+// episode summary; a probe period (obs.WithHealthEvery) probes the
+// restoration LP. Every seam keeps the trial byte-identical.
 func RunRestorationCtx(ctx context.Context, net *optical.Network, cut []int, cfg Config) (*Trial, error) {
 	cfg = cfg.withDefaults()
 	rng := cfg.rng(1)
@@ -298,14 +304,14 @@ func RunRestorationCtx(ctx context.Context, net *optical.Network, cut []int, cfg
 	// The restoration RWA stays recorder-free by default so the emu metric
 	// stream is unchanged from earlier snapshots; opting into health probes
 	// attaches the context recorder so lp.health.* findings land somewhere.
-	var lpRec obs.Recorder
-	if cfg.HealthEvery > 0 {
-		lpRec = obs.FromContext(ctx)
-	}
-	res, err := rwa.Solve(&rwa.Request{
+	req := &rwa.Request{
 		Net: net, Cut: cut, K: 3, AllowTuning: true, AllowModulationChange: true,
-		Recorder: lpRec, HealthEvery: cfg.HealthEvery,
-	})
+		HealthEvery: obs.HealthEveryFrom(ctx),
+	}
+	if req.HealthEvery > 0 {
+		req.Recorder = obs.FromContext(ctx)
+	}
+	res, err := rwa.Solve(req)
 	if err != nil {
 		return nil, err
 	}
@@ -488,11 +494,7 @@ func AmpChainSettle(numAmps int, cfg Config) []float64 {
 func LatencySamples(noiseLoading bool, n int, baseSeed int64) ([]float64, error) {
 	out := make([]float64, 0, n)
 	for i := 0; i < n; i++ {
-		net, err := Testbed()
-		if err != nil {
-			return nil, err
-		}
-		tr, err := RunRestoration(net, []int{FiberDC}, Config{NoiseLoading: noiseLoading, Seed: baseSeed + int64(i)})
+		tr, err := TestbedTrial(context.Background(), Config{NoiseLoading: noiseLoading, Seed: baseSeed + int64(i)})
 		if err != nil {
 			return nil, err
 		}

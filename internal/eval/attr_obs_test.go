@@ -8,6 +8,7 @@ import (
 	"github.com/arrow-te/arrow/internal/attr"
 	"github.com/arrow-te/arrow/internal/ledger"
 	"github.com/arrow-te/arrow/internal/obs"
+	"github.com/arrow-te/arrow/internal/plan"
 )
 
 // TestRunRecordedAttrIdentityAndDeterminism is the acceptance test for the
@@ -28,7 +29,7 @@ func TestRunRecordedAttrIdentityAndDeterminism(t *testing.T) {
 	}
 
 	// Baseline: attribution off, sequential.
-	basePl, baseAl, baseRep, err := RunRecorded(context.Background(), RunOptions{Seed: 1, Workers: 1})
+	basePl, baseAl, baseRep, err := RunRecorded(withSettings(context.Background(), 0, 1), 1, plan.Space{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,9 +45,7 @@ func TestRunRecordedAttrIdentityAndDeterminism(t *testing.T) {
 	for _, workers := range []int{1, 4, 8} {
 		reg := obs.NewRegistry()
 		led := ledger.New()
-		pl, al, rep, err := RunRecorded(withSinks(reg, led, nil), RunOptions{
-			Seed: 1, Workers: workers, HealthEvery: 32, Attribution: true,
-		})
+		pl, al, rep, err := RunRecorded(withSettings(withSinks(reg, led, nil), 32, workers), 1, plan.Space{}, true)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,6 +12,7 @@ import (
 	"strings"
 
 	"github.com/arrow-te/arrow/internal/obs"
+	"github.com/arrow-te/arrow/internal/par"
 	"github.com/arrow-te/arrow/internal/plan"
 	"github.com/arrow-te/arrow/internal/topo"
 )
@@ -50,17 +51,16 @@ type Config struct {
 	Space plan.Space
 }
 
-// ctx is the context an experiment runs under: the session's recorder
-// attached.
+// ctx is the context an experiment runs under: the session's recorder,
+// probe period and worker count attached.
 func (c Config) ctx() context.Context {
-	return obs.WithRecorder(context.Background(), c.Recorder)
+	return par.WithWorkers(obs.WithHealthEvery(obs.WithRecorder(context.Background(), c.Recorder), c.HealthEvery), c.Parallelism)
 }
 
-// pipeline builds an experiment's pipeline under the session: its recorder,
-// worker count, solver switches and scenario space, over whatever po sets of
-// the instance.
+// pipeline builds an experiment's pipeline under the session: its context,
+// solver switches and scenario space, over whatever po sets of the instance.
 func (c Config) pipeline(tp *topo.Topology, po PipelineOptions) (*Pipeline, error) {
-	po.Parallelism, po.NoWarm, po.HealthEvery, po.Space = c.Parallelism, c.NoWarm, c.HealthEvery, c.Space
+	po.NoWarm, po.Space = c.NoWarm, c.Space
 	return BuildPipelineContext(c.ctx(), tp, po)
 }
 

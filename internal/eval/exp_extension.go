@@ -66,7 +66,6 @@ func runTimeline(cfg Config) (*Result, error) {
 		}
 		runner := sim.NewRunner(n, al, project, pl.Plain, restored)
 		runner.ECMPRebalance = s == SchemeECMP
-		runner.Parallelism = cfg.Parallelism
 		rep := runner.Run(cfg.ctx(), events, horizon)
 		return []string{string(s), f4(rep.Delivered), pct(rep.FullServiceFrac), f4(rep.Worst), f1(rep.UnplannedHours)}, nil
 	})

@@ -114,12 +114,12 @@ func ResetSweepCache() {
 }
 
 func availabilitySweep(cfg Config, name string) (*sweepData, error) {
-	// Parallelism, Recorder and HealthEvery are deliberately absent from the
-	// key: the sweep is bit-identical for every worker count, and recorders
-	// and health probes only read solver state, so all settings share one
-	// entry. Every other field decides the pipeline or the solves — the
-	// scenario Space included — and a field added to Config later is part of
-	// the key until it is zeroed here.
+	// Parallelism, Recorder and HealthEvery, what cfg.ctx() attaches, are
+	// absent from the key: the sweep is bit-identical for every worker count,
+	// and recorders and probes only read solver state, so all settings share
+	// one entry. Every other field decides the pipeline or the solves —
+	// NoWarm and the scenario Space included — and a field added to Config
+	// later is part of the key until it is zeroed here.
 	key := sweepKey{name: name, cfg: cfg}
 	key.cfg.Parallelism, key.cfg.Recorder, key.cfg.HealthEvery = 0, nil, 0
 	sweepMu.Lock()

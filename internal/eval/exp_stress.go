@@ -1,7 +1,6 @@
 package eval
 
 import (
-	"context"
 	"time"
 
 	"github.com/arrow-te/arrow/internal/obs"
@@ -25,8 +24,7 @@ func init() {
 // (~1.8e3 scenarios) so the registry stays laptop-sized.
 func stressOptions(cfg Config) PipelineOptions {
 	po := PipelineOptions{
-		Cutoff: 0, NumTickets: 4, Seed: cfg.Seed, Parallelism: cfg.Parallelism,
-		NoWarm: cfg.NoWarm, HealthEvery: cfg.HealthEvery,
+		Cutoff: 0, NumTickets: 4, Seed: cfg.Seed, NoWarm: cfg.NoWarm,
 		// The session's scenario space (e.g. -max-enumerated, -target-mass),
 		// always with the SRLGs, and the stress cut size unless one is set.
 		Space: cfg.Space,
@@ -52,7 +50,7 @@ func runScenarioStress(cfg Config) (*Result, error) {
 	po := stressOptions(cfg)
 
 	start := time.Now()
-	pl, err := BuildPipelineContext(obs.WithRecorder(context.Background(), reg), tp, po)
+	pl, err := BuildPipelineContext(obs.WithRecorder(cfg.ctx(), reg), tp, po)
 	if err != nil {
 		return nil, err
 	}

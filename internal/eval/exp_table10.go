@@ -1,8 +1,6 @@
 package eval
 
-import (
-	"github.com/arrow-te/arrow/internal/emu"
-)
+import "context"
 
 func init() {
 	register(Experiment{
@@ -17,19 +15,7 @@ func init() {
 // latency column with this repository's measured values from the emulated
 // testbed instead of the paper's order-of-magnitude estimates.
 func runTable10(cfg Config) (*Result, error) {
-	net, err := emu.Testbed()
-	if err != nil {
-		return nil, err
-	}
-	legacy, err := emu.RunRestoration(net, []int{emu.FiberDC}, emu.Config{NoiseLoading: false, Seed: cfg.Seed})
-	if err != nil {
-		return nil, err
-	}
-	net2, err := emu.Testbed()
-	if err != nil {
-		return nil, err
-	}
-	arrow, err := emu.RunRestoration(net2, []int{emu.FiberDC}, emu.Config{NoiseLoading: true, Seed: cfg.Seed})
+	legacy, arrow, err := trialPair(context.Background(), cfg.Seed)
 	if err != nil {
 		return nil, err
 	}

@@ -138,7 +138,7 @@ func runTable9(cfg Config) (*Result, error) {
 			{Waves: []int{2, 2, 2}, Gbps: []float64{200, 200, 200}},
 		}},
 	}
-	opts := te.SessionOptions(cfg.ctx(), cfg.NoWarm, cfg.Parallelism, cfg.HealthEvery)
+	opts := te.SessionOptions(cfg.ctx(), cfg.NoWarm)
 	for _, c := range cases {
 		scs := []te.RestorableScenario{{
 			FailureScenario: te.FailureScenario{Prob: 0.01, FailedLinks: []int{0, 1, 2}},

@@ -1,6 +1,8 @@
 package eval
 
 import (
+	"context"
+
 	"github.com/arrow-te/arrow/internal/emu"
 	"github.com/arrow-te/arrow/internal/noise"
 	"github.com/arrow-te/arrow/internal/rwa"
@@ -36,19 +38,7 @@ func init() {
 }
 
 func runFig12(cfg Config) (*Result, error) {
-	net, err := emu.Testbed()
-	if err != nil {
-		return nil, err
-	}
-	legacy, err := emu.RunRestoration(net, []int{emu.FiberDC}, emu.Config{NoiseLoading: false, Seed: cfg.Seed})
-	if err != nil {
-		return nil, err
-	}
-	net2, err := emu.Testbed()
-	if err != nil {
-		return nil, err
-	}
-	arrow, err := emu.RunRestoration(net2, []int{emu.FiberDC}, emu.Config{NoiseLoading: true, Seed: cfg.Seed})
+	legacy, arrow, err := trialPair(context.Background(), cfg.Seed)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"net/http"
 	"reflect"
@@ -11,6 +12,7 @@ import (
 
 	"github.com/arrow-te/arrow/internal/ledger"
 	"github.com/arrow-te/arrow/internal/obs"
+	"github.com/arrow-te/arrow/internal/plan"
 	"github.com/arrow-te/arrow/internal/topo"
 	"github.com/arrow-te/arrow/internal/traffic"
 )
@@ -23,9 +25,8 @@ func buildHealth(t *testing.T, workers, healthEvery int, rec obs.Recorder, led *
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := BuildPipelineContext(withSinks(rec, led, nil), tp, PipelineOptions{
-		Cutoff: 0.001, NumTickets: 8, Seed: 1, MaxScenarios: 12,
-		Parallelism: workers, HealthEvery: healthEvery,
+	pl, err := BuildPipelineContext(withSettings(withSinks(rec, led, nil), healthEvery, 0), tp, PipelineOptions{
+		Cutoff: 0.001, NumTickets: 8, Seed: 1, MaxScenarios: 12, Parallelism: workers,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -182,9 +183,7 @@ func TestScrapeWhileSolve(t *testing.T) {
 	}()
 	<-sseReady
 
-	if _, _, _, err := RunRecorded(withSinks(reg, led, nil), RunOptions{
-		Seed: 1, Workers: 4, HealthEvery: 32,
-	}); err != nil {
+	if _, _, _, err := RunRecorded(withSettings(withSinks(reg, led, nil), 32, 4), 1, plan.Space{}, false); err != nil {
 		t.Fatal(err)
 	}
 	close(done)
@@ -209,9 +208,8 @@ func BenchmarkHealthProbeOverhead(b *testing.B) {
 	}
 	run := func(b *testing.B, healthEvery int) {
 		for i := 0; i < b.N; i++ {
-			_, err := BuildPipeline(tp, PipelineOptions{
+			_, err := BuildPipelineContext(withSettings(context.Background(), healthEvery, 0), tp, PipelineOptions{
 				Cutoff: 0.001, NumTickets: 12, Seed: 1, MaxScenarios: 16,
-				HealthEvery: healthEvery,
 			})
 			if err != nil {
 				b.Fatal(err)

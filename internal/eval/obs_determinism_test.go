@@ -157,8 +157,7 @@ func TestInstrumentationPreservesDeterminism(t *testing.T) {
 	replay := func(workers int, rec obs.Recorder, led *ledger.Ledger) sim.Report {
 		r := sim.NewRunner(n, al, func(cut []int) []int { return baseline.Topo.Opt.FailedLinks(cut) },
 			baseline.Plain, restored)
-		r.Parallelism = workers
-		return *r.Run(withSinks(rec, led, nil), events, horizon)
+		return *r.Run(withSettings(withSinks(rec, led, nil), 0, workers), events, horizon)
 	}
 	wantRep := replay(1, nil, nil)
 	for _, workers := range []int{1, 4} {

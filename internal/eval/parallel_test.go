@@ -75,8 +75,7 @@ func TestBuildPipelineDeterministicAcrossParallelism(t *testing.T) {
 	replay := func(workers int) sim.Report {
 		r := sim.NewRunner(n, al, func(cut []int) []int { return seq.Topo.Opt.FailedLinks(cut) },
 			seq.Plain, restored)
-		r.Parallelism = workers
-		return *r.Run(context.Background(), events, horizon)
+		return *r.Run(withSettings(context.Background(), 0, workers), events, horizon)
 	}
 	if r1, r8 := replay(1), replay(8); r1 != r8 {
 		t.Errorf("sim reports differ between Parallelism 1 and 8:\n  1: %+v\n  8: %+v", r1, r8)

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"github.com/arrow-te/arrow/internal/availability"
+	"github.com/arrow-te/arrow/internal/par"
 	"github.com/arrow-te/arrow/internal/plan"
 	"github.com/arrow-te/arrow/internal/rwa"
 	"github.com/arrow-te/arrow/internal/scenario"
@@ -62,8 +63,9 @@ type PipelineOptions struct {
 	Space plan.Space
 	// Parallelism is the worker count for the per-scenario RWA solves and
 	// LotteryTicket generation (the offline stage is embarrassingly
-	// parallel, §6.3). 0 selects runtime.NumCPU(); 1 is fully sequential.
-	// Results are identical for every setting.
+	// parallel, §6.3), attached to the build's context. 0 keeps the
+	// context's (none: NumCPU); 1 is fully sequential. Results are identical
+	// for every setting.
 	Parallelism int
 	// NoWarm disables LP warm starts in the per-scenario RWA solves and the
 	// ARROW solves issued later via SolveScheme (the baselines always start
@@ -73,12 +75,6 @@ type PipelineOptions struct {
 	// vertices, so the switch can change tickets, winners and throughput
 	// (ROADMAP item 1).
 	NoWarm bool
-	// HealthEvery probes every LP the pipeline issues (the per-scenario RWA
-	// assignment solves and, via SolveScheme, the TE masters) for numerical
-	// health every HealthEvery pivots (see lp.Options.HealthEvery). Zero
-	// keeps probing off. Probes only read solver state: results are
-	// byte-identical probed or not, at every Parallelism.
-	HealthEvery int
 	// CaptureSensitivity makes the ARROW solves issued via SolveScheme
 	// attach the final Phase II model/basis/duals to the allocation
 	// (te.ArrowOptions.CaptureSensitivity) for post-solve availability
@@ -100,15 +96,17 @@ func BuildPipeline(tp *topo.Topology, opts PipelineOptions) (*Pipeline, error) {
 // likewise cancels all outstanding work), and the recorder, ledger and stage
 // profiler attached to it (obs.WithRecorder, ledger.WithLedger,
 // obs.WithProfiler) instrument the build and every TE solve the pipeline
-// issues later. Sinks never change a result. The stage itself is
+// issues later, and its probe period (obs.WithHealthEvery) probes them.
+// Neither changes a result. The stage itself is
 // internal/plan's, shared with the public arrow.Network.PlanContext; this
 // function hands it the topology's network and SRLGs and keeps what
 // SolveScheme needs later.
 func BuildPipelineContext(ctx context.Context, tp *topo.Topology, opts PipelineOptions) (*Pipeline, error) {
+	ctx = par.WithWorkers(ctx, opts.Parallelism)
 	off, err := plan.Build(ctx, tp.Opt, nil, tp.SRLGs, plan.Options{
 		Tickets: opts.NumTickets, Stride: opts.Stride, K: opts.K, Seed: opts.Seed,
 		Cutoff: opts.Cutoff, MaxScenarios: opts.MaxScenarios, Space: opts.Space,
-		NoWarm: opts.NoWarm, HealthEvery: opts.HealthEvery, Parallelism: opts.Parallelism,
+		NoWarm: opts.NoWarm,
 	})
 	if err != nil {
 		return nil, err
@@ -116,7 +114,7 @@ func BuildPipelineContext(ctx context.Context, tp *topo.Topology, opts PipelineO
 	p := &Pipeline{
 		Topo: tp, Set: off.Set, Scenarios: off.Scenarios, Naive: off.Naive, RWAResults: off.RWA,
 		Plain:  make([]te.FailureScenario, len(off.Scenarios)),
-		teOpts: te.SessionOptions(ctx, opts.NoWarm, opts.Parallelism, opts.HealthEvery),
+		teOpts: te.SessionOptions(ctx, opts.NoWarm),
 		ffc:    new(ffcLists),
 	}
 	p.teOpts.CaptureSensitivity = opts.CaptureSensitivity

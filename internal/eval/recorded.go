@@ -11,37 +11,18 @@ import (
 	"github.com/arrow-te/arrow/internal/traffic"
 )
 
-// RunOptions parameterises RunRecorded. The zero value runs the standard
-// instance serially.
-type RunOptions struct {
-	Seed    int64
-	Workers int
-	// HealthEvery probes every LP solve's numerical health at this pivot
-	// period (0 = off); see PipelineOptions.HealthEvery.
-	HealthEvery int
-	// Attribution runs the post-solve availability-attribution pass
-	// (internal/attr) over the solved ARROW allocation: loss decomposition,
-	// shadow-price sensitivities and what-if probes, published to the
-	// context's recorder (attr.* counters) and ledger (attribution/
-	// sensitivity/whatif events). The pass runs after the solve,
-	// sequentially; pipeline results are byte-identical on or off at any
-	// Workers setting.
-	Attribution bool
-	// Space is the run's scenario space (see plan.Space); the zero value
-	// plans every single and double fiber cut above the cutoff.
-	Space plan.Space
-}
-
 // RunRecorded runs the standard B4 pipeline (cutoff 0.001, 12 tickets, 16
-// scenarios) under the recorder, ledger and stage profiler attached to ctx,
-// then solves the ARROW scheme on a standard traffic matrix so the ledger
-// carries the complete decision stream: scenarios, tickets, the two-phase
-// solves with certificates, winners and residual demand. The profiler sees
-// eval.topo, pipeline.*, eval.prepare, te.* and, with Attribution, eval.attr.
-// The attribution report is nil unless opts.Attribution is set. This is the
-// run behind cmd/arrow-report -run.
-func RunRecorded(ctx context.Context, opts RunOptions) (*Pipeline, *te.Allocation, *attr.Report, error) {
-	seed := opts.Seed
+// scenarios) over the scenario space, under the sinks, probe period and
+// worker budget attached to ctx, then solves the ARROW scheme on a standard
+// traffic matrix so the ledger carries the complete decision stream:
+// scenarios, tickets, the two-phase solves with certificates, winners and
+// residual demand. The profiler sees eval.topo, pipeline.*, eval.prepare,
+// te.* and, with attribution, eval.attr: the availability-attribution pass
+// (internal/attr: loss decomposition, shadow-price sensitivities, what-if
+// probes, published as attr.* counters and ledger events) run sequentially
+// after the solve. Results are byte-identical with or without it, which
+// alone returns a report. This is the run behind cmd/arrow-report -run.
+func RunRecorded(ctx context.Context, seed int64, space plan.Space, attribution bool) (*Pipeline, *te.Allocation, *attr.Report, error) {
 	prof := obs.ProfilerFrom(ctx)
 	endTopo := prof.Stage("eval.topo")
 	tp, err := topo.B4(seed + 5)
@@ -51,8 +32,7 @@ func RunRecorded(ctx context.Context, opts RunOptions) (*Pipeline, *te.Allocatio
 	}
 	pl, err := BuildPipelineContext(ctx, tp, PipelineOptions{
 		Cutoff: 0.001, NumTickets: 12, Seed: seed, MaxScenarios: 16,
-		Parallelism: opts.Workers, HealthEvery: opts.HealthEvery,
-		CaptureSensitivity: opts.Attribution, Space: opts.Space,
+		CaptureSensitivity: attribution, Space: space,
 	})
 	if err != nil {
 		return nil, nil, nil, err
@@ -72,7 +52,7 @@ func RunRecorded(ctx context.Context, opts RunOptions) (*Pipeline, *te.Allocatio
 		return nil, nil, nil, err
 	}
 	var rep *attr.Report
-	if opts.Attribution {
+	if attribution {
 		endAttr := prof.Stage("eval.attr")
 		rep, err = attr.Run(ctx,
 			attr.Input{Net: n, Alloc: al, Scenarios: pl.EvalScenarios(restored)},

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/arrow-te/arrow/internal/obs"
+	"github.com/arrow-te/arrow/internal/plan"
 	"github.com/arrow-te/arrow/internal/topo"
 )
 
@@ -68,7 +69,7 @@ func TestStageProfilingPreservesDeterminism(t *testing.T) {
 	// The TE solve must be equally oblivious: same allocation with the
 	// profiler threaded through SolveScheme (te.phase1/te.phase2 stages).
 	runOnce := func(prof *obs.StageProfiler) *pipelineSolve {
-		pl, al, _, err := RunRecorded(withSinks(nil, nil, prof), RunOptions{Seed: 1, Workers: 2})
+		pl, al, _, err := RunRecorded(withSettings(withSinks(nil, nil, prof), 0, 2), 1, plan.Space{}, false)
 		if err != nil {
 			t.Fatal(err)
 		}

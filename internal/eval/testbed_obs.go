@@ -27,6 +27,15 @@ type TestbedOutcome struct {
 	ArrowSim  *sim.Report
 }
 
+// trialPair runs the Fig. 11 trial under legacy amplifier reconfiguration
+// and under noise loading.
+func trialPair(ctx context.Context, seed int64) (legacy, arrow *emu.Trial, err error) {
+	if legacy, err = emu.TestbedTrial(ctx, emu.Config{Seed: seed}); err == nil {
+		arrow, err = emu.TestbedTrial(ctx, emu.Config{NoiseLoading: true, Seed: seed})
+	}
+	return legacy, arrow, err
+}
+
 // latencySimNet is the small two-fiber network the latency-aware replays
 // run on: one 150 Gbps flow over two disjoint 100 Gbps tunnels, each
 // single-link failure planned with a full 100 Gbps restoration. Restoration
@@ -58,20 +67,8 @@ func latencySimNet() (*te.Network, sim.Projector, []te.FailureScenario, []map[in
 // or without sinks.
 func RunTestbed(ctx context.Context, seed int64, attrLoss bool) (*TestbedOutcome, error) {
 	prof := obs.ProfilerFrom(ctx)
-	episode := func(noiseLoading bool) (*emu.Trial, error) {
-		net, err := emu.Testbed()
-		if err != nil {
-			return nil, err
-		}
-		return emu.RunRestorationCtx(ctx, net, []int{emu.FiberDC}, emu.Config{NoiseLoading: noiseLoading, Seed: seed})
-	}
 	endEmu := prof.Stage("testbed.emulate")
-	legacy, err := episode(false)
-	if err != nil {
-		endEmu()
-		return nil, err
-	}
-	arrow, err := episode(true)
+	legacy, arrow, err := trialPair(ctx, seed)
 	endEmu()
 	if err != nil {
 		return nil, err

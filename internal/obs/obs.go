@@ -68,6 +68,7 @@ const (
 	recorderKey ctxKey = iota
 	trackKey
 	profilerKey
+	healthKey
 )
 
 // WithRecorder attaches r to the context. A nil r returns ctx unchanged.
@@ -97,6 +98,22 @@ func WithProfiler(ctx context.Context, p *StageProfiler) context.Context {
 func ProfilerFrom(ctx context.Context) *StageProfiler {
 	p, _ := ctx.Value(profilerKey).(*StageProfiler)
 	return p
+}
+
+// WithHealthEvery attaches the period every LP solve under ctx probes its
+// numerical health at (lp.Options.HealthEvery). Like a sink, it never
+// changes a result. n <= 0 returns ctx unchanged.
+func WithHealthEvery(ctx context.Context, n int) context.Context {
+	if n <= 0 {
+		return ctx
+	}
+	return context.WithValue(ctx, healthKey, n)
+}
+
+// HealthEveryFrom returns the probe period attached to ctx, or 0 (off).
+func HealthEveryFrom(ctx context.Context) int {
+	n, _ := ctx.Value(healthKey).(int)
+	return n
 }
 
 // WithTrack pins subsequent spans under ctx to the given timeline track.

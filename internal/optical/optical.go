@@ -120,7 +120,7 @@ func (n *Network) PathLengthKm(path []int) float64 {
 // path is disconnected.
 func (n *Network) Provision(src, dst ROADM, waves []Lightpath) (*IPLink, error) {
 	for wi, w := range waves {
-		if err := n.checkPath(src, dst, w.FiberPath); err != nil {
+		if err := n.CheckPath(src, dst, w.FiberPath); err != nil {
 			return nil, fmt.Errorf("wavelength %d: %w", wi, err)
 		}
 		for _, fid := range w.FiberPath {
@@ -140,15 +140,32 @@ func (n *Network) Provision(src, dst ROADM, waves []Lightpath) (*IPLink, error) 
 	return l, nil
 }
 
-// checkPath validates that path is a connected fiber walk from src to dst.
-func (n *Network) checkPath(src, dst ROADM, path []int) error {
+// FirstFit returns up to waves lightpaths at mod on the lowest slots free
+// on every fiber of the non-empty path (wavelength continuity).
+func (n *Network) FirstFit(path []int, mod spectrum.Modulation, waves int) []Lightpath {
+	bms := make([]*spectrum.Bitmap, len(path))
+	for i, f := range path {
+		bms[i] = n.Fibers[f].Slots
+	}
+	common := spectrum.PathSpectrum(bms)
+	var ws []Lightpath
+	for s := 0; s < common.Len() && len(ws) < waves; s++ {
+		if common.Available(s) {
+			ws = append(ws, Lightpath{Slot: s, Modulation: mod, FiberPath: path})
+		}
+	}
+	return ws
+}
+
+// CheckPath validates that path is a connected fiber walk from src to dst.
+func (n *Network) CheckPath(src, dst ROADM, path []int) error {
 	if len(path) == 0 {
 		return fmt.Errorf("empty fiber path")
 	}
 	at := src
 	for _, fid := range path {
 		if fid < 0 || fid >= len(n.Fibers) {
-			return fmt.Errorf("unknown fiber %d", fid)
+			return fmt.Errorf("fiber %d outside [0,%d)", fid, len(n.Fibers))
 		}
 		f := n.Fibers[fid]
 		switch at {
@@ -316,7 +333,7 @@ func (n *Network) Validate() error {
 	claims := make(map[[2]int]claim) // (fiber, slot) -> claimant
 	for _, l := range n.IPLinks {
 		for wi, w := range l.Waves {
-			if err := n.checkPath(l.Src, l.Dst, w.FiberPath); err != nil {
+			if err := n.CheckPath(l.Src, l.Dst, w.FiberPath); err != nil {
 				return fmt.Errorf("link %d wavelength %d: %w", l.ID, wi, err)
 			}
 			for _, fid := range w.FiberPath {

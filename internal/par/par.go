@@ -38,6 +38,24 @@ func Workers(n int) int {
 	return n
 }
 
+type workersKey struct{}
+
+// WithWorkers attaches the worker budget of the fan-outs under ctx. Results
+// are identical for every budget. n <= 0 returns ctx unchanged.
+func WithWorkers(ctx context.Context, n int) context.Context {
+	if n <= 0 {
+		return ctx
+	}
+	return context.WithValue(ctx, workersKey{}, n)
+}
+
+// WorkersFrom returns the budget attached to ctx, or 0, which ForEach and
+// Map read as NumCPU and te's pricing as serial.
+func WorkersFrom(ctx context.Context) int {
+	n, _ := ctx.Value(workersKey{}).(int)
+	return n
+}
+
 // ForEach invokes fn(ctx, i) for every i in [0, n), distributing indices
 // over at most workers goroutines (workers <= 0 selects NumCPU; workers
 // is additionally capped at n). It returns when every started call has

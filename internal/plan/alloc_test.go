@@ -5,13 +5,17 @@ import (
 	"runtime"
 	"testing"
 
+	"github.com/arrow-te/arrow/internal/par"
 	"github.com/arrow-te/arrow/internal/race"
 	"github.com/arrow-te/arrow/internal/topo"
 )
 
+// serial is the context of a one-worker build.
+var serial = par.WithWorkers(context.Background(), 1)
+
 // srlgInstance is the benchmark's offline-plan instance: B4 with its conduit
 // SRLGs, cut sets of up to three failure elements, every relevant scenario
-// kept.
+// kept; build it under serial.
 func srlgInstance(t testing.TB) (*topo.Topology, Options) {
 	t.Helper()
 	tp, err := topo.B4(6)
@@ -19,7 +23,7 @@ func srlgInstance(t testing.TB) (*topo.Topology, Options) {
 		t.Fatal(err)
 	}
 	return tp, Options{
-		Tickets: 12, Cutoff: 1e-12, Seed: 1, Parallelism: 1,
+		Tickets: 12, Cutoff: 1e-12, Seed: 1,
 		Space: Space{MaxCutSize: 3, UseSRLGs: true},
 	}
 }
@@ -36,7 +40,7 @@ func TestOfflineStageAllocBudget(t *testing.T) {
 	}
 	tp, opts := srlgInstance(t)
 	build := func() *Offline {
-		off, err := Build(context.Background(), tp.Opt, nil, tp.SRLGs, opts)
+		off, err := Build(serial, tp.Opt, nil, tp.SRLGs, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +69,7 @@ func BenchmarkOfflineStageSRLG(b *testing.B) {
 	tp, opts := srlgInstance(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Build(context.Background(), tp.Opt, nil, tp.SRLGs, opts); err != nil {
+		if _, err := Build(serial, tp.Opt, nil, tp.SRLGs, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

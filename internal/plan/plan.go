@@ -82,7 +82,8 @@ func RegisterScenarioFlags(fs *flag.FlagSet) *Space {
 
 // Options configures one run of the offline stage. The fields restate what
 // arrow.PlanOptions and eval.PipelineOptions expose; their doc comments are
-// the reference for each knob's meaning.
+// the reference for each knob's meaning. The worker budget and the LP probe
+// period, which never change the result, ride the context like the sinks.
 type Options struct {
 	Tickets int     // |Z| per scenario, the naive ticket included (default 20)
 	Stride  int     // rounding stride delta (0 = ticket's default)
@@ -93,10 +94,8 @@ type Options struct {
 	// link) kept from the probability-sorted list; 0 keeps every one.
 	MaxScenarios int
 	Space        Space
-	// NoWarm and HealthEvery are forwarded into every RWA request.
-	NoWarm      bool
-	HealthEvery int
-	Parallelism int // workers of the per-scenario fan-out (0 = NumCPU)
+	// NoWarm is forwarded into every RWA request.
+	NoWarm bool
 }
 
 // Offline is what the stage produces. Scenarios, Naive, RWA and Cuts are
@@ -123,18 +122,19 @@ type Offline struct {
 // parallel stage without constructing a pathological topology.
 var solveRWA = rwa.Solve
 
-// stage is the read-only state the per-scenario workers share. rec, led and
-// prof are the sinks Build reads once from its context; prof attributes the
-// build to stages (pipeline.enumerate, pipeline.graph, pipeline.singles and
-// pipeline.offline by wall time, rwa.solve and ticket.generate summed across
-// workers).
+// stage is the read-only state the per-scenario workers share. rec, led,
+// prof and health are the sinks and probe period Build reads once from its
+// context; prof attributes the build to stages (pipeline.enumerate,
+// pipeline.graph, pipeline.singles and pipeline.offline by wall time,
+// rwa.solve and ticket.generate summed across workers).
 type stage struct {
-	net  *optical.Network
-	set  *scenario.Set
-	opts Options
-	rec  obs.Recorder
-	led  *ledger.Ledger
-	prof *obs.StageProfiler
+	net    *optical.Network
+	set    *scenario.Set
+	opts   Options
+	rec    obs.Recorder
+	led    *ledger.Ledger
+	prof   *obs.StageProfiler
+	health int
 	// singles holds the pre-staged single-fiber-cut RWA solve of every fiber
 	// in a multi-fiber cut, and waves its naive integral wave count per
 	// failed IP link: the warm-start source and the ticket-composition base
@@ -165,8 +165,8 @@ type artifacts struct {
 // [0, 0.5): Build rejects any other, NaN included, naming its index.
 // Cancelling ctx aborts the worker pool between scenario solves, and a
 // failing RWA solve cancels all outstanding work and is reported with its
-// enumerated scenario index. The result is identical at every
-// opts.Parallelism, and with or without sinks on ctx.
+// enumerated scenario index. The result is identical at every worker budget
+// (none = NumCPU) and probe period on ctx, and with or without sinks.
 func Build(ctx context.Context, net *optical.Network, failProbs []float64, groups []scenario.Group, opts Options) (*Offline, error) {
 	if opts.Tickets <= 0 {
 		opts.Tickets = 20
@@ -181,7 +181,8 @@ func Build(ctx context.Context, net *optical.Network, failProbs []float64, group
 	if err := checkProbs(failProbs, groups); err != nil {
 		return nil, err
 	}
-	s := &stage{net: net, opts: opts, rec: obs.FromContext(ctx), led: ledger.FromContext(ctx), prof: obs.ProfilerFrom(ctx)}
+	s := &stage{net: net, opts: opts, rec: obs.FromContext(ctx), led: ledger.FromContext(ctx),
+		prof: obs.ProfilerFrom(ctx), health: obs.HealthEveryFrom(ctx)}
 	defer obs.Span(ctx, "pipeline.build")()
 
 	endEnum := obs.Span(ctx, "pipeline.enumerate")
@@ -242,7 +243,7 @@ func Build(ctx context.Context, net *optical.Network, failProbs []float64, group
 	}
 	for lo := 0; lo < enumerated && len(off.Scenarios) < budget; {
 		hi := min(lo+budget-len(off.Scenarios), enumerated)
-		arts, err := par.Map(ctx, opts.Parallelism, hi-lo, func(_ context.Context, i int) (artifacts, error) {
+		arts, err := par.Map(ctx, par.WorkersFrom(ctx), hi-lo, func(_ context.Context, i int) (artifacts, error) {
 			return s.scenario(lo + i)
 		})
 		if err != nil {
@@ -306,7 +307,7 @@ func (s *stage) request(cut []int) rwa.Request {
 	return rwa.Request{
 		Net: s.net, Cut: cut, K: s.opts.K,
 		AllowTuning: true, AllowModulationChange: true,
-		Recorder: s.rec, NoWarm: s.opts.NoWarm, HealthEvery: s.opts.HealthEvery,
+		Recorder: s.rec, NoWarm: s.opts.NoWarm, HealthEvery: s.health,
 		Memo: s.memo,
 	}
 }
@@ -332,7 +333,7 @@ func (s *stage) solveSingles(ctx context.Context) error {
 	}
 	sort.Ints(fibers)
 	endSingles := s.prof.Stage("pipeline.singles")
-	solved, err := par.Map(ctx, s.opts.Parallelism, len(fibers), func(_ context.Context, i int) (*rwa.Result, error) {
+	solved, err := par.Map(ctx, par.WorkersFrom(ctx), len(fibers), func(_ context.Context, i int) (*rwa.Result, error) {
 		req := s.request([]int{fibers[i]})
 		req.ExportBasis = true
 		res, err := solveRWA(&req)

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/arrow-te/arrow/internal/par"
 	"github.com/arrow-te/arrow/internal/rwa"
 	"github.com/arrow-te/arrow/internal/scenario"
 	"github.com/arrow-te/arrow/internal/topo"
@@ -36,7 +37,7 @@ func TestBuildErrorCancelsPool(t *testing.T) {
 	}
 
 	before := runtime.NumGoroutine()
-	_, err = Build(context.Background(), tp.Opt, nil, nil, Options{Cutoff: 0.001, Tickets: 4, Seed: 1, Parallelism: 8})
+	_, err = Build(par.WithWorkers(context.Background(), 8), tp.Opt, nil, nil, Options{Cutoff: 0.001, Tickets: 4, Seed: 1})
 	if err == nil {
 		t.Fatal("expected the build to fail")
 	}
@@ -69,11 +70,11 @@ func BenchmarkOfflineStage(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := Options{Cutoff: 0.001, Tickets: 12, Seed: 1, MaxScenarios: 1, Parallelism: 1}
+	opts := Options{Cutoff: 0.001, Tickets: 12, Seed: 1, MaxScenarios: 1}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		off, err := Build(context.Background(), tp.Opt, nil, nil, opts)
+		off, err := Build(serial, tp.Opt, nil, nil, opts)
 		if err != nil {
 			b.Fatal(err)
 		}

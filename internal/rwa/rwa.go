@@ -915,7 +915,7 @@ func RestorationRatio(net *optical.Network, fiber int, k int, allowTuning, allow
 	counts := MaxIntegralWaves(res)
 	restored := 0.0
 	for i := range res.Failed {
-		restored += float64(counts[i]) * res.GbpsPerWave[i]
+		restored += float64(float64(counts[i]) * res.GbpsPerWave[i])
 	}
 	return restored / provisioned, nil
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/arrow-te/arrow/internal/par"
 	"github.com/arrow-te/arrow/internal/te"
 )
 
@@ -84,19 +85,18 @@ func TestLegacyLatencyCostsAvailability(t *testing.T) {
 // count and across repeated runs.
 func TestLatencyReportScheduleIndependent(t *testing.T) {
 	events := GenerateTimeline(2, TimelineOptions{DurationH: 3000, CutsPerMonth: 30, Seed: 7})
-	base := func(par int) *Report {
+	base := func(workers int) *Report {
 		r := latencyRunner(EmpiricalLatency{SamplesSec: []float64{8, 500, 1021}})
 		r.LatencySeed = 11
-		r.Parallelism = par
-		return r.Run(context.Background(), events, 3000)
+		return r.Run(par.WithWorkers(context.Background(), workers), events, 3000)
 	}
 	want := base(1)
 	if want.RestoreLatency.Count == 0 || want.RestoringHours == 0 {
 		t.Fatalf("timeline exercised no latency windows: %+v", want)
 	}
-	for _, par := range []int{2, 4, 8} {
-		if got := base(par); *got != *want {
-			t.Fatalf("report differs at parallelism %d:\n got %+v\nwant %+v", par, got, want)
+	for _, workers := range []int{2, 4, 8} {
+		if got := base(workers); *got != *want {
+			t.Fatalf("report differs at parallelism %d:\n got %+v\nwant %+v", workers, got, want)
 		}
 	}
 }

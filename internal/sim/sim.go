@@ -104,12 +104,6 @@ type Runner struct {
 	Project Projector
 	// ECMPRebalance selects equal re-spreading semantics (for the ECMP TE).
 	ECMPRebalance bool
-	// Parallelism is the worker count for the per-interval delivery
-	// evaluations (each interval's network state is independent of the
-	// others once the event sweep has fixed the down-set). 0 selects
-	// runtime.NumCPU(); 1 restores sequential replay. Reports are
-	// identical for every setting.
-	Parallelism int
 	// Latency, when non-nil, makes the replay restoration-latency-aware:
 	// each cut that fails IP links draws a restoration latency and the
 	// precomputed plan only takes effect once that window elapses — before
@@ -118,7 +112,7 @@ type Runner struct {
 	Latency LatencyModel
 	// LatencySeed seeds the dedicated latency-draw stream. Draws happen in
 	// the sequential event sweep, so reports stay identical for every
-	// Parallelism setting.
+	// worker count.
 	LatencySeed int64
 	// Label tags this replay's sim_summary ledger event (e.g. "legacy" /
 	// "noise_loading") so paired latency-model runs can be told apart.
@@ -128,7 +122,7 @@ type Runner struct {
 	// time-weighted share of lost delivery (the operational counterpart of
 	// the static internal/attr decomposition). Events are aggregated and
 	// emitted from the sequential integration pass in a sorted order, so
-	// the stream is identical at every Parallelism; without a ledger on the
+	// the stream is identical at every worker count; without a ledger on the
 	// Run context the switch is inert.
 	AttributeLoss bool
 
@@ -261,7 +255,7 @@ type intervalEval struct {
 }
 
 // Run replays the events over the horizon and integrates delivery. The
-// per-interval evaluations fan out over r.Parallelism workers (each
+// per-interval evaluations fan out over ctx's worker budget (each
 // interval's state is fixed by the event sweep, the plan lookup table is
 // read-only, and the integration happens afterwards in time order), so the
 // report is identical for every worker count.
@@ -283,7 +277,7 @@ func (r *Runner) Run(ctx context.Context, events []Event, durationH float64) *Re
 	if rec != nil {
 		runStart = time.Now()
 	}
-	evals, err := par.Map(context.WithoutCancel(ctx), r.Parallelism, len(ivs), func(_ context.Context, i int) (intervalEval, error) {
+	evals, err := par.Map(context.WithoutCancel(ctx), par.WorkersFrom(ctx), len(ivs), func(_ context.Context, i int) (intervalEval, error) {
 		iv := ivs[i]
 		out := intervalEval{delivered: 1}
 		if len(iv.cut) > 0 {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/arrow-te/arrow/internal/ledger"
+	"github.com/arrow-te/arrow/internal/par"
 	"github.com/arrow-te/arrow/internal/te"
 )
 
@@ -28,9 +29,8 @@ func TestAttributeLossPerCut(t *testing.T) {
 
 	run := func(workers int, attrLoss bool, led *ledger.Ledger) *Report {
 		r := NewRunner(n, al, project, scenarios, nil)
-		r.Parallelism = workers
 		r.AttributeLoss = attrLoss
-		return r.Run(ledger.WithLedger(context.Background(), led), events, 100)
+		return r.Run(ledger.WithLedger(par.WithWorkers(context.Background(), workers), led), events, 100)
 	}
 
 	base := run(1, false, nil)

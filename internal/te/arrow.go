@@ -9,6 +9,7 @@ import (
 	"github.com/arrow-te/arrow/internal/ledger"
 	"github.com/arrow-te/arrow/internal/lp"
 	"github.com/arrow-te/arrow/internal/obs"
+	"github.com/arrow-te/arrow/internal/par"
 )
 
 // ArrowOptions tunes the two-phase restoration-aware TE.
@@ -107,17 +108,16 @@ func (o *ArrowOptions) lpOpts() *lp.Options {
 	return o.LP
 }
 
-// SessionOptions is the one place a context becomes TE options: the
-// recorder (obs.FromContext, as LP.Recorder), the ledger (ledger.FromContext)
-// and the stage profiler (obs.ProfilerFrom) attached to ctx, with a
-// session's solver settings. healthEvery lands in LP.HealthEvery. Callers
-// build it once per session and give every solve a copy, changing only
-// Alpha.
-func SessionOptions(ctx context.Context, noWarm bool, parallelism, healthEvery int) ArrowOptions {
+// SessionOptions is the one place a context becomes TE options: its
+// recorder (as LP.Recorder), ledger, stage profiler, probe period (as
+// LP.HealthEvery) and worker budget (as Parallelism), with the session's
+// NoWarm. Callers build it once per session and give every solve a copy,
+// changing only Alpha.
+func SessionOptions(ctx context.Context, noWarm bool) ArrowOptions {
 	return ArrowOptions{
-		LP:     &lp.Options{Recorder: obs.FromContext(ctx), HealthEvery: healthEvery},
+		LP:     &lp.Options{Recorder: obs.FromContext(ctx), HealthEvery: obs.HealthEveryFrom(ctx)},
 		Ledger: ledger.FromContext(ctx), Profiler: obs.ProfilerFrom(ctx),
-		NoWarm: noWarm, Parallelism: parallelism,
+		NoWarm: noWarm, Parallelism: par.WorkersFrom(ctx),
 	}
 }
 

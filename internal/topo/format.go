@@ -135,17 +135,7 @@ func Parse(r io.Reader) (*Topology, error) {
 				}
 				fibers = append(fibers, id)
 			}
-			var bms []*spectrum.Bitmap
-			for _, f := range fibers {
-				bms = append(bms, t.Opt.Fibers[f].Slots)
-			}
-			common := spectrum.PathSpectrum(bms)
-			var ws []optical.Lightpath
-			for s := 0; s < common.Len() && len(ws) < waves; s++ {
-				if common.Available(s) {
-					ws = append(ws, optical.Lightpath{Slot: s, Modulation: mod, FiberPath: fibers})
-				}
-			}
+			ws := t.Opt.FirstFit(fibers, mod, waves)
 			if len(ws) < waves {
 				return nil, fail("only %d of %d wavelengths fit", len(ws), waves)
 			}

@@ -235,17 +235,7 @@ func provisionOverlay(topo *Topology, spec overlaySpec) error {
 		if !ok {
 			return false
 		}
-		var bms []*spectrum.Bitmap
-		for _, f := range fibers {
-			bms = append(bms, opt.Fibers[f].Slots)
-		}
-		common := spectrum.PathSpectrum(bms)
-		var ws []optical.Lightpath
-		for s := 0; s < common.Len() && len(ws) < waves; s++ {
-			if common.Available(s) {
-				ws = append(ws, optical.Lightpath{Slot: s, Modulation: mod, FiberPath: fibers})
-			}
-		}
+		ws := opt.FirstFit(fibers, mod, waves)
 		if len(ws) == 0 {
 			return false
 		}

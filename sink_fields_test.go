@@ -15,6 +15,12 @@ import (
 // *obs.StageProfiler.
 const sinkFields = 11
 
+// settingFields is how many named struct fields of the module's non-test
+// code (benchmark/ aside) are called HealthEvery, Parallelism or Workers: the
+// boundaries (arrow.PlanOptions, eval.Config, eval.PipelineOptions) and the
+// context-free leaves (lp.Options, rwa.Request, te.ArrowOptions).
+const settingFields = 8
+
 // TestSinksRideTheContext holds the rule of DESIGN.md, "Sinks ride the
 // context": library code reads its metrics recorder, ledger and stage
 // profiler from the context, and the count of struct fields that carry one
@@ -22,6 +28,32 @@ const sinkFields = 11
 // phase1Recorder) is a sink, not a field that carries one, and is not
 // counted.
 func TestSinksRideTheContext(t *testing.T) {
+	found := structFields(t, func(pkg string, fld *ast.Field, _ string) bool { return isSink(pkg, fld.Type) })
+	if len(found) != sinkFields {
+		t.Errorf("%d struct fields hold a sink, want %d (DESIGN.md, \"Sinks ride the context\": attach sinks to the context, or update the count and DESIGN.md when one is removed):\n%s",
+			len(found), sinkFields, strings.Join(found, "\n"))
+	}
+}
+
+// TestSettingsRideTheContext holds the same rule for the two settings whose
+// every value gives the same results, the LP probe period and the worker
+// budget: they ride the context (obs.WithHealthEvery, par.WithWorkers) past
+// the boundaries, and the count of fields that restate one may only fall.
+func TestSettingsRideTheContext(t *testing.T) {
+	found := structFields(t, func(_ string, _ *ast.Field, name string) bool {
+		return name == "HealthEvery" || name == "Parallelism" || name == "Workers"
+	})
+	if len(found) != settingFields {
+		t.Errorf("%d struct fields restate the probe period or the worker budget, want %d (DESIGN.md, \"Sinks ride the context\": read them from the context, or update the count and DESIGN.md when one is removed):\n%s",
+			len(found), settingFields, strings.Join(found, "\n"))
+	}
+}
+
+// structFields parses every non-test file of the module outside benchmark/
+// and testdata/ and lists, as "file:line:col name", each named struct field
+// that keep accepts; keep sees the package the field is declared in.
+func structFields(t *testing.T, keep func(pkg string, fld *ast.Field, name string) bool) []string {
+	t.Helper()
 	var found []string
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -47,8 +79,8 @@ func TestSinksRideTheContext(t *testing.T) {
 				return true
 			}
 			for _, fld := range st.Fields.List {
-				if isSink(f.Name.Name, fld.Type) {
-					for _, name := range fld.Names {
+				for _, name := range fld.Names {
+					if keep(f.Name.Name, fld, name.Name) {
 						found = append(found, fset.Position(name.Pos()).String()+" "+name.Name)
 					}
 				}
@@ -60,10 +92,7 @@ func TestSinksRideTheContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(found) != sinkFields {
-		t.Errorf("%d struct fields hold a sink, want %d (DESIGN.md, \"Sinks ride the context\": attach sinks to the context, or update the count and DESIGN.md when one is removed):\n%s",
-			len(found), sinkFields, strings.Join(found, "\n"))
-	}
+	return found
 }
 
 // isSink reports whether a field type written in package pkg is
