@@ -344,7 +344,7 @@ func sensitivities(in Input, h *te.SensitivityHandle, opts *Options, rep *Report
 	for _, c := range cands {
 		m, con := h.Model, c.row.Constr
 		rhs := m.RHS(con)
-		eps := 1e-4 * math.Max(1, math.Abs(rhs))
+		eps := float64(1e-4 * math.Max(1, math.Abs(rhs)))
 		s := Sensitivity{
 			Row: m.ConstrName(con), Link: c.row.Link, Scenario: c.row.Scenario,
 			Fiber: fiberOf(c.row.Link), RHS: rhs, Dual: c.dual,

@@ -58,7 +58,7 @@ func (a Amplifier) Settle(initialErrDB float64, rng *rand.Rand) ([]GainStep, flo
 		t += a.LoopSec
 		correction := a.Damping * err
 		if rng != nil {
-			correction *= 0.85 + 0.3*rng.Float64()
+			correction *= 0.85 + float64(0.3*rng.Float64())
 		}
 		err -= correction
 		trace = append(trace, GainStep{t, err})
@@ -78,5 +78,5 @@ func (a Amplifier) SettleTime(initialErrDB float64, rng *rand.Rand) float64 {
 // reconfiguration on a legacy (non-noise-loaded) fiber: proportional to the
 // relative change in lit channel count, a few dB for typical events.
 func typicalReconfigErrDB(rng *rand.Rand) float64 {
-	return 2 + 2.5*rng.Float64()
+	return 2 + float64(2.5*rng.Float64())
 }

@@ -36,24 +36,30 @@ import (
 	"github.com/arrow-te/arrow/internal/spectrum"
 )
 
-// Config sets the emulated device timings. Zero values take defaults that
-// reproduce the paper's measurements.
+// The testbed's measured device timings (Appendix A.6–A.7), the same in
+// every trial.
+const (
+	// ampSettleMeanSec calibrates one amplifier's observe-analyze-act
+	// convergence time (Appendix A.7 measures ~35 s/amplifier: 24 amps in
+	// 14 minutes). It sets the control loop period of the Amplifier model;
+	// actual settle times vary with the gain error.
+	ampSettleMeanSec = 36
+	// detectSec is the failure detection latency.
+	detectSec = 1
+	// roadmWaveSec is the duration of ONE parallel ROADM reconfiguration
+	// wave; two waves run (Appendix A.6).
+	roadmWaveSec = 2.5
+	// portChannelSec is LACP re-aggregation after light is up.
+	portChannelSec = 2
+)
+
+// Config sets what a trial varies around the measured timings above: the
+// amplifier spacing, the TE install time, noise loading, the serial-ROADM
+// ablation and the randomness. Zero values reproduce the paper's testbed.
 type Config struct {
 	// AmpSpacingKm is the inline amplifier spacing (default 80 km; each
 	// fiber also has a booster and a pre-amplifier).
 	AmpSpacingKm float64
-	// AmpSettleMeanSec calibrates one amplifier's observe-analyze-act
-	// convergence time (default 36 s; Appendix A.7 measures ~35 s/amplifier:
-	// 24 amps in 14 minutes). Internally it sets the control loop period of
-	// the Amplifier model; actual settle times vary with the gain error.
-	AmpSettleMeanSec float64
-	// DetectSec is failure detection latency (default 1 s).
-	DetectSec float64
-	// ROADMWaveSec is the duration of ONE parallel ROADM reconfiguration
-	// wave (default 2.5 s; two waves run per Appendix A.6).
-	ROADMWaveSec float64
-	// PortChannelSec is LACP re-aggregation after light is up (default 2 s).
-	PortChannelSec float64
 	// TEApplySec models installing the recomputed TE allocation on the
 	// routers once the port channels are up (default 0: folded into the
 	// LACP window, preserving the paper calibration; set it to split the
@@ -63,7 +69,7 @@ type Config struct {
 	NoiseLoading bool
 	// SerialROADM reconfigures ROADMs one at a time instead of ARROW's two
 	// parallel waves (Appendix A.6 ablation): each device costs a full
-	// ROADMWaveSec.
+	// wave, roadmWaveSec.
 	SerialROADM bool
 	// Seed derives the per-consumer randomness streams when Rng is nil.
 	Seed int64
@@ -80,18 +86,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.AmpSpacingKm <= 0 {
 		c.AmpSpacingKm = 80
-	}
-	if c.AmpSettleMeanSec <= 0 {
-		c.AmpSettleMeanSec = 36
-	}
-	if c.DetectSec <= 0 {
-		c.DetectSec = 1
-	}
-	if c.ROADMWaveSec <= 0 {
-		c.ROADMWaveSec = 2.5
-	}
-	if c.PortChannelSec <= 0 {
-		c.PortChannelSec = 2
 	}
 	return c
 }
@@ -332,24 +326,24 @@ func RunRestorationCtx(ctx context.Context, net *optical.Network, cut []int, cfg
 	}
 
 	logf(0, "fiber cut: %v fails %d IP links, %.1f Tbps lost", cut, len(res.Failed), tr.LostGbps/1000)
-	t := cfg.DetectSec
-	stage(StageDetect, "optical monitors", 0, 0, cfg.DetectSec)
+	t := float64(detectSec)
+	stage(StageDetect, "optical monitors", 0, 0, detectSec)
 	logf(t, "failure detected, restoration plan activated (%d lightpaths)", countPicks(asg))
 
 	// ROADM reconfiguration: ARROW groups devices into two parallel waves
 	// (Appendix A.6); the serial ablation walks them one by one.
 	if cfg.SerialROADM {
 		devices := plan.NumAddDropROADMs() + plan.NumIntermediateROADMs()
-		dur := float64(devices) * cfg.ROADMWaveSec
+		dur := float64(float64(devices) * roadmWaveSec)
 		stage(StageROADMSerial, fmt.Sprintf("%d ROADMs one at a time", devices), 0, t, dur)
 		t += dur
 		logf(t, "serial: %d ROADMs reconfigured one at a time", devices)
 	} else {
-		stage(StageROADMAddDrop, fmt.Sprintf("%d add/drop ROADMs", plan.NumAddDropROADMs()), 0, t, cfg.ROADMWaveSec)
-		t += cfg.ROADMWaveSec
+		stage(StageROADMAddDrop, fmt.Sprintf("%d add/drop ROADMs", plan.NumAddDropROADMs()), 0, t, roadmWaveSec)
+		t += roadmWaveSec
 		logf(t, "wave 1: %d add/drop ROADMs reconfigured in parallel", plan.NumAddDropROADMs())
-		stage(StageROADMIntermediate, fmt.Sprintf("%d intermediate ROADMs", plan.NumIntermediateROADMs()), 0, t, cfg.ROADMWaveSec)
-		t += cfg.ROADMWaveSec
+		stage(StageROADMIntermediate, fmt.Sprintf("%d intermediate ROADMs", plan.NumIntermediateROADMs()), 0, t, roadmWaveSec)
+		t += roadmWaveSec
 		logf(t, "wave 2: %d intermediate ROADMs reconfigured in parallel", plan.NumIntermediateROADMs())
 	}
 	roadmDone := t
@@ -365,7 +359,7 @@ func RunRestorationCtx(ctx context.Context, net *optical.Network, cut []int, cfg
 	paths := map[string]*pathInfo{}
 	var pathOrder []string
 	survivorDisturbedUntil := 0.0
-	ampModel := Amplifier{LoopSec: cfg.AmpSettleMeanSec / 3.6}
+	ampModel := Amplifier{LoopSec: ampSettleMeanSec / 3.6}
 	for li := range res.Failed {
 		for _, pick := range asg.PerLink[li] {
 			opt := res.Options[li][pick[0]]
@@ -403,7 +397,7 @@ func RunRestorationCtx(ctx context.Context, net *optical.Network, cut []int, cfg
 			}
 			pi.waves++
 			pi.gbps += opt.Modulation.GbpsPerWavelength
-			ups = append(ups, lightUp{pi.doneSec + cfg.PortChannelSec, opt.Modulation.GbpsPerWavelength, opt.Fibers})
+			ups = append(ups, lightUp{pi.doneSec + portChannelSec, opt.Modulation.GbpsPerWavelength, opt.Fibers})
 		}
 	}
 	for _, key := range pathOrder {
@@ -411,7 +405,7 @@ func RunRestorationCtx(ctx context.Context, net *optical.Network, cut []int, cfg
 		if pi.chainDur > 0 {
 			stage(StageAmpChain, fmt.Sprintf("path %v (%d amps)", pi.fibers, pi.amps), pi.lane, roadmDone, pi.chainDur)
 		}
-		stage(StageLACP, fmt.Sprintf("path %v (%d waves, %.0f Gbps)", pi.fibers, pi.waves, pi.gbps), pi.lane, pi.doneSec, cfg.PortChannelSec)
+		stage(StageLACP, fmt.Sprintf("path %v (%d waves, %.0f Gbps)", pi.fibers, pi.waves, pi.gbps), pi.lane, pi.doneSec, portChannelSec)
 	}
 
 	sort.Slice(ups, func(i, j int) bool { return ups[i].timeSec < ups[j].timeSec })
@@ -451,7 +445,7 @@ func RunRestorationCtx(ctx context.Context, net *optical.Network, cut []int, cfg
 		if !cfg.NoiseLoading && tt > roadmDone && tt < survivorDisturbedUntil {
 			// Gain excursions while amplifiers hunt: bounded, decaying.
 			frac := (tt - roadmDone) / (survivorDisturbedUntil - roadmDone)
-			power = (1.8 - 1.2*frac) * math.Sin(tt/7) * (0.7 + 0.3*prng.Float64())
+			power = (1.8 - float64(1.2*frac)) * math.Sin(tt/7) * (0.7 + float64(0.3*prng.Float64()))
 		}
 		tr.Series = append(tr.Series, Sample{TimeSec: tt, RestoredGbps: restored, SurvivorPowerDB: power})
 	}
@@ -476,7 +470,7 @@ func countPicks(a *rwa.Assignment) int {
 func AmpChainSettle(numAmps int, cfg Config) []float64 {
 	cfg = cfg.withDefaults()
 	rng := cfg.rng(3)
-	ampModel := Amplifier{LoopSec: cfg.AmpSettleMeanSec / 3.6}
+	ampModel := Amplifier{LoopSec: ampSettleMeanSec / 3.6}
 	out := make([]float64, numAmps)
 	t := 0.0
 	for i := range out {

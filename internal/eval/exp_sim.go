@@ -205,7 +205,7 @@ func (d *sweepData) maxScaleAt(s Scheme, target float64) float64 {
 			// Interpolate into the next segment if it dips below there.
 			if i+1 < len(d.scales) && av[i+1] < target {
 				frac := (av[i] - target) / (av[i] - av[i+1])
-				best = d.scales[i] + frac*(d.scales[i+1]-d.scales[i])
+				best = d.scales[i] + float64(frac*(d.scales[i+1]-d.scales[i]))
 			}
 		}
 	}

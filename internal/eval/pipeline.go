@@ -46,12 +46,12 @@ type ffcLists struct {
 	scs  [2][]te.FailureScenario
 }
 
-// PipelineOptions configures pipeline construction.
+// PipelineOptions configures pipeline construction. Every pipeline plans at
+// rwa's default of three surrogate paths per failed link.
 type PipelineOptions struct {
 	Cutoff     float64 // scenario probability cutoff (paper: §6)
 	NumTickets int     // |Z| per scenario
 	Stride     int     // rounding stride delta
-	K          int     // surrogate paths per failed link
 	Seed       int64
 	// MaxScenarios caps the number of RELEVANT scenarios (cuts that fail at
 	// least one IP link) kept from the probability-sorted list, to keep LP
@@ -104,7 +104,7 @@ func BuildPipeline(tp *topo.Topology, opts PipelineOptions) (*Pipeline, error) {
 func BuildPipelineContext(ctx context.Context, tp *topo.Topology, opts PipelineOptions) (*Pipeline, error) {
 	ctx = par.WithWorkers(ctx, opts.Parallelism)
 	off, err := plan.Build(ctx, tp.Opt, nil, tp.SRLGs, plan.Options{
-		Tickets: opts.NumTickets, Stride: opts.Stride, K: opts.K, Seed: opts.Seed,
+		Tickets: opts.NumTickets, Stride: opts.Stride, Seed: opts.Seed,
 		Cutoff: opts.Cutoff, MaxScenarios: opts.MaxScenarios, Space: opts.Space,
 		NoWarm: opts.NoWarm,
 	})

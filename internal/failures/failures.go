@@ -221,7 +221,7 @@ func (c *Corpus) TopSitePairs(k int) []int {
 	score := map[int]float64{}
 	for _, t := range c.Tickets {
 		if t.Cause == FiberCut {
-			score[t.SitePair] += t.LostGbps * t.DurationHours
+			score[t.SitePair] += float64(t.LostGbps * t.DurationHours)
 		}
 	}
 	var pairs []int
@@ -245,9 +245,9 @@ func MonthlyDeployments(seed int64) []int {
 	for m := 0; m < months; m++ {
 		base := 120.0
 		if m >= 4 { // March 2020 onward
-			base = 220 + 60*math.Sin(float64(m-4)/3)
+			base = 220 + float64(60*math.Sin(float64(m-4)/3))
 		}
-		out[m] = int(base + rng.Float64()*60)
+		out[m] = int(base + float64(rng.Float64()*60))
 	}
 	return out
 }

@@ -8,7 +8,7 @@ import (
 // DefaultCertTol is the tolerance CheckCertificate applies when the caller
 // passes 0: the relative duality gap and both infeasibility residuals must
 // stay below it for a solve to count as certified. It sits an order of
-// magnitude above the solver's own FeasTol/OptTol (1e-7), so a certificate
+// magnitude above the solver's own feasTol/optTol (1e-7), so a certificate
 // failure means genuine numerical trouble, not tolerance jitter.
 const DefaultCertTol = 1e-6
 
@@ -81,7 +81,7 @@ func (sx *simplex) certificate() *Certificate {
 		if v := sx.x[j]; v != 0 {
 			c := &sx.cols[j]
 			for i, r := range c.rows {
-				res[r] -= c.vals[i] * v
+				res[r] -= float64(c.vals[i] * v)
 			}
 		}
 	}
@@ -107,7 +107,7 @@ func (sx *simplex) certificate() *Certificate {
 	// (retired artificials, fixed vars) admit any sign.
 	g := 0.0
 	for i := range sx.b {
-		g += sx.b[i] * y[i]
+		g += float64(sx.b[i] * y[i])
 	}
 	primal := 0.0
 	dinf := 0.0
@@ -115,16 +115,16 @@ func (sx *simplex) certificate() *Certificate {
 		dj := sx.cost[j]
 		c := &sx.cols[j]
 		for i, r := range c.rows {
-			dj -= y[r] * c.vals[i]
+			dj -= float64(y[r] * c.vals[i])
 		}
-		primal += sx.cost[j] * sx.x[j]
+		primal += float64(sx.cost[j] * sx.x[j])
 		if sx.status[j] == basic {
 			if v := math.Abs(dj); v > dinf {
 				dinf = v
 			}
 			continue
 		}
-		g += dj * sx.x[j]
+		g += float64(dj * sx.x[j])
 		if sx.lb[j] == sx.ub[j] {
 			continue
 		}

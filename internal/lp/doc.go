@@ -40,7 +40,7 @@
 // pattern), and the pivot is the largest-magnitude eligible entry (partial
 // pivoting). FTRAN/BTRAN are column-oriented triangular solves over the
 // factors plus a product-form eta file: each pivot appends one eta vector,
-// and the basis is refactorised every Options.Refactor pivots (default 64)
+// and the basis is refactorised every refactorEvery (64) pivots
 // or when a numerically tiny pivot appears. Only the nonzeros of an eta are
 // stored, in one arena, and every refactorisation reuses the same factor
 // storage, so the pivot loop allocates nothing in steady state. The arena,
@@ -107,7 +107,7 @@
 //
 // SolveWithBasis installs a basis and takes one of three paths. A primal
 // feasible basic point skips phase 1. A point that breaks bounds under a
-// basis that prices out — every reduced cost within OptTol of the sign
+// basis that prices out — every reduced cost within optTol of the sign
 // optimality wants, as after appending rows the previous optimum violates
 // or tightening bounds — goes to the bounded dual simplex (dual.go), which
 // keeps the reduced costs dual feasible while it pivots the violated basics
@@ -116,7 +116,7 @@
 // the largest bound violation (ties to the highest position), BTRAN of e_r
 // gives row r of B⁻¹ and the model's rows give the pivot row from it, and
 // the ratio test flips boxed columns to their other bound while the
-// violation left stays above FeasTol, taking the entering column among the
+// violation left stays above feasTol, taking the entering column among the
 // near-ties of Harris's tolerance by its pivot size. Its passes follow the
 // same patterns as the primal loop's, to the same floats as full ones.
 //

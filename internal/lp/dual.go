@@ -30,7 +30,7 @@ const dualPivotTol = 1e-9
 // dualPrices computes y = B⁻ᵀ c_B and every structural and slack column's
 // reduced cost into dj, by the column dot products a full pricing pass takes
 // (0 for a basic one), and reports whether the basis is dual feasible: no
-// nonbasic column that can move prices in beyond OptTol.
+// nonbasic column that can move prices in beyond optTol.
 func (sx *simplex) dualPrices(cost []float64) bool {
 	cb, y := sx.cb, sx.y
 	for pos, j := range sx.basisOf {
@@ -47,13 +47,13 @@ func (sx *simplex) dualPrices(cost []float64) bool {
 		dj := cost[j]
 		c := &sx.cols[j]
 		for i, r := range c.rows {
-			dj -= y[r] * c.vals[i]
+			dj -= float64(y[r] * c.vals[i])
 		}
 		sx.dj[j] = dj
 		if sx.lb[j] == sx.ub[j] && st != atFree {
 			continue
 		}
-		if score, _ := enteringScore(st, dj, sx.opt.OptTol); score > 0 {
+		if score, _ := enteringScore(st, dj, optTol); score > 0 {
 			feasible = false
 		}
 	}
@@ -152,7 +152,7 @@ func (sx *simplex) dualPivots() (Status, error) {
 		thetaD := s * t
 		for _, j := range sx.alphaIdx {
 			if sx.status[j] != basic {
-				sx.dj[j] -= thetaD * sx.alpha[j]
+				sx.dj[j] -= float64(thetaD * sx.alpha[j])
 			}
 		}
 		sx.dj[q], sx.dj[jout] = 0, -thetaD
@@ -182,7 +182,7 @@ func (sx *simplex) dualPivots() (Status, error) {
 			}
 			return statusStalled, nil
 		}
-		if len(sx.etas) >= sx.opt.Refactor {
+		if len(sx.etas) >= refactorEvery {
 			if err := sx.refactorDual(); err != nil {
 				return 0, err
 			}
@@ -201,10 +201,10 @@ func (sx *simplex) refactorDual() error {
 }
 
 // violation is how far the variable at basis position p breaks a bound
-// beyond FeasTol (0: it does not), and that bound.
+// beyond feasTol (0: it does not), and that bound.
 func (sx *simplex) violation(p int) (float64, float64) {
 	j := sx.basisOf[p]
-	x, tol := sx.x[j], sx.opt.FeasTol
+	x, tol := sx.x[j], feasTol
 	if v := sx.lb[j] - x; v > tol {
 		return v, sx.lb[j]
 	}
@@ -292,7 +292,7 @@ func (sx *simplex) pivotRow() {
 				sx.colStamp[j] = sx.colEpoch
 				sx.alphaIdx = append(sx.alphaIdx, j)
 			}
-			alpha[j] += v * t.Coef
+			alpha[j] += float64(v * t.Coef)
 		}
 		s := int32(sx.nStr + int(i))
 		alpha[s] = v
@@ -308,13 +308,13 @@ func (sx *simplex) pivotRow() {
 // upper bound with α̃_j < 0, and free ones, at t = d_j/α̃_j. A boxed column
 // passed by t can flip to its other bound instead of stopping it, which
 // costs the slope |α̃_j|·(u_j − l_j); so the test walks the breakpoints
-// until the slope would fall to FeasTol or below — the flips alone would
+// until the slope would fall to feasTol or below — the flips alone would
 // then bring x_r to its bound — or an unboxed column stops it.
 //
 // It walks them in groups under Harris's tolerance: each group is every
-// candidate left whose ratio is within the smallest (d_j ± OptTol)/α̃_j, and
+// candidate left whose ratio is within the smallest (d_j ± optTol)/α̃_j, and
 // the one to enter is its largest |α̃_j| (the first in the list on ties), so
-// that no reduced cost ends beyond OptTol on the wrong side and small pivots
+// that no reduced cost ends beyond optTol on the wrong side and small pivots
 // lose to large ones. The groups before the entering one flip; they are
 // brk[:nflip]. q < 0: no column stops the slope, so the row cannot reach
 // its bound and the model is infeasible.
@@ -333,7 +333,7 @@ func (sx *simplex) dualRatio(s, slope float64) (q, nflip int, t float64) {
 		}
 	}
 	sx.brk = brk
-	tol := sx.opt.OptTol
+	tol := optTol
 	for lo := 0; lo < len(brk); {
 		bound := Inf
 		for _, j := range brk[lo:] {
@@ -352,14 +352,14 @@ func (sx *simplex) dualRatio(s, slope float64) (q, nflip int, t float64) {
 			if math.Abs(a) > pivAbs {
 				enter, pivAbs = int(j), math.Abs(a)
 			}
-			cost += math.Abs(a) * (sx.ub[j] - sx.lb[j])
+			cost += float64(math.Abs(a) * (sx.ub[j] - sx.lb[j]))
 			brk[i], brk[k] = brk[k], brk[i]
 			k++
 		}
 		if enter < 0 {
 			break // a NaN reduced cost or pivot row entry
 		}
-		if !(slope-cost > sx.opt.FeasTol) {
+		if !(slope-cost > feasTol) {
 			return enter, lo, max(sx.dj[enter]/(s*sx.alpha[enter]), 0)
 		}
 		slope -= cost
@@ -387,7 +387,7 @@ func (sx *simplex) flipBounds(cols []int32) {
 		}
 		c := &sx.cols[j]
 		for i, r := range c.rows {
-			w[r] += c.vals[i] * step
+			w[r] += float64(c.vals[i] * step)
 			at = sx.marked(at, r)
 		}
 	}

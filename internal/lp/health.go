@@ -27,7 +27,7 @@ const (
 	// numerically stuck) simplex.
 	AnomalyStall AnomalyReason = "stall"
 	// AnomalyResidualDrift: the primal residual ‖Ax−b‖∞ at a probe exceeded
-	// healthDriftFactor × FeasTol — the factorised basis updates have
+	// healthDriftFactor × feasTol — the factorised basis updates have
 	// drifted away from the constraint system they claim to satisfy.
 	AnomalyResidualDrift AnomalyReason = "residual_drift"
 	// AnomalyWarmRepairFallback: a warm-start basis was unrepairable and the
@@ -64,8 +64,8 @@ const (
 	// degenerate vertex), so a fixed window count alone would false-positive
 	// on big healthy models probed at a small interval.
 	healthStallSpanRows = 2
-	// healthDriftFactor scales FeasTol into the residual-drift threshold:
-	// residuals are expected near FeasTol; three decades above it is drift.
+	// healthDriftFactor scales feasTol into the residual-drift threshold:
+	// residuals are expected near feasTol; three decades above it is drift.
 	healthDriftFactor = 1e3
 )
 
@@ -202,7 +202,7 @@ func (sx *simplex) primalResidualInf() float64 {
 		if v := sx.x[j]; v != 0 {
 			c := &sx.cols[j]
 			for i, r := range c.rows {
-				res[r] -= c.vals[i] * v
+				res[r] -= float64(c.vals[i] * v)
 			}
 		}
 	}
@@ -251,7 +251,7 @@ func (h *healthState) record(phase, iter int, obj, res float64, degenWin, etaDep
 
 	if drift := healthDriftFactor * feasTol; res > drift {
 		h.note(AnomalyResidualDrift, phase, iter, res,
-			fmt.Sprintf("primal residual %.3g above %.3g (= %g × FeasTol)", res, drift, healthDriftFactor))
+			fmt.Sprintf("primal residual %.3g above %.3g (= %g × feasTol)", res, drift, healthDriftFactor))
 	}
 }
 
@@ -266,13 +266,13 @@ func (sx *simplex) healthProbe(cost []float64, phase1 bool) {
 	obj := 0.0
 	for j := 0; j < sx.nTot; j++ {
 		if v := sx.x[j]; v != 0 {
-			obj += cost[j] * v
+			obj += float64(cost[j] * v)
 		}
 	}
 	res := sx.primalResidualInf()
 	degenWin := sx.degenTotal - h.lastDegen
 	h.lastDegen = sx.degenTotal
-	h.record(phase, sx.iters, obj, res, degenWin, len(sx.etas), sx.refactors, sx.opt.FeasTol)
+	h.record(phase, sx.iters, obj, res, degenWin, len(sx.etas), sx.refactors, feasTol)
 }
 
 // healthNoteCycling records the Bland-trigger crossing (called from iterate

@@ -224,7 +224,7 @@ func TestHealthStallDetector(t *testing.T) {
 	}
 }
 
-// TestHealthDriftDetector: a residual above healthDriftFactor×FeasTol is an
+// TestHealthDriftDetector: a residual above healthDriftFactor×feasTol is an
 // anomaly; below it is not.
 func TestHealthDriftDetector(t *testing.T) {
 	h := newHealthState(8, 4)

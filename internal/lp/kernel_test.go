@@ -92,7 +92,7 @@ func (f *luFactors) solveTFull(c, y []float64) { f.solveTSteps(c, y, f.all, f.al
 // artificial's is ± that. Phase 2 skips the artificial range.
 func refPrice(sx *simplex, cost, y []float64, bland, phase1 bool) (int, float64) {
 	best, bestScore, bestDir := -1, 0.0, 1.0
-	tol := sx.opt.OptTol
+	tol := optTol
 	nStr, nRow := sx.nStr, sx.nRow
 	for j := 0; j < nStr; j++ {
 		st := sx.status[j]
@@ -256,7 +256,7 @@ func refRatio(sx *simplex, enter int, dir float64, d []float64) int {
 			continue
 		}
 		t := (sx.x[jb] - bound) / w
-		if t < -sx.opt.FeasTol {
+		if t < -feasTol {
 			t = 0
 		}
 		if t < leaveT-1e-12 || (t < leaveT+1e-12 && math.Abs(d[pos]) > pivAbs) {
@@ -733,7 +733,7 @@ func TestPivotLoopAllocatesNothing(t *testing.T) {
 		t.Fatalf("set-up solve: %+v, %v", sol, err)
 	}
 	checkBlocksAllocateNothing(t, sx, "primal", 4, func() {
-		sx.opt.MaxIter = sx.iters + sx.opt.Refactor
+		sx.opt.MaxIter = sx.iters + refactorEvery
 		st, err := sx.iterate(sx.cost, false)
 		if err != nil || st != StatusIterLimit {
 			t.Fatalf("pivot block ended with %v, %v after %d pivots", st, err, sx.iters)
@@ -763,7 +763,7 @@ func TestPivotLoopAllocatesNothing(t *testing.T) {
 		t.Fatalf("dual set-up solve: %+v, %v", sol, err)
 	}
 	checkBlocksAllocateNothing(t, sx, "dual", 3, func() {
-		sx.opt.MaxIter = sx.iters + sx.opt.Refactor
+		sx.opt.MaxIter = sx.iters + refactorEvery
 		sx.startDual()
 		st, err := sx.dualPivots()
 		if err != nil || st != StatusIterLimit {
@@ -784,7 +784,7 @@ func checkBlocksAllocateNothing(t *testing.T, sx *simplex, label string, runs in
 	for i := 0; i < 3; i++ {
 		block()
 	}
-	reserve := sx.opt.Refactor * sx.nRow
+	reserve := refactorEvery * sx.nRow
 	sx.etaIdx = append(make([]int32, 0, reserve), sx.etaIdx...)
 	sx.etaVal = append(make([]float64, 0, reserve), sx.etaVal...)
 	f := sx.lu
@@ -798,7 +798,7 @@ func checkBlocksAllocateNothing(t *testing.T, sx *simplex, label string, runs in
 	}
 	refactors := sx.refactors
 	if avg := testing.AllocsPerRun(runs, block); avg != 0 {
-		t.Fatalf("%s: %v allocations per block of %d pivots + refactorisation, want 0", label, avg, sx.opt.Refactor)
+		t.Fatalf("%s: %v allocations per block of %d pivots + refactorisation, want 0", label, avg, refactorEvery)
 	}
 	if got := sx.refactors - refactors; got < runs+1 {
 		t.Fatalf("%s: %d refactorisations in %d blocks", label, got, runs+1)

@@ -244,7 +244,7 @@ func (f *luFactors) factor(cols []spCol, repair bool) ([]patchedCol, error) {
 				if w[r] == 0 {
 					touched = append(touched, r)
 				}
-				w[r] -= lv[i] * val
+				w[r] -= float64(lv[i] * val)
 			}
 		}
 		f.touched = touched // keep the (possibly regrown) backing
@@ -502,7 +502,7 @@ func (f *luFactors) solveSteps(b, x []float64, lsteps, usteps []int32) {
 		lo, hi := f.lptr[t], f.lptr[t+1]
 		lv := f.lvals[lo:hi]
 		for i, r := range f.lrows[lo:hi] {
-			y[r] -= lv[i] * val
+			y[r] -= float64(lv[i] * val)
 		}
 	}
 	// Backward: U z = y, z in pivot-step space (stored into work).
@@ -517,7 +517,7 @@ func (f *luFactors) solveSteps(b, x []float64, lsteps, usteps []int32) {
 		lo, hi := f.uptr[k], f.uptr[k+1]
 		uv := f.uvals[lo:hi]
 		for i, t := range f.urows[lo:hi] {
-			y[f.rowOfPivot[t]] -= uv[i] * zk
+			y[f.rowOfPivot[t]] -= float64(uv[i] * zk)
 		}
 	}
 	for _, k := range usteps {
@@ -563,7 +563,7 @@ func (f *luFactors) solveTSteps(c, y []float64, usteps, lsteps []int32) {
 		lo, hi := f.uptr[k], f.uptr[k+1]
 		uv := f.uvals[lo:hi]
 		for i, t := range f.urows[lo:hi] {
-			s -= uv[i] * v[t]
+			s -= float64(uv[i] * v[t])
 		}
 		v[k] = s / f.udiag[k]
 	}
@@ -574,7 +574,7 @@ func (f *luFactors) solveTSteps(c, y []float64, usteps, lsteps []int32) {
 		lo, hi := f.lptr[k], f.lptr[k+1]
 		lv := f.lvals[lo:hi]
 		for i, r := range f.lrows[lo:hi] {
-			s -= lv[i] * v[f.pinv[r]]
+			s -= float64(lv[i] * v[f.pinv[r]])
 		}
 		v[k] = s
 	}

@@ -355,7 +355,7 @@ func (m *Model) Stats() Stats {
 func (m *Model) EvalExpr(c Constr, x []float64) float64 {
 	sum := 0.0
 	for _, t := range m.rows[c].terms {
-		sum += t.Coef * x[t.Var]
+		sum += float64(t.Coef * x[t.Var])
 	}
 	return sum
 }
@@ -397,7 +397,7 @@ func (m *Model) MaxViolation(x []float64) float64 {
 func (m *Model) ObjValue(x []float64) float64 {
 	sum := 0.0
 	for j, c := range m.obj {
-		sum += c * x[j]
+		sum += float64(c * x[j])
 	}
 	return sum
 }

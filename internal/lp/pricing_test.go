@@ -294,7 +294,7 @@ func TestPivotRescoresEnteringAndLeaving(t *testing.T) {
 	if sx.score[enter] != 0 {
 		t.Errorf("score %v left on the entering variable, now basic", sx.score[enter])
 	}
-	if want, _ := enteringScore(sx.status[jout], sx.dj[jout], sx.opt.OptTol); want != 1 || sx.score[jout] != want {
+	if want, _ := enteringScore(sx.status[jout], sx.dj[jout], optTol); want != 1 || sx.score[jout] != want {
 		t.Errorf("leaving variable (status %d, dj %v) has score %v, want %v = 1", sx.status[jout], sx.dj[jout], sx.score[jout], want)
 	}
 }

@@ -85,12 +85,17 @@ type Solution struct {
 	Health *HealthReport
 }
 
+// The solver's tolerances and refactorisation period, one set for every
+// solve.
+const (
+	feasTol       = 1e-7 // feasibility tolerance
+	optTol        = 1e-7 // reduced-cost optimality tolerance
+	refactorEvery = 64   // pivots between basis refactorisations
+)
+
 // Options tunes the simplex solver. The zero value selects defaults.
 type Options struct {
-	MaxIter  int     // maximum pivots (default 20000 + 40*(rows+cols))
-	FeasTol  float64 // feasibility tolerance (default 1e-7)
-	OptTol   float64 // reduced-cost optimality tolerance (default 1e-7)
-	Refactor int     // pivots between basis refactorisations (default 64)
+	MaxIter int // maximum pivots (default 20000 + 40*(rows+cols))
 	// Recorder receives per-solve metrics (pivots, refactorisations,
 	// degenerate steps, eta depth). Counters accumulate locally during the
 	// solve and flush once at the end, so a nil Recorder costs nothing and
@@ -107,12 +112,11 @@ type Options struct {
 }
 
 // withDefaults resolves the effective solver settings. Zero values select
-// the defaults. Negative values (and NaN tolerances) are invalid — a
-// solver with MaxIter -1 would never pivot and Refactor -1 would
-// refactorise every step — so they are explicitly clamped to the defaults
-// rather than being allowed to leak into the solve.
+// the defaults. A negative MaxIter is invalid — the solver would never
+// pivot — so it is explicitly clamped to the default rather than being
+// allowed to leak into the solve.
 func (o *Options) withDefaults(rows, cols int) Options {
-	v := Options{MaxIter: 20000 + 40*(rows+cols), FeasTol: 1e-7, OptTol: 1e-7, Refactor: 64}
+	v := Options{MaxIter: 20000 + 40*(rows+cols)}
 	if o == nil {
 		return v
 	}
@@ -123,15 +127,6 @@ func (o *Options) withDefaults(rows, cols int) Options {
 	if o.MaxIter > 0 {
 		v.MaxIter = o.MaxIter
 	} // MaxIter < 0: clamped to the default
-	if o.FeasTol > 0 {
-		v.FeasTol = o.FeasTol
-	} // FeasTol <= 0 or NaN: clamped to the default
-	if o.OptTol > 0 {
-		v.OptTol = o.OptTol
-	} // OptTol <= 0 or NaN: clamped to the default
-	if o.Refactor > 0 {
-		v.Refactor = o.Refactor
-	} // Refactor < 0: clamped to the default
 	return v
 }
 
@@ -567,7 +562,7 @@ func (sx *simplex) solveFromPoint() (*Solution, error) {
 		if v := sx.x[j]; v != 0 {
 			c := &sx.cols[j]
 			for i, r := range c.rows {
-				res[r] -= c.vals[i] * v
+				res[r] -= float64(c.vals[i] * v)
 			}
 		}
 	}
@@ -584,7 +579,7 @@ func (sx *simplex) solveFromPoint() (*Solution, error) {
 		sx.status[a] = basic
 		sx.basisOf[i] = a
 		sx.posOf[a] = i
-		if sx.x[a] > sx.opt.FeasTol {
+		if sx.x[a] > feasTol {
 			sx.startingArts++
 		}
 	}
@@ -616,7 +611,7 @@ func (sx *simplex) phases(runPhase1 bool) (*Solution, error) {
 		if st == StatusIterLimit {
 			return &Solution{Status: StatusIterLimit, X: sx.extract(), Iterations: sx.iters, Warm: sx.warm}, nil
 		}
-		if sx.artificialSum() > sx.opt.FeasTol*10 {
+		if sx.artificialSum() > feasTol*10 {
 			return &Solution{Status: StatusInfeasible, X: sx.extract(), Iterations: sx.iters, Warm: sx.warm}, nil
 		}
 	}
@@ -773,7 +768,7 @@ func (sx *simplex) recomputeBasics() {
 		if v := sx.x[j]; v != 0 {
 			c := &sx.cols[j]
 			for i, r := range c.rows {
-				rhs[r] -= c.vals[i] * v
+				rhs[r] -= float64(c.vals[i] * v)
 			}
 		}
 	}
@@ -799,7 +794,7 @@ func (sx *simplex) ftranEtas(out []float64, pattern []int32) []int32 {
 		if t != 0 {
 			val := sx.etaVal[e.lo:e.hi]
 			for p, i := range sx.etaIdx[e.lo:e.hi] {
-				out[i] -= val[p] * t
+				out[i] -= float64(val[p] * t)
 			}
 			if pattern != nil {
 				pattern = sx.marked(pattern, int32(e.pos))
@@ -885,7 +880,7 @@ func (sx *simplex) btranEtas(tmp []float64, at []int32) []int32 {
 		s := tmp[e.pos]
 		val := sx.etaVal[e.lo:e.hi]
 		for p, i := range sx.etaIdx[e.lo:e.hi] {
-			s -= val[p] * tmp[i]
+			s -= float64(val[p] * tmp[i])
 		}
 		tmp[e.pos] = s / e.piv
 		if at != nil {
@@ -1030,7 +1025,7 @@ func (sx *simplex) pivots(cost []float64, phase1 bool) (Status, error) {
 		if sx.iters >= sx.opt.MaxIter {
 			return StatusIterLimit, nil
 		}
-		if phase1 && sx.artificialSum() <= sx.opt.FeasTol {
+		if phase1 && sx.artificialSum() <= feasTol {
 			return StatusOptimal, nil
 		}
 
@@ -1081,7 +1076,7 @@ func (sx *simplex) pivots(cost []float64, phase1 bool) (Status, error) {
 		if sx.health != nil && sx.iters%sx.health.every == 0 {
 			sx.healthProbe(cost, phase1)
 		}
-		if len(sx.etas) >= sx.opt.Refactor {
+		if len(sx.etas) >= refactorEvery {
 			if err := sx.refactorize(); err != nil {
 				return 0, err
 			}
@@ -1097,7 +1092,7 @@ func (sx *simplex) reprice(cost []float64, j int) {
 	dj := cost[j]
 	c := &sx.cols[j]
 	for i, r := range c.rows {
-		dj -= sx.y[r] * c.vals[i]
+		dj -= float64(sx.y[r] * c.vals[i])
 	}
 	sx.dj[j] = dj
 	sx.rescore(j)
@@ -1114,7 +1109,7 @@ func (sx *simplex) rescore(j int) {
 		sx.score[j] = 0
 		return
 	}
-	sx.score[j], _ = enteringScore(st, sx.dj[j], sx.opt.OptTol)
+	sx.score[j], _ = enteringScore(st, sx.dj[j], optTol)
 }
 
 // repriceMoved brings the cache up to sx.y: every column with an entry in a
@@ -1265,7 +1260,7 @@ func (sx *simplex) dPos() []int32 {
 // column in basis coordinates (B⁻¹ a_enter). Every pass over d runs over
 // dPos in ascending order, so ties break as they would over all rows.
 func (sx *simplex) pivot(enter int, dir float64, d []float64, phase1 bool) (Status, error) {
-	ftol := sx.opt.FeasTol
+	ftol := feasTol
 	at := sx.dPos()
 	sx.ratioRows += len(at)
 	// Bound-flip limit from the entering variable's own range.
@@ -1394,11 +1389,11 @@ func (sx *simplex) applyStep(enter int, dir, t float64, d []float64) {
 	if t == 0 {
 		return
 	}
-	sx.x[enter] += dir * t
+	sx.x[enter] += float64(dir * t)
 	for _, pos := range sx.dPos() {
 		if d[pos] != 0 {
 			jb := sx.basisOf[pos]
-			sx.x[jb] -= dir * t * d[pos]
+			sx.x[jb] -= float64(dir * t * d[pos])
 		}
 	}
 }

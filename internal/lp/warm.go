@@ -158,7 +158,7 @@ func (b *Basis) ResetSlack(m *Model) {
 // linearly dependent basis columns are patched with slacks of unpivoted
 // rows during factorisation). If the repaired basic point is primal
 // feasible, phase 1 is skipped. Otherwise, if the basis is dual feasible
-// within OptTol, the bounded dual simplex restores primal feasibility
+// within optTol, the bounded dual simplex restores primal feasibility
 // before phase 2 (WarmInfo.Dual); else the warm basics are repaired (see
 // swapInfeasibleSlacks) or bound-shifted onto the projected warm point and
 // a reduced phase 1 runs, where only the rows the projected point violates
@@ -202,7 +202,7 @@ func (sx *simplex) solveWarm(wb *Basis) (*Solution, error) {
 		return sx.warmFallbackCold(wi)
 	}
 	wi.Accepted = true
-	if sx.maxBasicViolation() <= sx.opt.FeasTol*10 {
+	if sx.maxBasicViolation() <= feasTol*10 {
 		// The warm basic point is feasible: go straight to phase 2.
 		wi.Phase1Skipped = true
 		wi.PivotsSaved = coldArts
@@ -454,13 +454,13 @@ func (sx *simplex) countColdArtificials() int {
 		if v, _ := initialValue(sx.lb[j], sx.ub[j]); v != 0 {
 			c := &sx.cols[j]
 			for i, r := range c.rows {
-				res[r] -= c.vals[i] * v
+				res[r] -= float64(c.vals[i] * v)
 			}
 		}
 	}
 	n := 0
 	for _, r := range res {
-		if math.Abs(r) > sx.opt.FeasTol {
+		if math.Abs(r) > feasTol {
 			n++
 		}
 	}
@@ -484,7 +484,7 @@ func (sx *simplex) countColdArtificials() int {
 // simplex takes it first. What is left are bases dual infeasible too, such
 // as TeaVaR's slack basis with its free θ pricing in.
 func (sx *simplex) swapInfeasibleSlacks() bool {
-	tol := sx.opt.FeasTol * 10
+	tol := feasTol * 10
 	violated := func(j int) bool {
 		return sx.x[j] < sx.lb[j]-tol || sx.x[j] > sx.ub[j]+tol
 	}

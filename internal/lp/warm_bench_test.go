@@ -70,7 +70,7 @@ func BenchmarkSolveWarmVsCold(b *testing.B) {
 // TestPivotLoopAllocatesNothing uses and the online benchmark's Phase II LP
 // (TestFrozenArrowPhase2), phase-2 pivots from the all-slack start, and its
 // Phase I master at its first pricing re-solve (TestFrozenArrowPhase1Resolve),
-// dual pivots from the frozen warm basis — one Options.Refactor block and a
+// dual pivots from the frozen warm basis — one refactorEvery block and a
 // refactorisation per iteration, and reports what one pivot costs beside what
 // it touched: the columns re-priced, the pivot steps its triangular solves
 // visited and the rows its ratio test visited.
@@ -119,7 +119,7 @@ func benchKernel(b *testing.B, m *Model, basis *Basis) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sx.opt.MaxIter = sx.iters + sx.opt.Refactor
+		sx.opt.MaxIter = sx.iters + refactorEvery
 		var st Status
 		var err error
 		if dual {

@@ -23,8 +23,6 @@ type Options struct {
 	// error; one that found an incumbent returns it, with Bound the best
 	// bound still open.
 	MaxNodes int
-	IntTol   float64 // integrality tolerance (default 1e-6)
-	Gap      float64 // relative optimality gap for early stop (default 0)
 	// LP configures the node relaxations. Its Recorder also receives the
 	// per-solve branch-and-bound metrics (nodes explored/pruned, incumbent
 	// updates), which accumulate locally and flush once per Solve; a nil
@@ -37,21 +35,19 @@ type Options struct {
 	NoWarm bool
 }
 
+// intTol is the integrality tolerance: a relaxation value within it of an
+// integer counts as integral.
+const intTol = 1e-6
+
 func (o *Options) withDefaults() Options {
-	v := Options{MaxNodes: 200000, IntTol: 1e-6}
+	v := Options{MaxNodes: 200000}
 	if o == nil {
 		return v
 	}
-	// Non-positive values are explicitly clamped to the defaults: a negative
-	// node budget or tolerance is treated as "unset", never as "zero budget".
+	// A non-positive node budget is explicitly clamped to the default: it is
+	// treated as "unset", never as "zero budget".
 	if o.MaxNodes > 0 {
 		v.MaxNodes = o.MaxNodes
-	}
-	if o.IntTol > 0 {
-		v.IntTol = o.IntTol
-	}
-	if o.Gap > 0 {
-		v.Gap = o.Gap
 	}
 	v.LP = o.LP
 	v.NoWarm = o.NoWarm
@@ -237,7 +233,7 @@ func Solve(m *lp.Model, opts *Options) (*Solution, error) {
 			continue
 		}
 		relVal := sign * rel.Objective
-		if relVal >= bestVal-1e-9*(1+math.Abs(bestVal)) {
+		if relVal >= bestVal-float64(1e-9*(1+math.Abs(bestVal))) {
 			pruned++
 			continue // cannot improve
 		}
@@ -248,7 +244,7 @@ func Solve(m *lp.Model, opts *Options) (*Solution, error) {
 			x := rel.X[v]
 			f := x - math.Floor(x)
 			dist := math.Min(f, 1-f)
-			if dist > opt.IntTol && dist > fracDist {
+			if dist > intTol && dist > fracDist {
 				branch, fracDist = v, dist
 			}
 		}
@@ -283,7 +279,7 @@ func Solve(m *lp.Model, opts *Options) (*Solution, error) {
 	best.Nodes = nodes
 	// The proven bound is the incumbent's LP relaxation value; with rounded
 	// integer values the returned point's objective can differ from it by
-	// O(IntTol), which the certificate reports as a (tiny) gap.
+	// O(intTol), which the certificate reports as a (tiny) gap.
 	best.Bound = sign * bestVal
 	if len(open) > 0 {
 		// Search truncated: report the remaining bound honestly.

@@ -84,18 +84,12 @@ func TestIncumbentObjectiveMatchesReturnedPoint(t *testing.T) {
 }
 
 // TestMIPOptionsWithDefaultsClampsNegatives pins the explicit-clamp rule:
-// negative budgets and tolerances mean "unset", never "zero budget".
+// a negative node budget means "unset", never "zero budget".
 func TestMIPOptionsWithDefaultsClampsNegatives(t *testing.T) {
-	neg := &Options{MaxNodes: -5, IntTol: -1, Gap: -0.5}
+	neg := &Options{MaxNodes: -5}
 	v := neg.withDefaults()
 	if v.MaxNodes != 200000 {
 		t.Errorf("MaxNodes = %d, want default 200000", v.MaxNodes)
-	}
-	if v.IntTol != 1e-6 {
-		t.Errorf("IntTol = %g, want default 1e-6", v.IntTol)
-	}
-	if v.Gap != 0 {
-		t.Errorf("Gap = %g, want default 0", v.Gap)
 	}
 	// A solve under hostile options must still terminate at the optimum.
 	sol, err := Solve(loadILPFixture(t, "knapsack.json"), neg)

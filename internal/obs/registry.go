@@ -247,7 +247,7 @@ func (h *HistogramSnapshot) Quantile(q float64) float64 {
 	if q >= 1 {
 		return h.Max
 	}
-	target := q * float64(h.Count)
+	target := float64(q * float64(h.Count))
 	cum := int64(0)
 	for i, c := range h.Counts {
 		if c == 0 {
@@ -266,7 +266,7 @@ func (h *HistogramSnapshot) Quantile(q float64) float64 {
 			hi = math.Min(hi, h.Bounds[i])
 		}
 		frac := (target - float64(cum)) / float64(c)
-		v := lo + frac*(hi-lo)
+		v := lo + float64(frac*(hi-lo))
 		return math.Min(math.Max(v, h.Min), h.Max)
 	}
 	return h.Max

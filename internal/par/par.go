@@ -62,10 +62,12 @@ func WorkersFrom(ctx context.Context) int {
 // finished — no goroutines outlive the call.
 //
 // On the first error, the pool's context is cancelled and no new indices
-// are dispatched; in-flight calls run to completion. The returned error
-// is the one recorded at the lowest index, which makes error reporting
-// independent of the goroutine schedule whenever a single deterministic
-// index fails. If the parent context is cancelled before all indices
+// are drawn; a worker runs the index it has drawn (under the cancelled
+// context), and in-flight calls run to completion. Since indices are drawn
+// in order, every index below a failed one has run, and the returned error
+// is the one recorded at the lowest index: the error a sequential loop
+// returns, whatever the worker count or schedule, when fn's errors depend
+// on i alone. If the parent context is cancelled before all indices
 // complete, ctx.Err() is returned.
 //
 // workers == 1 runs fn sequentially in index order on the calling
@@ -135,9 +137,11 @@ func ForEach(ctx context.Context, workers, n int, fn func(ctx context.Context, i
 			if rec != nil {
 				track = obs.NextTrack()
 			}
-			for {
+			// The context is checked before a draw, never after it: a drawn
+			// index always runs, which is what the lowest-index error needs.
+			for pctx.Err() == nil {
 				i := int(next.Add(1)) - 1
-				if i >= n || pctx.Err() != nil {
+				if i >= n {
 					break
 				}
 				var err error

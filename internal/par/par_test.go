@@ -86,6 +86,21 @@ func TestForEachLowestIndexError(t *testing.T) {
 	}
 }
 
+// TestForEachLowestIndexErrorUnderRaces fails every index, so each failure
+// races the draws of the other workers: a worker that drew index 0 must still
+// run it after another index's failure cancelled the pool, or the reported
+// error would name a higher index.
+func TestForEachLowestIndexErrorUnderRaces(t *testing.T) {
+	for run := 0; run < 20000; run++ {
+		err := ForEach(context.Background(), 8, 64, func(_ context.Context, i int) error {
+			return fmt.Errorf("index %d failed", i)
+		})
+		if err == nil || err.Error() != "index 0 failed" {
+			t.Fatalf("run %d: got %v, want index 0's error", run, err)
+		}
+	}
+}
+
 func TestForEachErrorStopsDispatch(t *testing.T) {
 	boom := errors.New("boom")
 	var after atomic.Int32

@@ -174,9 +174,9 @@ func EnumerateCorrelated(failProb []float64, groups []Group, opt EnumOptions) *S
 	// both are products of the same at most k+1 factors, each rounded at
 	// most k times (a relative error of k·2^-53 apiece, plus an absolute
 	// 2^-1074 per rounding should the product be subnormal).
-	relSlack := 4 * float64(k+1) * 0x1p-53
-	absSlack := 2 * float64(k+1) * 0x1p-1074
-	ceil := func(key float64) float64 { return key*(1+relSlack) + absSlack }
+	relSlack := float64(4 * float64(k+1) * 0x1p-53)
+	absSlack := float64(2 * float64(k+1) * 0x1p-1074)
+	ceil := func(key float64) float64 { return float64(key*(1+relSlack)) + absSlack }
 
 	// canonical fills in a candidate's ascending element tuple, its
 	// probability and its key.

@@ -31,19 +31,24 @@ type Event struct {
 	Up    bool
 }
 
-// TimelineOptions configures failure-timeline generation.
+// TimelineOptions configures failure-timeline generation: the horizon, the
+// cut rate and the seed. Repair times always follow the §2.2 lognormal
+// (repairMedianH, repairSigma).
 type TimelineOptions struct {
 	// DurationH is the horizon in hours.
 	DurationH float64
 	// CutsPerMonth is the fleet-wide fiber-cut rate (the paper measures
 	// ~16/month on the production backbone; scale to your fiber count).
 	CutsPerMonth float64
-	// RepairMedianH / RepairSigma parameterise the lognormal repair time
-	// (defaults 9h / 0.7655, the §2.2 calibration).
-	RepairMedianH float64
-	RepairSigma   float64
-	Seed          int64
+	Seed         int64
 }
+
+// The §2.2 repair-time calibration: lognormal with a 9 h median and a
+// log-space standard deviation of 0.7655.
+const (
+	repairMedianH = 9
+	repairSigma   = 0.7655
+)
 
 func (o TimelineOptions) withDefaults() TimelineOptions {
 	if o.DurationH <= 0 {
@@ -51,12 +56,6 @@ func (o TimelineOptions) withDefaults() TimelineOptions {
 	}
 	if o.CutsPerMonth <= 0 {
 		o.CutsPerMonth = 4
-	}
-	if o.RepairMedianH <= 0 {
-		o.RepairMedianH = 9
-	}
-	if o.RepairSigma <= 0 {
-		o.RepairSigma = 0.7655
 	}
 	return o
 }
@@ -82,7 +81,7 @@ func GenerateTimeline(nFibers int, opt TimelineOptions) []Event {
 		if downUntil[f] > t {
 			continue // already down
 		}
-		repair := stats.LogNormal(rng, math.Log(opt.RepairMedianH), opt.RepairSigma)
+		repair := stats.LogNormal(rng, math.Log(repairMedianH), repairSigma)
 		up := t + repair
 		downUntil[f] = up
 		events = append(events, Event{TimeH: t, Fiber: f, Up: false})
@@ -313,7 +312,7 @@ func (r *Runner) Run(ctx context.Context, events []Event, durationH float64) *Re
 		if iv.restoring {
 			rep.RestoringHours += dt
 		}
-		rep.Delivered += e.delivered * dt
+		rep.Delivered += float64(e.delivered * dt)
 		if e.delivered >= 0.999 {
 			rep.FullServiceFrac += dt
 		}

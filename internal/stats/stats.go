@@ -169,5 +169,5 @@ func Weibull(rng *rand.Rand, shape, scale float64) float64 {
 
 // LogNormal samples exp(N(mu, sigma)).
 func LogNormal(rng *rand.Rand, mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*rng.NormFloat64())
+	return math.Exp(mu + float64(sigma*rng.NormFloat64()))
 }

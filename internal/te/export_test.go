@@ -61,7 +61,7 @@ func KernelSolves(n *Network, scs []RestorableScenario, ffc1, plain []FailureSce
 		out = append(out, KernelSolve{v.name, bm.m.NumConstrs(), bm.m.NumVars(), sol.Iterations, sol.Basis})
 	}
 
-	m, _, err := teavarModel(n, plain, 0.999, 1e-3)
+	m, _, err := teavarModel(n, plain, 0.999)
 	if err != nil {
 		return nil, err
 	}

@@ -11,17 +11,18 @@ import (
 type TeaVaROptions struct {
 	// Beta is the availability target (e.g. 0.999), the CVaR level.
 	Beta float64
-	// TieBreak is the weight of the healthy-state throughput bonus used to
-	// select among CVaR-optimal allocations (default 1e-3).
-	TieBreak float64
 }
+
+// teavarTieBreak is the weight of the healthy-state throughput bonus that
+// selects among CVaR-optimal allocations.
+const teavarTieBreak = 1e-3
 
 // TeaVaR implements the CVaR-style probabilistic TE of Bogle et al. [17],
 // adapted to this package's scenario model: it chooses tunnel reservations
 // a_{f,t} minimising the Conditional Value-at-Risk, at level beta, of the
 // scenario demand-loss fraction, via the Rockafellar–Uryasev linearisation:
 //
-//	min  theta + 1/(1-beta) * sum_q pbar_q u_q  -  tiebreak * healthy_throughput
+//	min  theta + 1/(1-beta) * sum_q pbar_q u_q  -  teavarTieBreak * healthy_throughput
 //	s.t. u_q >= loss_q - theta, u_q >= 0
 //	     loss_q = 1 - sum_f s_f^q / D
 //	     s_f^q <= d_f,  s_f^q <= sum_{t in T_f^q} a_{f,t}
@@ -40,14 +41,8 @@ func (bl Baselines) TeaVaR(n *Network, scs []FailureScenario, opts *TeaVaROption
 		return nil, err
 	}
 	beta := 0.999
-	tie := 1e-3
-	if opts != nil {
-		if opts.Beta > 0 {
-			beta = opts.Beta
-		}
-		if opts.TieBreak > 0 {
-			tie = opts.TieBreak
-		}
+	if opts != nil && opts.Beta > 0 {
+		beta = opts.Beta
 	}
 	if beta >= 1 {
 		return nil, fmt.Errorf("te: teavar: beta %g must be < 1", beta)
@@ -55,7 +50,7 @@ func (bl Baselines) TeaVaR(n *Network, scs []FailureScenario, opts *TeaVaROption
 	if n.TotalDemand() <= 0 {
 		return bl.MaxThroughput(n)
 	}
-	m, a, err := teavarModel(n, scs, beta, tie)
+	m, a, err := teavarModel(n, scs, beta)
 	if err != nil {
 		return nil, err
 	}
@@ -92,7 +87,7 @@ func (bl Baselines) TeaVaR(n *Network, scs []FailureScenario, opts *TeaVaROption
 // cvar row references its class's variable. The healthy scenario is
 // scenario 0, so class 0 of every flow (the full tunnel set) carries the
 // healthy-throughput bonus. A flow's empty set needs neither: s = 0.
-func teavarModel(n *Network, scs []FailureScenario, beta, tie float64) (*lp.Model, [][]lp.Var, error) {
+func teavarModel(n *Network, scs []FailureScenario, beta float64) (*lp.Model, [][]lp.Var, error) {
 	// Scenario list: healthy first, then failures; probabilities normalised.
 	healthyProb := 1.0
 	for qi, q := range scs {
@@ -141,7 +136,7 @@ func teavarModel(n *Network, scs []FailureScenario, beta, tie float64) (*lp.Mode
 			}
 			obj := 0.0
 			if c == 0 {
-				obj = -tie / D // tie-break toward healthy throughput
+				obj = -teavarTieBreak / D // tie-break toward healthy throughput
 			}
 			s[f][c] = m.AddVar(0, n.Flows[f].Demand, obj, "")
 			row = set.sumOf(row[:0], a[f]).Plus(-1, s[f][c])

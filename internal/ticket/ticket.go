@@ -283,9 +283,9 @@ func RoundProbability(lambda float64, orig, target, delta int) float64 {
 			p += 1 - nonFracUp - nonFracDown
 		}
 		// Up: value clamp(v+x1, 0, orig), x1 in [1,delta].
-		p += nonFracUp * strideHitProb(v, target, delta, orig, +1)
+		p += float64(nonFracUp * strideHitProb(v, target, delta, orig, +1))
 		// Down: value clamp(v-x1, 0, orig).
-		p += nonFracDown * strideHitProb(v, target, delta, orig, -1)
+		p += float64(nonFracDown * strideHitProb(v, target, delta, orig, -1))
 		return p
 	}
 
@@ -293,9 +293,9 @@ func RoundProbability(lambda float64, orig, target, delta int) float64 {
 	up := int(math.Ceil(lambda))
 	down := int(math.Floor(lambda))
 	// Round up: value = clamp(up+offset, 0, orig), offset in [0, delta).
-	p += frac * offsetHitProb(up, target, delta, orig, +1)
+	p += float64(frac * offsetHitProb(up, target, delta, orig, +1))
 	// Round down: value = clamp(down-offset, 0, orig).
-	p += (1 - frac) * offsetHitProb(down, target, delta, orig, -1)
+	p += float64((1 - frac) * offsetHitProb(down, target, delta, orig, -1))
 	return p
 }
 

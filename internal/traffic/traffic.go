@@ -60,7 +60,7 @@ func Generate(opts Options) []Matrix {
 		aff[i] = make([]float64, opts.Sites)
 		for j := range aff[i] {
 			if i != j {
-				aff[i][j] = 0.5 + rng.Float64()
+				aff[i][j] = 0.5 + float64(rng.Float64()) // the inlined draw is a product
 			}
 		}
 	}
@@ -77,12 +77,12 @@ func Generate(opts Options) []Matrix {
 		sum := 0.0
 		for i := 0; i < opts.Sites; i++ {
 			phase := 2 * math.Pi * float64(i) / float64(opts.Sites)
-			di := 1 + 0.3*math.Sin(2*math.Pi*float64(epoch)/4+phase)
+			di := 1 + float64(0.3*math.Sin(float64(2*math.Pi*float64(epoch)/4)+phase))
 			for j := 0; j < opts.Sites; j++ {
 				if i == j {
 					continue
 				}
-				d := w[i] * w[j] * aff[i][j] * di * weekly
+				d := float64(w[i] * w[j] * aff[i][j] * di * weekly)
 				flows = append(flows, te.Flow{Src: i, Dst: j, Demand: d})
 				sum += d
 			}
