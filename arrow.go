@@ -57,6 +57,18 @@ type FiberID int
 // LinkID identifies an IP link (port-channel) within a Network.
 type LinkID int
 
+// ErrInvalidNetwork is the class of every error the Builder returns:
+// malformed input (a site, fiber, length, wave count or path the network
+// cannot have, an SRLG on a missing fiber) and an IP link that cannot be
+// provisioned as asked (an unknown rate, a path beyond its reach, too
+// little continuous spectrum). Test for it with errors.Is.
+var ErrInvalidNetwork = errors.New("arrow: invalid network")
+
+// invalid returns an ErrInvalidNetwork naming op and what is wrong with it.
+func invalid(op, format string, args ...any) error {
+	return fmt.Errorf("%w: %s: %w", ErrInvalidNetwork, op, fmt.Errorf(format, args...))
+}
+
 // Builder assembles a two-layer WAN: ROADM sites joined by fibers, and IP
 // links provisioned as wavelength bundles over fiber paths. Malformed input
 // sets a sticky error, naming it, that every later call returns.
@@ -71,7 +83,7 @@ type Builder struct {
 func NewBuilder(numSites, slotsPerFiber int) *Builder {
 	b := &Builder{net: optical.NewNetwork(numSites, slotsPerFiber)}
 	if numSites <= 0 || slotsPerFiber <= 0 {
-		b.err = fmt.Errorf("arrow: NewBuilder: %d sites, %d slots per fiber: want both > 0", numSites, slotsPerFiber)
+		b.err = invalid("NewBuilder", "%d sites, %d slots per fiber: want both > 0", numSites, slotsPerFiber)
 	}
 	return b
 }
@@ -81,11 +93,11 @@ func NewBuilder(numSites, slotsPerFiber int) *Builder {
 func (b *Builder) check(op string, bad error, sites ...int) error {
 	for _, s := range sites {
 		if b.err == nil && (s < 0 || s >= b.net.NumROADMs) {
-			b.err = fmt.Errorf("arrow: %s: site %d outside [0,%d)", op, s, b.net.NumROADMs)
+			b.err = invalid(op, "site %d outside [0,%d)", s, b.net.NumROADMs)
 		}
 	}
 	if b.err == nil && bad != nil {
-		b.err = fmt.Errorf("arrow: %s: %w", op, bad)
+		b.err = invalid(op, "%w", bad)
 	}
 	return b.err
 }
@@ -106,8 +118,9 @@ func (b *Builder) AddFiber(a, bb int, lengthKm float64) FiberID {
 // AddIPLink provisions an IP link of `waves` wavelengths at gbpsPerWave
 // (must be one of the Table 6 rates: 100, 200, 300, 400) between src and
 // dst, riding the given fiber path from src to dst. Spectrum slots are
-// assigned first-fit with wavelength continuity; a link that does not fit is
-// an error that leaves the Builder usable.
+// assigned first-fit with wavelength continuity. A rate with no modulation,
+// a path beyond the rate's reach and a link that does not fit are
+// ErrInvalidNetwork errors that leave the Builder usable.
 func (b *Builder) AddIPLink(src, dst, waves int, gbpsPerWave float64, path []FiberID) (LinkID, error) {
 	fibers := make([]int, len(path))
 	for i, f := range path {
@@ -122,18 +135,18 @@ func (b *Builder) AddIPLink(src, dst, waves int, gbpsPerWave float64, path []Fib
 	}
 	mod, ok := spectrum.ModulationByRate(gbpsPerWave)
 	if !ok {
-		return -1, fmt.Errorf("arrow: no modulation with rate %g Gbps", gbpsPerWave)
+		return -1, invalid("AddIPLink", "no modulation with rate %g Gbps", gbpsPerWave)
 	}
 	if lenKm := b.net.PathLengthKm(fibers); lenKm > mod.ReachKm {
-		return -1, fmt.Errorf("arrow: path is %.0f km, beyond the %.0f km reach of %s", lenKm, mod.ReachKm, mod.Name)
+		return -1, invalid("AddIPLink", "path is %.0f km, beyond the %.0f km reach of %s", lenKm, mod.ReachKm, mod.Name)
 	}
 	ws := b.net.FirstFit(fibers, mod, waves)
 	if len(ws) < waves {
-		return -1, fmt.Errorf("arrow: only %d of %d wavelengths fit on the path (wavelength continuity)", len(ws), waves)
+		return -1, invalid("AddIPLink", "only %d of %d wavelengths fit on the path (wavelength continuity)", len(ws), waves)
 	}
 	l, err := b.net.Provision(optical.ROADM(src), optical.ROADM(dst), ws)
 	if err != nil {
-		return -1, err
+		return -1, invalid("AddIPLink", "%w", err)
 	}
 	return LinkID(l.ID), nil
 }
@@ -165,12 +178,12 @@ func (b *Builder) Build() (*Network, error) {
 	for _, g := range b.srlgs {
 		for _, f := range g.Fibers {
 			if f < 0 || f >= len(b.net.Fibers) {
-				return nil, fmt.Errorf("arrow: %s: fiber %d outside [0,%d)", g.Name, f, len(b.net.Fibers))
+				return nil, invalid("Build", "%s: fiber %d outside [0,%d)", g.Name, f, len(b.net.Fibers))
 			}
 		}
 	}
 	if err := b.net.Validate(); err != nil {
-		return nil, err
+		return nil, invalid("Build", "%w", err)
 	}
 	return &Network{opt: b.net, srlgs: b.srlgs}, nil
 }

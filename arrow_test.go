@@ -182,18 +182,42 @@ func TestBuilderRejectsMalformedInput(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Errorf("Build() = %v, %v; want an error naming %q", net, err, c.want)
 			}
+			if !errors.Is(err, ErrInvalidNetwork) {
+				t.Errorf("Build() error %v is not an ErrInvalidNetwork", err)
+			}
 		})
 	}
-	// A rate that has no modulation leaves the Builder usable.
-	b := line(3, 8)
-	if _, err := b.AddIPLink(0, 1, 1, 150, []FiberID{0}); err == nil {
-		t.Error("a 150 Gbps wavelength was accepted")
-	}
-	if _, err := b.AddIPLink(0, 2, 2, 100, []FiberID{0, 1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Build(); err != nil {
-		t.Fatalf("a well-formed network after a rejected rate: %v", err)
+	// An IP link that cannot be provisioned as asked is rejected by
+	// AddIPLink alone and leaves the Builder usable.
+	for _, c := range []struct {
+		name string
+		add  func(b *Builder) error
+		want string
+	}{
+		{"unknown rate", func(b *Builder) error { _, err := b.AddIPLink(0, 1, 1, 150, []FiberID{0}); return err }, "no modulation with rate 150 Gbps"},
+		{"beyond reach", func(b *Builder) error {
+			long := b.AddFiber(0, 2, 2000)
+			_, err := b.AddIPLink(0, 2, 1, 400, []FiberID{long})
+			return err
+		}, "beyond the 1000 km reach of 400G"},
+		{"continuity", func(b *Builder) error { _, err := b.AddIPLink(0, 1, 20, 100, []FiberID{0}); return err }, "wavelength continuity"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			b := line(3, 8)
+			err := c.add(b)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("AddIPLink = %v; want an error naming %q", err, c.want)
+			}
+			if !errors.Is(err, ErrInvalidNetwork) {
+				t.Errorf("AddIPLink error %v is not an ErrInvalidNetwork", err)
+			}
+			if _, err := b.AddIPLink(0, 2, 2, 100, []FiberID{0, 1}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := b.Build(); err != nil {
+				t.Fatalf("a well-formed network after a rejected link: %v", err)
+			}
+		})
 	}
 }
 

@@ -133,7 +133,22 @@ func availabilitySweep(cfg Config, name string) (*sweepData, error) {
 	return e.d, e.err
 }
 
-func computeSweep(cfg Config, name string) (*sweepData, error) {
+// sweepGrid is one availability sweep's instance: the pipeline, one base
+// network per traffic matrix, the demand scales and the (matrix, scale,
+// scheme) cells, each an independent TE solve. Every cell of a matrix is
+// solved on a Scaled copy of its base network, so all of them share the
+// base's demand-independent half (te.NewNetwork).
+type sweepGrid struct {
+	pl     *Pipeline
+	bases  []*te.Network
+	scales []float64
+	cells  []sweepCell
+}
+
+// sweepCell indexes the grid's bases, scales and AllSchemes().
+type sweepCell struct{ mi, si, zi int }
+
+func newSweepGrid(cfg Config, name string) (*sweepGrid, error) {
 	p := paramsFor(name, cfg.Fast)
 	tp, err := topo.ByName(name, cfg.Seed+5)
 	if err != nil {
@@ -149,47 +164,50 @@ func computeSweep(cfg Config, name string) (*sweepData, error) {
 		Sites: tp.NumRouters(), Count: p.matrices, MaxFlows: p.maxFlows,
 		TotalGbps: 1, Seed: cfg.Seed + 7,
 	})
-	scales := []float64{1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 7.0}
+	g := &sweepGrid{pl: pl, bases: make([]*te.Network, len(ms)), scales: []float64{1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 7.0}}
 	if !cfg.Fast {
-		scales = []float64{1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 5.0, 6.0, 7.0}
+		g.scales = []float64{1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 5.0, 6.0, 7.0}
 	}
-	d := &sweepData{scales: scales, avail: map[Scheme][]float64{}}
-	for _, s := range AllSchemes() {
-		d.avail[s] = make([]float64, len(scales))
-	}
-
-	// The (matrix, scale, scheme) grid cells are independent TE solves:
-	// fan them out, then reduce in the sequential path's exact iteration
-	// order so the floating-point sums are bit-identical to Parallelism 1.
-	bases := make([]*te.Network, len(ms))
 	for mi, m := range ms {
-		if bases[mi], err = pl.BaseNetwork(m, p.tunnels); err != nil {
+		if g.bases[mi], err = pl.BaseNetwork(m, p.tunnels); err != nil {
 			return nil, err
 		}
-	}
-	schemes := AllSchemes()
-	type cell struct{ mi, si, zi int }
-	var jobs []cell
-	for mi := range ms {
-		for si := range scales {
-			for zi := range schemes {
-				jobs = append(jobs, cell{mi, si, zi})
+		for si := range g.scales {
+			for zi := range AllSchemes() {
+				g.cells = append(g.cells, sweepCell{mi, si, zi})
 			}
 		}
 	}
-	avails, err := par.Map(cfg.ctx(), cfg.Parallelism, len(jobs), func(_ context.Context, j int) (float64, error) {
-		c := jobs[j]
-		a, _, err := pl.SchemeAvailability(schemes[c.zi], bases[c.mi], scales[c.si])
+	return g, nil
+}
+
+func computeSweep(cfg Config, name string) (*sweepData, error) {
+	g, err := newSweepGrid(cfg, name)
+	if err != nil {
+		return nil, err
+	}
+	d := &sweepData{scales: g.scales, avail: map[Scheme][]float64{}}
+	schemes := AllSchemes()
+	for _, s := range schemes {
+		d.avail[s] = make([]float64, len(g.scales))
+	}
+
+	// The grid cells are independent TE solves: fan them out, then reduce
+	// in the sequential path's exact iteration order so the floating-point
+	// sums are bit-identical to Parallelism 1.
+	avails, err := par.Map(cfg.ctx(), cfg.Parallelism, len(g.cells), func(_ context.Context, j int) (float64, error) {
+		c := g.cells[j]
+		a, _, err := g.pl.SchemeAvailability(schemes[c.zi], g.bases[c.mi], g.scales[c.si])
 		if err != nil {
-			return 0, fmt.Errorf("%s matrix %d: %s at scale %g: %w", name, c.mi, schemes[c.zi], scales[c.si], err)
+			return 0, fmt.Errorf("%s matrix %d: %s at scale %g: %w", name, c.mi, schemes[c.zi], g.scales[c.si], err)
 		}
 		return a, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for j, c := range jobs {
-		d.avail[schemes[c.zi]][c.si] += avails[j] / float64(len(ms))
+	for j, c := range g.cells {
+		d.avail[schemes[c.zi]][c.si] += avails[j] / float64(len(g.bases))
 	}
 	return d, nil
 }

@@ -59,18 +59,13 @@ func CheckCertificate(c *Certificate, tol float64) error {
 	return nil
 }
 
-// certificate computes the optimality certificate of the final basis. It
-// runs once per optimal solve, after the last pivot: one BTRAN plus one
-// pass over the columns, and it never mutates solver state, so attaching
-// it cannot change the pivot sequence or the returned solution.
+// certificate computes the optimality certificate of the final basis off
+// the duals finalDuals left in sx.y. It runs once per optimal solve, after
+// the last pivot: one pass over the columns, and it never mutates solver
+// state, so attaching it cannot change the pivot sequence or the returned
+// solution.
 func (sx *simplex) certificate() *Certificate {
-	// Basis duals in the internal minimisation sense (pooled scratch: the
-	// pivot loop has finished by the time the certificate runs).
-	cb, y := sx.cb, sx.y
-	for pos, j := range sx.basisOf {
-		cb[pos] = sx.cost[j]
-	}
-	sx.btran(cb, y)
+	y := sx.y
 
 	// Primal residual: equality rows A x = b over every column (artificials
 	// included — they are pinned to zero after phase 1, so any leftover

@@ -634,6 +634,7 @@ func (sx *simplex) phases(runPhase1 bool) (*Solution, error) {
 	sol := &Solution{Status: st, X: sx.extract(), Iterations: sx.iters, Warm: sx.warm}
 	sol.Objective = sx.m.ObjValue(sol.X)
 	if st == StatusOptimal {
+		sx.finalDuals()
 		sol.Duals = sx.duals()
 		sol.Cert = sx.certificate()
 		sx.cert = sol.Cert
@@ -666,15 +667,22 @@ func (sx *simplex) exportBasis() *Basis {
 	return b
 }
 
-// duals computes the shadow prices y = B^-T c_B of the final basis,
-// converted to the model's own optimisation sense.
-func (sx *simplex) duals() []float64 {
+// finalDuals computes y = B^-T c_B of the final basis into sx.y (pooled
+// scratch: the pivot loop has finished), in the internal minimisation
+// sense, for duals and certificate to read: one BTRAN per optimal solve.
+func (sx *simplex) finalDuals() {
 	cb := sx.cb
 	for pos, j := range sx.basisOf {
 		cb[pos] = sx.cost[j]
 	}
+	sx.btran(cb, sx.y)
+}
+
+// duals returns the shadow prices finalDuals left in sx.y, converted to
+// the model's own optimisation sense.
+func (sx *simplex) duals() []float64 {
 	y := make([]float64, sx.nRow)
-	sx.btran(cb, y)
+	copy(y, sx.y)
 	if sx.m.maximize {
 		for i := range y {
 			y[i] = -y[i]

@@ -33,8 +33,8 @@ type baseModel struct {
 	// post-solve sensitivity harvesting.
 	capRows []CapRow
 	// cross[e] lists the tunnels that traverse link e, ascending (f, ti),
-	// each once however often it revisits e: the incidence the ARROW
-	// builders read instead of rescanning flows x tunnels x links.
+	// each once however often it revisits e: n.incidence(), read-only, as
+	// it may be shared by every solve of the network.
 	cross [][]tunnelRef
 	row   lp.Expr // the scratch every row is assembled in; AddConstr copies it
 }
@@ -55,7 +55,7 @@ func newBaseModel(name string, n *Network) *baseModel { return baseModelLike(nam
 // by flow, so Arrow works them out once for its three models.
 func baseModelLike(name string, n *Network, like *baseModel) *baseModel {
 	if like == nil {
-		like = &baseModel{a: make([][]lp.Var, len(n.Flows)), b: make([]lp.Var, len(n.Flows)), cross: crossOf(n)}
+		like = &baseModel{a: make([][]lp.Var, len(n.Flows)), b: make([]lp.Var, len(n.Flows)), cross: n.incidence()}
 		v := lp.Var(0)
 		for f, ts := range n.Tunnels {
 			like.b[f], like.a[f] = v, make([]lp.Var, len(ts))
@@ -254,7 +254,7 @@ func MaxConcurrentScale(n *Network) (float64, error) {
 		row = row.Plus(-n.Flows[f].Demand, s)
 		m.AddConstr(row, lp.GE, 0, "")
 	}
-	for e, refs := range crossOf(n) {
+	for e, refs := range n.incidence() {
 		if len(refs) > 0 {
 			row = capRow(row[:0], n, e, refs, a)
 			m.AddConstr(row, lp.LE, n.LinkCap[e], "")

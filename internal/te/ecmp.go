@@ -15,20 +15,26 @@ func (bl Baselines) ECMP(n *Network) (*Allocation, error) {
 	}
 	m := newModel("ecmp", true)
 	b := make([]lp.Var, len(n.Flows))
-	linkLoad := make([]lp.Expr, len(n.LinkCap))
 	for f, fl := range n.Flows {
 		b[f] = m.AddVar(0, fl.Demand, 1, "")
-		share := 1.0 / float64(len(n.Tunnels[f]))
-		for _, t := range n.Tunnels[f] {
-			for _, e := range t.Links {
-				linkLoad[e] = linkLoad[e].Plus(share, b[f])
+	}
+	// Link e's load is share_f * b_f once per crossing of e, in ascending
+	// (f, t) order off the incidence, which AddConstr sums per flow.
+	var row lp.Expr
+	for e, refs := range n.incidence() {
+		if len(refs) == 0 {
+			continue
+		}
+		row = row[:0]
+		for _, c := range refs {
+			share := 1.0 / float64(len(n.Tunnels[c.f]))
+			for _, l := range n.Tunnels[c.f][c.ti].Links {
+				if l == e {
+					row = row.Plus(share, b[c.f])
+				}
 			}
 		}
-	}
-	for e, expr := range linkLoad {
-		if len(expr) > 0 {
-			m.AddConstr(expr, lp.LE, n.LinkCap[e], "")
-		}
+		m.AddConstr(row, lp.LE, n.LinkCap[e], "")
 	}
 	sol, err := solveModel(m, m.Name(), lp.SlackBasis(m), bl.LP, nil)
 	if err != nil {

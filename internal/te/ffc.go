@@ -35,7 +35,7 @@ func (bl Baselines) FFC(n *Network, scs []FailureScenario) (*Allocation, error) 
 // guarantee is vacuous, and pre-emptively zeroing the flow would punish it
 // in every OTHER scenario too.
 func addResidualGuarantees(bm *baseModel, n *Network, scs []FailureScenario) {
-	rc := classifyResiduals(n, scs, false)
+	rc := n.residuals(scs, false)
 	for f, sets := range rc.sets {
 		for c, set := range sets {
 			if c == 0 || set.empty() || !minimalAmong(sets, c) {

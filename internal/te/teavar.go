@@ -117,7 +117,7 @@ func teavarModel(n *Network, scs []FailureScenario, beta float64) (*lp.Model, []
 		}
 	}
 	var row lp.Expr
-	for e, refs := range crossOf(n) {
+	for e, refs := range n.incidence() {
 		if len(refs) > 0 {
 			row = capRow(row[:0], n, e, refs, a)
 			m.AddConstr(row, lp.LE, n.LinkCap[e], "")
@@ -125,7 +125,7 @@ func teavarModel(n *Network, scs []FailureScenario, beta float64) (*lp.Model, []
 	}
 	theta := m.AddVar(-lp.Inf, lp.Inf, 1, "")
 
-	rc := classifyResiduals(n, scens, true)
+	rc := n.residuals(scens, true)
 	s := make([][]lp.Var, len(n.Flows))
 	for f, sets := range rc.sets {
 		s[f] = make([]lp.Var, len(sets))

@@ -39,11 +39,16 @@ type Tunnel struct {
 }
 
 // Network is the standard TE input (Table 1): IP links with capacities,
-// flows with demands, and each flow's tunnel set.
+// flows with demands, and each flow's tunnel set. Its tunnels and its number
+// of links are read-only once it has been solved: a network built by
+// NewNetwork keeps what its solves build from them (the tunnel–link
+// incidence and the residual classes of each scenario list) and shares it
+// with its Scaled copies. Demands and capacities may change between solves.
 type Network struct {
 	LinkCap []float64  // c_e, by IP link ID
 	Flows   []Flow     // F
 	Tunnels [][]Tunnel // T_f, indexed by flow
+	half    *tunnelHalf
 }
 
 // Validate checks referential integrity of the instance and that every
@@ -89,9 +94,10 @@ func (n *Network) TotalDemand() float64 {
 	return s
 }
 
-// Scaled returns a copy of the network with all demands multiplied by s.
+// Scaled returns a copy of the network with all demands multiplied by s. The
+// copy shares n's links, tunnels and demand-independent half.
 func (n *Network) Scaled(s float64) *Network {
-	c := &Network{LinkCap: n.LinkCap, Tunnels: n.Tunnels, Flows: make([]Flow, len(n.Flows))}
+	c := &Network{LinkCap: n.LinkCap, Tunnels: n.Tunnels, Flows: make([]Flow, len(n.Flows)), half: n.half}
 	copy(c.Flows, n.Flows)
 	for i := range c.Flows {
 		c.Flows[i].Demand *= s

@@ -171,9 +171,11 @@ func (t *Topology) tunnels(src, dst, k int, linkFibers [][]int, usedFiber []bool
 	return out
 }
 
-// TENetwork assembles the te.Network for the given flows.
+// TENetwork assembles the te.Network for the given flows, with the holder
+// that lets its solves and its Scaled copies share their demand-independent
+// half (te.NewNetwork).
 func (t *Topology) TENetwork(flows []te.Flow, tunnelsPerFlow int) (*te.Network, error) {
-	n := &te.Network{LinkCap: t.LinkCaps(), Flows: flows, Tunnels: make([][]te.Tunnel, len(flows))}
+	n := te.NewNetwork(t.LinkCaps(), flows, make([][]te.Tunnel, len(flows)))
 	linkFibers, usedFiber := t.LinkFibers(), make([]bool, len(t.Opt.Fibers))
 	for i, f := range flows {
 		ts := t.tunnels(f.Src, f.Dst, tunnelsPerFlow, linkFibers, usedFiber)
