@@ -45,8 +45,9 @@
 // stored, in one arena, and every refactorisation reuses the same factor
 // storage, so the pivot loop allocates nothing in steady state. The arena,
 // the factors and every per-solve vector belong to a workspace that outlives
-// the solve: Solve and SolveWithBasis take one from a pool and re-size it for
-// the model at hand, and nothing they return shares memory with it.
+// the solve: SolveInto, behind Solve and SolveWithBasis, takes one from a
+// pool and re-sizes it for the model at hand, and nothing it returns shares
+// memory with it.
 //
 // # An iteration costs what changed
 //
@@ -125,6 +126,28 @@
 // At optimality the shadow prices y = B^-T c_B are reported per constraint
 // in the model's own sense (see Solution.Duals); complementary slackness
 // and finite-difference consistency are covered by tests.
+//
+// # Who owns a Solution
+//
+// The caller does. Solve and SolveWithBasis return a new one; SolveInto fills
+// the one it is handed and returns it, so a caller that reads each answer and
+// drops it before the next solve hands the same Solution to every solve, and
+// X, Duals and Basis are written into the arrays that Solution holds from
+// the solves before, which leaves them allocation-free once they have
+// reached the size of the largest model solved. The offline stage's RWA LP
+// (one Solution per scratch), the TE baselines and an uncaptured Phase II (a
+// pool in package te) solve this way, and so does the column-generation
+// master, whose re-solves alternate between two Solutions because each
+// starts from the basis of the one before: a start basis that is the
+// destination's own Basis panics. A captured Phase II, whose Basis and Duals
+// the sensitivity handle keeps, solves into a new one.
+// Everything else in a Solution is written afresh on every solve: Status,
+// Objective and Iterations, and the Certificate, WarmInfo and HealthReport,
+// which are new objects each time, so a caller may keep them past the next
+// solve (allocations keep their certificate, RWA results their warm info
+// and health, the ledger both). A solve that does not end optimal sets
+// Duals, Basis and Cert to nil. None of this changes a pivot: the fill reads
+// the solver's state after its last one.
 //
 // # Validation
 //

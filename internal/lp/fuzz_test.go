@@ -126,7 +126,9 @@ func solveKernel(t *testing.T, m *Model, basis *Basis, dense bool, rng *rand.Ran
 // FuzzSimplexKernel solves random sparse LPs with the pivot loop's patterns
 // and with every pass over all rows, cold, from the slack basis and, extended
 // as resolveLP extends them, from their optimal basis (the dual simplex's
-// start), and wants the same pivots, basis and bits.
+// start), and wants the same pivots, basis and bits. Each solve is taken a
+// third time through SolveInto, into one Solution that every solve of the
+// input before has filled, and wants the same Solution.
 func FuzzSimplexKernel(f *testing.F) {
 	for seed := int64(0); seed < 24; seed++ {
 		f.Add(seed, uint8(seed*37))
@@ -138,6 +140,7 @@ func FuzzSimplexKernel(f *testing.F) {
 		if rm, rb := resolveLP(t, seed, shape, uint8(seed)); rm != nil {
 			models, bases = append(models, rm), append(bases, rb)
 		}
+		reused := new(Solution)
 		for k, basis := range bases {
 			m := models[k]
 			got, gotSteps := solveKernel(t, m, basis, false, rng)
@@ -155,6 +158,12 @@ func FuzzSimplexKernel(f *testing.F) {
 			}
 			if !reflect.DeepEqual(got.Basis, want.Basis) {
 				t.Fatalf("warm=%v: final bases differ", basis != nil)
+			}
+			if _, err := SolveInto(reused, m, basis, nil); err != nil {
+				t.Fatal(err)
+			}
+			if d := solutionDiff(reused, got); d != "" {
+				t.Fatalf("warm=%v: into a reused Solution: %s", basis != nil, d)
 			}
 		}
 	})
@@ -234,7 +243,8 @@ func resolveLP(t *testing.T, seed int64, shape, mode uint8) (*Model, *Basis) {
 // cold, and wants the same status, objectives within 1e-9 relative and
 // certificates that pass; an extension built infeasible must read
 // ErrInfeasible, and a warm re-solve cut short in its dual pivots
-// ErrIterLimit.
+// ErrIterLimit. Both solves are taken again through SolveInto into one
+// Solution, warm then cold, and must fill it as the fresh ones came out.
 func FuzzLPResolve(f *testing.F) {
 	for seed := int64(0); seed < 48; seed++ {
 		f.Add(seed, uint8(seed*37), uint8(seed))
@@ -254,6 +264,18 @@ func FuzzLPResolve(f *testing.F) {
 		}
 		if warm.Status != cold.Status {
 			t.Fatalf("warm %v (%+v), cold %v", warm.Status, warm.Warm, cold.Status)
+		}
+		reused := new(Solution)
+		for _, c := range []struct {
+			basis *Basis
+			want  *Solution
+		}{{basis, warm}, {nil, cold}} {
+			if _, err := SolveInto(reused, m, c.basis, nil); err != nil {
+				t.Fatal(err)
+			}
+			if d := solutionDiff(reused, c.want); d != "" {
+				t.Fatalf("warm=%v: into a reused Solution: %s", c.basis != nil, d)
+			}
 		}
 		if mode%3 == 2 && !errors.Is(warm.Status.Err(), ErrInfeasible) {
 			t.Fatalf("impossible row: warm status %v", warm.Status)

@@ -134,12 +134,44 @@ func (o *Options) withDefaults(rows, cols int) Options {
 // solution. A non-nil error indicates an internal numerical failure, not
 // infeasibility: infeasible and unbounded models are reported via Status.
 func Solve(m *Model, opts *Options) (*Solution, error) {
+	return SolveInto(new(Solution), m, nil, opts)
+}
+
+// SolveInto solves m (cold for a nil basis, else as SolveWithBasis does) into
+// dst and returns dst. It is the one entry point behind Solve and
+// SolveWithBasis: a caller that reads a Solution and drops it before its
+// next solve passes the same dst every time, and the solve writes X, Duals
+// and Basis into the backing arrays dst holds from the solves before, so a
+// caller solving many models of a size allocates none of the three after the
+// first. Every other field is overwritten: Cert, Warm and Health are fresh
+// objects on every solve, which the caller may keep past the next one; a
+// solve that does not end optimal leaves Duals, Basis and Cert nil (their
+// arrays go with them). On a non-nil error dst holds no answer and nil is
+// returned. basis must not be dst.Basis, which the solve overwrites (a
+// column-generation loop that warm-starts from its last basis alternates two
+// Solutions); SolveInto panics when it is.
+func SolveInto(dst *Solution, m *Model, basis *Basis, opts *Options) (*Solution, error) {
+	if basis != nil && basis == dst.Basis {
+		panic("lp: SolveInto from dst.Basis, which the solve overwrites")
+	}
 	sx := simplexPool.Get()
 	defer sx.release()
 	if err := sx.init(m, opts); err != nil {
 		return nil, err
 	}
-	return sx.run()
+	sx.dst = dst
+	var err error
+	if basis == nil {
+		_, err = sx.solve()
+	} else {
+		_, err = sx.solveWarm(basis)
+	}
+	if err != nil {
+		return nil, err
+	}
+	sx.attachHealth(dst)
+	sx.flushMetrics()
+	return dst, nil
 }
 
 // variable statuses within the simplex
@@ -161,13 +193,15 @@ const (
 // A simplex is also the solver's workspace: init sizes every slice below for
 // the model at hand out of what the previous solve left, so a simplex that
 // has solved a model of some size solves the next one of that size without
-// allocating working memory. Solve and SolveWithBasis pass simplexes to each
-// other through simplexPool. The rule that makes this safe: nothing a solve
+// allocating working memory. SolveInto passes simplexes from one solve to the
+// next through simplexPool. The rule that makes this safe: nothing a solve
 // returns (Solution, Basis, Certificate, WarmInfo, HealthReport) shares
-// memory with the simplex that produced it.
+// memory with the simplex that produced it. The simplex points at the
+// caller's Solution (dst) only while it fills it; release drops the pointer.
 type simplex struct {
 	opt  Options
 	m    *Model
+	dst  *Solution
 	nRow int
 	nStr int // structural variables
 	nTot int // structural + slacks + artificials
@@ -306,7 +340,7 @@ var simplexPool pool.Free[simplex]
 // release returns the workspace to the pool, dropping what it holds of the
 // caller's (model, recorder) and of the solution it produced.
 func (sx *simplex) release() {
-	sx.m, sx.opt.Recorder = nil, nil
+	sx.m, sx.opt.Recorder, sx.dst = nil, nil, nil
 	sx.warm, sx.cert, sx.health = nil, nil, nil
 	simplexPool.Put(sx)
 }
@@ -475,15 +509,6 @@ func initialValue(lb, ub float64) (float64, int8) {
 	}
 }
 
-func (sx *simplex) run() (*Solution, error) {
-	sol, err := sx.solve()
-	if err == nil {
-		sx.attachHealth(sol)
-		sx.flushMetrics()
-	}
-	return sol, err
-}
-
 // flushMetrics reports the solve's accumulated counters to the recorder in
 // one batch (no-op without one).
 func (sx *simplex) flushMetrics() {
@@ -609,10 +634,10 @@ func (sx *simplex) phases(runPhase1 bool) (*Solution, error) {
 			return nil, err
 		}
 		if st == StatusIterLimit {
-			return &Solution{Status: StatusIterLimit, X: sx.extract(), Iterations: sx.iters, Warm: sx.warm}, nil
+			return sx.fill(StatusIterLimit), nil
 		}
 		if sx.artificialSum() > feasTol*10 {
-			return &Solution{Status: StatusInfeasible, X: sx.extract(), Iterations: sx.iters, Warm: sx.warm}, nil
+			return sx.fill(StatusInfeasible), nil
 		}
 	}
 	// Pin artificials to zero for phase 2. (On a warm start that skipped
@@ -631,28 +656,48 @@ func (sx *simplex) phases(runPhase1 bool) (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}
-	sol := &Solution{Status: st, X: sx.extract(), Iterations: sx.iters, Warm: sx.warm}
+	sol := sx.fill(st)
 	sol.Objective = sx.m.ObjValue(sol.X)
-	if st == StatusOptimal {
-		sx.finalDuals()
-		sol.Duals = sx.duals()
-		sol.Cert = sx.certificate()
-		sx.cert = sol.Cert
-		sol.Basis = sx.exportBasis()
-	}
 	return sol, nil
 }
 
-// exportBasis snapshots the final basis in portable form. A basic
-// artificial (possible after a degenerate phase 1) sits at numerical zero
-// and its column is a ± unit column of its row — structurally the row's
-// slack — so it is exported as slack-basic and the importer rebuilds an
-// equivalent basis.
-func (sx *simplex) exportBasis() *Basis {
-	b := &Basis{
-		VarStatus: make([]BasisStatus, sx.nStr),
-		RowStatus: make([]BasisStatus, sx.nRow),
+// fill writes the solve's outcome into sx.dst and returns it: the status,
+// the pivot count, the warm-start record and X, and at StatusOptimal the
+// duals, certificate and basis of the final basis. X, Duals and Basis reuse
+// what dst holds; every other field is set afresh (Objective to 0, which
+// phases overwrites where the solve reached the end of phase 2). A simplex
+// solving outside SolveInto fills a new Solution.
+func (sx *simplex) fill(st Status) *Solution {
+	if sx.dst == nil {
+		sx.dst = new(Solution)
 	}
+	sol := sx.dst
+	sol.Status, sol.Objective, sol.Iterations = st, 0, sx.iters
+	sol.X = sx.extract(sol.X)
+	sol.Warm, sol.Health = sx.warm, nil
+	if st != StatusOptimal {
+		sol.Duals, sol.Cert, sol.Basis = nil, nil, nil
+		return sol
+	}
+	sx.finalDuals()
+	sol.Duals = sx.duals(sol.Duals)
+	sol.Cert = sx.certificate()
+	sx.cert = sol.Cert
+	sol.Basis = sx.exportBasis(sol.Basis)
+	return sol
+}
+
+// exportBasis snapshots the final basis in portable form into b (a new
+// Basis when b is nil) and returns it. A basic artificial (possible after a
+// degenerate phase 1) sits at numerical zero and its column is a ± unit
+// column of its row — structurally the row's slack — so it is exported as
+// slack-basic and the importer rebuilds an equivalent basis.
+func (sx *simplex) exportBasis(b *Basis) *Basis {
+	if b == nil {
+		b = new(Basis)
+	}
+	b.VarStatus = zeroed(b.VarStatus, sx.nStr)
+	b.RowStatus = zeroed(b.RowStatus, sx.nRow)
 	for j := 0; j < sx.nStr; j++ {
 		b.VarStatus[j] = exportStatus(sx.status[j])
 	}
@@ -678,10 +723,10 @@ func (sx *simplex) finalDuals() {
 	sx.btran(cb, sx.y)
 }
 
-// duals returns the shadow prices finalDuals left in sx.y, converted to
-// the model's own optimisation sense.
-func (sx *simplex) duals() []float64 {
-	y := make([]float64, sx.nRow)
+// duals writes the shadow prices finalDuals left in sx.y into y, resized,
+// converted to the model's own optimisation sense.
+func (sx *simplex) duals(y []float64) []float64 {
+	y = zeroed(y, sx.nRow)
 	copy(y, sx.y)
 	if sx.m.maximize {
 		for i := range y {
@@ -725,10 +770,11 @@ func (sx *simplex) noteArt(j int) {
 	}
 }
 
-func (sx *simplex) extract() []float64 {
-	out := make([]float64, sx.nStr)
+// extract writes the structural values into out, resized, each snapped to
+// zero when tiny and clamped to its bounds.
+func (sx *simplex) extract(out []float64) []float64 {
+	out = zeroed(out, sx.nStr)
 	copy(out, sx.x[:sx.nStr])
-	// Snap tiny residues and clamp to bounds for cleanliness.
 	for j := range out {
 		if math.Abs(out[j]) < 1e-11 {
 			out[j] = 0

@@ -174,20 +174,7 @@ func (b *Basis) ResetSlack(m *Model) {
 // re-solves (the attribution pass re-solves a perturbed-RHS model dozens of
 // times from the same final phase-II basis).
 func SolveWithBasis(m *Model, basis *Basis, opts *Options) (*Solution, error) {
-	if basis == nil {
-		return Solve(m, opts)
-	}
-	sx := simplexPool.Get()
-	defer sx.release()
-	if err := sx.init(m, opts); err != nil {
-		return nil, err
-	}
-	sol, err := sx.solveWarm(basis)
-	if err == nil {
-		sx.attachHealth(sol)
-		sx.flushMetrics()
-	}
-	return sol, err
+	return SolveInto(new(Solution), m, basis, opts)
 }
 
 // solveWarm runs one warm-started solve: install + repair the basis, skip
@@ -222,7 +209,7 @@ func (sx *simplex) solveWarm(wb *Basis) (*Solution, error) {
 			if st == StatusOptimal {
 				return sx.phases(false)
 			}
-			return &Solution{Status: st, X: sx.extract(), Iterations: sx.iters, Warm: wi}, nil
+			return sx.fill(st), nil
 		}
 	}
 	// Selective repair: when every out-of-bound basic is a row slack — the

@@ -17,6 +17,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -417,15 +418,13 @@ func (s *stage) scenario(si int) (artifacts, error) {
 		}
 	}
 	a := artifacts{res: res, tickets: []ticket.Ticket{naive}}
-	seen := map[string]bool{naive.Key(): true}
 	if len(warm) > 0 {
 		// Compositional candidate: the union of the constituent single-cut
 		// restorations, restricted to the combined cut's spectrum. It rides
 		// directly behind the naive seed so the colgen master starts from
 		// the composed plan instead of pricing it in.
 		obs.Add(s.rec, "scenario.warm_from_singles", 1)
-		if tk, ok := ticket.Compose(res, cut, s.waves); ok && !seen[tk.Key()] {
-			seen[tk.Key()] = true
+		if tk, ok := ticket.Compose(res, cut, s.waves); ok && !slices.Equal(tk.Waves, naive.Waves) {
 			a.tickets = append(a.tickets, tk)
 			a.seeds = 2
 		}
@@ -445,8 +444,12 @@ func (s *stage) scenario(si int) (artifacts, error) {
 			Scenario:         si,
 		})
 		endTickets()
+		// Generate dedupes what it rolls; a rolled ticket may still repeat a
+		// seed (the naive or the composed one).
+		seeds := a.tickets
 		for _, tk := range rolled {
-			if !seen[tk.Key()] {
+			isSeed := func(sd ticket.Ticket) bool { return slices.Equal(sd.Waves, tk.Waves) }
+			if !slices.ContainsFunc(seeds, isSeed) {
 				a.tickets = append(a.tickets, tk)
 			}
 		}

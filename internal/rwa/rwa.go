@@ -199,6 +199,7 @@ type scratch struct {
 	// optBase[o]+k, and link li's options are optBase[linkOpt[li]:linkOpt[li+1]].
 	model   *lp.Model
 	basis   lp.Basis
+	sol     lp.Solution // the model's solution, read before the next solve
 	optBase []int
 	linkOpt []int
 	// addGroupRows' input (entry i is variable vars[i] in bucket keys[i])
@@ -618,7 +619,7 @@ func (sc *scratch) solveAssignmentLP(req *Request, res *Result) error {
 			obs.Add(req.Recorder, "rwa.compose_adopted", int64(res.ComposedVars))
 		}
 	}
-	sol, err := lp.SolveWithBasis(m, basis, lpo)
+	sol, err := lp.SolveInto(&sc.sol, m, basis, lpo)
 	if err != nil {
 		return fmt.Errorf("rwa assignment LP: %w", err)
 	}

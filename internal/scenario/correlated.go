@@ -2,8 +2,9 @@ package scenario
 
 import (
 	"container/heap"
-	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 
 	"github.com/arrow-te/arrow/internal/obs"
 )
@@ -201,6 +202,7 @@ func EnumerateCorrelated(failProb []float64, groups []Group, opt EnumOptions) *S
 		covered    = healthy
 		byCut      = map[string]int{}
 		cutScratch = make([]int, 0, 8)
+		keyScratch []byte // the cut's fibers, each followed by a comma: byCut's key
 	)
 	push := func(c *candidate) {
 		canonical(c)
@@ -223,22 +225,23 @@ func EnumerateCorrelated(failProb []float64, groups []Group, opt EnumOptions) *S
 			}
 		}
 		sort.Ints(cutScratch)
-		cut := cutScratch[:0:0]
-		for i, f := range cutScratch {
-			if i == 0 || f != cutScratch[i-1] {
+		cut := cutScratch[:0]
+		keyScratch = keyScratch[:0]
+		for _, f := range cutScratch {
+			if len(cut) == 0 || f != cut[len(cut)-1] {
 				cut = append(cut, f)
+				keyScratch = append(strconv.AppendInt(keyScratch, int64(f), 10), ',')
 			}
 		}
-		key := fmt.Sprint(cut)
-		if idx, ok := byCut[key]; ok {
+		if idx, ok := byCut[string(keyScratch)]; ok {
 			s.Scenarios[idx].Prob += c.prob // merge overlapping expansions
 		} else {
 			if opt.MaxEnumerated > 0 && len(s.Scenarios) >= opt.MaxEnumerated {
 				pruned++
 				return false
 			}
-			byCut[key] = len(s.Scenarios)
-			s.Scenarios = append(s.Scenarios, Scenario{Cut: cut, Prob: c.prob})
+			byCut[string(keyScratch)] = len(s.Scenarios)
+			s.Scenarios = append(s.Scenarios, Scenario{Cut: slices.Clone(cut), Prob: c.prob})
 		}
 		covered += c.prob
 		return !(opt.TargetMass > 0 && covered >= opt.TargetMass)

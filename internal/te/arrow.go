@@ -326,11 +326,14 @@ func ArrowPhase1(n *Network, scs []RestorableScenario, opts *ArrowOptions) ([]in
 }
 
 // phase1Master is a solved Phase I master on its canonical vertex: the
-// model as the solve left it and the pivots every solve behind it took.
+// model as the solve left it, its solution and the pivots every solve behind
+// it took. The master's solves alternate between two pooled Solutions, as
+// each warm-starts from the basis of the one before; sol is the last one's,
+// spare the other.
 type phase1Master struct {
-	bm    *baseModel
-	sol   *lp.Solution
-	iters int
+	bm         *baseModel
+	sol, spare *lp.Solution
+	iters      int
 }
 
 // phase1Winners solves Phase I as the column-generation master, picks the
@@ -349,6 +352,8 @@ func phase1Winners(n *Network, v *splitView, opts *ArrowOptions) ([]int, SolveSt
 	}
 	stats := SolveStats{Phase1Vars: pm.bm.m.NumVars(), Phase1Rows: pm.bm.m.NumConstrs(), Phase1Iters: pm.iters}
 	winners := pickWinners(v, pm.sol.X)
+	solutionPool.Put(pm.sol)
+	solutionPool.Put(pm.spare)
 	modelPool.Put(pm.bm.m)
 	return winners, stats, pm.bm, nil
 }
@@ -381,6 +386,15 @@ func ArrowPhase2(n *Network, scs []RestorableScenario, winners []int, opts *Arro
 	return al, nil
 }
 
+// rowName is fmt.Sprintf(format, a, b) for a model whose row names are
+// read, and "" (ConstrName's c<index>) otherwise.
+func rowName(named bool, format string, a, b int) string {
+	if !named {
+		return ""
+	}
+	return fmt.Sprintf(format, a, b)
+}
+
 // checkWinners reports winners that do not name one ticket of each
 // scenario.
 func checkWinners(scs []RestorableScenario, winners []int) error {
@@ -403,6 +417,8 @@ func arrowPhase2(n *Network, v *splitView, winners []int, opts *ArrowOptions, li
 	defer opts.profiler().Stage("te.phase2")()
 	bm := baseModelLike("arrow-phase2", n, like)
 	row := bm.row
+	// Only attribution reads the rows' names, off the captured model.
+	capture := opts.captureSensitivity()
 	for qi := range scs {
 		q := &scs[qi]
 		z := winners[qi]
@@ -412,26 +428,35 @@ func arrowPhase2(n *Network, v *splitView, winners []int, opts *ArrowOptions, li
 			ft := &v.touched[qi][j]
 			if _, sp := ft.split(s); sp.cover {
 				row = ft.coverRow(row[:0], sp)
-				bm.m.AddConstr(row, lp.GE, 0, fmt.Sprintf("p2cover_f%d_q%d", ft.f, qi))
+				bm.m.AddConstr(row, lp.GE, 0, rowName(capture, "p2cover_f%d_q%d", ft.f, qi))
 			}
 		}
 		// Constraint (11): hard restored-capacity limits.
 		for i, link := range q.FailedLinks {
 			if row = appendLoad(row[:0], v.load(qi, s, i)); len(row) > 0 {
-				c := bm.m.AddConstr(row, lp.LE, q.TicketGbps(z, link), fmt.Sprintf("p2cap_e%d_q%d", link, qi))
-				if opts.captureSensitivity() {
+				c := bm.m.AddConstr(row, lp.LE, q.TicketGbps(z, link), rowName(capture, "p2cap_e%d_q%d", link, qi))
+				if capture {
 					bm.capRows = append(bm.capRows, CapRow{Link: link, Scenario: qi, Constr: c})
 				}
 			}
 		}
 	}
 
-	sol, err := solveModel(bm.m, bm.m.Name(), opts.start(bm.m, nil), opts.lpOpts(), opts.ledger())
+	// A captured solve's Basis and Duals stay with Allocation.Sens, so it
+	// solves into a Solution of its own.
+	var dst *lp.Solution
+	if capture {
+		dst = new(lp.Solution)
+	} else {
+		dst = solutionPool.Get()
+		defer solutionPool.Put(dst)
+	}
+	sol, err := solveModel(dst, bm.m, bm.m.Name(), opts.start(bm.m, nil), opts.lpOpts(), opts.ledger())
 	if err != nil {
 		return nil, err
 	}
 	al := bm.extract(n, sol)
-	if opts.captureSensitivity() {
+	if capture {
 		al.Sens = &SensitivityHandle{
 			Model: bm.m, Basis: sol.Basis, Duals: sol.Duals,
 			Objective: sol.Objective, CapRows: bm.capRows,

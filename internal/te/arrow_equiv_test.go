@@ -255,7 +255,7 @@ func arrowFromPhase1Basis(n *Network, scs []RestorableScenario) (*Allocation, er
 			RowStatus: append([]lp.BasisStatus(nil), pm.sol.Basis.RowStatus[:base.NumConstrs()]...),
 		}
 		bm := refPhase2Model(n, scs, w)
-		sol, err := solveModel(bm.m, bm.m.Name(), start, nil, nil)
+		sol, err := solveModel(new(lp.Solution), bm.m, bm.m.Name(), start, nil, nil)
 		if err != nil {
 			return nil, err
 		}

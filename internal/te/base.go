@@ -14,6 +14,11 @@ import (
 // the Phase II model Allocation.Sens keeps.
 var modelPool pool.Free[lp.Model]
 
+// solutionPool hands LP solutions from one solve to the next the same way:
+// each goes back once its answer is read, except the captured Phase II
+// solution, whose Basis and Duals Allocation.Sens keeps (see lp.SolveInto).
+var solutionPool pool.Free[lp.Solution]
+
 func newModel(name string, maximize bool) *lp.Model {
 	m := modelPool.Get()
 	m.Reset()
@@ -158,18 +163,18 @@ type Baselines struct {
 	LP *lp.Options
 }
 
-// solveModel is how every LP of this package is solved: from start (nil:
-// cold) under opts, bracketed on L (nil: unrecorded) by the solve_start,
+// solveModel is how every LP of this package is solved: into dst, from start
+// (nil: cold) under opts, bracketed on L (nil: unrecorded) by the solve_start,
 // warm_start, solve_end and solver-health events of solver, and failing on
 // any status but optimal or a certificate that does not pass at
 // lp.DefaultCertTol. The models are feasible by construction (b = a = 0
 // always works) and bounded (b_f <= d_f; TeaVaR minimises a CVaR >= 0), so
 // anything else is an internal error.
-func solveModel(m *lp.Model, solver string, start *lp.Basis, opts *lp.Options, L *ledger.Ledger) (*lp.Solution, error) {
+func solveModel(dst *lp.Solution, m *lp.Model, solver string, start *lp.Basis, opts *lp.Options, L *ledger.Ledger) (*lp.Solution, error) {
 	if L != nil {
 		L.Emit(ledger.Event{Kind: ledger.KindSolveStart, Scenario: -1, Solver: solver})
 	}
-	sol, err := lp.SolveWithBasis(m, start, opts)
+	sol, err := lp.SolveInto(dst, m, start, opts)
 	if err != nil {
 		return nil, fmt.Errorf("te: %s: %w", solver, err)
 	}
@@ -218,7 +223,9 @@ func emitWarmStart(L *ledger.Ledger, solver string, sol *lp.Solution) {
 // solve runs a baseline model from its all-slack basis and returns the
 // model to the pool.
 func (bm *baseModel) solve(n *Network, opts *lp.Options) (*Allocation, error) {
-	sol, err := solveModel(bm.m, bm.m.Name(), lp.SlackBasis(bm.m), opts, nil)
+	dst := solutionPool.Get()
+	defer solutionPool.Put(dst)
+	sol, err := solveModel(dst, bm.m, bm.m.Name(), lp.SlackBasis(bm.m), opts, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -260,7 +267,9 @@ func MaxConcurrentScale(n *Network) (float64, error) {
 			m.AddConstr(row, lp.LE, n.LinkCap[e], "")
 		}
 	}
-	sol, err := solveModel(m, m.Name(), nil, nil, nil)
+	dst := solutionPool.Get()
+	defer solutionPool.Put(dst)
+	sol, err := solveModel(dst, m, m.Name(), nil, nil, nil)
 	if err != nil {
 		return 0, err
 	}

@@ -253,10 +253,14 @@ func arrowPhase1Colgen(n *Network, v *splitView, opts *ArrowOptions) (*phase1Mas
 	// solves under the "-canon" suffixed name, so reports and tests can tell
 	// it from the primary solves. Every master re-solve checks its
 	// certificate: a priced-in column that broke dual feasibility would
-	// silently corrupt every later pricing decision.
+	// silently corrupt every later pricing decision. Each solve fills the one
+	// of sols the solve before did not: it may start from that one's basis,
+	// which lp.SolveInto does not let it overwrite.
+	sols, turn := [2]*lp.Solution{solutionPool.Get(), solutionPool.Get()}, 0
 	solve := func(suffix string) func(*lp.Basis) (*lp.Solution, error) {
 		return func(warm *lp.Basis) (*lp.Solution, error) {
-			return solveModel(bm.m, bm.m.Name()+suffix, opts.start(bm.m, warm), lpo, L)
+			turn ^= 1
+			return solveModel(sols[turn], bm.m, bm.m.Name()+suffix, opts.start(bm.m, warm), lpo, L)
 		}
 	}
 
@@ -363,5 +367,5 @@ func arrowPhase1Colgen(n *Network, v *splitView, opts *ArrowOptions) (*phase1Mas
 	// The restricted master only ever grows, so the converged size IS the
 	// peak master size — directly comparable against the full enumeration's
 	// model dimensions.
-	return &phase1Master{bm: bm, sol: sol, iters: totalIters}, nil
+	return &phase1Master{bm: bm, sol: sol, spare: sols[turn^1], iters: totalIters}, nil
 }

@@ -36,7 +36,9 @@ func (bl Baselines) ECMP(n *Network) (*Allocation, error) {
 		}
 		m.AddConstr(row, lp.LE, n.LinkCap[e], "")
 	}
-	sol, err := solveModel(m, m.Name(), lp.SlackBasis(m), bl.LP, nil)
+	dst := solutionPool.Get()
+	defer solutionPool.Put(dst)
+	sol, err := solveModel(dst, m, m.Name(), lp.SlackBasis(m), bl.LP, nil)
 	if err != nil {
 		return nil, err
 	}

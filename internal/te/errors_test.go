@@ -38,7 +38,7 @@ func TestSolveModelWrapsStatusErrors(t *testing.T) {
 		{unbounded, nil, lp.ErrUnbounded},
 		{twoPivots, &lp.Options{MaxIter: 1}, lp.ErrIterLimit},
 	} {
-		_, err := solveModel(c.m, c.m.Name(), nil, c.opts, nil)
+		_, err := solveModel(new(lp.Solution), c.m, c.m.Name(), nil, c.opts, nil)
 		if !errors.Is(err, c.want) {
 			t.Errorf("%s: solveModel returned %v, want an error wrapping %v", c.m.Name(), err, c.want)
 		}
@@ -48,7 +48,7 @@ func TestSolveModelWrapsStatusErrors(t *testing.T) {
 			}
 		}
 	}
-	if _, err := solveModel(twoPivots, "two pivots", nil, nil, nil); err != nil {
+	if _, err := solveModel(new(lp.Solution), twoPivots, "two pivots", nil, nil, nil); err != nil {
 		t.Errorf("two pivots without a limit: %v", err)
 	}
 }

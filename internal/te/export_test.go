@@ -54,7 +54,7 @@ func KernelSolves(n *Network, scs []RestorableScenario, ffc1, plain []FailureSce
 	}{{"te.ffc1", ffc1}, {"te.ffc.plain", plain}} {
 		bm := newBaseModel("ffc", n)
 		addResidualGuarantees(bm, n, v.scs)
-		sol, err := solveModel(bm.m, bm.m.Name(), nil, nil, nil)
+		sol, err := solveModel(new(lp.Solution), bm.m, bm.m.Name(), nil, nil, nil)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", v.name, err)
 		}
@@ -115,7 +115,7 @@ var (
 func RefFFC(n *Network, scs []FailureScenario) (*Allocation, error) {
 	bm := newBaseModel("ffc-ref", n)
 	refAddResidualGuarantees(bm, n, scs)
-	sol, err := solveModel(bm.m, bm.m.Name(), nil, nil, nil)
+	sol, err := solveModel(new(lp.Solution), bm.m, bm.m.Name(), nil, nil, nil)
 	if err != nil {
 		return nil, err
 	}

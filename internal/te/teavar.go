@@ -54,7 +54,9 @@ func (bl Baselines) TeaVaR(n *Network, scs []FailureScenario, opts *TeaVaROption
 	if err != nil {
 		return nil, err
 	}
-	sol, err := solveModel(m, m.Name(), lp.SlackBasis(m), bl.LP, nil)
+	dst := solutionPool.Get()
+	defer solutionPool.Put(dst)
+	sol, err := solveModel(dst, m, m.Name(), lp.SlackBasis(m), bl.LP, nil)
 	if err != nil {
 		return nil, err
 	}
