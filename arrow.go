@@ -45,6 +45,7 @@ import (
 	"github.com/arrow-te/arrow/internal/optical"
 	"github.com/arrow-te/arrow/internal/par"
 	"github.com/arrow-te/arrow/internal/plan"
+	"github.com/arrow-te/arrow/internal/pool"
 	"github.com/arrow-te/arrow/internal/rwa"
 	"github.com/arrow-te/arrow/internal/scenario"
 	"github.com/arrow-te/arrow/internal/spectrum"
@@ -384,19 +385,20 @@ func (n *Network) PlanContext(ctx context.Context, opts PlanOptions) (*Planner, 
 }
 
 // scenarioOf returns the planned scenario that cuts exactly these fibers,
-// given in any order and with any repeats.
-func (p *Planner) scenarioOf(fibers []FiberID) (int, bool) {
-	cut := make([]int, len(fibers))
-	for i, f := range fibers {
-		cut[i] = int(f)
+// given in any order and with any repeats, and the canonical form of the cut
+// it looked up (ascending, distinct), built in buf's storage.
+func (p *Planner) scenarioOf(buf []int, fibers []FiberID) (qi int, cut []int, ok bool) {
+	cut = buf[:0]
+	for _, f := range fibers {
+		cut = append(cut, int(f))
 	}
 	slices.Sort(cut)
 	cut = slices.Compact(cut)
 	i, ok := slices.BinarySearchFunc(p.byCut, cut, func(qi int, cut []int) int { return slices.Compare(p.cuts[qi], cut) })
 	if !ok {
-		return 0, false
+		return 0, cut, false
 	}
-	return p.byCut[i], true
+	return p.byCut[i], cut, true
 }
 
 // NumScenarios returns the number of planned failure scenarios.
@@ -710,21 +712,27 @@ var ErrUnplannedCut = errors.New("arrow: unplanned cut")
 // are exactly those of some planned scenario, because a different fiber set
 // leaves different spectrum to restore on.
 func (tp *TrafficPlan) OnFiberCut(fibers ...FiberID) (*Reaction, error) {
-	qi, roadm, err := tp.restoration(fibers)
+	sc := reactionPool.Get()
+	defer reactionPool.Put(sc)
+	qi, err := tp.restoration(sc, fibers)
 	if err != nil {
 		return nil, err
 	}
-	return tp.reaction(qi, roadm), nil
+	return tp.reaction(qi, &sc.plan), nil
 }
 
 // reaction reports scenario qi's ROADM plan with the links the scenario fails
-// and the capacities its winning ticket restores.
+// and the capacities its winning ticket restores. It shares no memory with
+// roadm, which may go back to a pool.
 func (tp *TrafficPlan) reaction(qi int, roadm *noise.Plan) *Reaction {
 	failed := tp.planner.rwa[qi].Failed // never empty on a planned scenario
+	// A wave's distinct ROADMs are listed on the stack, then copied out (nil
+	// when there are none).
+	var ids [64]int
 	re := &Reaction{
 		Failed: make([]LinkID, len(failed)), RestoredGbps: make(map[LinkID]float64, len(failed)),
-		AddDropROADMs:      noise.DistinctROADMs(roadm.AddDropOps),
-		IntermediateROADMs: noise.DistinctROADMs(roadm.IntermediateOps),
+		AddDropROADMs:      append([]int(nil), noise.AppendDistinctROADMs(ids[:0], roadm.AddDropOps)...),
+		IntermediateROADMs: append([]int(nil), noise.AppendDistinctROADMs(ids[:0], roadm.IntermediateOps)...),
 		Retunes:            roadm.Retunes, ReusedPorts: roadm.ReusedPorts,
 	}
 	for i, l := range failed {
@@ -738,24 +746,41 @@ func (tp *TrafficPlan) reaction(qi int, roadm *noise.Plan) *Reaction {
 	return re
 }
 
+// reactionScratch is what one restoration builds and drops: the asked cut
+// in canonical form, the winning ticket's assignment and the ROADM plan it
+// compiles into. Each only grows, so once the pooled scratches have served
+// the plan's largest scenario a reaction allocates only what it returns.
+type reactionScratch struct {
+	cut  []int
+	asg  rwa.Assignment
+	plan noise.Plan
+}
+
+// reactionPool hands reaction scratches from one OnFiberCut or ROADMConfig
+// to the next.
+var reactionPool pool.Free[reactionScratch]
+
 // restoration finds the planned scenario qi that cuts exactly these fibers
-// and compiles its winning ticket into ROADM operations on the scenario's
-// planned RWA result, whose failed links index the ticket. It reads the
-// result's links, wave counts and surrogate path options: no path search, no
-// LP. It is what OnFiberCut reports and what ROADMConfig renders.
-func (tp *TrafficPlan) restoration(fibers []FiberID) (qi int, roadm *noise.Plan, err error) {
+// and compiles its winning ticket into sc.plan, ROADM operations on the
+// scenario's planned RWA result, whose failed links index the ticket. It
+// reads the result's links, wave counts and surrogate path options: no path
+// search, no LP, and no memo: every call assigns and compiles anew. It is
+// what OnFiberCut reports and what ROADMConfig renders.
+func (tp *TrafficPlan) restoration(sc *reactionScratch, fibers []FiberID) (qi int, err error) {
 	p := tp.planner
-	qi, ok := p.scenarioOf(fibers)
-	if !ok {
-		return 0, nil, fmt.Errorf("%w %v (below the planning cutoff?)", ErrUnplannedCut, fibers)
+	var ok bool
+	// The errors quote a copy of fibers, so a caller's variadic array can
+	// stay on its stack.
+	if qi, sc.cut, ok = p.scenarioOf(sc.cut, fibers); !ok {
+		return 0, fmt.Errorf("%w %v (below the planning cutoff?)", ErrUnplannedCut, slices.Clone(fibers))
 	}
 	winner := 0
 	if tp.alloc.WinningTicket != nil {
 		winner = tp.alloc.WinningTicket[qi]
 	}
-	asg, ok := rwa.AssignIntegral(p.rwa[qi], p.scenarios[qi].Tickets[winner].Waves)
-	if !ok {
-		return 0, nil, fmt.Errorf("arrow: cut %v: winning ticket %d of scenario %d does not fit its planned RWA result", fibers, winner, qi)
+	if !rwa.AssignInto(&sc.asg, p.rwa[qi], p.scenarios[qi].Tickets[winner].Waves) {
+		return 0, fmt.Errorf("arrow: cut %v: winning ticket %d of scenario %d does not fit its planned RWA result", slices.Clone(fibers), winner, qi)
 	}
-	return qi, noise.BuildPlan(p.net.opt, p.rwa[qi], asg), nil
+	noise.BuildPlanInto(&sc.plan, p.net.opt, p.rwa[qi], &sc.asg)
+	return qi, nil
 }

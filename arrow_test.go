@@ -761,6 +761,8 @@ func TestScenarioIndexMatchesScan(t *testing.T) {
 	if shadowed == 0 {
 		t.Fatal("fixture: no planned scenario fails the links of an earlier one")
 	}
+	// One cut buffer serves every lookup, as a pooled reaction scratch does.
+	var buf []int
 	for _, form := range append(forms, unplanned...) {
 		want := -1
 		for qi, cut := range planner.cuts {
@@ -771,7 +773,8 @@ func TestScenarioIndexMatchesScan(t *testing.T) {
 				want = qi
 			}
 		}
-		got, ok := planner.scenarioOf(form)
+		got, cut, ok := planner.scenarioOf(buf, form)
+		buf = cut
 		if !ok {
 			got = -1
 		}
@@ -780,7 +783,7 @@ func TestScenarioIndexMatchesScan(t *testing.T) {
 		}
 	}
 	for _, cut := range unplanned {
-		if qi, ok := planner.scenarioOf(cut); ok {
+		if qi, _, ok := planner.scenarioOf(nil, cut); ok {
 			t.Errorf("unplanned cut %v found as scenario %d", cut, qi)
 		}
 	}

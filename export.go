@@ -94,11 +94,12 @@ func (tp *TrafficPlan) Export() ([]byte, error) {
 // "installs on ROADM config files"). Like OnFiberCut, it reads the plan and
 // refuses an unplanned cut with an error wrapping ErrUnplannedCut.
 func (tp *TrafficPlan) ROADMConfig(fibers ...FiberID) (string, error) {
-	_, roadm, err := tp.restoration(fibers)
-	if err != nil {
+	sc := reactionPool.Get()
+	defer reactionPool.Put(sc)
+	if _, err := tp.restoration(sc, fibers); err != nil {
 		return "", err
 	}
-	return noise.BuildConfig(fmt.Sprintf("cut%v", fibers), roadm).Render(), nil
+	return noise.BuildConfig(fmt.Sprintf("cut%v", fibers), &sc.plan).Render(), nil
 }
 
 // PerDemandAvailability returns each demand's individual probability-

@@ -60,34 +60,56 @@ func (p *Plan) NumAddDropROADMs() int { return len(DistinctROADMs(p.AddDropOps))
 // NumIntermediateROADMs returns the number of distinct intermediate ROADMs.
 func (p *Plan) NumIntermediateROADMs() int { return len(DistinctROADMs(p.IntermediateOps)) }
 
-// DistinctROADMs lists the ROADMs ops touch, each once, in first-touch order.
-// A wave touches a few dozen ROADMs at most: a scan of the list needs no set.
-func DistinctROADMs(ops []Op) []int {
-	var out []int
+// DistinctROADMs lists the ROADMs ops touch, each once, in first-touch order:
+// nil when ops is empty.
+func DistinctROADMs(ops []Op) []int { return AppendDistinctROADMs(nil, ops) }
+
+// AppendDistinctROADMs appends to dst the ROADMs ops touch, each once, in
+// first-touch order. A wave touches a few dozen ROADMs at most: a scan of
+// what it appended needs no set.
+func AppendDistinctROADMs(dst []int, ops []Op) []int {
+	base := len(dst)
 	for _, op := range ops {
-		if !slices.Contains(out, int(op.ROADM)) {
-			out = append(out, int(op.ROADM))
+		if !slices.Contains(dst[base:], int(op.ROADM)) {
+			dst = append(dst, int(op.ROADM))
 		}
 	}
-	return out
+	return dst
 }
 
 // BuildPlan compiles an integral restoration assignment into ROADM
 // operations. For each restored wavelength of failed link e routed on
 // surrogate path P: the link's source and destination ROADMs perform
 // add/drop swaps (replace noise with data on the first/last fiber), and
-// every interior ROADM of P performs an intermediate steer. A cut's reaction
-// compiles its plan on every call, so both op lists share one allocation,
-// sized by a first pass over the picks.
+// every interior ROADM of P performs an intermediate steer. Both op lists
+// are cut from one array of exactly their lengths.
 func BuildPlan(net *optical.Network, res *rwa.Result, asg *rwa.Assignment) *Plan {
+	p := new(Plan)
+	BuildPlanInto(p, net, res, asg)
+	return p
+}
+
+// BuildPlanInto is BuildPlan into dst: it overwrites dst, reusing each op
+// list where it has room. When one lacks room, both are cut anew from one
+// array, each as long as the larger of its old capacity and its new length,
+// so a plan that serves a sequence of cuts stops allocating once it has
+// grown to the largest. The add/drop list's capacity ends where the
+// intermediate one starts: appending to it never overwrites an intermediate
+// op.
+func BuildPlanInto(dst *Plan, net *optical.Network, res *rwa.Result, asg *rwa.Assignment) {
 	nAD, nI := 0, 0
 	for li := range res.Failed {
 		for _, pick := range asg.PerLink[li] {
 			nAD, nI = nAD+2, nI+len(res.Options[li][pick[0]].Fibers)-1
 		}
 	}
-	ops := make([]Op, 0, nAD+nI)
-	p := &Plan{AddDropOps: ops[:0:nAD], IntermediateOps: ops[nAD:nAD]}
+	ad, im := dst.AddDropOps[:0], dst.IntermediateOps[:0]
+	if cap(ad) < nAD || cap(im) < nI {
+		nAD, nI = max(nAD, cap(ad)), max(nI, cap(im))
+		ops := make([]Op, nAD+nI)
+		ad, im = ops[:0:nAD], ops[nAD:nAD]
+	}
+	*dst = Plan{AddDropOps: ad, IntermediateOps: im}
 	for li, linkID := range res.Failed {
 		link := net.LinkByID(linkID)
 		origMod := 0.0
@@ -95,19 +117,19 @@ func BuildPlan(net *optical.Network, res *rwa.Result, asg *rwa.Assignment) *Plan
 			origMod = link.Waves[0].Modulation.GbpsPerWavelength
 		}
 		for _, pick := range asg.PerLink[li] {
-			opt := res.Options[li][pick[0]]
+			opt := &res.Options[li][pick[0]]
 			slot := pick[1]
 			if !slices.ContainsFunc(link.Waves, func(w optical.Lightpath) bool { return w.Slot == slot }) {
-				p.Retunes++
+				dst.Retunes++
 			}
 			if opt.Modulation.GbpsPerWavelength < origMod {
-				p.ModChanges++
+				dst.ModChanges++
 			}
-			p.RestoredGbps += opt.Modulation.GbpsPerWavelength
-			p.ReusedPorts += 2
+			dst.RestoredGbps += opt.Modulation.GbpsPerWavelength
+			dst.ReusedPorts += 2
 
 			// Add/drop at the endpoints.
-			p.AddDropOps = append(p.AddDropOps,
+			dst.AddDropOps = append(dst.AddDropOps,
 				Op{ROADM: link.Src, Kind: AddDrop, Fiber: opt.Fibers[0], Slot: slot},
 				Op{ROADM: link.Dst, Kind: AddDrop, Fiber: opt.Fibers[len(opt.Fibers)-1], Slot: slot},
 			)
@@ -120,12 +142,11 @@ func BuildPlan(net *optical.Network, res *rwa.Result, asg *rwa.Assignment) *Plan
 					next = f.A
 				}
 				if i < len(opt.Fibers)-1 {
-					p.IntermediateOps = append(p.IntermediateOps,
+					dst.IntermediateOps = append(dst.IntermediateOps,
 						Op{ROADM: next, Kind: Intermediate, Fiber: fid, Slot: slot})
 				}
 				at = next
 			}
 		}
 	}
-	return p
 }

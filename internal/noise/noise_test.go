@@ -1,11 +1,13 @@
 package noise
 
 import (
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
 	"github.com/arrow-te/arrow/internal/optical"
+	"github.com/arrow-te/arrow/internal/race"
 	"github.com/arrow-te/arrow/internal/rwa"
 	"github.com/arrow-te/arrow/internal/spectrum"
 )
@@ -86,6 +88,76 @@ func TestBuildPlanListsAreExactAndSeparate(t *testing.T) {
 	_ = append(plan.AddDropOps, Op{ROADM: 7})
 	if plan.IntermediateOps[0] != inter {
 		t.Fatal("appending an add/drop op overwrote an intermediate one")
+	}
+}
+
+// restoredLine builds a 4-ROADM line 0-1-2-3 with a bypass fiber 0-3
+// carrying one IP link of waves wavelengths, cuts the bypass and assigns every
+// wavelength on the line: two add/drop ops and two intermediate ops per wave.
+func restoredLine(t *testing.T, waves int) (*rwa.Result, *rwa.Assignment) {
+	t.Helper()
+	n := optical.NewNetwork(4, 8)
+	bypass := n.AddFiber(0, 3, 100).ID
+	n.AddFiber(0, 1, 100)
+	n.AddFiber(1, 2, 100)
+	n.AddFiber(2, 3, 100)
+	var ws []optical.Lightpath
+	for w := 0; w < waves; w++ {
+		ws = append(ws, optical.Lightpath{Slot: w, Modulation: spectrum.Table6[0], FiberPath: []int{bypass}})
+	}
+	if _, err := n.Provision(0, 3, ws); err != nil {
+		t.Fatal(err)
+	}
+	res, err := rwa.Solve(&rwa.Request{Net: n, Cut: []int{bypass}, K: 1, AllowTuning: true, AllowModulationChange: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	asg, ok := rwa.AssignIntegral(res, []int{waves})
+	if !ok {
+		t.Fatalf("%d waves do not fit the line", waves)
+	}
+	return res, asg
+}
+
+// One plan reused for a larger assignment, then a smaller one, then the
+// larger again is what BuildPlan makes of each, keeps its lists separate, and
+// allocates nothing once it has grown.
+func TestBuildPlanIntoReusesLists(t *testing.T) {
+	bigRes, bigAsg := restoredLine(t, 3)
+	_, smallRes, smallAsg := triangle(t, true)
+	var dst Plan
+	for _, c := range []struct {
+		res *rwa.Result
+		asg *rwa.Assignment
+	}{{bigRes, bigAsg}, {smallRes, smallAsg}, {bigRes, bigAsg}} {
+		BuildPlanInto(&dst, c.res.Req.Net, c.res, c.asg)
+		if want := BuildPlan(c.res.Req.Net, c.res, c.asg); !reflect.DeepEqual(&dst, want) {
+			t.Fatalf("reused plan %+v, fresh %+v", dst, *want)
+		}
+		inter := slices.Clone(dst.IntermediateOps)
+		_ = append(dst.AddDropOps, Op{ROADM: 7})
+		if !slices.Equal(dst.IntermediateOps, inter) {
+			t.Fatal("appending an add/drop op overwrote an intermediate one")
+		}
+	}
+	if len(dst.AddDropOps) != 6 || len(dst.IntermediateOps) != 6 {
+		t.Fatalf("fixture: %d add/drop and %d intermediate ops, want 6 and 6", len(dst.AddDropOps), len(dst.IntermediateOps))
+	}
+	if race.Enabled {
+		return
+	}
+	if got := testing.AllocsPerRun(20, func() {
+		BuildPlanInto(&dst, smallRes.Req.Net, smallRes, smallAsg)
+		BuildPlanInto(&dst, bigRes.Req.Net, bigRes, bigAsg)
+	}); got != 0 {
+		t.Errorf("%.0f allocations per pair of BuildPlanInto calls on a grown plan, want none", got)
+	}
+}
+
+func TestAppendDistinctROADMsScansOnlyWhatItAppends(t *testing.T) {
+	ops := []Op{{ROADM: 4}, {ROADM: 1}, {ROADM: 4}}
+	if got := AppendDistinctROADMs([]int{1, 9}, ops); !slices.Equal(got, []int{1, 9, 4, 1}) {
+		t.Fatalf("AppendDistinctROADMs = %v, want [1 9 4 1]", got)
 	}
 }
 

@@ -7,7 +7,8 @@ type Scratch struct{ sc scratch }
 func (s *Scratch) Solve(req *Request) (*Result, error) { return s.sc.solve(req) }
 
 func (s *Scratch) AssignIntegral(res *Result, target []int) (*Assignment, bool) {
-	return s.sc.assignIntegral(res, target)
+	a := new(Assignment)
+	return a, s.sc.assignInto(a, res, target)
 }
 
 // DropPooledScratches makes the next pooled call start from a new scratch.

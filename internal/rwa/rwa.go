@@ -720,7 +720,9 @@ func (sc *scratch) composeWarmBasis(req *Request, basis *lp.Basis, res *Result) 
 // Assignment is an integral wavelength assignment: for each failed link
 // (by Result index), the chosen (path option, slot) pairs.
 type Assignment struct {
-	// PerLink[i] lists (pathIndex, slot) pairs for failed link i.
+	// PerLink[i] lists (pathIndex, slot) pairs for failed link i: nil when
+	// the link gets none. The lists are parts of one array, link after link
+	// (see AssignInto).
 	PerLink [][][2]int
 }
 
@@ -740,23 +742,61 @@ func (a *Assignment) Waves(i int) int { return len(a.PerLink[i]) }
 // of a Result built by hand rather than by Solve may list their slots in any
 // order.
 func AssignIntegral(res *Result, target []int) (*Assignment, bool) {
-	sc := scratchPool.Get()
-	defer scratchPool.Put(sc)
-	return sc.assignIntegral(res, target)
+	a := new(Assignment)
+	return a, AssignInto(a, res, target)
 }
 
-func (sc *scratch) assignIntegral(res *Result, target []int) (*Assignment, bool) {
+// AssignInto is AssignIntegral into dst: it overwrites dst, reusing its
+// per-link slice and the array its pairs lie in, so a caller that reads an
+// assignment and drops it allocates nothing once dst has grown to the
+// largest result it serves. Nothing else may hold dst's lists.
+//
+// The pairs lie in one array in link order, and the first nonempty list
+// reaches to the array's end: that is how the next call finds the array.
+// Every other list ends at its own last pair, so appending to it cannot
+// overwrite the next link's.
+func AssignInto(dst *Assignment, res *Result, target []int) bool {
+	sc := scratchPool.Get()
+	defer scratchPool.Put(sc)
+	return sc.assignInto(dst, res, target)
+}
+
+func (sc *scratch) assignInto(dst *Assignment, res *Result, target []int) bool {
 	ok := sc.assign(res, target)
-	a := &Assignment{PerLink: make([][][2]int, len(res.Failed))}
-	if len(sc.pairs) > 0 {
-		own := append([][2]int(nil), sc.pairs...)
-		for li, sp := range sc.span[:len(res.Failed)] {
-			if sp[1] > sp[0] {
-				a.PerLink[li] = own[sp[0]:sp[1]:sp[1]]
-			}
+	n := len(res.Failed)
+	own := dst.pairArray()
+	if cap(own) < len(sc.pairs) {
+		own = make([][2]int, 0, len(sc.pairs))
+	}
+	clear(dst.PerLink)
+	if dst.PerLink == nil || cap(dst.PerLink) < n {
+		dst.PerLink = make([][][2]int, n)
+	}
+	dst.PerLink = dst.PerLink[:n]
+	for li, sp := range sc.span[:n] {
+		if sp[1] == sp[0] {
+			continue
+		}
+		lo := len(own)
+		own = append(own, sc.pairs[sp[0]:sp[1]]...)
+		if lo == 0 {
+			dst.PerLink[li] = own[:len(own):cap(own)]
+		} else {
+			dst.PerLink[li] = own[lo:len(own):len(own)]
 		}
 	}
-	return a, ok
+	return ok
+}
+
+// pairArray returns the array an earlier AssignInto laid a's pairs out in,
+// emptied: the first nonempty list starts it and reaches to its end.
+func (a *Assignment) pairArray() [][2]int {
+	for _, l := range a.PerLink {
+		if len(l) > 0 {
+			return l[:0]
+		}
+	}
+	return nil
 }
 
 // Feasible reports whether AssignIntegral meets every target, without

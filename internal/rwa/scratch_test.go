@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -406,6 +407,38 @@ func TestAssignIntegralMatchesMapReferenceOnHandBuiltResults(t *testing.T) {
 	}
 }
 
+// TestAssignIntoMatchesAssignIntegral runs the hand-built results through one
+// reused destination, each pair of them larger first, then smaller: every
+// assignment is the one a fresh AssignIntegral returns, and no list of the
+// larger one lingers past the smaller one's links.
+func TestAssignIntoMatchesAssignIntegral(t *testing.T) {
+	rng := rand.New(rand.NewSource(321))
+	var dst Assignment
+	shrank := 0
+	for trial := 0; trial < 500; trial++ {
+		a, b := handBuiltResult(rng), handBuiltResult(rng)
+		if len(a.Failed) < len(b.Failed) {
+			a, b = b, a
+		}
+		if len(a.Failed) > len(b.Failed) {
+			shrank++
+		}
+		for _, res := range []*Result{a, b} {
+			target := randomTarget(rng, res)
+			want, wantOK := AssignIntegral(res, target)
+			if ok := AssignInto(&dst, res, target); ok != wantOK || !reflect.DeepEqual(&dst, want) {
+				t.Fatalf("trial %d: options %+v target %v\n got %v %v\nwant %v %v", trial, res.Options, target, dst.PerLink, ok, want.PerLink, wantOK)
+			}
+			if stale := dst.PerLink[len(dst.PerLink):cap(dst.PerLink)]; slices.ContainsFunc(stale, func(l [][2]int) bool { return l != nil }) {
+				t.Fatalf("trial %d: lists %v left behind the %d links", trial, stale, len(dst.PerLink))
+			}
+		}
+	}
+	if shrank < 100 {
+		t.Fatalf("fixture: only %d trials went from a larger result to a smaller one", shrank)
+	}
+}
+
 // An option whose slots arrive unsorted still has the link's original
 // frequencies tried first, then the rest ascending.
 func TestAssignIntegralOrdersUnsortedSlots(t *testing.T) {
@@ -586,6 +619,11 @@ func TestAssignIntegralAllocatesOnlyTheAssignment(t *testing.T) {
 	// The Assignment, its per-link slice and the pairs behind it.
 	if got := testing.AllocsPerRun(50, run); got > 3 {
 		t.Errorf("%.0f allocations per AssignIntegral, want at most 3", got)
+	}
+	// Into a destination that has held it once, nothing.
+	var dst Assignment
+	if got := testing.AllocsPerRun(50, func() { AssignInto(&dst, res, res.OrigWaves) }); got != 0 {
+		t.Errorf("%.0f allocations per AssignInto a grown destination, want none", got)
 	}
 	if got := testing.AllocsPerRun(50, func() { Feasible(res, res.OrigWaves) }); got != 0 {
 		t.Errorf("%.0f allocations per Feasible, want none", got)

@@ -64,18 +64,19 @@ func (o *ArrowOptions) ledger() *ledger.Ledger {
 }
 
 // start is the basis a solve of m begins from: nil (cold) under NoWarm,
-// else warm, else m's all-slack basis. Every row of both phases' models
-// holds at x = 0, so the all-slack basis skips the simplex's feasibility
-// phase; the canonical Phase I pass, whose lock row x = 0 violates, always
-// has a warm basis.
-func (o *ArrowOptions) start(m *lp.Model, warm *lp.Basis) *lp.Basis {
+// else warm, else m's all-slack basis, made in slack (from basisPool). Every
+// row of both phases' models holds at x = 0, so the all-slack basis skips
+// the simplex's feasibility phase; the canonical Phase I pass, whose lock
+// row x = 0 violates, always has a warm basis.
+func (o *ArrowOptions) start(m *lp.Model, warm, slack *lp.Basis) *lp.Basis {
 	switch {
 	case o != nil && o.NoWarm:
 		return nil
 	case warm != nil:
 		return warm
 	}
-	return lp.SlackBasis(m)
+	slack.ResetSlack(m)
+	return slack
 }
 
 func (o *ArrowOptions) captureSensitivity() bool { return o != nil && o.CaptureSensitivity }
@@ -415,10 +416,11 @@ func checkWinners(scs []RestorableScenario, winners []int) error {
 func arrowPhase2(n *Network, v *splitView, winners []int, opts *ArrowOptions, like *baseModel) (*Allocation, error) {
 	scs := v.t.scs
 	defer opts.profiler().Stage("te.phase2")()
-	bm := baseModelLike("arrow-phase2", n, like)
-	row := bm.row
-	// Only attribution reads the rows' names, off the captured model.
+	// Only attribution reads the rows' names and capRows, off the captured
+	// model.
 	capture := opts.captureSensitivity()
+	bm := baseModelLike("arrow-phase2", n, like, capture)
+	row := bm.row
 	for qi := range scs {
 		q := &scs[qi]
 		z := winners[qi]
@@ -451,7 +453,9 @@ func arrowPhase2(n *Network, v *splitView, winners []int, opts *ArrowOptions, li
 		dst = solutionPool.Get()
 		defer solutionPool.Put(dst)
 	}
-	sol, err := solveModel(dst, bm.m, bm.m.Name(), opts.start(bm.m, nil), opts.lpOpts(), opts.ledger())
+	slack := basisPool.Get()
+	defer basisPool.Put(slack)
+	sol, err := solveModel(dst, bm.m, bm.m.Name(), opts.start(bm.m, nil, slack), opts.lpOpts(), opts.ledger())
 	if err != nil {
 		return nil, err
 	}

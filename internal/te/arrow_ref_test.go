@@ -156,9 +156,10 @@ func refBuildTicketBlock(n *Network, q *RestorableScenario, z int, bm *baseModel
 	return blk
 }
 
-// refPhase2Model is the Table 3 model for the given winners.
+// refPhase2Model is the Table 3 model for the given winners, built to
+// capture: its rows named, its capacity rows recorded.
 func refPhase2Model(n *Network, scs []RestorableScenario, winners []int) *baseModel {
-	bm := newBaseModel("arrow-phase2", n)
+	bm := baseModelLike("arrow-phase2", n, nil, true)
 	for qi := range scs {
 		q := &scs[qi]
 		z := winners[qi]

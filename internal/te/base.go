@@ -19,6 +19,11 @@ var modelPool pool.Free[lp.Model]
 // solution, whose Basis and Duals Allocation.Sens keeps (see lp.SolveInto).
 var solutionPool pool.Free[lp.Solution]
 
+// basisPool hands all-slack start bases (Basis.ResetSlack) from one solve to
+// the next: a solve only reads its start, which lp.SolveInto neither changes
+// nor keeps, so each goes back as soon as the solve returns.
+var basisPool pool.Free[lp.Basis]
+
 func newModel(name string, maximize bool) *lp.Model {
 	m := modelPool.Get()
 	m.Reset()
@@ -34,8 +39,9 @@ type baseModel struct {
 	a [][]lp.Var // a_{f,t}
 	b []lp.Var   // b_f
 	// capRows are the healthy cap_e constraint handles in ascending link
-	// order (links with no tunnel traffic get no row), recorded for
-	// post-solve sensitivity harvesting.
+	// order (links with no tunnel traffic get no row), recorded, and the
+	// rows named, only on a model built for capture: attribution
+	// (Allocation.Sens) is their one reader.
 	capRows []CapRow
 	// cross[e] lists the tunnels that traverse link e, ascending (f, ti),
 	// each once however often it revisits e: n.incidence(), read-only, as
@@ -53,12 +59,13 @@ type tunnelRef struct{ f, ti int }
 //	(1) forall f: sum_t a_{f,t} >= b_f
 //	(2) forall e: sum_{f,t} a_{f,t} L[t,e] <= c_e
 //	(3) forall f: 0 <= b_f <= d_f
-func newBaseModel(name string, n *Network) *baseModel { return baseModelLike(name, n, nil) }
+func newBaseModel(name string, n *Network) *baseModel { return baseModelLike(name, n, nil, false) }
 
 // baseModelLike is newBaseModel on like's variable handles and incidence
 // (nil: its own): every base model of n numbers b_f, then f's a_{f,t}, flow
-// by flow, so Arrow works them out once for its three models.
-func baseModelLike(name string, n *Network, like *baseModel) *baseModel {
+// by flow, so Arrow works them out once for its three models. A model built
+// to capture names its capacity rows and records them in capRows.
+func baseModelLike(name string, n *Network, like *baseModel, capture bool) *baseModel {
 	if like == nil {
 		like = &baseModel{a: make([][]lp.Var, len(n.Flows)), b: make([]lp.Var, len(n.Flows)), cross: n.incidence()}
 		v := lp.Var(0)
@@ -86,7 +93,11 @@ func baseModelLike(name string, n *Network, like *baseModel) *baseModel {
 	for e, refs := range bm.cross {
 		if len(refs) > 0 {
 			bm.row = capRow(bm.row[:0], n, e, refs, bm.a)
-			c := m.AddConstr(bm.row, lp.LE, n.LinkCap[e], "cap_e"+strconv.Itoa(e)) // (2)
+			if !capture {
+				m.AddConstr(bm.row, lp.LE, n.LinkCap[e], "") // (2)
+				continue
+			}
+			c := m.AddConstr(bm.row, lp.LE, n.LinkCap[e], "cap_e"+strconv.Itoa(e))
 			bm.capRows = append(bm.capRows, CapRow{Link: e, Scenario: -1, Constr: c})
 		}
 	}
@@ -223,9 +234,11 @@ func emitWarmStart(L *ledger.Ledger, solver string, sol *lp.Solution) {
 // solve runs a baseline model from its all-slack basis and returns the
 // model to the pool.
 func (bm *baseModel) solve(n *Network, opts *lp.Options) (*Allocation, error) {
-	dst := solutionPool.Get()
+	dst, slack := solutionPool.Get(), basisPool.Get()
 	defer solutionPool.Put(dst)
-	sol, err := solveModel(dst, bm.m, bm.m.Name(), lp.SlackBasis(bm.m), opts, nil)
+	defer basisPool.Put(slack)
+	slack.ResetSlack(bm.m)
+	sol, err := solveModel(dst, bm.m, bm.m.Name(), slack, opts, nil)
 	if err != nil {
 		return nil, err
 	}

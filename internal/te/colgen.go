@@ -257,10 +257,12 @@ func arrowPhase1Colgen(n *Network, v *splitView, opts *ArrowOptions) (*phase1Mas
 	// of sols the solve before did not: it may start from that one's basis,
 	// which lp.SolveInto does not let it overwrite.
 	sols, turn := [2]*lp.Solution{solutionPool.Get(), solutionPool.Get()}, 0
+	slack := basisPool.Get()
+	defer basisPool.Put(slack)
 	solve := func(suffix string) func(*lp.Basis) (*lp.Solution, error) {
 		return func(warm *lp.Basis) (*lp.Solution, error) {
 			turn ^= 1
-			return solveModel(sols[turn], bm.m, bm.m.Name()+suffix, opts.start(bm.m, warm), lpo, L)
+			return solveModel(sols[turn], bm.m, bm.m.Name()+suffix, opts.start(bm.m, warm, slack), lpo, L)
 		}
 	}
 

@@ -36,9 +36,11 @@ func (bl Baselines) ECMP(n *Network) (*Allocation, error) {
 		}
 		m.AddConstr(row, lp.LE, n.LinkCap[e], "")
 	}
-	dst := solutionPool.Get()
+	dst, slack := solutionPool.Get(), basisPool.Get()
 	defer solutionPool.Put(dst)
-	sol, err := solveModel(dst, m, m.Name(), lp.SlackBasis(m), bl.LP, nil)
+	defer basisPool.Put(slack)
+	slack.ResetSlack(m)
+	sol, err := solveModel(dst, m, m.Name(), slack, bl.LP, nil)
 	if err != nil {
 		return nil, err
 	}

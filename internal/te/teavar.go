@@ -54,9 +54,11 @@ func (bl Baselines) TeaVaR(n *Network, scs []FailureScenario, opts *TeaVaROption
 	if err != nil {
 		return nil, err
 	}
-	dst := solutionPool.Get()
+	dst, slack := solutionPool.Get(), basisPool.Get()
 	defer solutionPool.Put(dst)
-	sol, err := solveModel(dst, m, m.Name(), lp.SlackBasis(m), bl.LP, nil)
+	defer basisPool.Put(slack)
+	slack.ResetSlack(m)
+	sol, err := solveModel(dst, m, m.Name(), slack, bl.LP, nil)
 	if err != nil {
 		return nil, err
 	}

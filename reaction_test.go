@@ -3,11 +3,13 @@ package arrow
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
 
 	"github.com/arrow-te/arrow/internal/noise"
+	"github.com/arrow-te/arrow/internal/race"
 	"github.com/arrow-te/arrow/internal/rwa"
 	"github.com/arrow-te/arrow/internal/stats"
 	"github.com/arrow-te/arrow/internal/topo"
@@ -65,8 +67,8 @@ func TestReactionAnswersTheCutsOwnScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qa, okA := planner.scenarioOf([]FiberID{fa})
-	qb, okB := planner.scenarioOf([]FiberID{fb})
+	qa, _, okA := planner.scenarioOf(nil, []FiberID{fa})
+	qb, _, okB := planner.scenarioOf(nil, []FiberID{fb})
 	if !okA || !okB || qa > qb || !slices.Equal(planner.scenarios[qa].FailedLinks, planner.scenarios[qb].FailedLinks) {
 		t.Fatalf("fixture: a and b must be planned, a first, failing the same links (scenarios %d, %d)", qa, qb)
 	}
@@ -127,7 +129,7 @@ func TestReactionReLightsThePlannedTicket(t *testing.T) {
 		if err != nil {
 			t.Fatalf("fiber %d: %v", f, err)
 		}
-		qi, _ := planner.scenarioOf([]FiberID{FiberID(f)})
+		qi, _, _ := planner.scenarioOf(nil, []FiberID{FiberID(f)})
 		want := 0
 		for _, w := range planner.scenarios[qi].Tickets[winningTicket(plan, qi)].Waves {
 			want += 2 * w
@@ -326,6 +328,52 @@ func TestReactionConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestReactionAllocBudget holds what a reaction on the repository
+// benchmark's Facebook plan allocates once the pooled scratch has served its
+// largest scenario, averaged over its 214 planned cuts: the Reaction, its
+// failed links, its restored-capacity map and the two distinct-ROADM lists:
+// 662 bytes per reaction and 1,465 allocations per pass over the cuts (6.85
+// per reaction; a map of more than eight links takes more than two),
+// measured (go1.24, linux/amd64). It was 4,863 bytes and 18.75 allocations
+// per reaction when every reaction allocated its cut, assignment and op
+// lists and grew its ROADM lists by append. The byte budget leaves 10 % for
+// the runtime's own variation; the count has none.
+func TestReactionAllocBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector's shadow allocations distort the count")
+	}
+	plan := reactionInstances[2].plan(t, 1)
+	var cuts [][]FiberID
+	for _, cut := range plan.planner.cuts {
+		cuts = append(cuts, fiberIDs(cut))
+	}
+	react := func() {
+		for _, cut := range cuts {
+			if _, err := plan.OnFiberCut(cut...); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	react() // grow the pooled scratch to the largest scenario
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		react()
+	}
+	runtime.ReadMemStats(&after)
+	perReaction := float64(after.TotalAlloc-before.TotalAlloc) / float64(runs*len(cuts))
+	allocs := testing.AllocsPerRun(runs, react)
+	t.Logf("%.0f bytes and %.2f allocations per reaction over %d cuts", perReaction, allocs/float64(len(cuts)), len(cuts))
+	const budget = 728.0
+	if perReaction > budget {
+		t.Errorf("%.0f bytes allocated per reaction, budget %.0f", perReaction, budget)
+	}
+	if allocs > 1465 {
+		t.Errorf("%.0f allocations per pass over the %d cuts, budget 1465", allocs, len(cuts))
+	}
 }
 
 // BenchmarkOnFiberCut times one reaction on the repository benchmark's
