@@ -313,7 +313,6 @@ type PlanOptions struct {
 type Planner struct {
 	net       *Network
 	scenarios []te.RestorableScenario
-	naive     []te.RestorableScenario
 	set       *scenario.Set
 	// teOpts is what every Solve copies: the TE settings and the sinks of the
 	// context the planner was planned with.
@@ -372,7 +371,7 @@ func (n *Network) PlanContext(ctx context.Context, opts PlanOptions) (*Planner, 
 		return nil, fmt.Errorf("arrow: %w", err)
 	}
 	p := &Planner{
-		net: n, set: off.Set, scenarios: off.Scenarios, naive: off.Naive, tunnels: tunnelTable(n.opt, opts.TunnelsPerFlow),
+		net: n, set: off.Set, scenarios: off.Scenarios, tunnels: tunnelTable(n.opt, opts.TunnelsPerFlow),
 		teOpts: te.SessionOptions(ctx, opts.NoWarm),
 		rwa:    off.RWA, cuts: off.Cuts, byCut: make([]int, len(off.Cuts)),
 	}
@@ -471,7 +470,7 @@ func (p *Planner) Solve(demands []Demand, opts SolveOptions) (*TrafficPlan, erro
 	teOpts.Alpha = opts.Alpha
 	var alloc *te.Allocation
 	if opts.NaiveOnly {
-		alloc, err = te.ArrowNaive(net, p.naive, &teOpts)
+		alloc, err = te.ArrowNaive(net, p.scenarios, &teOpts)
 	} else {
 		alloc, err = te.Arrow(net, p.scenarios, &teOpts)
 	}

@@ -63,9 +63,6 @@ func TestCorrelatedPipelineDeterministicAcrossParallelism(t *testing.T) {
 		if !reflect.DeepEqual(seq.Scenarios, par.Scenarios) {
 			t.Errorf("Scenarios differ between Parallelism 1 and %d", workers)
 		}
-		if !reflect.DeepEqual(seq.Naive, par.Naive) {
-			t.Errorf("Naive scenarios differ between Parallelism 1 and %d", workers)
-		}
 		if len(seq.RWAResults) != len(par.RWAResults) {
 			t.Fatalf("RWAResults length: %d vs %d", len(seq.RWAResults), len(par.RWAResults))
 		}

@@ -71,7 +71,6 @@ func runScenarioStress(cfg Config) (*Result, error) {
 	const teScenarios = 48
 	if len(sub.Scenarios) > teScenarios {
 		sub.Scenarios = sub.Scenarios[:teScenarios]
-		sub.Naive = sub.Naive[:teScenarios]
 		sub.Plain = sub.Plain[:teScenarios]
 		sub.RWAResults = sub.RWAResults[:teScenarios]
 		sub.ffc = new(ffcLists) // FFC-2's list reads Plain

@@ -13,10 +13,10 @@ import (
 )
 
 // pipelineFingerprint reduces a pipeline's artifacts to a comparable string
-// covering everything the TE consumes: scenarios, tickets, naive candidates
-// and the fractional RWA solutions.
+// covering everything the TE consumes: scenarios and their tickets, the
+// naive candidate among them, and the fractional RWA solutions.
 func pipelineFingerprint(p *Pipeline) string {
-	return fmt.Sprintf("%v|%v|%v|%v", p.Scenarios, p.Naive, p.Plain, func() []any {
+	return fmt.Sprintf("%v|%v|%v", p.Scenarios, p.Plain, func() []any {
 		var out []any
 		for _, r := range p.RWAResults {
 			out = append(out, r.Failed, r.FracWaves, r.OrigWaves, r.GbpsPerWave)

@@ -38,9 +38,6 @@ func TestBuildPipelineDeterministicAcrossParallelism(t *testing.T) {
 	if !reflect.DeepEqual(seq.Scenarios, par.Scenarios) {
 		t.Error("Scenarios differ between Parallelism 1 and 8")
 	}
-	if !reflect.DeepEqual(seq.Naive, par.Naive) {
-		t.Error("Naive scenarios differ between Parallelism 1 and 8")
-	}
 	if !reflect.DeepEqual(seq.Plain, par.Plain) {
 		t.Error("Plain scenarios differ between Parallelism 1 and 8")
 	}

@@ -22,11 +22,9 @@ import (
 type Pipeline struct {
 	Topo *topo.Topology
 	Set  *scenario.Set
-	// Scenarios carries the full ticket set Z^q per scenario (for ARROW).
+	// Scenarios carries the full ticket set Z^q per scenario: ARROW reads
+	// them all, Arrow-Naive the first, the RWA-derived candidate.
 	Scenarios []te.RestorableScenario
-	// Naive carries a single RWA-derived candidate per scenario
-	// (for Arrow-Naive).
-	Naive []te.RestorableScenario
 	// Plain carries the failure scenarios without restoration (FFC/TeaVaR).
 	Plain []te.FailureScenario
 	// RWAResults holds the per-scenario relaxed RWA solutions, aligned with
@@ -112,7 +110,7 @@ func BuildPipelineContext(ctx context.Context, tp *topo.Topology, opts PipelineO
 		return nil, err
 	}
 	p := &Pipeline{
-		Topo: tp, Set: off.Set, Scenarios: off.Scenarios, Naive: off.Naive, RWAResults: off.RWA,
+		Topo: tp, Set: off.Set, Scenarios: off.Scenarios, RWAResults: off.RWA,
 		Plain:  make([]te.FailureScenario, len(off.Scenarios)),
 		teOpts: te.SessionOptions(ctx, opts.NoWarm),
 		ffc:    new(ffcLists),
@@ -157,7 +155,7 @@ func (p *Pipeline) SolveScheme(s Scheme, n *te.Network) (*te.Allocation, []map[i
 		}
 		return al, al.RestoredGbps, nil
 	case SchemeArrowNaive:
-		al, err := te.ArrowNaive(n, p.Naive, p.arrowOptions())
+		al, err := te.ArrowNaive(n, p.Scenarios, p.arrowOptions())
 		if err != nil {
 			return nil, nil, err
 		}

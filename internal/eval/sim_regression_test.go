@@ -74,7 +74,7 @@ func TestArrowNeverWorseThanNaive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		naive, err := te.ArrowNaive(n, pl.Naive, nil)
+		naive, err := te.ArrowNaive(n, pl.Scenarios, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

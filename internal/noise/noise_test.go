@@ -42,7 +42,7 @@ func triangle(t *testing.T, blockSlot bool) (*optical.Network, *rwa.Result, *rwa
 func TestBuildPlanRetuneDetection(t *testing.T) {
 	// Without blocking, the restored wave keeps slot 5: no retune.
 	_, res, asg := triangle(t, false)
-	nNet := res.Req.Net
+	nNet := res.Net
 	plan := BuildPlan(nNet, res, asg)
 	if plan.Retunes != 0 {
 		t.Fatalf("%d retunes, want 0", plan.Retunes)
@@ -52,7 +52,7 @@ func TestBuildPlanRetuneDetection(t *testing.T) {
 	}
 	// Blocking slot 5 on the detour forces a retune.
 	_, res2, asg2 := triangle(t, true)
-	plan2 := BuildPlan(res2.Req.Net, res2, asg2)
+	plan2 := BuildPlan(res2.Net, res2, asg2)
 	if plan2.Retunes != 1 {
 		t.Fatalf("%d retunes, want 1", plan2.Retunes)
 	}
@@ -60,7 +60,7 @@ func TestBuildPlanRetuneDetection(t *testing.T) {
 
 func TestBuildPlanWaves(t *testing.T) {
 	_, res, asg := triangle(t, false)
-	plan := BuildPlan(res.Req.Net, res, asg)
+	plan := BuildPlan(res.Net, res, asg)
 	// Endpoints 0 and 1 add/drop; node 2 is intermediate.
 	if plan.NumAddDropROADMs() != 2 {
 		t.Fatalf("add/drop ROADMs %d, want 2", plan.NumAddDropROADMs())
@@ -79,7 +79,7 @@ func TestBuildPlanWaves(t *testing.T) {
 // add/drop list must not run into the intermediate one.
 func TestBuildPlanListsAreExactAndSeparate(t *testing.T) {
 	_, res, asg := triangle(t, false)
-	plan := BuildPlan(res.Req.Net, res, asg)
+	plan := BuildPlan(res.Net, res, asg)
 	if len(plan.AddDropOps) != 2 || cap(plan.AddDropOps) != 2 || len(plan.IntermediateOps) != 1 || cap(plan.IntermediateOps) != 1 {
 		t.Fatalf("op lists len/cap %d/%d and %d/%d, want 2/2 and 1/1",
 			len(plan.AddDropOps), cap(plan.AddDropOps), len(plan.IntermediateOps), cap(plan.IntermediateOps))
@@ -130,8 +130,8 @@ func TestBuildPlanIntoReusesLists(t *testing.T) {
 		res *rwa.Result
 		asg *rwa.Assignment
 	}{{bigRes, bigAsg}, {smallRes, smallAsg}, {bigRes, bigAsg}} {
-		BuildPlanInto(&dst, c.res.Req.Net, c.res, c.asg)
-		if want := BuildPlan(c.res.Req.Net, c.res, c.asg); !reflect.DeepEqual(&dst, want) {
+		BuildPlanInto(&dst, c.res.Net, c.res, c.asg)
+		if want := BuildPlan(c.res.Net, c.res, c.asg); !reflect.DeepEqual(&dst, want) {
 			t.Fatalf("reused plan %+v, fresh %+v", dst, *want)
 		}
 		inter := slices.Clone(dst.IntermediateOps)
@@ -147,8 +147,8 @@ func TestBuildPlanIntoReusesLists(t *testing.T) {
 		return
 	}
 	if got := testing.AllocsPerRun(20, func() {
-		BuildPlanInto(&dst, smallRes.Req.Net, smallRes, smallAsg)
-		BuildPlanInto(&dst, bigRes.Req.Net, bigRes, bigAsg)
+		BuildPlanInto(&dst, smallRes.Net, smallRes, smallAsg)
+		BuildPlanInto(&dst, bigRes.Net, bigRes, bigAsg)
 	}); got != 0 {
 		t.Errorf("%.0f allocations per pair of BuildPlanInto calls on a grown plan, want none", got)
 	}
@@ -173,7 +173,7 @@ func TestDistinctROADMsKeepsFirstTouchOrder(t *testing.T) {
 
 func TestBuildConfigDeterministicAndComplete(t *testing.T) {
 	_, res, asg := triangle(t, false)
-	plan := BuildPlan(res.Req.Net, res, asg)
+	plan := BuildPlan(res.Net, res, asg)
 	c1 := BuildConfig("cut-fiber-0", plan)
 	c2 := BuildConfig("cut-fiber-0", plan)
 	j1, err := c1.JSON()

@@ -82,6 +82,7 @@ func TestCutQueriesMatchScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	var reused []*spectrum.Bitmap
 	var mask []bool
+	var prev []int
 	for trial := 0; trial < 200; trial++ {
 		n := randomNetwork(rng)
 		for q := 0; q < 8; q++ {
@@ -97,6 +98,13 @@ func TestCutQueriesMatchScan(t *testing.T) {
 			failed := n.FailedLinks(cut)
 			if want := refFailedLinks(n, cut); !reflect.DeepEqual(failed, want) {
 				t.Fatalf("trial %d: FailedLinks(%v) = %v, want %v", trial, cut, failed, want)
+			}
+			// The same appended behind another cut's links.
+			prev = n.AppendFailedLinks(prev[:0], []int{0, len(n.Fibers) - 1})
+			lo := len(prev)
+			prev = n.AppendFailedLinks(prev, cut)
+			if got := prev[lo:]; len(got) != len(failed) || (len(got) > 0 && !reflect.DeepEqual(got, failed)) {
+				t.Fatalf("trial %d: AppendFailedLinks(%v) appended %v, want %v", trial, cut, got, failed)
 			}
 			want := refSpectrumUnderCut(n, cut)
 			if got := n.SpectrumUnderCut(cut); !reflect.DeepEqual(got, want) {

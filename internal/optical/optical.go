@@ -228,17 +228,23 @@ func (n *Network) FailedLinks(cut []int) []int {
 	if total == 0 {
 		return nil
 	}
-	out := make([]int, 0, total)
+	return n.AppendFailedLinks(make([]int, 0, total), cut)
+}
+
+// AppendFailedLinks appends FailedLinks(cut) to dst.
+func (n *Network) AppendFailedLinks(dst, cut []int) []int {
+	on := n.linksOnFibers()
+	lo := len(dst)
 	for _, f := range cut {
 		if f >= 0 && f < len(on) {
-			out = append(out, on[f]...)
+			dst = append(dst, on[f]...)
 		}
 	}
 	if len(cut) > 1 {
-		slices.Sort(out)
-		out = slices.Compact(out)
+		slices.Sort(dst[lo:])
+		dst = dst[:lo+len(slices.Compact(dst[lo:]))]
 	}
-	return out
+	return dst
 }
 
 // CutMask returns dst resized to one entry per fiber, set for the fibers in

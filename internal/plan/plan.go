@@ -25,6 +25,7 @@ import (
 	"github.com/arrow-te/arrow/internal/obs"
 	"github.com/arrow-te/arrow/internal/optical"
 	"github.com/arrow-te/arrow/internal/par"
+	"github.com/arrow-te/arrow/internal/pool"
 	"github.com/arrow-te/arrow/internal/rwa"
 	"github.com/arrow-te/arrow/internal/scenario"
 	"github.com/arrow-te/arrow/internal/te"
@@ -99,17 +100,15 @@ type Options struct {
 	NoWarm bool
 }
 
-// Offline is what the stage produces. Scenarios, Naive, RWA and Cuts are
-// aligned: entry i is the i-th relevant scenario in enumeration (probability)
-// order.
+// Offline is what the stage produces. Scenarios, RWA and Cuts are aligned:
+// entry i is the i-th relevant scenario in enumeration (probability) order.
 type Offline struct {
 	Set *scenario.Set
 	// Scenarios carries the full ticket set Z^q per scenario; Tickets[0] is
-	// always the RWA's own integral assignment.
+	// always the RWA's own integral assignment, the one ticket Arrow-Naive
+	// reads (te.ArrowNaive). A scenario's tickets are one slice of their
+	// exact length, their vectors laid out in one array each (ticket.Clone).
 	Scenarios []te.RestorableScenario
-	// Naive is Scenarios with that first ticket alone (Arrow-Naive). The
-	// ticket slices alias Scenarios' and are capped at one element.
-	Naive []te.RestorableScenario
 	// RWA holds each kept scenario's relaxed RWA solution. Its Failed is the
 	// scenario's TicketLinks (the same slice), and every ticket of the
 	// scenario is assignable on it by rwa.AssignIntegral.
@@ -120,8 +119,10 @@ type Offline struct {
 }
 
 // solveRWA is rwa.Solve behind a seam so tests can inject failures into the
-// parallel stage without constructing a pathological topology.
-var solveRWA = rwa.Solve
+// parallel stage without constructing a pathological topology. It takes the
+// request by value: a pointer passed through a function variable escapes,
+// and no Result keeps its request.
+var solveRWA = func(req rwa.Request) (*rwa.Result, error) { return rwa.Solve(&req) }
 
 // stage is the read-only state the per-scenario workers share. rec, led,
 // prof and health are the sinks and probe period Build reads once from its
@@ -146,6 +147,17 @@ type stage struct {
 	// what it saves comes from the scenarios of one plan repeating each
 	// other's path searches and option sets.
 	memo *rwa.Memo
+	// scratch hands each worker the memory a scenario needs only while it
+	// is planned.
+	scratch pool.Free[scratch]
+}
+
+// scratch is what one scenario's planning needs and no plan keeps: the
+// warm-start sources of its RWA request and the tickets its candidates are
+// drawn into before they are copied out at their final size.
+type scratch struct {
+	warm    []*rwa.Result
+	tickets []ticket.Ticket
 }
 
 // artifacts is the stage's output for one enumerated scenario, written into
@@ -238,7 +250,6 @@ func Build(ctx context.Context, net *optical.Network, failProbs []float64, group
 	off := &Offline{
 		Set:       s.set,
 		Scenarios: make([]te.RestorableScenario, 0, budget),
-		Naive:     make([]te.RestorableScenario, 0, budget),
 		RWA:       make([]*rwa.Result, 0, budget),
 		Cuts:      make([][]int, 0, budget),
 	}
@@ -269,9 +280,6 @@ func Build(ctx context.Context, net *optical.Network, failProbs []float64, group
 			}
 			off.Scenarios = append(off.Scenarios, te.RestorableScenario{
 				FailureScenario: fs, TicketLinks: a.res.Failed, Tickets: a.tickets, Seeds: a.seeds,
-			})
-			off.Naive = append(off.Naive, te.RestorableScenario{
-				FailureScenario: fs, TicketLinks: a.res.Failed, Tickets: a.tickets[:1:1],
 			})
 			off.RWA = append(off.RWA, a.res)
 			off.Cuts = append(off.Cuts, sc.Cut)
@@ -337,10 +345,7 @@ func (s *stage) solveSingles(ctx context.Context) error {
 	solved, err := par.Map(ctx, par.WorkersFrom(ctx), len(fibers), func(_ context.Context, i int) (*rwa.Result, error) {
 		req := s.request([]int{fibers[i]})
 		req.ExportBasis = true
-		res, err := solveRWA(&req)
-		// The result keeps req; the memo's ranked lists and index are the
-		// build's alone and go with it (the option sets stay, shared).
-		req.Memo = nil
+		res, err := solveRWA(req)
 		if err != nil {
 			return nil, fmt.Errorf("plan: single cut {%d} rwa: %w", fibers[i], err)
 		}
@@ -369,7 +374,9 @@ func (s *stage) solveSingles(ctx context.Context) error {
 // parallelise freely and results cannot depend on the schedule.
 func (s *stage) scenario(si int) (artifacts, error) {
 	cut := s.set.Scenarios[si].Cut
-	var warm []*rwa.Result
+	sc := s.scratch.Get()
+	defer s.scratch.Put(sc)
+	warm := sc.warm[:0]
 	var res *rwa.Result
 	if len(cut) == 1 && s.singles[cut[0]] != nil {
 		// The pre-stage already solved this exact request.
@@ -381,14 +388,14 @@ func (s *stage) scenario(si int) (artifacts, error) {
 					warm = append(warm, src)
 				}
 			}
+			sc.warm = warm
 		}
 		req := s.request(cut)
 		req.WarmFrom = warm
 		endRWA := s.prof.StageAgg("rwa.solve")
 		var err error
-		res, err = solveRWA(&req)
+		res, err = solveRWA(req)
 		endRWA()
-		req.Memo = nil // as in solveSingles
 		if err != nil {
 			return artifacts{}, fmt.Errorf("plan: scenario %d rwa: %w", si, err)
 		}
@@ -402,12 +409,14 @@ func (s *stage) scenario(si int) (artifacts, error) {
 	}
 	// Ticket #1 is always the RWA-derived candidate itself (Fig. 14: "when
 	// the number of LotteryTickets is one ... it represents the Arrow-Naive
-	// approach"); randomized rounding fills the rest of Z.
-	counts := rwa.MaxIntegralWaves(res)
-	naive := ticket.Ticket{Waves: counts, Gbps: make([]float64, len(counts))}
+	// approach"); randomized rounding fills the rest of Z. The candidates
+	// are drawn into the scratch and copied out once, at their final size.
+	n := len(res.Failed)
+	tks := ticket.Extend(sc.tickets[:0], n)
+	rwa.IntegralWavesInto(tks[0].Waves, res, res.OrigWaves)
 	integral := 0
-	for i, c := range counts {
-		naive.Gbps[i] = float64(c) * res.GbpsPerWave[i]
+	for i, c := range tks[0].Waves {
+		tks[0].Gbps[i] = float64(c) * res.GbpsPerWave[i]
 		integral += c
 	}
 	if s.rec != nil && res.Objective > 0 {
@@ -417,24 +426,26 @@ func (s *stage) scenario(si int) (artifacts, error) {
 			s.rec.Observe("rwa.relaxation_gap", gap)
 		}
 	}
-	a := artifacts{res: res, tickets: []ticket.Ticket{naive}}
+	a := artifacts{res: res}
 	if len(warm) > 0 {
 		// Compositional candidate: the union of the constituent single-cut
 		// restorations, restricted to the combined cut's spectrum. It rides
 		// directly behind the naive seed so the colgen master starts from
 		// the composed plan instead of pricing it in.
 		obs.Add(s.rec, "scenario.warm_from_singles", 1)
-		if tk, ok := ticket.Compose(res, cut, s.waves); ok && !slices.Equal(tk.Waves, naive.Waves) {
-			a.tickets = append(a.tickets, tk)
+		tks = ticket.Extend(tks, n)
+		if ticket.Compose(&tks[1], res, cut, s.waves) && !slices.Equal(tks[1].Waves, tks[0].Waves) {
 			a.seeds = 2
+		} else {
+			tks = tks[:1]
 		}
 	}
 	// With nothing left to draw (Tickets: 1, or 2 behind a composed
 	// candidate) the generator is not even re-seeded.
-	if s.opts.Tickets > len(a.tickets) {
+	if seeds := len(tks); s.opts.Tickets > seeds {
 		endTickets := s.prof.StageAgg("ticket.generate")
-		rolled := ticket.Generate(res, ticket.Options{
-			Count:            s.opts.Tickets - len(a.tickets),
+		tks = ticket.AppendGenerated(tks, res, ticket.Options{
+			Count:            s.opts.Tickets - seeds,
 			Stride:           s.opts.Stride,
 			Seed:             s.opts.Seed + int64(si)*977,
 			CheckFeasibility: true,
@@ -444,15 +455,19 @@ func (s *stage) scenario(si int) (artifacts, error) {
 			Scenario:         si,
 		})
 		endTickets()
-		// Generate dedupes what it rolls; a rolled ticket may still repeat a
-		// seed (the naive or the composed one).
-		seeds := a.tickets
-		for _, tk := range rolled {
-			isSeed := func(sd ticket.Ticket) bool { return slices.Equal(sd.Waves, tk.Waves) }
-			if !slices.ContainsFunc(seeds, isSeed) {
-				a.tickets = append(a.tickets, tk)
+		// AppendGenerated dedupes what it rolls; a rolled ticket may still
+		// repeat a seed (the naive or the composed one). Those are swapped
+		// past the end, so every ticket keeps vectors of its own.
+		kept := seeds
+		for i := seeds; i < len(tks); i++ {
+			if !slices.ContainsFunc(tks[:seeds], func(sd ticket.Ticket) bool { return slices.Equal(sd.Waves, tks[i].Waves) }) {
+				tks[kept], tks[i] = tks[i], tks[kept]
+				kept++
 			}
 		}
+		tks = tks[:kept]
 	}
+	sc.tickets = tks
+	a.tickets = ticket.Clone(tks)
 	return a, nil
 }

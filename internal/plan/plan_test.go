@@ -31,7 +31,7 @@ func TestBuildErrorCancelsPool(t *testing.T) {
 	orig := solveRWA
 	defer func() { solveRWA = orig }()
 	var calls atomic.Int64
-	solveRWA = func(req *rwa.Request) (*rwa.Result, error) {
+	solveRWA = func(req rwa.Request) (*rwa.Result, error) {
 		calls.Add(1)
 		return nil, errors.New("injected rwa failure")
 	}

@@ -1,5 +1,6 @@
 // Package pool is a free list for the solver workspaces (simplex, RWA
-// scratch, graph search, ticket generator) that one call hands to the next.
+// scratch, graph search, ticket generator, scenario enumeration) that one
+// call hands to the next.
 //
 // It stands where sync.Pool stood, and differs in the one way that matters
 // for a workspace that took a whole solve to grow: whether a Get allocates

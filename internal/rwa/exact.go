@@ -40,7 +40,7 @@ func SolveExact(req *Request, opts *mip.Options) (*Result, error) {
 		return nil, fmt.Errorf("rwa exact: %w", err)
 	}
 	out := &Result{
-		Req: req, Failed: res.Failed, OrigWaves: res.OrigWaves,
+		Net: res.Net, AllowTuning: res.AllowTuning, Failed: res.Failed, OrigWaves: res.OrigWaves,
 		GbpsPerWave: res.GbpsPerWave, Options: res.Options,
 	}
 	out.FracWaves = make([]float64, len(res.Failed))

@@ -11,7 +11,6 @@ import (
 // basis exchange needs, and that is the one way their Results may differ.
 func withoutPathKeys(res *Result) *Result {
 	cp := *res
-	cp.Req = nil
 	cp.Options = make([][]PathOption, len(res.Options))
 	for i, opts := range res.Options {
 		cp.Options[i] = append([]PathOption(nil), opts...)

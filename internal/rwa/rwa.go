@@ -108,9 +108,16 @@ type PathOption struct {
 	key      string
 }
 
-// Result is the outcome of the relaxed RWA solve.
+// Result is the outcome of the relaxed RWA solve. Of its Request it keeps
+// only what a later assignment reads — the network and whether transponders
+// may retune — so a Result holds no pointer to the request it was solved
+// from, and the request need not outlive the solve.
 type Result struct {
-	Req *Request
+	// Net is the request's network: the options' fibers and slots lie in it.
+	Net *optical.Network
+	// AllowTuning is the request's: without it, an assignment gives each
+	// failed wavelength its original slot or none.
+	AllowTuning bool
 	// Failed lists the failed IP link IDs, defining the index order of all
 	// per-link vectors (the "1..n" of Algorithm 1).
 	Failed []int
@@ -180,6 +187,7 @@ func pathKey(fibers []int) string {
 // Solve and AssignIntegral pass scratches to each other through scratchPool;
 // a Result or Assignment never shares memory with one.
 type scratch struct {
+	failed  []int              // the request's failed links, as Solve finds them
 	cut     []bool             // by fiber: cut in the request at hand
 	spectra []*spectrum.Bitmap // the network's SpectrumUnderCut for it
 	common  *spectrum.Bitmap   // one path's end-to-end spectrum
@@ -280,21 +288,25 @@ func (sc *scratch) solve(req *Request) (*Result, error) {
 		panic("rwa: Request.Memo was made for another network")
 	}
 	obs.Add(req.Recorder, "rwa.solves", 1)
-	res := &Result{Req: req}
-	res.Failed = req.Net.FailedLinks(req.Cut)
-	if len(res.Failed) == 0 {
+	res := &Result{Net: req.Net, AllowTuning: req.AllowTuning}
+	sc.failed = req.Net.AppendFailedLinks(sc.failed[:0], req.Cut)
+	n := len(sc.failed)
+	if n == 0 {
 		return res, nil
 	}
-	obs.Observe(req.Recorder, "rwa.failed_links", float64(len(res.Failed)))
+	obs.Observe(req.Recorder, "rwa.failed_links", float64(n))
+	// The per-link vectors lie in one array per type, each capped at its own
+	// end.
+	ints, floats := make([]int, 2*n), make([]float64, 2*n)
+	copy(ints, sc.failed)
+	res.Failed, res.OrigWaves = ints[:n:n], ints[n:]
+	res.GbpsPerWave, res.FracWaves = floats[:n:n], floats[n:]
+	res.Options = make([][]PathOption, n)
 	sc.cut = req.Net.CutMask(sc.cut, req.Cut)
 	sc.spectra = req.Net.SpectrumUnderCutInto(sc.spectra, sc.cut, res.Failed)
 	if sc.common == nil || sc.common.Len() != req.Net.SlotCount {
 		sc.common = spectrum.NewBitmap(req.Net.SlotCount)
 	}
-	res.Options = make([][]PathOption, len(res.Failed))
-	res.GbpsPerWave = make([]float64, len(res.Failed))
-	res.OrigWaves = make([]int, len(res.Failed))
-	res.FracWaves = make([]float64, len(res.Failed))
 
 	for i, lid := range res.Failed {
 		link := req.Net.LinkByID(lid)
@@ -495,7 +507,7 @@ func (sc *scratch) buildModel(res *Result, name string, integer bool) *lp.Model 
 	m.SetName(name)
 	m.SetMaximize(true)
 
-	slots := res.Req.Net.SlotCount
+	slots := res.Net.SlotCount
 	sc.optBase, sc.linkOpt = sc.optBase[:0], sc.linkOpt[:0]
 	sc.keys, sc.vars = sc.keys[:0], sc.vars[:0]
 	for li := range res.Failed {
@@ -521,7 +533,7 @@ func (sc *scratch) buildModel(res *Result, name string, integer bool) *lp.Model 
 	sc.optBase = append(sc.optBase, m.NumVars())
 
 	// (14): each (fiber, slot) carries at most one restored wavelength.
-	sc.addGroupRows(m, len(res.Req.Net.Fibers)*slots, 1)
+	sc.addGroupRows(m, len(res.Net.Fibers)*slots, 1)
 	// (17): a link restores at most its gamma_e wavelengths.
 	for li := range res.Failed {
 		lo, hi := sc.optBase[sc.linkOpt[li]], sc.optBase[sc.linkOpt[li+1]]
@@ -537,7 +549,7 @@ func (sc *scratch) buildModel(res *Result, name string, integer bool) *lp.Model 
 	}
 	// Without tuning, each original slot can restore at most one of the
 	// link's wavelengths across all paths.
-	if !res.Req.AllowTuning {
+	if !res.AllowTuning {
 		for li := range res.Failed {
 			sc.keys, sc.vars = sc.keys[:0], sc.vars[:0]
 			for pi, opt := range res.Options[li] {
@@ -738,7 +750,7 @@ func (a *Assignment) Waves(i int) int { return len(a.PerLink[i]) }
 // feasible targets; callers treat that as "ticket infeasible", matching the
 // paper's conservative feasibility filter.
 //
-// The options of res must lie in res.Req.Net (its fibers, its slots); those
+// The options of res must lie in res.Net (its fibers, its slots); those
 // of a Result built by hand rather than by Solve may list their slots in any
 // order.
 func AssignIntegral(res *Result, target []int) (*Assignment, bool) {
@@ -812,9 +824,9 @@ func Feasible(res *Result, target []int) bool {
 // reports whether every target was met.
 func (sc *scratch) assign(res *Result, target []int) bool {
 	n := len(res.Failed)
-	net := res.Req.Net
+	net := res.Net
 	slots := net.SlotCount
-	tuning := res.Req.AllowTuning
+	tuning := res.AllowTuning
 	sc.used.reset(len(net.Fibers) * slots)
 
 	// Links with the fewest (path, slot) options first, ties in Failed
@@ -920,14 +932,21 @@ func SlotCapacity(res *Result, li int) int {
 // restores per failed link — the assignment's Waves(i) — and whether every
 // target was met, without building the assignment.
 func IntegralWaves(res *Result, target []int) ([]int, bool) {
+	out := make([]int, len(res.Failed))
+	return out, IntegralWavesInto(out, res, target)
+}
+
+// IntegralWavesInto is IntegralWaves into dst, which holds one entry per
+// failed link. dst may be target itself: the greedy has read every target
+// before the first count is written.
+func IntegralWavesInto(dst []int, res *Result, target []int) bool {
 	sc := scratchPool.Get()
 	defer scratchPool.Put(sc)
 	ok := sc.assign(res, target)
-	out := make([]int, len(res.Failed))
 	for li, sp := range sc.span[:len(res.Failed)] {
-		out[li] = sp[1] - sp[0]
+		dst[li] = sp[1] - sp[0]
 	}
-	return out, ok
+	return ok
 }
 
 // MaxIntegralWaves runs the greedy assignment asking for every link's full

@@ -36,7 +36,7 @@ func refAssignIntegral(res *Result, target []int) (*Assignment, bool) {
 			want = res.OrigWaves[li]
 		}
 		origSlot := map[int]bool{}
-		for _, w := range res.Req.Net.LinkByID(res.Failed[li]).Waves {
+		for _, w := range res.Net.LinkByID(res.Failed[li]).Waves {
 			origSlot[w.Slot] = true
 		}
 		got := 0
@@ -57,7 +57,7 @@ func refAssignIntegral(res *Result, target []int) (*Assignment, bool) {
 				if got >= want {
 					break
 				}
-				if !res.Req.AllowTuning && usedOrig[s] {
+				if !res.AllowTuning && usedOrig[s] {
 					continue
 				}
 				free := true
@@ -358,7 +358,7 @@ func handBuiltResult(rng *rand.Rand) *Result {
 	for f := 0; f < fibers; f++ {
 		n.AddFiber(optical.ROADM(f), optical.ROADM(f+1), 100)
 	}
-	res := &Result{Req: &Request{Net: n, AllowTuning: rng.Intn(2) == 0}}
+	res := &Result{Net: n, AllowTuning: rng.Intn(2) == 0}
 	mod := spectrum.Table6[0]
 	for links := 1 + rng.Intn(4); links > 0; links-- {
 		f := rng.Intn(fibers)
@@ -404,6 +404,28 @@ func TestAssignIntegralMatchesMapReferenceOnHandBuiltResults(t *testing.T) {
 	}
 	if assigned < 1000 {
 		t.Fatalf("only %d wavelengths assigned over all trials", assigned)
+	}
+}
+
+// IntegralWavesInto writes the counts a fresh AssignIntegral restores, and
+// may be handed its target as its destination.
+func TestIntegralWavesIntoMayOverwriteTarget(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	for trial := 0; trial < 800; trial++ {
+		res := handBuiltResult(rng)
+		target := randomTarget(rng, res)
+		asg, wantOK := AssignIntegral(res, target)
+		want := make([]int, len(res.Failed))
+		for i := range want {
+			want[i] = asg.Waves(i)
+		}
+		inPlace := slices.Clone(target)
+		if ok := IntegralWavesInto(inPlace, res, inPlace); ok != wantOK || !slices.Equal(inPlace, want) {
+			t.Fatalf("trial %d: target %v realises %v %v in place, AssignIntegral %v %v", trial, target, inPlace, ok, want, wantOK)
+		}
+		if got, ok := IntegralWaves(res, target); ok != wantOK || !slices.Equal(got, want) {
+			t.Fatalf("trial %d: IntegralWaves %v %v, AssignIntegral %v %v", trial, got, ok, want, wantOK)
+		}
 	}
 }
 
@@ -454,7 +476,7 @@ func TestAssignIntegralOrdersUnsortedSlots(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := &Result{
-		Req:    &Request{Net: n, AllowTuning: true},
+		Net: n, AllowTuning: true,
 		Failed: []int{l.ID}, OrigWaves: []int{4},
 		Options: [][]PathOption{{{LinkID: l.ID, Fibers: []int{1}, Slots: []int{7, 5, 0, 2, 3}}}},
 	}
@@ -484,7 +506,6 @@ func TestSolveIgnoresUnknownAndRepeatedCutFibers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut %v: %v", cut, err)
 		}
-		got.Req = want.Req
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("cut %v solves to %+v, cut [0] to %+v", cut, got, want)
 		}
@@ -520,7 +541,7 @@ func TestSolveLeavesSelfLoopFibersOut(t *testing.T) {
 		if len(res.Options) != 1 || len(res.Options[0]) == 0 {
 			t.Fatalf("options %+v", res.Options)
 		}
-		res.Req = nil
+		res.Net = nil
 		return res
 	}
 	if got, want := solve(build(true)), solve(build(false)); !reflect.DeepEqual(got, want) {
@@ -587,17 +608,18 @@ func TestSolveAllocationsIndependentOfFibersTimesSlots(t *testing.T) {
 	small := allocs(slotNetwork(t, 16, 0))
 	large := allocs(slotNetwork(t, 160, 60))
 	// The same count whether the spectrum is 8 fibers x 16 slots or 68 x
-	// 160: what the Result owns — itself and its five vectors (6), per
-	// failed link its options and the one array behind their fibers, slots
-	// and original slots (2 x 4) —, what the search returns, per failed link
-	// the path list and per path its edges (4 + 12), and the LP's
-	// certificate and warm info (2). The Solution, X, duals and basis the
-	// scratch reuses cost none: the 6 they cost per solve before would
-	// break the budget.
+	// 160: what the Result owns — itself, the int and the float array its
+	// four per-link vectors lie in and its option list (4), per failed link
+	// its options and the one array behind their fibers, slots and original
+	// slots (2 x 4) —, what the search returns, per failed link the path
+	// list and per path its edges (4 + 12), and the LP's certificate and
+	// warm info (2). The Solution, X, duals and basis the scratch reuses
+	// cost none: the 6 they cost per solve before would break the budget,
+	// as would the 2 a vector of its own per failed-link quantity cost.
 	if small != large {
 		t.Errorf("%.0f allocations per Solve on 8 fibers x 16 slots, %.0f on 68 x 160", small, large)
 	}
-	if budget := 6.0 + 2*4 + 4 + 12 + 2; small > budget {
+	if budget := 4.0 + 2*4 + 4 + 12 + 2; small > budget {
 		t.Errorf("%.0f allocations per steady-state Solve, budget %.0f", small, budget)
 	}
 }

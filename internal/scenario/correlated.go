@@ -4,9 +4,9 @@ import (
 	"container/heap"
 	"slices"
 	"sort"
-	"strconv"
 
 	"github.com/arrow-te/arrow/internal/obs"
+	"github.com/arrow-te/arrow/internal/pool"
 )
 
 // Group is one shared-risk link group (SRLG): a named set of fibers that
@@ -61,6 +61,10 @@ type candidate struct {
 	// no larger, and rounding is monotone). prob is not: it can exceed its
 	// parent's by a rounding, most easily among tied odds.
 	prob, key float64
+	// buf backs positions and elems: positions from its start, elems from
+	// its middle. It holds two tuples of the enumeration's largest size, so
+	// a candidate done with serves the next one as it is.
+	buf []int
 }
 
 // candHeap is the emission order: descending probability, exact ties toward
@@ -100,6 +104,64 @@ func (h *candHeap) Pop() interface{} {
 type searchHeap struct{ candHeap }
 
 func (h searchHeap) Less(a, b int) bool { return h.candHeap[a].key > h.candHeap[b].key }
+
+// enumScratch is the working memory of one EnumerateCorrelated at a time:
+// the search frontier, the candidates waiting to be emitted and those done
+// with, and the cut sets emitted so far. It only grows, so an enumeration no
+// larger than one it served before allocates nothing in it; the Set an
+// enumeration returns shares none of its memory.
+type enumScratch struct {
+	search searchHeap
+	ready  candHeap
+	free   []*candidate
+	// cuts lists the emitted cut sets in emission order, cut i's fibers being
+	// fibers[cuts[i].lo:cuts[i].hi]. byCut maps a cut's hash to its index; a
+	// cut whose hash is taken by another cut takes the next free value.
+	cuts   []emitted
+	fibers []int
+	byCut  map[uint64]int
+	cut    []int // the cut set at hand
+}
+
+// emitted is one emitted cut set: its fibers' span and its merged
+// probability.
+type emitted struct {
+	lo, hi int
+	prob   float64
+}
+
+// enumPool hands scratches from one enumeration to the next.
+var enumPool pool.Free[enumScratch]
+
+// reset empties the scratch for a new enumeration.
+func (sc *enumScratch) reset() {
+	sc.search.candHeap, sc.ready = sc.search.candHeap[:0], sc.ready[:0]
+	sc.cuts, sc.fibers = sc.cuts[:0], sc.fibers[:0]
+	if sc.byCut == nil {
+		sc.byCut = map[uint64]int{}
+	}
+	clear(sc.byCut)
+}
+
+// find returns the index of the emitted cut set with exactly cut's fibers,
+// or -1 and the key under which byCut is to record cut.
+func (sc *enumScratch) find(cut []int) (idx int, key uint64) {
+	key = 14695981039346656037 // FNV-1a over the fibers
+	for _, f := range cut {
+		key ^= uint64(f)
+		key *= 1099511628211
+	}
+	for {
+		idx, ok := sc.byCut[key]
+		if !ok {
+			return -1, key
+		}
+		if e := sc.cuts[idx]; slices.Equal(sc.fibers[e.lo:e.hi], cut) {
+			return idx, key
+		}
+		key++
+	}
+}
 
 // EnumerateCorrelated enumerates k-simultaneous-failure scenarios over the
 // correlated element model (per-fiber marginals plus SRLGs), best-first by
@@ -179,16 +241,35 @@ func EnumerateCorrelated(failProb []float64, groups []Group, opt EnumOptions) *S
 	absSlack := float64(2 * float64(k+1) * 0x1p-1074)
 	ceil := func(key float64) float64 { return float64(key*(1+relSlack)) + absSlack }
 
+	sc := enumPool.Get()
+	defer enumPool.Put(sc)
+	sc.reset()
+	// get hands out a candidate of n elements, one done with when there is
+	// one; put takes one back.
+	get := func(n int) *candidate {
+		var c *candidate
+		if last := len(sc.free) - 1; last >= 0 {
+			c, sc.free = sc.free[last], sc.free[:last]
+		} else {
+			c = new(candidate)
+		}
+		if len(c.buf) < 2*k {
+			c.buf = make([]int, 2*k)
+		}
+		c.positions, c.elems = c.buf[:n], c.buf[k:k+n]
+		return c
+	}
+	put := func(c *candidate) { sc.free = append(sc.free, c) }
+
 	// canonical fills in a candidate's ascending element tuple, its
 	// probability and its key.
 	canonical := func(c *candidate) {
-		c.elems = make([]int, len(c.positions))
 		c.key = healthy
 		for i, p := range c.positions {
 			c.elems[i] = order[p]
 			c.key *= odds[order[p]]
 		}
-		sort.Ints(c.elems)
+		slices.Sort(c.elems)
 		c.prob = healthy
 		for _, e := range c.elems {
 			c.prob *= odds[e]
@@ -196,93 +277,102 @@ func EnumerateCorrelated(failProb []float64, groups []Group, opt EnumOptions) *S
 	}
 
 	var (
-		search     searchHeap
-		ready      candHeap
-		pruned     int64
-		covered    = healthy
-		byCut      = map[string]int{}
-		cutScratch = make([]int, 0, 8)
-		keyScratch []byte // the cut's fibers, each followed by a comma: byCut's key
+		pruned  int64
+		covered = healthy
 	)
 	push := func(c *candidate) {
 		canonical(c)
 		if ceil(c.key) < opt.Cutoff {
 			pruned++ // this candidate and its whole subtree are below cutoff
+			put(c)
 			return
 		}
-		heap.Push(&search, c)
+		heap.Push(&sc.search, c)
 	}
 	// emit records c's cut set, merging it into an emitted one with the same
 	// fibers, and reports whether the enumeration goes on.
 	emit := func(c *candidate) bool {
+		defer put(c)
 		// Expand the cut set: union of member fibers of every element.
-		cutScratch = cutScratch[:0]
+		cut := sc.cut[:0]
 		for _, e := range c.elems {
 			if e < nf {
-				cutScratch = append(cutScratch, e)
+				cut = append(cut, e)
 			} else {
-				cutScratch = append(cutScratch, groups[e-nf].Fibers...)
+				cut = append(cut, groups[e-nf].Fibers...)
 			}
 		}
-		sort.Ints(cutScratch)
-		cut := cutScratch[:0]
-		keyScratch = keyScratch[:0]
-		for _, f := range cutScratch {
-			if len(cut) == 0 || f != cut[len(cut)-1] {
-				cut = append(cut, f)
-				keyScratch = append(strconv.AppendInt(keyScratch, int64(f), 10), ',')
-			}
-		}
-		if idx, ok := byCut[string(keyScratch)]; ok {
-			s.Scenarios[idx].Prob += c.prob // merge overlapping expansions
+		slices.Sort(cut)
+		cut = slices.Compact(cut)
+		sc.cut = cut
+		if idx, h := sc.find(cut); idx >= 0 {
+			sc.cuts[idx].prob += c.prob // merge overlapping expansions
 		} else {
-			if opt.MaxEnumerated > 0 && len(s.Scenarios) >= opt.MaxEnumerated {
+			if opt.MaxEnumerated > 0 && len(sc.cuts) >= opt.MaxEnumerated {
 				pruned++
 				return false
 			}
-			byCut[string(keyScratch)] = len(s.Scenarios)
-			s.Scenarios = append(s.Scenarios, Scenario{Cut: slices.Clone(cut), Prob: c.prob})
+			sc.byCut[h] = len(sc.cuts)
+			lo := len(sc.fibers)
+			sc.fibers = append(sc.fibers, cut...)
+			sc.cuts = append(sc.cuts, emitted{lo: lo, hi: len(sc.fibers), prob: c.prob})
 		}
 		covered += c.prob
 		return !(opt.TargetMass > 0 && covered >= opt.TargetMass)
 	}
-	push(&candidate{positions: []int{0}})
+	root := get(1)
+	root.positions[0] = 0
+	push(root)
 
 	for {
 		// Emit every waiting candidate that no unexplored one can precede:
 		// the frontier's top key bounds every probability still unseen.
-		for ready.Len() > 0 && (search.Len() == 0 || ready[0].prob > ceil(search.candHeap[0].key)) {
-			if !emit(heap.Pop(&ready).(*candidate)) {
-				pruned += int64(ready.Len() + search.Len())
-				search.candHeap, ready = nil, nil
+		for sc.ready.Len() > 0 && (sc.search.Len() == 0 || sc.ready[0].prob > ceil(sc.search.candHeap[0].key)) {
+			if !emit(heap.Pop(&sc.ready).(*candidate)) {
+				pruned += int64(sc.ready.Len() + sc.search.Len())
+				sc.search.candHeap, sc.ready = sc.search.candHeap[:0], sc.ready[:0]
 			}
 		}
-		if search.Len() == 0 {
+		if sc.search.Len() == 0 {
 			break
 		}
-		c := heap.Pop(&search).(*candidate)
+		c := heap.Pop(&sc.search).(*candidate)
 		// Children: extend with the next element in odds order, and replace
 		// the last element with it. Each subset is generated exactly once.
-		last := c.positions[len(c.positions)-1]
+		n := len(c.positions)
+		last := c.positions[n-1]
 		if last+1 < ne {
-			if len(c.positions) < k {
-				ext := make([]int, len(c.positions)+1)
-				copy(ext, c.positions)
-				ext[len(c.positions)] = last + 1
-				push(&candidate{positions: ext})
+			if n < k {
+				ext := get(n + 1)
+				copy(ext.positions, c.positions)
+				ext.positions[n] = last + 1
+				push(ext)
 			}
-			sib := make([]int, len(c.positions))
-			copy(sib, c.positions)
-			sib[len(sib)-1] = last + 1
-			push(&candidate{positions: sib})
+			sib := get(n)
+			copy(sib.positions, c.positions)
+			sib.positions[n-1] = last + 1
+			push(sib)
 		}
 		if c.prob < opt.Cutoff {
 			pruned++
+			put(c)
 			continue
 		}
-		heap.Push(&ready, c)
+		heap.Push(&sc.ready, c)
 	}
 
+	// The emitted cut sets, copied out at their final size: one slice of
+	// scenarios, and every cut's fibers in one array.
+	if len(sc.cuts) > 0 {
+		fibers := slices.Clone(sc.fibers[:len(sc.fibers):len(sc.fibers)])
+		if fibers == nil {
+			fibers = []int{}
+		}
+		s.Scenarios = make([]Scenario, len(sc.cuts))
+		for i, e := range sc.cuts {
+			s.Scenarios[i] = Scenario{Cut: fibers[e.lo:e.hi:e.hi], Prob: e.prob}
+		}
+	}
 	s.ResidualProb = 1 - covered
 	if s.ResidualProb < 0 {
 		s.ResidualProb = 0

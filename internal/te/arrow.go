@@ -280,9 +280,10 @@ func restoredTotal(scs []RestorableScenario, winners []int) float64 {
 }
 
 // ArrowNaive runs Phase II only, treating each scenario's FIRST ticket as
-// the winner. Callers typically pass a single RWA-derived candidate per
-// scenario, reproducing the paper's Arrow-Naive baseline (restoration
-// planned purely at the optical layer, blind to traffic demand).
+// the winner and reading no other. With the offline stage's scenarios, whose
+// first ticket is the RWA's own integral assignment, it is the paper's
+// Arrow-Naive baseline (restoration planned purely at the optical layer,
+// blind to traffic demand).
 func ArrowNaive(n *Network, scs []RestorableScenario, opts *ArrowOptions) (*Allocation, error) {
 	if err := n.Validate(); err != nil {
 		return nil, err

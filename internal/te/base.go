@@ -62,24 +62,19 @@ type tunnelRef struct{ f, ti int }
 func newBaseModel(name string, n *Network) *baseModel { return baseModelLike(name, n, nil, false) }
 
 // baseModelLike is newBaseModel on like's variable handles and incidence
-// (nil: its own): every base model of n numbers b_f, then f's a_{f,t}, flow
-// by flow, so Arrow works them out once for its three models. A model built
-// to capture names its capacity rows and records them in capRows.
+// (nil: n's, see layout and incidence): every base model of n numbers b_f,
+// then f's a_{f,t}, flow by flow, so Arrow works them out once for its three
+// models even on a network with no holder. A model built to capture names
+// its capacity rows and records them in capRows.
 func baseModelLike(name string, n *Network, like *baseModel, capture bool) *baseModel {
-	if like == nil {
-		like = &baseModel{a: make([][]lp.Var, len(n.Flows)), b: make([]lp.Var, len(n.Flows)), cross: n.incidence()}
-		v := lp.Var(0)
-		for f, ts := range n.Tunnels {
-			like.b[f], like.a[f] = v, make([]lp.Var, len(ts))
-			for ti := range ts {
-				v++
-				like.a[f][ti] = v
-			}
-			v++
-		}
-	}
 	m := newModel(name, true)
-	bm := &baseModel{m: m, a: like.a, b: like.b, cross: like.cross}
+	bm := &baseModel{m: m}
+	if like != nil {
+		bm.a, bm.b, bm.cross = like.a, like.b, like.cross
+	} else {
+		l := n.layout()
+		bm.a, bm.b, bm.cross = l.a, l.b, n.incidence()
+	}
 	for f := range n.Flows {
 		m.AddVar(0, n.Flows[f].Demand, 1, "") // b_f, (3)
 		bm.row = bm.row[:0]
@@ -102,6 +97,32 @@ func baseModelLike(name string, n *Network, like *baseModel, capture bool) *base
 		}
 	}
 	return bm
+}
+
+// varLayout is the variable numbering every base model of a network
+// shares: b_f, then f's a_{f,t}, flow by flow. It depends only on the shape
+// of the network's tunnels, and is read-only once made.
+type varLayout struct {
+	a [][]lp.Var // a_{f,t}
+	b []lp.Var   // b_f
+}
+
+// layoutOf numbers n's base-model variables. Each flow's a_{f,t} keep an
+// array of their own: cut from one array they would cost fewer allocations
+// but, by the size class that array falls in, more bytes (256 more per
+// Planner.Solve on the Facebook instance).
+func layoutOf(n *Network) varLayout {
+	l := varLayout{a: make([][]lp.Var, len(n.Flows)), b: make([]lp.Var, len(n.Flows))}
+	v := lp.Var(0)
+	for f, ts := range n.Tunnels {
+		l.b[f], l.a[f] = v, make([]lp.Var, len(ts))
+		for ti := range ts {
+			v++
+			l.a[f][ti] = v
+		}
+		v++
+	}
+	return l
 }
 
 // crossOf returns n's tunnel-link incidence (baseModel.cross).

@@ -7,14 +7,18 @@ import (
 
 // tunnelHalf is the demand-independent half of a network's solves, kept by
 // a network built with NewNetwork and shared with every Scaled copy of it:
-// the tunnel–link incidence, built once, and the residual classes of each
-// scenario list a solve has classified. Both are read-only once built, so
-// any number of solves on the network and its copies read them at once.
-// They live as long as the network; every distinct list (FFC-k's, TeaVaR's
-// healthy-prepended one) adds one entry.
+// the tunnel–link incidence and the base models' variable layout, each
+// built once, and the residual classes of each scenario list a solve has
+// classified. All are read-only once built, so any number of solves on the
+// network and its copies read them at once. They live as long as the
+// network; every distinct list (FFC-k's, TeaVaR's healthy-prepended one)
+// adds one entry.
 type tunnelHalf struct {
 	crossOnce sync.Once
 	cross     [][]tunnelRef
+
+	layoutOnce sync.Once
+	layout     varLayout
 
 	mu      sync.Mutex
 	classes []*classEntry
@@ -65,6 +69,17 @@ func (n *Network) incidence() [][]tunnelRef {
 	}
 	h.crossOnce.Do(func() { h.cross = crossOf(n) })
 	return h.cross
+}
+
+// layout returns n's base-model variable layout: the holder's, made on first
+// use, or a fresh one when n has no holder.
+func (n *Network) layout() varLayout {
+	h := n.half
+	if h == nil {
+		return layoutOf(n)
+	}
+	h.layoutOnce.Do(func() { h.layout = layoutOf(n) })
+	return h.layout
 }
 
 // residuals returns the residual classes of scs on n: the holder's entry

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -63,11 +64,23 @@ func TestKernelPivotSequenceGolden(t *testing.T) {
 	}
 	var lines []string
 
-	// The offline stage's RWA LPs, re-solved from the pipeline's own requests.
+	// The offline stage's RWA LPs, re-solved from the requests the stage
+	// made: one per relevant cut, in enumeration order, at the default K.
+	var cuts [][]int
+	for _, sc := range pl.Set.Scenarios {
+		if len(tp.Opt.FailedLinks(sc.Cut)) > 0 {
+			cuts = append(cuts, sc.Cut)
+		}
+	}
 	for qi, res := range pl.RWAResults {
+		if !slices.Equal(tp.Opt.FailedLinks(cuts[qi]), res.Failed) {
+			t.Fatalf("rwa scenario %d: cut %v does not fail links %v", qi, cuts[qi], res.Failed)
+		}
 		reg := obs.NewRegistry()
-		req := *res.Req
-		req.Recorder, req.ExportBasis = reg, true
+		req := rwa.Request{
+			Net: res.Net, Cut: cuts[qi], AllowTuning: true, AllowModulationChange: true,
+			Recorder: reg, ExportBasis: true,
+		}
 		again, err := rwa.Solve(&req)
 		if err != nil {
 			t.Fatalf("rwa scenario %d: %v", qi, err)

@@ -73,7 +73,7 @@ func handBuiltResult(rng *rand.Rand) *rwa.Result {
 	for f := 0; f < fibers; f++ {
 		n.AddFiber(optical.ROADM(f), optical.ROADM(f+1), 100)
 	}
-	res := &rwa.Result{Req: &rwa.Request{Net: n, AllowTuning: rng.Intn(2) == 0}}
+	res := &rwa.Result{Net: n, AllowTuning: rng.Intn(2) == 0}
 	for links := 1 + rng.Intn(4); links > 0; links-- {
 		f := rng.Intn(fibers)
 		var ws []optical.Lightpath
@@ -184,6 +184,104 @@ func TestCapacityCheckMatchesGreedyFirstFilter(t *testing.T) {
 	}
 }
 
+// keyDedup is the dedup rule as a map of string keys applied it: a ticket
+// is dropped when one kept before it has the same Key.
+func keyDedup(tks []Ticket) []Ticket {
+	seen := map[string]bool{}
+	var out []Ticket
+	for _, tk := range tks {
+		if k := tk.Key(); !seen[k] {
+			seen[k] = true
+			out = append(out, tk)
+		}
+	}
+	return out
+}
+
+// sameTickets is reflect.DeepEqual with no ticket on either side, nil or
+// empty, counting as equal.
+func sameTickets(a, b []Ticket) bool {
+	return len(a) == 0 && len(b) == 0 || reflect.DeepEqual(a, b)
+}
+
+// Dedup by scanning the tickets kept keeps what the map of string keys
+// kept, in the same order, on hand-built results with fractional and with
+// integral LP points (the latter repeat a rounding far more often): drawing
+// never reads the dedup, so the batch drawn without it, filtered through
+// the map, is the reference. AppendGenerated onto tickets of another batch,
+// drawing into their spare vectors, appends the same tickets, compares
+// none with the ones it was handed and leaves those as they were.
+func TestDedupScanMatchesKeyMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	duplicates := [2]int{}
+	var buf []Ticket // its spare tickets carry vectors of earlier trials
+	for trial := 0; trial < 600; trial++ {
+		res := handBuiltResult(rng)
+		integral := trial%2 == 1
+		if integral {
+			for i, x := range res.FracWaves {
+				res.FracWaves[i] = float64(int(x))
+			}
+		}
+		opts := Options{Count: 1 + rng.Intn(24), Stride: 1 + rng.Intn(3), Seed: int64(trial), CheckFeasibility: rng.Intn(2) == 0}
+		drawn := Generate(res, opts)
+		want := keyDedup(drawn)
+		opts.Dedup = true
+		if got := Generate(res, opts); !sameTickets(got, want) {
+			t.Fatalf("trial %d: scan kept %v, key map %v", trial, got, want)
+		}
+		if integral {
+			duplicates[1] += len(drawn) - len(want)
+		} else {
+			duplicates[0] += len(drawn) - len(want)
+		}
+
+		prefix := Clone(want[:min(1, len(want))])
+		buf = append(buf[:0], Clone(prefix)...)
+		buf = AppendGenerated(buf, res, opts)
+		if p := len(prefix); !sameTickets(buf[:p], prefix) || !sameTickets(buf[p:], want) {
+			t.Fatalf("trial %d: appended after %v: %v, want %v", trial, prefix, buf, want)
+		}
+	}
+	if duplicates[0] < 50 || duplicates[1] < 50 {
+		t.Fatalf("%d duplicates on fractional points, %d on integral ones: a side of the rule is barely exercised", duplicates[0], duplicates[1])
+	}
+}
+
+// Clone copies tickets into a slice of their exact number whose vectors
+// are capped at their own length and share nothing with the originals.
+func TestCloneIsExactAndSeparate(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	if Clone(nil) != nil {
+		t.Fatal("Clone(nil) is not nil")
+	}
+	for trial := 0; trial < 50; trial++ {
+		n := rng.Intn(6)
+		tks := make([]Ticket, 1+rng.Intn(8), 16)
+		for i := range tks {
+			tks[i] = Ticket{Waves: make([]int, n, n+2), Gbps: make([]float64, n, n+2)}
+			for e := 0; e < n; e++ {
+				tks[i].Waves[e], tks[i].Gbps[e] = rng.Intn(9), rng.Float64()
+			}
+		}
+		out := Clone(tks)
+		if !reflect.DeepEqual(out, tks) || cap(out) != len(tks) {
+			t.Fatalf("trial %d: clone %v (cap %d) of %v", trial, out, cap(out), tks)
+		}
+		for i := range out {
+			if cap(out[i].Waves) != n || cap(out[i].Gbps) != n {
+				t.Fatalf("trial %d: ticket %d's vectors reach past their end", trial, i)
+			}
+			if n > 0 {
+				tks[i].Waves[0]++
+				if out[i].Waves[0] == tks[i].Waves[0] {
+					t.Fatalf("trial %d: ticket %d shares its waves with the original", trial, i)
+				}
+			}
+		}
+	}
+}
+
 func TestKeyPrintsLikeFmt(t *testing.T) {
 	for _, waves := range [][]int{nil, {}, {0}, {12, 0, 3}, {-1, 100000}} {
 		tk := Ticket{Waves: waves}
@@ -205,11 +303,11 @@ func TestGenerateAllocatesOnlyTickets(t *testing.T) {
 	if len(out) < 2 || len(out) == opts.Count {
 		t.Fatalf("fixture: %d of %d tickets kept", len(out), opts.Count)
 	}
-	// Per kept ticket its two vectors and its dedup key, the vectors of the
-	// rejected attempt in flight at the end, the result slice as it grows
-	// (1, 2, 4, 8, 16) and the dedup map with its growth: nothing per
+	// Per kept ticket its two vectors, the vectors of the rejected attempt in
+	// flight at the end, and the result slice as it grows (1, 2, 4, 8, 16):
+	// dedup scans the kept tickets, so no key and no map; nothing per
 	// attempt, nothing sized by the spectrum.
-	budget := float64(3*len(out) + 2 + 5 + 6)
+	budget := float64(2*len(out) + 2 + 5)
 	if got := testing.AllocsPerRun(50, run); got > budget {
 		t.Errorf("%.0f allocations for %d kept tickets, budget %.0f", got, len(out), budget)
 	}

@@ -8,6 +8,7 @@ package ticket
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strconv"
 
 	"github.com/arrow-te/arrow/internal/ledger"
@@ -35,11 +36,10 @@ func (t *Ticket) TotalGbps() float64 {
 	return s
 }
 
-// Key returns a canonical string for deduplication: the wave counts the way
-// fmt.Sprint would print them, "[2 0 3]".
-func (t *Ticket) Key() string { return string(t.appendKey(make([]byte, 0, 2+3*len(t.Waves)))) }
-
-func (t *Ticket) appendKey(b []byte) []byte {
+// Key returns the wave counts the way fmt.Sprint would print them,
+// "[2 0 3]": two tickets have the same key exactly when they are duplicates.
+func (t *Ticket) Key() string {
+	b := make([]byte, 0, 2+3*len(t.Waves))
 	b = append(b, '[')
 	for i, w := range t.Waves {
 		if i > 0 {
@@ -47,7 +47,7 @@ func (t *Ticket) appendKey(b []byte) []byte {
 		}
 		b = strconv.AppendInt(b, int64(w), 10)
 	}
-	return append(b, ']')
+	return string(append(b, ']'))
 }
 
 // Options configures LotteryTicket generation.
@@ -102,19 +102,22 @@ const (
 )
 
 // Compose builds the composed-from-singles restoration candidate for a
-// multi-fiber cut: each failed link's target wave count comes from the
-// first constituent single-cut solve (in cut order) that failed it —
-// waves[f] is fiber f's pre-staged failed-link -> integral-wave map, absent
-// when the fiber has no pre-staged solve — clamped to the link's original
-// count. The greedy integral assignment then realises the targets
-// under the combined cut's spectrum contention, and the REALISED counts
-// (not the targets) become the ticket, so the composed candidate is always
-// physically feasible; links whose single-cut restoration paths died with
-// the other fibers simply realise less. ok is false when nothing at all
-// could be restored.
-func Compose(res *rwa.Result, cut []int, waves map[int]map[int]int) (Ticket, bool) {
-	target := make([]int, len(res.Failed))
+// multi-fiber cut into tk, whose vectors hold one entry per failed link of
+// res: each failed link's target wave count comes from the first
+// constituent single-cut solve (in cut order) that failed it — waves[f] is
+// fiber f's pre-staged failed-link -> integral-wave map, absent when the
+// fiber has no pre-staged solve — clamped to the link's original count. The
+// greedy integral assignment then realises the targets under the combined
+// cut's spectrum contention, and the REALISED counts (not the targets)
+// become the ticket, so the composed candidate is always physically
+// feasible; links whose single-cut restoration paths died with the other
+// fibers simply realise less. The targets are worked out in tk.Waves, which
+// the realised counts then overwrite. Compose reports false when nothing at
+// all could be restored.
+func Compose(tk *Ticket, res *rwa.Result, cut []int, waves map[int]map[int]int) bool {
+	target := tk.Waves
 	for i, lid := range res.Failed {
+		target[i] = 0
 		for _, f := range cut {
 			ws := waves[f]
 			if ws == nil {
@@ -129,14 +132,54 @@ func Compose(res *rwa.Result, cut []int, waves map[int]map[int]int) (Ticket, boo
 			target[i] = res.OrigWaves[i]
 		}
 	}
-	realised, _ := rwa.IntegralWaves(res, target)
-	tk := Ticket{Waves: realised, Gbps: make([]float64, len(res.Failed))}
+	rwa.IntegralWavesInto(tk.Waves, res, target)
 	total := 0
-	for i, w := range realised {
+	for i, w := range tk.Waves {
 		tk.Gbps[i] = float64(w) * res.GbpsPerWave[i]
 		total += w
 	}
-	return tk, total > 0
+	return total > 0
+}
+
+// Extend returns tks one ticket longer, the new ticket's vectors n long.
+// It reuses the ticket past tks' end, vectors included, when there is one
+// with room, and overwrites nothing else; the new vectors' contents are
+// whatever they held.
+func Extend(tks []Ticket, n int) []Ticket {
+	if len(tks) == cap(tks) {
+		return append(tks, Ticket{Waves: make([]int, n), Gbps: make([]float64, n)})
+	}
+	tks = tks[:len(tks)+1]
+	tk := &tks[len(tks)-1]
+	if cap(tk.Waves) < n || cap(tk.Gbps) < n {
+		tk.Waves, tk.Gbps = make([]int, n), make([]float64, n)
+	}
+	tk.Waves, tk.Gbps = tk.Waves[:n], tk.Gbps[:n]
+	return tks
+}
+
+// Clone returns a copy of tks in memory of its own, at its exact size: one
+// slice of tickets, every ticket's wave counts in one array and its
+// bandwidths in another. Each vector is capped at its own length, so
+// appending to one cannot overwrite the next ticket's.
+func Clone(tks []Ticket) []Ticket {
+	if tks == nil {
+		return nil
+	}
+	n := 0
+	for _, tk := range tks {
+		n += len(tk.Waves)
+	}
+	out := make([]Ticket, len(tks))
+	waves, gbps := make([]int, n), make([]float64, n)
+	for i, tk := range tks {
+		k := len(tk.Waves)
+		copy(waves, tk.Waves)
+		copy(gbps, tk.Gbps)
+		out[i] = Ticket{Waves: waves[:k:k], Gbps: gbps[:k:k]}
+		waves, gbps = waves[k:], gbps[k:]
+	}
+	return out
 }
 
 // rngPool hands generators from one Generate to the next.
@@ -149,6 +192,19 @@ const fracEps = 1e-9
 // RWA solution by randomized rounding. The RWA itself (Algorithm 1 line 2)
 // must already be solved and is passed as res.
 func Generate(res *rwa.Result, opts Options) []Ticket {
+	out := AppendGenerated(nil, res, opts)
+	if len(out) == 0 {
+		return nil
+	}
+	return out
+}
+
+// AppendGenerated is Generate appending the tickets it keeps to dst. Each
+// rounding is drawn into the ticket past dst's end (Extend), so a caller
+// that hands the same dst back, emptied, draws into vectors it already has;
+// nothing may hold the vectors of dst's tickets past its length. Dedup
+// compares a draw with the tickets this call kept, not with dst's own.
+func AppendGenerated(dst []Ticket, res *rwa.Result, opts Options) []Ticket {
 	// Seed puts a Rand in the state rand.New(rand.NewSource(seed)) starts in,
 	// so a generator (5 KB of state) is re-seeded instead of built per batch.
 	rng := rngPool.Get()
@@ -156,15 +212,12 @@ func Generate(res *rwa.Result, opts Options) []Ticket {
 	rng.Seed(opts.Seed)
 	delta := opts.stride()
 	n := len(res.Failed)
-	var out []Ticket
-	seen := map[string]bool{}
-	var key []byte // looked up in seen as it is; a string only once kept
+	kept := len(dst)
 	infeasible, duplicates := 0, 0
-	var tk Ticket // a rejected ticket's vectors serve the next attempt
 	for z := 0; z < opts.Count; z++ {
-		if tk.Waves == nil {
-			tk = Ticket{Waves: make([]int, n), Gbps: make([]float64, n)}
-		}
+		// A rejected draw is cut off again, and its vectors serve the next.
+		dst = Extend(dst, n)
+		tk := &dst[len(dst)-1]
 		for e := 0; e < n; e++ {
 			tk.Waves[e] = roundOnce(rng, res.FracWaves[e], res.OrigWaves[e], delta)
 			tk.Gbps[e] = float64(tk.Waves[e]) * res.GbpsPerWave[e]
@@ -178,22 +231,20 @@ func Generate(res *rwa.Result, opts Options) []Ticket {
 						Ticket: z, Reason: reason, Gbps: tk.TotalGbps(),
 					})
 				}
+				dst = dst[:len(dst)-1]
 				continue
 			}
 		}
-		if opts.Dedup {
-			key = tk.appendKey(key[:0])
-			if seen[string(key)] {
-				duplicates++
-				if opts.Ledger != nil {
-					opts.Ledger.Emit(ledger.Event{
-						Kind: ledger.KindTicketRejected, Scenario: opts.Scenario,
-						Ticket: z, Reason: ledger.RejectDuplicate, Gbps: tk.TotalGbps(),
-					})
-				}
-				continue
+		if opts.Dedup && holds(dst[kept:len(dst)-1], tk.Waves) {
+			duplicates++
+			if opts.Ledger != nil {
+				opts.Ledger.Emit(ledger.Event{
+					Kind: ledger.KindTicketRejected, Scenario: opts.Scenario,
+					Ticket: z, Reason: ledger.RejectDuplicate, Gbps: tk.TotalGbps(),
+				})
 			}
-			seen[string(key)] = true
+			dst = dst[:len(dst)-1]
+			continue
 		}
 		if opts.Ledger != nil {
 			opts.Ledger.Emit(ledger.Event{
@@ -201,17 +252,27 @@ func Generate(res *rwa.Result, opts Options) []Ticket {
 				Ticket: z, Gbps: tk.TotalGbps(),
 			})
 		}
-		out = append(out, tk)
-		tk = Ticket{}
 	}
 	if r := opts.Recorder; r != nil {
+		generated := len(dst) - kept
 		r.Add("ticket.rounding_attempts", int64(opts.Count))
 		r.Add("ticket.infeasible", int64(infeasible))
 		r.Add("ticket.duplicates", int64(duplicates))
-		r.Add("ticket.generated", int64(len(out)))
-		r.Observe("ticket.yield_per_batch", float64(len(out)))
+		r.Add("ticket.generated", int64(generated))
+		r.Observe("ticket.yield_per_batch", float64(generated))
 	}
-	return out
+	return dst
+}
+
+// holds reports whether one of tks has exactly these wave counts: the dedup
+// rule, under which two tickets are duplicates when their Waves are equal.
+func holds(tks []Ticket, waves []int) bool {
+	for i := range tks {
+		if slices.Equal(tks[i].Waves, waves) {
+			return true
+		}
+	}
+	return false
 }
 
 // infeasibility says why the greedy integral assignment cannot realise
