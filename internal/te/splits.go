@@ -33,8 +33,8 @@ type splitTable struct {
 	linkAt  []int       // [qi]: where qi's failed links start in a list of every scenario's
 	totalR  [][]float64 // [qi][z]: ticket z's sum_e r_e^{z,q}, over qi's failed links in order
 	failing [][]failAt  // [link]: every position it holds among a scenario's failed links, ascending
-	litAt   []int       // [qi]: where qi's tickets start in lit, one flag per failed link each
-	lit     []bool      // whether a ticket lights a failed link (!(Gbps <= 0))
+	litAt   []int       // [qi]: where qi's supports start in lit, one flag per failed link each
+	lit     []bool      // whether a support lights a failed link (!(Gbps <= 0))
 	// The arrays behind support, reps and totalR, and init's scratch.
 	supportFlat, repsFlat []int32
 	totalRFlat            []float64
@@ -50,7 +50,7 @@ func callView(n *Network, scs []RestorableScenario, winners []int) *splitView {
 	v := viewPool.Get()
 	t := &v.t
 	t.links, t.tunnels, t.scs = len(n.LinkCap), n.Tunnels, scs
-	t.init()
+	t.init(winners)
 	var only []int32
 	if winners != nil {
 		v.only = resize(v.only, len(scs))
@@ -119,8 +119,10 @@ func resize[T any](xs []T, n int) []T {
 // init builds the scenario-level part of t over t.scs. A ticket's support is which of its
 // scenario's failed links it lights, those whose restored capacity
 // restorable does not read as dark (!(Gbps <= 0)): the tickets of one
-// support make the same rows and differ only in totalR.
-func (t *splitTable) init() {
+// support make the same rows and differ only in totalR. With winners, only
+// each scenario's winner is classified, as its one support: every other
+// ticket's support reads -1 and its totalR 0.
+func (t *splitTable) init(winners []int) {
 	nz := 0
 	for qi := range t.scs {
 		nz += len(t.scs[qi].Tickets)
@@ -149,7 +151,12 @@ func (t *splitTable) init() {
 			t.gbpsAt = append(t.gbpsAt, slices.Index(q.TicketLinks, link))
 		}
 		for z, tk := range q.Tickets {
-			totalR := 0.0 // sum_e r_e^{z,q}, over q's failed links in order
+			if winners != nil && z != winners[qi] {
+				t.support[qi][z] = -1
+				continue
+			}
+			from := len(lits) // where z's flags go
+			totalR := 0.0     // sum_e r_e^{z,q}, over q's failed links in order
 			for _, at := range t.gbpsAt {
 				g := 0.0
 				if at >= 0 {
@@ -159,15 +166,17 @@ func (t *splitTable) init() {
 				totalR += g
 			}
 			t.totalR[qi][z] = totalR
-			ql := lits[t.litAt[qi]:]
+			// Supports light distinct links: z's is the one that lights
+			// what z does, or a new one.
+			ql, ns := lits[t.litAt[qi]:from], len(t.repsFlat)-start
 			y := 0
-			for y < z && !slices.Equal(ql[y*k:(y+1)*k], ql[z*k:]) {
+			for y < ns && !slices.Equal(ql[y*k:(y+1)*k], lits[from:]) {
 				y++
 			}
-			if y < z {
-				t.support[qi][z] = t.support[qi][y]
+			t.support[qi][z] = int32(y)
+			if y < ns {
+				lits = lits[:from]
 			} else {
-				t.support[qi][z] = int32(len(t.repsFlat) - start)
 				t.repsFlat = append(t.repsFlat, int32(z))
 			}
 		}
@@ -190,7 +199,7 @@ type failAt struct{ q, i int32 }
 // litOf is which of scenario qi's failed links support s lights, in order.
 func (t *splitTable) litOf(qi, s int) []bool {
 	k := len(t.scs[qi].FailedLinks)
-	at := t.litAt[qi] + int(t.reps[qi][s])*k
+	at := t.litAt[qi] + s*k
 	return t.lit[at : at+k : at+k]
 }
 
