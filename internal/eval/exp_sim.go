@@ -3,6 +3,7 @@ package eval
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -134,15 +135,20 @@ func availabilitySweep(cfg Config, name string) (*sweepData, error) {
 }
 
 // sweepGrid is one availability sweep's instance: the pipeline, one base
-// network per traffic matrix, the demand scales and the (matrix, scale,
-// scheme) cells, each an independent TE solve. Every cell of a matrix is
-// solved on a Scaled copy of its base network, so all of them share the
-// base's demand-independent half (te.NewNetwork).
+// network per traffic matrix, the demand scales, the (matrix, scale, scheme)
+// cells and the tasks that solve them. Every cell of a matrix is solved on a
+// Scaled copy of its base network, so all of them share the base's
+// demand-independent half (te.NewNetwork).
 type sweepGrid struct {
+	name   string
 	pl     *Pipeline
 	bases  []*te.Network
 	scales []float64
 	cells  []sweepCell
+	// tasks is the fan-out: first each matrix's TeaVaR cells, one chain
+	// along the scales (si < 0; Pipeline.SolveTeaVaRScales), the longest
+	// tasks, then every other cell on its own.
+	tasks []sweepCell
 }
 
 // sweepCell indexes the grid's bases, scales and AllSchemes().
@@ -164,7 +170,7 @@ func newSweepGrid(cfg Config, name string) (*sweepGrid, error) {
 		Sites: tp.NumRouters(), Count: p.matrices, MaxFlows: p.maxFlows,
 		TotalGbps: 1, Seed: cfg.Seed + 7,
 	})
-	g := &sweepGrid{pl: pl, bases: make([]*te.Network, len(ms)), scales: []float64{1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 7.0}}
+	g := &sweepGrid{name: name, pl: pl, bases: make([]*te.Network, len(ms)), scales: []float64{1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 7.0}}
 	if !cfg.Fast {
 		g.scales = []float64{1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 5.0, 6.0, 7.0}
 	}
@@ -178,7 +184,43 @@ func newSweepGrid(cfg Config, name string) (*sweepGrid, error) {
 			}
 		}
 	}
+	teavar := slices.Index(AllSchemes(), SchemeTeaVaR)
+	for mi := range g.bases {
+		g.tasks = append(g.tasks, sweepCell{mi, -1, teavar})
+	}
+	for _, c := range g.cells {
+		if c.zi != teavar {
+			g.tasks = append(g.tasks, c)
+		}
+	}
 	return g, nil
+}
+
+// solveTask solves task j of g's fan-out and hands visit each cell it
+// solved: its index in g.cells, its network, its allocation and the
+// restored capacities to evaluate it with.
+func (g *sweepGrid) solveTask(j int, visit func(ci int, n *te.Network, al *te.Allocation, restored []map[int]float64)) error {
+	schemes := AllSchemes()
+	t := g.tasks[j]
+	base := g.bases[t.mi]
+	cell := func(si int) int { return (t.mi*len(g.scales)+si)*len(schemes) + t.zi }
+	if t.si < 0 {
+		als, err := g.pl.SolveTeaVaRScales(base, g.scales)
+		if err != nil {
+			return fmt.Errorf("%s matrix %d: %s along scales %v: %w", g.name, t.mi, schemes[t.zi], g.scales, err)
+		}
+		for si, al := range als {
+			visit(cell(si), base.Scaled(g.scales[si]), al, nil)
+		}
+		return nil
+	}
+	n := base.Scaled(g.scales[t.si])
+	al, restored, err := g.pl.SolveScheme(schemes[t.zi], n)
+	if err != nil {
+		return fmt.Errorf("%s matrix %d: %s at scale %g: %w", g.name, t.mi, schemes[t.zi], g.scales[t.si], err)
+	}
+	visit(cell(t.si), n, al, restored)
+	return nil
 }
 
 func computeSweep(cfg Config, name string) (*sweepData, error) {
@@ -192,16 +234,15 @@ func computeSweep(cfg Config, name string) (*sweepData, error) {
 		d.avail[s] = make([]float64, len(g.scales))
 	}
 
-	// The grid cells are independent TE solves: fan them out, then reduce
-	// in the sequential path's exact iteration order so the floating-point
-	// sums are bit-identical to Parallelism 1.
-	avails, err := par.Map(cfg.ctx(), cfg.Parallelism, len(g.cells), func(_ context.Context, j int) (float64, error) {
-		c := g.cells[j]
-		a, _, err := g.pl.SchemeAvailability(schemes[c.zi], g.bases[c.mi], g.scales[c.si])
-		if err != nil {
-			return 0, fmt.Errorf("%s matrix %d: %s at scale %g: %w", name, c.mi, schemes[c.zi], g.scales[c.si], err)
-		}
-		return a, nil
+	// The grid's tasks are independent TE solves: fan them out, each writing
+	// its cells' availabilities, then reduce in the sequential path's exact
+	// iteration order so the floating-point sums are bit-identical to
+	// Parallelism 1.
+	avails := make([]float64, len(g.cells))
+	err = par.ForEach(cfg.ctx(), cfg.Parallelism, len(g.tasks), func(_ context.Context, j int) error {
+		return g.solveTask(j, func(ci int, n *te.Network, al *te.Allocation, restored []map[int]float64) {
+			avails[ci] = g.pl.cellAvailability(schemes[g.cells[ci].zi], n, al, restored)
+		})
 	})
 	if err != nil {
 		return nil, err

@@ -167,7 +167,7 @@ func (p *Pipeline) SolveScheme(s Scheme, n *te.Network) (*te.Allocation, []map[i
 		al, err := bl.FFC(n, p.singleCutScenarios(2))
 		return al, nil, err
 	case SchemeTeaVaR:
-		al, err := bl.TeaVaR(n, p.Plain, &te.TeaVaROptions{Beta: 0.999})
+		al, err := bl.TeaVaR(n, p.Plain, &te.TeaVaROptions{Beta: teavarBeta})
 		return al, nil, err
 	case SchemeECMP:
 		al, err := bl.ECMP(n)
@@ -177,6 +177,18 @@ func (p *Pipeline) SolveScheme(s Scheme, n *te.Network) (*te.Allocation, []map[i
 		return al, nil, err
 	}
 	return nil, nil, fmt.Errorf("eval: unknown scheme %q", s)
+}
+
+// teavarBeta is the availability target, the CVaR level, of every TeaVaR
+// solve of the evaluation.
+const teavarBeta = 0.999
+
+// SolveTeaVaRScales solves TeaVaR on base.Scaled(s) for every s of scales
+// along one chain of warm re-solves (te.Baselines.TeaVaRScales), under the
+// session's LP options, as SolveScheme solves one cell. The sweep solves
+// its TeaVaR cells this way.
+func (p *Pipeline) SolveTeaVaRScales(base *te.Network, scales []float64) ([]*te.Allocation, error) {
+	return te.Baselines{LP: p.teOpts.LP}.TeaVaRScales(base, p.Plain, &te.TeaVaROptions{Beta: teavarBeta}, scales)
 }
 
 // arrowOptions returns a copy of the options every ARROW solve of the
@@ -268,9 +280,14 @@ func (p *Pipeline) SchemeAvailability(s Scheme, base *te.Network, scale float64)
 	if err != nil {
 		return 0, 0, err
 	}
+	return p.cellAvailability(s, n, al, restored), al.Throughput(n), nil
+}
+
+// cellAvailability is the availability of scheme s's allocation al on n,
+// with the restored capacities its solve returned.
+func (p *Pipeline) cellAvailability(s Scheme, n *te.Network, al *te.Allocation, restored []map[int]float64) float64 {
 	ev := &availability.Evaluator{Net: n, Alloc: al, ECMPRebalance: s == SchemeECMP}
-	avail := ev.Availability(p.EvalScenarios(restored))
-	return avail, al.Throughput(n), nil
+	return ev.Availability(p.EvalScenarios(restored))
 }
 
 // baseUtilization positions demand scale 1.0 relative to the

@@ -44,6 +44,7 @@ var coreCounters = []MetricDoc{
 	{"te.phase1_pivots", "counter", "simplex pivots attributed to ARROW Phase I masters"},
 	{"te.phase1_pivot_work", "counter", "pivot work units attributed to ARROW Phase I masters"},
 	{"te.fallback_kept", "counter", "ARROW solves that kept the all-ticket-0 Phase II over Phase I's winners"},
+	{"te.chain_restarts", "counter", "TeaVaR warm re-solves along a demand-scale chain that ran out of pivots or failed their certificate and were solved again from the all-slack basis"},
 	{"mip.solves", "counter", "branch-and-bound solves completed"},
 	{"mip.nodes", "counter", "branch-and-bound nodes explored"},
 	{"mip.pruned", "counter", "nodes pruned by bound"},

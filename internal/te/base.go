@@ -186,11 +186,13 @@ func (al *Allocation) solvedBy(m *lp.Model, sol *lp.Solution) *Allocation {
 // options, so the session's recorder counts their solves and its health
 // probes watch them. The package-level FFC, TeaVaR, ECMP and MaxThroughput
 // solve with the zero value, unobserved. There is no cold path: every
-// baseline LP starts from its all-slack basis. Every FFC, ECMP and
-// max-throughput row holds at x = 0, so phase 1 is skipped; TeaVaR's cvar
-// rows are the only ones x = 0 violates, and the warm engine's selective
-// repair swaps their slacks for artificials that one pivot of theta drives
-// out, where a cold start would re-derive the whole vertex in phase 1.
+// baseline LP starts from its all-slack basis, except a TeaVaR re-solve
+// along a chain of demand scales (TeaVaRScales), which starts from the
+// previous scale's optimal basis. Every FFC, ECMP and max-throughput row
+// holds at x = 0, so phase 1 is skipped; TeaVaR's cvar rows are the only
+// ones x = 0 violates, and the warm engine's selective repair swaps their
+// slacks for artificials that one pivot of theta drives out, where a cold
+// start would re-derive the whole vertex in phase 1.
 type Baselines struct {
 	LP *lp.Options
 }

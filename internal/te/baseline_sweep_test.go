@@ -15,10 +15,13 @@ import (
 // TestBaselineObjectivesMatchReferenceOnSweep solves the 27 baseline cells
 // of the fast B4 availability sweep (FFC-1, FFC-2 and TeaVaR at its nine
 // demand scales, on the scenario lists eval.SolveScheme hands them) on the
-// reduced and on the reference models: same optimum, to 1e-9 relative.
+// reduced and on the reference models: same optimum, to 1e-9 relative. The
+// sweep's TeaVaR cells, one chain along the scales, match both the
+// reference and a standalone TeaVaR of each scaled network, to 1e-9
+// relative, and their certificates pass.
 func TestBaselineObjectivesMatchReferenceOnSweep(t *testing.T) {
 	if testing.Short() || race.Enabled {
-		t.Skip("builds a full pipeline and solves 81 LPs on one goroutine: 3 s, 40 s under the race detector")
+		t.Skip("builds a full pipeline and solves 99 LPs on one goroutine: 3 s, 40 s under the race detector")
 	}
 	const seed = 1
 	tp, err := topo.B4(seed + 5)
@@ -76,7 +79,21 @@ func TestBaselineObjectivesMatchReferenceOnSweep(t *testing.T) {
 			t.Fatalf("%s: this test's model (%+v) is not the sweep's (%+v)", cell, al.Stats, viaEval.Stats)
 		}
 	}
-	for _, scale := range []float64{1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 7.0} {
+	scales := []float64{1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 7.0}
+	chain, err := te.Baselines{}.TeaVaRScales(base, pl.Plain, &te.TeaVaROptions{Beta: 0.999}, scales)
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaEval, err := pl.SolveTeaVaRScales(base, scales)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for si := range scales {
+		if viaEval[si].Stats != chain[si].Stats || viaEval[si].Objective != chain[si].Objective {
+			t.Fatalf("TeaVaR at scale %g: this test's chain (%+v) is not the sweep's (%+v)", scales[si], chain[si].Stats, viaEval[si].Stats)
+		}
+	}
+	for si, scale := range scales {
 		n := base.Scaled(scale)
 		for _, c := range []struct {
 			name eval.Scheme
@@ -106,5 +123,10 @@ func TestBaselineObjectivesMatchReferenceOnSweep(t *testing.T) {
 			t.Fatal(err)
 		}
 		same(eval.SchemeTeaVaR, scale, al.Cert.Primal, ref)
+		if err := lp.CheckCertificate(chain[si].Cert, 0); err != nil {
+			t.Fatalf("chained TeaVaR at scale %g: %v", scale, err)
+		}
+		same("chained "+eval.SchemeTeaVaR, scale, chain[si].Cert.Primal, ref)
+		same("chained "+eval.SchemeTeaVaR, scale, chain[si].Cert.Primal, al.Cert.Primal)
 	}
 }

@@ -35,9 +35,36 @@ func TeaVaR(n *Network, scs []FailureScenario, opts *TeaVaROptions) (*Allocation
 	return Baselines{}.TeaVaR(n, scs, opts)
 }
 
-// TeaVaR is the package-level TeaVaR under bl's LP options.
+// TeaVaR is the package-level TeaVaR under bl's LP options: the one-scale
+// chain of TeaVaRScales, whose model at scale 1 is n's own.
 func (bl Baselines) TeaVaR(n *Network, scs []FailureScenario, opts *TeaVaROptions) (*Allocation, error) {
-	if err := n.Validate(); err != nil {
+	als, err := bl.TeaVaRScales(n, scs, opts, []float64{1})
+	if err != nil {
+		return nil, err
+	}
+	return als[0], nil
+}
+
+// TeaVaRScales solves TeaVaR on base.Scaled(s) for every s of scales, in
+// order, on one model. With a = s·â and s_f^q = s·ŝ_f^q, TeaVaR at demand
+// scale s is TeaVaR at scale 1 with every capacity row's right-hand side
+// c_e/s: the sat and cvar rows, the bounds (ŝ_f^q <= d_f) and the costs do
+// not depend on s, and neither does the objective's value. So the model is
+// built once on base, and each scale sets the capacity rows' right-hand
+// sides and re-solves from the previous scale's optimal basis, which stays
+// dual feasible: the dual simplex absorbs the change. The allocation is read
+// back as s·â.
+//
+// The first scale solves from the all-slack basis. A warm re-solve may take
+// at most as many pivots as that first solve; one that runs out of them or
+// fails otherwise (solveModel: a solver error, a status but optimal, a
+// certificate that does not pass) is solved again from the all-slack basis
+// and counted in te.chain_restarts. The optimum is degenerate, so a
+// warm re-solve may land on another optimal vertex than a solve of
+// base.Scaled(s) from slack would; the objective is the same. Every scale
+// must be positive and finite.
+func (bl Baselines) TeaVaRScales(base *Network, scs []FailureScenario, opts *TeaVaROptions, scales []float64) ([]*Allocation, error) {
+	if err := base.Validate(); err != nil {
 		return nil, err
 	}
 	beta := 0.999
@@ -47,38 +74,88 @@ func (bl Baselines) TeaVaR(n *Network, scs []FailureScenario, opts *TeaVaROption
 	if beta >= 1 {
 		return nil, fmt.Errorf("te: teavar: beta %g must be < 1", beta)
 	}
-	if n.TotalDemand() <= 0 {
-		return bl.MaxThroughput(n)
+	for _, s := range scales {
+		if !(s > 0) || math.IsInf(s, 1) {
+			return nil, fmt.Errorf("te: teavar: demand scale %g must be positive and finite", s)
+		}
 	}
-	m, a, err := teavarModel(n, scs, beta)
+	out := make([]*Allocation, len(scales))
+	if base.TotalDemand() <= 0 {
+		for i, s := range scales {
+			al, err := bl.MaxThroughput(base.Scaled(s))
+			if err != nil {
+				return nil, err
+			}
+			out[i] = al
+		}
+		return out, nil
+	}
+	m, a, err := teavarModel(base, scs, beta)
 	if err != nil {
 		return nil, err
 	}
-	dst, slack := solutionPool.Get(), basisPool.Get()
-	defer solutionPool.Put(dst)
-	defer basisPool.Put(slack)
-	slack.ResetSlack(m)
-	sol, err := solveModel(dst, m, m.Name(), slack, bl.LP, nil)
-	if err != nil {
-		return nil, err
+	sols := [2]*lp.Solution{solutionPool.Get(), solutionPool.Get()}
+	slack := basisPool.Get()
+	defer func() {
+		solutionPool.Put(sols[0])
+		solutionPool.Put(sols[1])
+		basisPool.Put(slack)
+	}()
+	var guard lp.Options // a warm re-solve's options: bl.LP's, with MaxIter
+	if bl.LP != nil {
+		guard = *bl.LP
 	}
-	defer modelPool.Put(m)
+	for i, s := range scales {
+		c := lp.Constr(0) // the capacity rows come first, in link order
+		for e, refs := range base.incidence() {
+			if len(refs) > 0 {
+				m.SetRHS(c, base.LinkCap[e]/s)
+				c++
+			}
+		}
+		dst := sols[i%2]
+		var sol *lp.Solution
+		if i > 0 {
+			sol, err = solveModel(dst, m, m.Name(), sols[(i-1)%2].Basis, &guard, nil)
+			if err != nil && guard.Recorder != nil {
+				guard.Recorder.Add("te.chain_restarts", 1)
+			}
+		}
+		if sol == nil {
+			slack.ResetSlack(m)
+			if sol, err = solveModel(dst, m, m.Name(), slack, bl.LP, nil); err != nil {
+				return nil, err
+			}
+		}
+		if i == 0 {
+			guard.MaxIter = max(sol.Iterations, 1)
+		}
+		out[i] = teavarAllocation(base, a, s, m, sol)
+	}
+	modelPool.Put(m)
+	return out, nil
+}
 
+// teavarAllocation reads the allocation at demand scale s off sol, a solve
+// of base's model with the capacity rows at c_e/s: a_{f,t} = s·â_{f,t}, and
+// b_f the healthy-state satisfied demand min(s·d_f, sum_t a_{f,t}).
+func teavarAllocation(base *Network, a [][]lp.Var, s float64, m *lp.Model, sol *lp.Solution) *Allocation {
 	al := &Allocation{
-		B: make([]float64, len(n.Flows)),
-		A: make([][]float64, len(n.Flows)),
+		B: make([]float64, len(base.Flows)),
+		A: make([][]float64, len(base.Flows)),
 	}
-	for f := range n.Flows {
+	for f := range base.Flows {
 		al.A[f] = make([]float64, len(a[f]))
 		sum := 0.0
 		for ti, v := range a[f] {
-			al.A[f][ti] = sol.X[v]
-			sum += sol.X[v]
+			x := float64(s * sol.X[v])
+			al.A[f][ti] = x
+			sum += x
 		}
-		al.B[f] = math.Min(n.Flows[f].Demand, sum)
+		al.B[f] = math.Min(base.Flows[f].Demand*s, sum)
 		al.Objective += al.B[f]
 	}
-	return al.solvedBy(m, sol), nil
+	return al.solvedBy(m, sol)
 }
 
 // teavarModel builds TeaVaR's LP for a network with positive total demand
@@ -91,6 +168,8 @@ func (bl Baselines) TeaVaR(n *Network, scs []FailureScenario, opts *TeaVaROption
 // cvar row references its class's variable. The healthy scenario is
 // scenario 0, so class 0 of every flow (the full tunnel set) carries the
 // healthy-throughput bonus. A flow's empty set needs neither: s = 0.
+// The capacity rows come first, one per link some tunnel crosses, in link
+// order: TeaVaRScales sets their right-hand sides by index.
 func teavarModel(n *Network, scs []FailureScenario, beta float64) (*lp.Model, [][]lp.Var, error) {
 	// Scenario list: healthy first, then failures; probabilities normalised.
 	healthyProb := 1.0
