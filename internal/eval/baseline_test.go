@@ -114,6 +114,30 @@ func BenchmarkBaselineCells(b *testing.B) {
 	}
 }
 
+// BenchmarkBaselineChains times the fast sweep's TeaVaR, FFC-1 and FFC-2
+// chains along its nine demand scales (Pipeline.SolveScales) and reports
+// the pivots each chain took.
+func BenchmarkBaselineChains(b *testing.B) {
+	pl, base := baselineInstance(b)
+	scales := []float64{1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 7.0}
+	for _, s := range []Scheme{SchemeTeaVaR, SchemeFFC1, SchemeFFC2} {
+		b.Run(string(s), func(b *testing.B) {
+			var als []*te.Allocation
+			for i := 0; i < b.N; i++ {
+				var err error
+				if als, err = pl.SolveScales(s, base, scales); err != nil {
+					b.Fatal(err)
+				}
+			}
+			pivots := 0
+			for _, al := range als {
+				pivots += al.Stats.Phase2Iters
+			}
+			b.ReportMetric(float64(pivots), "pivots")
+		})
+	}
+}
+
 // TestSweepMemoKeyedOnScenarioKnobs runs fig13 under configs that differ
 // only in the scenario-space knobs, with no ResetSweepCache between them:
 // each must get a sweep of its own pipeline, not the first one's memo.

@@ -183,12 +183,22 @@ func (p *Pipeline) SolveScheme(s Scheme, n *te.Network) (*te.Allocation, []map[i
 // solve of the evaluation.
 const teavarBeta = 0.999
 
-// SolveTeaVaRScales solves TeaVaR on base.Scaled(s) for every s of scales
-// along one chain of warm re-solves (te.Baselines.TeaVaRScales), under the
-// session's LP options, as SolveScheme solves one cell. The sweep solves
-// its TeaVaR cells this way.
-func (p *Pipeline) SolveTeaVaRScales(base *te.Network, scales []float64) ([]*te.Allocation, error) {
-	return te.Baselines{LP: p.teOpts.LP}.TeaVaRScales(base, p.Plain, &te.TeaVaROptions{Beta: teavarBeta}, scales)
+// SolveScales solves scheme s on base.Scaled(x) for every x of scales
+// along one chain of warm re-solves of one model (te.Baselines.TeaVaRScales
+// and FFCScales), under the session's LP options and on the scenarios
+// SolveScheme hands it. Only TeaVaR, FFC-1 and FFC-2 chain. The sweep
+// solves their cells this way.
+func (p *Pipeline) SolveScales(s Scheme, base *te.Network, scales []float64) ([]*te.Allocation, error) {
+	bl := te.Baselines{LP: p.teOpts.LP}
+	switch s {
+	case SchemeFFC1:
+		return bl.FFCScales(base, p.singleCutScenarios(1), scales)
+	case SchemeFFC2:
+		return bl.FFCScales(base, p.singleCutScenarios(2), scales)
+	case SchemeTeaVaR:
+		return bl.TeaVaRScales(base, p.Plain, &te.TeaVaROptions{Beta: teavarBeta}, scales)
+	}
+	return nil, fmt.Errorf("eval: scheme %q does not solve along a chain of scales", s)
 }
 
 // arrowOptions returns a copy of the options every ARROW solve of the

@@ -198,21 +198,39 @@ func Arrow(n *Network, scs []RestorableScenario, opts *ArrowOptions) (*Allocatio
 	}
 	v := callView(n, scs, nil)
 	defer v.release()
-	return arrow(n, v, opts)
+	al, _, err := arrow(n, v, opts, false)
+	return al, err
 }
 
-// arrow is Arrow on a validated network, its rows read off v.
-func arrow(n *Network, v *splitView, opts *ArrowOptions) (*Allocation, error) {
+// ArrowAndNaive returns Arrow's allocation and ArrowNaive's, bit for bit,
+// from one Arrow solve: Arrow always solves the all-ticket-0 Phase II that
+// ArrowNaive is, as its fallback when some winner is not ticket 0 or as the
+// winners' own solve when all are. The naive allocation's Stats carry
+// Phase II numbers only, as ArrowNaive's do; it shares no slice with
+// Arrow's.
+func ArrowAndNaive(n *Network, scs []RestorableScenario, opts *ArrowOptions) (arrowAl, naive *Allocation, err error) {
+	if err := n.Validate(); err != nil {
+		return nil, nil, err
+	}
+	v := callView(n, scs, nil)
+	defer v.release()
+	return arrow(n, v, opts, true)
+}
+
+// arrow is Arrow on a validated network, its rows read off v. With
+// withNaive it also returns the all-ticket-0 Phase II as ArrowNaive would
+// (ArrowAndNaive); without, naive is nil and nothing is built for it.
+func arrow(n *Network, v *splitView, opts *ArrowOptions, withNaive bool) (al, naive *Allocation, err error) {
 	scs := v.t.scs
 	endP1 := opts.profiler().Stage("te.phase1")
 	winners, p1stats, like, err := phase1Winners(n, v, opts)
 	endP1()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	al, err := arrowPhase2(n, v, winners, opts, like)
+	al, err = arrowPhase2(n, v, winners, opts, like)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Phase I ranks tickets against its own (slack-throttled) loads, which
 	// can mis-rank when many tickets tie near zero slack. Ticket 0 is by
@@ -227,11 +245,14 @@ func arrow(n *Network, v *splitView, opts *ArrowOptions) (*Allocation, error) {
 			break
 		}
 	}
-	if !allFirst {
+	if allFirst {
+		naive = al
+	} else {
 		fallback, err := arrowPhase2(n, v, make([]int, len(scs)), opts, like)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
+		naive = fallback
 		// On a throughput tie, prefer the plan that revives more capacity:
 		// extra restored bandwidth can only improve delivery under failures.
 		if fallback.Objective > al.Objective+1e-9 ||
@@ -242,16 +263,41 @@ func arrow(n *Network, v *splitView, opts *ArrowOptions) (*Allocation, error) {
 			}
 		}
 	}
+	if !withNaive {
+		naive = nil
+	} else if naive == al {
+		naive = al.clone()
+	}
 	// The plan and Phase I stats attach to whichever allocation survived
 	// (the fallback's own Stats carry Phase II numbers only).
 	al.RestoredGbps = restoredPlan(scs, al.WinningTicket)
 	al.Stats.Phase1Vars = p1stats.Phase1Vars
 	al.Stats.Phase1Rows = p1stats.Phase1Rows
 	al.Stats.Phase1Iters = p1stats.Phase1Iters
-	if L := opts.ledger(); L != nil {
+	L := opts.ledger()
+	if L != nil {
 		emitPlan(L, n, scs, al)
 	}
-	return al, nil
+	if naive != nil {
+		naive.RestoredGbps = restoredPlan(scs, naive.WinningTicket)
+		if L != nil {
+			emitPlan(L, n, scs, naive)
+		}
+	}
+	return al, naive, nil
+}
+
+// clone is a copy of al that shares no slice or map with it.
+func (al *Allocation) clone() *Allocation {
+	c := *al
+	c.B = slices.Clone(al.B)
+	c.A = make([][]float64, len(al.A))
+	for f, as := range al.A {
+		c.A[f] = slices.Clone(as)
+	}
+	c.WinningTicket = slices.Clone(al.WinningTicket)
+	c.RestoredGbps = nil
+	return &c
 }
 
 // restoredPlan is the RestoredGbps of the given winners.
@@ -283,7 +329,8 @@ func restoredTotal(scs []RestorableScenario, winners []int) float64 {
 // the winner and reading no other. With the offline stage's scenarios, whose
 // first ticket is the RWA's own integral assignment, it is the paper's
 // Arrow-Naive baseline (restoration planned purely at the optical layer,
-// blind to traffic demand).
+// blind to traffic demand). ArrowAndNaive reads the same allocation off an
+// Arrow solve.
 func ArrowNaive(n *Network, scs []RestorableScenario, opts *ArrowOptions) (*Allocation, error) {
 	if err := n.Validate(); err != nil {
 		return nil, err
@@ -460,7 +507,7 @@ func arrowPhase2(n *Network, v *splitView, winners []int, opts *ArrowOptions, li
 	if err != nil {
 		return nil, err
 	}
-	al := bm.extract(n, sol)
+	al := bm.extract(n, 1, sol)
 	if capture {
 		al.Sens = &SensitivityHandle{
 			Model: bm.m, Basis: sol.Basis, Duals: sol.Duals,

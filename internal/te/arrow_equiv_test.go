@@ -259,7 +259,7 @@ func arrowFromPhase1Basis(n *Network, scs []RestorableScenario) (*Allocation, er
 		if err != nil {
 			return nil, err
 		}
-		al := bm.extract(n, sol)
+		al := bm.extract(n, 1, sol)
 		al.WinningTicket = w
 		for qi := range scs {
 			plan := map[int]float64{}

@@ -2,6 +2,7 @@ package te_test
 
 import (
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -199,4 +200,63 @@ func BenchmarkArrowSolve(b *testing.B) {
 	b.ReportMetric(float64(al.Stats.Phase2Iters), "phase2-pivots")
 	b.ReportMetric(float64(al.Stats.Phase1Iters), "phase1-pivots")
 	b.ReportMetric(float64(al.Stats.Phase2Rows), "rows")
+}
+
+// TestArrowNaiveIsArrowsTicketZeroPhase2 holds ArrowAndNaive to Arrow and
+// ArrowNaive bit for bit: its ARROW allocation is Arrow's and its naive one
+// is ArrowNaive's (objective, every b_f and a_{f,t}, winners, restored
+// capacities, Phase II stats and certificate). The sweep's B4 instance at
+// its nine scales takes the branch where some Phase I winner is not ticket
+// 0, so the naive allocation is Arrow's fallback solve; the same scenarios
+// cut to their first ticket (|Z| = 1) take the one where every winner is,
+// so it is the winners' own solve.
+func TestArrowNaiveIsArrowsTicketZeroPhase2(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a full pipeline")
+	}
+	base, scs := b4Fast(t)
+	firstOnly := make([]te.RestorableScenario, len(scs))
+	for qi, q := range scs {
+		firstOnly[qi] = q
+		firstOnly[qi].Tickets = q.Tickets[:1]
+		firstOnly[qi].Seeds = 1
+	}
+	branches := map[bool]int{} // all winners ticket 0 → solves seen
+	for _, in := range []struct {
+		name string
+		scs  []te.RestorableScenario
+	}{{"b4", scs}, {"b4 |Z|=1", firstOnly}} {
+		for _, scale := range []float64{1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 7.0} {
+			n := base.Scaled(scale)
+			arrow, naive, err := te.ArrowAndNaive(n, in.scs, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantArrow, err := te.Arrow(n, in.scs, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantNaive, err := te.ArrowNaive(n, in.scs, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(arrow, wantArrow) {
+				t.Errorf("%s scale %g: ArrowAndNaive's ARROW allocation is not Arrow's", in.name, scale)
+			}
+			if !reflect.DeepEqual(naive, wantNaive) {
+				t.Errorf("%s scale %g: ArrowAndNaive's naive allocation is not ArrowNaive's:\n%+v\nvs\n%+v", in.name, scale, naive, wantNaive)
+			}
+			if &naive.B[0] == &arrow.B[0] {
+				t.Errorf("%s scale %g: the naive allocation shares Arrow's B", in.name, scale)
+			}
+			winners, err := te.ArrowPhase1(n, in.scs, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			branches[!slices.ContainsFunc(winners, func(w int) bool { return w != 0 })]++
+		}
+	}
+	if branches[true] == 0 || branches[false] == 0 {
+		t.Errorf("all winners ticket 0 on %d solves, some other on %d: one branch is untested", branches[true], branches[false])
+	}
 }

@@ -154,18 +154,20 @@ func capRow(dst lp.Expr, n *Network, e int, refs []tunnelRef, a [][]lp.Var) lp.E
 	return dst
 }
 
-// extract converts an LP solution into an Allocation.
-func (bm *baseModel) extract(n *Network, sol *lp.Solution) *Allocation {
+// extract converts an LP solution into an Allocation at demand scale s:
+// every b_f, a_{f,t} and the objective read s times their value in sol (a
+// model solved at scale 1 has s = 1, exact).
+func (bm *baseModel) extract(n *Network, s float64, sol *lp.Solution) *Allocation {
 	al := &Allocation{
 		B:         make([]float64, len(n.Flows)),
 		A:         make([][]float64, len(n.Flows)),
-		Objective: sol.Objective,
+		Objective: float64(s * sol.Objective),
 	}
 	for f := range n.Flows {
-		al.B[f] = sol.X[bm.b[f]]
+		al.B[f] = float64(s * sol.X[bm.b[f]])
 		al.A[f] = make([]float64, len(bm.a[f]))
 		for ti, v := range bm.a[f] {
-			al.A[f][ti] = sol.X[v]
+			al.A[f][ti] = float64(s * sol.X[v])
 		}
 	}
 	return al.solvedBy(bm.m, sol)
@@ -186,13 +188,13 @@ func (al *Allocation) solvedBy(m *lp.Model, sol *lp.Solution) *Allocation {
 // options, so the session's recorder counts their solves and its health
 // probes watch them. The package-level FFC, TeaVaR, ECMP and MaxThroughput
 // solve with the zero value, unobserved. There is no cold path: every
-// baseline LP starts from its all-slack basis, except a TeaVaR re-solve
-// along a chain of demand scales (TeaVaRScales), which starts from the
-// previous scale's optimal basis. Every FFC, ECMP and max-throughput row
-// holds at x = 0, so phase 1 is skipped; TeaVaR's cvar rows are the only
-// ones x = 0 violates, and the warm engine's selective repair swaps their
-// slacks for artificials that one pivot of theta drives out, where a cold
-// start would re-derive the whole vertex in phase 1.
+// baseline LP starts from its all-slack basis, except a TeaVaR or FFC
+// re-solve along a chain of demand scales (TeaVaRScales, FFCScales), which
+// starts from the previous scale's optimal basis. Every FFC, ECMP and
+// max-throughput row holds at x = 0, so phase 1 is skipped; TeaVaR's cvar
+// rows are the only ones x = 0 violates, and the warm engine's selective
+// repair swaps their slacks for artificials that one pivot of theta drives
+// out, where a cold start would re-derive the whole vertex in phase 1.
 type Baselines struct {
 	LP *lp.Options
 }
@@ -265,7 +267,7 @@ func (bm *baseModel) solve(n *Network, opts *lp.Options) (*Allocation, error) {
 	if err != nil {
 		return nil, err
 	}
-	al := bm.extract(n, sol)
+	al := bm.extract(n, 1, sol)
 	modelPool.Put(bm.m)
 	return al, nil
 }

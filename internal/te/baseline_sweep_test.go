@@ -16,12 +16,12 @@ import (
 // of the fast B4 availability sweep (FFC-1, FFC-2 and TeaVaR at its nine
 // demand scales, on the scenario lists eval.SolveScheme hands them) on the
 // reduced and on the reference models: same optimum, to 1e-9 relative. The
-// sweep's TeaVaR cells, one chain along the scales, match both the
-// reference and a standalone TeaVaR of each scaled network, to 1e-9
-// relative, and their certificates pass.
+// sweep's FFC-1, FFC-2 and TeaVaR cells, one chain along the scales each,
+// match both the reference and a standalone solve of each scaled network,
+// to 1e-9 relative, and their certificates pass.
 func TestBaselineObjectivesMatchReferenceOnSweep(t *testing.T) {
 	if testing.Short() || race.Enabled {
-		t.Skip("builds a full pipeline and solves 99 LPs on one goroutine: 3 s, 40 s under the race detector")
+		t.Skip("builds a full pipeline and solves 135 LPs on one goroutine: 3 s, 40 s under the race detector")
 	}
 	const seed = 1
 	tp, err := topo.B4(seed + 5)
@@ -84,21 +84,35 @@ func TestBaselineObjectivesMatchReferenceOnSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaEval, err := pl.SolveTeaVaRScales(base, scales)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for si := range scales {
-		if viaEval[si].Stats != chain[si].Stats || viaEval[si].Objective != chain[si].Objective {
-			t.Fatalf("TeaVaR at scale %g: this test's chain (%+v) is not the sweep's (%+v)", scales[si], chain[si].Stats, viaEval[si].Stats)
+	// isSweepChain fails the test if a chain above is not the sweep's.
+	isSweepChain := func(cell eval.Scheme, chain []*te.Allocation) {
+		t.Helper()
+		viaEval, err := pl.SolveScales(cell, base, scales)
+		if err != nil {
+			t.Fatal(err)
 		}
+		for si := range scales {
+			if viaEval[si].Stats != chain[si].Stats || viaEval[si].Objective != chain[si].Objective {
+				t.Fatalf("%s at scale %g: this test's chain (%+v) is not the sweep's (%+v)", cell, scales[si], chain[si].Stats, viaEval[si].Stats)
+			}
+		}
+	}
+	isSweepChain(eval.SchemeTeaVaR, chain)
+	ffcs := []struct {
+		name  eval.Scheme
+		scs   []te.FailureScenario
+		chain []*te.Allocation
+	}{{name: eval.SchemeFFC1, scs: ffc1}, {name: eval.SchemeFFC2, scs: ffc2}}
+	for i := range ffcs {
+		c := &ffcs[i]
+		if c.chain, err = (te.Baselines{}).FFCScales(base, c.scs, scales); err != nil {
+			t.Fatal(err)
+		}
+		isSweepChain(c.name, c.chain)
 	}
 	for si, scale := range scales {
 		n := base.Scaled(scale)
-		for _, c := range []struct {
-			name eval.Scheme
-			scs  []te.FailureScenario
-		}{{eval.SchemeFFC1, ffc1}, {eval.SchemeFFC2, ffc2}} {
+		for _, c := range ffcs {
 			al, err := te.FFC(n, c.scs)
 			if err != nil {
 				t.Fatal(err)
@@ -109,6 +123,11 @@ func TestBaselineObjectivesMatchReferenceOnSweep(t *testing.T) {
 				t.Fatal(err)
 			}
 			same(c.name, scale, al.Objective, ref.Objective)
+			if err := lp.CheckCertificate(c.chain[si].Cert, 0); err != nil {
+				t.Fatalf("chained %s at scale %g: %v", c.name, scale, err)
+			}
+			same("chained "+c.name, scale, c.chain[si].Objective, ref.Objective)
+			same("chained "+c.name, scale, c.chain[si].Objective, al.Objective)
 		}
 		al, err := te.TeaVaR(n, pl.Plain, &te.TeaVaROptions{Beta: 0.999})
 		if err != nil {

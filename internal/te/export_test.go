@@ -119,7 +119,7 @@ func RefFFC(n *Network, scs []FailureScenario) (*Allocation, error) {
 	if err != nil {
 		return nil, err
 	}
-	return bm.extract(n, sol), nil
+	return bm.extract(n, 1, sol), nil
 }
 
 // RefTeaVaRObjective is the optimum of TeaVaR's reference LP, with an s

@@ -14,14 +14,40 @@ import "github.com/arrow-te/arrow/internal/lp"
 // than the naive encoding.
 func FFC(n *Network, scs []FailureScenario) (*Allocation, error) { return Baselines{}.FFC(n, scs) }
 
-// FFC is the package-level FFC under bl's LP options.
+// FFC is the package-level FFC under bl's LP options: the one-scale chain
+// of FFCScales, whose model at scale 1 is n's own.
 func (bl Baselines) FFC(n *Network, scs []FailureScenario) (*Allocation, error) {
-	if err := n.Validate(); err != nil {
+	als, err := bl.FFCScales(n, scs, []float64{1})
+	if err != nil {
 		return nil, err
 	}
-	bm := newBaseModel("ffc", n)
-	addResidualGuarantees(bm, n, scs)
-	return bm.solve(n, bl.LP)
+	return als[0], nil
+}
+
+// FFCScales solves FFC on base.Scaled(s) for every s of scales, in order,
+// as one chain of warm re-solves of one model (scaleChain). With a = s·â
+// and b = s·b̂, FFC at demand scale s is FFC at scale 1 with every capacity
+// row's right-hand side c_e/s: the (1) and (4') rows, the bounds
+// b̂_f <= d_f and the costs do not depend on s. The allocation is read back
+// as s·â and s·b̂. Every scale must be positive and finite.
+func (bl Baselines) FFCScales(base *Network, scs []FailureScenario, scales []float64) ([]*Allocation, error) {
+	if err := base.Validate(); err != nil {
+		return nil, err
+	}
+	if err := checkScales("ffc", scales); err != nil {
+		return nil, err
+	}
+	bm := newBaseModel("ffc", base)
+	addResidualGuarantees(bm, base, scs)
+	out := make([]*Allocation, len(scales))
+	// The capacity rows follow the flows' (1) rows.
+	err := bl.scaleChain(base, bm.m, lp.Constr(len(base.Flows)), scales, func(i int, s float64, sol *lp.Solution) {
+		out[i] = bm.extract(base, s, sol)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // addResidualGuarantees emits a constraint (4') row for each minimal

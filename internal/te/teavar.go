@@ -46,23 +46,12 @@ func (bl Baselines) TeaVaR(n *Network, scs []FailureScenario, opts *TeaVaROption
 }
 
 // TeaVaRScales solves TeaVaR on base.Scaled(s) for every s of scales, in
-// order, on one model. With a = s·â and s_f^q = s·ŝ_f^q, TeaVaR at demand
-// scale s is TeaVaR at scale 1 with every capacity row's right-hand side
-// c_e/s: the sat and cvar rows, the bounds (ŝ_f^q <= d_f) and the costs do
-// not depend on s, and neither does the objective's value. So the model is
-// built once on base, and each scale sets the capacity rows' right-hand
-// sides and re-solves from the previous scale's optimal basis, which stays
-// dual feasible: the dual simplex absorbs the change. The allocation is read
-// back as s·â.
-//
-// The first scale solves from the all-slack basis. A warm re-solve may take
-// at most as many pivots as that first solve; one that runs out of them or
-// fails otherwise (solveModel: a solver error, a status but optimal, a
-// certificate that does not pass) is solved again from the all-slack basis
-// and counted in te.chain_restarts. The optimum is degenerate, so a
-// warm re-solve may land on another optimal vertex than a solve of
-// base.Scaled(s) from slack would; the objective is the same. Every scale
-// must be positive and finite.
+// order, as one chain of warm re-solves of one model (scaleChain). With
+// a = s·â and s_f^q = s·ŝ_f^q, TeaVaR at demand scale s is TeaVaR at scale 1
+// with every capacity row's right-hand side c_e/s: the sat and cvar rows,
+// the bounds (ŝ_f^q <= d_f) and the costs do not depend on s, and neither
+// does the objective's value. The allocation is read back as s·â. Every
+// scale must be positive and finite.
 func (bl Baselines) TeaVaRScales(base *Network, scs []FailureScenario, opts *TeaVaROptions, scales []float64) ([]*Allocation, error) {
 	if err := base.Validate(); err != nil {
 		return nil, err
@@ -74,10 +63,8 @@ func (bl Baselines) TeaVaRScales(base *Network, scs []FailureScenario, opts *Tea
 	if beta >= 1 {
 		return nil, fmt.Errorf("te: teavar: beta %g must be < 1", beta)
 	}
-	for _, s := range scales {
-		if !(s > 0) || math.IsInf(s, 1) {
-			return nil, fmt.Errorf("te: teavar: demand scale %g must be positive and finite", s)
-		}
+	if err := checkScales("teavar", scales); err != nil {
+		return nil, err
 	}
 	out := make([]*Allocation, len(scales))
 	if base.TotalDemand() <= 0 {
@@ -94,45 +81,12 @@ func (bl Baselines) TeaVaRScales(base *Network, scs []FailureScenario, opts *Tea
 	if err != nil {
 		return nil, err
 	}
-	sols := [2]*lp.Solution{solutionPool.Get(), solutionPool.Get()}
-	slack := basisPool.Get()
-	defer func() {
-		solutionPool.Put(sols[0])
-		solutionPool.Put(sols[1])
-		basisPool.Put(slack)
-	}()
-	var guard lp.Options // a warm re-solve's options: bl.LP's, with MaxIter
-	if bl.LP != nil {
-		guard = *bl.LP
-	}
-	for i, s := range scales {
-		c := lp.Constr(0) // the capacity rows come first, in link order
-		for e, refs := range base.incidence() {
-			if len(refs) > 0 {
-				m.SetRHS(c, base.LinkCap[e]/s)
-				c++
-			}
-		}
-		dst := sols[i%2]
-		var sol *lp.Solution
-		if i > 0 {
-			sol, err = solveModel(dst, m, m.Name(), sols[(i-1)%2].Basis, &guard, nil)
-			if err != nil && guard.Recorder != nil {
-				guard.Recorder.Add("te.chain_restarts", 1)
-			}
-		}
-		if sol == nil {
-			slack.ResetSlack(m)
-			if sol, err = solveModel(dst, m, m.Name(), slack, bl.LP, nil); err != nil {
-				return nil, err
-			}
-		}
-		if i == 0 {
-			guard.MaxIter = max(sol.Iterations, 1)
-		}
+	err = bl.scaleChain(base, m, 0, scales, func(i int, s float64, sol *lp.Solution) {
 		out[i] = teavarAllocation(base, a, s, m, sol)
+	})
+	if err != nil {
+		return nil, err
 	}
-	modelPool.Put(m)
 	return out, nil
 }
 

@@ -5,9 +5,12 @@
 //     winning LotteryTicket per failure scenario via slack minimisation;
 //     Phase II computes tunnel allocations using the winners).
 //   - ArrowNaive: Phase II only, with a single restoration candidate from
-//     the optical-layer RWA (no demand awareness).
+//     the optical-layer RWA (no demand awareness); ArrowAndNaive reads it
+//     off an Arrow solve.
 //   - FFC-k [63]: proactive guarantees for all <=k fiber-cut scenarios.
 //   - TeaVaR [17]: CVaR-based probabilistic TE at availability target beta.
+//     FFCScales and TeaVaRScales solve either along a chain of demand
+//     scales, one model re-solved warm.
 //   - ECMP [21]: equal splitting, failure-oblivious.
 //   - MaxThroughput: plain multi-commodity flow; also the hypothetical
 //     "Fully Restorable TE" baseline of Fig. 16.
