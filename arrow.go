@@ -674,10 +674,11 @@ func (tp *TrafficPlan) Availability() float64 {
 // scenarios, each with the capacity its winning ticket restores.
 func (tp *TrafficPlan) evaluator() (*availability.Evaluator, []availability.ScenarioEval) {
 	scs := make([]availability.ScenarioEval, len(tp.planner.scenarios))
-	for i, sc := range tp.planner.scenarios {
+	for i := range tp.planner.scenarios {
+		sc := &tp.planner.scenarios[i]
 		scs[i] = availability.ScenarioEval{Prob: sc.Prob, Failed: sc.FailedLinks}
-		if tp.alloc.RestoredGbps != nil {
-			scs[i].Restored = tp.alloc.RestoredGbps[i]
+		if tp.alloc.WinningTicket != nil {
+			scs[i].Restored = sc.Restoration(tp.alloc.WinningTicket[i])
 		}
 	}
 	return &availability.Evaluator{Net: tp.network, Alloc: tp.alloc}, scs
@@ -734,13 +735,13 @@ func (tp *TrafficPlan) reaction(qi int, roadm *noise.Plan) *Reaction {
 		IntermediateROADMs: append([]int(nil), noise.AppendDistinctROADMs(ids[:0], roadm.IntermediateOps)...),
 		Retunes:            roadm.Retunes, ReusedPorts: roadm.ReusedPorts,
 	}
+	var restored te.Restoration
+	if tp.alloc.WinningTicket != nil {
+		restored = tp.planner.scenarios[qi].Restoration(tp.alloc.WinningTicket[qi])
+	}
 	for i, l := range failed {
 		re.Failed[i] = LinkID(l)
-	}
-	if tp.alloc.RestoredGbps != nil {
-		for l, g := range tp.alloc.RestoredGbps[qi] {
-			re.RestoredGbps[LinkID(l)] = g
-		}
+		re.RestoredGbps[LinkID(l)] = restored.On(l)
 	}
 	return re
 }

@@ -21,6 +21,7 @@ import (
 	"github.com/arrow-te/arrow/internal/emu"
 	"github.com/arrow-te/arrow/internal/eval"
 	"github.com/arrow-te/arrow/internal/lp"
+	"github.com/arrow-te/arrow/internal/obs"
 	"github.com/arrow-te/arrow/internal/par"
 	"github.com/arrow-te/arrow/internal/rwa"
 	"github.com/arrow-te/arrow/internal/sim"
@@ -179,6 +180,31 @@ func BenchmarkArrowTwoPhase(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkOnlineSolve times one Planner.Solve on the repository
+// benchmark's online-te instance, cycling its four matrices in the
+// workload's order, and reports the simplex's pivot work and the bytes of
+// each solve once a first cycle has sized the pools. CI runs it for one
+// iteration; for a before/after use the repository benchmark's online-te
+// workload.
+func BenchmarkOnlineSolve(b *testing.B) {
+	_, p, sets := onlineInstance(b, context.Background())
+	for _, ds := range sets {
+		if _, err := p.Solve(ds, SolveOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reg := obs.NewRegistry()
+	q := freshPlanner(p, reg)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := q.Solve(sets[i%len(sets)], SolveOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(reg.Counter("lp.pivot_work"))/float64(b.N), "pivot_work/op")
 }
 
 // benchPipeline builds the standard B4 benchmark instance.

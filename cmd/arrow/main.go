@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"time"
 
@@ -107,17 +108,14 @@ func run(ctx context.Context, topoName, file, scheme string, scale float64, tick
 	fmt.Printf("  availability: %.5f\n", avail)
 	fmt.Printf("  solve time:   %s\n", elapsed.Round(time.Millisecond))
 
-	if verbose && al.RestoredGbps != nil {
+	if verbose && restored != nil {
 		fmt.Println("\nrestoration plan (winning LotteryTicket per scenario):")
-		for qi, plan := range al.RestoredGbps {
-			links := make([]int, 0, len(plan))
-			for l := range plan {
-				links = append(links, l)
-			}
+		for qi, plan := range restored {
+			links := slices.Clone(pl.Scenarios[qi].FailedLinks)
 			sort.Ints(links)
 			fmt.Printf("  scenario %d (p=%.4f, ticket %d):", qi, pl.Scenarios[qi].Prob, al.WinningTicket[qi])
-			for _, l := range links {
-				fmt.Printf(" link%d=%.0fG", l, plan[l])
+			for _, l := range slices.Compact(links) {
+				fmt.Printf(" link%d=%.0fG", l, plan.On(l))
 			}
 			fmt.Println()
 		}

@@ -78,10 +78,9 @@ func (tp *TrafficPlan) Export() ([]byte, error) {
 		sort.Ints(fe.FailedLinks)
 		if tp.alloc.WinningTicket != nil {
 			fe.WinningTicket = tp.alloc.WinningTicket[qi]
-		}
-		if tp.alloc.RestoredGbps != nil {
-			for l, g := range tp.alloc.RestoredGbps[qi] {
-				fe.RestoredGbps[fmt.Sprint(l)] = g
+			r := tp.planner.scenarios[qi].Restoration(fe.WinningTicket)
+			for _, l := range fe.FailedLinks {
+				fe.RestoredGbps[fmt.Sprint(l)] = r.On(l)
 			}
 		}
 		ex.Failures = append(ex.Failures, fe)

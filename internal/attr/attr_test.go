@@ -49,7 +49,7 @@ func solveFig7(t *testing.T) (*te.Network, *te.Allocation, []availability.Scenar
 		t.Fatal("CaptureSensitivity left Alloc.Sens nil")
 	}
 	evScs := []availability.ScenarioEval{{
-		Prob: scs[0].Prob, Failed: scs[0].FailedLinks, Restored: al.RestoredGbps[0],
+		Prob: scs[0].Prob, Failed: scs[0].FailedLinks, Restored: scs[0].Restoration(al.WinningTicket[0]),
 	}}
 	return n, al, evScs
 }
@@ -166,8 +166,7 @@ func TestCaptureDoesNotChangeAllocation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(plain.B, captured.B) || !reflect.DeepEqual(plain.A, captured.A) ||
-		!reflect.DeepEqual(plain.WinningTicket, captured.WinningTicket) ||
-		!reflect.DeepEqual(plain.RestoredGbps, captured.RestoredGbps) {
+		!reflect.DeepEqual(plain.WinningTicket, captured.WinningTicket) {
 		t.Fatal("CaptureSensitivity changed the allocation")
 	}
 	if plain.Sens != nil {

@@ -17,10 +17,11 @@ import (
 type ScenarioEval struct {
 	Prob   float64
 	Failed []int
-	// Restored maps failed IP link -> restored capacity in Gbps (nil or
-	// missing entries mean the link stays dark). For ARROW this comes from
-	// the winning LotteryTicket; for other TEs it is nil.
-	Restored map[int]float64
+	// Restored is the capacity the plan restores on the failed links (a
+	// link it does not list stays dark). For ARROW it is the winning
+	// LotteryTicket's, read off the ticket without a copy; for other TEs it
+	// is empty.
+	Restored te.Restoration
 }
 
 // Evaluator computes delivered traffic for a fixed TE allocation.
@@ -206,7 +207,7 @@ func (p *pass) route(sc *ScenarioEval) {
 	n, al := p.ev.Net, p.ev.Alloc
 	for _, e := range sc.Failed {
 		if e >= 0 && e < len(p.linkCap) {
-			p.linkCap[e] = sc.Restored[e]
+			p.linkCap[e] = sc.Restored.On(e)
 		}
 	}
 	clear(p.sends)

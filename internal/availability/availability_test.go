@@ -52,7 +52,7 @@ func TestDeliveredWithRestoration(t *testing.T) {
 	al.A[0] = []float64{75, 75}
 	ev := &Evaluator{Net: n, Alloc: al}
 	// Link 0 fails but 40 Gbps restored: tunnel 0 stays active with cap 40.
-	d := ev.Delivered(&ScenarioEval{Failed: []int{0}, Restored: map[int]float64{0: 40}})
+	d := ev.Delivered(&ScenarioEval{Failed: []int{0}, Restored: restoring(0, 40)})
 	// Sends 75/75; link 0 sheds to 40 -> delivered 40 + 75 = 115.
 	if math.Abs(d-115.0/150) > 1e-9 {
 		t.Fatalf("delivered %g, want %g", d, 115.0/150)
@@ -86,7 +86,7 @@ func TestDeliveredTotalLossWhenNoTunnel(t *testing.T) {
 		t.Fatalf("delivered %g, want 0", d)
 	}
 	// Restoring one link partially revives delivery.
-	d = ev.Delivered(&ScenarioEval{Failed: []int{0, 1}, Restored: map[int]float64{1: 30}})
+	d = ev.Delivered(&ScenarioEval{Failed: []int{0, 1}, Restored: restoring(1, 30)})
 	if math.Abs(d-0.3) > 1e-9 {
 		t.Fatalf("delivered %g, want 0.3", d)
 	}
@@ -169,7 +169,7 @@ func TestPerFlowAvailability(t *testing.T) {
 		t.Fatalf("per-flow mean %g vs aggregate %g", (per[0]+per[1])/2, agg)
 	}
 	// Restoration lifts the unlucky flow.
-	scs[0].Restored = map[int]float64{0: 40}
+	scs[0].Restored = restoring(0, 40)
 	per = ev.PerFlowAvailability(scs)
 	if math.Abs(per[0]-(0.8+0.2*0.5)) > 1e-9 {
 		t.Fatalf("flow 0 availability with restoration %g", per[0])

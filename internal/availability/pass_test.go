@@ -16,12 +16,15 @@ import (
 // slices. Kept as the oracle the pass is held to.
 
 func refCapOf(ev *Evaluator, sc *ScenarioEval) func(e int) float64 {
+	restored := map[int]float64{} // a link's first entry in the plan
+	for i, e := range sc.Restored.Links {
+		if _, ok := restored[e]; !ok {
+			restored[e] = sc.Restored.Gbps[i]
+		}
+	}
 	capOf := make(map[int]float64, len(sc.Failed))
 	for _, e := range sc.Failed {
-		capOf[e] = 0
-		if sc.Restored != nil {
-			capOf[e] = sc.Restored[e]
-		}
+		capOf[e] = restored[e]
 	}
 	return func(e int) float64 {
 		if c, ok := capOf[e]; ok {
@@ -168,10 +171,10 @@ func randomEval(rng *rand.Rand) (*Evaluator, []ScenarioEval) {
 			scs[i].Failed = append(scs[i].Failed, scs[i].Failed[0])
 		}
 		if rng.Intn(3) > 0 {
-			scs[i].Restored = map[int]float64{}
 			for _, e := range scs[i].Failed {
 				if rng.Intn(2) == 0 {
-					scs[i].Restored[e] = float64(rng.Intn(3)) * 40
+					scs[i].Restored.Links = append(scs[i].Restored.Links, e)
+					scs[i].Restored.Gbps = append(scs[i].Restored.Gbps, float64(rng.Intn(3))*40)
 				}
 			}
 		}
@@ -268,7 +271,7 @@ func TestAvailabilityAllocationsIndependentOfScenarios(t *testing.T) {
 		scs := make([]ScenarioEval, k)
 		for i := range scs {
 			e := i % len(ev.Net.LinkCap)
-			scs[i] = ScenarioEval{Prob: 1e-4, Failed: []int{e, -1, e}, Restored: map[int]float64{e: 10}}
+			scs[i] = ScenarioEval{Prob: 1e-4, Failed: []int{e, -1, e}, Restored: restoring(e, 10)}
 		}
 		return scs
 	}
@@ -287,4 +290,9 @@ func TestAvailabilityAllocationsIndependentOfScenarios(t *testing.T) {
 			t.Errorf("%s: %.0f allocations at 10 scenarios, %.0f at 200", c.name, a, b)
 		}
 	}
+}
+
+// restoring is a plan that restores gbps on link alone.
+func restoring(link int, gbps float64) te.Restoration {
+	return te.Restoration{Links: []int{link}, Gbps: []float64{gbps}}
 }

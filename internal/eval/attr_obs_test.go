@@ -53,8 +53,7 @@ func TestRunRecordedAttrIdentityAndDeterminism(t *testing.T) {
 			t.Errorf("workers=%d: pipeline differs with attribution on", workers)
 		}
 		if !reflect.DeepEqual(al.B, baseAl.B) || !reflect.DeepEqual(al.A, baseAl.A) ||
-			!reflect.DeepEqual(al.WinningTicket, baseAl.WinningTicket) ||
-			!reflect.DeepEqual(al.RestoredGbps, baseAl.RestoredGbps) {
+			!reflect.DeepEqual(al.WinningTicket, baseAl.WinningTicket) {
 			t.Errorf("workers=%d: allocation differs with attribution on", workers)
 		}
 		if rep == nil {

@@ -114,7 +114,7 @@ func runAblationAlpha(cfg Config) (*Result, error) {
 			return nil, err
 		}
 		ev := &availability.Evaluator{Net: n, Alloc: al}
-		r.AddRow(f2(alpha), f4(al.Throughput(n)), f4(ev.Availability(pl.EvalScenarios(al.RestoredGbps))))
+		r.AddRow(f2(alpha), f4(al.Throughput(n)), f4(ev.Availability(pl.EvalScenarios(te.Restorations(pl.Scenarios, al.WinningTicket)))))
 	}
 	r.AddNote("alpha trades Phase I exploration freedom against plan realism; the paper reports robustness across 0.05-0.2")
 	return r, nil

@@ -206,9 +206,9 @@ func newSweepGrid(cfg Config, name string) (*sweepGrid, error) {
 }
 
 // solveTask solves task j of g's fan-out and hands visit each cell it
-// solved: its index in g.cells, its network, its allocation and the
-// restored capacities to evaluate it with.
-func (g *sweepGrid) solveTask(j int, visit func(ci int, n *te.Network, al *te.Allocation, restored []map[int]float64)) error {
+// solved: its index in g.cells, its network and its allocation, whose
+// winning tickets (ARROW's schemes) restore what it is evaluated with.
+func (g *sweepGrid) solveTask(j int, visit func(ci int, n *te.Network, al *te.Allocation)) error {
 	schemes := AllSchemes()
 	t := g.tasks[j]
 	base := g.bases[t.mi]
@@ -225,7 +225,7 @@ func (g *sweepGrid) solveTask(j int, visit func(ci int, n *te.Network, al *te.Al
 			return fail(err)
 		}
 		for si, al := range als {
-			visit(cell(si, t.zi), base.Scaled(g.scales[si]), al, nil)
+			visit(cell(si, t.zi), base.Scaled(g.scales[si]), al)
 		}
 		return nil
 	}
@@ -236,15 +236,15 @@ func (g *sweepGrid) solveTask(j int, visit func(ci int, n *te.Network, al *te.Al
 		if err != nil {
 			return fail(err)
 		}
-		visit(cell(t.si, t.zi), n, arrow, arrow.RestoredGbps)
-		visit(cell(t.si, slices.Index(schemes, SchemeArrowNaive)), n, naive, naive.RestoredGbps)
+		visit(cell(t.si, t.zi), n, arrow)
+		visit(cell(t.si, slices.Index(schemes, SchemeArrowNaive)), n, naive)
 		return nil
 	}
-	al, restored, err := g.pl.SolveScheme(schemes[t.zi], n)
+	al, _, err := g.pl.SolveScheme(schemes[t.zi], n)
 	if err != nil {
 		return fail(err)
 	}
-	visit(cell(t.si, t.zi), n, al, restored)
+	visit(cell(t.si, t.zi), n, al)
 	return nil
 }
 
@@ -265,8 +265,8 @@ func computeSweep(cfg Config, name string) (*sweepData, error) {
 	// Parallelism 1.
 	avails := make([]float64, len(g.cells))
 	err = par.ForEach(cfg.ctx(), cfg.Parallelism, len(g.tasks), func(_ context.Context, j int) error {
-		return g.solveTask(j, func(ci int, n *te.Network, al *te.Allocation, restored []map[int]float64) {
-			avails[ci] = g.pl.cellAvailability(schemes[g.cells[ci].zi], n, al, restored)
+		return g.solveTask(j, func(ci int, n *te.Network, al *te.Allocation) {
+			avails[ci] = g.pl.cellAvailability(schemes[g.cells[ci].zi], n, al)
 		})
 	})
 	if err != nil {

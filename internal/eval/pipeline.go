@@ -142,10 +142,11 @@ func AllSchemes() []Scheme {
 }
 
 // SolveScheme runs one TE scheme on the network and returns its allocation
-// plus the per-scenario restored-capacity maps to use during evaluation.
+// plus each scenario's restored capacity to use during evaluation: the
+// winning ticket's, for ARROW and ARROW-Naive, and nil for the others.
 // Every scheme solves under the session's LP options: its recorder and
 // health probes see the baselines as well as ARROW.
-func (p *Pipeline) SolveScheme(s Scheme, n *te.Network) (*te.Allocation, []map[int]float64, error) {
+func (p *Pipeline) SolveScheme(s Scheme, n *te.Network) (*te.Allocation, []te.Restoration, error) {
 	bl := te.Baselines{LP: p.teOpts.LP}
 	switch s {
 	case SchemeArrow:
@@ -153,13 +154,13 @@ func (p *Pipeline) SolveScheme(s Scheme, n *te.Network) (*te.Allocation, []map[i
 		if err != nil {
 			return nil, nil, err
 		}
-		return al, al.RestoredGbps, nil
+		return al, te.Restorations(p.Scenarios, al.WinningTicket), nil
 	case SchemeArrowNaive:
 		al, err := te.ArrowNaive(n, p.Scenarios, p.arrowOptions())
 		if err != nil {
 			return nil, nil, err
 		}
-		return al, al.RestoredGbps, nil
+		return al, te.Restorations(p.Scenarios, al.WinningTicket), nil
 	case SchemeFFC1:
 		al, err := bl.FFC(n, p.singleCutScenarios(1))
 		return al, nil, err
@@ -267,8 +268,8 @@ func (p *Pipeline) cutScenarios(k int) []te.FailureScenario {
 }
 
 // EvalScenarios converts the pipeline's scenario set plus a restoration
-// plan into availability.ScenarioEvals.
-func (p *Pipeline) EvalScenarios(restored []map[int]float64) []availability.ScenarioEval {
+// plan (nil: none) into availability.ScenarioEvals.
+func (p *Pipeline) EvalScenarios(restored []te.Restoration) []availability.ScenarioEval {
 	out := make([]availability.ScenarioEval, len(p.Scenarios))
 	for i := range p.Scenarios {
 		out[i] = availability.ScenarioEval{
@@ -286,18 +287,25 @@ func (p *Pipeline) EvalScenarios(restored []map[int]float64) []availability.Scen
 // (availability, throughput).
 func (p *Pipeline) SchemeAvailability(s Scheme, base *te.Network, scale float64) (float64, float64, error) {
 	n := base.Scaled(scale)
-	al, restored, err := p.SolveScheme(s, n)
+	al, _, err := p.SolveScheme(s, n)
 	if err != nil {
 		return 0, 0, err
 	}
-	return p.cellAvailability(s, n, al, restored), al.Throughput(n), nil
+	return p.cellAvailability(s, n, al), al.Throughput(n), nil
 }
 
 // cellAvailability is the availability of scheme s's allocation al on n,
-// with the restored capacities its solve returned.
-func (p *Pipeline) cellAvailability(s Scheme, n *te.Network, al *te.Allocation, restored []map[int]float64) float64 {
+// each scenario restored as al's winning ticket restores it (none without
+// winners).
+func (p *Pipeline) cellAvailability(s Scheme, n *te.Network, al *te.Allocation) float64 {
 	ev := &availability.Evaluator{Net: n, Alloc: al, ECMPRebalance: s == SchemeECMP}
-	return ev.Availability(p.EvalScenarios(restored))
+	scs := p.EvalScenarios(nil)
+	if al.WinningTicket != nil {
+		for i := range scs {
+			scs[i].Restored = p.Scenarios[i].Restoration(al.WinningTicket[i])
+		}
+	}
+	return ev.Availability(scs)
 }
 
 // baseUtilization positions demand scale 1.0 relative to the

@@ -41,7 +41,7 @@ func trialPair(ctx context.Context, seed int64) (legacy, arrow *emu.Trial, err e
 // single-link failure planned with a full 100 Gbps restoration. Restoration
 // therefore keeps the network at full service — except during the
 // restoration-latency window, which is exactly the quantity under study.
-func latencySimNet() (*te.Network, sim.Projector, []te.FailureScenario, []map[int]float64) {
+func latencySimNet() (*te.Network, sim.Projector, []te.FailureScenario, []te.Restoration) {
 	n := &te.Network{
 		LinkCap: []float64{100, 100},
 		Flows:   []te.Flow{{Src: 0, Dst: 1, Demand: 150}},
@@ -49,7 +49,7 @@ func latencySimNet() (*te.Network, sim.Projector, []te.FailureScenario, []map[in
 	}
 	project := func(cut []int) []int { return append([]int(nil), cut...) }
 	scenarios := []te.FailureScenario{{FailedLinks: []int{0}}, {FailedLinks: []int{1}}}
-	restored := []map[int]float64{{0: 100}, {1: 100}}
+	restored := []te.Restoration{{Links: []int{0}, Gbps: []float64{100}}, {Links: []int{1}, Gbps: []float64{100}}}
 	return n, project, scenarios, restored
 }
 

@@ -302,3 +302,56 @@ func FuzzLPResolve(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDuplicateRows appends to kernelLP(seed, shape) a copy of one of its
+// rows, as it is or with a looser right-hand side (an equality's copy
+// becomes the inequality it implies), and solves both LPs cold. A row
+// implied by another cannot move the optimum: the status must be the
+// same, and at an optimum the objectives within 1e-9 relative and both
+// certificates must pass. This is what lets a model keep one row per
+// distinct left-hand side at its tightest bound.
+func FuzzDuplicateRows(f *testing.F) {
+	for seed := int64(0); seed < 24; seed++ {
+		f.Add(seed, uint8(seed*37), uint8(seed*11))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, shape, pick uint8) {
+		m := kernelLP(seed, shape)
+		want, err := Solve(m, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := m.rows[int(pick)%len(m.rows)]
+		looser := rowCopy{LE, r.rhs + float64(1+pick%3)}
+		if r.sense == GE {
+			looser = rowCopy{GE, r.rhs - float64(1+pick%3)}
+		}
+		for _, copyOf := range []rowCopy{{r.sense, r.rhs}, looser} {
+			d := m.Clone()
+			d.AddConstr(Expr(r.terms), copyOf.sense, copyOf.rhs, "copy")
+			got, err := Solve(d, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Status != want.Status {
+				t.Fatalf("row %d copied %v %v: %v, the LP without it %v", int(pick)%len(m.rows), copyOf.sense, copyOf.rhs, got.Status, want.Status)
+			}
+			if want.Status != StatusOptimal {
+				continue
+			}
+			if diff := math.Abs(got.Objective - want.Objective); diff > 1e-9*math.Max(1, math.Abs(want.Objective)) {
+				t.Fatalf("row %d copied %v %v: objective %.12g, without it %.12g", int(pick)%len(m.rows), copyOf.sense, copyOf.rhs, got.Objective, want.Objective)
+			}
+			for _, s := range []*Solution{want, got} {
+				if err := CheckCertificate(s.Cert, DefaultCertTol); err != nil {
+					t.Fatalf("row %d copied %v %v: copy=%v: %v", int(pick)%len(m.rows), copyOf.sense, copyOf.rhs, s == got, err)
+				}
+			}
+		}
+	})
+}
+
+// rowCopy is the sense and right-hand side a copied row is appended with.
+type rowCopy struct {
+	sense Sense
+	rhs   float64
+}

@@ -64,11 +64,13 @@ type Model struct {
 	// chunk is the arena chunk the rows' terms are carved from and free its
 	// uncarved tail: a row's terms are a full slice of the chunk current when
 	// it was added, so growing one row (AddVarToConstrs) copies it out. used
-	// counts the terms carved since the last Reset; pos is combineTerms'
+	// counts the terms carved since the last Reset, and need the size of one
+	// chunk that would have held them all: a row is carved after combining
+	// its terms, but needs room for all of them first. pos is combineTerms'
 	// stamp per variable. chunk and free keep length 0 and pos all zeros, so
 	// reflect.DeepEqual sees what a model holds, not how it reused memory.
 	chunk, free []Term
-	used        int
+	used, need  int
 	pos         []int
 }
 
@@ -186,6 +188,7 @@ func (m *Model) AddConstr(expr Expr, sense Sense, rhs float64, name string) Cons
 	row := combineTerms(m.free, expr, m.pos)
 	n := len(row)
 	m.free = row[n:n]
+	m.need = max(m.need, m.used+len(expr))
 	m.used += n
 	m.rows = append(m.rows, rowData{terms: row[:n:n], sense: sense, rhs: rhs, name: name})
 	return Constr(len(m.rows) - 1)
@@ -198,10 +201,10 @@ func (m *Model) Reset() {
 	m.obj, m.lb, m.ub = m.obj[:0], m.lb[:0], m.ub[:0]
 	m.varName, m.integer, m.pos = m.varName[:0], m.integer[:0], m.pos[:0]
 	m.TruncateConstrs(0)
-	if m.used > cap(m.chunk) {
-		m.chunk = make([]Term, 0, m.used) // the next build fits one chunk
+	if m.need > cap(m.chunk) {
+		m.chunk = make([]Term, 0, m.need) // the next build of this size fits one chunk
 	}
-	m.free, m.used = m.chunk, 0
+	m.free, m.used, m.need = m.chunk, 0, 0
 }
 
 // ColumnEntry is one (constraint, coefficient) pair of a column appended

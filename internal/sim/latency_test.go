@@ -17,7 +17,7 @@ func latencyRunner(model LatencyModel) *Runner {
 	n, project := simpleNet()
 	al := &te.Allocation{B: []float64{150}, A: [][]float64{{75, 75}}}
 	scenarios := []te.FailureScenario{{FailedLinks: []int{0}}}
-	restored := []map[int]float64{{0: 100}}
+	restored := []te.Restoration{{Links: []int{0}, Gbps: []float64{100}}}
 	r := NewRunner(n, al, project, scenarios, restored)
 	r.Latency = model
 	return r
@@ -137,7 +137,7 @@ func TestHarmlessCutDrawsNoLatency(t *testing.T) {
 		return out
 	}
 	scenarios := []te.FailureScenario{{FailedLinks: []int{0}}}
-	restored := []map[int]float64{{0: 100}}
+	restored := []te.Restoration{{Links: []int{0}, Gbps: []float64{100}}}
 	r := NewRunner(n, al, project, scenarios, restored)
 	r.Latency = ConstLatency{Sec: 7200}
 	events := []Event{{TimeH: 5, Fiber: 1, Up: false}, {TimeH: 50, Fiber: 1, Up: true}}

@@ -126,17 +126,17 @@ type Runner struct {
 	AttributeLoss bool
 
 	// plans maps a canonical failed-link-set key to the precomputed
-	// restoration of that scenario (nil for TEs without restoration).
-	plans map[string]map[int]float64
+	// restoration of that scenario (empty for TEs without restoration).
+	plans map[string]te.Restoration
 }
 
 // NewRunner builds a runner. scenarios/restored (parallel slices) register
 // the precomputed restoration plans; pass nil restored for baseline TEs.
 func NewRunner(net *te.Network, alloc *te.Allocation, project Projector,
-	scenarios []te.FailureScenario, restored []map[int]float64) *Runner {
-	r := &Runner{Net: net, Alloc: alloc, Project: project, plans: map[string]map[int]float64{}}
+	scenarios []te.FailureScenario, restored []te.Restoration) *Runner {
+	r := &Runner{Net: net, Alloc: alloc, Project: project, plans: map[string]te.Restoration{}}
 	for i, sc := range scenarios {
-		var plan map[int]float64
+		var plan te.Restoration
 		if restored != nil {
 			plan = restored[i]
 		}
@@ -287,7 +287,7 @@ func (r *Runner) Run(ctx context.Context, events []Event, durationH float64) *Re
 				if iv.restoring {
 					// Inside the latency window the plan exists but the
 					// optical layer hasn't finished applying it.
-					restored = nil
+					restored = te.Restoration{}
 				}
 				out.delivered = ev.Delivered(&availability.ScenarioEval{Failed: failed, Restored: restored})
 			}

@@ -102,7 +102,7 @@ func TestRunRestorationPlanApplied(t *testing.T) {
 	al := &te.Allocation{B: []float64{150}, A: [][]float64{{75, 75}}}
 	events := []Event{{TimeH: 0, Fiber: 0, Up: false}}
 	scenarios := []te.FailureScenario{{FailedLinks: []int{0}}}
-	restored := []map[int]float64{{0: 50}}
+	restored := []te.Restoration{{Links: []int{0}, Gbps: []float64{50}}}
 	r := NewRunner(n, al, project, scenarios, restored)
 	rep := r.Run(context.Background(), events, 10)
 	// Tunnel 0 revived at 50: delivered (50+75)/150.
@@ -161,7 +161,7 @@ func TestArrowOutlastsBaselineOnTimeline(t *testing.T) {
 	plain := []te.FailureScenario{{FailedLinks: []int{0}}, {FailedLinks: []int{1}}}
 	events := GenerateTimeline(2, TimelineOptions{DurationH: 2000, CutsPerMonth: 30, Seed: 5})
 
-	withPlans := NewRunner(n, al, project, plain, al.RestoredGbps)
+	withPlans := NewRunner(n, al, project, plain, te.Restorations(scs, al.WinningTicket))
 	withoutPlans := NewRunner(n, al, project, plain, nil)
 	a := withPlans.Run(context.Background(), events, 2000)
 	b := withoutPlans.Run(context.Background(), events, 2000)

@@ -155,14 +155,11 @@ func (o *ArrowOptions) phase1LP() *lp.Options {
 // link capacity) plus the run-level residual unmet demand.
 func emitPlan(L *ledger.Ledger, n *Network, scs []RestorableScenario, al *Allocation) {
 	for qi := range scs {
-		lost, restored := 0.0, 0.0
+		lost, restored := 0.0, scs[qi].restored(al.WinningTicket[qi])
 		for _, link := range scs[qi].FailedLinks {
 			if link >= 0 && link < len(n.LinkCap) { // as failedSet: no such link, nothing lost
 				lost += n.LinkCap[link]
 			}
-		}
-		for _, g := range al.RestoredGbps[qi] {
-			restored += g
 		}
 		frac := 0.0
 		if lost > 0 {
@@ -190,8 +187,9 @@ func emitPlan(L *ledger.Ledger, n *Network, scs []RestorableScenario, al *Alloca
 // Phase I (Table 2) selects the winning LotteryTicket per failure scenario
 // through slack minimisation; Phase II (Table 3) computes the final tunnel
 // allocation using the winners. The returned Allocation carries the
-// restoration plan Z* (winning ticket index and restored capacity per
-// scenario) ready to be installed as ROADM reconfiguration rules.
+// restoration plan Z*, the winning ticket of each scenario, whose restored
+// capacity (RestorableScenario.Restoration) is ready to be installed as
+// ROADM reconfiguration rules.
 func Arrow(n *Network, scs []RestorableScenario, opts *ArrowOptions) (*Allocation, error) {
 	if err := n.Validate(); err != nil {
 		return nil, err
@@ -268,9 +266,8 @@ func arrow(n *Network, v *splitView, opts *ArrowOptions, withNaive bool) (al, na
 	} else if naive == al {
 		naive = al.clone()
 	}
-	// The plan and Phase I stats attach to whichever allocation survived
-	// (the fallback's own Stats carry Phase II numbers only).
-	al.RestoredGbps = restoredPlan(scs, al.WinningTicket)
+	// Phase I's stats attach to whichever allocation survived (the
+	// fallback's own Stats carry Phase II numbers only).
 	al.Stats.Phase1Vars = p1stats.Phase1Vars
 	al.Stats.Phase1Rows = p1stats.Phase1Rows
 	al.Stats.Phase1Iters = p1stats.Phase1Iters
@@ -278,11 +275,8 @@ func arrow(n *Network, v *splitView, opts *ArrowOptions, withNaive bool) (al, na
 	if L != nil {
 		emitPlan(L, n, scs, al)
 	}
-	if naive != nil {
-		naive.RestoredGbps = restoredPlan(scs, naive.WinningTicket)
-		if L != nil {
-			emitPlan(L, n, scs, naive)
-		}
+	if naive != nil && L != nil {
+		emitPlan(L, n, scs, naive)
 	}
 	return al, naive, nil
 }
@@ -296,31 +290,15 @@ func (al *Allocation) clone() *Allocation {
 		c.A[f] = slices.Clone(as)
 	}
 	c.WinningTicket = slices.Clone(al.WinningTicket)
-	c.RestoredGbps = nil
 	return &c
 }
 
-// restoredPlan is the RestoredGbps of the given winners.
-func restoredPlan(scs []RestorableScenario, winners []int) []map[int]float64 {
-	out := make([]map[int]float64, len(scs))
-	for qi := range scs {
-		out[qi] = map[int]float64{}
-		for _, link := range scs[qi].FailedLinks {
-			out[qi][link] = scs[qi].TicketGbps(winners[qi], link)
-		}
-	}
-	return out
-}
-
-// restoredTotal sums what restoredPlan(scs, winners) would hold.
+// restoredTotal is the capacity the given winners restore over every
+// scenario's distinct failed links.
 func restoredTotal(scs []RestorableScenario, winners []int) float64 {
 	t := 0.0
 	for qi := range scs {
-		for i, link := range scs[qi].FailedLinks {
-			if !slices.Contains(scs[qi].FailedLinks[:i], link) {
-				t += scs[qi].TicketGbps(winners[qi], link)
-			}
-		}
+		t += scs[qi].restored(winners[qi])
 	}
 	return t
 }
@@ -395,7 +373,7 @@ func phase1Winners(n *Network, v *splitView, opts *ArrowOptions) ([]int, SolveSt
 			return nil, SolveStats{}, nil, fmt.Errorf("te: arrow: scenario %d has no tickets", qi)
 		}
 	}
-	pm, err := arrowPhase1Colgen(n, v, opts)
+	pm, err := arrowPhase1Colgen(n, v, opts, false)
 	if err != nil {
 		return nil, SolveStats{}, nil, err
 	}
@@ -427,12 +405,7 @@ func ArrowPhase2(n *Network, scs []RestorableScenario, winners []int, opts *Arro
 	}
 	v := callView(n, scs, winners)
 	defer v.release()
-	al, err := arrowPhase2(n, v, winners, opts, nil)
-	if err != nil {
-		return nil, err
-	}
-	al.RestoredGbps = restoredPlan(scs, winners)
-	return al, nil
+	return arrowPhase2(n, v, winners, opts, nil)
 }
 
 // rowName is fmt.Sprintf(format, a, b) for a model whose row names are
@@ -459,8 +432,7 @@ func checkWinners(scs []RestorableScenario, winners []int) error {
 }
 
 // arrowPhase2 is ArrowPhase2 on like's layout (see baseModelLike), its
-// rows read off v, without RestoredGbps, which Arrow builds for the
-// allocation it keeps. The winners are in range (checkWinners).
+// rows read off v. The winners are in range (checkWinners).
 func arrowPhase2(n *Network, v *splitView, winners []int, opts *ArrowOptions, like *baseModel) (*Allocation, error) {
 	scs := v.t.scs
 	defer opts.profiler().Stage("te.phase2")()
@@ -469,6 +441,14 @@ func arrowPhase2(n *Network, v *splitView, winners []int, opts *ArrowOptions, li
 	capture := opts.captureSensitivity()
 	bm := baseModelLike("arrow-phase2", n, like, capture)
 	row := bm.row
+	// Scenarios that share a split repeat a left-hand side: the model holds
+	// each distinct row once, where it was first written. A repeated (10)
+	// row adds nothing; a repeated (11) row differs only in its bound, and
+	// the kept row takes the least (see DESIGN.md, "Phase II over its
+	// distinct rows").
+	clear(v.coverSeen)
+	v.resetCaps(bm.m.NumVars())
+	caps := len(bm.capRows) // a captured kept (11) row's CapRow is capRows[caps+k]
 	for qi := range scs {
 		q := &scs[qi]
 		z := winners[qi]
@@ -476,18 +456,34 @@ func arrowPhase2(n *Network, v *splitView, winners []int, opts *ArrowOptions, li
 		// Constraint (10).
 		for j := range v.touched[qi] {
 			ft := &v.touched[qi][j]
-			if _, sp := ft.split(s); sp.cover {
+			id, sp := ft.split(s)
+			if key := v.seenAt[ft.f] + int(ft.set.rowOf[id]); sp.cover && !v.coverSeen[key] {
+				v.coverSeen[key] = true
 				row = ft.coverRow(row[:0], sp)
 				bm.m.AddConstr(row, lp.GE, 0, rowName(capture, "p2cover_f%d_q%d", ft.f, qi))
 			}
 		}
 		// Constraint (11): hard restored-capacity limits.
 		for i, link := range q.FailedLinks {
-			if row = appendLoad(row[:0], v.load(qi, s, i)); len(row) > 0 {
-				c := bm.m.AddConstr(row, lp.LE, q.TicketGbps(z, link), rowName(capture, "p2cap_e%d_q%d", link, qi))
-				if capture {
-					bm.capRows = append(bm.capRows, CapRow{Link: link, Scenario: qi, Constr: c})
+			load := v.load(qi, s, i)
+			if len(load) == 0 {
+				continue
+			}
+			r := q.TicketGbps(z, link)
+			if k := v.capOf(load); k >= 0 {
+				if c := v.caps[k].c; r < bm.m.RHS(c) {
+					bm.m.SetRHS(c, r)
+					if capture {
+						bm.capRows[caps+k] = CapRow{Link: link, Scenario: qi, Constr: c}
+					}
 				}
+				continue
+			}
+			row = appendLoad(row[:0], load)
+			c := bm.m.AddConstr(row, lp.LE, r, rowName(capture, "p2cap_e%d_q%d", link, qi))
+			v.keepCap(load, c)
+			if capture {
+				bm.capRows = append(bm.capRows, CapRow{Link: link, Scenario: qi, Constr: c})
 			}
 		}
 	}

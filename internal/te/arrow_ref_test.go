@@ -3,6 +3,7 @@ package te
 import (
 	"fmt"
 	"reflect"
+	"slices"
 
 	"github.com/arrow-te/arrow/internal/lp"
 )
@@ -156,10 +157,23 @@ func refBuildTicketBlock(n *Network, q *RestorableScenario, z int, bm *baseModel
 	return blk
 }
 
-// refPhase2Model is the Table 3 model for the given winners, built to
-// capture: its rows named, its capacity rows recorded.
-func refPhase2Model(n *Network, scs []RestorableScenario, winners []int) *baseModel {
-	bm := baseModelLike("arrow-phase2", n, nil, true)
+// refRow is one scenario row of the full Table 3 model: a (10) cover row,
+// or a (11) capacity row with the (link, scenario) it bounds.
+type refRow struct {
+	expr  lp.Expr
+	sense lp.Sense
+	rhs   float64
+	name  string
+	cap   *CapRow
+}
+
+// refPhase2Rows is every scenario row of the full Table 3 model for the
+// given winners, in the order the model holds them: one (10) row per
+// (scenario, flow that keeps a residual or restorable tunnel but not all)
+// and one (11) row per (scenario, failed link some restorable tunnel
+// crosses), over bm's variables.
+func refPhase2Rows(n *Network, scs []RestorableScenario, winners []int, bm *baseModel) []refRow {
+	var rows []refRow
 	for qi := range scs {
 		q := &scs[qi]
 		z := winners[qi]
@@ -180,7 +194,7 @@ func refPhase2Model(n *Network, scs []RestorableScenario, winners []int) *baseMo
 				e = e.Plus(1, bm.a[f][ti])
 			}
 			e = e.Plus(-1, bm.b[f])
-			bm.m.AddConstr(e, lp.GE, 0, fmt.Sprintf("p2cover_f%d_q%d", f, qi))
+			rows = append(rows, refRow{expr: e, sense: lp.GE, name: fmt.Sprintf("p2cover_f%d_q%d", f, qi)})
 		}
 		for _, link := range q.FailedLinks {
 			var load lp.Expr
@@ -195,12 +209,90 @@ func refPhase2Model(n *Network, scs []RestorableScenario, winners []int) *baseMo
 				}
 			}
 			if len(load) > 0 {
-				c := bm.m.AddConstr(load, lp.LE, restored(link), fmt.Sprintf("p2cap_e%d_q%d", link, qi))
-				bm.capRows = append(bm.capRows, CapRow{Link: link, Scenario: qi, Constr: c})
+				rows = append(rows, refRow{
+					expr: load, sense: lp.LE, rhs: restored(link),
+					name: fmt.Sprintf("p2cap_e%d_q%d", link, qi), cap: &CapRow{Link: link, Scenario: qi},
+				})
 			}
 		}
 	}
+	return rows
+}
+
+// refQuotient files rows by their key (rowKey): keptAt[i] is the index
+// among the distinct rows of row i's, and setter[i] whether row i is the
+// one that sets its key's bound, the first row written at the least one.
+func refQuotient(rows []refRow) (keptAt []int, setter []bool) {
+	byKey := map[string]int{}
+	var least []int // per distinct row, the row that sets its bound
+	keptAt, setter = make([]int, len(rows)), make([]bool, len(rows))
+	for i, r := range rows {
+		k, ok := byKey[rowKey(r.expr, r.sense)]
+		if !ok {
+			k = len(least)
+			byKey[rowKey(r.expr, r.sense)] = k
+			least = append(least, i)
+		} else if r.rhs < rows[least[k]].rhs {
+			least[k] = i
+		}
+		keptAt[i] = k
+	}
+	for _, i := range least {
+		setter[i] = true
+	}
+	return keptAt, setter
+}
+
+// refPhase2Model is the Table 3 model for the given winners, built to
+// capture: its rows named, its capacity rows recorded. It is the full
+// model (refPhase2Rows), or with quotient the model Phase II solves: each
+// distinct row once (refQuotient), where it was first written, at the
+// least bound written for it, its CapRow naming the (link, scenario) that
+// first wrote that bound.
+func refPhase2Model(n *Network, scs []RestorableScenario, winners []int, quotient bool) *baseModel {
+	bm := baseModelLike("arrow-phase2", n, nil, true)
+	rows := refPhase2Rows(n, scs, winners, bm)
+	keptAt, setter := refQuotient(rows)
+	bound := map[int]refRow{} // per distinct row, the row that sets its bound
+	for i, r := range rows {
+		if setter[i] {
+			bound[keptAt[i]] = r
+		}
+	}
+	kept := 0
+	for i, r := range rows {
+		if quotient {
+			if keptAt[i] < kept {
+				continue
+			}
+			kept++
+			r.rhs, r.cap = bound[keptAt[i]].rhs, bound[keptAt[i]].cap
+		}
+		c := bm.m.AddConstr(r.expr, r.sense, r.rhs, r.name)
+		if r.cap != nil {
+			bm.capRows = append(bm.capRows, CapRow{Link: r.cap.Link, Scenario: r.cap.Scenario, Constr: c})
+		}
+	}
 	return bm
+}
+
+// rowKey is a row's sense and its terms sorted by variable, duplicates
+// summed.
+func rowKey(e lp.Expr, sense lp.Sense) string {
+	coef := map[lp.Var]float64{}
+	for _, t := range e {
+		coef[t.Var] += t.Coef
+	}
+	var vars []lp.Var
+	for v := range coef {
+		vars = append(vars, v)
+	}
+	slices.Sort(vars)
+	key := fmt.Sprint(sense)
+	for _, v := range vars {
+		key += fmt.Sprintf(" %d:%g", v, coef[v])
+	}
+	return key
 }
 
 // refPhase1Master rebuilds a solved Phase I master from the reference
@@ -327,7 +419,7 @@ func viewMatchesReference(v *splitView, n *Network, winners []int) error {
 	if winners == nil {
 		winners = make([]int, len(scs))
 	}
-	ref := refPhase2Model(n, scs, winners)
+	ref := refPhase2Model(n, scs, winners, true)
 	// Phase II on v, and on the view ArrowPhase2 builds for the winners
 	// alone.
 	only := callView(n, scs, winners)
@@ -361,7 +453,7 @@ func buildersMatchReference(n *Network, scs []RestorableScenario) error {
 		name string
 		scs  []RestorableScenario
 	}{{"full", allSeeded(scs)}, {"colgen", scs}} {
-		pm, err := arrowPhase1Colgen(n, callView(n, mode.scs, nil), nil)
+		pm, err := arrowPhase1Colgen(n, callView(n, mode.scs, nil), nil, true)
 		if err != nil {
 			return fmt.Errorf("phase I %s: %w", mode.name, err)
 		}
@@ -379,7 +471,7 @@ func buildersMatchReference(n *Network, scs []RestorableScenario) error {
 		if err != nil {
 			return fmt.Errorf("phase II %v: %w", w, err)
 		}
-		ref := refPhase2Model(n, scs, w)
+		ref := refPhase2Model(n, scs, w, true)
 		if err := sameModel(al.Sens.Model, ref.m); err != nil {
 			return fmt.Errorf("phase II model for winners %v: %w", w, err)
 		}

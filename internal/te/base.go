@@ -51,7 +51,7 @@ type baseModel struct {
 }
 
 // tunnelRef names flow f's ti-th tunnel.
-type tunnelRef struct{ f, ti int }
+type tunnelRef struct{ f, ti int32 }
 
 // newBaseModel builds the common part of all TE LPs in a pooled model:
 //
@@ -125,14 +125,41 @@ func layoutOf(n *Network) varLayout {
 	return l
 }
 
-// crossOf returns n's tunnel-link incidence (baseModel.cross).
+// crossOf returns n's tunnel-link incidence (baseModel.cross), laid out in
+// two arrays of exactly its size: one pass counts each link's tunnels, the
+// next files them, so no link's list grows by appends.
 func crossOf(n *Network) [][]tunnelRef {
+	// at[e+1] counts link e's tunnels, then, summed, ends its list; last[e]
+	// is 1 + the last tunnel filed under e, numbered across flows.
+	at, last := make([]int32, len(n.LinkCap)+1), make([]int32, len(n.LinkCap))
+	id := int32(0)
+	for _, ts := range n.Tunnels {
+		for _, t := range ts {
+			id++
+			for _, e := range t.Links {
+				if last[e] != id {
+					last[e] = id
+					at[e+1]++
+				}
+			}
+		}
+	}
+	for e := range n.LinkCap {
+		at[e+1] += at[e]
+	}
+	refs := make([]tunnelRef, at[len(n.LinkCap)])
 	cross := make([][]tunnelRef, len(n.LinkCap))
+	for e := range cross {
+		if at[e] < at[e+1] { // a link no tunnel crosses keeps a nil list
+			cross[e] = refs[at[e]:at[e]:at[e+1]]
+		}
+	}
 	for f, ts := range n.Tunnels {
 		for ti, t := range ts {
+			ref := tunnelRef{int32(f), int32(ti)}
 			for _, e := range t.Links {
-				if c := cross[e]; len(c) == 0 || c[len(c)-1] != (tunnelRef{f, ti}) {
-					cross[e] = append(c, tunnelRef{f, ti})
+				if c := cross[e]; len(c) == 0 || c[len(c)-1] != ref {
+					cross[e] = append(c, ref)
 				}
 			}
 		}

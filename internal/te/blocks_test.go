@@ -88,7 +88,10 @@ func FuzzTicketBlocks(f *testing.F) {
 // previous one left, over arrays of another shape. Per solve, the reference
 // loads, every ticket's Phase I block and the Phase II model of random
 // winners, off the full view and off the winners-only one, must equal the
-// reference term for term.
+// reference term for term. The Phase II reference keeps one row per key of
+// sense and terms sorted by variable (refPhase2Model), so two Phase II rows
+// share a key, and one of them is dropped, exactly when their sense and
+// sorted terms are equal.
 func FuzzResidentBlocks(f *testing.F) {
 	f.Add(int64(1), []byte{0, 1, 2, 3})
 	f.Add(int64(7), []byte{3, 3, 3, 0, 9, 1})

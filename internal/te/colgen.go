@@ -86,7 +86,8 @@ func pickWinners(v *splitView, x []float64) []int {
 func setCanonicalObjective(bm *baseModel, v *splitView, primalObj float64) {
 	// Per-variable weights accumulate in deterministic (scenario, link)
 	// order; every coefficient is 1, so the sums are exact integers.
-	weight := make([]float64, bm.m.NumVars())
+	v.weight = resize(v.weight, bm.m.NumVars())
+	weight := v.weight
 	for qi := range v.t.scs {
 		for i := range v.t.scs[qi].FailedLinks {
 			for _, x := range v.load(qi, -1, i) {
@@ -119,7 +120,10 @@ func setCanonicalObjective(bm *baseModel, v *splitView, primalObj float64) {
 // row but grows the model column-wise so the warm basis extends in place
 // (new rows slack-basic, the new column nonbasic at zero). The tickets of
 // one support add the same rows but for totalR.
-func appendTicketBlock(bm *baseModel, v *splitView, basis *lp.Basis, qi, z int, alpha float64) {
+//
+// Only a test reads the rows' names: they are "" (ConstrName's c<index>)
+// unless named.
+func appendTicketBlock(bm *baseModel, v *splitView, basis *lp.Basis, qi, z int, alpha float64, named bool) {
 	s := int(v.t.support[qi][z])
 	for j := range v.touched[qi] {
 		ft := &v.touched[qi][j]
@@ -129,7 +133,11 @@ func appendTicketBlock(bm *baseModel, v *splitView, basis *lp.Basis, qi, z int, 
 		}
 		v.coverSeen[v.seenAt[ft.f]+id] = true
 		bm.row = ft.coverRow(bm.row[:0], sp)
-		bm.m.AddConstr(bm.row, lp.GE, 0, fmt.Sprintf("p1cover_f%d_q%d_z%d", ft.f, qi, z))
+		name := ""
+		if named {
+			name = fmt.Sprintf("p1cover_f%d_q%d_z%d", ft.f, qi, z)
+		}
+		bm.m.AddConstr(bm.row, lp.GE, 0, name)
 	}
 	if v.hasLoad(qi, s) {
 		totalR := v.t.totalR[qi][z]
@@ -139,7 +147,7 @@ func appendTicketBlock(bm *baseModel, v *splitView, basis *lp.Basis, qi, z int, 
 			bm.row = appendLoad(bm.row, v.load(qi, s, i))
 		}
 		bm.row = bm.row.Plus(-1, u)
-		bm.m.AddConstr(bm.row, lp.LE, totalR, fmt.Sprintf("p1slack_q%d_z%d", qi, z))
+		bm.m.AddConstr(bm.row, lp.LE, totalR, rowName(named, "p1slack_q%d_z%d", qi, z))
 	}
 	if basis != nil {
 		basis.ExtendTo(bm.m)
@@ -171,6 +179,13 @@ func blockViolation(v *splitView, qi, z int, alpha float64, x []float64, sweep i
 		}
 	}
 	return worst
+}
+
+// pricePick is one scenario's pick of a pricing sweep: the deferred ticket
+// whose block it appends (-1: none) and that block's reduced cost.
+type pricePick struct {
+	z  int
+	rc float64
 }
 
 // supportPrice is one support's part of blockViolation at one sweep's
@@ -211,7 +226,7 @@ func (v *splitView) priceSupport(qi, s int, x []float64) supportPrice {
 // are checked on every master re-solve; the converged optimum equals the
 // full-enumeration optimum exactly (see the file comment for the
 // termination argument).
-func arrowPhase1Colgen(n *Network, v *splitView, opts *ArrowOptions) (*phase1Master, error) {
+func arrowPhase1Colgen(n *Network, v *splitView, opts *ArrowOptions, named bool) (*phase1Master, error) {
 	scs := v.t.scs
 	bm := newBaseModel("arrow-phase1", n)
 	alpha := opts.alpha()
@@ -220,12 +235,19 @@ func arrowPhase1Colgen(n *Network, v *splitView, opts *ArrowOptions) (*phase1Mas
 	ctx := context.Background()
 	workers := opts.parallelism()
 
-	inMaster := make([][]bool, len(scs))
-	totalTickets := 0
+	// inMaster[qi][z] is whether ticket z of scenario qi has its block in
+	// the master, on the view's scratch.
+	totalTickets := len(v.t.supportFlat)
+	v.inMasterFlat = resize(v.inMasterFlat, totalTickets)
+	v.inMaster = resize(v.inMaster, len(scs))
+	flat := v.inMasterFlat
 	for qi := range scs {
-		inMaster[qi] = make([]bool, len(scs[qi].Tickets))
-		totalTickets += len(scs[qi].Tickets)
+		nt := len(scs[qi].Tickets)
+		v.inMaster[qi], flat = flat[:nt:nt], flat[nt:]
 	}
+	inMaster := v.inMaster
+	v.picks = resize(v.picks, len(scs))
+	picks := v.picks
 
 	lpo := opts.phase1LP()
 	L := opts.ledger()
@@ -242,7 +264,7 @@ func arrowPhase1Colgen(n *Network, v *splitView, opts *ArrowOptions) (*phase1Mas
 	for qi := range scs {
 		for z := 0; z < scs[qi].seedCount(); z++ {
 			inMaster[qi][z] = true
-			appendTicketBlock(bm, v, nil, qi, z, alpha)
+			appendTicketBlock(bm, v, nil, qi, z, alpha, named)
 			totalSeeds++
 		}
 	}
@@ -267,10 +289,6 @@ func arrowPhase1Colgen(n *Network, v *splitView, opts *ArrowOptions) (*phase1Mas
 	}
 
 	oracle := ticket.PricingOracle{}
-	type pick struct {
-		z  int
-		rc float64
-	}
 	rounds, priced, roundSeq := 0, 0, 0
 	totalIters := 0
 	// priceOut alternates pricing sweeps with master re-solves (via the
@@ -288,12 +306,13 @@ func arrowPhase1Colgen(n *Network, v *splitView, opts *ArrowOptions) (*phase1Mas
 			// te.pricing is an aggregate stage (te.phase1 already brackets the
 			// whole dispatch as the top-level wall stage).
 			endPricing := opts.profiler().StageAgg("te.pricing")
-			picks, err := par.Map(ctx, workers, len(scs), func(_ context.Context, qi int) (pick, error) {
+			err := par.ForEach(ctx, workers, len(scs), func(_ context.Context, qi int) error {
 				q := &scs[qi]
 				z, rc := oracle.Price(len(q.Tickets),
 					func(z int) bool { return !inMaster[qi][z] },
 					func(z int) float64 { return -blockViolation(v, qi, z, alpha, x, rounds) })
-				return pick{z: z, rc: rc}, nil
+				picks[qi] = pricePick{z: z, rc: rc}
+				return nil
 			})
 			endPricing()
 			if err != nil {
@@ -309,7 +328,7 @@ func arrowPhase1Colgen(n *Network, v *splitView, opts *ArrowOptions) (*phase1Mas
 					worstRC = p.rc
 				}
 				inMaster[qi][p.z] = true
-				appendTicketBlock(bm, v, basis, qi, p.z, alpha)
+				appendTicketBlock(bm, v, basis, qi, p.z, alpha, named)
 				roundCols++
 			}
 			priced += roundCols

@@ -2,6 +2,8 @@ package te
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"slices"
 
 	"github.com/arrow-te/arrow/internal/lp"
@@ -31,7 +33,7 @@ func KernelSolves(n *Network, scs []RestorableScenario, ffc1, plain []FailureSce
 		name string
 		scs  []RestorableScenario
 	}{{"te.phase1.full", allSeeded(scs)}, {"te.phase1.colgen", scs}} {
-		pm, err := arrowPhase1Colgen(n, callView(n, v.scs, nil), nil)
+		pm, err := arrowPhase1Colgen(n, callView(n, v.scs, nil), nil, false)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", v.name, err)
 		}
@@ -89,10 +91,15 @@ func arrowPhase1Dispatch(n *Network, scs []RestorableScenario, opts *ArrowOption
 	return winners, stats, err
 }
 
-// totalRestored is the capacity al's restoration plan revives in all.
-func totalRestored(al *Allocation) float64 {
+// totalRestored is the capacity the winners restore in all, each
+// scenario's failed links counted once, as a map of them holds them.
+func totalRestored(scs []RestorableScenario, winners []int) float64 {
 	t := 0.0
-	for _, plan := range al.RestoredGbps {
+	for qi := range scs {
+		plan := map[int]float64{}
+		for _, link := range scs[qi].FailedLinks {
+			plan[link] = scs[qi].TicketGbps(winners[qi], link)
+		}
 		for _, g := range plan {
 			t += g
 		}
@@ -109,6 +116,77 @@ var (
 	SameAnswersAsPhase1Start   = sameAnswersAsPhase1Start
 	TicketBlocksMatchPerTicket = ticketBlocksMatchPerTicket
 )
+
+// Phase2QuotientMatchesFullModel holds the Phase II that ArrowPhase2
+// solves for the winners, each distinct row once, to the full Table 3
+// model. The two optima agree to 1e-9 relative, and the full model's
+// certificate passes at the quotient's optimum: the full model, started
+// from the quotient's optimal basis with every row that sets no key's
+// bound slack-basic (a duplicate row is implied by the one that does),
+// takes no pivot, certifies and holds the quotient's b and a.
+func Phase2QuotientMatchesFullModel(n *Network, scs []RestorableScenario, winners []int) error {
+	al, err := ArrowPhase2(n, scs, winners, &ArrowOptions{CaptureSensitivity: true})
+	if err != nil {
+		return fmt.Errorf("quotient: %w", err)
+	}
+	full := refPhase2Model(n, scs, winners, false)
+	want, err := solveModel(new(lp.Solution), full.m, "full", lp.SlackBasis(full.m), nil, nil)
+	if err != nil {
+		return fmt.Errorf("full model: %w", err)
+	}
+	if relDiff(want.Objective, al.Objective) > 1e-9 {
+		return fmt.Errorf("objective %.15g, the full model's %.15g", al.Objective, want.Objective)
+	}
+	rows := refPhase2Rows(n, scs, winners, full)
+	keptAt, setter := refQuotient(rows)
+	base := full.m.NumConstrs() - len(rows)
+	qb := al.Sens.Basis
+	lifted := &lp.Basis{VarStatus: slices.Clone(qb.VarStatus), RowStatus: slices.Clone(qb.RowStatus[:base])}
+	for i := range rows {
+		st := lp.BasisBasic
+		if setter[i] {
+			st = qb.RowStatus[base+keptAt[i]]
+		}
+		lifted.RowStatus = append(lifted.RowStatus, st)
+	}
+	got, err := lp.SolveWithBasis(full.m, lifted, nil)
+	if err != nil {
+		return fmt.Errorf("full model from the lifted basis: %w", err)
+	}
+	if err := got.Status.Err(); err != nil {
+		return fmt.Errorf("full model from the lifted basis: %w", err)
+	}
+	if err := lp.CheckCertificate(got.Cert, lp.DefaultCertTol); err != nil {
+		return fmt.Errorf("full model's certificate at the quotient's optimum: %w", err)
+	}
+	if got.Iterations != 0 {
+		return fmt.Errorf("full model took %d pivots from the quotient's optimal basis", got.Iterations)
+	}
+	b, a := al.Sens.ExtractAllocation(got.X)
+	for f := range b {
+		if math.Abs(b[f]-al.B[f]) > 1e-9*(1+math.Abs(al.B[f])) {
+			return fmt.Errorf("flow %d: b %v at the lifted basis, the quotient's %v", f, b[f], al.B[f])
+		}
+		for ti := range a[f] {
+			if math.Abs(a[f][ti]-al.A[f][ti]) > 1e-9*(1+math.Abs(al.A[f][ti])) {
+				return fmt.Errorf("flow %d tunnel %d: a %v at the lifted basis, the quotient's %v", f, ti, a[f][ti], al.A[f][ti])
+			}
+		}
+	}
+	return nil
+}
+
+// JointInstances are TestTwoPhaseNeverBeatsJointILP's instances: its
+// generator's first 12 that plan at all, with the same seed.
+func JointInstances() (nets []*Network, scs [][]RestorableScenario) {
+	rng := rand.New(rand.NewSource(51))
+	for trial := 0; trial < 40 && len(nets) < 12; trial++ {
+		if n, _, s, _, ok := randomJointInstance(rng); ok {
+			nets, scs = append(nets, n), append(scs, s)
+		}
+	}
+	return nets, scs
+}
 
 // RefFFC is FFC on the reference model, solved cold: a (4') row for every
 // distinct residual set, dominated ones included.

@@ -4,8 +4,11 @@ import "github.com/arrow-te/arrow/internal/lp"
 
 // CapRow locates one capacity row of a solved TE model: the healthy
 // IP-link capacity rows cap_e (Scenario -1) and, for ARROW Phase II, the
-// per-scenario restored-ticket capacity rows p2cap_e_q (constraint (11)).
-// Links whose tunnels never touch them get no row, so CapRows is sparse.
+// restored-ticket capacity rows p2cap_e_q (constraint (11)). Links whose
+// tunnels never touch them get no row, so CapRows is sparse. Phase II
+// writes a load once however many (link, scenario) pairs bound it, at the
+// least of their bounds: its CapRow names the pair that first set that
+// bound, and the row keeps the name of the pair that first wrote it.
 type CapRow struct {
 	Link     int       `json:"link"`
 	Scenario int       `json:"scenario"` // -1 for healthy cap_e rows

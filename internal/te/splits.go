@@ -83,6 +83,12 @@ type setSplits struct {
 	// it is vacuous).
 	masks []uint64
 	cover []bool
+	// rowOf[id] is the distinct cover row of pair id: pairs whose residual
+	// and restorable tunnels together are the same set make the same row.
+	// rows holds each distinct row's tunnels, w words each, first seen
+	// first.
+	rowOf []int32
+	rows  []uint64
 	// cross and ids back every record's cross and split.
 	cross []uint64
 	ids   []int32
@@ -246,7 +252,7 @@ func (t *splitTable) fill(f int, sc *fillScratch, only []int32) {
 	}
 	s.tunnels, s.w = len(ts), w
 	s.by, s.cross, s.ids = resize(s.by, len(qs)), resize(s.cross, words), resize(s.ids, ids)
-	s.masks, s.cover = s.masks[:0], s.cover[:0]
+	s.masks, s.cover, s.rowOf, s.rows = s.masks[:0], s.cover[:0], s.rowOf[:0], s.rows[:0]
 	cross, idArena := s.cross, s.ids
 	for j, qi := range qs {
 		k, ns := len(t.scs[qi].FailedLinks), len(t.reps[qi])
@@ -298,7 +304,9 @@ func (t *splitTable) fill(f int, sc *fillScratch, only []int32) {
 
 // intern returns the id of the pair masks[at:] holds. With dedup, an
 // earlier equal pair's id, the new one dropped from masks: Phase I keys
-// its cover rows on it. Phase II reads each pair once, and skips the search.
+// its cover rows on it. Phase II reads each pair once, and skips the search;
+// it keys its cover rows on a new pair's distinct row, which intern files
+// in rowOf.
 func (s *setSplits) intern(at int, dedup bool) int32 {
 	pair := s.masks[at:]
 	for id := range s.cover {
@@ -315,6 +323,19 @@ func (s *setSplits) intern(at int, dedup bool) int32 {
 		k += bits.OnesCount64(word)
 	}
 	s.cover = append(s.cover, k != s.tunnels && k != 0)
+	// The pair's row is the union of its halves, which are disjoint.
+	at = len(s.rows)
+	for x := range s.w {
+		s.rows = append(s.rows, pair[x]|pair[s.w+x])
+	}
+	row := 0
+	for !slices.Equal(s.rows[row*s.w:(row+1)*s.w], s.rows[at:]) {
+		row++
+	}
+	if row*s.w < at {
+		s.rows = s.rows[:at]
+	}
+	s.rowOf = append(s.rowOf, int32(row))
 	return int32(len(s.cover) - 1)
 }
 
@@ -339,12 +360,28 @@ type splitView struct {
 	// failed link p = linkAt[qi]+i, ascending: the only ones its loads read.
 	crossing []*flowTouch
 	crossAt  []int32
-	// coverSeen marks the cover rows in Phase I's master, flow f's from
-	// seenAt[f], one per split of its set. prices is Phase I's pricing memo,
-	// one per support (supAt).
+	// coverSeen marks the cover rows in the model being built, flow f's
+	// from seenAt[f], one per split of its set: Phase I's master keys them
+	// by split, each Phase II by the split's distinct row (rowOf). prices
+	// is Phase I's pricing memo, one per support (supAt).
 	seenAt    []int
 	coverSeen []bool
 	prices    []supportPrice
+	// capHead and caps file the (11) rows a Phase II has kept by their
+	// load: capHead[x] is 1 + the index in caps of the last kept row whose
+	// load starts with variable x (0: none), and each kept row links to the
+	// one before it with the same first variable.
+	capHead []int32
+	caps    []capKey
+
+	// Phase I's scratch: inMaster[qi][z] (on inMasterFlat) is whether
+	// ticket z of scenario qi has its block in the master, picks a pricing
+	// sweep's pick per scenario and weight the canonical objective's
+	// per-variable weight.
+	inMaster     [][]bool
+	inMasterFlat []bool
+	picks        []pricePick
+	weight       []float64
 
 	// only is the one support per scenario a Phase II view is built for.
 	only   []int32
@@ -440,6 +477,38 @@ func (v *splitView) build(only []int32) {
 	}
 }
 
+// capKey is a kept (11) row: its load, its handle, and 1 + the index in
+// caps of the kept row before it whose load starts with the same variable
+// (0: none).
+type capKey struct {
+	load []lp.Var
+	c    lp.Constr
+	next int32
+}
+
+// resetCaps forgets every kept (11) row, for a model of vars variables.
+func (v *splitView) resetCaps(vars int) {
+	v.capHead = resize(v.capHead, vars)
+	v.caps = v.caps[:0]
+}
+
+// capOf returns the index in caps of the kept (11) row whose load is load
+// (not empty), or -1.
+func (v *splitView) capOf(load []lp.Var) int {
+	for k := v.capHead[load[0]]; k != 0; k = v.caps[k-1].next {
+		if slices.Equal(v.caps[k-1].load, load) {
+			return int(k - 1)
+		}
+	}
+	return -1
+}
+
+// keepCap files c as the kept (11) row of load (not empty, no kept row's).
+func (v *splitView) keepCap(load []lp.Var, c lp.Constr) {
+	v.caps = append(v.caps, capKey{load: load, c: c, next: v.capHead[load[0]]})
+	v.capHead[load[0]] = int32(len(v.caps))
+}
+
 // hit is a flow's record that crosses failed link p.
 type hit struct {
 	p  int32
@@ -455,6 +524,7 @@ func (v *splitView) release() {
 	clear(v.flat)
 	clear(v.crossing)
 	clear(v.hits)
+	clear(v.caps)
 	viewPool.Put(v)
 }
 

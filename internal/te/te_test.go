@@ -79,7 +79,7 @@ func TestArrowPicksWinningTicket(t *testing.T) {
 	if math.Abs(al.Objective-500) > 1e-6 {
 		t.Fatalf("objective %g, want 500", al.Objective)
 	}
-	if got := al.RestoredGbps[0][1]; got != 400 {
+	if got := scs[0].Restoration(al.WinningTicket[0]).On(1); got != 400 {
 		t.Fatalf("restored capacity on link 1 = %g, want 400", got)
 	}
 }

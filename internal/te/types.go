@@ -25,6 +25,7 @@ package te
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/arrow-te/arrow/internal/lp"
 	"github.com/arrow-te/arrow/internal/ticket"
@@ -147,12 +148,58 @@ func (rs *RestorableScenario) seedCount() int {
 // TicketGbps returns ticket z's restored capacity for IP link e (0 when the
 // link is not in the ticket).
 func (rs *RestorableScenario) TicketGbps(z int, link int) float64 {
-	for i, l := range rs.TicketLinks {
+	return rs.Restoration(z).On(link)
+}
+
+// Restoration is ticket z's restored capacity: the scenario's TicketLinks
+// and the ticket's Gbps, shared, not copied.
+func (rs *RestorableScenario) Restoration(z int) Restoration {
+	return Restoration{Links: rs.TicketLinks, Gbps: rs.Tickets[z].Gbps}
+}
+
+// restored is the capacity ticket z restores over the scenario's distinct
+// failed links, summed in their order.
+func (rs *RestorableScenario) restored(z int) float64 {
+	r, t := rs.Restoration(z), 0.0
+	for i, link := range rs.FailedLinks {
+		if !slices.Contains(rs.FailedLinks[:i], link) {
+			t += r.On(link)
+		}
+	}
+	return t
+}
+
+// Restoration is the capacity a restoration plan revives under one
+// scenario: Gbps[i] on IP link Links[i]. It is a view of the winning
+// ticket (RestorableScenario.Restoration): both slices belong to the
+// scenario and must not be written through it.
+type Restoration struct {
+	Links []int
+	Gbps  []float64
+}
+
+// On returns the capacity r restores on link: its first entry's, or 0 when
+// r does not list the link (it stays dark).
+func (r Restoration) On(link int) float64 {
+	for i, l := range r.Links {
 		if l == link {
-			return rs.Tickets[z].Gbps[i]
+			return r.Gbps[i]
 		}
 	}
 	return 0
+}
+
+// Restorations is the restoration of each scenario under its winning
+// ticket, or nil without winners (a scheme that restores nothing).
+func Restorations(scs []RestorableScenario, winners []int) []Restoration {
+	if winners == nil {
+		return nil
+	}
+	out := make([]Restoration, len(scs))
+	for qi := range scs {
+		out[qi] = scs[qi].Restoration(winners[qi])
+	}
+	return out
 }
 
 // Allocation is the output of a TE solve: admitted bandwidth per flow and
@@ -161,11 +208,9 @@ type Allocation struct {
 	B []float64   // b_f
 	A [][]float64 // a_{f,t}, indexed [flow][tunnel]
 	// WinningTicket[qi] is the index into scenario qi's ticket set chosen by
-	// Phase I (Arrow only; nil otherwise).
+	// Phase I (Arrow and ArrowNaive; nil otherwise). The plan restores
+	// scenario qi's Restoration(WinningTicket[qi]).
 	WinningTicket []int
-	// RestoredGbps[qi][e] is the restored capacity the plan provides for
-	// link e under scenario qi (Arrow/ArrowNaive only).
-	RestoredGbps []map[int]float64
 	// Objective is the solver's total throughput sum(b_f).
 	Objective float64
 	// Stats describes the LP(s) behind this allocation (filled by the

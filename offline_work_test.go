@@ -29,7 +29,11 @@ var offlineWorkCounters = []string{
 // offlineWorkSeeds are the plan seeds the golden records.
 var offlineWorkSeeds = []int64{1, 2}
 
-// offlineWork plans the b4-srlg-k3 instance once per seed at the given
+// offlineWorkTopo is the seed of the topology the golden plans: the
+// repository benchmark's offline-plan instance, topo.B4(instanceSeed + 5).
+const offlineWorkTopo = 6
+
+// offlineWork plans net under the b4-srlg-k3 options once per seed at the given
 // worker count and renders the work counters of each plan.
 func offlineWork(t *testing.T, net *Network, in offlineInstance, workers int) string {
 	t.Helper()
@@ -52,14 +56,12 @@ func offlineWork(t *testing.T, net *Network, in offlineInstance, workers int) st
 
 // TestOfflineWorkGolden pins the work of the offline stage, answer-free,
 // against testdata/offline_work.golden at 1 and 4 workers, on the
-// b4-srlg-k3 instance of offline_fingerprints.golden: B4 with its conduit
-// SRLGs, cut sets of up to three elements, drawn from topo.B4(3)
-// (fingerprintSeed), whose plan takes 57,245 pivots. The repository
-// benchmark's offline-plan workload plans the same kind of instance drawn
-// from topo.B4(6) (its instance seed + 5), 1,791 scenarios as here, in
-// 52,978 pivots, so the golden tracks the workload's work without being
-// its instance. A change that moves only bytes leaves it as it is; one
-// that moves the work on purpose rewrites it and quotes its diff:
+// repository benchmark's offline-plan instance: B4 with its conduit SRLGs,
+// cut sets of up to three elements, drawn from topo.B4(6) (offlineWorkTopo,
+// the benchmark's instance seed + 5), planned at two of the plan seeds the
+// workload cycles. Each plan takes 52,978 pivots, the workload's own. A
+// change that moves only bytes leaves it as it is; one that moves the work
+// on purpose rewrites it and quotes its diff:
 //
 //	go test -run TestOfflineWorkGolden -update-work .
 func TestOfflineWorkGolden(t *testing.T) {
@@ -72,7 +74,7 @@ func TestOfflineWorkGolden(t *testing.T) {
 			in = c
 		}
 	}
-	tp, err := in.topo(fingerprintSeed)
+	tp, err := in.topo(offlineWorkTopo)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,8 +89,8 @@ func TestReactionAnswersTheCutsOwnScenario(t *testing.T) {
 	if re.ReusedPorts != relit(qb) {
 		t.Errorf("cutting b re-lights %d ports, b's winning ticket %d (a's %d)", re.ReusedPorts, relit(qb), relit(qa))
 	}
-	for l, g := range plan.alloc.RestoredGbps[qb] {
-		if re.RestoredGbps[LinkID(l)] != g {
+	for _, l := range plan.planner.scenarios[qb].FailedLinks {
+		if g := plan.planner.scenarios[qb].TicketGbps(plan.alloc.WinningTicket[qb], l); re.RestoredGbps[LinkID(l)] != g {
 			t.Errorf("cutting b restores %v Gbps on link %d, b's scenario %v", re.RestoredGbps[LinkID(l)], l, g)
 		}
 	}
