@@ -304,10 +304,11 @@ type PlanOptions struct {
 //
 // A Planner retains nothing per solve. Each Solve builds the
 // demand-independent half of its TE model (how each demand's tunnels split
-// under each planned scenario and restoration support) in a table from a
-// pool in te, which keeps as many tables as solves ever ran at once, each
-// as large as the largest solve it served (≈ 1.3 MB of live heap for the
-// benchmark's Facebook instance, its pooled models included). A solve's
+// under each planned scenario and restoration support), its tunnel–link
+// incidence and variable layout in a view from a pool in te, which keeps as
+// many views as solves ever ran at once, each as large as the largest solve
+// it served (≈ 2.5 MB of live heap for the benchmark's Facebook instance,
+// its pooled models, solutions and evaluator passes included). A solve's
 // answer does not depend on what earlier solves left in the pools, and
 // Solve is safe for concurrent use.
 type Planner struct {
@@ -328,8 +329,10 @@ type Planner struct {
 	// tunnels[src*sites+dst] is the tunnel set of every flow from site src
 	// to site dst (tunnelTable): selected once, when the planner is planned,
 	// since it depends only on the network and TunnelsPerFlow. Read-only,
-	// and shared by the te.Network of every Solve.
+	// and shared by the te.Network of every Solve, as is linkCap, every IP
+	// link's healthy capacity.
 	tunnels [][]te.Tunnel
+	linkCap []float64
 }
 
 // Plan runs ARROW's offline stage: enumerate probable fiber-cut scenarios,
@@ -374,6 +377,10 @@ func (n *Network) PlanContext(ctx context.Context, opts PlanOptions) (*Planner, 
 		net: n, set: off.Set, scenarios: off.Scenarios, tunnels: tunnelTable(n.opt, opts.TunnelsPerFlow),
 		teOpts: te.SessionOptions(ctx, opts.NoWarm),
 		rwa:    off.RWA, cuts: off.Cuts, byCut: make([]int, len(off.Cuts)),
+		linkCap: make([]float64, len(n.opt.IPLinks)),
+	}
+	for i, l := range n.opt.IPLinks {
+		p.linkCap[i] = l.CapacityGbps()
 	}
 	for qi := range p.byCut {
 		p.byCut[qi] = qi
@@ -481,15 +488,14 @@ func (p *Planner) Solve(demands []Demand, opts SolveOptions) (*TrafficPlan, erro
 }
 
 // buildTENetwork checks the demands and assembles the IP-layer TE instance,
-// reading each demand's tunnels off the planner's table.
+// reading each demand's tunnels and every link's capacity off the planner.
+// The network has no holder (te.NewNetwork): its incidence depends on the
+// order of the demands, so each solve builds it in its own scratch.
 func (p *Planner) buildTENetwork(demands []Demand) (*te.Network, error) {
 	opt := p.net.opt
 	net := &te.Network{
-		LinkCap: make([]float64, len(opt.IPLinks)),
+		LinkCap: p.linkCap,
 		Flows:   make([]te.Flow, len(demands)), Tunnels: make([][]te.Tunnel, len(demands)),
-	}
-	for i, l := range opt.IPLinks {
-		net.LinkCap[i] = l.CapacityGbps()
 	}
 	for i, d := range demands {
 		if d.Src < 0 || d.Src >= opt.NumROADMs || d.Dst < 0 || d.Dst >= opt.NumROADMs || d.Src == d.Dst {
@@ -666,22 +672,19 @@ func (tp *TrafficPlan) TunnelLinks(d, t int) []LinkID {
 // Availability computes the probability-weighted demand satisfaction over
 // the planned failure scenarios (§6.1 of the paper).
 func (tp *TrafficPlan) Availability() float64 {
-	ev, scs := tp.evaluator()
-	return ev.Availability(scs)
+	ev := availability.Evaluator{Net: tp.network, Alloc: tp.alloc}
+	return ev.AvailabilityOf(len(tp.planner.scenarios), tp.scenario)
 }
 
-// evaluator returns the plan's availability evaluator and its planned
-// scenarios, each with the capacity its winning ticket restores.
-func (tp *TrafficPlan) evaluator() (*availability.Evaluator, []availability.ScenarioEval) {
-	scs := make([]availability.ScenarioEval, len(tp.planner.scenarios))
-	for i := range tp.planner.scenarios {
-		sc := &tp.planner.scenarios[i]
-		scs[i] = availability.ScenarioEval{Prob: sc.Prob, Failed: sc.FailedLinks}
-		if tp.alloc.WinningTicket != nil {
-			scs[i].Restored = sc.Restoration(tp.alloc.WinningTicket[i])
-		}
+// scenario is planned scenario i as the availability evaluator reads it,
+// with the capacity its winning ticket restores.
+func (tp *TrafficPlan) scenario(i int) availability.ScenarioEval {
+	sc := &tp.planner.scenarios[i]
+	ev := availability.ScenarioEval{Prob: sc.Prob, Failed: sc.FailedLinks}
+	if tp.alloc.WinningTicket != nil {
+		ev.Restored = sc.Restoration(tp.alloc.WinningTicket[i])
 	}
-	return &availability.Evaluator{Net: tp.network, Alloc: tp.alloc}, scs
+	return ev
 }
 
 // Reaction is the precomputed response to a fiber cut: which IP links fail,

@@ -436,3 +436,31 @@ func BenchmarkAblationROADMWaves(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkOnlineEpoch runs the repository benchmark's online-te op: one
+// Planner.Solve on the online-te instance, cycling its four matrices in the
+// workload's order, then the plan's Throughput, Availability, AdmittedGbps
+// and SplitRatios. It reports the bytes and allocations of each epoch once a
+// first cycle has sized the pools. CI runs it for one iteration; for a
+// before/after use the repository benchmark's online-te workload.
+func BenchmarkOnlineEpoch(b *testing.B) {
+	_, p, sets := onlineInstance(b, context.Background())
+	epoch := func(i int) {
+		tp, err := p.Solve(sets[i%len(sets)], SolveOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		tp.Throughput()
+		tp.Availability()
+		tp.AdmittedGbps()
+		tp.SplitRatios()
+	}
+	for i := range sets {
+		epoch(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		epoch(i)
+	}
+}

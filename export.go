@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"github.com/arrow-te/arrow/internal/availability"
 	"github.com/arrow-te/arrow/internal/noise"
 )
 
@@ -104,6 +105,10 @@ func (tp *TrafficPlan) ROADMConfig(fibers ...FiberID) (string, error) {
 // PerDemandAvailability returns each demand's individual probability-
 // weighted delivered fraction — the per-customer SLA view of the plan.
 func (tp *TrafficPlan) PerDemandAvailability() []float64 {
-	ev, scs := tp.evaluator()
+	scs := make([]availability.ScenarioEval, len(tp.planner.scenarios))
+	for i := range scs {
+		scs[i] = tp.scenario(i)
+	}
+	ev := availability.Evaluator{Net: tp.network, Alloc: tp.alloc}
 	return ev.PerFlowAvailability(scs)
 }

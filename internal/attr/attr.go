@@ -63,6 +63,10 @@ const (
 	topSensitivities = 8
 	topProbes        = 4
 	fdTol            = 1e-6
+	// unmetTol is the share of its demand a flow's unmet demand must exceed
+	// for the flow to be listed in a scenario's breakdown: roundoff in the
+	// allocation then moves no listing.
+	unmetTol = 1e-9
 )
 
 // Options gives the attribution passes the topology's data. The zero value
@@ -273,7 +277,7 @@ func decompose(in Input, rep *Report) {
 				Loss:      weight * (demand - d) / totalDemand,
 			}
 			sl.FlowLossSum += fl.Loss
-			if fl.UnmetGbps > 0 {
+			if fl.UnmetGbps > unmetTol*demand {
 				flows = append(flows, fl)
 			}
 		}

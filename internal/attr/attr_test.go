@@ -173,3 +173,78 @@ func TestCaptureDoesNotChangeAllocation(t *testing.T) {
 		t.Fatal("plain solve captured a sensitivity handle")
 	}
 }
+
+// TestListedFlowsIgnoreRoundoff: a flow is listed in a loss breakdown only
+// when its unmet demand is more than roundoff of its demand, so nudging one
+// allocation entry by an ulp, which leaves a fully delivered flow short by
+// roundoff, lists the same flows.
+func TestListedFlowsIgnoreRoundoff(t *testing.T) {
+	n := &te.Network{
+		LinkCap: []float64{1000, 1000, 1000, 40},
+		Flows:   []te.Flow{{Demand: 100}, {Demand: 70}, {Demand: 90}},
+		Tunnels: [][]te.Tunnel{
+			{{Links: []int{0}}, {Links: []int{1}}, {Links: []int{2}}},
+			{{Links: []int{1}}, {Links: []int{2}}},
+			{{Links: []int{3}}},
+		},
+	}
+	al := &te.Allocation{
+		B: []float64{100, 70, 40},
+		A: [][]float64{{32.9, 56.4, 23.5}, {0.7, 69.3}, {40}},
+	}
+	scs := []availability.ScenarioEval{
+		{Prob: 0.01, Failed: []int{0}},
+		{Prob: 0.02, Failed: []int{2}},
+	}
+	listed := func(al *te.Allocation) [][]int {
+		rep, err := Run(context.Background(), Input{Net: n, Alloc: al, Scenarios: scs}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out [][]int
+		for _, sl := range append([]ScenarioLoss{rep.Healthy}, rep.Scenarios...) {
+			var fs []int
+			for _, fl := range sl.Flows {
+				fs = append(fs, fl.Flow)
+			}
+			out = append(out, fs)
+		}
+		return out
+	}
+	want := listed(al)
+	if !reflect.DeepEqual(want[0], []int{2}) {
+		t.Fatalf("fixture: the healthy state lists flows %v, want [2] alone", want[0])
+	}
+	ev := &availability.Evaluator{Net: n, Alloc: al}
+	short := 0 // nudges that leave a fully delivered flow short by roundoff
+	for f := range al.A {
+		for ti := range al.A[f] {
+			for _, dir := range []float64{0, math.Inf(1)} {
+				nudged := &te.Allocation{B: al.B, A: make([][]float64, len(al.A))}
+				for g := range al.A {
+					nudged.A[g] = append([]float64(nil), al.A[g]...)
+				}
+				nudged.A[f][ti] = math.Nextafter(al.A[f][ti], dir)
+				nev := &availability.Evaluator{Net: n, Alloc: nudged}
+				for i := -1; i < len(scs); i++ {
+					sc := &availability.ScenarioEval{}
+					if i >= 0 {
+						sc = &scs[i]
+					}
+					was, is := ev.DeliveredPerFlow(sc), nev.DeliveredPerFlow(sc)
+					for g, d := range is {
+						if was[g] == n.Flows[g].Demand && d < was[g] {
+							short++
+						}
+					}
+				}
+				if got := listed(nudged); !reflect.DeepEqual(got, want) {
+					t.Errorf("a_{%d,%d} nudged by an ulp: listed flows %v, want %v", f, ti, got, want)
+				}
+			}
+		}
+	}
+	if short == 0 {
+		t.Fatal("fixture: no nudge leaves a fully delivered flow short by roundoff")
+	}
+}

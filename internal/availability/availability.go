@@ -10,6 +10,7 @@ import (
 	"slices"
 	"sort"
 
+	"github.com/arrow-te/arrow/internal/pool"
 	"github.com/arrow-te/arrow/internal/te"
 )
 
@@ -38,19 +39,36 @@ type Evaluator struct {
 // scenario: flows send b_f over their active tunnels (surviving plus
 // restored), link overloads shed traffic proportionally, and a tunnel's
 // delivery is limited by its most-congested link.
-func (ev *Evaluator) Delivered(sc *ScenarioEval) float64 { return ev.newPass().fraction(sc) }
+func (ev *Evaluator) Delivered(sc *ScenarioEval) float64 {
+	p := ev.newPass()
+	defer p.release()
+	return p.fraction(sc)
+}
 
 // Availability computes the §6.1 metric: the probability-weighted average
 // demand satisfaction over the healthy state and all enumerated scenarios,
 // normalised by the covered probability mass.
 func (ev *Evaluator) Availability(scs []ScenarioEval) float64 {
-	healthyProb := healthy(scs)
+	return ev.AvailabilityOf(len(scs), func(i int) ScenarioEval { return scs[i] })
+}
+
+// AvailabilityOf is Availability over k scenarios, the i-th of them at(i):
+// a caller that holds its scenarios in another form reads them through at,
+// twice each, and builds no list.
+func (ev *Evaluator) AvailabilityOf(k int, at func(i int) ScenarioEval) float64 {
+	healthyProb := 1.0 // as healthy computes it
+	for i := range k {
+		healthyProb -= at(i).Prob
+	}
+	healthyProb = max(healthyProb, 0)
 	p := ev.newPass()
+	defer p.release()
 	total := healthyProb * p.fraction(&ScenarioEval{})
 	mass := healthyProb
-	for i := range scs {
-		total += float64(scs[i].Prob * p.fraction(&scs[i]))
-		mass += scs[i].Prob
+	for i := range k {
+		sc := at(i)
+		total += float64(sc.Prob * p.fraction(&sc))
+		mass += sc.Prob
 	}
 	if mass <= 0 {
 		return 1
@@ -70,6 +88,7 @@ func (ev *Evaluator) GuaranteedThroughput(scs []ScenarioEval, beta float64) floa
 	}
 	healthyProb := healthy(scs)
 	p := ev.newPass()
+	defer p.release()
 	pts := make([]point, 1, 1+len(scs))
 	pts[0] = point{p.fraction(&ScenarioEval{}), healthyProb}
 	mass := healthyProb
@@ -105,6 +124,7 @@ func healthy(scs []ScenarioEval) float64 {
 func (ev *Evaluator) RequiredCapacity(scs []ScenarioEval, beta float64) float64 {
 	worst := make([]float64, len(ev.Net.LinkCap))
 	p := ev.newPass()
+	defer p.release()
 	measure := func(sc *ScenarioEval) {
 		p.route(sc)
 		for e, l := range p.load {
@@ -151,6 +171,7 @@ func (ev *Evaluator) PerFlowAvailability(scs []ScenarioEval) []float64 {
 		return out
 	}
 	p := ev.newPass()
+	defer p.release()
 	accumulate := func(sc *ScenarioEval, prob float64) {
 		per := p.deliveredPerFlow(sc)
 		for f := range out {
@@ -172,11 +193,16 @@ func (ev *Evaluator) PerFlowAvailability(scs []ScenarioEval) []float64 {
 // sc — the per-flow breakdown of Delivered, for availability-loss
 // attribution (internal/attr).
 func (ev *Evaluator) DeliveredPerFlow(sc *ScenarioEval) []float64 {
-	return ev.newPass().deliveredPerFlow(sc)
+	p := ev.newPass()
+	defer p.release()
+	return slices.Clone(p.deliveredPerFlow(sc))
 }
 
 // pass is an evaluation's working memory, sized for the network once and
-// carried over all of the evaluation's scenarios.
+// carried over all of the evaluation's scenarios. Passes come from passes
+// and go back to it when the evaluation is done (release): a pass is sized
+// to the network of the evaluation that draws it, on the arrays the last
+// one left.
 type pass struct {
 	ev      *Evaluator
 	linkCap []float64 // the network's, the scenario's failed links patched in
@@ -186,16 +212,29 @@ type pass struct {
 	active  []int
 }
 
+var passes pool.Free[pass]
+
 func (ev *Evaluator) newPass() *pass {
 	n := ev.Net
 	tunnels := 0
 	for f := range n.Flows {
 		tunnels += len(n.Tunnels[f])
 	}
-	return &pass{
-		ev: ev, linkCap: slices.Clone(n.LinkCap), sends: make([]float64, tunnels),
-		load: make([]float64, len(n.LinkCap)), out: make([]float64, len(n.Flows)),
-	}
+	p := passes.Get()
+	p.ev, p.linkCap = ev, append(p.linkCap[:0], n.LinkCap...)
+	p.sends, p.load, p.out = grow(p.sends, tunnels), grow(p.load, len(n.LinkCap)), grow(p.out, len(n.Flows))
+	return p
+}
+
+// grow is xs at length n, on its array where that is large enough. route
+// writes every element before any is read.
+func grow(xs []float64, n int) []float64 { return slices.Grow(xs[:0], n)[:n] }
+
+// release hands p back for the next evaluation. Nothing may read p, or a
+// slice of it, after.
+func (p *pass) release() {
+	p.ev = nil
+	passes.Put(p)
 }
 
 // route is the one scenario pass behind every metric: it patches sc's failed

@@ -298,14 +298,14 @@ func (p *Pipeline) SchemeAvailability(s Scheme, base *te.Network, scale float64)
 // each scenario restored as al's winning ticket restores it (none without
 // winners).
 func (p *Pipeline) cellAvailability(s Scheme, n *te.Network, al *te.Allocation) float64 {
-	ev := &availability.Evaluator{Net: n, Alloc: al, ECMPRebalance: s == SchemeECMP}
-	scs := p.EvalScenarios(nil)
-	if al.WinningTicket != nil {
-		for i := range scs {
-			scs[i].Restored = p.Scenarios[i].Restoration(al.WinningTicket[i])
+	ev := availability.Evaluator{Net: n, Alloc: al, ECMPRebalance: s == SchemeECMP}
+	return ev.AvailabilityOf(len(p.Scenarios), func(i int) availability.ScenarioEval {
+		sc := availability.ScenarioEval{Prob: p.Scenarios[i].Prob, Failed: p.Scenarios[i].FailedLinks}
+		if al.WinningTicket != nil {
+			sc.Restored = p.Scenarios[i].Restoration(al.WinningTicket[i])
 		}
-	}
-	return ev.Availability(scs)
+		return sc
+	})
 }
 
 // baseUtilization positions demand scale 1.0 relative to the

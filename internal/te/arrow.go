@@ -221,50 +221,51 @@ func ArrowAndNaive(n *Network, scs []RestorableScenario, opts *ArrowOptions) (ar
 func arrow(n *Network, v *splitView, opts *ArrowOptions, withNaive bool) (al, naive *Allocation, err error) {
 	scs := v.t.scs
 	endP1 := opts.profiler().Stage("te.phase1")
-	winners, p1stats, like, err := phase1Winners(n, v, opts)
+	winners, p1stats, err := phase1Winners(n, v, opts)
 	endP1()
 	if err != nil {
 		return nil, nil, err
 	}
-	al, err = arrowPhase2(n, v, winners, opts, like)
+	won, err := solvePhase2(n, v, winners, opts)
 	if err != nil {
 		return nil, nil, err
 	}
+	// Both Phase II solves go back in the reverse of the order they were
+	// drawn, so the next solve draws its models and solutions in the same
+	// order.
+	defer won.release()
 	// Phase I ranks tickets against its own (slack-throttled) loads, which
 	// can mis-rank when many tickets tie near zero slack. Ticket 0 is by
 	// convention the RWA-derived candidate (the |Z|=1 / Arrow-Naive plan),
 	// so solving Phase II once more against it and keeping the better
 	// allocation guarantees the demand-aware selection never does worse
-	// than restoration planned at the optical layer alone.
-	allFirst := true
-	for _, w := range winners {
-		if w != 0 {
-			allFirst = false
-			break
-		}
-	}
-	if allFirst {
-		naive = al
-	} else {
-		fallback, err := arrowPhase2(n, v, make([]int, len(scs)), opts, like)
-		if err != nil {
+	// than restoration planned at the optical layer alone. The choice reads
+	// the two solves' objectives and winners only, so only the plan kept
+	// (and, withNaive, the fallback) is read off its solution.
+	kept, fallback := won, won
+	if slices.ContainsFunc(winners, func(w int) bool { return w != 0 }) {
+		v.firsts = resize(v.firsts, len(scs))
+		if fallback, err = solvePhase2(n, v, v.firsts, opts); err != nil {
 			return nil, nil, err
 		}
-		naive = fallback
+		defer fallback.release()
 		// On a throughput tie, prefer the plan that revives more capacity:
 		// extra restored bandwidth can only improve delivery under failures.
-		if fallback.Objective > al.Objective+1e-9 ||
-			(fallback.Objective > al.Objective-1e-9 && restoredTotal(scs, fallback.WinningTicket) > restoredTotal(scs, al.WinningTicket)+1e-9) {
-			al = fallback
+		if f, w := fallback.sol.Objective, won.sol.Objective; f > w+1e-9 ||
+			(f > w-1e-9 && restoredTotal(scs, fallback.winners) > restoredTotal(scs, won.winners)+1e-9) {
+			kept = fallback
 			if rec := opts.recorder(); rec != nil {
 				rec.Add("te.fallback_kept", 1)
 			}
 		}
 	}
-	if !withNaive {
-		naive = nil
-	} else if naive == al {
-		naive = al.clone()
+	al = kept.allocation(n)
+	if withNaive {
+		if fallback == kept {
+			naive = al.clone()
+		} else {
+			naive = fallback.allocation(n)
+		}
 	}
 	// Phase I's stats attach to whichever allocation survived (the
 	// fallback's own Stats carry Phase II numbers only).
@@ -348,8 +349,8 @@ func ArrowNaive(n *Network, scs []RestorableScenario, opts *ArrowOptions) (*Allo
 func ArrowPhase1(n *Network, scs []RestorableScenario, opts *ArrowOptions) ([]int, error) {
 	v := callView(n, scs, nil)
 	defer v.release()
-	winners, _, _, err := phase1Winners(n, v, opts)
-	return winners, err
+	winners, _, err := phase1Winners(n, v, opts)
+	return slices.Clone(winners), err
 }
 
 // phase1Master is a solved Phase I master on its canonical vertex: the
@@ -364,25 +365,25 @@ type phase1Master struct {
 }
 
 // phase1Winners solves Phase I as the column-generation master, picks the
-// winners at the solved master and reports its size and pivots. It returns
-// the master, its model back in the pool, for Phase II to build on.
-func phase1Winners(n *Network, v *splitView, opts *ArrowOptions) ([]int, SolveStats, *baseModel, error) {
+// winners at the solved master, on v's scratch, and reports its size and
+// pivots.
+func phase1Winners(n *Network, v *splitView, opts *ArrowOptions) ([]int, SolveStats, error) {
 	scs := v.t.scs
 	for qi := range scs {
 		if len(scs[qi].Tickets) == 0 {
-			return nil, SolveStats{}, nil, fmt.Errorf("te: arrow: scenario %d has no tickets", qi)
+			return nil, SolveStats{}, fmt.Errorf("te: arrow: scenario %d has no tickets", qi)
 		}
 	}
 	pm, err := arrowPhase1Colgen(n, v, opts, false)
 	if err != nil {
-		return nil, SolveStats{}, nil, err
+		return nil, SolveStats{}, err
 	}
 	stats := SolveStats{Phase1Vars: pm.bm.m.NumVars(), Phase1Rows: pm.bm.m.NumConstrs(), Phase1Iters: pm.iters}
 	winners := pickWinners(v, pm.sol.X)
 	solutionPool.Put(pm.sol)
 	solutionPool.Put(pm.spare)
 	modelPool.Put(pm.bm.m)
-	return winners, stats, pm.bm, nil
+	return winners, stats, nil
 }
 
 // ArrowPhase2 solves the Table 3 LP with the given winning ticket per
@@ -405,7 +406,7 @@ func ArrowPhase2(n *Network, scs []RestorableScenario, winners []int, opts *Arro
 	}
 	v := callView(n, scs, winners)
 	defer v.release()
-	return arrowPhase2(n, v, winners, opts, nil)
+	return arrowPhase2(n, v, winners, opts)
 }
 
 // rowName is fmt.Sprintf(format, a, b) for a model whose row names are
@@ -431,16 +432,38 @@ func checkWinners(scs []RestorableScenario, winners []int) error {
 	return nil
 }
 
-// arrowPhase2 is ArrowPhase2 on like's layout (see baseModelLike), its
-// rows read off v. The winners are in range (checkWinners).
-func arrowPhase2(n *Network, v *splitView, winners []int, opts *ArrowOptions, like *baseModel) (*Allocation, error) {
+// arrowPhase2 is ArrowPhase2 with its rows read off v: the winners' plan,
+// solved and read. The winners are in range (checkWinners).
+func arrowPhase2(n *Network, v *splitView, winners []int, opts *ArrowOptions) (*Allocation, error) {
+	p, err := solvePhase2(n, v, winners, opts)
+	if err != nil {
+		return nil, err
+	}
+	defer p.release()
+	return p.allocation(n), nil
+}
+
+// phase2 is a solved Phase II: its model, the solution it solved into and
+// the winners it was built for, which may be v's scratch.
+type phase2 struct {
+	bm      *baseModel
+	sol     *lp.Solution
+	winners []int
+	capture bool
+}
+
+// solvePhase2 builds the Table 3 LP for the winners on v's layout
+// (splitView.base), its rows read off v, and solves it. The caller reads
+// the plan off it (allocation) or not, then releases it.
+func solvePhase2(n *Network, v *splitView, winners []int, opts *ArrowOptions) (*phase2, error) {
 	scs := v.t.scs
 	defer opts.profiler().Stage("te.phase2")()
 	// Only attribution reads the rows' names and capRows, off the captured
 	// model.
 	capture := opts.captureSensitivity()
-	bm := baseModelLike("arrow-phase2", n, like, capture)
+	bm := baseModelLike("arrow-phase2", n, &v.like, capture)
 	row := bm.row
+	defer func() { v.like.row = row }()
 	// Scenarios that share a split repeat a left-hand side: the model holds
 	// each distinct row once, where it was first written. A repeated (10)
 	// row adds nothing; a repeated (11) row differs only in its bound, and
@@ -495,24 +518,42 @@ func arrowPhase2(n *Network, v *splitView, winners []int, opts *ArrowOptions, li
 		dst = new(lp.Solution)
 	} else {
 		dst = solutionPool.Get()
-		defer solutionPool.Put(dst)
 	}
 	slack := basisPool.Get()
 	defer basisPool.Put(slack)
+	p := &phase2{bm: bm, sol: dst, winners: winners, capture: capture}
 	sol, err := solveModel(dst, bm.m, bm.m.Name(), opts.start(bm.m, nil, slack), opts.lpOpts(), opts.ledger())
 	if err != nil {
+		p.release()
 		return nil, err
 	}
-	al := bm.extract(n, 1, sol)
-	if capture {
+	p.sol = sol
+	return p, nil
+}
+
+// allocation reads p's plan: every b_f and a_{f,t}, a copy of its winners
+// and, for a captured solve, what attribution reads (Allocation.Sens) with
+// a variable layout of its own, as the view's does not outlive the solve.
+func (p *phase2) allocation(n *Network) *Allocation {
+	al := p.bm.extract(n, 1, p.sol)
+	if p.capture {
+		var l varLayout
+		l.number(n)
 		al.Sens = &SensitivityHandle{
-			Model: bm.m, Basis: sol.Basis, Duals: sol.Duals,
-			Objective: sol.Objective, CapRows: bm.capRows,
-			BVars: bm.b, AVars: bm.a,
+			Model: p.bm.m, Basis: p.sol.Basis, Duals: p.sol.Duals,
+			Objective: p.sol.Objective, CapRows: p.bm.capRows,
+			BVars: l.b, AVars: l.a,
 		}
-	} else {
-		modelPool.Put(bm.m)
 	}
-	al.WinningTicket = append([]int(nil), winners...)
-	return al, nil
+	al.WinningTicket = append([]int(nil), p.winners...)
+	return al
+}
+
+// release hands p's model and solution back to their pools, unless it was
+// captured: Allocation.Sens may keep those. Nothing may read p after.
+func (p *phase2) release() {
+	if !p.capture {
+		modelPool.Put(p.bm.m)
+		solutionPool.Put(p.sol)
+	}
 }

@@ -425,7 +425,7 @@ func viewMatchesReference(v *splitView, n *Network, winners []int) error {
 	only := callView(n, scs, winners)
 	defer only.release()
 	for _, w := range []*splitView{v, only} {
-		al, err := arrowPhase2(n, w, winners, &ArrowOptions{CaptureSensitivity: true}, nil)
+		al, err := arrowPhase2(n, w, winners, &ArrowOptions{CaptureSensitivity: true})
 		if err != nil {
 			return fmt.Errorf("phase II %v: %w", winners, err)
 		}

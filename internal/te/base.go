@@ -61,16 +61,18 @@ type tunnelRef struct{ f, ti int32 }
 //	(3) forall f: 0 <= b_f <= d_f
 func newBaseModel(name string, n *Network) *baseModel { return baseModelLike(name, n, nil, false) }
 
-// baseModelLike is newBaseModel on like's variable handles and incidence
-// (nil: n's, see layout and incidence): every base model of n numbers b_f,
-// then f's a_{f,t}, flow by flow, so Arrow works them out once for its three
-// models even on a network with no holder. A model built to capture names
-// its capacity rows and records them in capRows.
+// baseModelLike is newBaseModel on like's variable handles, incidence and
+// row scratch (nil: n's, see layout and incidence, and a scratch of its
+// own): every base model of n numbers b_f, then f's a_{f,t}, flow by flow,
+// so Arrow works them out once per solve, in its view (splitView.base),
+// for its three models. The caller that passes like hands the model's row
+// back to it when done. A model built to capture names its capacity rows
+// and records them in capRows.
 func baseModelLike(name string, n *Network, like *baseModel, capture bool) *baseModel {
 	m := newModel(name, true)
 	bm := &baseModel{m: m}
 	if like != nil {
-		bm.a, bm.b, bm.cross = like.a, like.b, like.cross
+		bm.a, bm.b, bm.cross, bm.row = like.a, like.b, like.cross, like.row
 	} else {
 		l := n.layout()
 		bm.a, bm.b, bm.cross = l.a, l.b, n.incidence()
@@ -103,35 +105,51 @@ func baseModelLike(name string, n *Network, like *baseModel, capture bool) *base
 // shares: b_f, then f's a_{f,t}, flow by flow. It depends only on the shape
 // of the network's tunnels, and is read-only once made.
 type varLayout struct {
-	a [][]lp.Var // a_{f,t}
-	b []lp.Var   // b_f
+	a    [][]lp.Var // a_{f,t}
+	b    []lp.Var   // b_f
+	vars []lp.Var   // the array every flow's a_{f,t} are cut from
 }
 
-// layoutOf numbers n's base-model variables. Each flow's a_{f,t} keep an
-// array of their own: cut from one array they would cost fewer allocations
-// but, by the size class that array falls in, more bytes (256 more per
-// Planner.Solve on the Facebook instance).
-func layoutOf(n *Network) varLayout {
-	l := varLayout{a: make([][]lp.Var, len(n.Flows)), b: make([]lp.Var, len(n.Flows))}
-	v := lp.Var(0)
+// number numbers n's base-model variables in l, on l's arrays where they
+// are large enough.
+func (l *varLayout) number(n *Network) {
+	tunnels := 0
+	for _, ts := range n.Tunnels {
+		tunnels += len(ts)
+	}
+	l.a, l.b, l.vars = resize(l.a, len(n.Tunnels)), resize(l.b, len(n.Tunnels)), resize(l.vars, tunnels)
+	v, vars := lp.Var(0), l.vars
 	for f, ts := range n.Tunnels {
-		l.b[f], l.a[f] = v, make([]lp.Var, len(ts))
+		l.b[f], l.a[f], vars = v, vars[:len(ts):len(ts)], vars[len(ts):]
 		for ti := range ts {
 			v++
 			l.a[f][ti] = v
 		}
 		v++
 	}
-	return l
 }
 
-// crossOf returns n's tunnel-link incidence (baseModel.cross), laid out in
-// two arrays of exactly its size: one pass counts each link's tunnels, the
-// next files them, so no link's list grows by appends.
-func crossOf(n *Network) [][]tunnelRef {
+// crossTable is a tunnel–link incidence (baseModel.cross) and the arrays it
+// is built on: refs backs every link's list, and at and last are build's
+// counts.
+type crossTable struct {
+	cross    [][]tunnelRef
+	refs     []tunnelRef
+	at, last []int32
+}
+
+// crossOf returns n's tunnel–link incidence in arrays of its own.
+func crossOf(n *Network) [][]tunnelRef { return new(crossTable).build(n) }
+
+// build lays n's incidence out in c, on c's arrays where they are large
+// enough, and returns it: one pass counts each link's tunnels, the next
+// files them, so no link's list grows by appends.
+func (c *crossTable) build(n *Network) [][]tunnelRef {
 	// at[e+1] counts link e's tunnels, then, summed, ends its list; last[e]
 	// is 1 + the last tunnel filed under e, numbered across flows.
-	at, last := make([]int32, len(n.LinkCap)+1), make([]int32, len(n.LinkCap))
+	links := len(n.LinkCap)
+	c.at, c.last = resize(c.at, links+1), resize(c.last, links)
+	at, last := c.at, c.last
 	id := int32(0)
 	for _, ts := range n.Tunnels {
 		for _, t := range ts {
@@ -144,11 +162,11 @@ func crossOf(n *Network) [][]tunnelRef {
 			}
 		}
 	}
-	for e := range n.LinkCap {
+	for e := range links {
 		at[e+1] += at[e]
 	}
-	refs := make([]tunnelRef, at[len(n.LinkCap)])
-	cross := make([][]tunnelRef, len(n.LinkCap))
+	c.refs, c.cross = resize(c.refs, int(at[links])), resize(c.cross, links)
+	refs, cross := c.refs, c.cross
 	for e := range cross {
 		if at[e] < at[e+1] { // a link no tunnel crosses keeps a nil list
 			cross[e] = refs[at[e]:at[e]:at[e+1]]
@@ -158,8 +176,8 @@ func crossOf(n *Network) [][]tunnelRef {
 		for ti, t := range ts {
 			ref := tunnelRef{int32(f), int32(ti)}
 			for _, e := range t.Links {
-				if c := cross[e]; len(c) == 0 || c[len(c)-1] != ref {
-					cross[e] = append(c, ref)
+				if list := cross[e]; len(list) == 0 || list[len(list)-1] != ref {
+					cross[e] = append(list, ref)
 				}
 			}
 		}

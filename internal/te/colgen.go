@@ -38,11 +38,12 @@ import (
 // is the allocation on every tunnel that crosses it, the load the link
 // would see under full restoration: evaluating each ticket against its own
 // restorable set would favour tickets that restore fewer links (their Y
-// sets shrink, so their measured loads shrink).
+// sets shrink, so their measured loads shrink). The winners are v's
+// scratch, v.winners.
 func pickWinners(v *splitView, x []float64) []int {
 	scs := v.t.scs
-	winners := make([]int, len(scs))
-	var loads []float64
+	v.winners = resize(v.winners, len(scs))
+	winners, loads := v.winners, v.loads
 	for qi := range scs {
 		loads = loads[:0]
 		for i := range scs[qi].FailedLinks {
@@ -69,6 +70,7 @@ func pickWinners(v *splitView, x []float64) []int {
 		}
 		winners[qi] = best
 	}
+	v.loads = loads
 	return winners
 }
 
@@ -228,7 +230,8 @@ func (v *splitView) priceSupport(qi, s int, x []float64) supportPrice {
 // termination argument).
 func arrowPhase1Colgen(n *Network, v *splitView, opts *ArrowOptions, named bool) (*phase1Master, error) {
 	scs := v.t.scs
-	bm := newBaseModel("arrow-phase1", n)
+	bm := baseModelLike("arrow-phase1", n, &v.like, false)
+	defer func() { v.like.row = bm.row }()
 	alpha := opts.alpha()
 	clear(v.coverSeen)
 	clear(v.prices)

@@ -85,10 +85,9 @@ func allSeeded(scs []RestorableScenario) []RestorableScenario {
 	return out
 }
 
-// arrowPhase1Dispatch is phase1Winners without the master it leaves.
+// arrowPhase1Dispatch is phase1Winners on a view of its own.
 func arrowPhase1Dispatch(n *Network, scs []RestorableScenario, opts *ArrowOptions) ([]int, SolveStats, error) {
-	winners, stats, _, err := phase1Winners(n, callView(n, scs, nil), opts)
-	return winners, stats, err
+	return phase1Winners(n, callView(n, scs, nil), opts)
 }
 
 // totalRestored is the capacity the winners restore in all, each

@@ -76,9 +76,11 @@ func (n *Network) incidence() [][]tunnelRef {
 func (n *Network) layout() varLayout {
 	h := n.half
 	if h == nil {
-		return layoutOf(n)
+		var l varLayout
+		l.number(n)
+		return l
 	}
-	h.layoutOnce.Do(func() { h.layout = layoutOf(n) })
+	h.layoutOnce.Do(func() { h.layout.number(n) })
 	return h.layout
 }
 

@@ -65,6 +65,7 @@ func callView(n *Network, scs []RestorableScenario, winners []int) *splitView {
 		t.fill(f, &v.fill, only)
 	}
 	v.build(only)
+	v.base(n)
 	return v
 }
 
@@ -383,6 +384,18 @@ type splitView struct {
 	picks        []pricePick
 	weight       []float64
 
+	// like is the variable layout and tunnel–link incidence every base
+	// model of the solve is built on (baseModelLike), and the scratch their
+	// rows are assembled in: n's holder's layout and incidence, or, on a
+	// network with none, layout and cross, built for the solve (base).
+	like   baseModel
+	layout varLayout
+	cross  crossTable
+	// winners is Phase I's pick and firsts the all-ticket-0 fallback's
+	// winners; loads is pickWinners' scratch.
+	winners, firsts []int
+	loads           []float64
+
 	// only is the one support per scenario a Phase II view is built for.
 	only   []int32
 	flat   []flowTouch
@@ -517,10 +530,25 @@ type hit struct {
 
 func nonzero(word uint64) bool { return word != 0 }
 
+// base fills v.like with n's variable layout and tunnel–link incidence:
+// the holder's, which n shares with its Scaled copies, or, when n has none,
+// built on v's arrays. The incidence depends on the order of n's flows, so
+// a view keeps none from one solve to the next.
+func (v *splitView) base(n *Network) {
+	if n.half != nil {
+		l := n.layout()
+		v.like.a, v.like.b, v.like.cross = l.a, l.b, n.incidence()
+		return
+	}
+	v.layout.number(n)
+	v.like.a, v.like.b, v.like.cross = v.layout.a, v.layout.b, v.cross.build(n)
+}
+
 // release hands v, its table and its scratch back for the next solve to
 // build in. Nothing may read v after.
 func (v *splitView) release() {
 	v.t.tunnels, v.t.scs = nil, nil
+	v.like.a, v.like.b, v.like.cross = nil, nil, nil
 	clear(v.flat)
 	clear(v.crossing)
 	clear(v.hits)

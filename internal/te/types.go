@@ -246,12 +246,16 @@ func (a *Allocation) Throughput(n *Network) float64 {
 	return s / total
 }
 
-// SplitRatios returns omega_{f,t} = a_{f,t} / sum_t a_{f,t} (§3.3). Flows
-// with no allocation split uniformly.
+// SplitRatios returns omega_{f,t} = a_{f,t} / sum_t a_{f,t} (§3.3), every
+// flow's cut from one array. Flows with no allocation split uniformly.
 func (a *Allocation) SplitRatios() [][]float64 {
-	out := make([][]float64, len(a.A))
+	tunnels := 0
+	for _, as := range a.A {
+		tunnels += len(as)
+	}
+	out, flat := make([][]float64, len(a.A)), make([]float64, tunnels)
 	for f, as := range a.A {
-		out[f] = make([]float64, len(as))
+		out[f], flat = flat[:len(as):len(as)], flat[len(as):]
 		sum := 0.0
 		for _, v := range as {
 			sum += v

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"slices"
 	"sync"
@@ -14,6 +15,7 @@ import (
 	"github.com/arrow-te/arrow/internal/obs"
 	"github.com/arrow-te/arrow/internal/race"
 	"github.com/arrow-te/arrow/internal/stats"
+	"github.com/arrow-te/arrow/internal/te"
 	"github.com/arrow-te/arrow/internal/topo"
 	"github.com/arrow-te/arrow/internal/traffic"
 )
@@ -194,9 +196,106 @@ func TestPlannerEpochsConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
+// TestPooledScratchIsNeverShared solves the B4 and Facebook planners'
+// matrices interleaved, from two goroutines at once, so that solves and
+// availability passes on two networks of different sizes draw views,
+// models, solutions and passes from the same pools concurrently (run it
+// with -race). Every plan is held to a fresh planner's: its winners,
+// admitted bandwidth and split ratios bit for bit (samePlan), its
+// availability bit for bit and its AdmittedGbps. Each goroutine first
+// solves one matrix with CaptureSensitivity: the variable layout the
+// captured handle keeps, and the allocation read off the plan, do not
+// change under the solves that follow.
+func TestPooledScratchIsNeverShared(t *testing.T) {
+	if testing.Short() {
+		t.Skip("plans the Facebook network and runs forty TE solves")
+	}
+	_, fb, fbSets := onlineInstance(t, context.Background())
+	tp, b4 := reactionInstances[0].planner(t, 1)
+	ms := traffic.Generate(traffic.Options{Sites: tp.NumRouters(), Count: 4, MaxFlows: 20, TotalGbps: 1, Seed: 8})
+	b4Sets := demandSets(tp, ms, 0.01*stats.Sum(tp.LinkCaps()))
+	type job struct {
+		p    *Planner
+		ds   []Demand
+		name string
+	}
+	var jobs []job
+	for mi := range fbSets {
+		jobs = append(jobs, job{b4, b4Sets[mi], fmt.Sprintf("b4 m%d", mi)}, job{fb, fbSets[mi], fmt.Sprintf("facebook m%d", mi)})
+	}
+	want := make([]*TrafficPlan, len(jobs))
+	for i, j := range jobs {
+		var err error
+		if want[i], err = freshPlanner(j.p, nil).Solve(j.ds, SolveOptions{}); err != nil {
+			t.Fatalf("%s: %v", j.name, err)
+		}
+	}
+	bits := math.Float64bits
+	var wg sync.WaitGroup
+	for g := range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			first := jobs[g]
+			captured := freshPlanner(first.p, nil)
+			captured.teOpts.CaptureSensitivity = true
+			cp, err := captured.Solve(first.ds, SolveOptions{})
+			if err != nil {
+				t.Errorf("goroutine %d, captured %s: %v", g, first.name, err)
+				return
+			}
+			h := cp.alloc.Sens
+			x := make([]float64, h.Model.NumVars())
+			for i := range x {
+				x[i] = float64(i)
+			}
+			bv, av := slices.Clone(h.BVars), make([][]lp.Var, len(h.AVars))
+			for f := range av {
+				av[f] = slices.Clone(h.AVars[f])
+			}
+			eb, ea := h.ExtractAllocation(x)
+			kept := &TrafficPlan{alloc: &te.Allocation{
+				B: slices.Clone(cp.alloc.B), A: make([][]float64, len(cp.alloc.A)),
+				WinningTicket: slices.Clone(cp.alloc.WinningTicket),
+			}}
+			for f := range kept.alloc.A {
+				kept.alloc.A[f] = slices.Clone(cp.alloc.A[f])
+			}
+			for k := range jobs {
+				i := (k + g) % len(jobs)
+				got, err := jobs[i].p.Solve(jobs[i].ds, SolveOptions{})
+				if err != nil {
+					t.Errorf("goroutine %d, %s: %v", g, jobs[i].name, err)
+					continue
+				}
+				if err := samePlan(got, want[i]); err != nil {
+					t.Errorf("goroutine %d, %s: %v", g, jobs[i].name, err)
+				}
+				if a, w := got.Availability(), want[i].Availability(); bits(a) != bits(w) {
+					t.Errorf("goroutine %d, %s: availability %v, a fresh planner's %v", g, jobs[i].name, a, w)
+				}
+				if a, w := got.AdmittedGbps(), want[i].AdmittedGbps(); bits(a) != bits(w) {
+					t.Errorf("goroutine %d, %s: admitted %v Gbps, a fresh planner's %v", g, jobs[i].name, a, w)
+				}
+			}
+			gb, ga := h.ExtractAllocation(x)
+			if !slices.Equal(h.BVars, bv) || !reflect.DeepEqual(h.AVars, av) || !slices.Equal(gb, eb) || !reflect.DeepEqual(ga, ea) {
+				t.Errorf("goroutine %d: the captured %s handle's variable layout changed under later solves", g, first.name)
+			}
+			if err := samePlan(cp, kept); err != nil {
+				t.Errorf("goroutine %d: the captured %s plan changed under later solves: %v", g, first.name, err)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // TestPlannerSolveAllocBudget holds the bytes a B4 planner's Solve
 // allocates once the pools hold a split table, models and solutions of its
-// size: 23 KB measured (go1.24, linux/amd64) since restored capacity is
+// size: 11 KB measured (go1.24, linux/amd64) since the tunnel–link
+// incidence, variable layout and row scratch are built in the solve's
+// pooled view, only the Phase II plan kept is read off its solution and
+// every link's capacity is the planner's, 23 KB since restored capacity is
 // read off the winning tickets, Phase I's rows go unnamed, its scratch is
 // pooled and the tunnel–link incidence is laid out at its exact size, 61 KB
 // since uncaptured base models
@@ -228,7 +327,7 @@ func TestPlannerSolveAllocBudget(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perSolve := float64(after.TotalAlloc-before.TotalAlloc) / runs
 	t.Logf("%.0f bytes allocated per Planner.Solve", perSolve)
-	const budget = 25e3
+	const budget = 12.3e3
 	if perSolve > budget {
 		t.Errorf("%.0f bytes allocated per Planner.Solve, budget %.0f", perSolve, budget)
 	}
@@ -237,7 +336,11 @@ func TestPlannerSolveAllocBudget(t *testing.T) {
 // TestOnlineSolveAllocBudget holds the bytes a Planner.Solve allocates on
 // the repository benchmark's online-te instance, its four matrices solved
 // in turn as the workload cycles them, once a full cycle has sized the
-// pools: 65 KB measured (go1.24, linux/amd64), 263 KB before Phase II held
+// pools: 18 KB measured (go1.24, linux/amd64), about what the plan keeps
+// (its allocation, winners, flows and tunnel sets), since the tunnel–link
+// incidence, variable layout and row scratch are built in the solve's
+// pooled view, only the Phase II plan kept is read off its solution and
+// every link's capacity is the planner's, 65 KB before that, 263 KB before Phase II held
 // its distinct rows only, restored capacity was read off the winning
 // tickets and the pooled models' term arenas settled at their largest
 // build. A single matrix, as TestPlannerSolveAllocBudget solves, cannot
@@ -265,8 +368,45 @@ func TestOnlineSolveAllocBudget(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perSolve := float64(after.TotalAlloc-before.TotalAlloc) / float64(cycles*len(sets))
 	t.Logf("%.0f bytes allocated per Planner.Solve over the %d online-te matrices", perSolve, len(sets))
-	const budget = 72e3
+	const budget = 20e3
 	if perSolve > budget {
 		t.Errorf("%.0f bytes allocated per Planner.Solve, budget %.0f", perSolve, budget)
+	}
+}
+
+// TestTrafficPlanReadAllocBudget holds the reads the online-te op makes of
+// a plan, on its instance: Availability evaluates the 214 planned
+// scenarios one at a time on a pooled pass, at most 1 KB per call (the
+// Evaluator and nothing else, 24 B measured, go1.24, linux/amd64; 28 KB
+// when it built the list of scenarios and a pass of its own), and
+// SplitRatios cuts every demand's ratios from one array, two allocations
+// (121 when each demand's had its own).
+func TestTrafficPlanReadAllocBudget(t *testing.T) {
+	if testing.Short() || race.Enabled {
+		t.Skip("plans the Facebook network; the race detector's shadow allocations distort the count")
+	}
+	_, p, sets := onlineInstance(t, context.Background())
+	tp, err := p.Solve(sets[0], SolveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tp.Availability() // size the pooled pass
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		tp.Availability()
+	}
+	runtime.ReadMemStats(&after)
+	perCall := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("%.0f bytes allocated per TrafficPlan.Availability", perCall)
+	const budget = 1024
+	if perCall > budget {
+		t.Errorf("%.0f bytes allocated per TrafficPlan.Availability, budget %d", perCall, budget)
+	}
+	allocs := testing.AllocsPerRun(20, func() { tp.SplitRatios() })
+	t.Logf("%.0f allocations per TrafficPlan.SplitRatios", allocs)
+	if allocs > 2 {
+		t.Errorf("%.0f allocations per TrafficPlan.SplitRatios, budget 2", allocs)
 	}
 }
