@@ -291,11 +291,11 @@ type PlanOptions struct {
 	TargetMass    float64
 	MaxEnumerated int
 	// NoCompose disables the compositional offline stage on the correlated
-	// path (arrow-plan -compose=false, the cold A/B reference): multi-fiber
-	// cut solves are neither warm-started from nor seeded with the candidate
-	// composed from the constituent single-cut solutions. The scenarios and
-	// their RWA objectives are the same either way; solver effort differs,
-	// and the ticket pools — so possibly the winning tickets — may.
+	// path (arrow-plan -compose=false, the A/B reference): no multi-fiber
+	// cut's ticket pool is seeded with the candidate composed from its
+	// constituent single-cut solutions. The stage decides ticket pools, not
+	// LP starts, so the scenarios and their RWA results are the same either
+	// way; the ticket pools — so possibly the winning tickets — may differ.
 	NoCompose bool
 }
 

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/arrow-te/arrow/internal/obs"
@@ -116,16 +117,18 @@ func TestCorrelatedPairsMatchLegacyPipeline(t *testing.T) {
 	}
 }
 
-// TestComposeReducesPivotWork is the unit-level version of the CI perf
-// gate: on the same correlated instance, the compositional offline stage
-// (warm-started multi-cut solves reusing pre-staged singles) must spend
-// strictly fewer simplex pivots than the cold build, while actually
-// exercising the composition machinery.
-func TestComposeReducesPivotWork(t *testing.T) {
+// TestComposeLeavesRWAAlone: the compositional pre-stage decides ticket
+// pools, not LP starts. On the same correlated instance, planned with and
+// without it, every RWA result is the same and so is every lp.* counter
+// (each distinct block is solved once per plan from slack either way);
+// only the composed tickets, and the pools around them, differ. Every
+// scenario is planned: under a MaxScenarios budget the pre-stage also
+// solves singles the budget leaves out, and the counters differ by those.
+func TestComposeLeavesRWAAlone(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds two full pipelines")
 	}
-	build := func(noCompose bool) map[string]int64 {
+	build := func(noCompose bool) (*Pipeline, map[string]int64) {
 		t.Helper()
 		tp, err := topo.B4(6)
 		if err != nil {
@@ -133,24 +136,41 @@ func TestComposeReducesPivotWork(t *testing.T) {
 		}
 		reg := obs.NewRegistry()
 		opts := correlatedOpts(0)
+		opts.MaxScenarios = 0
 		opts.Space.NoCompose = noCompose
-		if _, err := BuildPipelineContext(withSinks(reg, nil, nil), tp, opts); err != nil {
+		pl, err := BuildPipelineContext(withSinks(reg, nil, nil), tp, opts)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return reg.Snapshot().Counters
+		return pl, reg.Snapshot().Counters
 	}
-	cold, warm := build(true), build(false)
-	if warm["scenario.warm_from_singles"] == 0 || warm["rwa.compose_adopted"] == 0 {
-		t.Fatalf("composition did not engage: %v", warm)
+	plain, cold := build(true)
+	composed, warm := build(false)
+	if warm["scenario.warm_from_singles"] == 0 || cold["scenario.warm_from_singles"] != 0 {
+		t.Fatalf("composed-ticket scenarios: %d composed, %d with NoCompose", warm["scenario.warm_from_singles"], cold["scenario.warm_from_singles"])
 	}
-	if cold["scenario.warm_from_singles"] != 0 {
-		t.Fatalf("NoCompose still warmed %d scenarios", cold["scenario.warm_from_singles"])
+	if !reflect.DeepEqual(composed.RWAResults, plain.RWAResults) {
+		t.Error("the RWA results move with the compositional pre-stage")
 	}
-	if warm["lp.pivots"] >= cold["lp.pivots"] {
-		t.Errorf("composition saved nothing: %d pivots composed vs %d cold", warm["lp.pivots"], cold["lp.pivots"])
+	lpCounters := 0
+	for name, v := range warm {
+		if strings.HasPrefix(name, "lp.") {
+			lpCounters++
+			if cold[name] != v {
+				t.Errorf("%s: %d composed, %d with NoCompose", name, v, cold[name])
+			}
+		}
 	}
-	// Both builds enumerate the same scenario space.
-	if warm["scenario.enumerated"] != cold["scenario.enumerated"] {
-		t.Errorf("enumerated counts differ: %d vs %d", warm["scenario.enumerated"], cold["scenario.enumerated"])
+	if lpCounters == 0 || warm["rwa.block_hits"] == 0 {
+		t.Fatalf("no lp.* counters or no block hits recorded: %v", warm)
+	}
+	seeded := 0
+	for _, sc := range composed.Scenarios {
+		if sc.Seeds > 1 {
+			seeded++
+		}
+	}
+	if seeded == 0 || reflect.DeepEqual(composed.Scenarios, plain.Scenarios) {
+		t.Errorf("%d scenarios seeded with a composed ticket, and the pools do not differ", seeded)
 	}
 }

@@ -50,7 +50,8 @@ var coreCounters = []MetricDoc{
 	{"mip.pruned", "counter", "nodes pruned by bound"},
 	{"mip.incumbents", "counter", "incumbent improvements found"},
 	{"rwa.solves", "counter", "restoration wavelength-assignment solves"},
-	{"rwa.compose_adopted", "counter", "basis variables adopted from single-cut solutions when composing multi-cut warm starts"},
+	{"rwa.block_solves", "counter", "independent RWA assignment-LP blocks solved"},
+	{"rwa.block_hits", "counter", "RWA assignment-LP blocks answered by the plan's block memo instead of solved"},
 	{"ticket.rounding_attempts", "counter", "LP-relaxation rounding attempts during ticket generation"},
 	{"ticket.generated", "counter", "restoration tickets generated"},
 	{"ticket.infeasible", "counter", "candidate tickets rejected as infeasible"},
@@ -64,7 +65,7 @@ var coreCounters = []MetricDoc{
 	// Correlated k-failure enumeration + compositional offline stage.
 	{"scenario.enumerated", "counter", "cut sets emitted by the correlated k-failure enumerator"},
 	{"scenario.pruned", "counter", "failure-lattice nodes pruned by the enumerator's probability bound"},
-	{"scenario.warm_from_singles", "counter", "multi-cut RWA solves warm-started from pre-staged single-cut bases"},
+	{"scenario.warm_from_singles", "counter", "multi-cut scenarios whose ticket pool is seeded from pre-staged single-cut restorations"},
 	{"sim.intervals", "counter", "timeline replay intervals evaluated"},
 	{"sim.unplanned_intervals", "counter", "intervals spent in failure states with no precomputed plan"},
 	{"sim.restoring_intervals", "counter", "intervals spent inside restoration-latency windows"},

@@ -52,13 +52,12 @@ type Space struct {
 	// failure lattice.
 	MaxEnumerated int
 	// NoCompose turns the compositional pre-stage off (correlated path only):
-	// every multi-fiber cut's RWA then solves cold from the slack basis, and
-	// its ticket pool has no composed-from-singles candidate (Seeds stays 0
-	// and rounding draws one more ticket in its place). The scenario space
-	// and every RWA objective are the same either way; the ticket pools, and
-	// with them the winning tickets, may differ. What the tests pin is less
-	// than identity: composition spends fewer simplex pivots over the same
-	// enumerated scenarios (eval's TestComposeReducesPivotWork), and on the
+	// no multi-fiber cut's ticket pool then has a composed-from-singles
+	// candidate (Seeds stays 0 and rounding draws one more ticket in its
+	// place). It decides ticket pools, not LP starts: the scenario space and
+	// every RWA result are the same either way, and so is the LP work when
+	// every scenario is planned (eval's TestComposeLeavesRWAAlone); the
+	// ticket pools, and with them the winning tickets, may differ. On the
 	// square test WAN the exported plan happens to be byte-identical with
 	// and without it (the root package's TestPlanCorrelated).
 	NoCompose bool
@@ -74,7 +73,7 @@ func RegisterScenarioFlags(fs *flag.FlagSet) *Space {
 	fs.BoolVar(&s.UseSRLGs, "srlgs", false, "expand the topology's shared-risk link groups as correlated failure elements")
 	fs.Float64Var(&s.TargetMass, "target-mass", 0, "stop enumerating once this fraction of the failure probability mass is covered (0 = cutoff only)")
 	fs.IntVar(&s.MaxEnumerated, "max-enumerated", 0, "hard cap on enumerated cut sets (0 = uncapped)")
-	fs.BoolFunc("compose", "warm-start multi-cut RWA solves from pre-staged single-cut bases and seed composed tickets (default true; -compose=false for the cold A/B)", func(v string) error {
+	fs.BoolFunc("compose", "seed each multi-cut scenario's tickets with one composed from its pre-staged single-cut restorations (default true; -compose=false for the A/B)", func(v string) error {
 		compose, err := strconv.ParseBool(v)
 		s.NoCompose = !compose
 		return err
@@ -139,25 +138,17 @@ type stage struct {
 	health int
 	// singles holds the pre-staged single-fiber-cut RWA solve of every fiber
 	// in a multi-fiber cut, and waves its naive integral wave count per
-	// failed IP link: the warm-start source and the ticket-composition base
-	// of every multi-fiber cut containing the fiber.
+	// failed IP link: the ticket-composition base of every multi-fiber cut
+	// containing the fiber.
 	singles map[int]*rwa.Result
 	waves   map[int]map[int]int
 	// memo is shared by every RWA request of the build and dropped with it:
 	// what it saves comes from the scenarios of one plan repeating each
-	// other's path searches and option sets.
+	// other's path searches, option sets and assignment-LP blocks.
 	memo *rwa.Memo
-	// scratch hands each worker the memory a scenario needs only while it
-	// is planned.
-	scratch pool.Free[scratch]
-}
-
-// scratch is what one scenario's planning needs and no plan keeps: the
-// warm-start sources of its RWA request and the tickets its candidates are
-// drawn into before they are copied out at their final size.
-type scratch struct {
-	warm    []*rwa.Result
-	tickets []ticket.Ticket
+	// drafts hands each worker the tickets a scenario's candidates are drawn
+	// into before they are copied out at their final size.
+	drafts pool.Free[[]ticket.Ticket]
 }
 
 // artifacts is the stage's output for one enumerated scenario, written into
@@ -310,8 +301,7 @@ func checkProbs(failProbs []float64, groups []scenario.Group) error {
 // request is the restoration RWA request of this code base: k surrogate
 // paths per failed link, transponder retuning and modulation fallback
 // allowed, under the stage's solver switches, recorder and memo. Every RWA
-// request of the stage is built here; ExportBasis and WarmFrom are left for
-// the call sites that need them.
+// request of the stage is built here.
 func (s *stage) request(cut []int) rwa.Request {
 	return rwa.Request{
 		Net: s.net, Cut: cut, K: s.opts.K,
@@ -323,10 +313,10 @@ func (s *stage) request(cut []int) rwa.Request {
 
 // solveSingles is the compositional pre-stage (correlated path only): solve
 // the single-cut RWA once per fiber that appears in any multi-fiber cut.
-// Each solve is reused many times — as the warm-start and ticket-composition
-// source of every multi-cut containing its fiber, and verbatim as the RWA
-// result of the fiber's own single-cut scenario (the solver is
-// deterministic, so the reuse changes nothing).
+// Each solve is reused many times — as the ticket-composition source of
+// every multi-cut containing its fiber, and verbatim as the RWA result of
+// the fiber's own single-cut scenario (the solver is deterministic, so the
+// reuse changes nothing).
 func (s *stage) solveSingles(ctx context.Context) error {
 	inMulti := map[int]bool{}
 	for _, sc := range s.set.Scenarios {
@@ -343,9 +333,7 @@ func (s *stage) solveSingles(ctx context.Context) error {
 	sort.Ints(fibers)
 	endSingles := s.prof.Stage("pipeline.singles")
 	solved, err := par.Map(ctx, par.WorkersFrom(ctx), len(fibers), func(_ context.Context, i int) (*rwa.Result, error) {
-		req := s.request([]int{fibers[i]})
-		req.ExportBasis = true
-		res, err := solveRWA(req)
+		res, err := solveRWA(s.request([]int{fibers[i]}))
 		if err != nil {
 			return nil, fmt.Errorf("plan: single cut {%d} rwa: %w", fibers[i], err)
 		}
@@ -374,27 +362,16 @@ func (s *stage) solveSingles(ctx context.Context) error {
 // parallelise freely and results cannot depend on the schedule.
 func (s *stage) scenario(si int) (artifacts, error) {
 	cut := s.set.Scenarios[si].Cut
-	sc := s.scratch.Get()
-	defer s.scratch.Put(sc)
-	warm := sc.warm[:0]
+	drafts := s.drafts.Get()
+	defer s.drafts.Put(drafts)
 	var res *rwa.Result
 	if len(cut) == 1 && s.singles[cut[0]] != nil {
 		// The pre-stage already solved this exact request.
 		res = s.singles[cut[0]]
 	} else {
-		if len(cut) > 1 {
-			for _, f := range cut {
-				if src := s.singles[f]; src != nil {
-					warm = append(warm, src)
-				}
-			}
-			sc.warm = warm
-		}
-		req := s.request(cut)
-		req.WarmFrom = warm
 		endRWA := s.prof.StageAgg("rwa.solve")
 		var err error
-		res, err = solveRWA(req)
+		res, err = solveRWA(s.request(cut))
 		endRWA()
 		if err != nil {
 			return artifacts{}, fmt.Errorf("plan: scenario %d rwa: %w", si, err)
@@ -402,17 +379,19 @@ func (s *stage) scenario(si int) (artifacts, error) {
 	}
 	// Solver-health events are tagged with the ENUMERATED scenario index
 	// (like ticket events), so the stream is a schedule-independent bag at
-	// any worker count.
-	ledger.EmitSolverHealth(s.led, si, "rwa-assign", res.Health)
+	// any worker count: a block the memo answered carries its solve's report.
+	for _, h := range res.Health {
+		ledger.EmitSolverHealth(s.led, si, "rwa-assign", h)
+	}
 	if len(res.Failed) == 0 {
 		return artifacts{res: res}, nil
 	}
 	// Ticket #1 is always the RWA-derived candidate itself (Fig. 14: "when
 	// the number of LotteryTickets is one ... it represents the Arrow-Naive
 	// approach"); randomized rounding fills the rest of Z. The candidates
-	// are drawn into the scratch and copied out once, at their final size.
+	// are drawn into the drafts and copied out once, at their final size.
 	n := len(res.Failed)
-	tks := ticket.Extend(sc.tickets[:0], n)
+	tks := ticket.Extend((*drafts)[:0], n)
 	rwa.IntegralWavesInto(tks[0].Waves, res, res.OrigWaves)
 	integral := 0
 	for i, c := range tks[0].Waves {
@@ -427,7 +406,7 @@ func (s *stage) scenario(si int) (artifacts, error) {
 		}
 	}
 	a := artifacts{res: res}
-	if len(warm) > 0 {
+	if len(cut) > 1 && slices.ContainsFunc(cut, func(f int) bool { return s.singles[f] != nil }) {
 		// Compositional candidate: the union of the constituent single-cut
 		// restorations, restricted to the combined cut's spectrum. It rides
 		// directly behind the naive seed so the colgen master starts from
@@ -467,7 +446,7 @@ func (s *stage) scenario(si int) (artifacts, error) {
 		}
 		tks = tks[:kept]
 	}
-	sc.tickets = tks
+	*drafts = tks
 	a.tickets = ticket.Clone(tks)
 	return a, nil
 }

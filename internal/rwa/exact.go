@@ -28,7 +28,11 @@ func SolveExact(req *Request, opts *mip.Options) (*Result, error) {
 	// scratch can go back as soon as the solve returns.
 	sc := scratchPool.Get()
 	defer scratchPool.Put(sc)
-	m := sc.buildModel(res, "rwa-exact", true)
+	links := make([]int, len(res.Failed))
+	for i := range links {
+		links[i] = i
+	}
+	m := sc.buildModel(res, links, "rwa-exact", true)
 	if m.NumVars() == 0 {
 		return res, nil
 	}

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/arrow-te/arrow/internal/obs"
 	"github.com/arrow-te/arrow/internal/optical"
 	"github.com/arrow-te/arrow/internal/rwa"
 	"github.com/arrow-te/arrow/internal/ticket"
@@ -21,33 +22,22 @@ func b4(t testing.TB) *optical.Network {
 	return tp.Opt
 }
 
-// offlineRequests is the offline stage's mix on B4: every single-fiber cut
-// (exporting its basis, as the pre-stage does), then pairs and triples warm-
-// started from their singles, in both tuning modes, shuffled so that big
+// offlineRequests is the offline stage's mix on B4: every single-fiber cut,
+// then pairs and triples, whose blocks repeat the singles' and each other's,
+// in both tuning modes and now and then cold (NoWarm), shuffled so that big
 // models follow small ones and small ones big.
 func offlineRequests(t testing.TB, n *optical.Network) []*rwa.Request {
 	base := rwa.Request{Net: n, K: 3, AllowTuning: true, AllowModulationChange: true}
-	singles := make([]*rwa.Result, len(n.Fibers))
 	var reqs []*rwa.Request
 	for f := range n.Fibers {
 		req := base
-		req.Cut, req.ExportBasis = []int{f}, true
-		res, err := rwa.Solve(&req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		singles[f] = res
+		req.Cut = []int{f}
 		reqs = append(reqs, &req)
 	}
 	rng := rand.New(rand.NewSource(17))
 	for i := 0; i < 60; i++ {
 		req := base
 		req.Cut = rng.Perm(len(n.Fibers))[:2+i%2]
-		if i%3 != 0 {
-			for _, f := range req.Cut {
-				req.WarmFrom = append(req.WarmFrom, singles[f])
-			}
-		}
 		req.AllowTuning = i%5 != 0
 		req.NoWarm = i%11 == 0
 		reqs = append(reqs, &req)
@@ -169,30 +159,67 @@ func TestOfflineStageConcurrentOnSharedNetwork(t *testing.T) {
 	})
 }
 
-// One memo shared by two goroutines over the offline mix on B4 — singles
-// exporting their bases, multi-cuts composing from them, both tuning modes —
-// changes no result, assignment or ticket of a request solved without it
-// (run under -race).
+// One memo shared by two goroutines over the offline mix on B4 — singles and
+// multi-cuts whose blocks the memo answers, both tuning modes, cold and
+// slack starts — changes no result, assignment or ticket of a request solved
+// without it (run under -race).
 func TestMemoSharedByGoroutinesMatchesPlainSolves(t *testing.T) {
 	n := b4(t)
 	reqs := offlineRequests(t, n)
 	want := make([]offlineArtifacts, len(reqs))
 	for i := range reqs {
 		want[i] = artifactsOf(t, reqs[i], i)
-		want[i].res = rwa.WithoutPathKeys(want[i].res)
 	}
 	memo := rwa.NewMemo(n)
 	inStep(len(reqs), func(w, i int) bool {
 		req := *reqs[i]
 		req.Memo = memo
 		got := artifactsOf(t, &req, i)
-		got.res = rwa.WithoutPathKeys(got.res)
 		if !reflect.DeepEqual(got, want[i]) {
 			t.Errorf("goroutine %d, request %d (cut %v): with the memo %+v, without %+v", w, i, reqs[i].Cut, got, want[i])
 			return false
 		}
 		return true
 	})
+}
+
+// Goroutines walking the same requests at once through one memo solve each
+// block once, as one goroutine does: a solve that finds a block in flight
+// waits for it instead of solving it again (run under -race).
+func TestMemoSolvesEachBlockOnce(t *testing.T) {
+	n := b4(t)
+	reqs := offlineRequests(t, n)
+	solveAll := func(memo *rwa.Memo, reg *obs.Registry) {
+		for _, r := range reqs {
+			req := *r
+			req.Memo, req.Recorder = memo, reg
+			if _, err := rwa.Solve(&req); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}
+	alone := obs.NewRegistry()
+	solveAll(rwa.NewMemo(n), alone)
+	want := alone.Counter("rwa.block_solves")
+	for trial := 0; trial < 5; trial++ {
+		memo, reg := rwa.NewMemo(n), obs.NewRegistry()
+		var wg sync.WaitGroup
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				solveAll(memo, reg)
+			}()
+		}
+		wg.Wait()
+		if got := reg.Counter("rwa.block_solves"); got != want {
+			t.Fatalf("trial %d: 8 goroutines solved %d blocks, one alone %d", trial, got, want)
+		}
+		if hits := reg.Counter("rwa.block_hits"); hits != 8*alone.Counter("rwa.block_hits")+7*want {
+			t.Fatalf("trial %d: %d hits, want %d", trial, hits, 8*alone.Counter("rwa.block_hits")+7*want)
+		}
+	}
 }
 
 var benchTickets []ticket.Ticket

@@ -339,131 +339,37 @@ func twoIslandNetwork(t *testing.T) *optical.Network {
 	return n
 }
 
-// TestComposeWarmFromSingles: a pair-cut solve warm-started from its two
-// single-cut solutions adopts their variables, skips phase 1, and returns
-// exactly the same restoration as the plain (slack-warm) pair solve.
-func TestComposeWarmFromSingles(t *testing.T) {
+// TestDisjointCutSolvesByBlocks: the pair cut {0, 3} of the two islands is
+// two independent blocks, one per island. Solved alone it takes two block
+// LPs; through a memo that has solved both single cuts it takes none, and
+// either way it restores both links in full, each as its single cut does.
+func TestDisjointCutSolvesByBlocks(t *testing.T) {
 	n := twoIslandNetwork(t)
-	single := func(f int) *Result {
-		res, err := Solve(&Request{Net: n, Cut: []int{f}, K: 3, AllowTuning: true, ExportBasis: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.VarBasis) == 0 {
-			t.Fatalf("single cut {%d}: no exported basis", f)
-		}
-		return res
-	}
-	s0, s3 := single(0), single(3)
-
-	plain, err := Solve(&Request{Net: n, Cut: []int{0, 3}, K: 3, AllowTuning: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	composed, err := Solve(&Request{
-		Net: n, Cut: []int{0, 3}, K: 3, AllowTuning: true,
-		WarmFrom: []*Result{s0, s3},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if composed.ComposedVars == 0 {
-		t.Fatal("composition adopted no variables")
-	}
-	if composed.Warm == nil || !composed.Warm.Phase1Skipped {
-		t.Fatalf("composed warm info %+v, want phase 1 skipped", composed.Warm)
-	}
-	if math.Abs(composed.Objective-plain.Objective) > 1e-9 {
-		t.Fatalf("objective drifted: composed %g vs plain %g", composed.Objective, plain.Objective)
-	}
-	for i := range plain.FracWaves {
-		if math.Abs(composed.FracWaves[i]-plain.FracWaves[i]) > 1e-9 {
-			t.Fatalf("FracWaves[%d]: composed %g vs plain %g", i, composed.FracWaves[i], plain.FracWaves[i])
-		}
-	}
-	// The disjoint pair decomposes exactly: both links fully restored.
-	if math.Abs(composed.Objective-4) > 1e-6 {
-		t.Fatalf("objective %g, want 4", composed.Objective)
-	}
-
-	// Composition is deterministic: an identical request reproduces the
-	// result bit for bit.
-	again, err := Solve(&Request{
-		Net: n, Cut: []int{0, 3}, K: 3, AllowTuning: true,
-		WarmFrom: []*Result{s0, s3},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(again.FracWaves, composed.FracWaves) || again.ComposedVars != composed.ComposedVars {
-		t.Fatal("composed solve is not deterministic")
-	}
-}
-
-// TestComposeWarmSavesPivots: on the disjoint pair, the composed start sits
-// on the optimal vertex, so phase 2 needs strictly fewer pivots than the
-// all-slack start.
-func TestComposeWarmSavesPivots(t *testing.T) {
-	n := twoIslandNetwork(t)
-	pivots := func(warm []*Result) int64 {
+	solve := func(memo *Memo, cut ...int) (*Result, map[string]int64) {
+		t.Helper()
 		reg := obs.NewRegistry()
-		_, err := Solve(&Request{
-			Net: n, Cut: []int{0, 3}, K: 3, AllowTuning: true,
-			WarmFrom: warm, Recorder: reg,
-		})
+		res, err := Solve(&Request{Net: n, Cut: cut, K: 3, AllowTuning: true, Recorder: reg, Memo: memo})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return reg.Snapshot().Counters["lp.pivots"]
+		return res, reg.Snapshot().Counters
 	}
-	s0, err := Solve(&Request{Net: n, Cut: []int{0}, K: 3, AllowTuning: true, ExportBasis: true})
-	if err != nil {
-		t.Fatal(err)
+	plain, c := solve(nil, 0, 3)
+	if c["rwa.block_solves"] != 2 || c["lp.solves"] != 2 || c["rwa.block_hits"] != 0 {
+		t.Fatalf("pair cut alone: %v, want two block solves", c)
 	}
-	s3, err := Solve(&Request{Net: n, Cut: []int{3}, K: 3, AllowTuning: true, ExportBasis: true})
-	if err != nil {
-		t.Fatal(err)
+	if math.Abs(plain.Objective-4) > 1e-6 {
+		t.Fatalf("objective %g, want 4", plain.Objective)
 	}
-	cold, warm := pivots(nil), pivots([]*Result{s0, s3})
-	if warm >= cold {
-		t.Fatalf("composed start saved nothing: %d pivots vs %d slack-warm", warm, cold)
+	memo := NewMemo(n)
+	s0, _ := solve(memo, 0)
+	s3, _ := solve(memo, 3)
+	pair, c := solve(memo, 0, 3)
+	if c["rwa.block_solves"] != 0 || c["lp.solves"] != 0 || c["rwa.block_hits"] != 2 {
+		t.Fatalf("pair cut after its singles: %v, want two block hits", c)
 	}
-}
-
-// TestComposeWarmRestriction: when the pair cut removes a surrogate path
-// that the single-cut solution used (fibers of the OTHER cut), its adopted
-// variables drop out, and contention between the two links' adoptions is
-// resolved by the fiber-slot claim pass — the composed point stays feasible
-// (phase 1 still skipped) and the objective matches the plain solve.
-func TestComposeWarmRestriction(t *testing.T) {
-	// fig7Network: IP1 (4 waves) and IP2 (8 waves) on fiber 0, surrogates
-	// via T (fibers 1,2: 3 free slots) and U (fibers 3,4: 2 free slots).
-	// The pair {0,1} kills the top surrogate, so singles' top-path picks
-	// must be dropped and both links compete for the bottom path's 2 slots.
-	n := fig7Network(t)
-	s0, err := Solve(&Request{Net: n, Cut: []int{0}, K: 3, AllowTuning: true, ExportBasis: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1, err := Solve(&Request{Net: n, Cut: []int{1}, K: 3, AllowTuning: true, ExportBasis: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := Solve(&Request{Net: n, Cut: []int{0, 1}, K: 3, AllowTuning: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	composed, err := Solve(&Request{
-		Net: n, Cut: []int{0, 1}, K: 3, AllowTuning: true,
-		WarmFrom: []*Result{s0, s1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if composed.Warm == nil || !composed.Warm.Phase1Skipped {
-		t.Fatalf("restricted composition broke feasibility: %+v", composed.Warm)
-	}
-	if math.Abs(composed.Objective-plain.Objective) > 1e-9 {
-		t.Fatalf("objective drifted: composed %g vs plain %g", composed.Objective, plain.Objective)
+	want := []float64{s0.FracWaves[0], s3.FracWaves[0]}
+	if !reflect.DeepEqual(pair.FracWaves, want) || !reflect.DeepEqual(plain.FracWaves, want) || pair.Objective != plain.Objective {
+		t.Fatalf("pair cut FracWaves %v (alone %v), singles %v", pair.FracWaves, plain.FracWaves, want)
 	}
 }

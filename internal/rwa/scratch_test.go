@@ -313,7 +313,11 @@ func TestSolveMatchesReferenceConstructions(t *testing.T) {
 			// The model: same size, and the same vertex from a cold solve —
 			// which depends on the order of rows and columns.
 			sc := new(scratch)
-			got, want := sc.buildModel(res, "rwa", false), refBuildModel(req, res)
+			all := make([]int, len(res.Failed))
+			for i := range all {
+				all[i] = i
+			}
+			got, want := sc.buildModel(res, all, "rwa", false), refBuildModel(req, res)
 			if got.Stats() != want.Stats() {
 				t.Fatalf("trial %d: model %+v, reference %+v", trial, got.Stats(), want.Stats())
 			}

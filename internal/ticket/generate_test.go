@@ -103,6 +103,11 @@ func handBuiltResult(rng *rand.Rand) *rwa.Result {
 		res.GbpsPerWave = append(res.GbpsPerWave, 100)
 		res.Options = append(res.Options, opts)
 	}
+	// Like Solve's, the Objective bounds every integral assignment: here by
+	// the links' slot capacities.
+	for li := range res.Failed {
+		res.Objective += float64(min(res.OrigWaves[li], rwa.SlotCapacity(res, li)))
+	}
 	return res
 }
 

@@ -280,17 +280,22 @@ func holds(tks []Ticket, waves []int) bool {
 // standalone slot capacity is a rounding that overshot (rounding_infeasible):
 // the greedy places at most that many wavelengths on the link, so it need not
 // be run. A rounding within every capacity that the greedy still cannot
-// realise lost to cross-link spectrum contention (spectrum_clash).
+// realise lost to cross-link spectrum contention (spectrum_clash), and so
+// did one whose clamped total, an integer, exceeds the LP optimum (plus half
+// a wavelength for rounding): the optimum bounds every integral assignment.
 func infeasibility(res *rwa.Result, waves []int) ledger.RejectReason {
+	total := 0
 	for li, w := range waves {
-		if min(w, res.OrigWaves[li]) > rwa.SlotCapacity(res, li) {
+		w = min(w, res.OrigWaves[li])
+		if w > rwa.SlotCapacity(res, li) {
 			return ledger.RejectRounding
 		}
+		total += w
 	}
-	if rwa.Feasible(res, waves) {
-		return ""
+	if float64(total) > res.Objective+0.5 || !rwa.Feasible(res, waves) {
+		return ledger.RejectSpectrumClash
 	}
-	return ledger.RejectSpectrumClash
+	return ""
 }
 
 // roundOnce applies the two-step randomized rounding of Algorithm 1

@@ -16,13 +16,13 @@ import (
 var updateWork = flag.Bool("update-work", false, "rewrite testdata/offline_work.golden and testdata/online_work.golden")
 
 // offlineWorkCounters are the recorder counters of the offline stage's
-// work: what it enumerated and pruned, the RWA and LP solves and their
-// pivots, the composed warm starts, and what ticket rounding drew, dropped
-// and kept.
+// work: what it enumerated and pruned, the RWA solves, the blocks their LPs
+// split into (solved, or answered by the plan's block memo), the LP solves
+// and their pivots, and what ticket rounding drew, dropped and kept.
 var offlineWorkCounters = []string{
 	"scenario.enumerated", "scenario.pruned",
-	"rwa.solves", "lp.solves", "lp.pivots", "lp.pivot_work", "lp.refactorizations",
-	"rwa.compose_adopted",
+	"rwa.solves", "rwa.block_solves", "rwa.block_hits",
+	"lp.solves", "lp.pivots", "lp.pivot_work", "lp.refactorizations",
 	"ticket.rounding_attempts", "ticket.infeasible", "ticket.duplicates", "ticket.generated",
 }
 
@@ -59,7 +59,7 @@ func offlineWork(t *testing.T, net *Network, in offlineInstance, workers int) st
 // repository benchmark's offline-plan instance: B4 with its conduit SRLGs,
 // cut sets of up to three elements, drawn from topo.B4(6) (offlineWorkTopo,
 // the benchmark's instance seed + 5), planned at two of the plan seeds the
-// workload cycles. Each plan takes 52,978 pivots, the workload's own. A
+// workload cycles. Each plan takes 44,842 pivots, the workload's own. A
 // change that moves only bytes leaves it as it is; one that moves the work
 // on purpose rewrites it and quotes its diff:
 //

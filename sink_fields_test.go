@@ -25,7 +25,7 @@ const settingFields = 8
 // optionFields is how many exported fields the module's option structs
 // (optionStructs) declare. A field that no caller outside tests sets only
 // restates its default, and is a constant next to its reader instead.
-const optionFields = 103
+const optionFields = 101
 
 // optionStructs names the option structs, package by package: what a caller
 // hands a solver, a stage or an entry point to configure one call.
